@@ -50,6 +50,7 @@ from repro.wasm.compilers.cache import (
     TieredCache,
 )
 from repro.wasm.decoder import decode_module
+from repro.wasm.validation import validate_module
 
 #: Application argument accepted by :meth:`Session.run` / :meth:`Session.compile`.
 AppLike = Union[GuestProgram, CompiledApplication, str]
@@ -465,6 +466,11 @@ def _run_wasm_mode(
     """Run a guest under MPIWasm: one embedder per rank, shared warm store."""
     compiled_app = session._compiled_application(app)
     cache = session.artifact_cache(config) if session_store else None
+    if config.validate:
+        # Once per job, before any rank runs; the per-rank embedders below
+        # only look the artifact up, so they are told not to validate again.
+        validate_module(compiled_app.module)
+        config = replace(config, validate=False)
 
     def program_factory(world: MPIWorld, metrics: MetricsRegistry):
         def make_rank_program(rank: int):

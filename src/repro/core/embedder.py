@@ -142,8 +142,6 @@ class MPIWasm:
         )
         imports = ImportObject()
         register_mpi_imports(imports)
-        for namespace in build_wasi_imports(wasi_env).namespaces():
-            pass  # namespaces() is informational; merge below
         wasi_imports = build_wasi_imports(wasi_env)
         for ns in wasi_imports.namespaces():
             imports.register_module(ns, wasi_imports._functions[ns])  # noqa: SLF001

@@ -43,6 +43,7 @@ KNOWN_ENV_VARS: Dict[str, str] = {
     "REPRO_TRACE": "set to 1/true to record per-rank MPI event traces (repro.obs)",
     "REPRO_CONFIG": "path to a JSON config file merged below env vars and kwargs",
     "REPRO_BENCH_SMOKE": "set to 1 to run the benchmark suite in fast smoke mode",
+    "REPRO_BENCH_WRITE": "set to 1 to let the benchmarks rewrite the tracked BENCH_*.json files",
 }
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})

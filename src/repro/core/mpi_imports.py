@@ -33,7 +33,7 @@ from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.mpi.status import Request, Status
 from repro.toolchain import mpi_header as abi
-from repro.wasm.runtime import ImportObject, Instance
+from repro.wasm.runtime import HostFunction, ImportObject, Instance
 from repro.wasm.types import FuncType
 
 ENV_NAMESPACE = "env"
@@ -727,11 +727,25 @@ def build_mpi_imports() -> Dict[str, Callable]:
     return impl
 
 
-def register_mpi_imports(imports: ImportObject) -> None:
-    """Register all ``env.MPI_*`` host functions on an import object."""
+def _build_host_functions() -> Dict[str, HostFunction]:
     implementations = build_mpi_imports()
+    functions = {}
     for name, (params, results) in abi.MPI_SIGNATURES.items():
         fn = implementations.get(name)
         if fn is None:  # pragma: no cover - table integrity guard
             raise MPIError(f"no host implementation for {name}")
-        imports.register(ENV_NAMESPACE, name, FuncType.of(params, results), fn)
+        functions[name] = HostFunction(
+            name=f"{ENV_NAMESPACE}.{name}", func_type=FuncType.of(params, results), callable=fn
+        )
+    return functions
+
+
+#: Every ``env.MPI_*`` import, built once at import time: the implementations
+#: take the calling instance as their first argument and close over nothing
+#: per rank, so all ranks share them.
+_MPI_HOST_FUNCTIONS = _build_host_functions()
+
+
+def register_mpi_imports(imports: ImportObject) -> None:
+    """Register all ``env.MPI_*`` host functions on an import object."""
+    imports.register_module(ENV_NAMESPACE, _MPI_HOST_FUNCTIONS)

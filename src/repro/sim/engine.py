@@ -2,17 +2,30 @@
 
 Every simulated MPI rank executes real Python code (a native guest program or
 a WebAssembly module driven through the MPIWasm embedder) on its own thread.
-Exactly one rank thread runs at a time; the engine hands the execution token
-to the runnable rank with the smallest virtual clock, which keeps execution
-deterministic and makes the per-rank virtual clocks well defined.
+Exactly one rank thread runs at a time: the one holding the execution token.
+
+Token protocol (direct handoff, no scheduler thread in the loop):
+
+* A rank gives the token up in three places -- :meth:`SimEngine.block`,
+  :meth:`SimEngine.yield_rank` and when its program ends.  Under the engine
+  lock it picks the next holder itself: the ``READY`` rank with the smallest
+  ``(clock, rank)``.  That rule alone orders execution, so virtual clocks,
+  makespans and trace order are deterministic.
+* It marks that rank ``RUNNING`` and releases that rank's *park* lock, a
+  binary semaphore released exactly once per ``READY -> RUNNING`` transition,
+  then parks on its own.  One OS thread switch per handoff; when the yielding
+  rank is itself the minimum it keeps the token and no switch happens.
+* The thread inside :meth:`SimEngine.run` starts the first rank and sleeps
+  until a rank reports that nothing can be handed the token: every rank
+  finished, a rank ``FAILED`` (the failing rank hands off to nobody), or every
+  unfinished rank is ``BLOCKED`` (deadlock).  Only then does it act: it alone
+  wakes survivors, in rank order, to unwind them (no rank hands off during
+  teardown) and raises :class:`RankFailedError` or :class:`DeadlockError`.
 
 Rank code never touches the engine directly -- it goes through a
 :class:`RankContext`, which exposes the rank id, the virtual clock, explicit
 time advancement (used by the network and compute models) and a
 block/wake protocol used by the MPI matching engine.
-
-The engine detects deadlock: if every unfinished rank is blocked and no wake
-is pending, a :class:`DeadlockError` is raised describing the blocked ranks.
 """
 
 from __future__ import annotations
@@ -29,7 +42,17 @@ class SimulationError(RuntimeError):
 
 
 class DeadlockError(SimulationError):
-    """Raised when every unfinished rank is blocked and nothing can wake them."""
+    """Raised when every unfinished rank is blocked and nothing can wake them.
+
+    As with :class:`RankFailedError`, the blocked ranks have been torn down by
+    the time this propagates; :attr:`rank_clocks` and :attr:`rank_states`
+    record the per-rank clocks and lifecycle states after the unwind.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.rank_clocks: List[float] = []
+        self.rank_states: Dict[int, "RankState"] = {}
 
 
 class RankFailedError(SimulationError):
@@ -71,8 +94,14 @@ class RankState(Enum):
     BLOCKED = "blocked"
     DONE = "done"
     FAILED = "failed"
-    #: Unwound by the engine after another rank failed (not a failure itself).
+    #: Unwound by the engine after a failure or deadlock (not a failure itself).
     TORN_DOWN = "torn_down"
+
+
+def _held_lock() -> Any:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
 
 
 @dataclass
@@ -84,7 +113,9 @@ class _RankRecord:
     state: RankState = RankState.CREATED
     clock: float = 0.0
     thread: Optional[threading.Thread] = None
-    resume_event: threading.Event = field(default_factory=threading.Event)
+    # Binary semaphore the rank parks on: held while the rank waits for the
+    # token, released exactly once per READY -> RUNNING transition.
+    park: Any = field(default_factory=_held_lock)
     result: Any = None
     error: Optional[BaseException] = None
     error_tb: str = ""
@@ -92,8 +123,8 @@ class _RankRecord:
     # Earliest virtual time at which the rank may resume after being woken.
     wake_not_before: float = 0.0
     wake_pending: bool = False
-    # Set by the engine after another rank failed: the next time this rank
-    # holds the token it unwinds via _RankTeardown instead of resuming.
+    # Set by the engine after a failure or deadlock: the next time this rank
+    # is woken it unwinds via _RankTeardown instead of resuming.
     teardown: bool = False
 
 
@@ -151,8 +182,8 @@ class RankContext:
     def yield_turn(self) -> None:
         """Voluntarily yield the execution token without blocking.
 
-        The rank stays runnable but hands the token back to the scheduler, so
-        any rank with an earlier virtual clock runs first; used by busy-wait
+        The rank stays runnable but offers the token to any rank with an
+        earlier virtual clock (keeping it if there is none); used by busy-wait
         style loops (e.g. ``MPI_Iprobe`` polling).
         """
         self._engine.yield_rank(self._rank)
@@ -180,7 +211,8 @@ class SimEngine:
         self.nranks = nranks
         self._records: List[_RankRecord] = []
         self._lock = threading.Lock()
-        self._scheduler_event = threading.Event()
+        # Set by a rank that found nobody to hand the token to; wakes run().
+        self._idle = threading.Event()
         self._trace_enabled = trace
         self.trace_log: List[str] = []
         self._started = False
@@ -255,21 +287,11 @@ class SimEngine:
                 return rec.clock
             rec.state = RankState.BLOCKED
             rec.block_reason = reason
-            rec.resume_event.clear()
-        # Hand the token back to the scheduler.
-        self._scheduler_event.set()
-        rec.resume_event.wait()
-        if rec.teardown:
-            raise _RankTeardown()
-        with self._lock:
-            rec.state = RankState.RUNNING
-            if rec.wake_not_before > rec.clock:
-                rec.clock = rec.wake_not_before
-            rec.wake_not_before = 0.0
-        return rec.clock
+            self._pass_token(rec)
+        return self._park(rec)
 
     def yield_rank(self, rank: int) -> float:
-        """Hand the token back to the scheduler while staying runnable."""
+        """Offer the token to an earlier-clock rank while staying runnable."""
         rec = self._records[rank]
         if rec.teardown:
             raise _RankTeardown()
@@ -279,13 +301,38 @@ class SimEngine:
                 rec.wake_pending = False
                 return rec.clock
             rec.state = RankState.READY
-            rec.resume_event.clear()
-        self._scheduler_event.set()
-        rec.resume_event.wait()
-        if rec.teardown:
-            raise _RankTeardown()
+            kept = self._pass_token(rec)
+        return self._park(rec, switched=not kept)
+
+    def _pass_token(self, rec: Optional[_RankRecord]) -> bool:
+        """Hand the token on; the caller holds ``_lock`` and gave it up.
+
+        The next holder is the ``READY`` rank with the smallest
+        ``(clock, rank)`` (ranks are scanned in order, so a strict ``<`` on the
+        clock breaks ties by rank).  Returns true when that is ``rec`` itself,
+        which then keeps running; with nobody to pick, :meth:`run` is woken to
+        tell completion from deadlock.
+        """
+        nxt = None
+        ready = RankState.READY
+        for cand in self._records:
+            if cand.state is ready and (nxt is None or cand.clock < nxt.clock):
+                nxt = cand
+        if nxt is None:
+            self._idle.set()
+            return False
+        nxt.state = RankState.RUNNING
+        if nxt is not rec:
+            nxt.park.release()
+        return nxt is rec
+
+    def _park(self, rec: _RankRecord, switched: bool = True) -> float:
+        """Wait to be handed the token (if it was passed on), then resume."""
+        if switched:
+            rec.park.acquire()
+            if rec.teardown:
+                raise _RankTeardown()
         with self._lock:
-            rec.state = RankState.RUNNING
             if rec.wake_not_before > rec.clock:
                 rec.clock = rec.wake_not_before
             rec.wake_not_before = 0.0
@@ -312,8 +359,7 @@ class SimEngine:
 
     def _thread_main(self, rec: _RankRecord) -> None:
         ctx = RankContext(self, rec.rank)
-        # Wait for the scheduler to give us the first turn.
-        rec.resume_event.wait()
+        rec.park.acquire()  # first turn
         rec.state = RankState.RUNNING
         try:
             rec.result = rec.target(ctx)
@@ -324,8 +370,11 @@ class SimEngine:
             rec.error = exc
             rec.error_tb = traceback.format_exc()
             rec.state = RankState.FAILED
-        finally:
-            self._scheduler_event.set()
+        with self._lock:
+            if rec.state is RankState.FAILED:
+                self._idle.set()
+            elif not rec.teardown:
+                self._pass_token(rec)
 
     def run(self) -> List[Any]:
         """Run all ranks to completion and return their results by rank.
@@ -345,43 +394,32 @@ class SimEngine:
             )
             rec.thread.start()
 
-        terminal = (RankState.DONE, RankState.FAILED, RankState.TORN_DOWN)
-        while True:
-            failed_rec: Optional[_RankRecord] = None
-            with self._lock:
-                unfinished = [r for r in self._records if r.state not in terminal]
-                failed = [r for r in self._records if r.state == RankState.FAILED]
-                if failed:
-                    failed_rec = failed[0]
-                elif not unfinished:
-                    break
-                else:
-                    runnable = [r for r in unfinished if r.state == RankState.READY]
-                    if not runnable:
-                        blocked = ", ".join(
-                            f"rank {r.rank} ({r.block_reason or 'unknown'})"
-                            for r in unfinished
-                            if r.state == RankState.BLOCKED
-                        )
-                        raise DeadlockError(f"simulation deadlocked; blocked: {blocked}")
-                    nxt = min(runnable, key=lambda r: (r.clock, r.rank))
-                    nxt.state = RankState.RUNNING
-                    self._scheduler_event.clear()
-            if failed_rec is not None:
-                # Teardown happens outside the lock: survivor threads need it
-                # to unwind through block()/yield_rank().
-                self._raise_rank_failure(failed_rec)
-            nxt.resume_event.set()
-            # Wait until the running rank blocks, finishes or fails.
-            self._scheduler_event.wait()
+        with self._lock:
+            self._pass_token(None)
+        # Sleep until a rank finds nobody to hand the token to.
+        self._idle.wait()
 
-        failed = [r for r in self._records if r.state == RankState.FAILED]
-        if failed:
-            self._raise_rank_failure(failed[0])
+        failed = next((r for r in self._records if r.state is RankState.FAILED), None)
+        if failed is not None:
+            self._raise_rank_failure(failed)
+        blocked = ", ".join(
+            f"rank {r.rank} ({r.block_reason or 'unknown'})"
+            for r in self._records
+            if r.state is RankState.BLOCKED
+        )
+        if blocked:
+            self._teardown_survivors()
+            err = DeadlockError(f"simulation deadlocked; blocked: {blocked}")
+            err.rank_clocks = self.clocks()
+            err.rank_states = self.states()
+            raise err
         return [r.result for r in self._records]
 
     def _teardown_survivors(self) -> None:
-        """Deterministically unwind every rank still parked after a failure.
+        """Deterministically unwind every rank still parked (failure or deadlock).
+
+        Runs on the :meth:`run` thread, outside the lock: survivors need the
+        lock to unwind through :meth:`block`/:meth:`yield_rank`.
 
         Survivors are woken in rank order with their ``teardown`` flag set, so
         each unwinds via :class:`_RankTeardown` (running ``finally`` blocks on
@@ -396,10 +434,14 @@ class SimEngine:
             ]
             for rec in survivors:
                 rec.teardown = True
-        for rec in sorted(survivors, key=lambda r: r.rank):
-            rec.resume_event.set()
-            if rec.thread is not None:
-                rec.thread.join(timeout=10.0)
+        for rec in survivors:
+            rec.park.release()
+            rec.thread.join(timeout=10.0)
+            if rec.thread.is_alive():
+                raise SimulationError(
+                    f"rank {rec.rank} did not unwind within 10 s of teardown; "
+                    f"its thread {rec.thread.name} is still alive"
+                )
 
     def _raise_rank_failure(self, rec: _RankRecord) -> None:
         """Tear down survivors, then raise the enriched RankFailedError."""

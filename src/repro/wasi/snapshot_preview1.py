@@ -31,6 +31,30 @@ FDFLAG_APPEND = 1 << 0
 RIGHT_FD_READ = 1 << 1
 RIGHT_FD_WRITE = 1 << 6
 
+#: Signatures of the imports below, parsed once at import time (not per rank).
+_SIGNATURES: Dict[str, FuncType] = {
+    name: FuncType.of(params, results)
+    for name, (params, results) in {
+        "args_sizes_get": (["i32", "i32"], ["i32"]),
+        "args_get": (["i32", "i32"], ["i32"]),
+        "environ_sizes_get": (["i32", "i32"], ["i32"]),
+        "environ_get": (["i32", "i32"], ["i32"]),
+        "clock_time_get": (["i32", "i64", "i32"], ["i32"]),
+        "random_get": (["i32", "i32"], ["i32"]),
+        "fd_write": (["i32", "i32", "i32", "i32"], ["i32"]),
+        "fd_read": (["i32", "i32", "i32", "i32"], ["i32"]),
+        "fd_seek": (["i32", "i64", "i32", "i32"], ["i32"]),
+        "fd_close": (["i32"], ["i32"]),
+        "fd_filestat_get": (["i32", "i32"], ["i32"]),
+        "fd_prestat_get": (["i32", "i32"], ["i32"]),
+        "fd_prestat_dir_name": (["i32", "i32", "i32"], ["i32"]),
+        "path_open": (["i32", "i32", "i32", "i32", "i32", "i64", "i64", "i32", "i32"], ["i32"]),
+        "path_unlink_file": (["i32", "i32", "i32"], ["i32"]),
+        "proc_exit": (["i32"], []),
+        "sched_yield": ([], ["i32"]),
+    }.items()
+}
+
 
 class WasiEnvironment:
     """Per-instance WASI state: args, environment, clock and the VFS.
@@ -87,8 +111,8 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
     """Build an :class:`ImportObject` exposing WASI to a module."""
     imports = ImportObject()
 
-    def register(name: str, params, results, fn) -> None:
-        imports.register(NAMESPACE, name, FuncType.of(params, results), fn)
+    def register(name: str, fn) -> None:
+        imports.register(NAMESPACE, name, _SIGNATURES[name], fn)
 
     # ----------------------------------------------------------- args / environ
 
@@ -120,10 +144,10 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
             offset += len(blob)
         return SUCCESS
 
-    register("args_sizes_get", ["i32", "i32"], ["i32"], args_sizes_get)
-    register("args_get", ["i32", "i32"], ["i32"], args_get)
-    register("environ_sizes_get", ["i32", "i32"], ["i32"], environ_sizes_get)
-    register("environ_get", ["i32", "i32"], ["i32"], environ_get)
+    register("args_sizes_get", args_sizes_get)
+    register("args_get", args_get)
+    register("environ_sizes_get", environ_sizes_get)
+    register("environ_get", environ_get)
 
     # ------------------------------------------------------------------- clocks
 
@@ -132,7 +156,7 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
         instance.memory.store_int(time_ptr, nanos, 8)
         return SUCCESS
 
-    register("clock_time_get", ["i32", "i64", "i32"], ["i32"], clock_time_get)
+    register("clock_time_get", clock_time_get)
 
     # ------------------------------------------------------------------- random
 
@@ -146,7 +170,7 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
             remaining -= len(chunk)
         return SUCCESS
 
-    register("random_get", ["i32", "i32"], ["i32"], random_get)
+    register("random_get", random_get)
 
     # --------------------------------------------------------------------- fds
 
@@ -217,13 +241,13 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
         instance.memory.write(path_ptr, name)
         return SUCCESS
 
-    register("fd_write", ["i32", "i32", "i32", "i32"], ["i32"], fd_write)
-    register("fd_read", ["i32", "i32", "i32", "i32"], ["i32"], fd_read)
-    register("fd_seek", ["i32", "i64", "i32", "i32"], ["i32"], fd_seek)
-    register("fd_close", ["i32"], ["i32"], fd_close)
-    register("fd_filestat_get", ["i32", "i32"], ["i32"], fd_filestat_get)
-    register("fd_prestat_get", ["i32", "i32"], ["i32"], fd_prestat_get)
-    register("fd_prestat_dir_name", ["i32", "i32", "i32"], ["i32"], fd_prestat_dir_name)
+    register("fd_write", fd_write)
+    register("fd_read", fd_read)
+    register("fd_seek", fd_seek)
+    register("fd_close", fd_close)
+    register("fd_filestat_get", fd_filestat_get)
+    register("fd_prestat_get", fd_prestat_get)
+    register("fd_prestat_dir_name", fd_prestat_dir_name)
 
     # -------------------------------------------------------------------- paths
 
@@ -264,13 +288,8 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
         except WasiError as exc:
             return exc.errno
 
-    register(
-        "path_open",
-        ["i32", "i32", "i32", "i32", "i32", "i64", "i64", "i32", "i32"],
-        ["i32"],
-        path_open,
-    )
-    register("path_unlink_file", ["i32", "i32", "i32"], ["i32"], path_unlink_file)
+    register("path_open", path_open)
+    register("path_unlink_file", path_unlink_file)
 
     # --------------------------------------------------------------------- proc
 
@@ -279,11 +298,11 @@ def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
         instance.exit_code = code
         raise ExitTrap(code)
 
-    register("proc_exit", ["i32"], [], proc_exit)
+    register("proc_exit", proc_exit)
 
     def sched_yield(instance: Instance) -> int:
         return SUCCESS
 
-    register("sched_yield", [], ["i32"], sched_yield)
+    register("sched_yield", sched_yield)
 
     return imports

@@ -72,6 +72,36 @@ def test_session_tiers_over_the_fs_cache(tmp_path):
         assert cold.metrics.cache_summary()["misses"] == 0
 
 
+def test_module_is_validated_once_per_job_not_once_per_rank(monkeypatch):
+    import repro.api.session as session_mod
+    import repro.core.embedder as embedder_mod
+
+    validated = []
+    real = session_mod.validate_module
+
+    def counting(module):
+        validated.append(module)
+        return real(module)
+
+    monkeypatch.setattr(session_mod, "validate_module", counting)
+    monkeypatch.setattr(embedder_mod, "validate_module", counting)
+    program = _noop_program("validate-once")
+    with Session(machine="graviton2", backend="cranelift", cache_dir=None) as session:
+        session.run(program, 8)
+        assert len(validated) == 1
+        session.run(program, 8)
+        assert len(validated) == 2  # every job, also when the store is warm
+        # The per-rank lookups and their accounting are untouched.
+        summary = session.metrics.cache_summary()
+        assert (summary["misses"], summary["hits"]) == (1, 15)
+        session.compile(program)
+        assert len(validated) == 3
+    with Session(machine="graviton2", backend="cranelift", cache_dir=None,
+                 validate=False) as session:
+        session.run(program, 2)
+    assert len(validated) == 3
+
+
 # ------------------------------------------------------------ lifecycle/overrides
 
 
