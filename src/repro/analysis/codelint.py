@@ -18,6 +18,11 @@ the linter exists so those regressions stay fixed:
   under an ``ENABLED`` guard so the disabled-tracing fast path never
   constructs trace arguments (the PR 6 overhead contract: BENCH gates assume
   a sub-1% disabled-path cost).
+* ``no-direct-pt2pt-in-algorithms`` -- a ``.send(``/``.recv(`` call inside
+  ``mpi/algorithms/`` anywhere but ``schedule.py``.  PR 13 made the schedule
+  the only implementation of a collective; an algorithm that talks to the
+  ``CollectiveContext`` itself is invisible to the schedule analyzer, the NBC
+  path, round-boundary checkpoints and at-round fault plans.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -44,6 +49,11 @@ BASELINE_NAME = ".codelint-baseline.json"
 
 #: Files exempt from ``env-reads-via-envvars`` (the accessor module itself).
 _ENV_EXEMPT_SUFFIX = ("core/envvars.py",)
+
+#: Where ``no-direct-pt2pt-in-algorithms`` applies, and the one file there
+#: (the schedule executor) that talks to the ``CollectiveContext``.
+_ALGORITHMS_DIR = "mpi/algorithms/"
+_ALGORITHMS_EXECUTOR = "mpi/algorithms/schedule.py"
 
 
 def _qualname_stack(stack: Sequence[ast.AST]) -> str:
@@ -73,6 +83,9 @@ class _FileLinter(ast.NodeVisitor):
     def __init__(self, relpath: str, env_exempt: bool):
         self.relpath = relpath
         self.env_exempt = env_exempt
+        self.algorithm_module = (
+            _ALGORITHMS_DIR in relpath and not relpath.endswith(_ALGORITHMS_EXECUTOR)
+        )
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
         self._if_enabled_depth = 0             # inside an ENABLED-guarded if
@@ -187,6 +200,13 @@ class _FileLinter(ast.NodeVisitor):
                 "env-reads-via-envvars", node,
                 f"{name}() bypasses core/envvars.py; add a typed accessor "
                 "there so the knob is enumerable",
+            )
+        if (self.algorithm_module and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("send", "recv")):
+            self._report(
+                "no-direct-pt2pt-in-algorithms", node,
+                f".{node.func.attr}() in a collective algorithm bypasses the "
+                "schedule executor; emit a SendStep/RecvStep from the builder",
             )
         if ".RECORDER." in f".{name}." and self._if_enabled_depth == 0:
             self._report(

@@ -34,16 +34,15 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-# Importing the algorithms package registers every bundled schedule builder.
-import repro.mpi.algorithms  # noqa: F401  (import for side effect)
 from repro.analysis.findings import Report, Severity
+from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.schedule import (
-    _BUILDERS,
     CopyStep,
     RecvStep,
     ReduceStep,
     Schedule,
     SendStep,
+    get_builder,
 )
 
 #: Element size used when a byte count must be turned into an element count
@@ -56,7 +55,7 @@ ESIZE = 4
 DEFAULT_MAX_STEPS = 2_000_000
 
 #: Collectives whose builder signature carries a root rank.
-_ROOTED = ("bcast", "reduce")
+_ROOTED = ("bcast", "reduce", "gather", "scatter")
 
 
 def parse_nranks_spec(spec: str) -> List[int]:
@@ -99,18 +98,22 @@ DEFAULT_NBYTES: Tuple[int, ...] = (4, 4096)
 
 
 def registered_points() -> List[Tuple[str, str]]:
-    """Every registered ``(collective, algorithm)`` with a schedule builder."""
-    return sorted(_BUILDERS)
+    """Every registered ``(collective, algorithm)`` -- each is a schedule builder."""
+    return [
+        (collective, algorithm)
+        for collective, algorithms in sorted(registry.catalog().items())
+        for algorithm in algorithms
+    ]
 
 
 def build_schedule(collective: str, algorithm: str, rank: int, size: int,
                    nbytes: int, root: int = 0, seq: int = 0) -> Schedule:
     """Build one rank's schedule through the registered builder, adapting
     ``nbytes`` to the per-collective builder signature."""
-    builder = _BUILDERS[(collective, algorithm)]
+    builder = get_builder(collective, algorithm)
     if collective == "barrier":
         return builder(rank, size, seq)
-    if collective == "bcast":
+    if collective in ("bcast", "gather", "scatter"):
         return builder(rank, size, nbytes, root, seq)
     if collective == "reduce":
         return builder(rank, size, max(1, nbytes // ESIZE), ESIZE, root, seq)
@@ -153,6 +156,20 @@ def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int)
         return known, frozenset(["acc"]), out
     if collective == "allreduce":
         return {"acc": payload}, frozenset(["acc"]), ("acc", payload)
+    if collective == "gather":
+        known = {"send": payload}
+        out = None
+        if rank == root:
+            known["recv"] = size * payload
+            out = ("recv", size * payload)
+        return known, frozenset(["send"]), out
+    if collective == "scatter":
+        known = {"recv": payload}
+        pre = frozenset()
+        if rank == root:
+            known["send"] = size * payload
+            pre = frozenset(["send"])
+        return known, pre, ("recv", payload)
     if collective == "allgather":
         known = {"send": payload, "recv": size * payload}
         return known, frozenset(["send"]), ("recv", size * payload)

@@ -167,7 +167,9 @@ MACHINES = Registry("machine preset", populate=("repro.sim.machines",))
 #: Guest benchmarks (zero-argument factories returning a ``GuestProgram``).
 BENCHMARKS = Registry("benchmark", populate=("repro.benchmarks_suite.registry",))
 
-#: Collective algorithms, keyed ``"<collective>:<algorithm>"``.
+#: Collective algorithms, keyed ``"<collective>:<algorithm>"``; each entry is
+#: the algorithm's schedule builder (the only store -- the MPI layer's
+#: ``get_builder``/``registry.get`` read it).
 ALGORITHMS = Registry("collective algorithm", populate=("repro.mpi.algorithms",))
 
 #: Experiment drivers (one callable per table/figure of the paper).
@@ -235,10 +237,18 @@ def algorithm_key(collective: str, name: str) -> str:
 
 
 def register_algorithm(collective: str, name: str, *, override: bool = False):
-    """Decorator registering a collective algorithm implementation.
+    """Decorator registering a collective algorithm's schedule builder.
 
-    Same contract as ``repro.mpi.algorithms.registry.register`` (which
-    delegates here): the collective must be one of the dispatched ones.
+    The decorated function builds one rank's part of one call as a
+    :class:`repro.mpi.algorithms.schedule.Schedule`, with the per-collective
+    signature listed in that module (``allreduce``:
+    ``build(rank, size, count, esize, seq)``, ...).  ``MPI_<Collective>`` runs
+    the schedule to completion and ``MPI_I<collective>`` advances it
+    incrementally, so a builder is all an algorithm consists of.  (Before
+    the blocking twins were removed this registered a blocking function
+    ``fn(cc, ...)``; that is the one deliberate contract change.)
+
+    The collective must be one of the dispatched ones.
     """
     from repro.mpi.algorithms import registry as mpi_registry
 

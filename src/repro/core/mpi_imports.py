@@ -597,8 +597,12 @@ def build_mpi_imports() -> Dict[str, Callable]:
         send_view = translator.to_host(sendbuf, nbytes)
         root_rank = _signed(root)
         is_root = env.runtime.comm_rank(comm) == root_rank
+        # A NULL buffer at the root reaches the runtime as "not supplied"
+        # (MPI_ERR_BUFFER), like MPI_Reduce's recvbuf above.
         recv_view = (
-            translator.to_host(recvbuf, recvcount * recvtype.size * comm.size) if is_root else None
+            translator.to_host(recvbuf, recvcount * recvtype.size * comm.size)
+            if is_root and recvbuf != 0
+            else None
         )
         env.runtime.gather(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, root_rank, comm)
         return abi.MPI_SUCCESS
@@ -619,7 +623,9 @@ def build_mpi_imports() -> Dict[str, Callable]:
         root_rank = _signed(root)
         is_root = env.runtime.comm_rank(comm) == root_rank
         send_view = (
-            translator.to_host(sendbuf, sendcount * sendtype.size * comm.size) if is_root else None
+            translator.to_host(sendbuf, sendcount * sendtype.size * comm.size)
+            if is_root and sendbuf != 0
+            else None
         )
         recv_view = translator.to_host(recvbuf, nbytes)
         env.runtime.scatter(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, root_rank, comm)

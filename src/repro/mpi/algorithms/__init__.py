@@ -1,8 +1,9 @@
 """Pluggable collective-algorithm subsystem.
 
 Mirrors the role of Open MPI's ``coll/tuned`` component for the simulated
-host MPI library: every collective has several interchangeable algorithm
-implementations in a registry keyed by ``(collective, algorithm)``, and a
+host MPI library: every collective has several interchangeable algorithms
+-- each a schedule builder (:mod:`repro.mpi.algorithms.schedule`) -- in a
+registry keyed by ``(collective, algorithm)``, and a
 size-based decision layer picks one per call -- overridable per job through
 :class:`repro.core.config.EmbedderConfig` or the ``REPRO_COLL_ALGO``
 environment knob (see :mod:`repro.mpi.algorithms.decision`).

@@ -1,21 +1,18 @@
 """Allgather algorithms: ring and Bruck.
 
-Both are expressed as schedules over two named buffers: ``"send"`` (this
-rank's block) and ``"recv"`` (``p`` blocks, the result).  The registered
-blocking functions execute the same schedules ``MPI_Iallgather`` advances
-incrementally.
+Both are schedules over two named buffers: ``"send"`` (this rank's block)
+and ``"recv"`` (``p`` blocks, the result).  ``MPI_Allgather`` runs the
+schedule to completion; ``MPI_Iallgather`` advances it incrementally.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLGATHER, CollectiveContext, coll_tag
-from repro.mpi.algorithms.registry import register
+from repro.mpi.algorithms.base import KIND_ALLGATHER, coll_tag
 from repro.mpi.algorithms.schedule import (
     CopyStep,
     RecvStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
 
@@ -82,29 +79,3 @@ def build_allgather_bruck(rank: int, size: int, nbytes_per_rank: int, seq: int) 
         CopyStep(tmp, j * b, RECV, ((rank + j) % p) * b, b) for j in range(p)
     ])
     return sched
-
-
-@register("allgather", "ring")
-def allgather_ring(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking ring allgather (executes the schedule in place)."""
-    sched = build_allgather_ring(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: bytearray(sendbuf[:nbytes_per_rank]), RECV: recvbuf})
-
-
-@register("allgather", "bruck")
-def allgather_bruck(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking Bruck allgather (executes the schedule in place)."""
-    sched = build_allgather_bruck(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: bytearray(sendbuf[:nbytes_per_rank]), RECV: recvbuf})

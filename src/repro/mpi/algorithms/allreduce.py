@@ -1,35 +1,33 @@
 """Allreduce algorithms: recursive doubling, ring, and reduce+bcast.
 
-Recursive doubling and the ring are expressed as schedules over the
-accumulator buffer ``"acc"`` (initialised with this rank's contribution and
-holding the result at completion); the registered blocking functions execute
-the same schedules ``MPI_Iallreduce`` advances incrementally.  The composed
-``reduce_bcast`` algorithm stays a composition of the (schedule-based)
-binomial reduce and bcast.
+All three are schedules over the accumulator buffer ``"acc"`` (initialised
+with this rank's contribution and holding the result at completion);
+``MPI_Allreduce`` runs the schedule to completion and ``MPI_Iallreduce``
+advances the same schedule incrementally.  ``reduce_bcast`` is composed from
+the round emitters of the binomial reduce and the binomial bcast.
 """
 
 from __future__ import annotations
 
 from repro.mpi.algorithms.base import (
     KIND_ALLREDUCE,
-    CollectiveContext,
+    KIND_BCAST,
+    KIND_REDUCE,
     chunk_counts,
     chunk_offsets,
     coll_tag,
     fold_absolute_rank,
     largest_power_of_two_leq,
 )
-from repro.mpi.algorithms.registry import register
+from repro.mpi.algorithms.bcast import binomial_bcast_rounds
+from repro.mpi.algorithms.reduce import binomial_reduce_rounds, fold_rounds
 from repro.mpi.algorithms.schedule import (
     RecvStep,
     ReduceStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
-from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
 
 # Tag offset for the post-phase that hands results back to folded-out ranks
 # (doubling rounds use offsets 1..log2(p), far below 63).
@@ -37,28 +35,6 @@ _UNFOLD_TAG_OFFSET = 63
 
 #: Accumulator buffer name every allreduce schedule reads and writes.
 ACC = "acc"
-
-
-def _fold_rounds(sched: Schedule, rank: int, count: int, esize: int, tag: int,
-                 rem: int, tmp: str) -> int:
-    """Emit the fold pre-phase for non-power-of-two sizes.
-
-    The first ``2 * rem`` ranks pair up: each even rank sends its vector to
-    its odd neighbour (which combines it) and drops out of the core phase.
-    Returns the rank's virtual id within the power-of-two group, or ``-1``
-    for folded-out ranks.
-    """
-    nbytes = count * esize
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            sched.round([SendStep(rank + 1, tag, ACC, 0, nbytes)])
-            return -1
-        sched.round([
-            RecvStep(rank - 1, tag, tmp, 0, nbytes),
-            ReduceStep(tmp, 0, ACC, 0, count),
-        ])
-        return rank // 2
-    return rank - rem
 
 
 def _unfold_round(sched: Schedule, rank: int, nbytes: int, tag: int, rem: int) -> None:
@@ -89,7 +65,7 @@ def build_allreduce_recursive_doubling(
     pof2 = largest_power_of_two_leq(p)
     rem = p - pof2
     tmp = sched.temp("tmp", nbytes)
-    vrank = _fold_rounds(sched, rank, count, esize, tag, rem, tmp)
+    vrank = fold_rounds(sched, rank, count, esize, tag, rem, tmp)
 
     if vrank != -1:
         mask = 1
@@ -151,74 +127,22 @@ def build_allreduce_ring(rank: int, size: int, count: int, esize: int, seq: int)
     return sched
 
 
-def _run_allreduce_schedule(
-    cc: CollectiveContext,
-    sched: Schedule,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    nbytes = count * datatype.size
-    buffers = execute(cc, sched, {ACC: bytearray(sendbuf[:nbytes])}, datatype, op)
-    recvbuf[:nbytes] = buffers[ACC][:nbytes]
-
-
-@register("allreduce", "recursive_doubling")
-def allreduce_recursive_doubling(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
-    """Blocking recursive-doubling allreduce (executes the schedule)."""
-    sched = build_allreduce_recursive_doubling(cc.rank, cc.size, count, datatype.size, seq)
-    _run_allreduce_schedule(cc, sched, sendbuf, recvbuf, count, datatype, op)
-
-
-@register("allreduce", "ring")
-def allreduce_ring(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
-    """Blocking ring allreduce (executes the schedule)."""
-    sched = build_allreduce_ring(cc.rank, cc.size, count, datatype.size, seq)
-    _run_allreduce_schedule(cc, sched, sendbuf, recvbuf, count, datatype, op)
-
-
-@register("allreduce", "reduce_bcast")
-def allreduce_reduce_bcast(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
+@register_builder("allreduce", "reduce_bcast")
+def build_allreduce_reduce_bcast(rank: int, size: int, count: int, esize: int,
+                                 seq: int) -> Schedule:
     """Allreduce composed from a binomial reduce-to-0 and a binomial bcast.
 
     The textbook composition the original single-algorithm implementation
     used; kept as a registered algorithm so the composition stays selectable
-    and comparable against the fused ones.
+    and comparable against the fused ones.  The bcast rounds forward the
+    accumulator the reduce rounds left complete on rank 0; the two phases
+    keep the tags of the collectives they are borrowed from.
     """
-    from repro.mpi.algorithms.bcast import bcast_binomial
-    from repro.mpi.algorithms.reduce import reduce_binomial
-
-    nbytes = count * datatype.size
-    tmp = bytearray(nbytes)
-    reduce_binomial(cc, sendbuf, tmp if cc.rank == 0 else None, count, datatype, op, 0, seq)
-    if cc.rank == 0:
-        recvbuf[:nbytes] = tmp
-    bcast_buf = bytearray(recvbuf[:nbytes]) if cc.rank == 0 else bytearray(nbytes)
-    bcast_binomial(cc, bcast_buf, nbytes, 0, seq)
-    recvbuf[:nbytes] = bcast_buf[:nbytes]
+    sched = Schedule()
+    if size <= 1:
+        return sched
+    nbytes = count * esize
+    binomial_reduce_rounds(sched, rank, size, count, esize, 0,
+                           coll_tag(KIND_REDUCE, seq), sched.temp("tmp", nbytes))
+    binomial_bcast_rounds(sched, rank, size, nbytes, 0, coll_tag(KIND_BCAST, seq), ACC)
+    return sched

@@ -1,21 +1,18 @@
 """Alltoall algorithms: pairwise exchange and basic linear.
 
-Both are expressed as schedules over two named buffers: ``"send"`` (``p``
-outgoing blocks) and ``"recv"`` (``p`` incoming blocks).  The registered
-blocking functions execute the same schedules ``MPI_Ialltoall`` advances
-incrementally.
+Both are schedules over two named buffers: ``"send"`` (``p`` outgoing
+blocks) and ``"recv"`` (``p`` incoming blocks).  ``MPI_Alltoall`` runs the
+schedule to completion; ``MPI_Ialltoall`` advances it incrementally.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLTOALL, CollectiveContext, coll_tag
-from repro.mpi.algorithms.registry import register
+from repro.mpi.algorithms.base import KIND_ALLTOALL, coll_tag
 from repro.mpi.algorithms.schedule import (
     CopyStep,
     RecvStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
 
@@ -69,34 +66,3 @@ def build_alltoall_linear(rank: int, size: int, nbytes_per_rank: int, seq: int) 
         RecvStep(peer, tag, RECV, peer * b, b) for peer in range(p) if peer != rank
     ])
     return sched
-
-
-def _run_alltoall(cc: CollectiveContext, sched: Schedule, sendbuf: bytes,
-                  recvbuf: bytearray, nbytes_per_rank: int) -> None:
-    execute(cc, sched, {SEND: bytearray(sendbuf[: cc.size * nbytes_per_rank]), RECV: recvbuf})
-
-
-@register("alltoall", "pairwise")
-def alltoall_pairwise(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking pairwise-exchange alltoall (executes the schedule in place)."""
-    sched = build_alltoall_pairwise(cc.rank, cc.size, nbytes_per_rank, seq)
-    _run_alltoall(cc, sched, sendbuf, recvbuf, nbytes_per_rank)
-
-
-@register("alltoall", "linear")
-def alltoall_linear(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking linear alltoall (executes the schedule in place)."""
-    sched = build_alltoall_linear(cc.rank, cc.size, nbytes_per_rank, seq)
-    _run_alltoall(cc, sched, sendbuf, recvbuf, nbytes_per_rank)

@@ -1,21 +1,18 @@
 """Barrier algorithms: dissemination and linear (central coordinator).
 
-Both algorithms are expressed as *schedules* (ordered rounds of zero-byte
-token exchanges, see :mod:`repro.mpi.algorithms.schedule`); the registered
-blocking functions execute the same schedules the non-blocking
-``MPI_Ibarrier`` path advances incrementally, so each algorithm has exactly
-one implementation.
+Both algorithms are *schedules* (ordered rounds of zero-byte token
+exchanges, see :mod:`repro.mpi.algorithms.schedule`): ``MPI_Barrier`` runs
+the schedule to completion and ``MPI_Ibarrier`` advances the same schedule
+incrementally, so each algorithm has exactly one implementation.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_BARRIER, CollectiveContext, coll_tag
-from repro.mpi.algorithms.registry import register
+from repro.mpi.algorithms.base import KIND_BARRIER, coll_tag
 from repro.mpi.algorithms.schedule import (
     RecvStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
 
@@ -62,15 +59,3 @@ def build_barrier_linear(rank: int, size: int, seq: int) -> Schedule:
         sched.round([SendStep(0, tag)])
         sched.round([RecvStep(0, tag + 1)])
     return sched
-
-
-@register("barrier", "dissemination")
-def barrier_dissemination(cc: CollectiveContext, seq: int) -> None:
-    """Blocking dissemination barrier (executes the schedule to completion)."""
-    execute(cc, build_barrier_dissemination(cc.rank, cc.size, seq))
-
-
-@register("barrier", "linear")
-def barrier_linear(cc: CollectiveContext, seq: int) -> None:
-    """Blocking linear barrier (executes the schedule to completion)."""
-    execute(cc, build_barrier_linear(cc.rank, cc.size, seq))

@@ -1,9 +1,10 @@
 """Shared primitives of the collective-algorithm subsystem.
 
-Every algorithm is written against :class:`CollectiveContext` -- the small
-bundle of callables the per-rank runtime exposes -- so payloads stay
-bit-identical regardless of algorithm and all virtual-time costs fall out of
-the transport model underneath ``send``/``recv``.
+Every algorithm is a schedule (:mod:`repro.mpi.algorithms.schedule`) that the
+executor runs against a :class:`CollectiveContext` -- the small bundle of
+callables the per-rank runtime exposes -- so payloads stay bit-identical
+regardless of algorithm and all virtual-time costs fall out of the transport
+model underneath ``send``/``recv``.
 
 Tag discipline: collectives own the tag space above :data:`COLL_TAG_BASE`.
 A tag is derived from the collective *kind* and the per-communicator
@@ -45,7 +46,7 @@ class CollectiveContext:
     ``send(dst_local, tag, data)`` and ``recv(src_local, tag, nbytes) -> bytes``
     operate on *communicator-local* ranks; the runtime translates to world
     ranks and forwards to the matching engine.  ``send`` posts without
-    blocking (the matching engine buffers), which lets algorithms post a fan
+    blocking (the matching engine buffers), which lets a schedule post a fan
     of sends before draining receives.  ``compute(seconds)`` charges local
     computation time (used for the combine step of reductions).
 
@@ -94,26 +95,17 @@ class CollectiveContext:
         self.world_rank = world_rank
 
 
-def combine(cc: CollectiveContext, op: Op, acc: bytearray, contribution: bytes,
-            datatype: Datatype, count: int) -> None:
-    """Reduce ``contribution`` into ``acc`` and charge the combine time."""
-    op.reduce_bytes(acc, contribution, datatype, count)
-    cc.compute(count * datatype.size * cc.reduce_compute_per_byte)
-
-
-def combine_segment(cc: CollectiveContext, op: Op, acc: bytearray, contribution: bytes,
+def combine_segment(cc: CollectiveContext, op: Op, acc, contribution,
                     datatype: Datatype, elem_offset: int, elem_count: int) -> None:
     """Reduce ``contribution`` into the element range of ``acc`` starting at
-    ``elem_offset``; charges combine time for the segment only."""
+    ``elem_offset`` (in place, through a view of that range); charges combine
+    time for the segment only."""
     if elem_count <= 0:
         return
-    esize = datatype.size
-    lo = elem_offset * esize
-    hi = lo + elem_count * esize
-    seg = bytearray(acc[lo:hi])
-    op.reduce_bytes(seg, contribution, datatype, elem_count)
-    acc[lo:hi] = seg
-    cc.compute(elem_count * esize * cc.reduce_compute_per_byte)
+    nbytes = elem_count * datatype.size
+    lo = elem_offset * datatype.size
+    op.reduce_bytes(memoryview(acc)[lo : lo + nbytes], contribution, datatype, elem_count)
+    cc.compute(nbytes * cc.reduce_compute_per_byte)
 
 
 def chunk_counts(count: int, parts: int) -> List[int]:

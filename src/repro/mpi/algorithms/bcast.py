@@ -1,20 +1,18 @@
 """Broadcast algorithms: binomial tree and scatter-allgather (Van de Geijn).
 
-Both are expressed as schedules over one named buffer, ``"data"`` -- the
-payload on the root, the receive target everywhere else.  The registered
-blocking functions execute the same schedules ``MPI_Ibcast`` advances
-incrementally, so each algorithm has exactly one implementation.
+Both are schedules over one named buffer, ``"data"`` -- the payload on the
+root, the receive target everywhere else.  ``MPI_Bcast`` runs the schedule to
+completion and ``MPI_Ibcast`` advances the same schedule incrementally, so
+each algorithm has exactly one implementation.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_BCAST, CollectiveContext, coll_tag
-from repro.mpi.algorithms.registry import register
+from repro.mpi.algorithms.base import KIND_BCAST, coll_tag
 from repro.mpi.algorithms.schedule import (
     RecvStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
 
@@ -22,14 +20,14 @@ from repro.mpi.algorithms.schedule import (
 DATA = "data"
 
 
-@register_builder("bcast", "binomial")
-def build_bcast_binomial(rank: int, size: int, nbytes: int, root: int, seq: int) -> Schedule:
-    """Binomial-tree broadcast of ``nbytes`` from ``root``."""
-    sched = Schedule()
+def binomial_bcast_rounds(sched: Schedule, rank: int, size: int, nbytes: int,
+                          root: int, tag: int, buf: str) -> None:
+    """Emit the rounds of a binomial-tree broadcast of ``buf[:nbytes]``.
+
+    Shared with the composed ``allreduce:reduce_bcast`` schedule, which
+    broadcasts its accumulator with exactly these rounds.
+    """
     p = size
-    if p <= 1 or nbytes < 0:
-        return sched
-    tag = coll_tag(KIND_BCAST, seq)
     vrank = (rank - root) % p
 
     # Round 1: every rank except the root receives from its binomial parent.
@@ -39,7 +37,7 @@ def build_bcast_binomial(rank: int, size: int, nbytes: int, root: int, seq: int)
     while mask < p:
         if vrank & mask:
             parent = ((vrank - mask) + root) % p
-            sched.round([RecvStep(parent, tag, DATA, 0, nbytes)])
+            sched.round([RecvStep(parent, tag, buf, 0, nbytes)])
             break
         mask <<= 1
     # Following rounds: forward to children at all lower bit positions.
@@ -47,8 +45,16 @@ def build_bcast_binomial(rank: int, size: int, nbytes: int, root: int, seq: int)
     while mask > 0:
         if vrank + mask < p:
             child = ((vrank + mask) + root) % p
-            sched.round([SendStep(child, tag, DATA, 0, nbytes)])
+            sched.round([SendStep(child, tag, buf, 0, nbytes)])
         mask >>= 1
+
+
+@register_builder("bcast", "binomial")
+def build_bcast_binomial(rank: int, size: int, nbytes: int, root: int, seq: int) -> Schedule:
+    """Binomial-tree broadcast of ``nbytes`` from ``root``."""
+    sched = Schedule()
+    if size > 1 and nbytes >= 0:
+        binomial_bcast_rounds(sched, rank, size, nbytes, root, coll_tag(KIND_BCAST, seq), DATA)
     return sched
 
 
@@ -100,15 +106,3 @@ def build_bcast_scatter_allgather(rank: int, size: int, nbytes: int, root: int, 
             RecvStep(left, tag + 1 + step, DATA, rlo, rhi - rlo),
         ])
     return sched
-
-
-@register("bcast", "binomial")
-def bcast_binomial(cc: CollectiveContext, buffer: bytearray, nbytes: int, root: int, seq: int) -> None:
-    """Blocking binomial-tree broadcast (executes the schedule in place)."""
-    execute(cc, build_bcast_binomial(cc.rank, cc.size, nbytes, root, seq), {DATA: buffer})
-
-
-@register("bcast", "scatter_allgather")
-def bcast_scatter_allgather(cc: CollectiveContext, buffer: bytearray, nbytes: int, root: int, seq: int) -> None:
-    """Blocking scatter-allgather broadcast (executes the schedule in place)."""
-    execute(cc, build_bcast_scatter_allgather(cc.rank, cc.size, nbytes, root, seq), {DATA: buffer})

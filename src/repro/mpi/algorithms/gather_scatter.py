@@ -1,171 +1,143 @@
 """Gather and scatter algorithms: linear (root exchanges with every rank)
 and binomial tree (blocks aggregated/partitioned along subtrees).
 
-Signatures::
+All four are schedules over ``"send"`` and ``"recv"``: for gather ``"send"``
+is this rank's block and ``"recv"`` the root's ``p`` blocks; for scatter
+``"send"`` is the root's ``p`` blocks and ``"recv"`` this rank's block.  Only
+the root's schedule references the ``p``-block buffer.
 
-    gather:  fn(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq) -> None
-    scatter: fn(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq) -> None
-
-For gather, ``recvbuf`` is a ``bytearray`` of ``p`` blocks on the root and
-``None`` elsewhere; for scatter, ``sendbuf`` is ``p`` blocks on the root and
-``None`` elsewhere.
+The binomial trees work in *virtual* ranks (``vrank = (rank - root) % p``):
+the subtree hanging off virtual rank ``v`` at bit position ``m`` covers the
+contiguous range ``[v, min(v + m, p))``, so a subtree travels as one packed
+message.  Each rank keeps its subtree packed in virtual-rank order in the
+temporary ``"tmp"`` (block ``v`` at offset ``(v - vrank) * b``); the root
+converts between that order and absolute rank order with a rotation by
+``root`` blocks, which is two contiguous copies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List, Tuple
 
-from repro.mpi.algorithms.base import (
-    KIND_GATHER,
-    KIND_SCATTER,
-    CollectiveContext,
-    coll_tag,
+from repro.mpi.algorithms.base import KIND_GATHER, KIND_SCATTER, coll_tag
+from repro.mpi.algorithms.schedule import (
+    CopyStep,
+    RecvStep,
+    Schedule,
+    SendStep,
+    register_builder,
 )
-from repro.mpi.algorithms.registry import register
+
+#: Buffer names every gather/scatter schedule uses.
+SEND = "send"
+RECV = "recv"
+TMP = "tmp"
 
 
-@register("gather", "linear")
-def gather_linear(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+def _rotation(p: int, b: int, root: int) -> List[Tuple[int, int, int]]:
+    """``(absolute offset, packed offset, nbytes)`` of the (at most two)
+    contiguous runs that map absolute rank order (block ``r`` at ``r * b``)
+    onto virtual-rank order (block ``(r - root) % p`` at that index): blocks
+    ``root..p-1`` are the head of the packed order, ``0..root-1`` its tail."""
+    head, tail = (p - root) * b, root * b
+    return [run for run in ((root * b, 0, head), (0, head, tail)) if run[2]]
+
+
+@register_builder("gather", "linear")
+def build_gather_linear(rank: int, size: int, nbytes_per_rank: int, root: int,
+                        seq: int) -> Schedule:
     """Linear gather: every non-root rank sends its block to the root."""
-    p = cc.size
-    tag = coll_tag(KIND_GATHER, seq)
-    if cc.rank == root:
-        if recvbuf is None:
-            raise ValueError("root must supply a receive buffer to gather")
-        recvbuf[root * nbytes_per_rank : (root + 1) * nbytes_per_rank] = sendbuf[:nbytes_per_rank]
-        for src in range(p):
-            if src == root:
-                continue
-            block = cc.recv(src, tag, nbytes_per_rank)
-            recvbuf[src * nbytes_per_rank : (src + 1) * nbytes_per_rank] = block
-    else:
-        cc.send(root, tag, bytes(sendbuf[:nbytes_per_rank]))
-
-
-@register("gather", "binomial")
-def gather_binomial(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
-    """Binomial-tree gather: subtree blocks are aggregated on the way up.
-
-    The subtree hanging off virtual rank ``v`` at bit position ``m`` covers
-    the contiguous virtual-rank range ``[v, min(v + m, p))``, so every
-    internal node forwards one packed message per child instead of the root
-    receiving ``p - 1`` individual blocks.
-    """
-    p = cc.size
+    sched = Schedule()
     b = nbytes_per_rank
     tag = coll_tag(KIND_GATHER, seq)
-    vrank = (cc.rank - root) % p
-    blocks: Dict[int, bytes] = {vrank: bytes(sendbuf[:b])}
+    if rank == root:
+        sched.round([CopyStep(SEND, 0, RECV, root * b, b)])
+        sched.round([RecvStep(src, tag, RECV, src * b, b) for src in range(size) if src != root])
+    else:
+        sched.round([SendStep(root, tag, SEND, 0, b)])
+    return sched
+
+
+@register_builder("gather", "binomial")
+def build_gather_binomial(rank: int, size: int, nbytes_per_rank: int, root: int,
+                          seq: int) -> Schedule:
+    """Binomial-tree gather: subtree blocks are aggregated on the way up, so
+    every internal node forwards one packed message per child instead of the
+    root receiving ``p - 1`` individual blocks."""
+    sched = Schedule()
+    p = size
+    b = nbytes_per_rank
+    tag = coll_tag(KIND_GATHER, seq)
+    vrank = (rank - root) % p
+    sched.round([CopyStep(SEND, 0, TMP, 0, b)])
+    held = 1  # blocks of this rank's subtree gathered so far
     mask = 1
     while mask < p:
         if vrank & mask:
             parent = ((vrank - mask) + root) % p
-            span = min(mask, p - vrank)
-            payload = b"".join(blocks[v] for v in range(vrank, vrank + span))
-            cc.send(parent, tag, payload)
+            sched.round([SendStep(parent, tag, TMP, 0, min(mask, p - vrank) * b)])
             break
         vchild = vrank | mask
         if vchild < p:
             span = min(mask, p - vchild)
-            data = cc.recv((vchild + root) % p, tag, span * b)
-            for i in range(span):
-                blocks[vchild + i] = bytes(data[i * b : (i + 1) * b])
+            sched.round([RecvStep((vchild + root) % p, tag, TMP, mask * b, span * b)])
+            held = mask + span
         mask <<= 1
+    sched.temp(TMP, held * b)
     if vrank == 0:
-        if recvbuf is None:
-            raise ValueError("root must supply a receive buffer to gather")
-        for v in range(p):
-            absolute = (v + root) % p
-            recvbuf[absolute * b : (absolute + 1) * b] = blocks[v]
+        sched.round([CopyStep(TMP, plo, RECV, alo, n) for alo, plo, n in _rotation(p, b, root)])
+    return sched
 
 
-@register("scatter", "linear")
-def scatter_linear(
-    cc: CollectiveContext,
-    sendbuf: Optional[bytes],
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+@register_builder("scatter", "linear")
+def build_scatter_linear(rank: int, size: int, nbytes_per_rank: int, root: int,
+                         seq: int) -> Schedule:
     """Linear scatter: the root sends one block to every other rank."""
-    p = cc.size
+    sched = Schedule()
+    b = nbytes_per_rank
     tag = coll_tag(KIND_SCATTER, seq)
-    if cc.rank == root:
-        if sendbuf is None:
-            raise ValueError("root must supply a send buffer to scatter")
-        recvbuf[:nbytes_per_rank] = sendbuf[
-            root * nbytes_per_rank : (root + 1) * nbytes_per_rank
-        ]
-        for dst in range(p):
-            if dst == root:
-                continue
-            block = bytes(sendbuf[dst * nbytes_per_rank : (dst + 1) * nbytes_per_rank])
-            cc.send(dst, tag, block)
+    if rank == root:
+        sched.round([CopyStep(SEND, root * b, RECV, 0, b)])
+        sched.round([SendStep(dst, tag, SEND, dst * b, b) for dst in range(size) if dst != root])
     else:
-        data = cc.recv(root, tag, nbytes_per_rank)
-        recvbuf[:nbytes_per_rank] = data
+        sched.round([RecvStep(root, tag, RECV, 0, b)])
+    return sched
 
 
-@register("scatter", "binomial")
-def scatter_binomial(
-    cc: CollectiveContext,
-    sendbuf: Optional[bytes],
-    recvbuf: bytearray,
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+@register_builder("scatter", "binomial")
+def build_scatter_binomial(rank: int, size: int, nbytes_per_rank: int, root: int,
+                           seq: int) -> Schedule:
     """Binomial-tree scatter: the mirror of the binomial gather.
 
     Each rank receives the packed blocks of its whole subtree from its parent
     and forwards the halves belonging to its children, so the root injects
     ``log2(p)`` messages instead of ``p - 1``.
     """
-    p = cc.size
+    sched = Schedule()
+    p = size
     b = nbytes_per_rank
     tag = coll_tag(KIND_SCATTER, seq)
-    vrank = (cc.rank - root) % p
-
-    blocks: Dict[int, bytes] = {}
+    vrank = (rank - root) % p
     if vrank == 0:
-        if sendbuf is None:
-            raise ValueError("root must supply a send buffer to scatter")
-        for v in range(p):
-            absolute = (v + root) % p
-            blocks[v] = bytes(sendbuf[absolute * b : (absolute + 1) * b])
+        sched.round([CopyStep(SEND, alo, TMP, plo, n) for alo, plo, n in _rotation(p, b, root)])
     # Phase 1: receive this rank's subtree from the binomial parent.
+    held = p
     mask = 1
     while mask < p:
         if vrank & mask:
             parent = ((vrank - mask) + root) % p
-            span = min(mask, p - vrank)
-            data = cc.recv(parent, tag, span * b)
-            for i in range(span):
-                blocks[vrank + i] = bytes(data[i * b : (i + 1) * b])
+            held = min(mask, p - vrank)
+            sched.round([RecvStep(parent, tag, TMP, 0, held * b)])
             break
         mask <<= 1
+    sched.temp(TMP, held * b)
     # Phase 2: forward each child its sub-range.
     mask >>= 1
     while mask > 0:
         vchild = vrank + mask
         if vchild < p:
             span = min(mask, p - vchild)
-            payload = b"".join(blocks[v] for v in range(vchild, vchild + span))
-            cc.send((vchild + root) % p, tag, payload)
+            sched.round([SendStep((vchild + root) % p, tag, TMP, mask * b, span * b)])
         mask >>= 1
-    recvbuf[:b] = blocks[vrank]
+    sched.round([CopyStep(TMP, 0, RECV, 0, b)])
+    return sched

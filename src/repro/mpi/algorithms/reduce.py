@@ -1,42 +1,29 @@
 """Reduce algorithms: binomial tree and Rabenseifner (reduce-scatter + gather).
 
-Signature shared by every reduce algorithm::
-
-    fn(cc, sendbuf, recvbuf, count, datatype, op, root, seq) -> None
-
-``recvbuf`` is a ``bytearray`` on the root and ``None`` elsewhere.  The
-binomial tree is expressed as a schedule over the accumulator buffer
-``"acc"`` (see :mod:`repro.mpi.algorithms.schedule`), shared with the
-non-blocking path; Rabenseifner stays a direct implementation.
+Both are schedules over the accumulator buffer ``"acc"`` (initialised with
+this rank's contribution); the root's schedule additionally writes the
+result into ``"recv"``.  The round emitters are shared with the allreduce
+algorithms that reuse them (see :mod:`repro.mpi.algorithms.allreduce`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.mpi.algorithms.base import (
     KIND_REDUCE,
-    CollectiveContext,
     chunk_counts,
     chunk_offsets,
     coll_tag,
-    combine,
-    combine_segment,
     fold_absolute_rank,
     largest_power_of_two_leq,
 )
-from repro.mpi.algorithms.registry import register
 from repro.mpi.algorithms.schedule import (
     CopyStep,
     RecvStep,
     ReduceStep,
     Schedule,
     SendStep,
-    execute,
     register_builder,
 )
-from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
 
 # Tag offset separating the gather phase from the reduce-scatter rounds
 # (rounds use offsets 1..log2(p), far below 64).
@@ -47,6 +34,53 @@ ACC = "acc"
 RECV = "recv"
 
 
+def binomial_reduce_rounds(sched: Schedule, rank: int, size: int, count: int,
+                           esize: int, root: int, tag: int, tmp: str) -> None:
+    """Emit the rounds of a binomial-tree reduction of ``"acc"`` to ``root``
+    (``tmp`` is a declared temporary of ``count * esize`` bytes)."""
+    p = size
+    nbytes = count * esize
+    vrank = (rank - root) % p
+    mask = 1
+    while mask < p:
+        if vrank & mask:
+            parent = ((vrank & ~mask) + root) % p
+            sched.round([SendStep(parent, tag, ACC, 0, nbytes)])
+            break
+        vchild = vrank | mask
+        if vchild < p:
+            child = (vchild + root) % p
+            sched.round([
+                RecvStep(child, tag, tmp, 0, nbytes),
+                ReduceStep(tmp, 0, ACC, 0, count),
+            ])
+        mask <<= 1
+
+
+def fold_rounds(sched: Schedule, rank: int, count: int, esize: int, tag: int,
+                rem: int, tmp: str) -> int:
+    """Emit the fold pre-phase of the halving/doubling algorithms for
+    non-power-of-two sizes.
+
+    The first ``2 * rem`` ranks pair up: each even rank sends its vector to
+    its odd neighbour (which combines it) and drops out of the core phase.
+    Returns the rank's virtual id within the power-of-two group, or ``-1``
+    for folded-out ranks.  All predefined MPI ops are commutative, which the
+    fold relies on.
+    """
+    nbytes = count * esize
+    if rank < 2 * rem:
+        if rank % 2 == 0:
+            sched.round([SendStep(rank + 1, tag, ACC, 0, nbytes)])
+            return -1
+        sched.round([
+            RecvStep(rank - 1, tag, tmp, 0, nbytes),
+            ReduceStep(tmp, 0, ACC, 0, count),
+        ])
+        return rank // 2
+    return rank - rem
+
+
 @register_builder("reduce", "binomial")
 def build_reduce_binomial(rank: int, size: int, count: int, esize: int,
                           root: int, seq: int) -> Schedule:
@@ -55,175 +89,82 @@ def build_reduce_binomial(rank: int, size: int, count: int, esize: int,
     The root's schedule ends with a copy of the accumulator into ``"recv"``.
     """
     sched = Schedule()
-    p = size
     nbytes = count * esize
-    if p > 1:
-        tag = coll_tag(KIND_REDUCE, seq)
-        vrank = (rank - root) % p
-        tmp = sched.temp("tmp", nbytes)
-        mask = 1
-        while mask < p:
-            if vrank & mask:
-                parent = ((vrank & ~mask) + root) % p
-                sched.round([SendStep(parent, tag, ACC, 0, nbytes)])
-                break
-            vchild = vrank | mask
-            if vchild < p:
-                child = (vchild + root) % p
-                sched.round([
-                    RecvStep(child, tag, tmp, 0, nbytes),
-                    ReduceStep(tmp, 0, ACC, 0, count),
-                ])
-            mask <<= 1
+    if size > 1:
+        binomial_reduce_rounds(sched, rank, size, count, esize, root,
+                               coll_tag(KIND_REDUCE, seq), sched.temp("tmp", nbytes))
     if rank == root:
         sched.round([CopyStep(ACC, 0, RECV, 0, nbytes)])
     return sched
 
 
-@register("reduce", "binomial")
-def reduce_binomial(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    root: int,
-    seq: int,
-) -> None:
-    """Blocking binomial-tree reduction (executes the schedule in place)."""
-    nbytes = count * datatype.size
-    sched = build_reduce_binomial(cc.rank, cc.size, count, datatype.size, root, seq)
-    buffers = {ACC: bytearray(sendbuf[:nbytes])}
-    if cc.rank == root:
-        # Only the root's schedule references RECV (the final copy step).
-        buffers[RECV] = recvbuf if recvbuf is not None else bytearray(nbytes)
-    execute(cc, sched, buffers, datatype, op)
-
-
-def _fold_to_power_of_two(
-    cc: CollectiveContext,
-    acc: bytearray,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    tag: int,
-    rem: int,
-) -> int:
-    """Pre-phase of the halving/doubling algorithms for non-power-of-two sizes.
-
-    The first ``2 * rem`` ranks pair up: each even rank sends its vector to
-    its odd neighbour (which combines it) and drops out of the core phase.
-    Returns the rank's virtual id within the power-of-two group, or ``-1``
-    for folded-out ranks.
-    """
-    rank = cc.rank
-    nbytes = count * datatype.size
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            cc.send(rank + 1, tag, bytes(acc))
-            return -1
-        contribution = cc.recv(rank - 1, tag, nbytes)
-        combine(cc, op, acc, contribution, datatype, count)
-        return rank // 2
-    return rank - rem
-
-
-def _reduce_scatter_halving(
-    cc: CollectiveContext,
-    acc: bytearray,
-    datatype: Datatype,
-    op: Op,
-    tag: int,
-    vrank: int,
-    pof2: int,
-    rem: int,
-    cnts,
-    offs,
-):
-    """Recursive-halving reduce-scatter over the power-of-two group.
-
-    Each participant starts with a full combined vector and ends owning the
-    fully reduced chunk ``vrank`` (chunk boundaries from ``cnts``/``offs``).
-    """
-    esize = datatype.size
-    lo, hi = 0, pof2
-    mask = pof2 // 2
-    round_no = 1
-    while mask > 0:
-        partner = fold_absolute_rank(vrank ^ mask, rem)
-        mid = lo + (hi - lo) // 2
-        if vrank < mid:
-            keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
-        else:
-            keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
-        send_bytes = acc[offs[send_lo] * esize : (offs[send_hi - 1] + cnts[send_hi - 1]) * esize]
-        cc.send(partner, tag + round_no, bytes(send_bytes))
-        keep_elems = offs[keep_hi - 1] + cnts[keep_hi - 1] - offs[keep_lo]
-        incoming = cc.recv(partner, tag + round_no, keep_elems * esize)
-        combine_segment(cc, op, acc, incoming, datatype, offs[keep_lo], keep_elems)
-        lo, hi = keep_lo, keep_hi
-        mask //= 2
-        round_no += 1
-
-
-@register("reduce", "rabenseifner")
-def reduce_rabenseifner(
-    cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    root: int,
-    seq: int,
-) -> None:
+@register_builder("reduce", "rabenseifner")
+def build_reduce_rabenseifner(rank: int, size: int, count: int, esize: int,
+                              root: int, seq: int) -> Schedule:
     """Rabenseifner reduction: recursive-halving reduce-scatter, then a gather
     of the reduced chunks to the root.
 
     Halves the bandwidth term of the binomial tree for large vectors
     (~``2 * nbytes`` moved per rank instead of ``nbytes * log2(p)``).
     Non-power-of-two sizes fold the ``p - 2^k`` extra ranks into their
-    neighbours in a pre-phase, exactly like MPICH's implementation; all
-    predefined MPI ops are commutative, which the fold relies on.
+    neighbours in a pre-phase, exactly like MPICH's implementation.
     """
-    p = cc.size
-    esize = datatype.size
+    sched = Schedule()
+    p = size
     nbytes = count * esize
-    acc = bytearray(sendbuf[:nbytes])
     if p <= 1:
-        if cc.rank == root and recvbuf is not None:
-            recvbuf[:nbytes] = acc
-        return
+        sched.round([CopyStep(ACC, 0, RECV, 0, nbytes)])
+        return sched
 
     tag = coll_tag(KIND_REDUCE, seq)
     pof2 = largest_power_of_two_leq(p)
     rem = p - pof2
-    vrank = _fold_to_power_of_two(cc, acc, count, datatype, op, tag, rem)
+    tmp = sched.temp("tmp", nbytes)
+    vrank = fold_rounds(sched, rank, count, esize, tag, rem, tmp)
 
     cnts = chunk_counts(count, pof2)
     offs = chunk_offsets(cnts)
     if vrank != -1:
-        _reduce_scatter_halving(cc, acc, datatype, op, tag, vrank, pof2, rem, cnts, offs)
+        # Recursive halving: each participant starts with a full combined
+        # vector and ends owning the fully reduced chunk ``vrank``.
+        lo, hi = 0, pof2
+        mask = pof2 // 2
+        round_no = 1
+        while mask > 0:
+            partner = fold_absolute_rank(vrank ^ mask, rem)
+            mid = lo + (hi - lo) // 2
+            if vrank < mid:
+                keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
+            else:
+                keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
+            send_elems = offs[send_hi - 1] + cnts[send_hi - 1] - offs[send_lo]
+            keep_elems = offs[keep_hi - 1] + cnts[keep_hi - 1] - offs[keep_lo]
+            sched.round([
+                SendStep(partner, tag + round_no, ACC, offs[send_lo] * esize, send_elems * esize),
+                RecvStep(partner, tag + round_no, tmp, 0, keep_elems * esize),
+                ReduceStep(tmp, 0, ACC, offs[keep_lo], keep_elems),
+            ])
+            lo, hi = keep_lo, keep_hi
+            mask //= 2
+            round_no += 1
 
-    # Gather phase: every chunk owner ships its reduced chunk to the root.
+    # Gather phase: every chunk owner ships its reduced chunk to the root
+    # (which may itself be a folded-out rank owning none).
     gather_tag = tag + _GATHER_TAG_OFFSET
-    if cc.rank == root:
-        # Drain every chunk even when the caller passed no receive buffer, so
-        # no message is left behind in the matching engine.
+    if rank == root:
+        gather = []
         for v in range(pof2):
             if cnts[v] == 0:
                 continue
-            seg_lo = offs[v] * esize
-            seg_hi = seg_lo + cnts[v] * esize
+            seg_lo, seg_bytes = offs[v] * esize, cnts[v] * esize
             owner = fold_absolute_rank(v, rem)
             if owner == root:
-                segment = bytes(acc[seg_lo:seg_hi])
+                gather.append(CopyStep(ACC, seg_lo, RECV, seg_lo, seg_bytes))
             else:
-                segment = cc.recv(owner, gather_tag + v, seg_hi - seg_lo)
-            if recvbuf is not None:
-                recvbuf[seg_lo:seg_hi] = segment
+                gather.append(RecvStep(owner, gather_tag + v, RECV, seg_lo, seg_bytes))
+        sched.round(gather)
     elif vrank != -1 and cnts[vrank] > 0:
-        seg_lo = offs[vrank] * esize
-        seg_hi = seg_lo + cnts[vrank] * esize
-        cc.send(root, gather_tag + vrank, bytes(acc[seg_lo:seg_hi]))
+        sched.round([
+            SendStep(root, gather_tag + vrank, ACC, offs[vrank] * esize, cnts[vrank] * esize)
+        ])
+    return sched

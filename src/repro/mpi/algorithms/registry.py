@@ -6,16 +6,19 @@ under short names (``"binomial"``, ``"ring"``, ...), and a decision layer
 (:mod:`repro.mpi.algorithms.decision`) picks one per call based on message
 size and communicator size -- unless an override forces a specific one.
 
-Since the session-API redesign the backing store is the unified registry
+A registered algorithm *is* its schedule builder: a pure function of the
+call shape returning one rank's :class:`~repro.mpi.algorithms.schedule.Schedule`,
+with a fixed signature per collective (listed in
+:mod:`repro.mpi.algorithms.schedule`).  Blocking and non-blocking entry
+points of the runtime execute the same schedule, so there is nothing else to
+register.
+
+The one backing store is the unified registry
 (:data:`repro.api.registry.ALGORITHMS`, composite keys
 ``"<collective>:<algorithm>"``); this module keeps the collective-specific
 API (tuple-keyed registration, per-collective catalogues) on top of it, and
 third-party algorithms may equivalently use
 ``@repro.api.register_algorithm(collective, name)``.
-
-Algorithm functions share a fixed signature per collective (see the
-individual modules); all of them operate on a
-:class:`repro.mpi.algorithms.base.CollectiveContext`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def _key(collective: str, name: str) -> str:
 
 
 def register(collective: str, name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering ``fn`` as algorithm ``name`` of ``collective``."""
+    """Decorator registering schedule builder ``fn`` as algorithm ``name`` of
+    ``collective``."""
     if collective not in COLLECTIVES:
         raise ValueError(f"unknown collective {collective!r}; known: {COLLECTIVES}")
 
@@ -63,7 +67,7 @@ def register(collective: str, name: str) -> Callable[[Callable], Callable]:
 
 
 def get(collective: str, name: str) -> Callable:
-    """Look up the implementation of algorithm ``name`` for ``collective``."""
+    """The schedule builder of algorithm ``name`` for ``collective``."""
     try:
         return ALGORITHMS.get(_key(collective, name))
     except UnknownEntryError:

@@ -11,8 +11,8 @@ it is a separate concern handled by :class:`ScheduleExecutor`, which can run
   progress engine behind ``MPI_Iallreduce`` and friends drives this from
   ``MPI_Test``/``MPI_Wait``).
 
-Because both entry points execute the *same* schedule, each ported algorithm
-has exactly one implementation.
+Because both entry points execute the *same* schedule, each algorithm has
+exactly one implementation -- and every registered algorithm is one.
 
 Steps operate on named byte buffers supplied by the caller (the user-visible
 payload plus schedule-declared temporaries), so a schedule itself carries no
@@ -25,18 +25,19 @@ payload data and can be built before any communication happens:
 * :class:`ReduceStep` -- combine a contribution into an accumulator segment
   via the executing call's reduction op (charged as compute time).
 
-Builders register per ``(collective, algorithm)`` with
-:func:`register_builder`; the blocking algorithm functions in the sibling
-modules and the runtime's non-blocking entry points both look them up here.
+Builders (the sibling modules) register per ``(collective, algorithm)`` with
+:func:`register_builder`; the runtime's blocking and non-blocking entry
+points both look them up with :func:`get_builder`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.fault import checkpoint as _checkpoint
 from repro.fault import inject as _inject
+from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.base import CollectiveContext, combine_segment
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -50,22 +51,19 @@ class _StepBase:
     round (``None`` until then), so round attribution is a property of the
     step itself rather than of its position in the flattened list -- the
     analyzer's findings and the obs trace labels therefore name the same
-    round.  It is excluded from equality/hash: two steps describing the same
-    exchange compare equal regardless of which round holds them.
+    round.  It is excluded from equality: two steps describing the same
+    exchange compare equal regardless of which round holds them.  Steps are
+    plain (unfrozen) records because a builder creates thousands of them per
+    job and nothing hashes or shares one.
     """
 
     round_index: Optional[int]
-
-    def _stamp_round(self, round_no: int) -> None:
-        # The step dataclasses are frozen (schedules are shareable, reusable
-        # values); the one sanctioned mutation is this build-time stamp.
-        object.__setattr__(self, "round_index", round_no)
 
     def _round_suffix(self) -> str:
         return f" @round {self.round_index}" if self.round_index is not None else ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class SendStep(_StepBase):
     """Send ``nbytes`` of buffer ``buf`` at byte offset ``lo`` to ``peer``.
 
@@ -84,7 +82,7 @@ class SendStep(_StepBase):
         return f"send({payload} -> rank {self.peer}, tag={self.tag}){self._round_suffix()}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class RecvStep(_StepBase):
     """Receive ``nbytes`` from ``peer`` into buffer ``buf`` at offset ``lo``.
 
@@ -104,7 +102,7 @@ class RecvStep(_StepBase):
         return f"recv({payload} <- rank {self.peer}, tag={self.tag}){self._round_suffix()}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CopyStep(_StepBase):
     """Copy ``nbytes`` from ``src``@``slo`` to ``dst``@``dlo`` (local, free)."""
 
@@ -122,7 +120,7 @@ class CopyStep(_StepBase):
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReduceStep(_StepBase):
     """Combine ``count`` elements from ``src``@``slo`` (bytes) into the
     accumulator ``dst`` starting at element ``elem_offset``.
@@ -167,7 +165,7 @@ class Schedule:
         rnd: List[Step] = list(steps or [])
         round_no = len(self.rounds)
         for step in rnd:
-            step._stamp_round(round_no)
+            step.round_index = round_no
         self.rounds.append(rnd)
         return rnd
 
@@ -175,7 +173,7 @@ class Schedule:
         """Append ``step`` to the current (last) round, opening one if needed."""
         if not self.rounds:
             self.rounds.append([])
-        step._stamp_round(len(self.rounds) - 1)
+        step.round_index = len(self.rounds) - 1
         self.rounds[-1].append(step)
 
     def temp(self, name: str, nbytes: int) -> str:
@@ -235,6 +233,7 @@ class ScheduleExecutor:
         self.buffers: Dict[str, bytearray] = dict(buffers or {})
         for name, size in schedule.temps.items():
             self.buffers.setdefault(name, bytearray(size))
+        self._views = {name: memoryview(buf) for name, buf in self.buffers.items()}
         self._datatype = datatype
         self._op = op
         self._on_complete = on_complete
@@ -328,7 +327,7 @@ class ScheduleExecutor:
                             self._buffer_ready.get(step.buf, 0.0), arrival
                         )
                         if step.nbytes > 0:
-                            self.buffers[step.buf][step.lo : step.lo + step.nbytes] = data
+                            self._views[step.buf][step.lo : step.lo + step.nbytes] = data
                     self._pc += 1
                     if _inject.ARMED or _checkpoint.CAPTURE is not None:
                         self._notify_round()
@@ -337,12 +336,19 @@ class ScheduleExecutor:
                     continue
                 if self._cc.probe is None or not self._cc.probe(step.peer, step.tag):
                     return False
-            elif self._stalled_on_data(self._pc):
-                # The step reads payload (or opens a round) that has not
-                # arrived yet in this rank's virtual time: stall instead of
-                # advancing the clock, so the gap stays available for caller
-                # compute.
-                return False
+            else:
+                # Data/round dependency: a send or reduction may read payload
+                # consumed by an earlier non-blocking receive, and a new round
+                # may only start once earlier rounds' payload has arrived.  If
+                # that arrival is still ahead of this rank's virtual time,
+                # stall instead of advancing the clock, so the gap stays
+                # available for caller compute.
+                needed = self._step_ready_time(self._pc)
+                if needed > 0:
+                    if self._cc.now is not None and self._cc.now() < needed:
+                        return False
+                    if self._cc.advance_to is not None:
+                        self._cc.advance_to(needed)
             self._execute(step)
             self._pc += 1
             if _inject.ARMED or _checkpoint.CAPTURE is not None:
@@ -379,12 +385,6 @@ class ScheduleExecutor:
             needed = max(needed, self.data_time)
         return needed
 
-    def _stalled_on_data(self, pc: int) -> bool:
-        needed = self._step_ready_time(pc)
-        if needed <= 0:
-            return False
-        return self._cc.now is not None and self._cc.now() < needed
-
     def next_ready_time(self) -> Optional[float]:
         """Earliest virtual time at which time alone unblocks this executor.
 
@@ -394,8 +394,9 @@ class ScheduleExecutor:
         """
         if self.done:
             return self.data_time
-        if self._stalled_on_data(self._pc):
-            return self._step_ready_time(self._pc)
+        needed = self._step_ready_time(self._pc)
+        if needed > 0 and self._cc.now is not None and self._cc.now() < needed:
+            return needed
         return None
 
     # ---------------------------------------------------------------- tracing
@@ -426,12 +427,19 @@ class ScheduleExecutor:
         _trace.RECORDER.instant(name, self._trace_tid(), self._trace_now(), args)
 
     def run_to_completion(self) -> None:
-        """Execute every remaining step, blocking inside unmatched receives."""
+        """Execute every step, blocking inside unmatched receives.
+
+        For a fresh executor only (:func:`execute` is the one caller): the
+        loop computes no ready times, which is sound because blocking
+        receives never leave payload in flight -- it must not be used to
+        finish a schedule :meth:`try_progress` has started.
+        """
         if _trace.ENABLED and not self.done:
             self._run_to_completion_traced()
             return
-        while not self.done:
-            self._execute(self._steps[self._pc])
+        steps = self._steps
+        while self._pc < len(steps):
+            self._execute(steps[self._pc])
             self._pc += 1
             if _inject.ARMED or _checkpoint.CAPTURE is not None:
                 self._notify_round()
@@ -475,29 +483,30 @@ class ScheduleExecutor:
                 self._on_complete(self.buffers)
 
     def _execute(self, step: Step) -> None:
-        # Data/round dependency: a send or reduction may read payload consumed
-        # by an earlier non-blocking receive, and a new round may only start
-        # once earlier rounds' payload has arrived -- neither can run before
-        # that arrival.  (No-op for blocking execution: ready times stay 0
-        # because blocking receives advance the clock themselves.)
-        needed = self._step_ready_time(self._pc)
-        if needed > 0 and self._cc.advance_to is not None:
-            self._cc.advance_to(needed)
+        """Perform one step.  Ready times are the incremental loop's concern
+        (:meth:`try_progress`): blocking receives advance the clock to the
+        arrival themselves, so under :meth:`run_to_completion` every ready
+        time is 0 and nothing needs computing.
+
+        Payload moves through the buffers' memoryviews, so a slice is copied
+        once (into the outgoing message, or into the destination buffer).
+        """
+        views = self._views
         if isinstance(step, SendStep):
             if step.buf is None or step.nbytes == 0:
                 data = b""
             else:
-                data = bytes(self.buffers[step.buf][step.lo : step.lo + step.nbytes])
+                data = views[step.buf][step.lo : step.lo + step.nbytes].tobytes()
             self._cc.send(step.peer, step.tag, data)
         elif isinstance(step, RecvStep):
             data = self._cc.recv(step.peer, step.tag, step.nbytes)
             if step.buf is not None and step.nbytes > 0:
-                self.buffers[step.buf][step.lo : step.lo + step.nbytes] = data
+                views[step.buf][step.lo : step.lo + step.nbytes] = data
         elif isinstance(step, CopyStep):
             if step.nbytes > 0:
-                self.buffers[step.dst][step.dlo : step.dlo + step.nbytes] = self.buffers[
-                    step.src
-                ][step.slo : step.slo + step.nbytes]
+                views[step.dst][step.dlo : step.dlo + step.nbytes] = views[step.src][
+                    step.slo : step.slo + step.nbytes
+                ]
                 # The copy itself is free, but the destination now carries the
                 # source's (possibly still in-flight) data.
                 src_ready = self._buffer_ready.get(step.src, 0.0)
@@ -509,12 +518,10 @@ class ScheduleExecutor:
             if step.count > 0:
                 if self._op is None or self._datatype is None:
                     raise ValueError("schedule has reduce steps but no op/datatype bound")
-                esize = self._datatype.size
-                contribution = bytes(
-                    self.buffers[step.src][step.slo : step.slo + step.count * esize]
-                )
+                nbytes = step.count * self._datatype.size
                 combine_segment(
-                    self._cc, self._op, self.buffers[step.dst], contribution,
+                    self._cc, self._op, views[step.dst],
+                    views[step.src][step.slo : step.slo + nbytes],
                     self._datatype, step.elem_offset, step.count,
                 )
         else:  # pragma: no cover - registry integrity guard
@@ -535,73 +542,27 @@ def execute(
 
 
 # ------------------------------------------------------------ builder registry
+#
+# A registered algorithm *is* its schedule builder: there is one store
+# (:data:`repro.api.registry.ALGORITHMS`, reached through
+# :mod:`repro.mpi.algorithms.registry`), and these are its names on the
+# schedule side.  Signatures are fixed per collective:
+#
+#   barrier:   build(rank, size, seq) -> Schedule
+#   bcast:     build(rank, size, nbytes, root, seq) -> Schedule
+#   reduce:    build(rank, size, count, esize, root, seq) -> Schedule
+#   allreduce: build(rank, size, count, esize, seq) -> Schedule
+#   gather:    build(rank, size, nbytes_per_rank, root, seq) -> Schedule
+#   scatter:   build(rank, size, nbytes_per_rank, root, seq) -> Schedule
+#   allgather: build(rank, size, nbytes_per_rank, seq) -> Schedule
+#   alltoall:  build(rank, size, nbytes_per_rank, seq) -> Schedule
+#
+# Buffer contract (what the caller supplies / reads back): bcast ``"data"``;
+# reduce ``"acc"`` plus ``"recv"`` on the root; allreduce ``"acc"``; gather
+# ``"send"`` plus ``"recv"`` on the root; scatter ``"recv"`` plus ``"send"``
+# on the root; allgather and alltoall ``"send"`` and ``"recv"``.
 
-#: Schedule builders keyed by ``(collective, algorithm)``.  Signatures are
-#: fixed per collective (mirroring the registered blocking signatures):
-#:
-#:   barrier:   build(rank, size, seq) -> Schedule
-#:   bcast:     build(rank, size, nbytes, root, seq) -> Schedule
-#:   reduce:    build(rank, size, count, esize, root, seq) -> Schedule
-#:   allreduce: build(rank, size, count, esize, seq) -> Schedule
-#:   allgather: build(rank, size, nbytes_per_rank, seq) -> Schedule
-#:   alltoall:  build(rank, size, nbytes_per_rank, seq) -> Schedule
-_BUILDERS: Dict[Tuple[str, str], Callable[..., Schedule]] = {}
-
-#: The schedule-capable algorithm each collective falls back to when the
-#: decision layer picks one that has no schedule builder (possible only via
-#: forced overrides naming a non-ported algorithm).
-SCHEDULE_FALLBACKS: Dict[str, str] = {
-    "barrier": "dissemination",
-    "bcast": "binomial",
-    "reduce": "binomial",
-    "allreduce": "recursive_doubling",
-    "allgather": "ring",
-    "alltoall": "pairwise",
-}
-
-
-def register_builder(collective: str, name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering a schedule builder for ``(collective, name)``."""
-
-    def decorator(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
-        key = (collective, name)
-        if key in _BUILDERS:
-            raise ValueError(f"schedule builder {name!r} already registered for {collective!r}")
-        _BUILDERS[key] = fn
-        return fn
-
-    return decorator
-
-
-def get_builder(collective: str, name: str) -> Callable[..., Schedule]:
-    """Builder for ``(collective, name)``; KeyError if not schedule-capable."""
-    try:
-        return _BUILDERS[(collective, name)]
-    except KeyError:
-        raise KeyError(
-            f"no schedule builder for {collective!r} algorithm {name!r}; "
-            f"schedule-capable: {builders_for(collective)}"
-        ) from None
-
-
-def has_builder(collective: str, name: str) -> bool:
-    """Whether ``(collective, name)`` can be expressed as a schedule."""
-    return (collective, name) in _BUILDERS
-
-
-def builders_for(collective: str) -> List[str]:
-    """Names of every schedule-capable algorithm of ``collective``."""
-    return sorted(n for (c, n) in _BUILDERS if c == collective)
-
-
-def schedulable(collective: str, algorithm: str) -> str:
-    """``algorithm`` if it has a builder, else the collective's fallback.
-
-    The non-blocking entry points route through the decision table like the
-    blocking ones; if an override forces an algorithm that has not been
-    ported to schedules, they degrade to the nearest ported one rather than
-    failing the call.
-    """
-    if has_builder(collective, algorithm):
-        return algorithm
-    return SCHEDULE_FALLBACKS[collective]
+register_builder = registry.register
+get_builder = registry.get
+has_builder = registry.is_registered
+builders_for = registry.algorithms_for

@@ -32,12 +32,12 @@ import numpy as np
 
 from repro.fault import checkpoint as _checkpoint
 from repro.fault import inject as _inject
-from repro.mpi import collectives as coll
 from repro.obs import trace as _trace
 from repro.mpi import datatypes as dts
 from repro.mpi import ops as mpi_ops
+from repro.mpi.algorithms.base import CollectiveContext
 from repro.mpi.algorithms.decision import CollectiveSelector
-from repro.mpi.algorithms.schedule import ScheduleExecutor
+from repro.mpi.algorithms.schedule import ScheduleExecutor, execute, get_builder
 from repro.mpi.communicator import (
     Communicator,
     Group,
@@ -47,12 +47,14 @@ from repro.mpi.communicator import (
 )
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import (
+    MPI_ERR_BUFFER,
     InvalidCountError,
     InvalidRankError,
     InvalidRootError,
     InvalidTagError,
     MPIError,
     NotInitializedError,
+    TruncationError,
 )
 from repro.mpi.ops import Op
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG, PROC_NULL, MatchingEngine, Message
@@ -257,6 +259,14 @@ def _writable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
             f"{what} buffer of {view.nbytes} bytes is smaller than the {nbytes} bytes required"
         )
     return view[:nbytes]
+
+
+def _require_root_buffer(buf: Optional[BufferLike], nbytes: int, what: str) -> None:
+    """A rooted collective's root must supply the buffer only it uses --
+    checked before anything is posted, so the error is local and the
+    communicator stays usable."""
+    if buf is None and nbytes > 0:
+        raise MPIError(f"root must supply a {what} buffer", code=MPI_ERR_BUFFER)
 
 
 class MPIWorld:
@@ -855,7 +865,7 @@ class MPIRuntime:
 
     def _select_algorithm(
         self, collective: str, comm: Communicator, nbytes: int,
-        bytes_moved: Optional[int] = None, schedule_only: bool = False,
+        bytes_moved: Optional[int] = None,
     ) -> str:
         """Pick the algorithm for one collective call and record the counters.
 
@@ -865,15 +875,8 @@ class MPIRuntime:
         negotiation.  ``bytes_moved`` is the payload passing through *this
         rank's* buffers (defaults to ``nbytes``); e.g. a gather root counts
         ``p`` blocks while a leaf counts one.
-
-        ``schedule_only`` is set by the non-blocking entry points: if the
-        decision (or a forced override) names an algorithm that has not been
-        ported to schedules, the nearest schedule-capable one is used -- and
-        recorded, so counters always reflect what actually ran.
         """
         algorithm = self.world.collectives.decide(collective, nbytes, comm.size)
-        if schedule_only:
-            algorithm = coll.schedulable_algorithm(collective, algorithm)
         self.world.metrics.record_collective(
             collective, algorithm, nbytes if bytes_moved is None else bytes_moved
         )
@@ -911,7 +914,7 @@ class MPIRuntime:
         self._activate(request, _PendingCollective(executor, comm))
         return request
 
-    def _collective_context(self, comm: Communicator) -> coll.CollectiveContext:
+    def _collective_context(self, comm: Communicator) -> CollectiveContext:
         local_rank = self.comm_rank(comm)
 
         def send(dst_local: int, tag: int, data: bytes) -> None:
@@ -956,7 +959,7 @@ class MPIRuntime:
             _status, arrival = out
             return bytes(buf), arrival
 
-        return coll.CollectiveContext(
+        return CollectiveContext(
             rank=local_rank,
             size=comm.size,
             send=send,
@@ -970,13 +973,22 @@ class MPIRuntime:
             world_rank=self.rank_world,
         )
 
+    # Every blocking collective is: select the algorithm, build this rank's
+    # schedule from the registered builder, run it to completion, copy the
+    # result out.  The ``I<collective>`` siblings below build the same
+    # schedule and hand it to the progress engine instead.
+
+    def _barrier(self, comm: Communicator, seq: int) -> None:
+        algorithm = self._select_algorithm("barrier", comm, 0)
+        cc = self._collective_context(comm)
+        execute(cc, get_builder("barrier", algorithm)(cc.rank, cc.size, seq))
+
     @_traced("MPI_Barrier")
     def barrier(self, comm: Optional[Communicator] = None) -> None:
         """``MPI_Barrier``."""
         self._require_init()
         comm = comm or self.comm_world
-        algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), self._next_seq(comm), algorithm=algorithm)
+        self._barrier(comm, self._next_seq(comm))
 
     @_traced("MPI_Bcast")
     def bcast(
@@ -993,14 +1005,15 @@ class MPIRuntime:
         self._check_root(comm, root)
         nbytes = count * datatype.size
         view = _writable(buf, nbytes, "bcast") if nbytes > 0 else memoryview(bytearray(0))
-        tmp = bytearray(view.tobytes()) if nbytes > 0 else bytearray(0)
+        data = bytearray(view)
         algorithm = self._select_algorithm("bcast", comm, nbytes)
-        coll.bcast(
-            self._collective_context(comm), tmp, nbytes, root, self._next_seq(comm),
-            algorithm=algorithm,
+        cc = self._collective_context(comm)
+        schedule = get_builder("bcast", algorithm)(
+            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
         )
+        execute(cc, schedule, {"data": data})
         if nbytes > 0:
-            view[:nbytes] = tmp[:nbytes]
+            view[:nbytes] = data
 
     @_traced("MPI_Reduce")
     def reduce(
@@ -1018,15 +1031,20 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = count * datatype.size
-        send_bytes = _readable(sendbuf, nbytes, "reduce send")
-        out = bytearray(nbytes) if self.comm_rank(comm) == root else None
+        buffers = {"acc": bytearray(_readable(sendbuf, nbytes, "reduce send"))}
+        cc = self._collective_context(comm)
+        is_root = cc.rank == root
+        if is_root:
+            _require_root_buffer(recvbuf, nbytes, "reduce recv")
+            # Only the root's schedule references "recv".
+            buffers["recv"] = bytearray(nbytes)
         algorithm = self._select_algorithm("reduce", comm, nbytes)
-        coll.reduce(
-            self._collective_context(comm), send_bytes, out, count, datatype, op, root,
-            self._next_seq(comm), algorithm=algorithm,
+        schedule = get_builder("reduce", algorithm)(
+            cc.rank, cc.size, count, datatype.size, root, self._next_seq(comm)
         )
-        if out is not None and recvbuf is not None and nbytes > 0:
-            _writable(recvbuf, nbytes, "reduce recv")[:nbytes] = out
+        execute(cc, schedule, buffers, datatype, op)
+        if is_root and nbytes > 0:
+            _writable(recvbuf, nbytes, "reduce recv")[:nbytes] = buffers["recv"]
 
     @_traced("MPI_Allreduce")
     def allreduce(
@@ -1042,15 +1060,15 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = count * datatype.size
-        send_bytes = _readable(sendbuf, nbytes, "allreduce send")
-        out = bytearray(nbytes)
+        acc = bytearray(_readable(sendbuf, nbytes, "allreduce send"))
         algorithm = self._select_algorithm("allreduce", comm, nbytes)
-        coll.allreduce(
-            self._collective_context(comm), send_bytes, out, count, datatype, op,
-            self._next_seq(comm), algorithm=algorithm,
+        cc = self._collective_context(comm)
+        schedule = get_builder("allreduce", algorithm)(
+            cc.rank, cc.size, count, datatype.size, self._next_seq(comm)
         )
+        execute(cc, schedule, {"acc": acc}, datatype, op)
         if nbytes > 0:
-            _writable(recvbuf, nbytes, "allreduce recv")[:nbytes] = out
+            _writable(recvbuf, nbytes, "allreduce recv")[:nbytes] = acc
 
     @_traced("MPI_Gather")
     def gather(
@@ -1069,20 +1087,30 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes, "gather send")
-        is_root = self.comm_rank(comm) == root
-        out = bytearray(nbytes * comm.size) if is_root else None
+        total = nbytes * comm.size
+        buffers = {"send": bytearray(_readable(sendbuf, nbytes, "gather send"))}
+        cc = self._collective_context(comm)
+        is_root = cc.rank == root
+        if is_root:
+            _require_root_buffer(recvbuf, total, "gather recv")
+            if recvcount * recvtype.size < nbytes:
+                raise TruncationError(
+                    f"gather: root receives {recvcount * recvtype.size} bytes per rank "
+                    f"but each rank sends {nbytes}"
+                )
+            # Only the root's schedule references "recv".
+            buffers["recv"] = bytearray(total)
         algorithm = self._select_algorithm(
-            "gather", comm, nbytes,
-            bytes_moved=nbytes * comm.size if is_root else nbytes,
+            "gather", comm, nbytes, bytes_moved=total if is_root else nbytes
         )
-        coll.gather(
-            self._collective_context(comm), send_bytes, out, nbytes, root,
-            self._next_seq(comm), algorithm=algorithm,
+        schedule = get_builder("gather", algorithm)(
+            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
         )
-        if is_root and recvbuf is not None:
-            total = recvcount * recvtype.size * comm.size
-            _writable(recvbuf, total, "gather recv")[: nbytes * comm.size] = out
+        execute(cc, schedule, buffers)
+        if is_root and total > 0:
+            _writable(recvbuf, recvcount * recvtype.size * comm.size, "gather recv")[:total] = (
+                buffers["recv"]
+            )
 
     @_traced("MPI_Scatter")
     def scatter(
@@ -1101,20 +1129,29 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = recvcount * recvtype.size
-        is_root = self.comm_rank(comm) == root
-        send_bytes = (
-            _readable(sendbuf, nbytes * comm.size, "scatter send") if is_root and sendbuf is not None else None
-        )
-        out = bytearray(nbytes)
+        total = nbytes * comm.size
+        buffers = {"recv": bytearray(nbytes)}
+        cc = self._collective_context(comm)
+        is_root = cc.rank == root
+        if is_root:
+            _require_root_buffer(sendbuf, total, "scatter send")
+            if sendcount * sendtype.size > nbytes:
+                raise TruncationError(
+                    f"scatter: root sends {sendcount * sendtype.size} bytes per rank "
+                    f"but receives only {nbytes}"
+                )
+            # Only the root's schedule references "send".
+            buffers["send"] = (
+                bytearray(_readable(sendbuf, total, "scatter send")) if total > 0 else bytearray(0)
+            )
         algorithm = self._select_algorithm(
-            "scatter", comm, nbytes,
-            bytes_moved=nbytes * comm.size if is_root else nbytes,
+            "scatter", comm, nbytes, bytes_moved=total if is_root else nbytes
         )
-        coll.scatter(
-            self._collective_context(comm), send_bytes, out, nbytes, root,
-            self._next_seq(comm), algorithm=algorithm,
+        schedule = get_builder("scatter", algorithm)(
+            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
         )
-        _writable(recvbuf, nbytes, "scatter recv")[:nbytes] = out
+        execute(cc, schedule, buffers)
+        _writable(recvbuf, nbytes, "scatter recv")[:nbytes] = buffers["recv"]
 
     @_traced("MPI_Allgather")
     def allgather(
@@ -1131,14 +1168,18 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes, "allgather send")
-        out = bytearray(nbytes * comm.size)
-        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=nbytes * comm.size)
-        coll.allgather(
-            self._collective_context(comm), send_bytes, out, nbytes,
-            self._next_seq(comm), algorithm=algorithm,
+        total = nbytes * comm.size
+        buffers = {
+            "send": bytearray(_readable(sendbuf, nbytes, "allgather send")),
+            "recv": bytearray(total),
+        }
+        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=total)
+        cc = self._collective_context(comm)
+        schedule = get_builder("allgather", algorithm)(
+            cc.rank, cc.size, nbytes, self._next_seq(comm)
         )
-        _writable(recvbuf, nbytes * comm.size, "allgather recv")[: nbytes * comm.size] = out
+        execute(cc, schedule, buffers)
+        _writable(recvbuf, total, "allgather recv")[:total] = buffers["recv"]
 
     @_traced("MPI_Alltoall")
     def alltoall(
@@ -1155,14 +1196,18 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes * comm.size, "alltoall send")
-        out = bytearray(nbytes * comm.size)
-        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=nbytes * comm.size)
-        coll.alltoall(
-            self._collective_context(comm), send_bytes, out, nbytes,
-            self._next_seq(comm), algorithm=algorithm,
+        total = nbytes * comm.size
+        buffers = {
+            "send": bytearray(_readable(sendbuf, total, "alltoall send")),
+            "recv": bytearray(total),
+        }
+        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=total)
+        cc = self._collective_context(comm)
+        schedule = get_builder("alltoall", algorithm)(
+            cc.rank, cc.size, nbytes, self._next_seq(comm)
         )
-        _writable(recvbuf, nbytes * comm.size, "alltoall recv")[: nbytes * comm.size] = out
+        execute(cc, schedule, buffers)
+        _writable(recvbuf, total, "alltoall recv")[:total] = buffers["recv"]
 
     def _check_root(self, comm: Communicator, root: int) -> None:
         if not 0 <= root < comm.size:
@@ -1171,20 +1216,20 @@ class MPIRuntime:
     # ------------------------------------------------- non-blocking collectives
     #
     # Every ``I<collective>`` selects its algorithm through the same decision
-    # table as the blocking counterpart, builds the same schedule the blocking
-    # path executes, and returns a Request the progress engine advances from
-    # ``test``/``wait``-family calls.  Results land in the caller's buffers at
-    # completion time, so communication overlaps any compute between the post
-    # and the wait.
+    # table as the blocking counterpart and builds the same schedule; instead
+    # of running it to completion it returns a Request the progress engine
+    # advances from ``test``/``wait``-family calls.  Results land in the
+    # caller's buffers at completion time, so communication overlaps any
+    # compute between the post and the wait.
 
     @_traced("MPI_Ibarrier")
     def ibarrier(self, comm: Optional[Communicator] = None) -> Request:
         """``MPI_Ibarrier``."""
         self._require_init()
         comm = comm or self.comm_world
-        algorithm = self._select_algorithm("barrier", comm, 0, schedule_only=True)
-        schedule = coll.barrier_schedule(
-            algorithm, self.comm_rank(comm), comm.size, self._next_seq(comm)
+        algorithm = self._select_algorithm("barrier", comm, 0)
+        schedule = get_builder("barrier", algorithm)(
+            self.comm_rank(comm), comm.size, self._next_seq(comm)
         )
         return self._start_collective("ibarrier", comm, schedule, {})
 
@@ -1209,9 +1254,9 @@ class MPIRuntime:
             if nbytes > 0
             else bytearray(0)
         )
-        algorithm = self._select_algorithm("bcast", comm, nbytes, schedule_only=True)
-        schedule = coll.bcast_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, root, self._next_seq(comm)
+        algorithm = self._select_algorithm("bcast", comm, nbytes)
+        schedule = get_builder("bcast", algorithm)(
+            self.comm_rank(comm), comm.size, nbytes, root, self._next_seq(comm)
         )
 
         def finalize(buffers) -> None:
@@ -1237,9 +1282,9 @@ class MPIRuntime:
         send_bytes = _readable(_supplied(sendbuf), nbytes, "allreduce send")
         if nbytes > 0:
             _writable(_supplied(recvbuf), nbytes, "allreduce recv")  # validate early
-        algorithm = self._select_algorithm("allreduce", comm, nbytes, schedule_only=True)
-        schedule = coll.allreduce_schedule(
-            algorithm, self.comm_rank(comm), comm.size, count, datatype.size, self._next_seq(comm)
+        algorithm = self._select_algorithm("allreduce", comm, nbytes)
+        schedule = get_builder("allreduce", algorithm)(
+            self.comm_rank(comm), comm.size, count, datatype.size, self._next_seq(comm)
         )
 
         def finalize(buffers) -> None:
@@ -1272,11 +1317,9 @@ class MPIRuntime:
         send_bytes = _readable(_supplied(sendbuf), nbytes, "allgather send")
         if total > 0:
             _writable(_supplied(recvbuf), total, "allgather recv")  # validate early
-        algorithm = self._select_algorithm(
-            "allgather", comm, nbytes, bytes_moved=total, schedule_only=True
-        )
-        schedule = coll.allgather_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
+        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=total)
+        schedule = get_builder("allgather", algorithm)(
+            self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
         )
 
         def finalize(buffers) -> None:
@@ -1310,11 +1353,9 @@ class MPIRuntime:
         send_bytes = _readable(_supplied(sendbuf), total, "alltoall send")
         if total > 0:
             _writable(_supplied(recvbuf), total, "alltoall recv")  # validate early
-        algorithm = self._select_algorithm(
-            "alltoall", comm, nbytes, bytes_moved=total, schedule_only=True
-        )
-        schedule = coll.alltoall_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
+        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=total)
+        schedule = get_builder("alltoall", algorithm)(
+            self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
         )
 
         def finalize(buffers) -> None:
@@ -1342,8 +1383,7 @@ class MPIRuntime:
         seq = self._next_seq(comm)
         context_id = (comm.context_id + 1) * 10_000 + seq
         # A dup is collective: synchronise so no rank races ahead.
-        algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), seq, algorithm=algorithm)
+        self._barrier(comm, seq)
         return Communicator(comm.group, name=f"{comm.name}.dup", context_id=context_id)
 
     @_traced("MPI_Comm_split")
@@ -1361,8 +1401,7 @@ class MPIRuntime:
             self.world.split_coordinators[coord_key] = coord
         coord.contribute(self.rank_world, color, key)
         # Synchronise: everyone must have contributed before anyone proceeds.
-        algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), seq, algorithm=algorithm)
+        self._barrier(comm, seq)
         return coord.communicator_for(self.rank_world)
 
     def comm_free(self, comm: Communicator) -> None:

@@ -18,7 +18,7 @@ baseline).  This module models those transports with LogGP-style parameters:
     pipelining granularity used by the collective cost models.
 
 Closed-form collective cost functions mirror the algorithms implemented
-functionally in :mod:`repro.mpi.collectives` (binomial trees, recursive
+functionally in :mod:`repro.mpi.algorithms` (binomial trees, recursive
 doubling, ring and pairwise exchange), so that the analytic "model mode" used
 for the paper's 768/6144-rank sweeps and the functional small-scale runs share
 one parameterisation.
@@ -201,7 +201,7 @@ class CollectiveCostModel:
     """Closed-form costs of the MPI collectives over a given interconnect.
 
     The formulas follow the textbook algorithms that
-    :mod:`repro.mpi.collectives` implements functionally:
+    :mod:`repro.mpi.algorithms` implements functionally:
 
     * broadcast / reduce: binomial tree (``ceil(log2 p)`` rounds),
     * allreduce: recursive doubling for small messages, reduce-scatter +

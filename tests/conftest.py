@@ -11,6 +11,14 @@ from repro.sim.engine import SimEngine
 from repro.sim.machines import graviton2, supermuc_ng
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite the files under tests/golden/ from the current code "
+             "instead of comparing against them (review the diff before committing)",
+    )
+
+
 def run_mpi_program(program, nranks: int, machine=None, ranks_per_node=None):
     """Run ``program(runtime, ctx)`` on every rank of a small simulated job."""
     preset = machine or graviton2()

@@ -135,6 +135,24 @@ def test_recorder_fastpath_guard_rule():
     assert "obs-fastpath-discipline" not in rules
 
 
+def test_direct_pt2pt_in_an_algorithm_module_is_flagged():
+    direct = """
+        def gather_linear(cc, sendbuf, root, tag):
+            if cc.rank != root:
+                cc.send(root, tag, bytes(sendbuf))
+            else:
+                return cc.recv(1, tag, len(sendbuf))
+    """
+    report, rules = _rules(direct, "src/repro/mpi/algorithms/gather_scatter.py")
+    assert "no-direct-pt2pt-in-algorithms" in rules
+    assert len(report.errors) == 2  # the send and the recv
+    # The executor is the one place that talks to the context; code outside
+    # the algorithms package is not this rule's business.
+    for elsewhere in ("src/repro/mpi/algorithms/schedule.py", "src/repro/mpi/runtime.py"):
+        _, rules = _rules(direct, elsewhere)
+        assert "no-direct-pt2pt-in-algorithms" not in rules
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

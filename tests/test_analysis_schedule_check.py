@@ -55,7 +55,11 @@ def test_registry_has_all_known_builders():
     points = registered_points()
     assert ("allreduce", "recursive_doubling") in points
     assert ("alltoall", "pairwise") in points
-    assert len(points) >= 11
+    assert ("gather", "binomial") in points
+    assert ("reduce", "rabenseifner") in points
+    assert ("allreduce", "reduce_bcast") in points
+    # Every registered algorithm is a schedule builder: nothing is unanalyzed.
+    assert len(points) == 17
 
 
 def test_nonzero_roots_checked_for_rooted_collectives():
@@ -64,6 +68,9 @@ def test_nonzero_roots_checked_for_rooted_collectives():
         assert report.ok, report.format_text()
         report = check_point("reduce", "binomial", 7, 128, root=root)
         assert report.ok, report.format_text()
+        for collective in ("gather", "scatter"):
+            report = check_point(collective, "binomial", 7, 128, root=root)
+            assert report.ok, report.format_text()
 
 
 def test_parse_nranks_spec_forms():
@@ -119,6 +126,36 @@ def test_dropped_recv_step_is_caught():
     # buffer is no longer fully written.
     assert "orphan-send" in rules
     assert "incomplete-result" in rules
+
+
+@pytest.mark.parametrize("algorithm,lost_data", [
+    # The linear root receives straight into its result buffer; the binomial
+    # root receives into the packed temp its final rotation copies from.
+    ("linear", "incomplete-result"),
+    ("binomial", "read-before-write"),
+])
+def test_gather_mutations_are_caught(algorithm, lost_data):
+    root = 3
+    clean = [build_schedule("gather", algorithm, r, 8, 64, root=root) for r in range(8)]
+
+    # Drop one child's receive at the root.
+    flat = clean[root].flat()
+    victim = next(i for i, st in enumerate(flat) if isinstance(st, RecvStep))
+    schedules = list(clean)
+    schedules[root] = _clone_with_flat(
+        clean[root], [st for i, st in enumerate(flat) if i != victim])
+    report = check_schedules(schedules, "gather", 64, root=root, loc="fixture dropped-recv")
+    assert {"orphan-send", lost_data} <= {f.rule for f in report.errors}
+
+    # Change the tag of one leaf's send.
+    leaf = (root + 1) % 8
+    flat = clean[leaf].flat()
+    si = next(i for i, st in enumerate(flat) if isinstance(st, SendStep))
+    flat[si] = dataclasses.replace(flat[si], tag=flat[si].tag + 1)
+    schedules = list(clean)
+    schedules[leaf] = _clone_with_flat(clean[leaf], flat)
+    report = check_schedules(schedules, "gather", 64, root=root, loc="fixture wrong-tag")
+    assert {"orphan-send", "orphan-recv"} <= {f.rule for f in report.errors}
 
 
 def test_swapped_peers_are_caught():

@@ -140,6 +140,46 @@ def test_resume_requires_a_job_descriptor(session):
         resume_from_checkpoint(Checkpoint(payload), session=session)
 
 
+def test_checkpoint_taken_inside_gather_restores_to_the_oracle(session):
+    """A round boundary inside ``MPI_Gather`` is a checkpoint like any other:
+    the guest calls nothing but gather, so the captured boundary is in it."""
+    from repro.api.registry import BENCHMARKS, register_benchmark
+    from repro.toolchain import mpi_header as abi
+    from repro.toolchain.guest import GuestProgram
+
+    @register_benchmark("test-gather-only")
+    def make_gather_only():
+        def main(api, args):
+            api.mpi_init()
+            send_ptr, _ = api.alloc_array(16, abi.MPI_INT, fill=api.rank() + 1)
+            recv_ptr, recv = api.alloc_array(16 * api.size(), abi.MPI_INT, fill=0)
+            for _ in range(3):
+                api.gather(send_ptr, 16, abi.MPI_INT, recv_ptr, 16, abi.MPI_INT, 1)
+            api.mpi_finalize()
+            return recv.tolist()
+
+        return GuestProgram(name="test-gather-only", main=main)
+
+    def oracle(job) -> dict:
+        return {"makespan": job.makespan, "exit_codes": job.exit_codes(),
+                "values": job.return_values()}
+
+    try:
+        baseline = session.run("test-gather-only", 4)
+        job = job_descriptor("test-gather-only", 4, backend="cranelift", machine="graviton2")
+        with capture_checkpoint(1, job=job) as capture:
+            session.run("test-gather-only", 4)
+        ckpt = Checkpoint(capture.build())
+        # The root (rank 1) is mid-schedule at its second boundary.
+        executor = ckpt.rank_state(1)["executor"]
+        assert not executor["finished"] and 0 < executor["pc"] < executor["n_steps"]
+        resumed = resume_from_checkpoint(ckpt, session=session)
+    finally:
+        BENCHMARKS.unregister("test-gather-only")
+    assert oracle(resumed) == oracle(baseline)
+    assert oracle(baseline)["values"][1] == [r + 1 for r in range(4) for _ in range(16)]
+
+
 _RESUME_SCRIPT = """\
 import json, sys
 from repro.api.session import Session

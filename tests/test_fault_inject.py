@@ -103,6 +103,45 @@ def test_kill_rank_at_schedule_round(session):
     assert active.fired and active.fired[0]["round"] == 1
 
 
+@pytest.mark.parametrize("collective", ["gather", "reduce"])
+def test_kill_rank_at_a_round_inside_gather_and_rabenseifner(collective):
+    """Every collective is a schedule, so an at-round kill lands inside
+    ``MPI_Gather`` (binomial) and ``MPI_Reduce`` (forced to rabenseifner) too:
+    the victim is named, every survivor is torn down, no rank thread leaks."""
+    import threading
+
+    nranks, victim = 8, 0 if collective == "gather" else 3
+    inside = {}
+
+    def program(rt, ctx):
+        rt.world.collectives.force_many({"gather": "binomial", "reduce": "rabenseifner"})
+        send = np.full(64, ctx.rank + 1, dtype=np.float64)
+        inside[ctx.rank] = collective
+        if collective == "gather":
+            recv = np.zeros(64 * nranks) if ctx.rank == 0 else None
+            rt.gather(send, 64, datatypes.DOUBLE, recv, 64, datatypes.DOUBLE, root=0)
+        else:
+            recv = np.zeros(64) if ctx.rank == 0 else None
+            rt.reduce(send, recv, 64, datatypes.DOUBLE, ops.SUM, root=0)
+        # Nobody gets through this without the victim, so every survivor is
+        # still parked when it dies.
+        inside[ctx.rank] = "barrier"
+        rt.barrier()
+
+    plan = FaultPlan(faults=(Fault(kind="kill_rank", rank=victim, round=1),))
+    with inject_faults(plan) as active:
+        with pytest.raises(RankFailedError) as excinfo:
+            run_mpi_program(program, nranks)
+    err = excinfo.value
+    assert err.rank == victim and isinstance(_injected_cause(err), InjectedFault)
+    assert active.fired[0]["round"] == 1
+    assert inside[victim] == collective  # its second round boundary is in there
+    assert err.rank_states[victim] is RankState.FAILED
+    assert all(state is RankState.TORN_DOWN
+               for rank, state in err.rank_states.items() if rank != victim)
+    assert not [t for t in threading.enumerate() if t.name.startswith("sim-rank-")]
+
+
 def test_faults_fire_once_and_disarmed_faults_stay_dark(session):
     plan = FaultPlan(
         faults=(Fault(kind="kill_rank", rank=1, call="MPI_Allreduce", call_index=0),))

@@ -1,0 +1,129 @@
+"""Golden virtual time of every registered collective algorithm.
+
+Virtual time is deterministic, so it is pinned: for every registered
+``(collective, algorithm)`` x nranks {5, 8} x payload {16 B, 64 KiB} x root
+{0, last} (where rooted) the job makespan and every rank's final clock are
+compared with ``==`` against ``tests/golden/collective_makespans.json``.
+A change that moves a simulated number must say so by regenerating the file
+with ``pytest tests/test_golden_makespans.py --update-golden`` and committing
+the diff.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.mpi import datatypes, ops
+from repro.mpi.algorithms import registry
+from repro.mpi.runtime import MPIRuntime, MPIWorld
+from repro.sim.cluster import Cluster
+from repro.sim.engine import SimEngine
+from repro.sim.machines import supermuc_ng
+
+GOLDEN = Path(__file__).parent / "golden" / "collective_makespans.json"
+
+NRANKS = (5, 8)
+PAYLOADS = (16, 65536)
+ROOTED = ("bcast", "reduce", "gather", "scatter")
+#: Two back-to-back calls per job, so the sequence-numbered tags and the
+#: skew the first call leaves behind are part of what is pinned.
+CALLS = 2
+
+ALL_POINTS = [
+    (collective, algorithm)
+    for collective, algorithms in sorted(registry.catalog().items())
+    for algorithm in algorithms
+]
+
+
+def _call(rt, collective: str, nbytes: int, root: int, p: int, rank: int) -> None:
+    count = nbytes // 8
+    if collective == "barrier":
+        rt.barrier()
+    elif collective == "bcast":
+        rt.bcast(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE, root=root)
+    elif collective == "reduce":
+        recv = np.zeros(count, dtype=np.float64) if rank == root else None
+        rt.reduce(np.ones(count, dtype=np.float64), recv, count, datatypes.DOUBLE,
+                  ops.SUM, root=root)
+    elif collective == "allreduce":
+        rt.allreduce(np.ones(count, dtype=np.float64), np.zeros(count, dtype=np.float64),
+                     count, datatypes.DOUBLE, ops.SUM)
+    elif collective == "gather":
+        recv = np.zeros(nbytes * p, dtype=np.uint8) if rank == root else None
+        rt.gather(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE,
+                  recv, nbytes, datatypes.BYTE, root=root)
+    elif collective == "scatter":
+        send = np.zeros(nbytes * p, dtype=np.uint8) if rank == root else None
+        rt.scatter(send, nbytes, datatypes.BYTE,
+                   np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE, root=root)
+    elif collective == "allgather":
+        rt.allgather(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE,
+                     np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE)
+    elif collective == "alltoall":
+        rt.alltoall(np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE,
+                    np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE)
+    else:  # pragma: no cover - a new collective needs a case here
+        raise KeyError(collective)
+
+
+def _measure(collective: str, algorithm: str, nranks: int, nbytes: int, root: int) -> dict:
+    # Four ranks per node: both rank counts span two nodes, so intra- and
+    # inter-node links are both on the pinned paths.
+    cluster = Cluster(supermuc_ng(), nranks, 4)
+    engine = SimEngine(nranks)
+    world = MPIWorld.install(cluster, engine)
+    world.collectives.force_many({collective: algorithm})
+
+    def make(rank):
+        def rank_main(ctx):
+            rt = MPIRuntime(world, ctx)
+            rt.init()
+            for _ in range(CALLS):
+                _call(rt, collective, nbytes, root, nranks, ctx.rank)
+            rt.finalize()
+
+        return rank_main
+
+    engine.spawn_all(make)
+    engine.run()
+    return {"makespan": engine.max_clock, "clocks": engine.clocks()}
+
+
+def _points(collective: str, algorithm: str) -> dict:
+    out = {}
+    for nranks in NRANKS:
+        for nbytes in (0,) if collective == "barrier" else PAYLOADS:
+            for root in (0, nranks - 1) if collective in ROOTED else (0,):
+                key = f"{collective}:{algorithm}/np{nranks}/{nbytes}B"
+                if collective in ROOTED:
+                    key += f"/root{root}"
+                out[key] = _measure(collective, algorithm, nranks, nbytes, root)
+    return out
+
+
+@pytest.mark.parametrize("collective,algorithm", ALL_POINTS,
+                         ids=[f"{c}:{a}" for c, a in ALL_POINTS])
+def test_collective_virtual_time_is_golden(collective, algorithm, request):
+    measured = _points(collective, algorithm)
+    if request.config.getoption("--update-golden"):
+        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        prefix = f"{collective}:{algorithm}/"
+        golden = {k: v for k, v in golden.items() if not k.startswith(prefix)}
+        golden.update(measured)
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        return
+    golden = json.loads(GOLDEN.read_text())
+    prefix = f"{collective}:{algorithm}/"
+    assert {k: v for k, v in golden.items() if k.startswith(prefix)} == measured
+
+
+def test_golden_file_covers_exactly_the_registered_algorithms():
+    golden = json.loads(GOLDEN.read_text())
+    assert {key.split("/")[0] for key in golden} == {f"{c}:{a}" for c, a in ALL_POINTS}
+    assert len(ALL_POINTS) == 17

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi import datatypes, ops
-from repro.mpi.errors import InvalidRootError
+from repro.mpi.errors import (
+    MPI_ERR_BUFFER,
+    MPI_ERR_TRUNCATE,
+    InvalidRootError,
+    MPIError,
+    TruncationError,
+)
 from tests.conftest import run_mpi_program
 
 
@@ -132,6 +138,91 @@ def test_invalid_root_raises():
         return True
 
     assert all(run_mpi_program(program, 2))
+
+
+def test_root_without_its_buffer_gets_err_buffer_before_anything_is_posted():
+    """The root of scatter/gather/reduce must supply the buffer only it uses.
+    The error is raised before any message (or sequence number) is spent, so
+    the same collective, called correctly afterwards, still completes."""
+    byte = datatypes.BYTE
+
+    def program(rt, ctx):
+        back = np.zeros(4, dtype=np.uint8)
+        block = np.full(4, ctx.rank + 1, dtype=np.uint8)
+        if ctx.rank == 0:
+            for bad_call in (
+                lambda: rt.scatter(None, 4, byte, back, 4, byte, root=0),
+                lambda: rt.gather(block, 4, byte, None, 4, byte, root=0),
+                lambda: rt.reduce(block, None, 4, byte, ops.SUM, root=0),
+            ):
+                with pytest.raises(MPIError) as err:
+                    bad_call()
+                assert err.value.code == MPI_ERR_BUFFER
+        send = np.arange(8, dtype=np.uint8) if ctx.rank == 0 else None
+        rt.scatter(send, 4, byte, back, 4, byte, root=0)
+        return back.tolist()
+
+    assert run_mpi_program(program, 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+@pytest.mark.parametrize("collective", ["gather", "scatter"])
+def test_root_count_mismatch_raises_truncate_up_front(collective):
+    """8 bytes sent per rank into 4 received: ``MPI_ERR_TRUNCATE`` at the
+    root before any communication, not a ``ValueError`` after all of it."""
+    byte = datatypes.BYTE
+
+    def program(rt, ctx):
+        root = ctx.rank == 0
+
+        def call(sendcount, recvcount):
+            if collective == "gather":
+                recv = np.zeros(16, dtype=np.uint8) if root else None
+                rt.gather(np.full(8, ctx.rank + 1, dtype=np.uint8), sendcount, byte,
+                          recv, recvcount, byte, root=0)
+                return recv.tolist() if root else None
+            send = np.arange(16, dtype=np.uint8) if root else None
+            recv = np.zeros(8, dtype=np.uint8)
+            rt.scatter(send, sendcount, byte, recv, recvcount, byte, root=0)
+            return recv.tolist()
+
+        if root:
+            with pytest.raises(TruncationError) as err:
+                call(8, 4)
+            assert err.value.code == MPI_ERR_TRUNCATE
+        return call(8, 8)
+
+    results = run_mpi_program(program, 2)
+    if collective == "gather":
+        assert results == [[1] * 8 + [2] * 8, None]
+    else:
+        assert results == [list(range(8)), list(range(8, 16))]
+
+
+def test_guest_scatter_with_null_root_buffer_returns_err_buffer():
+    """Through the guest ABI the same failure is an error code, not a trap."""
+    from repro.api import Session
+    from repro.toolchain import mpi_header as abi
+    from repro.toolchain.guest import GuestProgram
+
+    def main(api, args):
+        api.mpi_init()
+        root = api.rank() == 0
+        recv_ptr, recv = api.alloc_array(4, abi.MPI_BYTE, fill=0)
+        send_ptr, send = api.alloc_array(8, abi.MPI_BYTE)
+        send[:] = np.arange(8, dtype=np.uint8)
+        codes = []
+        if root:
+            codes.append(api.scatter(0, 4, abi.MPI_BYTE, recv_ptr, 4, abi.MPI_BYTE, 0))
+        codes.append(api.scatter(send_ptr, 4, abi.MPI_BYTE, recv_ptr, 4, abi.MPI_BYTE, 0))
+        api.mpi_finalize()
+        return (codes, recv.tolist())
+
+    with Session(machine="graviton2") as session:
+        job = session.run(GuestProgram(name="scatter-null-root", main=main), 2)
+    assert job.return_values() == [
+        ([MPI_ERR_BUFFER, abi.MPI_SUCCESS], [0, 1, 2, 3]),
+        ([abi.MPI_SUCCESS], [4, 5, 6, 7]),
+    ]
 
 
 def test_comm_split_even_odd():

@@ -102,10 +102,11 @@ def test_nbc_routes_through_decision_table():
     assert results[-1] == nranks  # one rank-call per rank, all on "ring"
 
 
-def test_nbc_forced_unscheduled_algorithm_falls_back():
-    """Forcing an algorithm without a schedule builder (reduce_bcast) must
-    degrade the non-blocking path to the ported fallback, not fail."""
-    assert not schedules.has_builder("allreduce", "reduce_bcast")
+def test_nbc_forced_algorithm_runs_as_named():
+    """A forced algorithm runs under the non-blocking entry point exactly as
+    under the blocking one: ``reduce_bcast`` (never picked by the default
+    table) is recorded and executed by ``MPI_Iallreduce``, and the result
+    equals the blocking oracle."""
 
     def program(rt, ctx):
         rt.world.collectives.force("allreduce", "reduce_bcast")
@@ -116,19 +117,20 @@ def test_nbc_forced_unscheduled_algorithm_falls_back():
             k: v for k, v in rt.world.metrics.counters().items()
             if k.startswith("mpi.coll.allreduce.algo.")
         }
-        return (recv.tolist(), algos)
+        oracle = np.zeros(8, dtype=np.int64)
+        rt.allreduce(send, oracle, 8, datatypes.LONG, ops.SUM)
+        return (recv.tolist(), oracle.tolist(), algos)
 
     results = run_mpi_program(program, 3)
     expected = [sum(range(1, 4))] * 8
-    for recv, algos in results:
-        assert recv == expected
-        assert set(algos) == {"mpi.coll.allreduce.algo.recursive_doubling"}
+    for recv, oracle, algos in results:
+        assert recv == oracle == expected
+        assert set(algos) == {"mpi.coll.allreduce.algo.reduce_bcast"}
 
 
 def test_every_nbc_collective_has_builders_for_table_defaults():
     """Every algorithm the default decision table can pick for an NBC-capable
-    collective must have a schedule builder (no silent fallback in the
-    default configuration)."""
+    collective is a registered schedule builder."""
     from repro.mpi.algorithms.decision import DEFAULT_RULES
 
     for collective in ("barrier", "bcast", "allreduce", "allgather", "alltoall"):
