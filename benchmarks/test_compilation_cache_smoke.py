@@ -13,6 +13,7 @@ from benchmarks.conftest import report
 from repro.benchmarks_suite.hpcg import make_hpcg_program
 from repro.core import EmbedderConfig, MPIWasm
 from repro.toolchain.wasicc import compile_guest
+from repro.wasm.compilers import FileSystemCache
 
 BACKENDS = ("singlepass", "cranelift", "llvm")
 
@@ -20,7 +21,7 @@ BACKENDS = ("singlepass", "cranelift", "llvm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_second_identical_compile_hits_cache(tmp_path, backend):
     app = compile_guest(make_hpcg_program(dims=(8, 4, 4), iterations=1))
-    embedder = MPIWasm(EmbedderConfig(compiler_backend=backend, cache_dir=str(tmp_path)))
+    embedder = MPIWasm(EmbedderConfig(compiler_backend=backend), FileSystemCache(tmp_path))
 
     first = embedder.compile_module(app.wasm_bytes, app.module)
     assert not embedder.last_cache_hit, f"{backend}: first compile must miss"

@@ -6,7 +6,7 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.benchmarks_suite.imb import make_imb_program
-from repro.core import run_wasm
+from repro.api import run
 from repro.harness import figure3_imb_supermuc
 
 PAPER_GM_SLOWDOWNS = {
@@ -37,7 +37,7 @@ def test_figure3_functional_point(benchmark, routine):
     nranks = 2 if routine == "pingpong" else 4
     program = make_imb_program(routine, message_sizes=(1024,), iterations=2)
     job = benchmark.pedantic(
-        lambda: run_wasm(program, nranks, machine="supermuc-ng", ranks_per_node=nranks),
+        lambda: run(program, nranks, machine="supermuc-ng", ranks_per_node=nranks),
         rounds=1, iterations=1,
     )
     assert job.return_values()[0]["rows"][1024]["t_avg_us"] > 0

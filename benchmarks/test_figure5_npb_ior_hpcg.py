@@ -7,7 +7,7 @@ import pytest
 from benchmarks.conftest import report
 from repro.benchmarks_suite.hpcg import make_hpcg_program
 from repro.benchmarks_suite.npb import make_is_program
-from repro.core import run_wasm
+from repro.api import run
 from repro.harness import figure5_npb_ior_hpcg
 
 
@@ -31,7 +31,7 @@ def test_figure5_model_sweep(benchmark):
 def test_figure5_functional_is_point(benchmark):
     """Functional NPB IS run (class S, 4 ranks) under MPIWasm."""
     job = benchmark.pedantic(
-        lambda: run_wasm(make_is_program("S"), 4, machine="supermuc-ng", ranks_per_node=4),
+        lambda: run(make_is_program("S"), 4, machine="supermuc-ng", ranks_per_node=4),
         rounds=1, iterations=1,
     )
     assert all(r["sorted_ok"] for r in job.return_values())
@@ -41,7 +41,7 @@ def test_figure5_functional_hpcg_point(benchmark):
     """Functional HPCG run (small grid, 2 ranks) under MPIWasm."""
     program = make_hpcg_program(dims=(8, 4, 4), iterations=4)
     job = benchmark.pedantic(
-        lambda: run_wasm(program, 2, machine="supermuc-ng", ranks_per_node=2),
+        lambda: run(program, 2, machine="supermuc-ng", ranks_per_node=2),
         rounds=1, iterations=1,
     )
     assert job.return_values()[0]["converging"]

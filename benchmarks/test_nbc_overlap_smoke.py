@@ -17,7 +17,7 @@ import os
 
 from benchmarks.conftest import report
 from repro.benchmarks_suite.imb import make_imb_nbc_program
-from repro.core.launcher import run_wasm
+from repro.api import run
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -29,7 +29,7 @@ def test_nbc_overlap_smoke():
     program = make_imb_nbc_program(
         "iallreduce", message_sizes=MESSAGE_SIZES, iterations=ITERATIONS
     )
-    job = run_wasm(program, 4, machine="graviton2")
+    job = run(program, 4, machine="graviton2")
     rows = job.return_values()[0]["rows"]
 
     lines = []

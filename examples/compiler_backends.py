@@ -11,11 +11,9 @@ Run:  python examples/compiler_backends.py
 
 from __future__ import annotations
 
-from repro.core import EmbedderConfig, MPIWasm
-from repro.core.cache import InMemoryCache
+from repro.api import Session
 from repro.benchmarks_suite.hpcg import make_hpcg_program
 from repro.harness import table1_compiler_backends
-from repro.toolchain.wasicc import compile_guest
 
 
 def main() -> int:
@@ -27,12 +25,12 @@ def main() -> int:
     print("(paper, native scale: Singlepass 52 ms / 0.38 GFLOP/s, Cranelift 150 ms / 1.32, LLVM 2811 ms / 1.54)")
 
     print("\nAoT cache behaviour (same module, compiled twice with LLVM):")
-    app = compile_guest(make_hpcg_program(dims=(12, 6, 6), iterations=2))
-    embedder = MPIWasm(EmbedderConfig(compiler_backend="llvm"), cache=InMemoryCache())
-    first = embedder.compile_module(app.wasm_bytes, app.module)
-    print(f"  first compile : {first.compile_seconds * 1e3:8.3f} ms (cache hit: {embedder.last_cache_hit})")
-    second = embedder.compile_module(app.wasm_bytes, app.module)
-    print(f"  second compile: {second.compile_seconds * 1e3:8.3f} ms (cache hit: {embedder.last_cache_hit})")
+    program = make_hpcg_program(dims=(12, 6, 6), iterations=2)
+    with Session(backend="llvm") as session:
+        for attempt in ("first", "second"):
+            compiled = session.compile(program)
+            hit = session.cache_summary()["hits"] > 0
+            print(f"  {attempt:<6s} compile: {compiled.compile_seconds * 1e3:8.3f} ms (cache hit: {hit})")
     return 0
 
 

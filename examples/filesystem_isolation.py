@@ -12,8 +12,9 @@ Run:  python examples/filesystem_isolation.py
 
 from __future__ import annotations
 
+from repro.api import run
 from repro.benchmarks_suite.ior import make_ior_program
-from repro.core import EmbedderConfig, run_wasm
+from repro.core import EmbedderConfig
 from repro.toolchain.guest import GuestProgram
 from repro.wasi.errno import WasiError
 
@@ -52,14 +53,14 @@ def isolation_demo_main(api, args):
 def main() -> int:
     program = GuestProgram(name="isolation-demo", main=isolation_demo_main)
     config = EmbedderConfig(preopen_dirs=(("/results", True), ("/reference", False)))
-    job = run_wasm(program, 1, machine="graviton2", config=config)
+    job = run(program, 1, machine="graviton2", config=config)
     print("Filesystem isolation (-d semantics):")
     for line in job.return_values()[0]:
         print("  " + line)
 
     print("\nIOR through the WASI virtual filesystem (4 SuperMUC-NG nodes, 8 MiB blocks):")
-    ior = run_wasm(make_ior_program(block_size=8 << 20, functional_bytes=1 << 15), 4,
-                   machine="supermuc-ng", ranks_per_node=1)
+    ior = run(make_ior_program(block_size=8 << 20, functional_bytes=1 << 15), 4,
+              machine="supermuc-ng", ranks_per_node=1)
     result = ior.return_values()[0]
     print(f"  data round-trip verified: {result['data_ok']}")
     print(f"  aggregate read  bandwidth: {result['read_bandwidth_mib_s']:.0f} MiB/s")

@@ -11,8 +11,8 @@ Run:  python examples/hpcg_scaling.py
 
 from __future__ import annotations
 
+from repro.api import run
 from repro.benchmarks_suite.hpcg import make_hpcg_program
-from repro.core import EmbedderConfig, run_native, run_wasm
 from repro.harness import hpcg_scaling_model
 from repro.sim.machines import graviton2, supermuc_ng
 
@@ -21,9 +21,8 @@ def main() -> int:
     print("Functional runs (small grids, every rank executes the CG solver):")
     program = make_hpcg_program(dims=(8, 6, 4), iterations=6)
     for nranks in (1, 2, 4):
-        wasm = run_wasm(program, nranks, machine="graviton2",
-                        config=EmbedderConfig(compiler_backend="llvm"))
-        native = run_native(program, nranks, machine="graviton2")
+        wasm = run(program, nranks, machine="graviton2", backend="llvm")
+        native = run(program, nranks, machine="graviton2", mode="native")
         w = wasm.return_values()[0]
         print(f"  {nranks} ranks: residual {w['residual_initial']:.2e} -> {w['residual_final']:.2e} | "
               f"wasm {wasm.makespan*1e3:.2f} ms vs native {native.makespan*1e3:.2f} ms (virtual)")

@@ -11,6 +11,14 @@ the linter exists so those regressions stay fixed:
   ``core/envvars.py``.  PR 5 consolidated every knob behind typed accessors
   so ``repro-harness campaign`` can enumerate and pin them; a stray read is
   an invisible knob.
+* ``env-resolved-once`` -- a call into a ``core/envvars.py`` reader anywhere
+  but the configuration resolver (``api/config.py``) and
+  ``api/session.py::default_session``, or any write to ``os.environ``.  PR 14
+  deleted the run path that re-read ``REPRO_*`` below the session (and the
+  campaign runner's ``os.environ`` export that fed it): a job's settings come
+  from its ``Session``'s resolved configuration, whose provenance
+  ``config.explain()`` reports, and a process-global mutable channel is not
+  safe under the serve daemon's worker threads.
 * ``no-mutable-default-args`` -- the classic shared-state trap.
 * ``no-bare-except`` -- swallows ``KeyboardInterrupt``/``SystemExit``; name
   an exception type (``Exception`` at the broadest).
@@ -49,6 +57,18 @@ BASELINE_NAME = ".codelint-baseline.json"
 
 #: Files exempt from ``env-reads-via-envvars`` (the accessor module itself).
 _ENV_EXEMPT_SUFFIX = ("core/envvars.py",)
+
+#: ``env-resolved-once``: the ``core/envvars.py`` functions that read the
+#: process environment, and the (file suffix, enclosing function or ``None``
+#: for the whole file) pairs allowed to call them.
+_ENV_READERS = ("read_env", "env_flag", "snapshot", "config_file")
+_ENV_READER_CALLERS = (
+    ("core/envvars.py", None),
+    ("api/config.py", None),
+    ("api/session.py", "default_session"),
+)
+#: ``os.environ`` methods that mutate the process environment.
+_ENVIRON_MUTATORS = ("pop", "setdefault", "update")
 
 #: Where ``no-direct-pt2pt-in-algorithms`` applies, and the one file there
 #: (the schedule executor) that talks to the ``CollectiveContext``.
@@ -123,6 +143,15 @@ class _FileLinter(ast.NodeVisitor):
                         return True
                 return False
         return False
+
+    def _may_read_env(self) -> bool:
+        """Whether this spot is one of ``_ENV_READER_CALLERS``."""
+        enclosing = {n.name for n in self._stack
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        return any(
+            self.relpath.endswith(suffix) and (function is None or function in enclosing)
+            for suffix, function in _ENV_READER_CALLERS
+        )
 
     def _visit_def(self, node) -> None:
         args = node.args
@@ -201,6 +230,20 @@ class _FileLinter(ast.NodeVisitor):
                 f"{name}() bypasses core/envvars.py; add a typed accessor "
                 "there so the knob is enumerable",
             )
+        module, _, function = name.rpartition(".")
+        if (function in _ENV_READERS and module.split(".")[-1] == "envvars"
+                and not self._may_read_env()):
+            self._report(
+                "env-resolved-once", node,
+                f"{name}() re-reads the environment below the configuration "
+                "resolver; take the value from the Session's ResolvedConfig",
+            )
+        if module == "os.environ" and function in _ENVIRON_MUTATORS:
+            self._report(
+                "env-resolved-once", node,
+                f"{name}() mutates the process environment; hand the value "
+                "down through the job's Session instead",
+            )
         if (self.algorithm_module and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("send", "recv")):
             self._report(
@@ -216,12 +259,29 @@ class _FileLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if (node.module or "").endswith("core.envvars") and not self._may_read_env():
+            for alias in node.names:
+                if alias.name in _ENV_READERS:
+                    self._report(
+                        "env-resolved-once", node,
+                        f"importing envvars.{alias.name} outside the "
+                        "configuration resolver; take the value from the "
+                        "Session's ResolvedConfig",
+                    )
+        self.generic_visit(node)
+
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        # os.environ["X"] reads (and writes -- equally invisible knobs).
-        if not self.env_exempt and isinstance(node.value, ast.Attribute):
-            if (node.value.attr == "environ"
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "os"):
+        if (isinstance(node.value, ast.Attribute) and node.value.attr == "environ"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "os"):
+            if not isinstance(node.ctx, ast.Load):
+                self._report(
+                    "env-resolved-once", node,
+                    "os.environ[...] is written; hand the value down through "
+                    "the job's Session instead",
+                )
+            elif not self.env_exempt:
                 self._report(
                     "env-reads-via-envvars", node,
                     "os.environ[...] bypasses core/envvars.py; add a typed "

@@ -42,8 +42,9 @@ export Perfetto-loadable timelines, and :func:`profiling` /
 ``__all__`` is the compatibility contract: it is asserted against
 ``docs/api_manifest.json`` by the CI ``api-stability`` job, and
 ``docs/API.md`` (regenerate with ``python -m repro.api.docgen``) documents
-every name.  :data:`DEPRECATIONS` maps superseded entry points to their
-replacements; the old paths keep working behind ``DeprecationWarning`` shims.
+every name.  Version 2.0 removed the pre-session entry points (the one-shot
+launcher functions, self-configuring embedders, the cache façade module):
+:class:`Session` is the only way a job runs.
 
 Attribute access is lazy (PEP 562) so that low-level modules may import
 ``repro.api.registry`` without dragging the whole execution stack in.
@@ -54,15 +55,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 #: Version of the public API contract (bumped on breaking surface changes).
-API_VERSION = "1.0"
-
-#: Deprecated entry point -> its replacement on the public surface.
-DEPRECATIONS = {
-    "repro.core.launcher.run_wasm": "repro.api.Session.run(app, nranks, mode='wasm')",
-    "repro.core.launcher.run_native": "repro.api.Session.run(app, nranks, mode='native')",
-    "repro.core.embedder.MPIWasm(...)": "repro.api.Session (owns embedders and the artifact store)",
-    "repro.core.cache": "repro.wasm.compilers.cache (or Session's artifact store)",
-}
+API_VERSION = "2.0"
 
 #: name -> submodule that defines it (resolved lazily on first access).
 _EXPORT_SOURCES = {
@@ -132,7 +125,7 @@ _EXPORT_SOURCES = {
     "run_with_recovery": "repro.fault",
 }
 
-__all__ = sorted(["API_VERSION", "DEPRECATIONS", *_EXPORT_SOURCES])
+__all__ = sorted(["API_VERSION", *_EXPORT_SOURCES])
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.api.config import ResolvedConfig  # noqa: F401

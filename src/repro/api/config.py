@@ -4,11 +4,12 @@ A :class:`ResolvedConfig` is built from four layers, lowest priority first::
 
     built-in defaults  <  config file (JSON)  <  REPRO_* environment  <  kwargs
 
-Every environment read goes through :mod:`repro.core.envvars` (re-exported by
-``repro.core.env``), and the winning layer of every field is recorded in
-:attr:`ResolvedConfig.provenance` -- so ``session.config.explain()`` can answer
-"why is the backend cranelift?" with ``env:REPRO_BACKEND`` instead of a
-debugging session.
+:meth:`ResolvedConfig.resolve` is the one place job configuration is read
+from the environment (through :mod:`repro.core.envvars`); everything below a
+``Session`` is handed resolved values.  The winning layer of every field is
+recorded in :attr:`ResolvedConfig.provenance` -- so
+``session.config.explain()`` can answer "why is the backend cranelift?" with
+``env:REPRO_BACKEND`` instead of a debugging session.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class ResolvedConfig:
                     continue
                 try:
                     values[spec.name] = spec.parse(raw) if spec.parse else raw
-                except ValueError as exc:
+                except (ValueError, KeyError) as exc:   # KeyError: unknown algorithm
                     raise ValueError(f"invalid {spec.env}={raw!r}: {exc}") from exc
                 provenance[spec.name] = f"env:{spec.env}"
 

@@ -3,7 +3,7 @@
 Run ``python -m repro.api.docgen`` from the repository root after changing
 the public surface; the CI ``api-stability`` job asserts that
 ``repro.api.__all__`` matches ``docs/api_manifest.json`` and that every
-public name (and every deprecation mapping) appears in ``docs/API.md``.
+public name appears in ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ def _kind(obj: object) -> str:
 
     if isinstance(obj, Registry):
         return "registry"
-    if isinstance(obj, dict):
-        return "mapping"
     return type(obj).__name__
 
 def _summary(obj: object) -> str:
@@ -56,8 +54,6 @@ def generate_api_md() -> str:
 
         if name == "API_VERSION":
             kind, summary = "str", "version of the public API contract"
-        elif name == "DEPRECATIONS":
-            kind, summary = "mapping", "deprecated entry point -> replacement"
         elif isinstance(obj, Registry):
             kind = "registry"
             summary = f"unified registry of every {obj.kind} ({len(obj)} bundled)"
@@ -66,22 +62,12 @@ def generate_api_md() -> str:
         lines.append(f"| `{name}` | {kind} | {summary} |")
     lines += [
         "",
-        "## Deprecation map (old path -> new path)",
-        "",
-        "Every entry keeps working behind a `DeprecationWarning` shim.",
-        "",
-        "| deprecated | replacement |",
-        "|------------|-------------|",
-    ]
-    for old, new in sorted(api.DEPRECATIONS.items()):
-        lines.append(f"| `{old}` | `{new}` |")
-    lines += [
-        "",
         "## Environment variables",
         "",
-        "All `REPRO_*` reads are consolidated in `repro.core.env` (implemented",
-        "in `repro.core.envvars`); the layered `ResolvedConfig` applies them",
-        "between the config file and explicit kwargs.",
+        "Job configuration is read from the environment in one place,",
+        "`ResolvedConfig.resolve` (through `repro.core.envvars`), which applies",
+        "it between the config file and explicit kwargs; nothing below a",
+        "`Session` reads `REPRO_*` again.",
         "",
         "| variable | controls |",
         "|----------|----------|",

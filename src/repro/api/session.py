@@ -16,15 +16,17 @@ Execution modes ("wasm", "native", ...) are registry-driven
 (:data:`repro.api.registry.MODES`): ``Session.run`` resolves the mode's
 runner, so new execution baselines plug in without editing this module.
 
-The legacy entry points (``repro.core.launcher.run_wasm``/``run_native``,
-direct ``MPIWasm`` construction) are deprecation shims over the *ambient*
-session (:func:`current_session`), which campaign workers rebind to their own
-warm per-process session via :func:`use_session`.
+A ``Session`` is the only way a job runs, and its resolved configuration is
+the only place a job's settings come from: nothing below it reads the
+environment.  Code that is handed no session (experiment drivers, the
+one-shot :func:`run`) uses the *ambient* one (:func:`current_session`), which
+the campaign runner binds to the job's warm session via :func:`use_session`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -43,12 +45,7 @@ from repro.sim.metrics import MetricsRegistry
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import CompiledApplication, compile_guest
 from repro.wasm.compilers.base import CompiledModule
-from repro.wasm.compilers.cache import (
-    GLOBAL_CACHE,
-    FileSystemCache,
-    InMemoryCache,
-    TieredCache,
-)
+from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, TieredCache
 from repro.wasm.decoder import decode_module
 from repro.wasm.validation import validate_module
 
@@ -204,20 +201,6 @@ class Session:
 
     # ---------------------------------------------------------- config/cache
 
-    def _effective_cache_dir(self, override: Any) -> Optional[str]:
-        if override is not _UNSET:
-            return str(override) if override else None
-        # A cache_dir that came from the environment (or was never
-        # configured) stays *live*: the current REPRO_CACHE_DIR wins, so the
-        # campaign runner's per-job scoping -- exporting the shared directory,
-        # or an empty value when the on-disk cache is disabled -- takes
-        # effect even on sessions resolved earlier.  Only an explicitly
-        # configured value (kwarg or config file) is pinned.
-        source = self.config.provenance.get("cache_dir", "default")
-        if source == "default" or source.startswith("env:"):
-            return envvars.cache_dir()
-        return self.config.cache_dir
-
     def _embedder_config(
         self,
         *,
@@ -226,13 +209,12 @@ class Session:
         cache_dir: Any = _UNSET,
         guest_args: Sequence[str] = (),
     ) -> EmbedderConfig:
-        merged_algorithms = dict(self.config.collective_algorithms)
-        if algorithms:
-            merged_algorithms.update(algorithms)
+        if cache_dir is _UNSET:
+            cache_dir = self.config.cache_dir
         return self.config.embedder_config(
             compiler_backend=backend or self.config.backend,
-            cache_dir=self._effective_cache_dir(cache_dir),
-            collective_algorithms=merged_algorithms,
+            cache_dir=str(cache_dir) if cache_dir else None,
+            collective_algorithms={**self.config.collective_algorithms, **(algorithms or {})},
             guest_args=tuple(guest_args),
         )
 
@@ -299,7 +281,7 @@ class Session:
         """
         self._check_open()
         config = self._embedder_config(backend=backend)
-        embedder = MPIWasm(config, cache=self.artifact_cache(config), _session_owned=True)
+        embedder = MPIWasm(config, self.artifact_cache(config))
         if isinstance(app, bytes):
             compiled = embedder.compile_module(app, module or decode_module(app))
         else:
@@ -340,9 +322,13 @@ class Session:
 
         ``mode`` selects a registered execution mode (``"wasm"`` runs the
         embedder, ``"native"`` the no-embedder baseline).  Per-run keyword
-        overrides beat the session configuration; an explicit
-        :class:`EmbedderConfig` (``config=``) bypasses the layering entirely
-        (the back-compat shims use this to preserve legacy semantics).
+        overrides beat the session configuration.  An explicit
+        :class:`EmbedderConfig` (``config=``) sets the embedder-level fields
+        the layered configuration has no knob for (``preopen_dirs``,
+        ``environ``, ``overheads``) and replaces the session's values for the
+        rest; its ``collective_algorithms`` are applied on top of the
+        session's, and artifacts go through the session's store (tiered over
+        ``config.cache_dir`` when set) like every other run.
         """
         self._check_open()
         runner = MODES.get(mode)
@@ -351,45 +337,27 @@ class Session:
             nranks = np if np is not None else self.config.nranks
         if ranks_per_node is None:
             ranks_per_node = self.config.ranks_per_node
-        # An explicit EmbedderConfig (the legacy-shim path) keeps the exact
-        # pre-session cache behaviour: each embedder picks its own store from
-        # the config instead of the session's warm tier.
-        session_store = config is None
         if config is None:
             config = self._embedder_config(
                 backend=backend, algorithms=algorithms, cache_dir=cache_dir
             )
-        elif algorithms:
-            merged = dict(config.collective_algorithms)
-            merged.update(algorithms)
+        else:
+            merged = {**self.config.collective_algorithms,
+                      **config.collective_algorithms, **(algorithms or {})}
             config = replace(config, collective_algorithms=merged)
+        # The mode-runner contract: every registered runner takes exactly
+        # this keyword set.
+        request = dict(nranks=int(nranks), preset=preset, ranks_per_node=ranks_per_node,
+                       config=config, guest_args=tuple(guest_args))
         if self.config.trace and not _trace.ENABLED:
             # Session-level tracing: record this job on a fresh recorder and
             # attach the snapshot to the result.  When a recorder is already
             # installed (the campaign runner owns one per job), defer to it.
             with _trace.tracing() as recorder:
-                job = runner(
-                    self,
-                    app,
-                    nranks=int(nranks),
-                    preset=preset,
-                    ranks_per_node=ranks_per_node,
-                    config=config,
-                    guest_args=tuple(guest_args),
-                    session_store=session_store,
-                )
+                job = runner(self, app, **request)
             job.trace = recorder.snapshot()
         else:
-            job = runner(
-                self,
-                app,
-                nranks=int(nranks),
-                preset=preset,
-                ranks_per_node=ranks_per_node,
-                config=config,
-                guest_args=tuple(guest_args),
-                session_store=session_store,
-            )
+            job = runner(self, app, **request)
         self._jobs_run += 1
         self.metrics.merge(job.metrics)
         return job
@@ -402,15 +370,15 @@ class Session:
 
         Serial campaigns (``workers <= 1``) run every job on *this* warm
         session; parallel campaigns give each worker process its own warm
-        session sharing the on-disk cache.  ``cache_dir`` defaults to a
-        cache directory *explicitly* configured on the session (kwarg or
-        config file); an env-resolved or default one is left for
-        ``run_campaign`` to apply at its documented precedence (explicit
-        argument > spec > ``$REPRO_CACHE_DIR`` > temp dir), so a spec-level
-        ``"cache_dir"`` -- including ``false`` to disable the on-disk cache
-        -- still beats the environment.  ``trace`` forces per-job event
-        tracing on (``True``) or off (``False``); ``None`` defers to the
-        spec's ``"trace"`` key, then the session's ``trace`` config.
+        session sharing the on-disk cache.  The shared cache directory is
+        ``cache_dir``, else the spec's ``"cache_dir"`` (``false`` disables the
+        on-disk cache), else this session's resolved ``cache_dir`` (which is
+        where ``$REPRO_CACHE_DIR`` comes in), else a temporary directory; it
+        is pinned on this session for the campaign's duration, so jobs that
+        compile through the ambient session use it too.  ``trace`` forces
+        per-job event tracing on (``True``) or off (``False``); ``None``
+        defers to the spec's ``"trace"`` key, then the session's ``trace``
+        config.
         ``journal_dir`` keeps a crash-safe on-disk journal of job outcomes
         (:mod:`repro.fault.journal`); ``resume=True`` re-runs only the jobs
         that journal records as unfinished (``spec`` may then be ``None``).
@@ -422,10 +390,6 @@ class Session:
         workers = self.config.workers if workers is None else workers
         if trace is None and self.config.trace:
             trace = True
-        if cache_dir is None:
-            source = self.config.provenance.get("cache_dir", "default")
-            if source == "kwarg" or source.startswith("file:"):
-                cache_dir = self.config.cache_dir
         result = run_campaign(
             spec, workers=workers, cache_dir=cache_dir, progress=progress,
             session=self, trace=trace, journal_dir=journal_dir, resume=resume,
@@ -461,11 +425,10 @@ def _run_wasm_mode(
     ranks_per_node: Optional[int],
     config: EmbedderConfig,
     guest_args: Tuple[str, ...],
-    session_store: bool = True,
 ) -> JobResult:
     """Run a guest under MPIWasm: one embedder per rank, shared warm store."""
     compiled_app = session._compiled_application(app)
-    cache = session.artifact_cache(config) if session_store else None
+    cache = session.artifact_cache(config)
     if config.validate:
         # Once per job, before any rank runs; the per-rank embedders below
         # only look the artifact up, so they are told not to validate again.
@@ -476,7 +439,7 @@ def _run_wasm_mode(
         def make_rank_program(rank: int):
             def rank_program(ctx):
                 runtime = MPIRuntime(world, ctx)
-                embedder = MPIWasm(config, cache=cache, _session_owned=True)
+                embedder = MPIWasm(config, cache)
                 result = embedder.run_guest(compiled_app, runtime, guest_args)
                 metrics.merge(result.metrics)
                 return result
@@ -505,34 +468,34 @@ def _run_wasm_mode(
 
 _DEFAULT_SESSION: Optional[Session] = None
 _DEFAULT_SESSION_ENV: Optional[Dict[str, str]] = None
-_ACTIVE_SESSIONS: List[Session] = []
+#: Innermost :func:`use_session` binding of the current thread / task.  A
+#: context variable, not a process-global stack: serve workers are threads,
+#: and each must see only the session it bound itself.
+_ACTIVE_SESSION: ContextVar[Optional[Session]] = ContextVar(
+    "repro_active_session", default=None)
 
 
 def default_session() -> Session:
-    """Process-wide fallback session used by the deprecation shims.
+    """Process-wide fallback session behind :func:`current_session`.
 
-    Its artifact store is the legacy process-global in-memory cache, so code
-    still calling ``run_wasm``/``run_native`` keeps the exact cross-call
-    compilation reuse it had before sessions existed.  The legacy entry
-    points also re-read the ``REPRO_*`` environment on every call, so the
-    session is re-resolved whenever the ``REPRO_*`` snapshot changes --
-    exporting or unsetting a knob between shim calls keeps taking effect
-    (the warm artifact store is the shared global cache either way).
+    It is an entry point like any other ``Session()``, so it resolves the
+    ``REPRO_*`` environment -- and, because callers of :func:`run` never see
+    it, re-resolves whenever the ``REPRO_*`` snapshot changes: exporting or
+    unsetting a knob between calls keeps taking effect (at the price of a
+    cold artifact store).
     """
     global _DEFAULT_SESSION, _DEFAULT_SESSION_ENV
     env = envvars.snapshot()
     if (_DEFAULT_SESSION is None or _DEFAULT_SESSION.closed
             or env != _DEFAULT_SESSION_ENV):
-        _DEFAULT_SESSION = Session(artifact_store=GLOBAL_CACHE)
+        _DEFAULT_SESSION = Session()
         _DEFAULT_SESSION_ENV = env
     return _DEFAULT_SESSION
 
 
 def current_session() -> Session:
     """The innermost :func:`use_session` session, else the default one."""
-    if _ACTIVE_SESSIONS:
-        return _ACTIVE_SESSIONS[-1]
-    return default_session()
+    return _ACTIVE_SESSION.get() or default_session()
 
 
 @contextmanager
@@ -540,14 +503,15 @@ def use_session(session: Session) -> Iterator[Session]:
     """Make ``session`` the ambient session for the duration of the block.
 
     The campaign runner wraps each job in this so nested compiles -- including
-    ones buried inside experiment drivers and legacy shims -- all land on the
-    job's warm per-worker session.
+    ones buried inside experiment drivers -- all land on the job's warm
+    session.  The binding is per thread (and per asyncio task): concurrent
+    threads each see their own.
     """
-    _ACTIVE_SESSIONS.append(session)
+    token = _ACTIVE_SESSION.set(session)
     try:
         yield session
     finally:
-        _ACTIVE_SESSIONS.pop()
+        _ACTIVE_SESSION.reset(token)
 
 
 def run(app: AppLike, nranks: Optional[int] = None, **kwargs: Any) -> JobResult:

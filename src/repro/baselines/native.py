@@ -6,8 +6,8 @@ guest program runs against :class:`NativeAPI`, which exposes the *same
 interface* as :class:`repro.core.guest_api.GuestAPI` but is backed by plain
 NumPy buffers and direct calls into the host MPI runtime -- no linear memory,
 no handle translation, no embedder overhead.  The difference between a
-``run_wasm`` and a ``run_native`` job is therefore exactly the embedder layer
-the paper evaluates.
+``mode="wasm"`` and a ``mode="native"`` job is therefore exactly the embedder
+layer the paper evaluates.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ from repro.toolchain.wasicc import CompiledApplication  # noqa: E402
 
 @register_mode("native")
 def run_native_mode(session, app, *, nranks, preset, ranks_per_node, config,
-                    guest_args, session_store=True) -> JobResult:
+                    guest_args) -> JobResult:
     """``Session.run(mode="native")``: the no-embedder baseline.
 
     The guest program's ``main`` executes directly against :class:`NativeAPI`

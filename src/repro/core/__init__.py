@@ -2,15 +2,14 @@
 
 ``repro.core`` contains the embedder: configuration, the per-instance ``Env``
 state, address and datatype translation, the ``env.MPI_*`` import
-implementations, the WASI wiring, the consolidated ``REPRO_*`` environment
-access (:mod:`repro.core.env` / :mod:`repro.core.envvars`), the deprecated
-cache façade, and the ``mpirun``-style launcher shims.
+implementations, the WASI wiring, the ``REPRO_*`` environment catalogue
+(:mod:`repro.core.envvars`), and the ``mpiwasm-run`` launcher CLI.
 
-The programmatic front door is :class:`repro.api.Session`;
-``run_wasm``/``run_native`` below keep working as deprecation shims.
+The programmatic front door -- the only way a job runs -- is
+:class:`repro.api.Session`.
 
-Attribute access is lazy (PEP 562): low-level modules (the collective
-decision table, the compiler back-ends) import ``repro.core.envvars`` /
+Attribute access is lazy (PEP 562): low-level modules (the compiler
+back-ends, the layered configuration) import ``repro.core.envvars`` /
 ``repro.api.registry`` during *their* import, which executes this package
 ``__init__`` -- it must therefore not eagerly re-import the execution stack
 on top of them.
@@ -34,8 +33,6 @@ _EXPORT_SOURCES = {
     "DatatypeTranslator": "datatype_translation",
     "DatatypeTranslationError": "datatype_translation",
     "JobResult": "launcher",
-    "run_wasm": "launcher",
-    "run_native": "launcher",
 }
 
 __all__ = list(_EXPORT_SOURCES)
@@ -49,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.core.embedder import GuestResult, MPIWasm  # noqa: F401
     from repro.core.env import Env, HandleTable  # noqa: F401
     from repro.core.guest_api import GuestAPI  # noqa: F401
-    from repro.core.launcher import JobResult, run_native, run_wasm  # noqa: F401
+    from repro.core.launcher import JobResult  # noqa: F401
     from repro.core.memory_translation import AddressTranslator, translator_for  # noqa: F401
 
 

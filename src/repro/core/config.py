@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core import envvars
-
 
 @dataclass(frozen=True)
 class TranslationOverheadModel:
@@ -71,12 +69,12 @@ class EmbedderConfig:
     compiler_backend: str = "llvm"
     #: Directories exposed to the module: (guest path, writable).
     preopen_dirs: Tuple[Tuple[str, bool], ...] = (("/work", True),)
-    #: On-disk AoT cache directory (the paper's per-node cache, §3.3).  The
-    #: ``REPRO_CACHE_DIR`` environment variable provides the default; ``None``
-    #: falls back to the process-wide in-memory cache.  Clear a directory
-    #: cache with ``FileSystemCache(path).clear()`` or by deleting the
-    #: ``*.mpiwasm`` files.
-    cache_dir: Optional[str] = field(default_factory=envvars.cache_dir)
+    #: On-disk AoT cache directory (the paper's per-node cache, §3.3) that
+    #: the session's artifact store tiers over; ``None`` keeps artifacts in
+    #: the session's in-memory tier only.  Clear a directory cache with
+    #: ``FileSystemCache(path).clear()`` or by deleting the ``*.mpiwasm``
+    #: files.
+    cache_dir: Optional[str] = None
     enable_cache: bool = True
     memory_pages: Optional[int] = None       # override the module's declared minimum
     max_call_depth: int = 256

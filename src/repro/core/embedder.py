@@ -15,14 +15,13 @@ shared object is shared between processes in the paper's implementation.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.wasm.compilers.cache import (
-    GLOBAL_CACHE,
     FileSystemCache,
     InMemoryCache,
+    TieredCache,
     module_hash,
 )
 from repro.core.config import EmbedderConfig
@@ -63,31 +62,15 @@ class GuestResult:
 class MPIWasm:
     """One embedder process: compiles, instantiates and runs Wasm MPI modules.
 
-    .. deprecated::
-        Constructing ``MPIWasm`` directly is superseded by
-        :class:`repro.api.Session`, which owns the embedders, shares one warm
-        artifact store across jobs, and aggregates metrics.  Direct
-        construction keeps working but emits a ``DeprecationWarning``.
+    :class:`repro.api.Session` constructs the embedders of a job and hands
+    each the artifact store to compile through (``Session.artifact_cache``);
+    the embedder never picks a store itself.
     """
 
-    def __init__(self, config: Optional[EmbedderConfig] = None,
-                 cache: Optional[Union[FileSystemCache, InMemoryCache]] = None,
-                 *, _session_owned: bool = False):
-        if not _session_owned:
-            warnings.warn(
-                "constructing MPIWasm directly is deprecated; use "
-                "repro.api.Session, which owns embedders and shares compiled "
-                "artifacts across jobs",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.config = config or EmbedderConfig()
-        if cache is not None:
-            self.cache = cache
-        elif self.config.cache_dir:
-            self.cache = FileSystemCache(self.config.cache_dir)
-        else:
-            self.cache = GLOBAL_CACHE
+    def __init__(self, config: EmbedderConfig,
+                 cache: Union[FileSystemCache, InMemoryCache, TieredCache]):
+        self.config = config
+        self.cache = cache
         self.last_cache_hit = False
         self.last_cache_tier: Optional[str] = None
 

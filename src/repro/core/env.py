@@ -1,5 +1,4 @@
-"""The embedder's per-instance ``Env`` state (§3.7) and the process
-environment knobs.
+"""The embedder's per-instance ``Env`` state (§3.7).
 
 MPIWasm keeps one ``Env`` structure per executing module holding everything
 its import implementations need: the module's memory base (for address
@@ -7,32 +6,12 @@ translation), the handle tables mapping guest integers to host MPI objects
 (communicators, requests), the host MPI runtime for this rank, the WASI
 environment, and the instrumentation that the datatype-translation experiment
 (Figure 6) reads.
-
-This module is also the canonical home of every ``REPRO_*`` environment-
-variable read: the helpers below (implemented in the dependency-free
-:mod:`repro.core.envvars` so low-level modules can share them) are what the
-layered session configuration, the campaign runner and the embedder defaults
-use instead of scattered ``os.environ`` lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-from repro.core.envvars import (  # noqa: F401 - consolidated env-var surface
-    ENV_PREFIX,
-    KNOWN_ENV_VARS,
-    cache_dir as env_cache_dir,
-    coll_algo as env_coll_algo,
-    config_file as env_config_file,
-    env_flag,
-    env_int,
-    parse_bool,
-    read_env,
-    scoped as scoped_env,
-    snapshot as env_snapshot,
-)
 
 from repro.core.config import EmbedderConfig, TranslationOverheadModel
 from repro.mpi.communicator import Communicator

@@ -1,27 +1,26 @@
 """Consolidated access to the ``REPRO_*`` environment variables.
 
-Every environment read in the code base goes through this module (it is
-re-exported by :mod:`repro.core.env`, the embedder's documented home for
-process-level state).  Centralising the reads buys three things:
+Every environment read in the code base goes through this module, and job
+configuration is read through it exactly once per entry point: by
+:meth:`repro.api.config.ResolvedConfig.resolve` (and by
+:func:`repro.api.session.default_session`, which re-resolves when the
+``REPRO_*`` snapshot changes).  Nothing below a ``Session`` reads the
+environment again, and nothing in ``src/`` writes it (the
+``env-resolved-once`` lint rule enforces both).  Centralising the reads buys
+two things:
 
 * one catalogue (:data:`KNOWN_ENV_VARS`) of every knob the system honours,
   used by the docs generator and the layered-config provenance,
-* uniform parsing (:func:`env_flag`, :func:`env_int`) instead of ad-hoc
-  ``os.environ.get`` conventions at call sites,
-* a scoped-override helper (:func:`scoped`) so code that must export a
-  variable for a subprocess-visible duration (the campaign runner exporting
-  ``REPRO_CACHE_DIR`` per job) restores the previous state reliably.
+* uniform parsing (:func:`env_flag`, :func:`parse_bool`) instead of ad-hoc
+  ``os.environ.get`` conventions at call sites.
 
-This module is intentionally a *leaf*: it imports nothing from ``repro`` so
-any module -- including low-level ones like the collective decision table --
-can use it without creating import cycles.
+This module is intentionally a *leaf*: it imports nothing from ``repro``.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 #: Namespace prefix shared by every environment knob.
 ENV_PREFIX = "REPRO_"
@@ -80,56 +79,13 @@ def env_flag(name: str, default: bool = False,
     return parse_bool(raw, name)
 
 
-def env_int(name: str, default: Optional[int] = None,
-            environ: Optional[Mapping[str, str]] = None) -> Optional[int]:
-    """Integer environment knob (``default`` if unset; ValueError if malformed)."""
-    raw = read_env(name, None, environ)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer (got {raw!r})") from None
-
-
 def snapshot(environ: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
     """All currently-set ``REPRO_*`` variables (known or not)."""
     environ = os.environ if environ is None else environ
     return {k: v for k, v in environ.items() if k.startswith(ENV_PREFIX)}
 
 
-def cache_dir(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """``REPRO_CACHE_DIR`` (``None`` when unset or empty)."""
-    return read_env("REPRO_CACHE_DIR", None, environ) or None
-
-
-def coll_algo(environ: Optional[Mapping[str, str]] = None) -> str:
-    """Raw ``REPRO_COLL_ALGO`` value (empty string when unset)."""
-    return read_env("REPRO_COLL_ALGO", "", environ) or ""
-
-
 def config_file(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
     """``REPRO_CONFIG`` (``None`` when unset or empty)."""
     return read_env("REPRO_CONFIG", None, environ) or None
 
-
-@contextmanager
-def scoped(name: str, value: Optional[str]) -> Iterator[None]:
-    """Temporarily export ``name=value`` in ``os.environ``.
-
-    ``value=None`` is a no-op (the variable is left exactly as it was): this
-    matches the campaign runner's contract of only exporting the shared cache
-    directory when one is actually configured.
-    """
-    if value is None:
-        yield
-        return
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous

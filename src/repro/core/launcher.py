@@ -4,93 +4,21 @@ Reproduces the execution flow of Listing 4 of the paper::
 
     mpirun -np <N> ./mpiWasm mpi-app.wasm <args>
 
-Since the session-API redesign the execution engine lives in
-:mod:`repro.api.session`: :class:`repro.api.Session` owns the embedders, the
-warm artifact store and the metrics, and the execution modes ("wasm",
-"native") are registry-driven.  This module keeps the historical surface:
-
-* :class:`JobResult` (re-exported from the session module),
-* :func:`run_wasm` / :func:`run_native` -- **deprecated** one-shot shims that
-  route through the ambient session (:func:`repro.api.session.current_session`)
-  so existing callers keep the exact cross-call compilation reuse they had,
-* ``mpiwasm-run`` (:func:`main`), rebased on :class:`repro.api.Session`.
+The execution engine lives in :mod:`repro.api.session`:
+:class:`repro.api.Session` owns the embedders, the warm artifact store and the
+metrics, and the execution modes ("wasm", "native") are registry-driven.  This
+module is the ``mpiwasm-run`` command line (:func:`main`) on top of it;
+:class:`JobResult` is re-exported from the session module.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.api.session import JobResult, Session, current_session
-from repro.core.config import EmbedderConfig
-from repro.sim.machines import MachinePreset
-from repro.toolchain.guest import GuestProgram
-from repro.toolchain.wasicc import CompiledApplication
+from repro.api.session import JobResult, Session
 
-__all__ = ["JobResult", "run_wasm", "run_native", "main"]
-
-
-def run_wasm(
-    app: Union[GuestProgram, CompiledApplication],
-    nranks: int,
-    machine: Union[str, MachinePreset] = "supermuc-ng",
-    ranks_per_node: Optional[int] = None,
-    config: Optional[EmbedderConfig] = None,
-    guest_args: Sequence[str] = (),
-) -> JobResult:
-    """Run a guest program under MPIWasm on ``nranks`` simulated ranks.
-
-    .. deprecated::
-        Use ``repro.api.Session.run(app, nranks, mode="wasm")``; a warm
-        session reuses compiled artifacts across jobs explicitly instead of
-        through the process-global cache this shim falls back to.
-    """
-    warnings.warn(
-        "run_wasm() is deprecated; use repro.api.Session.run(app, nranks, "
-        "mode='wasm') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return current_session().run(
-        app,
-        nranks,
-        mode="wasm",
-        machine=machine,
-        ranks_per_node=ranks_per_node,
-        guest_args=guest_args,
-        config=config if config is not None else EmbedderConfig(),
-    )
-
-
-def run_native(
-    app: Union[GuestProgram, CompiledApplication],
-    nranks: int,
-    machine: Union[str, MachinePreset] = "supermuc-ng",
-    ranks_per_node: Optional[int] = None,
-    guest_args: Sequence[str] = (),
-    collective_algorithms: Optional[Dict[str, str]] = None,
-) -> JobResult:
-    """Run the same guest program natively (no Wasm, no embedder).
-
-    .. deprecated::
-        Use ``repro.api.Session.run(app, nranks, mode="native")``.
-    """
-    warnings.warn(
-        "run_native() is deprecated; use repro.api.Session.run(app, nranks, "
-        "mode='native') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return current_session().run(
-        app,
-        nranks,
-        mode="native",
-        machine=machine,
-        ranks_per_node=ranks_per_node,
-        guest_args=guest_args,
-        algorithms=collective_algorithms,
-    )
+__all__ = ["JobResult", "main"]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

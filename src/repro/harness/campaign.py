@@ -58,18 +58,14 @@ import shutil
 import tempfile
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core import envvars
+from repro.api.registry import BACKENDS, MODES
 from repro.obs import trace as _trace
 from repro.sim.metrics import MetricsRegistry
-
-#: Execution modes a benchmark job may request.
-MODES = ("wasm", "native")
-#: Compiler back-ends a wasm-mode job may request.
-BACKENDS = ("singlepass", "cranelift", "llvm")
 
 #: Keys understood in a ``benchmarks`` matrix entry.
 _BENCHMARK_KEYS = {"benchmark", "mode", "backend", "nranks", "machine", "algorithms", "repeats"}
@@ -283,7 +279,8 @@ class CampaignSpec:
     """Declarative scenario matrix; :meth:`expand` yields the job list.
 
     ``cache_dir`` may be a directory path (shared on-disk AoT cache),
-    ``None`` (fall back to ``$REPRO_CACHE_DIR`` or a private temp dir), or
+    ``None`` (fall back to the resolved configuration's ``cache_dir`` -- i.e.
+    ``$REPRO_CACHE_DIR`` -- or a private temp dir), or
     ``False`` (JSON ``false``: no on-disk cache at all -- jobs then rely on
     each worker's warm in-memory session store).
     """
@@ -371,9 +368,9 @@ class CampaignSpec:
                 if benchmark not in registry.names():
                     raise ValueError(f"unknown benchmark {benchmark!r}; known: {registry.names()}")
                 if mode not in MODES:
-                    raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
+                    raise ValueError(f"unknown mode {mode!r}; known: {MODES.names()}")
                 if backend not in BACKENDS:
-                    raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+                    raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS.names()}")
                 job = JobSpec(
                     kind="benchmark",
                     name=str(benchmark),
@@ -438,29 +435,36 @@ def spec_for_experiments(names: Sequence[str], seed: int = 0) -> CampaignSpec:
 _WORKER_SESSION = None
 
 
-def _fresh_session(cache_dir: Union[str, bool, None]):
+def _init_worker_session(cache_dir: Union[str, bool]) -> None:
+    """Pool initializer: give this worker process one warm session with the
+    campaign's shared cache directory pinned on it."""
     from repro.api.session import Session
 
-    return Session(cache_dir=str(cache_dir) if isinstance(cache_dir, str) else None)
-
-
-def _init_worker_session(cache_dir: Union[str, bool, None]) -> None:
-    """Pool initializer: give this worker process one warm session."""
     global _WORKER_SESSION
-    _WORKER_SESSION = _fresh_session(cache_dir)
+    _WORKER_SESSION = Session(cache_dir=cache_dir or None)
 
 
-def _job_session(cache_dir: Union[str, bool, None]):
-    global _WORKER_SESSION
-    if _WORKER_SESSION is None:
-        _WORKER_SESSION = _fresh_session(cache_dir)
-    return _WORKER_SESSION
+@contextmanager
+def _serial_session(session, cache_dir: Union[str, bool]) -> Iterator:
+    """The serial path's warm session with the campaign's cache directory
+    pinned on it: ``session`` (restored afterwards) or a fresh one."""
+    from repro.api.session import Session
+
+    if session is None:
+        with Session(cache_dir=cache_dir or None) as fresh:
+            yield fresh
+        return
+    configured = session.config
+    session.config = configured.replaced(cache_dir=cache_dir or None)
+    try:
+        yield session
+    finally:
+        session.config = configured
 
 
 def run_job(
     spec: JobSpec,
     campaign_seed: int = 0,
-    cache_dir: Union[str, bool, None] = None,
     session=None,
     trace: bool = False,
 ) -> JobOutcome:
@@ -469,45 +473,35 @@ def run_job(
     This is the worker-pool entry point (top-level and picklable).  The seed
     is applied before the job body so repeated executions -- serial or on any
     worker -- are bit-identical.  Jobs run on a warm
-    :class:`repro.api.Session` (``session`` if given, else this process's
-    worker session), which is also installed as the *ambient* session for the
-    job's duration; a string ``cache_dir`` is additionally exported as
-    ``REPRO_CACHE_DIR`` so every compile inside the job -- including ones
-    buried in experiment drivers and legacy shims -- goes through the shared
-    on-disk cache.  ``cache_dir=False`` disables the on-disk cache; jobs then
-    rely on the warm session store alone.  ``trace=True`` records the job on
-    a fresh :mod:`repro.obs.trace` recorder and attaches the snapshot to the
+    :class:`repro.api.Session` -- ``session`` if given, else this process's
+    worker session, else the ambient one -- which is also installed as the
+    *ambient* session for the job's duration, so every compile inside the job
+    (including ones buried in experiment drivers) goes through that session's
+    artifact store and cache directory.  The campaign's shared (or disabled)
+    on-disk cache reaches the job through that session's configuration, never
+    through the process environment.  ``trace=True`` records the job on a
+    fresh :mod:`repro.obs.trace` recorder and attaches the snapshot to the
     outcome (the campaign runner merges the snapshots into one timeline).
     """
     import numpy as np
 
-    from repro.api.session import use_session
+    from repro.api.session import current_session, use_session
 
     seed = spec.seed(campaign_seed)
     outcome = JobOutcome(job_id=spec.job_id, spec=spec, seed=seed)
     random.seed(seed)
     np.random.seed(seed & 0xFFFFFFFF)
     if session is None:
-        session = _job_session(cache_dir)
-    if isinstance(cache_dir, str):
-        scoped_cache: Optional[str] = str(cache_dir)
-    elif cache_dir is False:
-        # Disabled on-disk cache: export an *empty* value so live env
-        # lookups inside the job (experiment drivers, legacy shims) see "no
-        # cache directory" even if the surrounding process has a persistent
-        # REPRO_CACHE_DIR exported.
-        scoped_cache = ""
-    else:
-        scoped_cache = None
+        session = _WORKER_SESSION or current_session()
     start = time.perf_counter()
     try:
-        with envvars.scoped("REPRO_CACHE_DIR", scoped_cache), use_session(session):
+        with use_session(session):
             if trace:
                 with _trace.tracing() as recorder:
-                    _dispatch_job(spec, cache_dir, outcome, session)
+                    _dispatch_job(spec, outcome, session)
                 outcome.trace = recorder.snapshot()
             else:
-                _dispatch_job(spec, cache_dir, outcome, session)
+                _dispatch_job(spec, outcome, session)
     except BaseException as exc:  # noqa: BLE001 - failures become records
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
@@ -522,37 +516,24 @@ def run_job(
     return outcome
 
 
-def _dispatch_job(spec: JobSpec, cache_dir: Union[str, bool, None],
-                  outcome: JobOutcome, session) -> None:
+def _dispatch_job(spec: JobSpec, outcome: JobOutcome, session) -> None:
     if spec.kind == "benchmark":
-        _run_benchmark_job(spec, cache_dir, outcome, session)
+        _run_benchmark_job(spec, outcome, session)
     elif spec.kind == "experiment":
         _run_experiment_job(spec, outcome)
     else:
         raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def _run_benchmark_job(spec: JobSpec, cache_dir: Union[str, bool, None],
-                       outcome: JobOutcome, session) -> None:
-    algorithms = dict(spec.algorithms)
-    if spec.mode == "wasm":
-        job = session.run(
-            spec.name,
-            spec.nranks,
-            mode="wasm",
-            machine=spec.machine,
-            backend=spec.backend,
-            algorithms=algorithms,
-            cache_dir=str(cache_dir) if isinstance(cache_dir, str) else None,
-        )
-    else:
-        job = session.run(
-            spec.name,
-            spec.nranks,
-            mode="native",
-            machine=spec.machine,
-            algorithms=algorithms,
-        )
+def _run_benchmark_job(spec: JobSpec, outcome: JobOutcome, session) -> None:
+    job = session.run(
+        spec.name,
+        spec.nranks,
+        mode=spec.mode,
+        machine=spec.machine,
+        backend=spec.backend,
+        algorithms=dict(spec.algorithms),
+    )
     outcome.makespan = job.makespan
     outcome.exit_codes = job.exit_codes()
     outcome.return_values = job.return_values()
@@ -600,7 +581,6 @@ def _broken_outcome(spec: JobSpec, campaign_seed: int, exc: BaseException) -> Jo
 def _run_job_with_journal(
     spec: JobSpec,
     campaign_seed: int = 0,
-    cache_dir: Union[str, bool, None] = None,
     trace: bool = False,
     journal_dir: Union[str, None] = None,
 ) -> JobOutcome:
@@ -614,7 +594,7 @@ def _run_job_with_journal(
         from repro.fault.journal import Journal
 
         Journal(journal_dir).record("started", spec.job_id)
-    return run_job(spec, campaign_seed, cache_dir, trace=trace)
+    return run_job(spec, campaign_seed, trace=trace)
 
 
 def _journal_terminal(journal, outcome: JobOutcome) -> None:
@@ -767,8 +747,10 @@ def run_campaign(
     provided (the ``Session.campaign`` front door), else a fresh one scoped
     to this campaign; ``workers > 1`` fans out over a process pool whose
     initializer gives every worker its own warm session.  All jobs share one
-    on-disk compilation cache -- ``cache_dir``, the spec's ``cache_dir``, or
-    a private temporary directory cleaned up after the run -- unless the
+    on-disk compilation cache -- ``cache_dir``, else the spec's
+    ``cache_dir``, else the resolved configuration's (``session``'s, or a
+    fresh resolution's: this is where ``$REPRO_CACHE_DIR`` comes in), else a
+    private temporary directory cleaned up after the run -- unless the
     cache is disabled (``cache_dir=False`` here or ``"cache_dir": false`` in
     the spec), in which case compile-once behaviour rests on the warm
     per-worker session stores alone.  ``trace`` overrides the spec's
@@ -839,8 +821,9 @@ def run_campaign(
             journal.record("accepted", job.job_id)
     journal_path = str(journal.directory) if journal is not None else None
 
-    # Explicit argument beats the spec beats the user's persistent
-    # REPRO_CACHE_DIR; only a fully-unconfigured run gets a throwaway cache.
+    # Explicit argument beats the spec beats the resolved configuration (the
+    # user's persistent REPRO_CACHE_DIR); only a fully-unconfigured run gets
+    # a throwaway cache.
     disk_disabled = cache_dir is False or (cache_dir is None and spec.cache_dir is False)
     temporary_cache = False
     stats_cache = None
@@ -848,7 +831,10 @@ def run_campaign(
     if disk_disabled:
         shared_cache: Union[str, bool] = False
     else:
-        shared_cache = cache_dir or spec.cache_dir or envvars.cache_dir() or None
+        from repro.api.config import ResolvedConfig
+
+        resolved = session.config if session is not None else ResolvedConfig.resolve()
+        shared_cache = cache_dir or spec.cache_dir or resolved.cache_dir
         temporary_cache = shared_cache is None
         if temporary_cache:
             shared_cache = tempfile.mkdtemp(prefix="repro-campaign-cache-")
@@ -865,18 +851,18 @@ def run_campaign(
     interrupted = False
     try:
         if workers == 1 or not pending:
-            job_session = session if session is not None else _fresh_session(shared_cache)
             try:
-                for job in pending:
-                    if journal is not None:
-                        journal.record("started", job.job_id)
-                    outcome = run_job(job, spec.seed, shared_cache,
-                                      session=job_session, trace=do_trace)
-                    outcomes.append(outcome)
-                    if journal is not None:
-                        _journal_terminal(journal, outcome)
-                    if progress is not None:
-                        progress(outcome)
+                with _serial_session(session, shared_cache) as job_session:
+                    for job in pending:
+                        if journal is not None:
+                            journal.record("started", job.job_id)
+                        outcome = run_job(job, spec.seed, session=job_session,
+                                          trace=do_trace)
+                        outcomes.append(outcome)
+                        if journal is not None:
+                            _journal_terminal(journal, outcome)
+                        if progress is not None:
+                            progress(outcome)
             except KeyboardInterrupt:
                 interrupted = True
         else:
@@ -894,8 +880,7 @@ def run_campaign(
                 futures = [
                     executor.submit(
                         _run_job_with_journal, job, campaign_seed=spec.seed,
-                        cache_dir=shared_cache, trace=do_trace,
-                        journal_dir=journal_path,
+                        trace=do_trace, journal_dir=journal_path,
                     )
                     for job in pending
                 ]

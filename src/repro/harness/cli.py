@@ -1,11 +1,10 @@
-"""``repro-harness`` / ``repro-experiments`` command line interface.
+"""``repro-harness`` command line interface.
 
 Two subcommands, both built on the campaign runner
 (:mod:`repro.harness.campaign`):
 
 * ``run [names...]`` -- regenerate any subset of the paper's tables and
-  figures (the historical ``repro-experiments`` behaviour; bare experiment
-  names without a subcommand still work).
+  figures (bare experiment names without a subcommand still work).
 * ``campaign <spec> [--workers N]`` -- expand a declarative scenario-matrix
   spec (JSON, or YAML when PyYAML is installed) into a job list and execute
   it, optionally on a multi-process worker pool sharing one AoT compilation
@@ -457,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of ``repro-harness`` (and the ``repro-experiments`` alias)."""
+    """Entry point of ``repro-harness``."""
     import sys
 
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: `repro-experiments table1 figure3` (no subcommand) still
-    # works -- anything that is not a subcommand is treated as `run ...`.
+    # `repro-harness table1 figure3` (no subcommand): anything that is not a
+    # subcommand is treated as `run ...`.
     if not argv or argv[0] not in (
         "campaign", "run", "trace", "profile", "serve", "analyze", "chaos",
         "-h", "--help"

@@ -6,8 +6,9 @@ force an algorithm with MCA parameters.  This module reproduces that shape:
 
 * :class:`DecisionTable` -- ordered threshold rules per collective,
 * :class:`CollectiveSelector` -- the per-job selector combining the table
-  with forced overrides (from :class:`repro.core.config.EmbedderConfig` or
-  the ``REPRO_COLL_ALGO`` environment knob).
+  with the forced overrides the job's ``Session`` resolved (kwargs, config
+  file, the ``REPRO_COLL_ALGO`` environment knob) and applies before any rank
+  starts; this module never reads the environment itself.
 
 ``REPRO_COLL_ALGO`` uses the syntax ``collective:algorithm``, comma-separated
 for several collectives, e.g.::
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core import envvars
 from repro.mpi.algorithms import registry
 
 ENV_KNOB = "REPRO_COLL_ALGO"
@@ -175,26 +175,6 @@ class CollectiveSelector:
         self._forced: Dict[str, str] = {}
         if forced:
             self.force_many(forced)
-
-    @classmethod
-    def from_env(
-        cls,
-        environ: Optional[Mapping[str, str]] = None,
-        overrides: Optional[Mapping[str, str]] = None,
-        table: Optional[DecisionTable] = None,
-    ) -> "CollectiveSelector":
-        """Build a selector from ``REPRO_COLL_ALGO`` plus explicit overrides.
-
-        Explicit ``overrides`` (e.g. from :class:`EmbedderConfig`) win over
-        the environment, mirroring how MCA command-line parameters beat
-        environment variables in Open MPI.
-        """
-        forced = parse_env_knob(envvars.read_env(ENV_KNOB, "", environ) or "")
-        if overrides:
-            for collective, algorithm in overrides.items():
-                _validate_pair(collective, algorithm)
-                forced[collective] = algorithm
-        return cls(table=table, forced=forced)
 
     # ----------------------------------------------------------------- forcing
 

@@ -285,9 +285,9 @@ class MPIWorld:
         # Per-element combine cost used by reduction collectives.
         self.reduce_compute_per_byte = 0.04e-9
         self.finalized_ranks: set = set()
-        # Collective-algorithm selection, shared by all ranks of the job
-        # (decision table + REPRO_COLL_ALGO / config overrides).
-        self.collectives = CollectiveSelector.from_env()
+        # Collective-algorithm selection, shared by all ranks of the job: the
+        # decision table, plus whatever the job's session forces on it.
+        self.collectives = CollectiveSelector()
 
     @classmethod
     def install(cls, cluster: Cluster, engine: SimEngine, metrics: Optional[MetricsRegistry] = None) -> "MPIWorld":

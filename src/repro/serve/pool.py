@@ -9,9 +9,11 @@ each other's artifacts -- and so ``/v1/artifacts`` can serve the compiled
 ``.mpiwasm`` blobs.
 
 Worker threads call ``session.run(...)`` / ``session.compile(...)``
-directly and never :func:`repro.api.use_session`: the ambient-session stack
-is a process-global list, not thread-local state, so binding it from
-concurrent threads would interleave pushes and pops across workers.
+directly; a campaign job additionally binds its worker's session as the
+ambient one (:func:`repro.api.use_session`, via ``Session.campaign``) so
+experiment drivers compile on it.  That binding is a context variable, so
+concurrent workers each see their own session, and no job touches
+``os.environ``.
 """
 
 from __future__ import annotations

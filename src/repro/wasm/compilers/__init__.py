@@ -19,7 +19,6 @@ from repro.wasm.compilers import singlepass as _singlepass  # noqa: F401 - regis
 from repro.wasm.compilers import cranelift as _cranelift  # noqa: F401 - registration
 from repro.wasm.compilers import llvm as _llvm  # noqa: F401 - registration
 from repro.wasm.compilers.cache import (
-    GLOBAL_CACHE,
     FileSystemCache,
     InMemoryCache,
     TieredCache,
@@ -49,7 +48,6 @@ __all__ = [
     "FileSystemCache",
     "InMemoryCache",
     "TieredCache",
-    "GLOBAL_CACHE",
     "module_hash",
     "IR_VERSION",
     "backend_names",

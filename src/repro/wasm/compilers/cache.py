@@ -539,8 +539,3 @@ class TieredCache(_CacheStatsMixin):
     def clear(self) -> int:
         """Clear the memory tier only (the disk tier is shared state)."""
         return self.memory.clear()
-
-
-#: Process-wide shared cache used by default (one per Python process, like the
-#: per-node cache directory MPIWasm uses).
-GLOBAL_CACHE = InMemoryCache()

@@ -82,6 +82,41 @@ def test_env_reads_flagged_outside_envvars_module():
     assert "env-reads-via-envvars" not in rules
 
 
+def test_env_reread_below_the_resolver_and_env_writes_flagged():
+    reread = """
+        from repro.core import envvars
+
+        def cache_dir():
+            return envvars.read_env("REPRO_CACHE_DIR")
+    """
+    _, rules = _rules(reread, relpath="src/repro/harness/campaign.py")
+    assert "env-resolved-once" in rules
+    _, rules = _rules("from repro.core.envvars import env_flag",
+                      relpath="src/repro/mpi/runtime.py")
+    assert "env-resolved-once" in rules
+    # The resolver, and default_session() alone in api/session.py, may read.
+    _, rules = _rules(reread, relpath="src/repro/api/config.py")
+    assert "env-resolved-once" not in rules
+    in_session = """
+        from repro.core import envvars
+
+        def {name}():
+            return envvars.snapshot()
+    """
+    _, rules = _rules(in_session.format(name="default_session"),
+                      relpath="src/repro/api/session.py")
+    assert "env-resolved-once" not in rules
+    _, rules = _rules(in_session.format(name="current_session"),
+                      relpath="src/repro/api/session.py")
+    assert "env-resolved-once" in rules
+    # Writes are errors everywhere, the accessor module included.
+    for write in ('os.environ["REPRO_CACHE_DIR"] = "/tmp/x"',
+                  'os.environ.pop("REPRO_CACHE_DIR", None)',
+                  'os.environ.setdefault("REPRO_CACHE_DIR", "/tmp/x")'):
+        _, rules = _rules(f"import os\n{write}", relpath="src/repro/core/envvars.py")
+        assert "env-resolved-once" in rules, write
+
+
 def test_mutable_default_args_flagged():
     _, rules = _rules("""
         def f(xs=[]):

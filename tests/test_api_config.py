@@ -106,46 +106,3 @@ def test_embedder_config_materialisation():
     assert embedder.collective_algorithms == {"allreduce": "ring"}
     assert embedder.guest_args == ("x",)
     assert config.embedder_config(compiler_backend="llvm").compiler_backend == "llvm"
-
-
-# ------------------------------------------------- consolidated env-var surface
-
-
-def test_core_env_reexports_env_helpers(monkeypatch):
-    from repro.core import env as core_env
-
-    assert "REPRO_CACHE_DIR" in core_env.KNOWN_ENV_VARS
-    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
-    assert core_env.env_cache_dir() == "/tmp/somewhere"
-    monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert core_env.env_cache_dir() is None
-    monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-    assert core_env.env_flag("REPRO_BENCH_SMOKE") is True
-    snap = core_env.env_snapshot()
-    assert snap.get("REPRO_BENCH_SMOKE") == "1"
-
-
-def test_scoped_env_restores_previous_state(monkeypatch):
-    import os
-
-    from repro.core.envvars import scoped
-
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    with scoped("REPRO_CACHE_DIR", "/tmp/a"):
-        assert os.environ["REPRO_CACHE_DIR"] == "/tmp/a"
-    assert "REPRO_CACHE_DIR" not in os.environ
-    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/original")
-    with scoped("REPRO_CACHE_DIR", "/tmp/b"):
-        assert os.environ["REPRO_CACHE_DIR"] == "/tmp/b"
-    assert os.environ["REPRO_CACHE_DIR"] == "/tmp/original"
-    with scoped("REPRO_CACHE_DIR", None):                 # None -> no-op
-        assert os.environ["REPRO_CACHE_DIR"] == "/tmp/original"
-
-
-def test_embedder_config_default_cache_dir_reads_env(monkeypatch, tmp_path):
-    from repro.core.config import EmbedderConfig
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert EmbedderConfig().cache_dir == str(tmp_path)
-    monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    assert EmbedderConfig().cache_dir is None

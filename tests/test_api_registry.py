@@ -162,7 +162,7 @@ def test_third_party_mode_receives_run_request():
 
     @register_mode("echo")
     def echo_mode(session, app, *, nranks, preset, ranks_per_node, config,
-                  guest_args, session_store=True):
+                  guest_args):
         from repro.api import JobResult
         from repro.sim.metrics import MetricsRegistry
 
@@ -178,6 +178,20 @@ def test_third_party_mode_receives_run_request():
         assert seen == {"nranks": 3, "machine": "graviton2", "backend": "singlepass"}
     finally:
         MODES.unregister("echo")
+
+
+def test_every_mode_runner_accepts_the_same_request():
+    """The mode-runner contract: ``runner(session, app, **request)`` with one
+    keyword set, whatever the mode."""
+    from repro.api import JobResult, resolve_machine
+
+    with Session(machine="graviton2", backend="cranelift") as session:
+        request = dict(nranks=2, preset=resolve_machine("graviton2"), ranks_per_node=None,
+                       config=session.config.embedder_config(), guest_args=())
+        for mode, runner in MODES.items():
+            job = runner(session, "pingpong", **request)
+            assert isinstance(job, JobResult) and job.mode == mode
+            assert job.exit_codes() == [0, 0]
 
 
 # -------------------------------------------------------- legacy views stay live

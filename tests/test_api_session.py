@@ -233,12 +233,38 @@ def test_module_level_run_uses_ambient_session():
     assert job.machine == "graviton2"
 
 
+def test_ambient_session_is_per_thread():
+    """Serve workers are threads: each must see the session it bound itself,
+    never a concurrent worker's."""
+    import threading
+
+    from repro.api import current_session, use_session
+
+    sessions = [Session(machine="graviton2"), Session(machine="graviton2")]
+    barrier = threading.Barrier(2)
+    seen = {}
+
+    def worker(index):
+        with use_session(sessions[index]):
+            barrier.wait(timeout=10)          # both bindings are now live
+            seen[index] = current_session()
+            barrier.wait(timeout=10)          # nobody unbinds before both looked
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert seen[0] is sessions[0] and seen[1] is sessions[1]
+    assert current_session() not in sessions
+
+
 # ----------------------------------------------------- review-found regressions
 
 
 def test_default_session_tracks_environment_changes(monkeypatch):
-    """The legacy shims re-read REPRO_* per call: exporting or unsetting a
-    knob between shim calls must keep taking effect."""
+    """The default session re-reads REPRO_* per call: exporting or unsetting
+    a knob between ``repro.api.run`` calls must keep taking effect."""
     from repro.api.session import default_session
 
     monkeypatch.delenv("REPRO_COLL_ALGO", raising=False)

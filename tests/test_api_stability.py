@@ -1,15 +1,10 @@
-"""API-stability gate: the public surface matches the checked-in manifest,
-the generated docs cover it, and every superseded entry point warns (these
-tests pass under ``-W error::DeprecationWarning``, as the CI job runs them)."""
+"""API-stability gate: the public surface matches the checked-in manifest
+and the generated docs cover it."""
 
 from __future__ import annotations
 
-import importlib
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 import repro.api as api
 
@@ -37,69 +32,6 @@ def test_docs_api_md_covers_the_surface():
     text = (DOCS / "API.md").read_text()
     for name in api.__all__:
         assert f"`{name}`" in text, f"docs/API.md is missing {name}"
-    for old, new in api.DEPRECATIONS.items():
-        assert old in text and new in text, f"docs/API.md is missing {old} -> {new}"
-
-
-def test_deprecations_point_into_the_new_surface():
-    assert set(api.DEPRECATIONS) == {
-        "repro.core.launcher.run_wasm",
-        "repro.core.launcher.run_native",
-        "repro.core.embedder.MPIWasm(...)",
-        "repro.core.cache",
-    }
-    for replacement in api.DEPRECATIONS.values():
-        assert "repro." in replacement
-
-
-# ------------------------------------------------------------ deprecation shims
-
-
-def _noop_program():
-    from repro.toolchain.guest import GuestProgram
-
-    def main(api_obj, args):
-        api_obj.mpi_init()
-        api_obj.mpi_finalize()
-        return 0
-
-    return GuestProgram(name="shim-noop", main=main)
-
-
-def test_run_wasm_shim_warns_and_still_works():
-    from repro.core.launcher import run_wasm
-
-    with pytest.warns(DeprecationWarning, match="Session.run"):
-        job = run_wasm(_noop_program(), 1, machine="graviton2")
-    assert job.mode == "wasm" and job.exit_codes() == [0]
-
-
-def test_run_native_shim_warns_and_still_works():
-    from repro.core.launcher import run_native
-
-    with pytest.warns(DeprecationWarning, match="Session.run"):
-        job = run_native(_noop_program(), 1, machine="graviton2")
-    assert job.mode == "native" and job.exit_codes() == [0]
-
-
-def test_direct_mpiwasm_construction_warns():
-    from repro.core.config import EmbedderConfig
-    from repro.core.embedder import MPIWasm
-
-    with pytest.warns(DeprecationWarning, match="repro.api.Session"):
-        embedder = MPIWasm(EmbedderConfig(compiler_backend="cranelift"))
-    assert embedder.config.compiler_backend == "cranelift"
-
-
-def test_core_cache_facade_warns_on_import():
-    sys.modules.pop("repro.core.cache", None)
-    with pytest.warns(DeprecationWarning, match="repro.wasm.compilers.cache"):
-        module = importlib.import_module("repro.core.cache")
-    # The façade still re-exports the real names.
-    from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache
-
-    assert module.FileSystemCache is FileSystemCache
-    assert module.InMemoryCache is InMemoryCache
 
 
 def test_session_path_emits_no_deprecation_warnings(recwarn):

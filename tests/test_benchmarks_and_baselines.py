@@ -12,7 +12,8 @@ from repro.benchmarks_suite.hpcg import make_hpcg_program
 from repro.benchmarks_suite.imb import ROUTINES, make_imb_program, make_imb_suite_program
 from repro.benchmarks_suite.ior import make_ior_program
 from repro.benchmarks_suite.npb import make_dt_program, make_is_program
-from repro.core import EmbedderConfig, run_native, run_wasm
+from repro.api import run
+from repro.core import EmbedderConfig
 
 SIZES = (16, 1024)
 
@@ -23,8 +24,8 @@ SIZES = (16, 1024)
 @pytest.mark.parametrize("routine", ["pingpong", "sendrecv", "bcast", "allreduce", "reduce"])
 def test_imb_routines_run_under_wasm_and_report_rows(routine):
     nranks = 2 if routine == "pingpong" else 3
-    job = run_wasm(make_imb_program(routine, message_sizes=SIZES, iterations=2), nranks,
-                   machine="graviton2")
+    job = run(make_imb_program(routine, message_sizes=SIZES, iterations=2), nranks,
+              machine="graviton2")
     rows = job.return_values()[0]["rows"]
     assert set(rows) == set(SIZES)
     for row in rows.values():
@@ -34,22 +35,22 @@ def test_imb_routines_run_under_wasm_and_report_rows(routine):
 
 @pytest.mark.parametrize("routine", ["allgather", "alltoall", "gather", "scatter"])
 def test_imb_rooted_and_allto_routines_native(routine):
-    job = run_native(make_imb_program(routine, message_sizes=SIZES, iterations=2), 4,
-                     machine="graviton2")
+    job = run(make_imb_program(routine, message_sizes=SIZES, iterations=2), 4,
+              machine="graviton2", mode="native")
     rows = job.return_values()[0]["rows"]
     assert all(row["t_avg_us"] > 0 for row in rows.values())
 
 
 def test_imb_iteration_time_grows_with_message_size():
-    job = run_native(make_imb_program("pingpong", message_sizes=(64, 65536), iterations=3), 2,
-                     machine="graviton2")
+    job = run(make_imb_program("pingpong", message_sizes=(64, 65536), iterations=3), 2,
+              machine="graviton2", mode="native")
     rows = job.return_values()[0]["rows"]
     assert rows[65536]["t_avg_us"] > rows[64]["t_avg_us"]
 
 
 def test_imb_suite_program_runs_multiple_routines():
-    job = run_wasm(make_imb_suite_program(routines=("pingpong", "bcast"), message_sizes=(64,),
-                                          iterations=1), 2, machine="graviton2")
+    job = run(make_imb_suite_program(routines=("pingpong", "bcast"), message_sizes=(64,),
+                                     iterations=1), 2, machine="graviton2")
     assert set(job.return_values()[0]["routines"]) == {"pingpong", "bcast"}
 
 
@@ -67,9 +68,9 @@ def test_registry_contains_all_benchmarks():
 
 def test_hpcg_converges_and_reports_metrics_wasm_vs_native():
     program = make_hpcg_program(dims=(8, 4, 4), iterations=5)
-    wasm = run_wasm(program, 2, machine="graviton2",
-                    config=EmbedderConfig(compiler_backend="llvm"))
-    native = run_native(program, 2, machine="graviton2")
+    wasm = run(program, 2, machine="graviton2",
+               config=EmbedderConfig(compiler_backend="llvm"))
+    native = run(program, 2, machine="graviton2", mode="native")
     for job in (wasm, native):
         result = job.return_values()[0]
         assert result["converging"]
@@ -84,7 +85,7 @@ def test_hpcg_converges_and_reports_metrics_wasm_vs_native():
 
 
 def test_hpcg_wasm_kernels_execute_real_wasm_code():
-    job = run_wasm(make_hpcg_program(dims=(4, 4, 2), iterations=2), 1, machine="graviton2")
+    job = run(make_hpcg_program(dims=(4, 4, 2), iterations=2), 1, machine="graviton2")
     result = job.rank_results[0]
     # The ddot kernel never goes through MPI, but malloc does get exercised,
     # and the module must have been AoT compiled (compile time recorded).
@@ -96,7 +97,7 @@ def test_hpcg_wasm_kernels_execute_real_wasm_code():
 
 
 def test_is_benchmark_sorts_and_reports_mops():
-    job = run_wasm(make_is_program("S"), 4, machine="graviton2")
+    job = run(make_is_program("S"), 4, machine="graviton2")
     results = job.return_values()
     assert all(r["sorted_ok"] for r in results)
     assert all(r["mops_total"] > 0 for r in results)
@@ -106,8 +107,8 @@ def test_is_benchmark_sorts_and_reports_mops():
 
 def test_is_native_and_wasm_agree_on_checksum():
     program = make_is_program("S")
-    wasm = run_wasm(program, 2, machine="graviton2")
-    native = run_native(program, 2, machine="graviton2")
+    wasm = run(program, 2, machine="graviton2")
+    native = run(program, 2, machine="graviton2", mode="native")
     assert wasm.return_values()[0]["checksum"] == native.return_values()[0]["checksum"]
 
 
@@ -116,7 +117,7 @@ def test_is_native_and_wasm_agree_on_checksum():
 
 @pytest.mark.parametrize("topology", ["bh", "wh"])
 def test_dt_topologies_move_expected_volume(topology):
-    job = run_wasm(make_dt_program(topology, "S"), 4, machine="graviton2")
+    job = run(make_dt_program(topology, "S"), 4, machine="graviton2")
     results = job.return_values()
     total_bytes = sum(r["bytes_moved"] for r in results)
     elems = 1 << 10
@@ -129,7 +130,7 @@ def test_dt_simd_flag_is_carried_through():
     with_simd = make_dt_program("bh", "S", simd=True)
     without = with_simd.with_simd(False)
     assert with_simd.simd and not without.simd
-    job = run_wasm(without, 2, machine="graviton2")
+    job = run(without, 2, machine="graviton2")
     assert job.return_values()[0]["simd"] is True or job.return_values()[0]["simd"] is False
 
 
@@ -137,8 +138,8 @@ def test_dt_simd_flag_is_carried_through():
 
 
 def test_ior_round_trips_data_through_wasi_and_reports_bandwidth():
-    job = run_wasm(make_ior_program(block_size=1 << 20, functional_bytes=1 << 14), 2,
-                   machine="supermuc-ng", ranks_per_node=1)
+    job = run(make_ior_program(block_size=1 << 20, functional_bytes=1 << 14), 2,
+              machine="supermuc-ng", ranks_per_node=1)
     result = job.return_values()[0]
     assert result["data_ok"]
     assert result["written_bytes"] == 1 << 14
@@ -147,8 +148,8 @@ def test_ior_round_trips_data_through_wasi_and_reports_bandwidth():
 
 
 def test_ior_native_path_also_round_trips():
-    job = run_native(make_ior_program(block_size=1 << 20, functional_bytes=1 << 12), 2,
-                     machine="supermuc-ng", ranks_per_node=1)
+    job = run(make_ior_program(block_size=1 << 20, functional_bytes=1 << 12), 2,
+              machine="supermuc-ng", ranks_per_node=1, mode="native")
     assert all(r["data_ok"] for r in job.return_values())
 
 
@@ -156,8 +157,8 @@ def test_ior_native_path_also_round_trips():
 
 
 def test_translation_pingpong_records_per_datatype_samples():
-    job = run_wasm(make_translation_pingpong_program(message_sizes=(8, 1024), iterations=1), 2,
-                   machine="graviton2")
+    job = run(make_translation_pingpong_program(message_sizes=(8, 1024), iterations=1), 2,
+              machine="graviton2")
     rows = job.return_values()[0]["rows"]
     assert set(rows) == {"MPI_BYTE", "MPI_CHAR", "MPI_INT", "MPI_FLOAT", "MPI_DOUBLE", "MPI_LONG"}
     for name in rows:
@@ -165,8 +166,8 @@ def test_translation_pingpong_records_per_datatype_samples():
 
 
 def test_translation_pingpong_single_rank_skips():
-    job = run_wasm(make_translation_pingpong_program(message_sizes=(8,), iterations=1), 1,
-                   machine="graviton2")
+    job = run(make_translation_pingpong_program(message_sizes=(8,), iterations=1), 1,
+              machine="graviton2")
     assert "skipped" in job.return_values()[0]
 
 

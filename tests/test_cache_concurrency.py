@@ -64,7 +64,7 @@ def _compile_worker(cache_dir: str, barrier, queue) -> None:
 def _embedder_worker(cache_dir: str, barrier, queue) -> None:
     """Same race through the embedder's public compile path."""
     app = _app()
-    embedder = MPIWasm(EmbedderConfig(compiler_backend="cranelift", cache_dir=cache_dir))
+    embedder = MPIWasm(EmbedderConfig(compiler_backend="cranelift"), FileSystemCache(cache_dir))
     barrier.wait()
     compiled = embedder.compile_application(app)
     queue.put({"cache_hit": embedder.last_cache_hit, "function_count": compiled.function_count})

@@ -211,6 +211,34 @@ def test_repro_cache_dir_env_is_honoured(tmp_path, monkeypatch):
     assert second.cache_stats == {"hits": 2, "misses": 0, "compiles": 0}
 
 
+def test_jobs_never_touch_the_process_environment(tmp_path):
+    """The campaign's cache directory reaches a job through its session: a
+    driver looking at ``os.environ`` mid-job sees what the caller had."""
+    import os
+
+    from repro.api import current_session
+    from repro.api.registry import EXPERIMENTS, register_experiment
+
+    seen = {}
+
+    @register_experiment("env-probe")
+    def _env_probe():
+        seen["environ"] = dict(os.environ)
+        seen["cache_dir"] = current_session().config.cache_dir
+        return {}
+
+    before = dict(os.environ)
+    try:
+        result = run_campaign({"experiments": [{"experiment": "env-probe"}]},
+                              cache_dir=str(tmp_path))
+    finally:
+        EXPERIMENTS.unregister("env-probe")
+    assert result.ok
+    assert seen["environ"] == before
+    assert seen["cache_dir"] == str(tmp_path)
+    assert dict(os.environ) == before
+
+
 def test_fingerprints_ignore_wall_clock_measurements():
     """table1's compile times and kernel throughput are host measurements;
     two runs must still fingerprint identically."""
@@ -335,6 +363,22 @@ def test_cli_run_back_compat_and_workers(capsys):
     # Explicit subcommand with a worker pool.
     assert main(["run", "table2", "--workers", "2"]) == 0
     assert "static/wasm" in capsys.readouterr().out
+
+
+def test_expansion_validates_against_the_registries():
+    """A mode registered through the public mechanism is a valid campaign
+    axis value (the runner keeps no private list of modes or back-ends)."""
+    from repro.api.registry import MODES, register_mode
+
+    spec = CampaignSpec.from_mapping(
+        {"benchmarks": [{"benchmark": "allreduce", "mode": "throwaway"}]})
+    with pytest.raises(ValueError, match="unknown mode"):
+        spec.expand()
+    register_mode("throwaway")(lambda session, app, **request: None)
+    try:
+        assert [job.mode for job in spec.expand()] == ["throwaway"]
+    finally:
+        MODES.unregister("throwaway")
 
 
 # ------------------------------------------------------- graceful interrupts

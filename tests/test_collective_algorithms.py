@@ -324,10 +324,10 @@ def _bcast_guest():
 
 def test_env_knob_forces_algorithm_end_to_end(monkeypatch):
     """``REPRO_COLL_ALGO`` reaches the dispatcher through a real Wasm guest."""
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     monkeypatch.setenv(ENV_KNOB, "bcast:scatter_allgather,barrier:linear")
-    job = run_wasm(_bcast_guest(), 3, machine="graviton2")
+    job = run(_bcast_guest(), 3, machine="graviton2")
     expected = bytes(np.arange(256, dtype=np.uint8))
     assert all(v == expected for v in job.return_values())
     summary = job.metrics.collective_summary()
@@ -338,32 +338,32 @@ def test_env_knob_forces_algorithm_end_to_end(monkeypatch):
 
 
 def test_malformed_env_knob_fails_loudly(monkeypatch):
-    from repro.core.launcher import run_wasm
-    from repro.sim.engine import RankFailedError
+    from repro.api import run
 
+    # The resolver rejects the knob before any rank starts.
     monkeypatch.setenv(ENV_KNOB, "bcast:no-such-algorithm")
-    with pytest.raises((KeyError, RankFailedError)):
-        run_wasm(_bcast_guest(), 2, machine="graviton2")
+    with pytest.raises(ValueError, match=ENV_KNOB):
+        run(_bcast_guest(), 2, machine="graviton2")
 
 
 def test_config_override_forces_algorithm(monkeypatch):
     from repro.core.config import EmbedderConfig
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     # The config override must beat the environment knob.
     monkeypatch.setenv(ENV_KNOB, "bcast:binomial")
     config = EmbedderConfig(collective_algorithms={"bcast": "scatter_allgather"})
-    job = run_wasm(_bcast_guest(), 2, machine="graviton2", config=config)
+    job = run(_bcast_guest(), 2, machine="graviton2", config=config)
     summary = job.metrics.collective_summary()
     assert summary["bcast"]["algorithms"] == {"scatter_allgather": 2}
 
 
 def test_native_run_honours_forced_algorithms():
-    from repro.core.launcher import run_native
+    from repro.api import run
 
-    job = run_native(
+    job = run(
         _bcast_guest(), 2, machine="graviton2",
-        collective_algorithms={"bcast": "scatter_allgather"},
+        algorithms={"bcast": "scatter_allgather"}, mode="native",
     )
     summary = job.metrics.collective_summary()
     assert summary["bcast"]["algorithms"] == {"scatter_allgather": 2}
@@ -396,10 +396,10 @@ def test_algosweep_restores_job_level_force():
 
 
 def test_collective_report_renders(monkeypatch):
-    from repro.core.launcher import run_wasm
+    from repro.api import run
     from repro.harness.report import format_collective_report
 
-    job = run_wasm(_bcast_guest(), 2, machine="graviton2")
+    job = run(_bcast_guest(), 2, machine="graviton2")
     text = format_collective_report(job.metrics)
     assert "bcast" in text
     assert "binomial:2" in text

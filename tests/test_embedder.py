@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.core import (
     AddressTranslator,
     DatatypeTranslator,
@@ -14,10 +15,8 @@ from repro.core import (
     HandleTable,
     MPIWasm,
     TranslationOverheadModel,
-    run_native,
-    run_wasm,
 )
-from repro.core.cache import InMemoryCache, module_hash
+from repro.wasm.compilers.cache import InMemoryCache, module_hash
 from repro.core.datatype_translation import DatatypeTranslationError
 from repro.mpi import datatypes as host_datatypes
 from repro.toolchain import mpi_header as abi
@@ -146,7 +145,7 @@ def test_module_hash_changes_with_content_and_backend():
 
 
 def test_filesystem_cache_round_trip(tmp_path):
-    from repro.core.cache import FileSystemCache
+    from repro.wasm.compilers.cache import FileSystemCache
     from repro.wasm.compilers import get_backend
 
     program = GuestProgram(name="fs-cached", main=lambda api, args: 0)
@@ -177,8 +176,8 @@ def _two_rank_guest(body):
         return result
 
     program.main = main
-    return run_wasm(program, 2, machine="graviton2",
-                    config=EmbedderConfig(compiler_backend="cranelift"))
+    return run(program, 2, machine="graviton2",
+               config=EmbedderConfig(compiler_backend="cranelift"))
 
 
 def test_guest_send_recv_with_status_and_get_count():
@@ -326,8 +325,8 @@ def test_wasm_run_is_slower_than_native_but_close():
     from repro.benchmarks_suite import make_imb_program
 
     program = make_imb_program("pingpong", message_sizes=(64, 4096), iterations=3)
-    wasm = run_wasm(program, 2, machine="graviton2")
-    native = run_native(program, 2, machine="graviton2")
+    wasm = run(program, 2, machine="graviton2")
+    native = run(program, 2, machine="graviton2", mode="native")
     assert wasm.makespan > native.makespan
     # The overhead must stay modest (the paper reports ~5% GM for PingPong).
     assert wasm.makespan < native.makespan * 2.0
@@ -344,6 +343,6 @@ def test_guest_exit_code_via_proc_exit():
         raise ExitTrap(3)
 
     program.main = main
-    job = run_wasm(program, 1, machine="graviton2")
+    job = run(program, 1, machine="graviton2")
     assert job.exit_codes() == [3]
     assert "bye" in job.stdout

@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.core.config import EmbedderConfig
 from repro.core.embedder import GuestResult
-from repro.core.launcher import JobResult, run_native, run_wasm
+from repro.core.launcher import JobResult
 from repro.sim.engine import RankFailedError
 from repro.sim.metrics import MetricsRegistry
 from repro.toolchain.guest import GuestProgram
@@ -63,7 +64,7 @@ def test_nonzero_guest_exit_code_propagates():
         api.mpi_finalize()
         return 17 if rank == 1 else 0
 
-    job = run_wasm(GuestProgram(name="exit-17", main=main), 2, machine="graviton2")
+    job = run(GuestProgram(name="exit-17", main=main), 2, machine="graviton2")
     assert job.exit_codes() == [0, 17]
 
 
@@ -85,7 +86,7 @@ def test_rank_raising_mid_collective_surfaces_as_rank_failure():
         return 0
 
     with pytest.raises(RankFailedError) as excinfo:
-        run_wasm(GuestProgram(name="mid-collective-crash", main=main), 3, machine="graviton2")
+        run(GuestProgram(name="mid-collective-crash", main=main), 3, machine="graviton2")
     err = excinfo.value
     assert err.rank == 1
     assert isinstance(err.original, ValueError)
@@ -102,7 +103,7 @@ def test_native_rank_failure_carries_rank_and_traceback():
         return 0
 
     with pytest.raises(RankFailedError) as excinfo:
-        run_native(GuestProgram(name="native-crash", main=main), 3, machine="graviton2")
+        run(GuestProgram(name="native-crash", main=main), 3, machine="graviton2", mode="native")
     assert excinfo.value.rank == 2
     assert "native rank down" in excinfo.value.rank_traceback
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import EmbedderConfig, MPIWasm, run_wasm
+from repro.api import Session, run
+from repro.core import EmbedderConfig, MPIWasm
 from repro.harness.report import format_cache_report
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm import ImportObject, Instance, ModuleBuilder, validate_module
-from repro.wasm.compilers import FileSystemCache, get_backend
+from repro.wasm.compilers import FileSystemCache, InMemoryCache, get_backend
 from repro.wasm.compilers.cache import module_hash
 from repro.wasm.interpreter import Interpreter
 from repro.wasm.lowering import (
@@ -196,7 +197,7 @@ def test_second_identical_compile_does_zero_work(tmp_path):
     """Acceptance: a cache hit skips lowering/codegen entirely."""
     app = compile_guest(GuestProgram(name="zero-work", main=lambda api, args: 0))
     config = EmbedderConfig(compiler_backend="llvm", cache_dir=str(tmp_path))
-    embedder = MPIWasm(config)
+    embedder = MPIWasm(config, FileSystemCache(tmp_path))
     first = embedder.compile_module(app.wasm_bytes, app.module)
     assert not embedder.last_cache_hit and first.compile_seconds > 0
     second = embedder.compile_module(app.wasm_bytes, app.module)
@@ -207,12 +208,12 @@ def test_second_identical_compile_does_zero_work(tmp_path):
 
 def test_cache_dir_env_knob(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "aot"))
-    config = EmbedderConfig()
-    assert config.cache_dir == str(tmp_path / "aot")
-    embedder = MPIWasm(config)
-    assert isinstance(embedder.cache, FileSystemCache)
+    with Session() as session:
+        config = session.config.embedder_config()
+        assert config.cache_dir == str(tmp_path / "aot")
+        assert isinstance(session.artifact_cache(config).disk, FileSystemCache)
     monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert EmbedderConfig().cache_dir is None
+    assert Session().config.cache_dir is None
 
 
 def test_cache_counters_surface_in_metrics_and_report(tmp_path):
@@ -224,11 +225,12 @@ def test_cache_counters_surface_in_metrics_and_report(tmp_path):
         return 0
 
     program.main = main
-    # A fresh on-disk cache keeps this independent of the process-wide
-    # in-memory cache other tests may already have warmed.
-    job = run_wasm(program, 2, machine="graviton2",
-                   config=EmbedderConfig(compiler_backend="cranelift",
-                                         cache_dir=str(tmp_path)))
+    # A fresh session (cold in-memory tier) over a fresh on-disk cache keeps
+    # this independent of what other tests may already have warmed.
+    with Session() as session:
+        job = session.run(program, 2, machine="graviton2",
+                          config=EmbedderConfig(compiler_backend="cranelift",
+                                                cache_dir=str(tmp_path)))
     summary = job.metrics.cache_summary()
     # Rank 0 compiles (miss), rank 1 hits the shared in-process cache.
     assert summary["misses"] >= 1 and summary["hits"] >= 1
@@ -244,7 +246,7 @@ def test_cache_counters_surface_in_metrics_and_report(tmp_path):
 def test_embedder_configures_executor_call_depth():
     app = compile_guest(GuestProgram(name="depth-test", main=lambda api, args: 0))
     config = EmbedderConfig(compiler_backend="cranelift", max_call_depth=64)
-    embedder = MPIWasm(config)
+    embedder = MPIWasm(config, InMemoryCache())
     compiled = embedder.compile_module(app.wasm_bytes, app.module)
     executor = compiled.make_executor()
     executor.configure(max_call_depth=config.max_call_depth)

@@ -149,7 +149,7 @@ def test_testall_completes_all_when_ready():
 
 def test_guest_waitany_and_testall():
     """Drive MPI_Waitany/MPI_Testall through the full Wasm import path."""
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     def main(api, args):
         api.mpi_init()
@@ -180,7 +180,7 @@ def test_guest_waitany_and_testall():
         api.mpi_finalize()
         return out
 
-    job = run_wasm(GuestProgram(name="waitany-testall", main=main), 2, machine="graviton2")
+    job = run(GuestProgram(name="waitany-testall", main=main), 2, machine="graviton2")
     index, count_bytes, flag, a1, a2 = job.return_values()[0]
     assert index in (0, 1)
     assert count_bytes == 16
@@ -193,7 +193,7 @@ def test_guest_waitany_and_testall():
 
 
 def test_guest_waitany_undefined_when_no_live_handles():
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     def main(api, args):
         api.mpi_init()
@@ -201,7 +201,7 @@ def test_guest_waitany_undefined_when_no_live_handles():
         api.mpi_finalize()
         return index
 
-    job = run_wasm(GuestProgram(name="waitany-undef", main=main), 1, machine="graviton2")
+    job = run(GuestProgram(name="waitany-undef", main=main), 1, machine="graviton2")
     assert job.return_values()[0] == abi.MPI_UNDEFINED
 
 

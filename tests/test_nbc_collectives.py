@@ -147,7 +147,7 @@ def test_every_nbc_collective_has_builders_for_table_defaults():
 def test_guest_nbc_end_to_end():
     """Drive all five non-blocking collectives through the full Wasm import
     path, overlapping compute, and verify payloads bit-for-bit."""
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     def main(api, args):
         api.mpi_init()
@@ -175,7 +175,7 @@ def test_guest_nbc_end_to_end():
         api.mpi_finalize()
         return (ra.tolist(), ba.tolist(), aga.tolist(), a2ra.tolist())
 
-    job = run_wasm(GuestProgram(name="nbc-guest", main=main), 4, machine="graviton2")
+    job = run(GuestProgram(name="nbc-guest", main=main), 4, machine="graviton2")
     for rank, (allred, bc, ag, a2) in enumerate(job.return_values()):
         assert allred == [float(sum(range(1, 5)))] * 8
         assert bc == [1] * 16
@@ -191,7 +191,7 @@ def test_guest_memory_can_grow_while_nbc_outstanding():
     lazily, so growing linear memory between the post and the wait (e.g. a
     malloc during the overlapped compute) must work -- a live view pinning
     the memory would raise BufferError in ``memory.grow``."""
-    from repro.core.launcher import run_wasm
+    from repro.api import run
 
     def main(api, args):
         api.mpi_init()
@@ -213,7 +213,7 @@ def test_guest_memory_can_grow_while_nbc_outstanding():
         result = api.ndarray(rp, 8, abi.MPI_DOUBLE)
         return (grown_from, result.tolist())
 
-    job = run_wasm(GuestProgram(name="nbc-grow", main=main), 3, machine="graviton2")
+    job = run(GuestProgram(name="nbc-grow", main=main), 3, machine="graviton2")
     for grown_from, allred in job.return_values():
         assert grown_from > 0  # grow succeeded and returned the old page count
         assert allred == [float(sum(range(1, 4)))] * 8
@@ -254,11 +254,11 @@ def test_nbc_benchmark_reports_overlap_both_modes():
     native baseline, reporting bounded overlap percentages and recording
     per-collective samples in the job metrics."""
     from repro.benchmarks_suite.imb import make_imb_nbc_program
-    from repro.core.launcher import run_native, run_wasm
+    from repro.api import run
 
     program = make_imb_nbc_program("iallgather", message_sizes=(256,), iterations=2)
-    for job in (run_wasm(program, 3, machine="graviton2"),
-                run_native(program, 3, machine="graviton2")):
+    for job in (run(program, 3, machine="graviton2"),
+                run(program, 3, machine="graviton2", mode="native")):
         rows = job.return_values()[0]["rows"]
         row = rows[256]
         assert 0.0 <= row["overlap_pct"] <= 100.0
