@@ -54,9 +54,6 @@ ESIZE = 4
 #: logarithmic-step algorithms still reach 4096 ranks.
 DEFAULT_MAX_STEPS = 2_000_000
 
-#: Collectives whose builder signature carries a root rank.
-_ROOTED = ("bcast", "reduce", "gather", "scatter")
-
 
 def parse_nranks_spec(spec: str) -> List[int]:
     """Parse a ``--nranks`` spec into a sorted rank-count list.
@@ -106,29 +103,19 @@ def registered_points() -> List[Tuple[str, str]]:
     ]
 
 
+def _block(row: registry.Contract, nbytes: int) -> Tuple[int, int]:
+    """``(count, esize)`` of one ``nbytes`` block as ``row``'s builders see it:
+    element-rounded for the reduction collectives, plain bytes otherwise."""
+    return (max(1, nbytes // ESIZE), ESIZE) if row.payload == registry.ELEMENTS else (nbytes, 1)
+
+
 def build_schedule(collective: str, algorithm: str, rank: int, size: int,
                    nbytes: int, root: int = 0, seq: int = 0) -> Schedule:
-    """Build one rank's schedule through the registered builder, adapting
-    ``nbytes`` to the per-collective builder signature."""
-    builder = get_builder(collective, algorithm)
-    if collective == "barrier":
-        return builder(rank, size, seq)
-    if collective in ("bcast", "gather", "scatter"):
-        return builder(rank, size, nbytes, root, seq)
-    if collective == "reduce":
-        return builder(rank, size, max(1, nbytes // ESIZE), ESIZE, root, seq)
-    if collective == "allreduce":
-        return builder(rank, size, max(1, nbytes // ESIZE), ESIZE, seq)
-    if collective in ("allgather", "alltoall"):
-        return builder(rank, size, nbytes, seq)
-    raise KeyError(f"no builder signature adapter for collective {collective!r}")
-
-
-def _payload_bytes(collective: str, nbytes: int) -> int:
-    """Bytes actually carried per rank once ``nbytes`` is element-rounded."""
-    if collective in ("reduce", "allreduce"):
-        return max(1, nbytes // ESIZE) * ESIZE
-    return nbytes
+    """Build one rank's schedule through the registered builder, called the
+    way the collective's contract row says."""
+    row = registry.CONTRACTS[collective]
+    count, esize = _block(row, nbytes)
+    return row.build(get_builder(collective, algorithm), rank, size, count, esize, root, seq)
 
 
 def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int):
@@ -140,43 +127,19 @@ def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int)
     this rank (``None`` when the rank produces no result, e.g. non-root
     reduce), with prewritten outputs treated as already covered.
     """
-    payload = _payload_bytes(collective, nbytes)
-    if collective == "barrier":
-        return {}, frozenset(), None
-    if collective == "bcast":
-        known = {"data": payload}
-        pre = frozenset(["data"]) if rank == root else frozenset()
-        return known, pre, ("data", payload)
-    if collective == "reduce":
-        known = {"acc": payload}
-        out = None
-        if rank == root:
-            known["recv"] = payload
-            out = ("recv", payload)
-        return known, frozenset(["acc"]), out
-    if collective == "allreduce":
-        return {"acc": payload}, frozenset(["acc"]), ("acc", payload)
-    if collective == "gather":
-        known = {"send": payload}
-        out = None
-        if rank == root:
-            known["recv"] = size * payload
-            out = ("recv", size * payload)
-        return known, frozenset(["send"]), out
-    if collective == "scatter":
-        known = {"recv": payload}
-        pre = frozenset()
-        if rank == root:
-            known["send"] = size * payload
-            pre = frozenset(["send"])
-        return known, pre, ("recv", payload)
-    if collective == "allgather":
-        known = {"send": payload, "recv": size * payload}
-        return known, frozenset(["send"]), ("recv", size * payload)
-    if collective == "alltoall":
-        known = {"send": size * payload, "recv": size * payload}
-        return known, frozenset(["send"]), ("recv", size * payload)
-    raise KeyError(f"no buffer contract for collective {collective!r}")
+    row = registry.CONTRACTS[collective]
+    count, esize = _block(row, nbytes)
+    source, in_bytes, result, out_bytes = row.buffers(
+        row.rooted and rank == root, count * esize, size)
+    known: Dict[str, int] = {}
+    prewritten, output = frozenset(), None
+    if source is not None:
+        known[source.key] = in_bytes
+        prewritten = frozenset([source.key])
+    if result is not None:
+        known[result.key] = out_bytes
+        output = (result.key, out_bytes)
+    return known, prewritten, output
 
 
 class _IntervalSet:
@@ -496,7 +459,7 @@ def check_point(
     """
     report = report if report is not None else Report()
     loc = f"{collective}/{algorithm} p={nranks} nbytes={nbytes}"
-    if collective in _ROOTED and root:
+    if registry.CONTRACTS[collective].rooted and root:
         loc += f" root={root}"
     report_start = len(report.findings)
     comms: List[_RankComms] = []
@@ -562,7 +525,7 @@ def sweep(
             continue
         for p in nranks:
             roots = [0]
-            if collective in _ROOTED and p <= 33:
+            if registry.CONTRACTS[collective].rooted and p <= 33:
                 roots = sorted({0, 1, p - 1})
             for nbytes in nbytes_list:
                 for root in roots:

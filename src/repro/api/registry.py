@@ -240,21 +240,23 @@ def register_algorithm(collective: str, name: str, *, override: bool = False):
     """Decorator registering a collective algorithm's schedule builder.
 
     The decorated function builds one rank's part of one call as a
-    :class:`repro.mpi.algorithms.schedule.Schedule`, with the per-collective
-    signature listed in that module (``allreduce``:
-    ``build(rank, size, count, esize, seq)``, ...).  ``MPI_<Collective>`` runs
+    :class:`repro.mpi.algorithms.schedule.Schedule`, with the signature the
+    collective's row of :data:`repro.mpi.algorithms.registry.CONTRACTS`
+    states (``allreduce``: ``build(rank, size, count, esize, seq)``, ...),
+    over the buffers that row names.  ``MPI_<Collective>`` runs
     the schedule to completion and ``MPI_I<collective>`` advances it
     incrementally, so a builder is all an algorithm consists of.  (Before
     the blocking twins were removed this registered a blocking function
     ``fn(cc, ...)``; that is the one deliberate contract change.)
 
-    The collective must be one of the dispatched ones.
+    The collective must have a contract row.
     """
     from repro.mpi.algorithms import registry as mpi_registry
 
-    if collective not in mpi_registry.COLLECTIVES:
+    if collective not in mpi_registry.CONTRACTS:
         raise ValueError(
-            f"unknown collective {collective!r}; known: {mpi_registry.COLLECTIVES}"
+            f"no call contract for collective {collective!r}; "
+            f"known: {mpi_registry.COLLECTIVES}"
         )
     return ALGORITHMS.register(algorithm_key(collective, name), override=override)
 

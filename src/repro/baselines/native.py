@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.mpi import datatypes as host_datatypes
 from repro.mpi import ops as host_ops
+from repro.mpi.algorithms.registry import CONTRACTS
 from repro.mpi.communicator import Communicator
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG
 from repro.mpi.runtime import MPIRuntime
@@ -41,6 +42,25 @@ def _host_datatype(guest_handle: int):
 
 def _host_op(guest_handle: int):
     return host_ops.by_name(abi.GUEST_OP_NAMES[guest_handle])
+
+
+def _entry_points(collective: str, define):
+    """``NativeAPI.<c>`` and ``NativeAPI.i<c>`` from one definition.
+
+    ``define(run)`` returns the method: it translates guest handles into the
+    arguments of the runtime method ``run`` (a buffer handle becomes the
+    whole buffer; the runtime takes the extent it needs) and returns what a
+    guest expects -- ``MPI_SUCCESS`` where ``run`` returns nothing, else the
+    host request object.  It is instantiated with ``MPIRuntime.<c>`` and
+    ``MPIRuntime.i<c>``.
+    """
+    blocking = define(getattr(MPIRuntime, collective))
+    nonblocking = define(getattr(MPIRuntime, "i" + collective))
+    blocking_name, nonblocking_name = CONTRACTS[collective].mpi_names
+    blocking.__name__, nonblocking.__name__ = collective, "i" + collective
+    blocking.__doc__ = f"``{blocking_name}``."
+    nonblocking.__doc__ = f"``{nonblocking_name}``; returns the host request object."
+    return blocking, nonblocking
 
 
 class NativeAPI:
@@ -242,119 +262,63 @@ class NativeAPI:
         """The algorithm currently forced for ``collective`` (None = table)."""
         return self.runtime.world.collectives.forced().get(collective)
 
-    def ibarrier(self, comm: int = abi.MPI_COMM_WORLD):
-        """``MPI_Ibarrier``; returns the host request object."""
-        return self.runtime.ibarrier(self._comm(comm))
-
-    def ibcast(self, buf, count, datatype, root, comm=abi.MPI_COMM_WORLD):
-        """``MPI_Ibcast``; returns the host request object."""
-        dt = _host_datatype(datatype)
-        return self.runtime.ibcast(self._buffer(buf, count * dt.size), count, dt, root,
-                                   self._comm(comm))
-
-    def iallreduce(self, sendbuf, recvbuf, count, datatype, op, comm=abi.MPI_COMM_WORLD):
-        """``MPI_Iallreduce``; returns the host request object."""
-        dt = _host_datatype(datatype)
-        return self.runtime.iallreduce(
-            self._buffer(sendbuf, count * dt.size), self._buffer(recvbuf, count * dt.size),
-            count, dt, _host_op(op), self._comm(comm),
-        )
-
-    def iallgather(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
-                   comm=abi.MPI_COMM_WORLD):
-        """``MPI_Iallgather``; returns the host request object."""
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        return self.runtime.iallgather(
-            self._buffer(sendbuf, sendcount * st.size), sendcount, st,
-            self._buffer(recvbuf, recvcount * rt.size * comm_obj.size), recvcount, rt, comm_obj,
-        )
-
-    def ialltoall(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
-                  comm=abi.MPI_COMM_WORLD):
-        """``MPI_Ialltoall``; returns the host request object."""
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        return self.runtime.ialltoall(
-            self._buffer(sendbuf, sendcount * st.size * comm_obj.size), sendcount, st,
-            self._buffer(recvbuf, recvcount * rt.size * comm_obj.size), recvcount, rt, comm_obj,
-        )
-
     def record_nbc_overlap(self, collective: str, overlap: float) -> None:
         """Record one communication/computation overlap sample (0..1)."""
         self.runtime.world.metrics.record_nbc_overlap(collective, overlap)
 
-    def barrier(self, comm: int = abi.MPI_COMM_WORLD) -> int:
-        self.runtime.barrier(self._comm(comm))
-        return abi.MPI_SUCCESS
+    # One definition per collective, in the guest's argument order (see
+    # ``_entry_points``).  An unknown buffer handle reaches the runtime as "not
+    # supplied": MPI_ERR_BUFFER if the call needs it, ignored if it is the
+    # root-only buffer on another rank.
 
-    def bcast(self, buf, count, datatype, root, comm=abi.MPI_COMM_WORLD) -> int:
-        dt = _host_datatype(datatype)
-        self.runtime.bcast(self._buffer(buf, count * dt.size), count, dt, root, self._comm(comm))
-        return abi.MPI_SUCCESS
+    def _define_barrier(run):
+        def barrier(self, comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._comm(comm)) or abi.MPI_SUCCESS
+        return barrier
 
-    def reduce(self, sendbuf, recvbuf, count, datatype, op, root, comm=abi.MPI_COMM_WORLD) -> int:
-        dt = _host_datatype(datatype)
-        comm_obj = self._comm(comm)
-        recv = self._buffer(recvbuf, count * dt.size) if self.rank(comm) == root else None
-        self.runtime.reduce(self._buffer(sendbuf, count * dt.size), recv, count, dt, _host_op(op), root, comm_obj)
-        return abi.MPI_SUCCESS
+    def _define_bcast(run):
+        def bcast(self, buf, count, datatype, root, comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._buffers.get(buf), count, _host_datatype(datatype),
+                       root, self._comm(comm)) or abi.MPI_SUCCESS
+        return bcast
 
-    def allreduce(self, sendbuf, recvbuf, count, datatype, op, comm=abi.MPI_COMM_WORLD) -> int:
-        dt = _host_datatype(datatype)
-        self.runtime.allreduce(
-            self._buffer(sendbuf, count * dt.size), self._buffer(recvbuf, count * dt.size),
-            count, dt, _host_op(op), self._comm(comm),
-        )
-        return abi.MPI_SUCCESS
+    def _define_reduce(run):
+        def reduce(self, sendbuf, recvbuf, count, datatype, op, root, comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._buffers.get(sendbuf), self._buffers.get(recvbuf), count,
+                       _host_datatype(datatype), _host_op(op), root,
+                       self._comm(comm)) or abi.MPI_SUCCESS
+        return reduce
 
-    def gather(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root,
-               comm=abi.MPI_COMM_WORLD) -> int:
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        recv = (
-            self._buffer(recvbuf, recvcount * rt.size * comm_obj.size)
-            if self.rank(comm) == root else None
-        )
-        self.runtime.gather(self._buffer(sendbuf, sendcount * st.size), sendcount, st,
-                            recv, recvcount, rt, root, comm_obj)
-        return abi.MPI_SUCCESS
+    def _define_allreduce(run):
+        def allreduce(self, sendbuf, recvbuf, count, datatype, op, comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._buffers.get(sendbuf), self._buffers.get(recvbuf), count,
+                       _host_datatype(datatype), _host_op(op), self._comm(comm)) or abi.MPI_SUCCESS
+        return allreduce
 
-    def scatter(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root,
-                comm=abi.MPI_COMM_WORLD) -> int:
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        send = (
-            self._buffer(sendbuf, sendcount * st.size * comm_obj.size)
-            if self.rank(comm) == root else None
-        )
-        self.runtime.scatter(send, sendcount, st, self._buffer(recvbuf, recvcount * rt.size),
-                             recvcount, rt, root, comm_obj)
-        return abi.MPI_SUCCESS
+    def _define_rooted_blocks(run):
+        def blocks(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root,
+                   comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._buffers.get(sendbuf), sendcount, _host_datatype(sendtype),
+                       self._buffers.get(recvbuf), recvcount, _host_datatype(recvtype), root,
+                       self._comm(comm)) or abi.MPI_SUCCESS
+        return blocks
 
-    def allgather(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
-                  comm=abi.MPI_COMM_WORLD) -> int:
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        self.runtime.allgather(self._buffer(sendbuf, sendcount * st.size), sendcount, st,
-                               self._buffer(recvbuf, recvcount * rt.size * comm_obj.size),
-                               recvcount, rt, comm_obj)
-        return abi.MPI_SUCCESS
+    def _define_blocks(run):
+        def blocks(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
+                   comm=abi.MPI_COMM_WORLD):
+            return run(self.runtime, self._buffers.get(sendbuf), sendcount, _host_datatype(sendtype),
+                       self._buffers.get(recvbuf), recvcount, _host_datatype(recvtype),
+                       self._comm(comm)) or abi.MPI_SUCCESS
+        return blocks
 
-    def alltoall(self, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
-                 comm=abi.MPI_COMM_WORLD) -> int:
-        st = _host_datatype(sendtype)
-        rt = _host_datatype(recvtype)
-        comm_obj = self._comm(comm)
-        self.runtime.alltoall(self._buffer(sendbuf, sendcount * st.size * comm_obj.size), sendcount, st,
-                              self._buffer(recvbuf, recvcount * rt.size * comm_obj.size),
-                              recvcount, rt, comm_obj)
-        return abi.MPI_SUCCESS
+    barrier, ibarrier = _entry_points("barrier", _define_barrier)
+    bcast, ibcast = _entry_points("bcast", _define_bcast)
+    reduce, ireduce = _entry_points("reduce", _define_reduce)
+    allreduce, iallreduce = _entry_points("allreduce", _define_allreduce)
+    gather, igather = _entry_points("gather", _define_rooted_blocks)
+    scatter, iscatter = _entry_points("scatter", _define_rooted_blocks)
+    allgather, iallgather = _entry_points("allgather", _define_blocks)
+    alltoall, ialltoall = _entry_points("alltoall", _define_blocks)
 
     def comm_split(self, comm: int, color: int, key: int) -> int:
         new_comm = self.runtime.comm_split(self._comm(comm), color, key)

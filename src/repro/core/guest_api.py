@@ -23,6 +23,7 @@ experiments (HPCG, Table 1) are provided as real Wasm functions through
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.core.env import Env
 from repro.core.memory_translation import write_handle_array
+from repro.mpi.algorithms.registry import CONTRACTS
 from repro.toolchain import mpi_header as abi
 from repro.wasm.runtime import Instance
 
@@ -44,6 +46,23 @@ _NP_DTYPES: Dict[int, str] = {
     abi.MPI_FLOAT: "float32",
     abi.MPI_DOUBLE: "float64",
 }
+
+
+def _entry_points(call, nbc_call, collective: str, define):
+    """``GuestAPI.<c>`` and ``GuestAPI.i<c>`` from one definition.
+
+    ``define(call, name)`` returns the method: the collective's guest-side
+    signature, whose arguments it hands to ``call`` in the import's order.
+    It is instantiated with ``GuestAPI._call`` and ``MPI_<C>`` (returns the
+    error code), and with ``GuestAPI._nbc_call`` and ``MPI_I<c>`` (the same
+    arguments plus a request slot; returns the guest request handle).
+    """
+    blocking_name, nonblocking_name = CONTRACTS[collective].mpi_names
+    blocking, nonblocking = define(call, blocking_name), define(nbc_call, nonblocking_name)
+    blocking.__name__, nonblocking.__name__ = collective, "i" + collective
+    blocking.__doc__ = f"``{blocking_name}``."
+    nonblocking.__doc__ = f"``{nonblocking_name}``; returns the guest request handle."
+    return blocking, nonblocking
 
 
 class GuestAPI:
@@ -247,74 +266,56 @@ class GuestAPI:
         self._call(name, *args, self._scratch_i32)
         return int(self.instance.exported_memory().load_int(self._scratch_i32, 4))
 
-    def ibarrier(self, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Ibarrier``; returns the guest request handle."""
-        return self._nbc_call("MPI_Ibarrier", comm)
+    # One definition per collective: its guest-side signature, which is also
+    # the argument order of the import (see ``_entry_points``).
 
-    def ibcast(self, buf: int, count: int, datatype: int, root: int,
-               comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Ibcast``; returns the guest request handle."""
-        return self._nbc_call("MPI_Ibcast", buf, count, datatype, root, comm)
+    def _define_barrier(call, name):
+        def barrier(self, comm: int = abi.MPI_COMM_WORLD) -> int:
+            return call(self, name, comm)
+        return barrier
 
-    def iallreduce(self, sendbuf: int, recvbuf: int, count: int, datatype: int, op: int,
-                   comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Iallreduce``; returns the guest request handle."""
-        return self._nbc_call("MPI_Iallreduce", sendbuf, recvbuf, count, datatype, op, comm)
-
-    def iallgather(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int,
-                   recvcount: int, recvtype: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Iallgather``; returns the guest request handle."""
-        return self._nbc_call("MPI_Iallgather", sendbuf, sendcount, sendtype,
-                              recvbuf, recvcount, recvtype, comm)
-
-    def ialltoall(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int,
-                  recvcount: int, recvtype: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Ialltoall``; returns the guest request handle."""
-        return self._nbc_call("MPI_Ialltoall", sendbuf, sendcount, sendtype,
-                              recvbuf, recvcount, recvtype, comm)
-
-    def barrier(self, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Barrier``."""
-        return self._call("MPI_Barrier", comm)
-
-    def bcast(self, buf: int, count: int, datatype: int, root: int,
-              comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Bcast``."""
-        return self._call("MPI_Bcast", buf, count, datatype, root, comm)
-
-    def reduce(self, sendbuf: int, recvbuf: int, count: int, datatype: int, op: int, root: int,
-               comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Reduce``."""
-        return self._call("MPI_Reduce", sendbuf, recvbuf, count, datatype, op, root, comm)
-
-    def allreduce(self, sendbuf: int, recvbuf: int, count: int, datatype: int, op: int,
+    def _define_bcast(call, name):
+        def bcast(self, buf: int, count: int, datatype: int, root: int,
                   comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Allreduce``."""
-        return self._call("MPI_Allreduce", sendbuf, recvbuf, count, datatype, op, comm)
+            return call(self, name, buf, count, datatype, root, comm)
+        return bcast
 
-    def gather(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int, recvcount: int,
-               recvtype: int, root: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Gather``."""
-        return self._call("MPI_Gather", sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                          recvtype, root, comm)
+    def _define_reduce(call, name):
+        def reduce(self, sendbuf: int, recvbuf: int, count: int, datatype: int, op: int,
+                   root: int, comm: int = abi.MPI_COMM_WORLD) -> int:
+            return call(self, name, sendbuf, recvbuf, count, datatype, op, root, comm)
+        return reduce
 
-    def scatter(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int, recvcount: int,
-                recvtype: int, root: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Scatter``."""
-        return self._call("MPI_Scatter", sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                          recvtype, root, comm)
+    def _define_allreduce(call, name):
+        def allreduce(self, sendbuf: int, recvbuf: int, count: int, datatype: int, op: int,
+                      comm: int = abi.MPI_COMM_WORLD) -> int:
+            return call(self, name, sendbuf, recvbuf, count, datatype, op, comm)
+        return allreduce
 
-    def allgather(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int, recvcount: int,
-                  recvtype: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Allgather``."""
-        return self._call("MPI_Allgather", sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                          recvtype, comm)
+    def _define_rooted_blocks(call, name):
+        def blocks(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int,
+                   recvcount: int, recvtype: int, root: int,
+                   comm: int = abi.MPI_COMM_WORLD) -> int:
+            return call(self, name, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
+                        root, comm)
+        return blocks
 
-    def alltoall(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int, recvcount: int,
-                 recvtype: int, comm: int = abi.MPI_COMM_WORLD) -> int:
-        """``MPI_Alltoall``."""
-        return self._call("MPI_Alltoall", sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                          recvtype, comm)
+    def _define_blocks(call, name):
+        def blocks(self, sendbuf: int, sendcount: int, sendtype: int, recvbuf: int,
+                   recvcount: int, recvtype: int, comm: int = abi.MPI_COMM_WORLD) -> int:
+            return call(self, name, sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
+                        comm)
+        return blocks
+
+    _pair = functools.partial(_entry_points, _call, _nbc_call)
+    barrier, ibarrier = _pair("barrier", _define_barrier)
+    bcast, ibcast = _pair("bcast", _define_bcast)
+    reduce, ireduce = _pair("reduce", _define_reduce)
+    allreduce, iallreduce = _pair("allreduce", _define_allreduce)
+    gather, igather = _pair("gather", _define_rooted_blocks)
+    scatter, iscatter = _pair("scatter", _define_rooted_blocks)
+    allgather, iallgather = _pair("allgather", _define_blocks)
+    alltoall, ialltoall = _pair("alltoall", _define_blocks)
 
     def comm_split(self, comm: int, color: int, key: int) -> int:
         """``MPI_Comm_split``; returns the new guest communicator handle."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from repro.api.config import ResolvedConfig
 from repro.api.session import JobResult, Session
 
 __all__ = ["JobResult", "main"]
@@ -30,10 +31,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Run a bundled guest benchmark under MPIWasm on a simulated HPC machine.",
     )
     parser.add_argument("benchmark", help="bundled benchmark name (e.g. pingpong, hpcg, is)")
-    parser.add_argument("-np", "--nranks", type=int, default=4)
-    parser.add_argument("--machine", default="supermuc-ng")
+    # A flag that is not given stays out of the way: its value comes from the
+    # resolved configuration (config file, then REPRO_*), shown in the help.
+    resolved = ResolvedConfig.resolve()
+    parser.add_argument("-np", "--nranks", type=int, default=None,
+                        help=f"number of MPI ranks (default: {resolved.nranks})")
+    parser.add_argument("--machine", default=None,
+                        help=f"machine preset (default: {resolved.machine})")
     parser.add_argument("--native", action="store_true", help="run the native baseline instead of Wasm")
-    parser.add_argument("--backend", default="llvm", choices=BACKENDS.names())
+    parser.add_argument("--backend", default=None, choices=BACKENDS.names(),
+                        help=f"compiler back-end (default: {resolved.backend})")
     parser.add_argument("--fault-plan", default=None, metavar="FILE",
                         help="inject the faults described by this FaultPlan "
                              "JSON file (see repro.fault.inject)")
@@ -43,7 +50,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     mode = "native" if args.native else "wasm"
-    with Session(machine=args.machine, backend=args.backend) as session:
+    given = {name: getattr(args, name) for name in ("nranks", "machine", "backend")
+             if getattr(args, name) is not None}
+    with Session(resolved, **given) as session:
         if args.fault_plan:
             from pathlib import Path
 
@@ -54,7 +63,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except (OSError, ValueError, TypeError) as exc:
                 parser.error(f"cannot load fault plan {args.fault_plan!r}: {exc}")
             recovery = run_with_recovery(
-                args.benchmark, args.nranks, plan=plan,
+                args.benchmark, session.config.nranks, plan=plan,
                 max_restarts=args.max_restarts, session=session, mode=mode,
             )
             job = recovery.job
@@ -63,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"injected: {detail}")
                 print(f"recovered after {recovery.attempts} attempt(s)")
         else:
-            job = session.run(args.benchmark, args.nranks, mode=mode)
+            job = session.run(args.benchmark, mode=mode)
     print(f"benchmark={args.benchmark} mode={job.mode} ranks={job.nranks} "
           f"machine={job.machine} makespan={job.makespan*1e6:.2f} us")
     if job.stdout:

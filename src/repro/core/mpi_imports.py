@@ -21,7 +21,8 @@ the returned address lies inside the module's 32-bit address space.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List
 
 from repro.core.env import Env
 from repro.core.memory_translation import (
@@ -29,8 +30,10 @@ from repro.core.memory_translation import (
     read_handle_array,
     write_handle_array,
 )
+from repro.mpi.algorithms.registry import CONTRACTS
 from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.mpi.runtime import MPIRuntime
 from repro.mpi.status import Request, Status
 from repro.toolchain import mpi_header as abi
 from repro.wasm.runtime import HostFunction, ImportObject, Instance
@@ -296,15 +299,13 @@ def build_mpi_imports() -> Dict[str, Callable]:
         env.note_call("MPI_Irecv")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Irecv", datatype.name, nbytes)
+        env.charge_overhead("MPI_Irecv", datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
         # Lazy view: translated when the message is actually consumed, so no
         # live view pins linear memory (memory.grow must keep working while
         # the request is outstanding).
         request = env.runtime.irecv(
-            lambda: translator.to_host(buf, nbytes),
+            partial(_translator(instance).to_host, buf),
             count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm,
         )
         return _register_request(instance, env, request, request_ptr)
@@ -433,239 +434,119 @@ def build_mpi_imports() -> Dict[str, Callable]:
             _write_status(instance, status_ptr, status)
         return abi.MPI_SUCCESS
 
-    # ----------------------------------------------------- non-blocking collectives
-
-    @define("MPI_Ibarrier")
-    def mpi_ibarrier(instance, comm_handle, request_ptr):
-        env = _env_of(instance)
-        env.note_call("MPI_Ibarrier")
-        env.charge_overhead("MPI_Ibarrier", "MPI_BYTE", 0, n_datatype_args=0)
-        comm = env.resolve_comm(_signed(comm_handle))
-        return _register_request(instance, env, env.runtime.ibarrier(comm), request_ptr)
-
-    @define("MPI_Ibcast")
-    def mpi_ibcast(instance, buf, count, datatype_handle, root, comm_handle, request_ptr):
-        env = _env_of(instance)
-        env.note_call("MPI_Ibcast")
-        count = _signed(count)
-        datatype = env.resolve_datatype(_signed(datatype_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Ibcast", datatype.name, nbytes)
-        comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        # Lazy view: translated at post (copy-out) and completion (copy-in),
-        # never held across the overlap window -- memory.grow must keep
-        # working while the request is outstanding.
-        request = env.runtime.ibcast(
-            lambda: translator.to_host(buf, nbytes), count, datatype, _signed(root), comm
-        )
-        return _register_request(instance, env, request, request_ptr)
-
-    @define("MPI_Iallreduce")
-    def mpi_iallreduce(instance, sendbuf, recvbuf, count, datatype_handle, op_handle,
-                       comm_handle, request_ptr):
-        env = _env_of(instance)
-        env.note_call("MPI_Iallreduce")
-        count = _signed(count)
-        datatype = env.resolve_datatype(_signed(datatype_handle))
-        op = env.resolve_op(_signed(op_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Iallreduce", datatype.name, nbytes)
-        comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        request = env.runtime.iallreduce(
-            lambda: translator.to_host(sendbuf, nbytes),
-            lambda: translator.to_host(recvbuf, nbytes),
-            count, datatype, op, comm,
-        )
-        return _register_request(instance, env, request, request_ptr)
-
-    @define("MPI_Iallgather")
-    def mpi_iallgather(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                       recvtype_handle, comm_handle, request_ptr):
-        env = _env_of(instance)
-        env.note_call("MPI_Iallgather")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
-        sendtype = env.resolve_datatype(_signed(sendtype_handle))
-        recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = sendcount * sendtype.size
-        env.charge_overhead("MPI_Iallgather", sendtype.name, nbytes, n_datatype_args=2)
-        comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        recv_bytes = recvcount * recvtype.size * comm.size
-        request = env.runtime.iallgather(
-            lambda: translator.to_host(sendbuf, nbytes), sendcount, sendtype,
-            lambda: translator.to_host(recvbuf, recv_bytes), recvcount, recvtype, comm,
-        )
-        return _register_request(instance, env, request, request_ptr)
-
-    @define("MPI_Ialltoall")
-    def mpi_ialltoall(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                      recvtype_handle, comm_handle, request_ptr):
-        env = _env_of(instance)
-        env.note_call("MPI_Ialltoall")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
-        sendtype = env.resolve_datatype(_signed(sendtype_handle))
-        recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = sendcount * sendtype.size
-        env.charge_overhead("MPI_Ialltoall", sendtype.name, nbytes, n_datatype_args=2)
-        comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_bytes = nbytes * comm.size
-        recv_bytes = recvcount * recvtype.size * comm.size
-        request = env.runtime.ialltoall(
-            lambda: translator.to_host(sendbuf, send_bytes), sendcount, sendtype,
-            lambda: translator.to_host(recvbuf, recv_bytes), recvcount, recvtype, comm,
-        )
-        return _register_request(instance, env, request, request_ptr)
-
     # --------------------------------------------------------------- collectives
+    #
+    # One decoder per collective turns the guest's arguments into those of
+    # the runtime method: handles -> host objects, the embedder overhead
+    # charged under the calling import's name, guest pointers -> resolvers
+    # the runtime calls with the extent it needs (so no extent is computed
+    # here, a negative count is rejected before any pointer is translated,
+    # and no view is held while an MPI_I<c> request is outstanding).  A NULL
+    # pointer for the buffer only the root uses becomes None: "not supplied",
+    # MPI_ERR_BUFFER at the root.  MPI_<C> and MPI_I<c> -- the same arguments
+    # plus the request slot -- are both registered from the one decoder.
 
-    @define("MPI_Barrier")
-    def mpi_barrier(instance, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Barrier")
-        env.charge_overhead("MPI_Barrier", "MPI_BYTE", 0, n_datatype_args=0)
-        env.runtime.barrier(env.resolve_comm(_signed(comm_handle)))
-        return abi.MPI_SUCCESS
+    def collective(name: str):
+        run, post = getattr(MPIRuntime, name), getattr(MPIRuntime, "i" + name)
+        blocking_name, nonblocking_name = CONTRACTS[name].mpi_names
 
-    @define("MPI_Bcast")
-    def mpi_bcast(instance, buf, count, datatype_handle, root, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Bcast")
+        def decorator(decode: Callable) -> Callable:
+            def blocking(instance, *args):
+                env = _env_of(instance)
+                env.note_call(blocking_name)
+                run(env.runtime, *decode(instance, env, blocking_name, *args))
+                return abi.MPI_SUCCESS
+
+            def nonblocking(instance, *args):
+                env = _env_of(instance)
+                env.note_call(nonblocking_name)
+                request = post(env.runtime, *decode(instance, env, nonblocking_name, *args[:-1]))
+                return _register_request(instance, env, request, args[-1])
+
+            impl[blocking_name] = _wrap(blocking)
+            impl[nonblocking_name] = _wrap(nonblocking)
+            return decode
+
+        return decorator
+
+    @collective("barrier")
+    def decode_barrier(instance, env, name, comm_handle):
+        env.charge_overhead(name, "MPI_BYTE", 0, n_datatype_args=0)
+        return (env.resolve_comm(_signed(comm_handle)),)
+
+    @collective("bcast")
+    def decode_bcast(instance, env, name, buf, count, datatype_handle, root, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Bcast", datatype.name, nbytes)
+        env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        view = _translator(instance).to_host(buf, nbytes)
-        env.runtime.bcast(view, count, datatype, _signed(root), comm)
-        return abi.MPI_SUCCESS
+        return partial(_translator(instance).to_host, buf), count, datatype, _signed(root), comm
 
-    @define("MPI_Reduce")
-    def mpi_reduce(instance, sendbuf, recvbuf, count, datatype_handle, op_handle, root, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Reduce")
+    @collective("reduce")
+    def decode_reduce(instance, env, name, sendbuf, recvbuf, count, datatype_handle, op_handle,
+                      root, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         op = env.resolve_op(_signed(op_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Reduce", datatype.name, nbytes)
+        env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_view = translator.to_host(sendbuf, nbytes)
-        root_rank = _signed(root)
-        recv_view = (
-            translator.to_host(recvbuf, nbytes)
-            if env.runtime.comm_rank(comm) == root_rank and recvbuf != 0
-            else None
-        )
-        env.runtime.reduce(send_view, recv_view, count, datatype, op, root_rank, comm)
-        return abi.MPI_SUCCESS
+        to_host = _translator(instance).to_host
+        return (partial(to_host, sendbuf), partial(to_host, recvbuf) if recvbuf else None,
+                count, datatype, op, _signed(root), comm)
 
-    @define("MPI_Allreduce")
-    def mpi_allreduce(instance, sendbuf, recvbuf, count, datatype_handle, op_handle, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Allreduce")
+    @collective("allreduce")
+    def decode_allreduce(instance, env, name, sendbuf, recvbuf, count, datatype_handle,
+                         op_handle, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         op = env.resolve_op(_signed(op_handle))
-        nbytes = count * datatype.size
-        env.charge_overhead("MPI_Allreduce", datatype.name, nbytes)
+        env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_view = translator.to_host(sendbuf, nbytes)
-        recv_view = translator.to_host(recvbuf, nbytes)
-        env.runtime.allreduce(send_view, recv_view, count, datatype, op, comm)
-        return abi.MPI_SUCCESS
+        to_host = _translator(instance).to_host
+        return partial(to_host, sendbuf), partial(to_host, recvbuf), count, datatype, op, comm
 
-    @define("MPI_Gather")
-    def mpi_gather(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                   recvtype_handle, root, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Gather")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
+    def typed_blocks(env, name, sendcount, sendtype_handle, recvcount, recvtype_handle,
+                     charge_received=False):
+        """The (count, datatype) pairs of the gather family; the overhead is
+        charged for one block as sent (as received, for scatter)."""
+        sendcount, recvcount = _signed(sendcount), _signed(recvcount)
         sendtype = env.resolve_datatype(_signed(sendtype_handle))
         recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = sendcount * sendtype.size
-        env.charge_overhead("MPI_Gather", sendtype.name, nbytes, n_datatype_args=2)
-        comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_view = translator.to_host(sendbuf, nbytes)
-        root_rank = _signed(root)
-        is_root = env.runtime.comm_rank(comm) == root_rank
-        # A NULL buffer at the root reaches the runtime as "not supplied"
-        # (MPI_ERR_BUFFER), like MPI_Reduce's recvbuf above.
-        recv_view = (
-            translator.to_host(recvbuf, recvcount * recvtype.size * comm.size)
-            if is_root and recvbuf != 0
-            else None
-        )
-        env.runtime.gather(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, root_rank, comm)
-        return abi.MPI_SUCCESS
+        count, datatype = (recvcount, recvtype) if charge_received else (sendcount, sendtype)
+        env.charge_overhead(name, datatype.name, count * datatype.size, n_datatype_args=2)
+        return sendcount, sendtype, recvcount, recvtype
 
-    @define("MPI_Scatter")
-    def mpi_scatter(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                    recvtype_handle, root, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Scatter")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
-        sendtype = env.resolve_datatype(_signed(sendtype_handle))
-        recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = recvcount * recvtype.size
-        env.charge_overhead("MPI_Scatter", recvtype.name, nbytes, n_datatype_args=2)
+    @collective("gather")
+    def decode_gather(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+                      recvcount, recvtype_handle, root, comm_handle):
+        sendcount, sendtype, recvcount, recvtype = typed_blocks(
+            env, name, sendcount, sendtype_handle, recvcount, recvtype_handle)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        root_rank = _signed(root)
-        is_root = env.runtime.comm_rank(comm) == root_rank
-        send_view = (
-            translator.to_host(sendbuf, sendcount * sendtype.size * comm.size)
-            if is_root and sendbuf != 0
-            else None
-        )
-        recv_view = translator.to_host(recvbuf, nbytes)
-        env.runtime.scatter(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, root_rank, comm)
-        return abi.MPI_SUCCESS
+        to_host = _translator(instance).to_host
+        return (partial(to_host, sendbuf), sendcount, sendtype,
+                partial(to_host, recvbuf) if recvbuf else None, recvcount, recvtype,
+                _signed(root), comm)
 
-    @define("MPI_Allgather")
-    def mpi_allgather(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                      recvtype_handle, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Allgather")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
-        sendtype = env.resolve_datatype(_signed(sendtype_handle))
-        recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = sendcount * sendtype.size
-        env.charge_overhead("MPI_Allgather", sendtype.name, nbytes, n_datatype_args=2)
+    @collective("scatter")
+    def decode_scatter(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+                       recvcount, recvtype_handle, root, comm_handle):
+        sendcount, sendtype, recvcount, recvtype = typed_blocks(
+            env, name, sendcount, sendtype_handle, recvcount, recvtype_handle, charge_received=True)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_view = translator.to_host(sendbuf, nbytes)
-        recv_view = translator.to_host(recvbuf, recvcount * recvtype.size * comm.size)
-        env.runtime.allgather(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, comm)
-        return abi.MPI_SUCCESS
+        to_host = _translator(instance).to_host
+        return (partial(to_host, sendbuf) if sendbuf else None, sendcount, sendtype,
+                partial(to_host, recvbuf), recvcount, recvtype, _signed(root), comm)
 
-    @define("MPI_Alltoall")
-    def mpi_alltoall(instance, sendbuf, sendcount, sendtype_handle, recvbuf, recvcount,
-                     recvtype_handle, comm_handle):
-        env = _env_of(instance)
-        env.note_call("MPI_Alltoall")
-        sendcount = _signed(sendcount)
-        recvcount = _signed(recvcount)
-        sendtype = env.resolve_datatype(_signed(sendtype_handle))
-        recvtype = env.resolve_datatype(_signed(recvtype_handle))
-        nbytes = sendcount * sendtype.size
-        env.charge_overhead("MPI_Alltoall", sendtype.name, nbytes, n_datatype_args=2)
+    @collective("allgather")
+    @collective("alltoall")
+    def decode_all_blocks(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+                          recvcount, recvtype_handle, comm_handle):
+        sendcount, sendtype, recvcount, recvtype = typed_blocks(
+            env, name, sendcount, sendtype_handle, recvcount, recvtype_handle)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
-        send_view = translator.to_host(sendbuf, nbytes * comm.size)
-        recv_view = translator.to_host(recvbuf, recvcount * recvtype.size * comm.size)
-        env.runtime.alltoall(send_view, sendcount, sendtype, recv_view, recvcount, recvtype, comm)
-        return abi.MPI_SUCCESS
+        to_host = _translator(instance).to_host
+        return (partial(to_host, sendbuf), sendcount, sendtype,
+                partial(to_host, recvbuf), recvcount, recvtype, comm)
 
     # -------------------------------------------------------------- communicators
 

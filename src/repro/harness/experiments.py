@@ -35,7 +35,7 @@ from repro.benchmarks_suite.hpcg import (
     FLOPS_PER_ROW_PER_ITER,
     make_hpcg_program,
 )
-from repro.benchmarks_suite.imb import DEFAULT_MESSAGE_SIZES, make_imb_program
+from repro.benchmarks_suite.imb import DEFAULT_MESSAGE_SIZES, NBC_ROUTINES, make_imb_program
 from repro.benchmarks_suite.npb import make_dt_program, make_is_program
 from repro.benchmarks_suite.ior import WASI_INDIRECTION_OVERHEAD_PER_BYTE, make_ior_program
 from repro.sim.machines import MachinePreset, get_preset, graviton2, supermuc_ng
@@ -500,13 +500,13 @@ def imb_algorithm_sweep(
 
 @register_experiment("nbc")
 def nbc_overlap(
-    routines: Sequence[str] = ("ibarrier", "ibcast", "iallreduce", "iallgather", "ialltoall"),
+    routines: Sequence[str] = NBC_ROUTINES,
     nranks: int = 4,
     machine: str = "graviton2",
     message_sizes: Sequence[int] = (256, 4096, 65536),
     iterations: int = 2,
 ) -> Dict[str, object]:
-    """IMB-NBC style overlap sweep over every non-blocking collective.
+    """IMB-NBC style overlap sweep over the benchmarked non-blocking collectives.
 
     Functional runs (real schedules advanced by the progress engine through
     the full Wasm import path): for each routine, the per-size pure/overlapped
@@ -548,7 +548,7 @@ def nbc_campaign_spec(
         "seed": seed,
         "benchmarks": [
             {
-                "benchmark": ["ibarrier", "ibcast", "iallreduce", "iallgather", "ialltoall"],
+                "benchmark": list(NBC_ROUTINES),
                 "mode": ["wasm", "native"],
                 "backend": list(backends),
                 "nranks": list(nranks),

@@ -546,21 +546,9 @@ def execute(
 # A registered algorithm *is* its schedule builder: there is one store
 # (:data:`repro.api.registry.ALGORITHMS`, reached through
 # :mod:`repro.mpi.algorithms.registry`), and these are its names on the
-# schedule side.  Signatures are fixed per collective:
-#
-#   barrier:   build(rank, size, seq) -> Schedule
-#   bcast:     build(rank, size, nbytes, root, seq) -> Schedule
-#   reduce:    build(rank, size, count, esize, root, seq) -> Schedule
-#   allreduce: build(rank, size, count, esize, seq) -> Schedule
-#   gather:    build(rank, size, nbytes_per_rank, root, seq) -> Schedule
-#   scatter:   build(rank, size, nbytes_per_rank, root, seq) -> Schedule
-#   allgather: build(rank, size, nbytes_per_rank, seq) -> Schedule
-#   alltoall:  build(rank, size, nbytes_per_rank, seq) -> Schedule
-#
-# Buffer contract (what the caller supplies / reads back): bcast ``"data"``;
-# reduce ``"acc"`` plus ``"recv"`` on the root; allreduce ``"acc"``; gather
-# ``"send"`` plus ``"recv"`` on the root; scatter ``"recv"`` plus ``"send"``
-# on the root; allgather and alltoall ``"send"`` and ``"recv"``.
+# schedule side.  Each collective's builder signature and buffer contract
+# (which named buffers the caller supplies and reads back, and their sizes)
+# is its row of :data:`repro.mpi.algorithms.registry.CONTRACTS`.
 
 register_builder = registry.register
 get_builder = registry.get

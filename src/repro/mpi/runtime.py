@@ -35,6 +35,7 @@ from repro.fault import inject as _inject
 from repro.obs import trace as _trace
 from repro.mpi import datatypes as dts
 from repro.mpi import ops as mpi_ops
+from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.base import CollectiveContext
 from repro.mpi.algorithms.decision import CollectiveSelector
 from repro.mpi.algorithms.schedule import ScheduleExecutor, execute, get_builder
@@ -65,18 +66,20 @@ from repro.sim.metrics import MetricsRegistry
 
 BufferLike = Union[bytes, bytearray, memoryview, np.ndarray]
 
-#: Buffers of *deferred* operations (irecv and the non-blocking collectives)
-#: may also be supplied as a zero-argument callable returning the buffer.
-#: The embedder uses this to defer guest address translation to the moment
-#: bytes actually move: holding a live memoryview into Wasm linear memory for
-#: the whole post-to-wait window would pin the underlying buffer and make
-#: ``memory.grow`` fail for any guest that allocates during the overlap.
-LazyBuffer = Union[BufferLike, "Callable[[], BufferLike]"]
+#: Buffers of *deferred* operations (irecv and the collectives) may also be
+#: supplied as a resolver: a callable taking the number of bytes the runtime
+#: needs and returning the buffer.  The embedder passes guest pointers this
+#: way, which leaves the extent arithmetic to the runtime and defers guest
+#: address translation to the moment bytes actually move: holding a live
+#: memoryview into Wasm linear memory for the whole post-to-wait window would
+#: pin the underlying buffer and make ``memory.grow`` fail for any guest that
+#: allocates during the overlap.
+LazyBuffer = Union[BufferLike, "Callable[[int], BufferLike]"]
 
 
-def _supplied(buf):
+def _supplied(buf, nbytes: int):
     """Resolve a :data:`LazyBuffer` to the concrete buffer."""
-    return buf() if callable(buf) else buf
+    return buf(nbytes) if callable(buf) else buf
 
 
 def _traced(name: str):
@@ -109,6 +112,28 @@ def _traced(name: str):
         return wrapper
 
     return decorate
+
+
+def _entry_points(collective: str, define):
+    """``MPI_<C>`` and ``MPI_I<c>`` of one collective, from its one definition.
+
+    ``define(row, kind)`` returns the method: the public signature, mapped
+    onto :meth:`MPIRuntime._collective`.  It is instantiated twice with the
+    collective's contract row -- ``kind`` ``None``: run the schedule to
+    completion; the ``Request.kind``: post it -- so the two entry points
+    cannot differ in signature, validation or schedule.
+    """
+    row = registry.CONTRACTS[collective]
+
+    def entry(method: str, mpi_name: str, kind: Optional[str]):
+        fn = define(row, kind)
+        fn.__name__ = method
+        fn.__qualname__ = f"MPIRuntime.{method}"
+        fn.__doc__ = f"``{mpi_name}``."
+        return _traced(mpi_name)(fn)
+
+    blocking, nonblocking = row.mpi_names
+    return entry(collective, blocking, None), entry("i" + collective, nonblocking, "i" + collective)
 
 
 # --------------------------------------------------------- pending operations
@@ -181,7 +206,7 @@ class _PendingRecv:
         # its progress loop must not run nested inside a progress pass.  The
         # buffer may be a lazy supplier (guest memory translated on demand).
         nbytes = self.count * self.datatype.size
-        target = _supplied(self.buf)
+        target = _supplied(self.buf, nbytes)
         view = (
             _writable(target, nbytes, "recv")
             if target is not None and nbytes > 0
@@ -261,12 +286,10 @@ def _writable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
     return view[:nbytes]
 
 
-def _require_root_buffer(buf: Optional[BufferLike], nbytes: int, what: str) -> None:
-    """A rooted collective's root must supply the buffer only it uses --
-    checked before anything is posted, so the error is local and the
-    communicator stays usable."""
-    if buf is None and nbytes > 0:
-        raise MPIError(f"root must supply a {what} buffer", code=MPI_ERR_BUFFER)
+def _copy_out(recvbuf: LazyBuffer, nbytes: int, key: str, what: str, buffers) -> None:
+    """Completion of a posted collective: its result leaves the schedule's
+    working buffer ``key`` for the caller's (lazily resolved) buffer."""
+    _writable(_supplied(recvbuf, nbytes), nbytes, what)[:] = buffers[key]
 
 
 class MPIWorld:
@@ -892,6 +915,7 @@ class MPIRuntime:
         self,
         kind: str,
         comm: Communicator,
+        cc: CollectiveContext,
         schedule,
         buffers,
         datatype: Optional[Datatype] = None,
@@ -906,10 +930,7 @@ class MPIRuntime:
         spot.  ``finalize`` runs exactly once, at completion, to copy results
         from the schedule's working buffers into the caller's memory.
         """
-        executor = ScheduleExecutor(
-            self._collective_context(comm), schedule, buffers, datatype, op,
-            on_complete=finalize,
-        )
+        executor = ScheduleExecutor(cc, schedule, buffers, datatype, op, on_complete=finalize)
         request = Request(kind=kind)
         self._activate(request, _PendingCollective(executor, comm))
         return request
@@ -973,402 +994,155 @@ class MPIRuntime:
             world_rank=self.rank_world,
         )
 
-    # Every blocking collective is: select the algorithm, build this rank's
-    # schedule from the registered builder, run it to completion, copy the
-    # result out.  The ``I<collective>`` siblings below build the same
-    # schedule and hand it to the progress engine instead.
+    # Every collective is written once.  Its row of ``registry.CONTRACTS``
+    # says which buffers a call involves; its definition below maps the
+    # public ``MPI_<C>`` arguments onto :meth:`_collective`, which validates,
+    # stages, selects and builds for ``MPI_<C>`` and ``MPI_I<c>`` alike -- so
+    # both go through the same decision table and execute the same schedule,
+    # and differ only in who drives it: ``MPI_<C>`` runs it to completion,
+    # ``MPI_I<c>`` returns a Request the progress engine advances from
+    # ``test``/``wait``-family calls, which lets communication overlap any
+    # compute between the post and the wait.
 
     def _barrier(self, comm: Communicator, seq: int) -> None:
         algorithm = self._select_algorithm("barrier", comm, 0)
         cc = self._collective_context(comm)
         execute(cc, get_builder("barrier", algorithm)(cc.rank, cc.size, seq))
 
-    @_traced("MPI_Barrier")
-    def barrier(self, comm: Optional[Communicator] = None) -> None:
-        """``MPI_Barrier``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        self._barrier(comm, self._next_seq(comm))
-
-    @_traced("MPI_Bcast")
-    def bcast(
+    def _collective(
         self,
-        buf: BufferLike,
+        row: registry.Contract,
+        kind: Optional[str],
+        comm: Optional[Communicator],
+        root: Optional[int],
+        sendbuf: Optional[LazyBuffer],
+        recvbuf: Optional[LazyBuffer],
         count: int,
         datatype: Datatype,
-        root: int,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Bcast``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        self._check_root(comm, root)
-        nbytes = count * datatype.size
-        view = _writable(buf, nbytes, "bcast") if nbytes > 0 else memoryview(bytearray(0))
-        data = bytearray(view)
-        algorithm = self._select_algorithm("bcast", comm, nbytes)
-        cc = self._collective_context(comm)
-        schedule = get_builder("bcast", algorithm)(
-            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
-        )
-        execute(cc, schedule, {"data": data})
-        if nbytes > 0:
-            view[:nbytes] = data
+        op: Optional[Op] = None,
+        peer_bytes: Optional[int] = None,
+    ) -> Optional[Request]:
+        """One call of the collective ``row`` describes.
 
-    @_traced("MPI_Reduce")
-    def reduce(
-        self,
-        sendbuf: BufferLike,
-        recvbuf: Optional[BufferLike],
-        count: int,
-        datatype: Datatype,
-        op: Op,
-        root: int,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Reduce``."""
-        self._require_init()
+        A block is ``count`` elements of ``datatype``; ``sendbuf``/``recvbuf``
+        are the caller's side of the row's input/output buffer, and
+        ``peer_bytes`` is the per-rank byte count the other side of a
+        gather/scatter declares.  Everything that can be wrong with the call
+        is raised here, before the algorithm metric is recorded or a sequence
+        number spent, so the error is local and the communicator stays
+        usable.  With ``kind`` ``None`` the schedule runs to completion and
+        the result is copied out; otherwise it becomes a Request of that kind
+        and the result is copied out when the request completes.
+        """
         comm = comm or self.comm_world
-        self._check_root(comm, root)
-        nbytes = count * datatype.size
-        buffers = {"acc": bytearray(_readable(sendbuf, nbytes, "reduce send"))}
-        cc = self._collective_context(comm)
+        cc = self._collective_context(comm)  # checks the Init/Finalize window, too
+        size = cc.size
+        if row.rooted and not 0 <= root < size:
+            raise InvalidRootError(f"root {root} out of range for {comm.name} of size {size}")
+        if count < 0:
+            raise InvalidCountError(f"count must be non-negative, got {count}")
         is_root = cc.rank == root
-        if is_root:
-            _require_root_buffer(recvbuf, nbytes, "reduce recv")
-            # Only the root's schedule references "recv".
-            buffers["recv"] = bytearray(nbytes)
-        algorithm = self._select_algorithm("reduce", comm, nbytes)
-        schedule = get_builder("reduce", algorithm)(
-            cc.rank, cc.size, count, datatype.size, root, self._next_seq(comm)
-        )
-        execute(cc, schedule, buffers, datatype, op)
-        if is_root and nbytes > 0:
-            _writable(recvbuf, nbytes, "reduce recv")[:nbytes] = buffers["recv"]
-
-    @_traced("MPI_Allreduce")
-    def allreduce(
-        self,
-        sendbuf: BufferLike,
-        recvbuf: BufferLike,
-        count: int,
-        datatype: Datatype,
-        op: Op,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Allreduce``."""
-        self._require_init()
-        comm = comm or self.comm_world
         nbytes = count * datatype.size
-        acc = bytearray(_readable(sendbuf, nbytes, "allreduce send"))
-        algorithm = self._select_algorithm("allreduce", comm, nbytes)
-        cc = self._collective_context(comm)
-        schedule = get_builder("allreduce", algorithm)(
-            cc.rank, cc.size, count, datatype.size, self._next_seq(comm)
-        )
-        execute(cc, schedule, {"acc": acc}, datatype, op)
-        if nbytes > 0:
-            _writable(recvbuf, nbytes, "allreduce recv")[:nbytes] = acc
-
-    @_traced("MPI_Gather")
-    def gather(
-        self,
-        sendbuf: BufferLike,
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: Optional[BufferLike],
-        recvcount: int,
-        recvtype: Datatype,
-        root: int,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Gather``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        self._check_root(comm, root)
-        nbytes = sendcount * sendtype.size
-        total = nbytes * comm.size
-        buffers = {"send": bytearray(_readable(sendbuf, nbytes, "gather send"))}
-        cc = self._collective_context(comm)
-        is_root = cc.rank == root
-        if is_root:
-            _require_root_buffer(recvbuf, total, "gather recv")
-            if recvcount * recvtype.size < nbytes:
+        source, in_bytes, result, out_bytes = row.buffers(is_root, nbytes, size)
+        if sendbuf is None and in_bytes:
+            raise MPIError(f"{row.name}: no send buffer supplied", code=MPI_ERR_BUFFER)
+        if recvbuf is None and out_bytes:
+            raise MPIError(f"{row.name}: no receive buffer supplied", code=MPI_ERR_BUFFER)
+        if peer_bytes is not None and is_root:
+            if peer_bytes < 0:
+                raise InvalidCountError(f"count must be non-negative, got {peer_bytes} bytes")
+            # The block is what each rank sends (gather) or has room for (scatter).
+            sent, room = (peer_bytes, nbytes) if row.input.per_rank else (nbytes, peer_bytes)
+            if sent > room:
                 raise TruncationError(
-                    f"gather: root receives {recvcount * recvtype.size} bytes per rank "
-                    f"but each rank sends {nbytes}"
+                    f"{row.name}: {sent} bytes sent per rank, room for {room} at the receiver"
                 )
-            # Only the root's schedule references "recv".
-            buffers["recv"] = bytearray(total)
-        algorithm = self._select_algorithm(
-            "gather", comm, nbytes, bytes_moved=total if is_root else nbytes
-        )
-        schedule = get_builder("gather", algorithm)(
-            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
-        )
-        execute(cc, schedule, buffers)
-        if is_root and total > 0:
-            _writable(recvbuf, recvcount * recvtype.size * comm.size, "gather recv")[:total] = (
-                buffers["recv"]
+        buffers: Dict[str, bytearray] = {}
+        if source is not None:
+            buffers[source.key] = bytearray(
+                _readable(_supplied(sendbuf, in_bytes), in_bytes, row.name) if in_bytes else 0
             )
-
-    @_traced("MPI_Scatter")
-    def scatter(
-        self,
-        sendbuf: Optional[BufferLike],
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: BufferLike,
-        recvcount: int,
-        recvtype: Datatype,
-        root: int,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Scatter``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        self._check_root(comm, root)
-        nbytes = recvcount * recvtype.size
-        total = nbytes * comm.size
-        buffers = {"recv": bytearray(nbytes)}
-        cc = self._collective_context(comm)
-        is_root = cc.rank == root
-        if is_root:
-            _require_root_buffer(sendbuf, total, "scatter send")
-            if sendcount * sendtype.size > nbytes:
-                raise TruncationError(
-                    f"scatter: root sends {sendcount * sendtype.size} bytes per rank "
-                    f"but receives only {nbytes}"
-                )
-            # Only the root's schedule references "send".
-            buffers["send"] = (
-                bytearray(_readable(sendbuf, total, "scatter send")) if total > 0 else bytearray(0)
-            )
+        out = None
+        if result is not None:
+            if out_bytes:
+                out = _writable(_supplied(recvbuf, out_bytes), out_bytes, row.name)
+            if result.key not in buffers:
+                buffers[result.key] = bytearray(out_bytes)
         algorithm = self._select_algorithm(
-            "scatter", comm, nbytes, bytes_moved=total if is_root else nbytes
+            row.name, comm, nbytes, in_bytes if in_bytes > out_bytes else out_bytes
         )
-        schedule = get_builder("scatter", algorithm)(
-            cc.rank, cc.size, nbytes, root, self._next_seq(comm)
+        schedule = row.build(
+            get_builder(row.name, algorithm), cc.rank, size, count, datatype.size, root,
+            self._next_seq(comm),
         )
-        execute(cc, schedule, buffers)
-        _writable(recvbuf, nbytes, "scatter recv")[:nbytes] = buffers["recv"]
-
-    @_traced("MPI_Allgather")
-    def allgather(
-        self,
-        sendbuf: BufferLike,
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: BufferLike,
-        recvcount: int,
-        recvtype: Datatype,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Allgather``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        nbytes = sendcount * sendtype.size
-        total = nbytes * comm.size
-        buffers = {
-            "send": bytearray(_readable(sendbuf, nbytes, "allgather send")),
-            "recv": bytearray(total),
-        }
-        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=total)
-        cc = self._collective_context(comm)
-        schedule = get_builder("allgather", algorithm)(
-            cc.rank, cc.size, nbytes, self._next_seq(comm)
+        if kind is None:
+            execute(cc, schedule, buffers, datatype, op)
+            if out is not None:
+                out[:] = buffers[result.key]
+            return None
+        # The result buffer is resolved again at completion: no view into guest
+        # memory is held across the post-to-wait window -- see LazyBuffer.
+        finalize = (
+            functools.partial(_copy_out, recvbuf, out_bytes, result.key, row.name)
+            if out is not None else None
         )
-        execute(cc, schedule, buffers)
-        _writable(recvbuf, total, "allgather recv")[:total] = buffers["recv"]
+        return self._start_collective(kind, comm, cc, schedule, buffers, datatype, op, finalize)
 
-    @_traced("MPI_Alltoall")
-    def alltoall(
-        self,
-        sendbuf: BufferLike,
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: BufferLike,
-        recvcount: int,
-        recvtype: Datatype,
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        """``MPI_Alltoall``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        nbytes = sendcount * sendtype.size
-        total = nbytes * comm.size
-        buffers = {
-            "send": bytearray(_readable(sendbuf, total, "alltoall send")),
-            "recv": bytearray(total),
-        }
-        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=total)
-        cc = self._collective_context(comm)
-        schedule = get_builder("alltoall", algorithm)(
-            cc.rank, cc.size, nbytes, self._next_seq(comm)
-        )
-        execute(cc, schedule, buffers)
-        _writable(recvbuf, total, "alltoall recv")[:total] = buffers["recv"]
+    def _define_barrier(row, kind):
+        def barrier(self, comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, None, None, None, 0, dts.BYTE)
+        return barrier
 
-    def _check_root(self, comm: Communicator, root: int) -> None:
-        if not 0 <= root < comm.size:
-            raise InvalidRootError(f"root {root} out of range for {comm.name} of size {comm.size}")
+    def _define_bcast(row, kind):
+        def bcast(self, buf: LazyBuffer, count: int, datatype: Datatype, root: int,
+                  comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, root, buf, buf, count, datatype)
+        return bcast
 
-    # ------------------------------------------------- non-blocking collectives
-    #
-    # Every ``I<collective>`` selects its algorithm through the same decision
-    # table as the blocking counterpart and builds the same schedule; instead
-    # of running it to completion it returns a Request the progress engine
-    # advances from ``test``/``wait``-family calls.  Results land in the
-    # caller's buffers at completion time, so communication overlaps any
-    # compute between the post and the wait.
+    def _define_reduce(row, kind):
+        def reduce(self, sendbuf: LazyBuffer, recvbuf: Optional[LazyBuffer], count: int,
+                   datatype: Datatype, op: Op, root: int, comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, root, sendbuf, recvbuf, count, datatype, op)
+        return reduce
 
-    @_traced("MPI_Ibarrier")
-    def ibarrier(self, comm: Optional[Communicator] = None) -> Request:
-        """``MPI_Ibarrier``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        algorithm = self._select_algorithm("barrier", comm, 0)
-        schedule = get_builder("barrier", algorithm)(
-            self.comm_rank(comm), comm.size, self._next_seq(comm)
-        )
-        return self._start_collective("ibarrier", comm, schedule, {})
+    def _define_allreduce(row, kind):
+        def allreduce(self, sendbuf: LazyBuffer, recvbuf: LazyBuffer, count: int,
+                      datatype: Datatype, op: Op, comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, None, sendbuf, recvbuf, count, datatype, op)
+        return allreduce
 
-    @_traced("MPI_Ibcast")
-    def ibcast(
-        self,
-        buf: LazyBuffer,
-        count: int,
-        datatype: Datatype,
-        root: int,
-        comm: Optional[Communicator] = None,
-    ) -> Request:
-        """``MPI_Ibcast``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        self._check_root(comm, root)
-        nbytes = count * datatype.size
-        # Buffers are materialised transiently (and again at completion), so
-        # no view into guest memory outlives this call -- see LazyBuffer.
-        data = (
-            bytearray(_writable(_supplied(buf), nbytes, "bcast").tobytes())
-            if nbytes > 0
-            else bytearray(0)
-        )
-        algorithm = self._select_algorithm("bcast", comm, nbytes)
-        schedule = get_builder("bcast", algorithm)(
-            self.comm_rank(comm), comm.size, nbytes, root, self._next_seq(comm)
-        )
+    def _define_gather(row, kind):
+        def gather(self, sendbuf: LazyBuffer, sendcount: int, sendtype: Datatype,
+                   recvbuf: Optional[LazyBuffer], recvcount: int, recvtype: Datatype,
+                   root: int, comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, root, sendbuf, recvbuf, sendcount, sendtype,
+                                    None, recvcount * recvtype.size)
+        return gather
 
-        def finalize(buffers) -> None:
-            if nbytes > 0:
-                _writable(_supplied(buf), nbytes, "bcast")[:nbytes] = buffers["data"][:nbytes]
+    def _define_scatter(row, kind):
+        def scatter(self, sendbuf: Optional[LazyBuffer], sendcount: int, sendtype: Datatype,
+                    recvbuf: LazyBuffer, recvcount: int, recvtype: Datatype,
+                    root: int, comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, root, sendbuf, recvbuf, recvcount, recvtype,
+                                    None, sendcount * sendtype.size)
+        return scatter
 
-        return self._start_collective("ibcast", comm, schedule, {"data": data}, finalize=finalize)
+    def _define_allgather(row, kind):
+        def allgather(self, sendbuf: LazyBuffer, sendcount: int, sendtype: Datatype,
+                      recvbuf: LazyBuffer, recvcount: int, recvtype: Datatype,
+                      comm: Optional[Communicator] = None):
+            return self._collective(row, kind, comm, None, sendbuf, recvbuf, sendcount, sendtype)
+        return allgather
 
-    @_traced("MPI_Iallreduce")
-    def iallreduce(
-        self,
-        sendbuf: LazyBuffer,
-        recvbuf: LazyBuffer,
-        count: int,
-        datatype: Datatype,
-        op: Op,
-        comm: Optional[Communicator] = None,
-    ) -> Request:
-        """``MPI_Iallreduce``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        nbytes = count * datatype.size
-        send_bytes = _readable(_supplied(sendbuf), nbytes, "allreduce send")
-        if nbytes > 0:
-            _writable(_supplied(recvbuf), nbytes, "allreduce recv")  # validate early
-        algorithm = self._select_algorithm("allreduce", comm, nbytes)
-        schedule = get_builder("allreduce", algorithm)(
-            self.comm_rank(comm), comm.size, count, datatype.size, self._next_seq(comm)
-        )
-
-        def finalize(buffers) -> None:
-            if nbytes > 0:
-                _writable(_supplied(recvbuf), nbytes, "allreduce recv")[:nbytes] = (
-                    buffers["acc"][:nbytes]
-                )
-
-        return self._start_collective(
-            "iallreduce", comm, schedule, {"acc": bytearray(send_bytes)},
-            datatype=datatype, op=op, finalize=finalize,
-        )
-
-    @_traced("MPI_Iallgather")
-    def iallgather(
-        self,
-        sendbuf: LazyBuffer,
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: LazyBuffer,
-        recvcount: int,
-        recvtype: Datatype,
-        comm: Optional[Communicator] = None,
-    ) -> Request:
-        """``MPI_Iallgather``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        nbytes = sendcount * sendtype.size
-        total = nbytes * comm.size
-        send_bytes = _readable(_supplied(sendbuf), nbytes, "allgather send")
-        if total > 0:
-            _writable(_supplied(recvbuf), total, "allgather recv")  # validate early
-        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=total)
-        schedule = get_builder("allgather", algorithm)(
-            self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
-        )
-
-        def finalize(buffers) -> None:
-            if total > 0:
-                _writable(_supplied(recvbuf), total, "allgather recv")[:total] = (
-                    buffers["recv"][:total]
-                )
-
-        return self._start_collective(
-            "iallgather", comm, schedule,
-            {"send": bytearray(send_bytes), "recv": bytearray(total)},
-            finalize=finalize,
-        )
-
-    @_traced("MPI_Ialltoall")
-    def ialltoall(
-        self,
-        sendbuf: LazyBuffer,
-        sendcount: int,
-        sendtype: Datatype,
-        recvbuf: LazyBuffer,
-        recvcount: int,
-        recvtype: Datatype,
-        comm: Optional[Communicator] = None,
-    ) -> Request:
-        """``MPI_Ialltoall``."""
-        self._require_init()
-        comm = comm or self.comm_world
-        nbytes = sendcount * sendtype.size
-        total = nbytes * comm.size
-        send_bytes = _readable(_supplied(sendbuf), total, "alltoall send")
-        if total > 0:
-            _writable(_supplied(recvbuf), total, "alltoall recv")  # validate early
-        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=total)
-        schedule = get_builder("alltoall", algorithm)(
-            self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
-        )
-
-        def finalize(buffers) -> None:
-            if total > 0:
-                _writable(_supplied(recvbuf), total, "alltoall recv")[:total] = (
-                    buffers["recv"][:total]
-                )
-
-        return self._start_collective(
-            "ialltoall", comm, schedule,
-            {"send": bytearray(send_bytes), "recv": bytearray(total)},
-            finalize=finalize,
-        )
+    barrier, ibarrier = _entry_points("barrier", _define_barrier)
+    bcast, ibcast = _entry_points("bcast", _define_bcast)
+    reduce, ireduce = _entry_points("reduce", _define_reduce)
+    allreduce, iallreduce = _entry_points("allreduce", _define_allreduce)
+    gather, igather = _entry_points("gather", _define_gather)
+    scatter, iscatter = _entry_points("scatter", _define_scatter)
+    allgather, iallgather = _entry_points("allgather", _define_allgather)
+    # Same arguments as allgather; what differs is in the contract row.
+    alltoall, ialltoall = _entry_points("alltoall", _define_allgather)
 
     # ------------------------------------------------------------ communicators
 

@@ -164,7 +164,10 @@ MPI_SIGNATURES: Dict[str, Tuple[List[str], List[str]]] = {
     "MPI_Iprobe": (["i32", "i32", "i32", "i32", "i32"], ["i32"]),
     "MPI_Ibarrier": (["i32", "i32"], ["i32"]),
     "MPI_Ibcast": (["i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
+    "MPI_Ireduce": (["i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
     "MPI_Iallreduce": (["i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
+    "MPI_Igather": (["i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
+    "MPI_Iscatter": (["i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
     "MPI_Iallgather": (["i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
     "MPI_Ialltoall": (["i32", "i32", "i32", "i32", "i32", "i32", "i32", "i32"], ["i32"]),
     "MPI_Barrier": (["i32"], ["i32"]),

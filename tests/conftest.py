@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.mpi import datatypes, ops
 from repro.mpi.runtime import MPIRuntime, MPIWorld
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEngine
@@ -57,3 +58,67 @@ def supermuc():
 def small_cluster(graviton):
     """A 4-rank single-node cluster."""
     return Cluster(graviton, nranks=4, ranks_per_node=4)
+
+
+# ------------------------------------------------- one call of any collective
+
+
+def _block(rank: int, count: int) -> np.ndarray:
+    return np.arange(count, dtype=np.int64) + 100 * (rank + 1)
+
+
+def _blocks(rank: int, size: int, count: int) -> np.ndarray:
+    return np.arange(count * size, dtype=np.int64) + 1000 * (rank + 1)
+
+
+def collective_args(collective: str, rank: int, size: int, root: int = 0, count: int = 6):
+    """``(args, out)`` for one call of ``MPIRuntime.<collective>`` -- and of
+    its ``i<collective>`` twin, which takes the same arguments -- on ``rank``.
+
+    Payloads are ``count``-element ``MPI_LONG`` blocks that differ per rank;
+    ``out`` is the fresh array the call leaves its result in on this rank
+    (``None`` where it has none).  :func:`collective_expected` says what the
+    array must hold afterwards.
+    """
+    long = datatypes.LONG
+    block, blocks = _block(rank, count), _blocks(rank, size, count)
+    one, many = np.zeros(count, dtype=np.int64), np.zeros(count * size, dtype=np.int64)
+    is_root = rank == root
+    if collective == "barrier":
+        return (), None
+    if collective == "bcast":
+        return (block, count, long, root), block
+    if collective == "reduce":
+        return (block, one if is_root else None, count, long, ops.SUM, root), one if is_root else None
+    if collective == "allreduce":
+        return (block, one, count, long, ops.SUM), one
+    if collective == "gather":
+        return (block, count, long, many if is_root else None, count, long, root), many if is_root else None
+    if collective == "scatter":
+        return (blocks if is_root else None, count, long, one, count, long, root), one
+    if collective == "allgather":
+        return (block, count, long, many, count, long), many
+    if collective == "alltoall":
+        return (blocks, count, long, many, count, long), many
+    raise KeyError(collective)  # a new collective needs a case here and below
+
+
+def collective_expected(collective: str, rank: int, size: int, root: int = 0, count: int = 6):
+    """What ``out`` of :func:`collective_args` holds after the call (a list)."""
+    if collective == "barrier" or (collective in ("reduce", "gather") and rank != root):
+        return None
+    every_block = [_block(r, count) for r in range(size)]
+    mine = slice(rank * count, (rank + 1) * count)
+    if collective == "bcast":
+        result = every_block[root]
+    elif collective in ("reduce", "allreduce"):
+        result = sum(every_block)
+    elif collective in ("gather", "allgather"):
+        result = np.concatenate(every_block)
+    elif collective == "scatter":
+        result = _blocks(root, size, count)[mine]
+    elif collective == "alltoall":
+        result = np.concatenate([_blocks(src, size, count)[mine] for src in range(size)])
+    else:
+        raise KeyError(collective)
+    return result.tolist()

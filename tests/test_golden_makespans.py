@@ -2,8 +2,9 @@
 
 Virtual time is deterministic, so it is pinned: for every registered
 ``(collective, algorithm)`` x nranks {5, 8} x payload {16 B, 64 KiB} x root
-{0, last} (where rooted) the job makespan and every rank's final clock are
-compared with ``==`` against ``tests/golden/collective_makespans.json``.
+{0, last} (where rooted) x {blocking call, ``I*`` + ``wait`` (key suffix
+``/nb``)} the job makespan and every rank's final clock are compared with
+``==`` against ``tests/golden/collective_makespans.json``.
 A change that moves a simulated number must say so by regenerating the file
 with ``pytest tests/test_golden_makespans.py --update-golden`` and committing
 the diff.
@@ -14,15 +15,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.mpi import datatypes, ops
 from repro.mpi.algorithms import registry
 from repro.mpi.runtime import MPIRuntime, MPIWorld
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEngine
 from repro.sim.machines import supermuc_ng
+from tests.conftest import collective_args
 
 GOLDEN = Path(__file__).parent / "golden" / "collective_makespans.json"
 
@@ -40,38 +40,15 @@ ALL_POINTS = [
 ]
 
 
-def _call(rt, collective: str, nbytes: int, root: int, p: int, rank: int) -> None:
-    count = nbytes // 8
-    if collective == "barrier":
-        rt.barrier()
-    elif collective == "bcast":
-        rt.bcast(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE, root=root)
-    elif collective == "reduce":
-        recv = np.zeros(count, dtype=np.float64) if rank == root else None
-        rt.reduce(np.ones(count, dtype=np.float64), recv, count, datatypes.DOUBLE,
-                  ops.SUM, root=root)
-    elif collective == "allreduce":
-        rt.allreduce(np.ones(count, dtype=np.float64), np.zeros(count, dtype=np.float64),
-                     count, datatypes.DOUBLE, ops.SUM)
-    elif collective == "gather":
-        recv = np.zeros(nbytes * p, dtype=np.uint8) if rank == root else None
-        rt.gather(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE,
-                  recv, nbytes, datatypes.BYTE, root=root)
-    elif collective == "scatter":
-        send = np.zeros(nbytes * p, dtype=np.uint8) if rank == root else None
-        rt.scatter(send, nbytes, datatypes.BYTE,
-                   np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE, root=root)
-    elif collective == "allgather":
-        rt.allgather(np.zeros(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE,
-                     np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE)
-    elif collective == "alltoall":
-        rt.alltoall(np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE,
-                    np.zeros(nbytes * p, dtype=np.uint8), nbytes, datatypes.BYTE)
-    else:  # pragma: no cover - a new collective needs a case here
-        raise KeyError(collective)
+def _call(rt, collective: str, nonblocking: bool, *args) -> None:
+    if nonblocking:
+        rt.wait(getattr(rt, "i" + collective)(*args))
+    else:
+        getattr(rt, collective)(*args)
 
 
-def _measure(collective: str, algorithm: str, nranks: int, nbytes: int, root: int) -> dict:
+def _measure(collective: str, algorithm: str, nranks: int, nbytes: int, root: int,
+             nonblocking: bool) -> dict:
     # Four ranks per node: both rank counts span two nodes, so intra- and
     # inter-node links are both on the pinned paths.
     cluster = Cluster(supermuc_ng(), nranks, 4)
@@ -84,7 +61,9 @@ def _measure(collective: str, algorithm: str, nranks: int, nbytes: int, root: in
             rt = MPIRuntime(world, ctx)
             rt.init()
             for _ in range(CALLS):
-                _call(rt, collective, nbytes, root, nranks, ctx.rank)
+                # The same bytes per rank for every collective: nbytes // 8 MPI_LONGs.
+                args, _out = collective_args(collective, ctx.rank, nranks, root, nbytes // 8)
+                _call(rt, collective, nonblocking, *args)
             rt.finalize()
 
         return rank_main
@@ -102,7 +81,9 @@ def _points(collective: str, algorithm: str) -> dict:
                 key = f"{collective}:{algorithm}/np{nranks}/{nbytes}B"
                 if collective in ROOTED:
                     key += f"/root{root}"
-                out[key] = _measure(collective, algorithm, nranks, nbytes, root)
+                out[key] = _measure(collective, algorithm, nranks, nbytes, root, False)
+                # The same point as post + ``wait`` through the progress engine.
+                out[key + "/nb"] = _measure(collective, algorithm, nranks, nbytes, root, True)
     return out
 
 

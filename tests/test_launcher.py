@@ -119,6 +119,24 @@ def test_launcher_cli_runs_and_returns_max_exit_code(capsys):
     assert "mode=native" in capsys.readouterr().out
 
 
+def test_launcher_flags_do_not_shadow_the_resolved_configuration(monkeypatch, capsys):
+    """``-np``/``--machine``/``--backend`` have no values of their own: when
+    not given, ``REPRO_*`` (and the config file) decide; when given, they win."""
+    from repro.core.launcher import main
+
+    monkeypatch.setenv("REPRO_MACHINE", "graviton2")
+    monkeypatch.setenv("REPRO_NRANKS", "3")
+    assert main(["pingpong", "-np", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "machine=graviton2" in out and "ranks=2" in out
+    assert main(["allreduce", "--machine", "supermuc-ng", "--native"]) == 0
+    out = capsys.readouterr().out
+    assert "machine=supermuc-ng" in out and "ranks=3" in out
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "(default: graviton2)" in capsys.readouterr().out
+
+
 def test_campaign_turns_rank_failure_into_error_record():
     """The campaign runner's contract for the same failure: a structured
     error record, not an exception (and not a dead campaign)."""

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi import datatypes, ops
+from repro.mpi.algorithms.registry import COLLECTIVES
 from repro.mpi.errors import (
     MPI_ERR_BUFFER,
+    MPI_ERR_COUNT,
     MPI_ERR_TRUNCATE,
+    InvalidCountError,
     InvalidRootError,
     MPIError,
     TruncationError,
 )
-from tests.conftest import run_mpi_program
+from repro.mpi.runtime import MPIRuntime
+from tests.conftest import collective_args, collective_expected, run_mpi_program
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 4, 5])
@@ -196,6 +202,69 @@ def test_root_count_mismatch_raises_truncate_up_front(collective):
         assert results == [[1] * 8 + [2] * 8, None]
     else:
         assert results == [list(range(8)), list(range(8, 16))]
+
+
+@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
+@pytest.mark.parametrize("defect", ["short_recvbuf", "negative_count"])
+@pytest.mark.parametrize("collective", [c for c in COLLECTIVES if c != "barrier"])
+def test_bad_call_is_rejected_before_anything_is_spent(collective, defect, nonblocking):
+    """A receive buffer one element short, or a negative count, on one rank:
+    ``MPI_ERR_COUNT`` from ``MPI_<C>`` and ``MPI_I<c>`` alike, raised before
+    the algorithm is counted, a sequence number spent or a message posted --
+    so the same collective, called correctly afterwards, completes."""
+    nranks = 3
+    method = ("i" if nonblocking else "") + collective
+    names = list(inspect.signature(getattr(MPIRuntime, method)).parameters)[1:]
+
+    def spent(rt):
+        counters = rt.world.metrics.counters()
+        return dict(rt._coll_seq), {k: v for k, v in counters.items() if k.startswith("mpi.coll.")}
+
+    def program(rt, ctx):
+        call = getattr(rt, method)
+        if ctx.rank == 0:
+            args, out = collective_args(collective, 0, nranks)
+            bad = dict(zip(names, args))
+            if defect == "short_recvbuf":
+                bad["buf" if collective == "bcast" else "recvbuf"] = out[:-1]
+            else:
+                bad.update({name: -1 for name in bad if name.endswith("count")})
+            before = spent(rt)
+            with pytest.raises(InvalidCountError) as err:
+                call(**bad)
+            assert err.value.code == MPI_ERR_COUNT
+            assert spent(rt) == before
+        args, out = collective_args(collective, ctx.rank, nranks)
+        request = call(*args)
+        if nonblocking:
+            rt.wait(request)
+        return None if out is None else out.tolist()
+
+    assert run_mpi_program(program, nranks) == [
+        collective_expected(collective, rank, nranks) for rank in range(nranks)
+    ]
+
+
+def test_guest_negative_count_returns_err_count():
+    """Through the guest ABI a negative count is an error code -- checked
+    before any guest pointer is translated, so not an out-of-bounds trap --
+    and the next call succeeds."""
+    from repro.api import Session
+    from repro.toolchain import mpi_header as abi
+    from repro.toolchain.guest import GuestProgram
+
+    def main(api, args):
+        api.mpi_init()
+        send_ptr, _send = api.alloc_array(4, abi.MPI_DOUBLE, fill=float(api.rank() + 1))
+        recv_ptr, recv = api.alloc_array(4, abi.MPI_DOUBLE, fill=0)
+        codes = [api.allreduce(send_ptr, recv_ptr, count, abi.MPI_DOUBLE, abi.MPI_SUM)
+                 for count in (-1, 4)]
+        api.mpi_finalize()
+        return (codes, recv.tolist())
+
+    with Session(machine="graviton2") as session:
+        job = session.run(GuestProgram(name="allreduce-negative-count", main=main), 2)
+    assert job.return_values() == [([MPI_ERR_COUNT, abi.MPI_SUCCESS], [3.0] * 4)] * 2
 
 
 def test_guest_scatter_with_null_root_buffer_returns_err_buffer():

@@ -1,5 +1,5 @@
-"""Tests for the non-blocking collectives (``MPI_Ibarrier`` .. ``MPI_Ialltoall``)
-at the host-runtime level and through the full guest ABI."""
+"""Tests for the non-blocking collectives (``MPI_I<c>`` of all eight
+collectives) at the host-runtime level and through the full guest ABI."""
 
 from __future__ import annotations
 
@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 from repro.mpi import datatypes, ops
-from repro.mpi.algorithms import schedule as schedules
+from repro.mpi.algorithms import registry
 from repro.toolchain import mpi_header as abi
 from repro.toolchain.guest import GuestProgram
-from tests.conftest import run_mpi_program
+from tests.conftest import collective_args, collective_expected, run_mpi_program
+
+ALL_POINTS = [
+    (collective, algorithm)
+    for collective, algorithms in sorted(registry.catalog().items())
+    for algorithm in algorithms
+]
 
 
 # ------------------------------------------------------------- runtime level
@@ -128,25 +134,40 @@ def test_nbc_forced_algorithm_runs_as_named():
         assert set(algos) == {"mpi.coll.allreduce.algo.reduce_bcast"}
 
 
-def test_every_nbc_collective_has_builders_for_table_defaults():
-    """Every algorithm the default decision table can pick for an NBC-capable
-    collective is a registered schedule builder."""
-    from repro.mpi.algorithms.decision import DEFAULT_RULES
+@pytest.mark.parametrize("nranks", [5, 8])
+@pytest.mark.parametrize("collective,algorithm", ALL_POINTS,
+                         ids=[f"{c}:{a}" for c, a in ALL_POINTS])
+def test_nonblocking_leaves_the_same_bytes_as_blocking(collective, algorithm, nranks):
+    """The result oracle, for every registered algorithm of every collective:
+    ``MPI_I<c>`` + ``wait`` leaves the bytes in the caller's buffers that
+    ``MPI_<C>`` does, and both run the forced algorithm as named."""
+    root = nranks - 2
 
-    for collective in ("barrier", "bcast", "allreduce", "allgather", "alltoall"):
-        for rule in DEFAULT_RULES[collective]:
-            assert schedules.has_builder(collective, rule.algorithm), (
-                f"decision table can pick {collective}/{rule.algorithm}, "
-                "which has no schedule builder"
-            )
+    def program(rt, ctx):
+        rt.world.collectives.force(collective, algorithm)
+        results = []
+        for method in (collective, "i" + collective):
+            args, out = collective_args(collective, ctx.rank, nranks, root)
+            request = getattr(rt, method)(*args)
+            if request is not None:
+                rt.wait(request)
+            results.append(None if out is None else out.tolist())
+        ran = {k for k in rt.world.metrics.counters()
+               if k.startswith(f"mpi.coll.{collective}.algo.")}
+        return (results, ran)
+
+    for rank, ((blocking, nonblocking), ran) in enumerate(run_mpi_program(program, nranks)):
+        assert nonblocking == blocking == collective_expected(collective, rank, nranks, root)
+        assert ran == {f"mpi.coll.{collective}.algo.{algorithm}"}
 
 
 # ----------------------------------------------------------------- guest ABI
 
 
 def test_guest_nbc_end_to_end():
-    """Drive all five non-blocking collectives through the full Wasm import
-    path, overlapping compute, and verify payloads bit-for-bit."""
+    """Drive all eight non-blocking collectives through the guest API -- the
+    full Wasm import path, and the native baseline -- overlapping compute,
+    and verify payloads bit-for-bit."""
     from repro.api import run
 
     def main(api, args):
@@ -165,25 +186,41 @@ def test_guest_nbc_end_to_end():
         a2a[:] = [rank * 100 + dst for dst in range(p)]
         a2rp, a2ra = api.alloc_array(p, abi.MPI_INT, fill=0)
         r_a2 = api.ialltoall(a2p, 1, abi.MPI_INT, a2rp, 1, abi.MPI_INT)
-        api.compute(1e-4)  # overlapped work while all four progress
-        for handle in (r_all, r_bc, r_ag, r_a2):
+        # The rooted three: non-roots pass NULL for the buffer only root 2 uses.
+        rdp, rda = api.alloc_array(8, abi.MPI_DOUBLE, fill=0)
+        r_rd = api.ireduce(sp, rdp if rank == 2 else 0, 8, abi.MPI_DOUBLE, abi.MPI_SUM, 2)
+        grp, gra = api.alloc_array(4 * p, abi.MPI_INT, fill=0)
+        r_ga = api.igather(gp, 4, abi.MPI_INT, grp if rank == 2 else 0, 4, abi.MPI_INT, 2)
+        scp, sca = api.alloc_array(p, abi.MPI_INT)
+        sca[:] = [7 * dst for dst in range(p)]
+        scrp, scra = api.alloc_array(1, abi.MPI_INT, fill=-1)
+        r_sc = api.iscatter(scp if rank == 2 else 0, 1, abi.MPI_INT, scrp, 1, abi.MPI_INT, 2)
+        api.compute(1e-4)  # overlapped work while all seven progress
+        for handle in (r_all, r_bc, r_ag, r_a2, r_rd, r_ga, r_sc):
             api.wait(handle)
         r_bar = api.ibarrier()
         flag, _ = api.test(r_bar)
         while not flag:
             flag, _ = api.test(r_bar)
         api.mpi_finalize()
-        return (ra.tolist(), ba.tolist(), aga.tolist(), a2ra.tolist())
+        return (ra.tolist(), ba.tolist(), aga.tolist(), a2ra.tolist(),
+                rda.tolist(), gra.tolist(), scra.tolist())
 
-    job = run(GuestProgram(name="nbc-guest", main=main), 4, machine="graviton2")
-    for rank, (allred, bc, ag, a2) in enumerate(job.return_values()):
-        assert allred == [float(sum(range(1, 5)))] * 8
-        assert bc == [1] * 16
-        assert ag == [src + 1 for src in range(4) for _ in range(4)]
-        assert a2 == [src * 100 + rank for src in range(4)]
-    counts = job.rank_results[0].call_counts
-    for name in ("MPI_Ibarrier", "MPI_Ibcast", "MPI_Iallreduce", "MPI_Iallgather", "MPI_Ialltoall"):
-        assert counts[name] == 1, (name, counts)
+    for mode in ("wasm", "native"):
+        job = run(GuestProgram(name="nbc-guest", main=main), 4, machine="graviton2", mode=mode)
+        for rank, (allred, bc, ag, a2, red, gat, sca) in enumerate(job.return_values()):
+            assert allred == [float(sum(range(1, 5)))] * 8
+            assert bc == [1] * 16
+            assert ag == [src + 1 for src in range(4) for _ in range(4)]
+            assert a2 == [src * 100 + rank for src in range(4)]
+            assert red == ([float(sum(range(1, 5)))] * 8 if rank == 2 else [0.0] * 8)
+            assert gat == ([src + 1 for src in range(4) for _ in range(4)] if rank == 2
+                           else [0] * 16)
+            assert sca == [7 * rank]
+        if mode == "wasm":
+            counts = job.rank_results[0].call_counts
+            for collective in registry.COLLECTIVES:
+                assert counts[f"MPI_I{collective}"] == 1, (collective, counts)
 
 
 def test_guest_memory_can_grow_while_nbc_outstanding():
@@ -217,15 +254,6 @@ def test_guest_memory_can_grow_while_nbc_outstanding():
     for grown_from, allred in job.return_values():
         assert grown_from > 0  # grow succeeded and returned the old page count
         assert allred == [float(sum(range(1, 4)))] * 8
-
-
-def test_header_declares_nbc_functions():
-    source = abi.header_source()
-    for name in ("MPI_Ibarrier", "MPI_Ibcast", "MPI_Iallreduce", "MPI_Iallgather", "MPI_Ialltoall"):
-        assert name in source
-    assert abi.MPI_SIGNATURES["MPI_Ibarrier"] == (["i32", "i32"], ["i32"])
-    assert abi.MPI_SIGNATURES["MPI_Iallreduce"] == (["i32"] * 7, ["i32"])
-    assert abi.MPI_SIGNATURES["MPI_Iallgather"] == (["i32"] * 8, ["i32"])
 
 
 def test_nbc_campaign_spec_matches_example_and_expands():
