@@ -16,8 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mpi import datatypes as host_datatypes
-from repro.mpi import ops as host_ops
 from repro.mpi.algorithms.registry import CONTRACTS
 from repro.mpi.communicator import Communicator
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG
@@ -37,11 +35,11 @@ _NP_DTYPES: Dict[int, str] = {
 
 
 def _host_datatype(guest_handle: int):
-    return host_datatypes.by_name(abi.GUEST_DATATYPE_NAMES[guest_handle])
+    return abi.HOST_DATATYPES[guest_handle]
 
 
 def _host_op(guest_handle: int):
-    return host_ops.by_name(abi.GUEST_OP_NAMES[guest_handle])
+    return abi.HOST_OPS[guest_handle]
 
 
 def _entry_points(collective: str, define):

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.config import TranslationOverheadModel
 from repro.mpi import datatypes as host_datatypes
-from repro.mpi import ops as host_ops
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
 from repro.sim.metrics import MetricsRegistry
@@ -46,17 +45,17 @@ class DatatypeTranslator:
 
     def datatype(self, guest_handle: int) -> Datatype:
         """Host datatype for a guest handle."""
-        name = abi.GUEST_DATATYPE_NAMES.get(guest_handle)
-        if name is None:
+        datatype = abi.HOST_DATATYPES.get(guest_handle)
+        if datatype is None:
             raise DatatypeTranslationError(f"unknown guest datatype handle {guest_handle}")
-        return host_datatypes.by_name(name)
+        return datatype
 
     def op(self, guest_handle: int) -> Op:
         """Host reduction op for a guest handle."""
-        name = abi.GUEST_OP_NAMES.get(guest_handle)
-        if name is None:
+        op = abi.HOST_OPS.get(guest_handle)
+        if op is None:
             raise DatatypeTranslationError(f"unknown guest op handle {guest_handle}")
-        return host_ops.by_name(name)
+        return op
 
     def guest_handle_for(self, datatype: Datatype) -> int:
         """Inverse translation (host datatype -> guest handle)."""

@@ -11,10 +11,13 @@ environment, and the instrumentation that the datatype-translation experiment
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.config import EmbedderConfig, TranslationOverheadModel
 from repro.mpi.communicator import Communicator
+from repro.mpi.datatypes import Datatype
+from repro.mpi.errors import InvalidCommunicatorError, InvalidDatatypeError, InvalidOpError
+from repro.mpi.ops import Op
 from repro.mpi.runtime import MPIRuntime
 from repro.mpi.status import Request
 from repro.sim.metrics import MetricsRegistry
@@ -71,6 +74,10 @@ class Env:
     #: Number of MPI calls the module has made (per function name).
     call_counts: Dict[str, int] = field(default_factory=dict)
     finalized: bool = False
+    #: (import name, datatype name, datatype args) -> the ``add`` of each
+    #: metric series :meth:`charge_overhead` records into, resolved on first use.
+    _overhead_sinks: Dict[Tuple[str, str, int], Tuple[Callable[[float], None], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     HOST_STATE_KEY = "mpiwasm.env"
 
@@ -82,29 +89,29 @@ class Env:
             return self.runtime.comm_world
         if guest_handle == abi.MPI_COMM_SELF:
             return self.runtime.comm_self
-        return self.comms.lookup(guest_handle)  # raises KeyError for bad handles
+        try:
+            return self.comms.lookup(guest_handle)
+        except KeyError:
+            raise InvalidCommunicatorError(
+                f"unknown guest communicator handle {guest_handle}") from None
 
     def register_comm(self, comm: Communicator) -> int:
         """Store a newly created communicator; returns its guest handle."""
         return self.comms.register(comm)
 
-    def resolve_datatype(self, guest_handle: int):
+    def resolve_datatype(self, guest_handle: int) -> Datatype:
         """Translate a guest datatype handle into the host datatype object."""
-        from repro.mpi import datatypes as host_datatypes
+        datatype = abi.HOST_DATATYPES.get(guest_handle)
+        if datatype is None:
+            raise InvalidDatatypeError(f"unknown guest datatype handle {guest_handle}")
+        return datatype
 
-        name = abi.GUEST_DATATYPE_NAMES.get(guest_handle)
-        if name is None:
-            raise KeyError(f"unknown guest datatype handle {guest_handle}")
-        return host_datatypes.by_name(name)
-
-    def resolve_op(self, guest_handle: int):
+    def resolve_op(self, guest_handle: int) -> Op:
         """Translate a guest reduction-op handle into the host op object."""
-        from repro.mpi import ops as host_ops
-
-        name = abi.GUEST_OP_NAMES.get(guest_handle)
-        if name is None:
-            raise KeyError(f"unknown guest op handle {guest_handle}")
-        return host_ops.by_name(name)
+        op = abi.HOST_OPS.get(guest_handle)
+        if op is None:
+            raise InvalidOpError(f"unknown guest op handle {guest_handle}")
+        return op
 
     # -------------------------------------------------------------- accounting
 
@@ -122,9 +129,19 @@ class Env:
         overheads: TranslationOverheadModel = self.config.overheads
         cost = overheads.call_cost(n_datatype_args, datatype_name, message_bytes)
         self.runtime.ctx.advance(cost)
+        key = (name, datatype_name, n_datatype_args)
+        sinks = self._overhead_sinks.get(key)
+        if sinks is None:
+            # Series are created in the order they are first recorded into,
+            # which is the order a snapshot lists them in.
+            names = ((f"embedder.translation.{datatype_name}", "embedder.translation.all")
+                     if n_datatype_args else ())
+            sinks = self._overhead_sinks[key] = tuple(
+                self.metrics.series(series).add
+                for series in (*names, f"embedder.call_overhead.{name}"))
         if n_datatype_args:
             per_type = overheads.datatype_cost(datatype_name, message_bytes)
-            self.metrics.record(f"embedder.translation.{datatype_name}", per_type)
-            self.metrics.record("embedder.translation.all", per_type)
-        self.metrics.record(f"embedder.call_overhead.{name}", cost)
+            sinks[0](per_type)
+            sinks[1](per_type)
+        sinks[-1](cost)
         return cost

@@ -15,7 +15,7 @@ numbers (and hence the tags) agree across ranks without negotiation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -41,58 +41,64 @@ def coll_tag(kind: int, seq: int) -> int:
 
 
 class CollectiveContext:
-    """Bundle of callables the collectives need from the per-rank runtime.
+    """What a schedule executor needs from the per-rank runtime, for one
+    communicator.  The runtime binds one per communicator, on its first
+    collective, and reuses it for every later one.
 
-    ``send(dst_local, tag, data)`` and ``recv(src_local, tag, nbytes) -> bytes``
-    operate on *communicator-local* ranks; the runtime translates to world
-    ranks and forwards to the matching engine.  ``send`` posts without
-    blocking (the matching engine buffers), which lets a schedule post a fan
-    of sends before draining receives.  ``compute(seconds)`` charges local
-    computation time (used for the combine step of reductions).
+    Peers are *communicator-local* ranks; the runtime translates them to
+    world ranks and forwards to the matching engine.  A payload is copied
+    once per hop each way: into the message when it is sent, and out of the
+    message straight into the schedule buffer when it is delivered.
 
-    The remaining callables are optional and only supplied by the per-rank
-    runtime (the incremental schedule executor behind the non-blocking
-    collectives needs them; blocking execution works without them):
-
-    * ``probe(src_local, tag) -> bool`` -- whether a matching message is
-      already buffered, without consuming it;
-    * ``recv_nb(src_local, tag, nbytes) -> Optional[(bytes, arrival)]`` --
-      consume a buffered match charging only CPU overhead, reporting the
-      virtual time the payload actually finishes arriving (``None`` when
-      nothing is buffered).  Separating consumption from the arrival time is
-      what lets transfers overlap caller compute;
+    * ``send(dst, tag, data)`` posts ``data`` (bytes, or a view of a schedule
+      buffer: the message takes its own copy) without blocking -- the
+      matching engine buffers, which lets a schedule post a fan of sends
+      before draining receives;
+    * ``recv(src, tag, view)`` blocks until a matching message is consumed
+      and writes its payload straight into ``view``, the destination slice
+      of the schedule buffer (``None`` for a zero-byte token).  It returns
+      nothing; a message longer than ``view`` raises ``TruncationError``;
+    * ``recv_nb(src, tag, view) -> Optional[float]`` -- the same delivery
+      without waiting for the payload to arrive: consumes a buffered match
+      into ``view`` charging only CPU overhead and returns the virtual time
+      the payload finishes arriving (``None``, with ``view`` untouched, when
+      nothing is buffered).  Separating consumption from arrival is what lets
+      transfers overlap caller compute;
+    * ``compute(seconds)`` charges local computation (the combine step of
+      reductions);
     * ``now() -> float`` / ``advance_to(t)`` -- the rank's virtual clock,
       used to enforce data dependencies (a step that reads received data
       cannot execute before that data has arrived).
+
+    ``world_rank`` is this rank in ``COMM_WORLD`` (trace attribution).
     """
+
+    __slots__ = ("rank", "size", "world_rank", "send", "recv", "recv_nb", "compute",
+                 "now", "advance_to", "reduce_compute_per_byte")
 
     def __init__(
         self,
         rank: int,
         size: int,
-        send: Callable[[int, int, bytes], None],
-        recv: Callable[[int, int, int], bytes],
+        world_rank: int,
+        send: Callable[[int, int, Union[bytes, memoryview]], None],
+        recv: Callable[[int, int, Optional[memoryview]], None],
+        recv_nb: Callable[[int, int, Optional[memoryview]], Optional[float]],
         compute: Callable[[float], None],
-        reduce_compute_per_byte: float = 0.04e-9,
-        probe: Optional[Callable[[int, int], bool]] = None,
-        recv_nb: Optional[Callable[[int, int, int], Optional[tuple]]] = None,
-        now: Optional[Callable[[], float]] = None,
-        advance_to: Optional[Callable[[float], None]] = None,
-        world_rank: Optional[int] = None,
+        now: Callable[[], float],
+        advance_to: Callable[[float], None],
+        reduce_compute_per_byte: float,
     ):
         self.rank = rank
         self.size = size
+        self.world_rank = world_rank
         self.send = send
         self.recv = recv
-        self.compute = compute
-        self.reduce_compute_per_byte = reduce_compute_per_byte
-        self.probe = probe
         self.recv_nb = recv_nb
+        self.compute = compute
         self.now = now
         self.advance_to = advance_to
-        # COMM_WORLD rank for trace attribution (per-rank timeline lanes);
-        # falls back to the communicator-local rank when not supplied.
-        self.world_rank = world_rank
+        self.reduce_compute_per_byte = reduce_compute_per_byte
 
 
 def combine_segment(cc: CollectiveContext, op: Op, acc, contribution,

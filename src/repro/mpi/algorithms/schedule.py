@@ -308,47 +308,38 @@ class ScheduleExecutor:
 
         Stops (returning ``False``) at the first :class:`RecvStep` whose
         message is not already buffered; returns ``True`` once every step has
-        executed.  Receives go through the context's ``recv_nb`` when
-        available, so the rank is charged CPU overhead only and the payload's
-        arrival accumulates into :attr:`data_time` instead of stalling the
-        clock (falls back to probe-then-blocking-recv without it).
+        executed.  Receives go through the context's ``recv_nb``, so the rank
+        is charged CPU overhead only and the payload's arrival accumulates
+        into :attr:`data_time` instead of stalling the clock.
         """
         while not self.done:
             step = self._steps[self._pc]
             if isinstance(step, RecvStep):
-                if self._cc.recv_nb is not None:
-                    result = self._cc.recv_nb(step.peer, step.tag, step.nbytes)
-                    if result is None:
-                        return False
-                    data, arrival = result
-                    self.data_time = max(self.data_time, arrival)
-                    if step.buf is not None:
-                        self._buffer_ready[step.buf] = max(
-                            self._buffer_ready.get(step.buf, 0.0), arrival
-                        )
-                        if step.nbytes > 0:
-                            self._views[step.buf][step.lo : step.lo + step.nbytes] = data
-                    self._pc += 1
-                    if _inject.ARMED or _checkpoint.CAPTURE is not None:
-                        self._notify_round()
-                    if _trace.ENABLED:
-                        self._trace_step("sched.nbc_step", step)
-                    continue
-                if self._cc.probe is None or not self._cc.probe(step.peer, step.tag):
+                arrival = self._cc.recv_nb(step.peer, step.tag, self._target(step))
+                if arrival is None:
                     return False
-            else:
-                # Data/round dependency: a send or reduction may read payload
-                # consumed by an earlier non-blocking receive, and a new round
-                # may only start once earlier rounds' payload has arrived.  If
-                # that arrival is still ahead of this rank's virtual time,
-                # stall instead of advancing the clock, so the gap stays
-                # available for caller compute.
-                needed = self._step_ready_time(self._pc)
-                if needed > 0:
-                    if self._cc.now is not None and self._cc.now() < needed:
-                        return False
-                    if self._cc.advance_to is not None:
-                        self._cc.advance_to(needed)
+                self.data_time = max(self.data_time, arrival)
+                if step.buf is not None:
+                    self._buffer_ready[step.buf] = max(
+                        self._buffer_ready.get(step.buf, 0.0), arrival
+                    )
+                self._pc += 1
+                if _inject.ARMED or _checkpoint.CAPTURE is not None:
+                    self._notify_round()
+                if _trace.ENABLED:
+                    self._trace_step("sched.nbc_step", step)
+                continue
+            # Data/round dependency: a send or reduction may read payload
+            # consumed by an earlier non-blocking receive, and a new round
+            # may only start once earlier rounds' payload has arrived.  If
+            # that arrival is still ahead of this rank's virtual time, stall
+            # instead of advancing the clock, so the gap stays available for
+            # caller compute.
+            needed = self._step_ready_time(self._pc)
+            if needed > 0:
+                if self._cc.now() < needed:
+                    return False
+                self._cc.advance_to(needed)
             self._execute(step)
             self._pc += 1
             if _inject.ARMED or _checkpoint.CAPTURE is not None:
@@ -395,19 +386,18 @@ class ScheduleExecutor:
         if self.done:
             return self.data_time
         needed = self._step_ready_time(self._pc)
-        if needed > 0 and self._cc.now is not None and self._cc.now() < needed:
+        if needed > 0 and self._cc.now() < needed:
             return needed
         return None
 
     # ---------------------------------------------------------------- tracing
 
     def _trace_tid(self) -> int:
-        """Per-rank trace stream: the COMM_WORLD rank when known."""
-        cc = self._cc
-        return cc.world_rank if cc.world_rank is not None else cc.rank
+        """Per-rank trace stream: the COMM_WORLD rank."""
+        return self._cc.world_rank
 
     def _trace_now(self) -> float:
-        return self._cc.now() if self._cc.now is not None else 0.0
+        return self._cc.now()
 
     def _trace_step(self, name: str, step: Optional[Step]) -> None:
         """Instant event for one executed step (callers guard on the flag)."""
@@ -482,6 +472,13 @@ class ScheduleExecutor:
             if self._on_complete is not None:
                 self._on_complete(self.buffers)
 
+    def _target(self, step: Union[SendStep, RecvStep]) -> Optional[memoryview]:
+        """The slice of its buffer a send reads or a receive fills (``None``
+        for a zero-byte token)."""
+        if step.buf is None:
+            return None
+        return self._views[step.buf][step.lo : step.lo + step.nbytes]
+
     def _execute(self, step: Step) -> None:
         """Perform one step.  Ready times are the incremental loop's concern
         (:meth:`try_progress`): blocking receives advance the clock to the
@@ -489,19 +486,15 @@ class ScheduleExecutor:
         time is 0 and nothing needs computing.
 
         Payload moves through the buffers' memoryviews, so a slice is copied
-        once (into the outgoing message, or into the destination buffer).
+        once: a send hands the context a view (the message takes its own
+        copy), a receive hands it the destination view (the message is
+        written straight into it).
         """
         views = self._views
         if isinstance(step, SendStep):
-            if step.buf is None or step.nbytes == 0:
-                data = b""
-            else:
-                data = views[step.buf][step.lo : step.lo + step.nbytes].tobytes()
-            self._cc.send(step.peer, step.tag, data)
+            self._cc.send(step.peer, step.tag, self._target(step) or b"")
         elif isinstance(step, RecvStep):
-            data = self._cc.recv(step.peer, step.tag, step.nbytes)
-            if step.buf is not None and step.nbytes > 0:
-                views[step.buf][step.lo : step.lo + step.nbytes] = data
+            self._cc.recv(step.peer, step.tag, self._target(step))
         elif isinstance(step, CopyStep):
             if step.nbytes > 0:
                 views[step.dst][step.dlo : step.dlo + step.nbytes] = views[step.src][

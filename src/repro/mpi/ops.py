@@ -8,7 +8,7 @@ guest side plain integers translated by the embedder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -24,14 +24,16 @@ class Op:
     name:
         MPI name, e.g. ``"MPI_SUM"``.
     fn:
-        Element-wise combine: ``fn(accumulator, contribution) -> combined``.
-        Both arguments are NumPy arrays of the same dtype and shape.
+        Element-wise combine, a binary NumPy ufunc:
+        ``fn(accumulator, contribution) -> combined``.  Both arguments are
+        NumPy arrays of the same dtype and shape; :meth:`reduce_bytes`
+        applies it in place (``out=`` the accumulator).
     commutative:
         Whether the operation is commutative (all predefined ops are).
     """
 
     name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn: np.ufunc
     commutative: bool = True
 
     def apply(self, acc: np.ndarray, contribution: np.ndarray) -> np.ndarray:
@@ -43,29 +45,31 @@ class Op:
 
         This is the path the matching engine and collectives use: buffers are
         raw bytes (possibly views into a Wasm module's linear memory), and the
-        datatype provides the element interpretation.
+        datatype provides the element interpretation.  ``acc`` must be
+        writable; it is combined through a NumPy view of its own bytes, so a
+        ufunc op allocates no temporary.
         """
         dt = datatype.numpy()
         nbytes = count * datatype.size
-        a = np.frombuffer(memoryview(acc)[:nbytes], dtype=dt).copy()
+        a = np.frombuffer(memoryview(acc)[:nbytes], dtype=dt)
         b = np.frombuffer(memoryview(contribution)[:nbytes], dtype=dt)
-        result = self.fn(a, b)
-        memoryview(acc)[:nbytes] = result.astype(dt, copy=False).tobytes()
+        self.fn(a, b, out=a)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Op({self.name})"
 
 
-SUM = Op("MPI_SUM", lambda a, b: a + b)
-PROD = Op("MPI_PROD", lambda a, b: a * b)
+SUM = Op("MPI_SUM", np.add)
+PROD = Op("MPI_PROD", np.multiply)
 MAX = Op("MPI_MAX", np.maximum)
 MIN = Op("MPI_MIN", np.minimum)
-LAND = Op("MPI_LAND", lambda a, b: ((a != 0) & (b != 0)).astype(a.dtype))
-LOR = Op("MPI_LOR", lambda a, b: ((a != 0) | (b != 0)).astype(a.dtype))
-LXOR = Op("MPI_LXOR", lambda a, b: ((a != 0) ^ (b != 0)).astype(a.dtype))
-BAND = Op("MPI_BAND", lambda a, b: a & b)
-BOR = Op("MPI_BOR", lambda a, b: a | b)
-BXOR = Op("MPI_BXOR", lambda a, b: a ^ b)
+# The logical ops yield booleans; ``out=`` casts them to the datatype's 0/1.
+LAND = Op("MPI_LAND", np.logical_and)
+LOR = Op("MPI_LOR", np.logical_or)
+LXOR = Op("MPI_LXOR", np.logical_xor)
+BAND = Op("MPI_BAND", np.bitwise_and)
+BOR = Op("MPI_BOR", np.bitwise_or)
+BXOR = Op("MPI_BXOR", np.bitwise_xor)
 
 PREDEFINED: Dict[str, Op] = {
     op.name: op

@@ -20,7 +20,7 @@ and test validates actual payloads, not just timings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.fault import inject as _inject
@@ -36,20 +36,27 @@ ANY_TAG = -1
 PROC_NULL = -2
 
 
-@dataclass
 class Message:
-    """An in-flight (or buffered) point-to-point message."""
+    """An in-flight (or buffered) point-to-point message.
 
-    msg_id: int
-    src_world: int
-    dst_world: int
-    context_id: int
-    tag: int
-    data: bytes
-    send_time: float
-    rendezvous: bool = False
-    consumed: bool = False
-    consumed_time: float = 0.0
+    A slotted record built positionally: one is created per message sent.
+    """
+
+    __slots__ = ("msg_id", "src_world", "dst_world", "context_id", "tag", "data",
+                 "send_time", "rendezvous", "consumed", "consumed_time")
+
+    def __init__(self, msg_id: int, src_world: int, dst_world: int, context_id: int,
+                 tag: int, data: bytes, send_time: float, rendezvous: bool):
+        self.msg_id = msg_id
+        self.src_world = src_world
+        self.dst_world = dst_world
+        self.context_id = context_id
+        self.tag = tag
+        self.data = data
+        self.send_time = send_time
+        self.rendezvous = rendezvous
+        self.consumed = False
+        self.consumed_time = 0.0
 
 
 @dataclass
@@ -91,9 +98,6 @@ class MatchingEngine:
 
     # ------------------------------------------------------------------ helpers
 
-    def _queue(self, dst_world: int, context_id: int) -> List[Message]:
-        return self._queues.setdefault((dst_world, context_id), [])
-
     @staticmethod
     def _matches(msg: Message, src: int, tag: int) -> bool:
         if src != ANY_SOURCE and msg.src_world != src:
@@ -105,7 +109,8 @@ class MatchingEngine:
     def _find_match(
         self, dst_world: int, context_id: int, src: int, tag: int
     ) -> Optional[Message]:
-        for msg in self._queue(dst_world, context_id):
+        # ``get``, not ``setdefault``: a probe must not create an empty queue.
+        for msg in self._queues.get((dst_world, context_id), ()):
             if self._matches(msg, src, tag):
                 return msg
         return None
@@ -140,16 +145,12 @@ class MatchingEngine:
         """
         nbytes = len(data)
         transport = self.cluster.transport(src_world, dst_world)
-        ctx.advance(transport.send_overhead(nbytes) + extra_overhead)
+        # ``bytes(data)`` is the message's own copy of the payload -- the one
+        # copy an injection makes (``data`` may be a view of the sender's buffer).
         msg = Message(
-            msg_id=next(self._msg_counter),
-            src_world=src_world,
-            dst_world=dst_world,
-            context_id=context_id,
-            tag=tag,
-            data=bytes(data),
-            send_time=ctx.now,
-            rendezvous=transport.is_rendezvous(nbytes),
+            next(self._msg_counter), src_world, dst_world, context_id, tag, bytes(data),
+            ctx.advance(transport.send_overhead(nbytes) + extra_overhead),
+            transport.is_rendezvous(nbytes),
         )
         if _inject.ARMED:
             verdict, payload, extra_delay = _inject.ACTIVE.on_message(
@@ -167,7 +168,7 @@ class MatchingEngine:
             # Delaying the injection instant shifts the arrival by the same
             # amount everywhere it is derived (wake targets and consumption).
             msg.send_time += extra_delay
-        self._queue(dst_world, context_id).append(msg)
+        self._queues.setdefault((dst_world, context_id), []).append(msg)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if _trace.ENABLED:
@@ -268,15 +269,9 @@ class MatchingEngine:
                 if not registered:
                     self._waiting.pop(dst_world, None)
             msg = self._find_match(dst_world, context_id, src, tag)
-        self._queue(dst_world, context_id).remove(msg)
-
-        nbytes = len(msg.data)
-        if nbytes > max_bytes:
-            raise TruncationError(
-                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
-            )
-        ctx.advance_to(self._consume(ctx, msg, buffer, extra_overhead=extra_overhead))
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=nbytes)
+        self._queues[(dst_world, context_id)].remove(msg)
+        ctx.advance_to(self._consume(ctx, msg, buffer, max_bytes, extra_overhead))
+        return Status(source=msg.src_world, tag=msg.tag, count_bytes=len(msg.data))
 
     def consume_nowait(
         self,
@@ -305,37 +300,40 @@ class MatchingEngine:
                 "pt2pt.match", dst_world, ctx.now,
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": len(msg.data)},
             )
-        self._queue(dst_world, context_id).remove(msg)
-        nbytes = len(msg.data)
-        if nbytes > max_bytes:
-            raise TruncationError(
-                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
-            )
-        arrival = self._consume(ctx, msg, buffer)
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=nbytes), arrival
+        self._queues[(dst_world, context_id)].remove(msg)
+        arrival = self._consume(ctx, msg, buffer, max_bytes)
+        return Status(source=msg.src_world, tag=msg.tag, count_bytes=len(msg.data)), arrival
 
     def _consume(
         self,
         ctx: RankContext,
         msg: Message,
         buffer: Optional[memoryview],
+        max_bytes: int,
         extra_overhead: float = 0.0,
     ) -> float:
-        """Shared consumption core: copy out, charge the receiver's CPU
-        overhead, complete a rendezvous.  Returns the arrival time (when the
-        last byte is on the receiver); the caller chooses whether to advance
-        the clock to it."""
+        """Shared consumption core of a dequeued message: charge the
+        receiver's CPU overhead, write the payload straight into ``buffer``
+        (the one copy a delivery makes), complete a rendezvous.  Returns the
+        arrival time (when the last byte is on the receiver); the caller
+        chooses whether to advance the clock to it.
+
+        A message larger than ``max_bytes`` raises :class:`TruncationError`
+        (``MPI_ERR_TRUNCATE``) -- to the receiver only: the send still
+        completes at the arrival time, so a rendezvous sender is woken first.
+        """
         nbytes = len(msg.data)
         transport = self.cluster.transport(msg.src_world, msg.dst_world)
-        ctx.advance(transport.recv_overhead(nbytes) + extra_overhead)
         arrival = msg.send_time + transport.transfer_time(nbytes)
+        if nbytes > max_bytes:
+            self._complete(ctx, msg, arrival)
+            raise TruncationError(
+                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
+            )
+        ctx.advance(transport.recv_overhead(nbytes) + extra_overhead)
         if buffer is not None and nbytes > 0:
             buffer[:nbytes] = msg.data
-        msg.consumed = True
-        msg.consumed_time = max(ctx.now, arrival)
-        if msg.rendezvous:
-            # Wake the sender if it blocked waiting for the rendezvous.
-            ctx.wake(msg.src_world, not_before=msg.consumed_time)
+        self._complete(ctx, msg, max(ctx.now, arrival))
         if _trace.ENABLED:
             _trace.RECORDER.instant(
                 "pt2pt.consume", msg.dst_world, ctx.now,
@@ -343,6 +341,15 @@ class MatchingEngine:
                       "arrival": arrival, "rendezvous": msg.rendezvous},
             )
         return arrival
+
+    @staticmethod
+    def _complete(ctx: RankContext, msg: Message, when: float) -> None:
+        """Mark ``msg`` consumed at ``when``; wake a rendezvous sender (it may
+        be blocked in :meth:`wait_send`)."""
+        msg.consumed = True
+        msg.consumed_time = when
+        if msg.rendezvous:
+            ctx.wake(msg.src_world, not_before=when)
 
     # ------------------------------------------------------------- diagnostics
 

@@ -25,6 +25,7 @@ only guaranteed to advance inside MPI calls.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -264,14 +265,15 @@ class _PendingCollective:
         return [(self.comm.context_id, self.comm.world_rank(step.peer), step.tag)]
 
 
-def _readable(buf: BufferLike, nbytes: int, what: str) -> bytes:
-    """View the first ``nbytes`` of ``buf`` as immutable bytes."""
+def _readable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
+    """Byte view over the first ``nbytes`` of ``buf``, to be copied (once) by
+    the caller before the call returns."""
     view = memoryview(buf).cast("B")
     if view.nbytes < nbytes:
         raise InvalidCountError(
             f"{what} buffer of {view.nbytes} bytes is smaller than the {nbytes} bytes requested"
         )
-    return view[:nbytes].tobytes()
+    return view[:nbytes]
 
 
 def _writable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
@@ -347,6 +349,8 @@ class MPIRuntime:
         # Per-communicator collective sequence numbers (MPI mandates identical
         # collective call order on all ranks, so these stay in agreement).
         self._coll_seq: Dict[int, int] = {}
+        # One CollectiveContext per communicator, bound on first use.
+        self._contexts: Dict[Communicator, CollectiveContext] = {}
         # Outstanding (incomplete) requests the progress engine sweeps.
         self._active_requests: List[Request] = []
         self._progressing = False
@@ -502,11 +506,11 @@ class MPIRuntime:
         """
         matching = self.world.matching
         self.progress()
+        pattern = [(context_id, src_world, tag)]
         while not matching.has_match(self.rank_world, context_id, src_world, tag):
             self._await_progress(
-                self._active_requests,
-                extra_patterns=[(context_id, src_world, tag)],
-                reason=f"recv src={src_world} tag={tag} ctx={context_id}",
+                self._active_requests, pattern,
+                lambda: f"recv src={src_world} tag={tag} ctx={context_id}",
             )
         return matching.recv(
             self.ctx, self.rank_world, context_id, src_world, tag, view, nbytes,
@@ -631,7 +635,7 @@ class MPIRuntime:
         so any outstanding schedule keeps moving no matter which request the
         caller is actually waiting on.
         """
-        if self._progressing:
+        if self._progressing or not self._active_requests:
             return
         self._progressing = True
         try:
@@ -663,8 +667,8 @@ class MPIRuntime:
     def _await_progress(
         self,
         requests: List[Request],
-        extra_patterns: Optional[List[Tuple[int, int, int]]] = None,
-        reason: str = "",
+        extra_patterns: List[Tuple[int, int, int]],
+        reason: Callable[[], str],
     ) -> None:
         """One blocking step of the shared wake protocol.
 
@@ -678,7 +682,9 @@ class MPIRuntime:
         ``extra_patterns`` -- can be consumed.  Either way, finish with a
         progress pass.  Callers loop around this re-checking their own
         condition; every blocking primitive (wait, waitany, blocking receive)
-        shares this single implementation of the protocol.
+        shares this single implementation of the protocol.  ``reason()``
+        names the wait in a deadlock report; it is formatted only when the
+        rank really blocks.
 
         Known approximation: the sleep targets the earliest *watched*
         completion, so a receive whose sender is itself transitively blocked
@@ -687,23 +693,21 @@ class MPIRuntime:
         inflating that wait.  Removing it would need timer wakes in the
         engine; the sleep is what keeps stalled schedules live.
         """
-        patterns = [*(extra_patterns or []), *self._wait_patterns(requests)]
+        matching = self.world.matching
+        patterns = [*extra_patterns, *self._wait_patterns(requests)] if requests else extra_patterns
         self.ctx.advance(self.wtick())
         self.ctx.yield_turn()
         self.progress()
         if any(req.complete for req in requests) or any(
-            self.world.matching.has_match(self.rank_world, c, s, t) for (c, s, t) in patterns
+            matching.has_match(self.rank_world, c, s, t) for (c, s, t) in patterns
         ):
             return
         if not self._sleep_until_completion(requests):
-            self.world.matching.block_for_any(
-                self.ctx,
-                self.rank_world,
+            if requests:
                 # Recollect: the progress pass may have moved a schedule to a
                 # different pending receive.
-                [*(extra_patterns or []), *self._wait_patterns(requests)],
-                reason=reason,
-            )
+                patterns = [*extra_patterns, *self._wait_patterns(requests)]
+            matching.block_for_any(self.ctx, self.rank_world, patterns, reason=reason())
         self.progress()
 
     @_traced("MPI_Wait")
@@ -725,7 +729,7 @@ class MPIRuntime:
             # sibling collective stalled on a data-dependent step advances by
             # time alone, and peers may need the sends it will post.
             self._await_progress(
-                [request, *self._active_requests], reason=f"wait {request.kind}"
+                [request, *self._active_requests], [], lambda: f"wait {request.kind}"
             )
         self._retire(request)
         return request.status
@@ -831,8 +835,8 @@ class MPIRuntime:
             if done is not None:
                 return done
             self._await_progress(
-                [*(requests[i] for i in active), *self._active_requests],
-                reason=f"waitany over {len(active)} request(s)",
+                [*(requests[i] for i in active), *self._active_requests], [],
+                lambda: f"waitany over {len(active)} request(s)",
             )
 
     @_traced("MPI_Testall")
@@ -936,62 +940,49 @@ class MPIRuntime:
         return request
 
     def _collective_context(self, comm: Communicator) -> CollectiveContext:
-        local_rank = self.comm_rank(comm)
+        """The :class:`CollectiveContext` of ``comm`` (checks the Init/Finalize
+        window on every call).  Bound on the communicator's first collective
+        and kept until ``comm_free``."""
+        self._require_init()
+        cc = self._contexts.get(comm)
+        if cc is None:
+            cc = self._contexts[comm] = self._bind_collective_context(comm)
+        return cc
 
-        def send(dst_local: int, tag: int, data: bytes) -> None:
-            self.world.matching.post_send(
-                self.ctx,
-                self.rank_world,
-                comm.world_rank(dst_local),
-                comm.context_id,
-                tag,
-                data,
-                blocking=False,
-            )
+    def _bind_collective_context(self, comm: Communicator) -> CollectiveContext:
+        matching, ctx, me = self.world.matching, self.ctx, self.rank_world
+        context_id, world_rank = comm.context_id, comm.world_rank
+        # The context is cached on this runtime: a strong reference back
+        # would make the pair a cycle that outlives a job ending in an error.
+        runtime = weakref.proxy(self)
 
-        def recv(src_local: int, tag: int, nbytes: int) -> bytes:
-            buf = bytearray(nbytes)
-            view = memoryview(buf) if nbytes > 0 else None
+        def send(dst_local: int, tag: int, data) -> None:
+            matching.post_send(ctx, me, world_rank(dst_local), context_id, tag, data,
+                               blocking=False)
+
+        def recv(src_local: int, tag: int, view: Optional[memoryview]) -> None:
             # Weak progress while blocked inside a blocking collective, too:
             # an outstanding non-blocking schedule may owe a peer the very
             # send that lets it reach its part of this collective.
-            self._recv_with_progress(
-                comm.context_id, comm.world_rank(src_local), tag, view, nbytes
-            )
-            return bytes(buf)
+            runtime._recv_with_progress(context_id, world_rank(src_local), tag, view,
+                                        0 if view is None else len(view))
 
-        def compute(seconds: float) -> None:
-            self.ctx.advance(seconds)
-
-        def probe(src_local: int, tag: int) -> bool:
-            return self.world.matching.has_match(
-                self.rank_world, comm.context_id, comm.world_rank(src_local), tag
-            )
-
-        def recv_nb(src_local: int, tag: int, nbytes: int):
-            buf = bytearray(nbytes)
-            view = memoryview(buf) if nbytes > 0 else None
-            out = self.world.matching.consume_nowait(
-                self.ctx, self.rank_world, comm.context_id,
-                comm.world_rank(src_local), tag, view, nbytes,
-            )
-            if out is None:
-                return None
-            _status, arrival = out
-            return bytes(buf), arrival
+        def recv_nb(src_local: int, tag: int, view: Optional[memoryview]) -> Optional[float]:
+            out = matching.consume_nowait(ctx, me, context_id, world_rank(src_local), tag,
+                                          view, 0 if view is None else len(view))
+            return None if out is None else out[1]
 
         return CollectiveContext(
-            rank=local_rank,
+            rank=self.comm_rank(comm),
             size=comm.size,
+            world_rank=me,
             send=send,
             recv=recv,
-            compute=compute,
-            reduce_compute_per_byte=self.world.reduce_compute_per_byte,
-            probe=probe,
             recv_nb=recv_nb,
-            now=lambda: self.ctx.now,
-            advance_to=self.ctx.advance_to,
-            world_rank=self.rank_world,
+            compute=ctx.advance,
+            now=lambda: ctx.now,
+            advance_to=ctx.advance_to,
+            reduce_compute_per_byte=self.world.reduce_compute_per_byte,
         )
 
     # Every collective is written once.  Its row of ``registry.CONTRACTS``
@@ -1182,6 +1173,7 @@ class MPIRuntime:
         """``MPI_Comm_free``."""
         self._require_init()
         comm.freed = True
+        self._contexts.pop(comm, None)
 
     # ----------------------------------------------------------------- memory
 

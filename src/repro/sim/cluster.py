@@ -75,6 +75,7 @@ class Cluster:
             RankPlacement(rank=r, node=r // self.ranks_per_node, core=r % self.ranks_per_node)
             for r in range(nranks)
         ]
+        self._node_of: List[int] = [p.node for p in self._placements]
         self._internode: InterconnectModel = machine.interconnect()
         self._intranode: InterconnectModel = machine.intranode()
 
@@ -86,17 +87,16 @@ class Cluster:
 
     def node_of(self, rank: int) -> int:
         """Node index hosting ``rank``."""
-        return self._placements[rank].node
+        return self._node_of[rank]
 
     def same_node(self, a: int, b: int) -> bool:
         """Whether ranks ``a`` and ``b`` share a node."""
-        return self.node_of(a) == self.node_of(b)
+        return self._node_of[a] == self._node_of[b]
 
     def transport(self, src: int, dst: int) -> InterconnectModel:
-        """Transport model connecting ``src`` to ``dst``."""
-        if src == dst or self.same_node(src, dst):
-            return self._intranode
-        return self._internode
+        """Transport model connecting ``src`` to ``dst`` (called per message)."""
+        node_of = self._node_of
+        return self._intranode if node_of[src] == node_of[dst] else self._internode
 
     @property
     def interconnect(self) -> InterconnectModel:

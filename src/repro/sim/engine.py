@@ -139,6 +139,10 @@ class RankContext:
     def __init__(self, engine: "SimEngine", rank: int):
         self._engine = engine
         self._rank = rank
+        # The clock is read and advanced on every MPI call: go straight to
+        # the rank's record (only this rank's thread moves its own clock
+        # while it holds the token).
+        self._rec = engine._records[rank]
 
     @property
     def rank(self) -> int:
@@ -153,18 +157,24 @@ class RankContext:
     @property
     def now(self) -> float:
         """Current virtual time of this rank, in seconds."""
-        return self._engine.clock_of(self._rank)
+        return self._rec.clock
 
     def advance(self, dt: float) -> float:
         """Advance this rank's virtual clock by ``dt`` seconds.
 
         Negative advances are clamped to zero; returns the new clock value.
         """
-        return self._engine.advance(self._rank, dt)
+        rec = self._rec
+        if dt > 0:
+            rec.clock += dt
+        return rec.clock
 
     def advance_to(self, t: float) -> float:
         """Advance this rank's virtual clock to at least ``t`` seconds."""
-        return self._engine.advance_to(self._rank, t)
+        rec = self._rec
+        if t > rec.clock:
+            rec.clock = t
+        return rec.clock
 
     def block(self, reason: str = "") -> float:
         """Block this rank until another rank wakes it.
@@ -247,24 +257,6 @@ class SimEngine:
             self.spawn(factory(r))
 
     # ------------------------------------------------------------ clock access
-
-    def clock_of(self, rank: int) -> float:
-        """Return the current virtual clock of ``rank``."""
-        return self._records[rank].clock
-
-    def advance(self, rank: int, dt: float) -> float:
-        """Advance ``rank``'s clock by ``dt`` (clamped at zero) seconds."""
-        rec = self._records[rank]
-        if dt > 0:
-            rec.clock += dt
-        return rec.clock
-
-    def advance_to(self, rank: int, t: float) -> float:
-        """Advance ``rank``'s clock to at least ``t`` seconds."""
-        rec = self._records[rank]
-        if t > rec.clock:
-            rec.clock = t
-        return rec.clock
 
     @property
     def max_clock(self) -> float:

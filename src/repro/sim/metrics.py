@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 RESERVOIR_SIZE = 1024
 
@@ -278,6 +278,8 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = defaultdict(int)
         self._series: Dict[str, SampleSeries] = defaultdict(SampleSeries)
         self._histograms: Dict[str, Histogram] = defaultdict(Histogram)
+        #: (collective, algorithm) -> its three counter names, built once.
+        self._collective_keys: Dict[Tuple[str, str], Tuple[str, str, str]] = {}
 
     # --------------------------------------------------------------- counters
 
@@ -306,10 +308,16 @@ class MetricsRegistry:
         a job are rank-calls (a p-rank bcast records p calls), matching how
         per-rank MPI profiling interfaces count.
         """
-        prefix = f"{self.COLLECTIVE_PREFIX}{collective}"
-        self.increment(f"{prefix}.calls")
-        self.increment(f"{prefix}.bytes", max(int(nbytes), 0))
-        self.increment(f"{prefix}.algo.{algorithm}")
+        keys = self._collective_keys.get((collective, algorithm))
+        if keys is None:
+            prefix = f"{self.COLLECTIVE_PREFIX}{collective}"
+            keys = self._collective_keys[(collective, algorithm)] = (
+                f"{prefix}.calls", f"{prefix}.bytes", f"{prefix}.algo.{algorithm}")
+        calls, nbytes_key, algo = keys
+        counters = self._counters
+        counters[calls] += 1
+        counters[nbytes_key] += max(int(nbytes), 0)
+        counters[algo] += 1
 
     def collective_summary(self) -> Dict[str, Dict[str, object]]:
         """Aggregate the per-collective counters back into structured rows.

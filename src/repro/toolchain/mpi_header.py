@@ -18,6 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.mpi import datatypes as host_datatypes
+from repro.mpi import ops as host_ops
+from repro.mpi.datatypes import Datatype
+from repro.mpi.ops import Op
+
 # ----------------------------------------------------------------- constants
 
 MPI_SUCCESS = 0
@@ -122,6 +127,13 @@ GUEST_OP_NAMES: Dict[int, str] = {
     MPI_BXOR: "MPI_BXOR",
 }
 
+#: Guest handle -> host object: the one table every translating layer (the
+#: embedder's ``Env``, the Figure 6 translator, the native baseline) probes.
+HOST_DATATYPES: Dict[int, Datatype] = {
+    handle: host_datatypes.by_name(name) for handle, name in GUEST_DATATYPE_NAMES.items()
+}
+HOST_OPS: Dict[int, Op] = {handle: host_ops.by_name(name) for handle, name in GUEST_OP_NAMES.items()}
+
 # Guest MPI_Status layout: four i32 fields (source, tag, error, count_bytes).
 STATUS_SIZE_BYTES = 16
 STATUS_SOURCE_OFFSET = 0
@@ -188,12 +200,10 @@ MPI_SIGNATURES: Dict[str, Tuple[List[str], List[str]]] = {
 
 def datatype_size(guest_handle: int) -> int:
     """Size in bytes of a guest datatype handle (``MPI_Type_size`` semantics)."""
-    from repro.mpi import datatypes as host_datatypes
-
-    name = GUEST_DATATYPE_NAMES.get(guest_handle)
-    if name is None:
+    datatype = HOST_DATATYPES.get(guest_handle)
+    if datatype is None:
         raise KeyError(f"unknown guest datatype handle {guest_handle}")
-    return host_datatypes.by_name(name).size
+    return datatype.size
 
 
 def header_source() -> str:

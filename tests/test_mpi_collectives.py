@@ -267,6 +267,33 @@ def test_guest_negative_count_returns_err_count():
     assert job.return_values() == [([MPI_ERR_COUNT, abi.MPI_SUCCESS], [3.0] * 4)] * 2
 
 
+def test_guest_bad_handles_return_their_error_class():
+    """An unknown datatype, op or communicator handle is ``MPI_ERR_TYPE`` /
+    ``MPI_ERR_OP`` / ``MPI_ERR_COMM``, not ``MPI_ERR_OTHER`` -- and the next
+    correct call succeeds."""
+    from repro.api import Session
+    from repro.mpi.errors import MPI_ERR_COMM, MPI_ERR_OP, MPI_ERR_TYPE
+    from repro.toolchain import mpi_header as abi
+    from repro.toolchain.guest import GuestProgram
+
+    def main(api, args):
+        api.mpi_init()
+        send_ptr, _send = api.alloc_array(4, abi.MPI_DOUBLE, fill=float(api.rank() + 1))
+        recv_ptr, recv = api.alloc_array(4, abi.MPI_DOUBLE, fill=0)
+        codes = [api.allreduce(send_ptr, recv_ptr, 4, datatype, op, comm)
+                 for datatype, op, comm in ((999, abi.MPI_SUM, abi.MPI_COMM_WORLD),
+                                            (abi.MPI_DOUBLE, 999, abi.MPI_COMM_WORLD),
+                                            (abi.MPI_DOUBLE, abi.MPI_SUM, 999),
+                                            (abi.MPI_DOUBLE, abi.MPI_SUM, abi.MPI_COMM_WORLD))]
+        api.mpi_finalize()
+        return (codes, recv.tolist())
+
+    with Session(machine="graviton2") as session:
+        job = session.run(GuestProgram(name="allreduce-bad-handles", main=main), 2)
+    assert job.return_values() == [
+        ([MPI_ERR_TYPE, MPI_ERR_OP, MPI_ERR_COMM, abi.MPI_SUCCESS], [3.0] * 4)] * 2
+
+
 def test_guest_scatter_with_null_root_buffer_returns_err_buffer():
     """Through the guest ABI the same failure is an error code, not a trap."""
     from repro.api import Session

@@ -86,6 +86,51 @@ def test_truncation_error_when_buffer_too_small():
     assert run_mpi_program(program, 2)[1] == "checked"
 
 
+TRUNCATED_SEND_BYTES = 1 << 20  # above every transport's eager threshold: rendezvous
+
+
+def test_truncated_receive_still_completes_a_rendezvous_send():
+    """MPI completes the send and reports ``MPI_ERR_TRUNCATE`` to the receiver
+    only: the sender blocked in the rendezvous is woken, not deadlocked."""
+    nbytes = TRUNCATED_SEND_BYTES
+
+    def program(rt, ctx):
+        if ctx.rank == 0:
+            rt.send(np.ones(nbytes, dtype=np.uint8), nbytes, datatypes.BYTE, dest=1, tag=7)
+            return "sent"
+        with pytest.raises(TruncationError):
+            rt.recv(np.zeros(16, dtype=np.uint8), 16, datatypes.BYTE, source=0, tag=7)
+        assert rt.world.matching.pending_count() == 0
+        return "truncated"
+
+    assert run_mpi_program(program, 2) == ["sent", "truncated"]
+
+
+def test_guest_truncated_receive_returns_err_truncate_and_the_send_succeeds():
+    from repro.api import Session
+    from repro.mpi.errors import MPI_ERR_TRUNCATE, MPI_SUCCESS
+    from repro.toolchain import mpi_header as abi
+    from repro.toolchain.guest import GuestProgram
+
+    nbytes = TRUNCATED_SEND_BYTES
+
+    def main(api, args):
+        api.mpi_init()
+        if api.rank() == 0:
+            ptr, _ = api.alloc_array(nbytes, abi.MPI_BYTE, fill=1)
+            code = api.send(ptr, nbytes, abi.MPI_BYTE, 1, 7)
+        else:
+            ptr, _ = api.alloc_array(16, abi.MPI_BYTE, fill=0)
+            code = api._call("MPI_Recv", ptr, 16, abi.MPI_BYTE, 0, 7, abi.MPI_COMM_WORLD,
+                             abi.MPI_STATUS_IGNORE)
+        api.mpi_finalize()
+        return code
+
+    with Session(machine="graviton2") as session:
+        job = session.run(GuestProgram(name="truncated-rendezvous", main=main), 2)
+    assert job.return_values() == [MPI_SUCCESS, MPI_ERR_TRUNCATE]
+
+
 def test_proc_null_send_recv_are_noops():
     def program(rt, ctx):
         rt.send(np.zeros(1, dtype=np.int32), 1, datatypes.INT, dest=PROC_NULL, tag=0)
