@@ -54,16 +54,17 @@ class CollectiveContext:
       buffer: the message takes its own copy) without blocking -- the
       matching engine buffers, which lets a schedule post a fan of sends
       before draining receives;
-    * ``recv(src, tag, view)`` blocks until a matching message is consumed
-      and writes its payload straight into ``view``, the destination slice
-      of the schedule buffer (``None`` for a zero-byte token).  It returns
-      nothing; a message longer than ``view`` raises ``TruncationError``;
-    * ``recv_nb(src, tag, view) -> Optional[float]`` -- the same delivery
-      without waiting for the payload to arrive: consumes a buffered match
-      into ``view`` charging only CPU overhead and returns the virtual time
-      the payload finishes arriving (``None``, with ``view`` untouched, when
-      nothing is buffered).  Separating consumption from arrival is what lets
-      transfers overlap caller compute;
+    * ``recv(src, tag, view) -> Optional[float]`` consumes a buffered
+      matching message without waiting for its payload to arrive: it writes
+      the payload straight into ``view``, the destination slice of the
+      schedule buffer (``None`` for a zero-byte token), charges only the
+      receiver's CPU overhead and returns the virtual time the payload
+      finishes arriving -- or ``None``, with ``view`` untouched, when nothing
+      is buffered.  Separating consumption from arrival is what lets
+      transfers overlap caller compute.  A message longer than ``view``
+      raises ``TruncationError``;
+    * ``wait(src, tag)`` blocks until a matching message is buffered (the
+      runtime's blocking protocol, which keeps its other requests moving);
     * ``compute(seconds)`` charges local computation (the combine step of
       reductions);
     * ``now() -> float`` / ``advance_to(t)`` -- the rank's virtual clock,
@@ -73,7 +74,7 @@ class CollectiveContext:
     ``world_rank`` is this rank in ``COMM_WORLD`` (trace attribution).
     """
 
-    __slots__ = ("rank", "size", "world_rank", "send", "recv", "recv_nb", "compute",
+    __slots__ = ("rank", "size", "world_rank", "send", "recv", "wait", "compute",
                  "now", "advance_to", "reduce_compute_per_byte")
 
     def __init__(
@@ -82,8 +83,8 @@ class CollectiveContext:
         size: int,
         world_rank: int,
         send: Callable[[int, int, Union[bytes, memoryview]], None],
-        recv: Callable[[int, int, Optional[memoryview]], None],
-        recv_nb: Callable[[int, int, Optional[memoryview]], Optional[float]],
+        recv: Callable[[int, int, Optional[memoryview]], Optional[float]],
+        wait: Callable[[int, int], None],
         compute: Callable[[float], None],
         now: Callable[[], float],
         advance_to: Callable[[float], None],
@@ -94,7 +95,7 @@ class CollectiveContext:
         self.world_rank = world_rank
         self.send = send
         self.recv = recv
-        self.recv_nb = recv_nb
+        self.wait = wait
         self.compute = compute
         self.now = now
         self.advance_to = advance_to

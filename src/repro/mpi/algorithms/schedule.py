@@ -4,15 +4,14 @@ A :class:`Schedule` is one rank's part of a collective, expressed as ordered
 *rounds* of primitive steps -- the representation libNBC introduced and Open
 MPI's ``coll/libnbc`` component still uses.  Building a schedule is a pure
 function of the call shape ``(rank, size, payload, root, seq)``; *executing*
-it is a separate concern handled by :class:`ScheduleExecutor`, which can run
-
-* to completion with blocking receives (the classic blocking collectives), or
-* incrementally, stopping at the first receive with no buffered match (the
-  progress engine behind ``MPI_Iallreduce`` and friends drives this from
-  ``MPI_Test``/``MPI_Wait``).
-
-Because both entry points execute the *same* schedule, each algorithm has
-exactly one implementation -- and every registered algorithm is one.
+it is a separate concern handled by :class:`ScheduleExecutor`, which has one
+loop and one set of timing rules.  A progress pass runs that loop until its
+first stall (``MPI_I<c>`` starts a schedule this way, and ``MPI_Test`` and
+the progress engine continue it); a wait runs it to the end (``MPI_Wait``).
+The blocking ``MPI_<C>`` is the pass followed by the wait inside one call,
+as in libNBC and Open MPI's ``coll/libnbc``, so blocking and non-blocking
+calls of one schedule cost the same simulated time, and each algorithm has
+exactly one implementation -- every registered algorithm is one.
 
 Steps operate on named byte buffers supplied by the caller (the user-visible
 payload plus schedule-declared temporaries), so a schedule itself carries no
@@ -26,8 +25,7 @@ payload data and can be built before any communication happens:
   via the executing call's reduction op (charged as compute time).
 
 Builders (the sibling modules) register per ``(collective, algorithm)`` with
-:func:`register_builder`; the runtime's blocking and non-blocking entry
-points both look them up with :func:`get_builder`.
+:func:`register_builder`; the runtime looks them up with :func:`get_builder`.
 """
 
 from __future__ import annotations
@@ -195,21 +193,38 @@ class ScheduleExecutor:
 
     The executor is the per-request state machine of the progress engine: it
     remembers how far execution got (``_pc``), owns the working buffers, and
-    exposes both a non-blocking :meth:`try_progress` (stops at the first
-    receive with nothing buffered) and a blocking :meth:`run_to_completion`.
-    ``on_complete`` fires exactly once, with the buffer dict, when the last
-    step has executed -- the runtime uses it to copy results into the caller's
-    (possibly guest-memory) buffers.
+    runs every step through one loop, :meth:`progress`.  A progress pass
+    stops at the first stall; a wait resolves each stall in place and runs
+    to the end.  ``MPI_I<c>`` starts a schedule with a pass and ``MPI_Wait``
+    finishes it with a wait; ``MPI_<C>`` does both inside one call, so the
+    two cost the same simulated time by construction.  ``on_complete`` fires
+    exactly once, with the buffer dict, when the operation completes -- the
+    runtime uses it to copy results into the caller's (possibly guest-memory)
+    buffers.
 
-    Incremental execution separates *consumption* from *arrival*: receives
-    taken through the context's ``recv_nb`` charge only CPU overhead, and the
-    payload's arrival time accumulates into :attr:`data_time` instead of
-    stalling the rank.  Steps that read received data (sends, reductions)
-    still advance the clock to :attr:`data_time` first -- an interior tree
-    node cannot forward bytes it has not received -- but a leaf receive costs
-    the rank nothing until its request is *completed*, which is what lets the
-    transfer hide behind caller compute.  The operation counts as complete
-    only once the rank's clock has reached :attr:`data_time`.
+    The timing rules follow libNBC (Hoefler, Lumsdaine, Rehm, SC'07), the
+    design Open MPI's ``coll/libnbc`` still ships:
+
+    * **A receive is posted, then waited for.**  Consuming a buffered match
+      (the context's ``recv``) charges only the receiver's CPU overhead; the
+      payload's arrival accumulates into :attr:`data_time` and stalls the
+      rank only when something needs the bytes.  libNBC starts every
+      ``MPI_Irecv`` of a round and then tests them all, so a linear gather
+      root posts its ``p - 1`` receives and waits for all of them, and a
+      leaf's transfer can hide behind caller compute.
+    * **A step that reads received bytes waits for them** (per buffer, so a
+      send of caller-supplied data is never held back by an unrelated
+      receive).  libNBC expresses this with a round boundary between the
+      receive and the operation; a schedule here may keep a receive and the
+      reduction that consumes it in one round.
+    * **Rounds are barriers.**  libNBC starts round *r* + 1 only once every
+      request of round *r* has completed, so the first step of a round --
+      receives included -- waits until every payload consumed so far has
+      arrived, zero-byte barrier tokens too: without it a barrier's round-k
+      token would leave before its round-(k - 1) token had arrived.  Sends
+      complete at injection here (the matching engine buffers them), so only
+      receives hold a round back.
+    * **The operation completes once the last payload has arrived.**
     """
 
     def __init__(
@@ -223,9 +238,6 @@ class ScheduleExecutor:
     ) -> None:
         self._cc = cc
         self._steps = schedule.flat()
-        #: Round index of each step: rounds are control-dependency barriers
-        #: (a round may only start once every payload consumed in earlier
-        #: rounds has arrived -- zero-byte barrier tokens included).
         self._round_of = [
             round_no for round_no, rnd in enumerate(schedule.rounds) for _step in rnd
         ]
@@ -241,10 +253,12 @@ class ScheduleExecutor:
         #: Virtual time at which every received payload has actually arrived;
         #: the operation's completion time is at least this.
         self.data_time = 0.0
-        #: Per-buffer arrival times: a step only stalls on the buffers it
-        #: actually reads, so e.g. an alltoall send of caller-supplied data
-        #: is never held back by an unrelated receive still in flight.
+        #: Per-buffer arrival times (the data-dependency rule above).
         self._buffer_ready: Dict[str, float] = {}
+        #: The rank's clock when the loop last read it.  Clocks only move
+        #: forward, so no arrival at or below it can stall a step: the loop
+        #: reads the clock again only once ``data_time`` passes it.
+        self._clock_seen = 0.0
 
     # ----------------------------------------------------------------- status
 
@@ -253,10 +267,11 @@ class ScheduleExecutor:
         return self._pc >= len(self._steps)
 
     def pending_recv(self) -> Optional[RecvStep]:
-        """The receive the executor is currently stalled on, if any."""
+        """The receive the executor is stalled on for want of a message (not
+        one still held back by time), if any."""
         if not self.done:
             step = self._steps[self._pc]
-            if isinstance(step, RecvStep):
+            if isinstance(step, RecvStep) and self._step_ready_time(self._pc) <= self._cc.now():
                 return step
         return None
 
@@ -292,185 +307,113 @@ class ScheduleExecutor:
         same round capture-then-kill.
         """
         pc = self._pc
-        if pc == 0:
-            return
         if pc < len(self._steps) and self._round_of[pc] == self._round_of[pc - 1]:
             return
-        rank = self._trace_tid()
-        now = self._trace_now()
+        rank, now = self._cc.world_rank, self._cc.now()
         if _checkpoint.CAPTURE is not None:
             _checkpoint.CAPTURE.on_schedule_round(rank, now, self)
         if _inject.ARMED:
             _inject.ACTIVE.on_schedule_round(rank, now)
 
-    def try_progress(self) -> bool:
-        """Execute steps in order without ever blocking.
+    def progress(self, wait: bool = False) -> bool:
+        """The execution loop: run steps in order until a stall or the end.
 
-        Stops (returning ``False``) at the first :class:`RecvStep` whose
-        message is not already buffered; returns ``True`` once every step has
-        executed.  Receives go through the context's ``recv_nb``, so the rank
-        is charged CPU overhead only and the payload's arrival accumulates
-        into :attr:`data_time` instead of stalling the clock.
+        Returns ``True`` once the operation is complete.  There are two kinds
+        of stall, and ``wait`` decides what each costs:
+
+        * a **message stall** -- a receive with no buffered match.  A pass
+          returns ``False``; a wait calls the context's ``wait``, the
+          runtime's one blocking protocol (which keeps weak progress on the
+          rank's other requests), and retries;
+        * a **time stall** -- a round barrier, a data dependency, or payload
+          still in flight at the end.  A pass returns ``False``, so the gap
+          stays available for caller compute; a wait advances the clock to
+          the ready time with no tick and no yield, because that time comes
+          only from messages already consumed and no peer can make it
+          earlier.
+
+        Trace form (behind ``_trace.ENABLED``): one ``sched.round[N]``
+        instant where a round starts and one ``sched.<Step>`` span per step
+        (a wait's receive span includes its message stall), so steps nest
+        inside the MPI call that ran them.
         """
-        while not self.done:
-            step = self._steps[self._pc]
-            if isinstance(step, RecvStep):
-                arrival = self._cc.recv_nb(step.peer, step.tag, self._target(step))
-                if arrival is None:
-                    return False
-                self.data_time = max(self.data_time, arrival)
-                if step.buf is not None:
-                    self._buffer_ready[step.buf] = max(
-                        self._buffer_ready.get(step.buf, 0.0), arrival
-                    )
-                self._pc += 1
-                if _inject.ARMED or _checkpoint.CAPTURE is not None:
-                    self._notify_round()
-                if _trace.ENABLED:
-                    self._trace_step("sched.nbc_step", step)
-                continue
-            # Data/round dependency: a send or reduction may read payload
-            # consumed by an earlier non-blocking receive, and a new round
-            # may only start once earlier rounds' payload has arrived.  If
-            # that arrival is still ahead of this rank's virtual time, stall
-            # instead of advancing the clock, so the gap stays available for
-            # caller compute.
-            needed = self._step_ready_time(self._pc)
-            if needed > 0:
-                if self._cc.now() < needed:
-                    return False
-                self._cc.advance_to(needed)
-            self._execute(step)
-            self._pc += 1
-            if _inject.ARMED or _checkpoint.CAPTURE is not None:
-                self._notify_round()
+        cc, steps, round_of = self._cc, self._steps, self._round_of
+        n_steps = len(steps)
+        while True:
+            pc = self._pc
+            # Every ready time is an arrival already folded into data_time.
+            if self.data_time > self._clock_seen:
+                needed, now = self._step_ready_time(pc), cc.now()
+                if needed > now:
+                    if not wait:
+                        self._clock_seen = now
+                        return False
+                    cc.advance_to(needed)
+                    now = needed
+                self._clock_seen = now
+            if pc == n_steps:
+                break
+            step = steps[pc]
+            start = cc.now() if _trace.ENABLED else 0.0
+            if type(step) is RecvStep:
+                target = self._target(step)
+                arrival = cc.recv(step.peer, step.tag, target)
+                while arrival is None:
+                    if not wait:
+                        return False
+                    cc.wait(step.peer, step.tag)
+                    arrival = cc.recv(step.peer, step.tag, target)
+                if arrival > self.data_time:
+                    self.data_time = arrival
+                if step.buf is not None and arrival > self._buffer_ready.get(step.buf, 0.0):
+                    self._buffer_ready[step.buf] = arrival
+            else:
+                self._execute(step)
+            self._pc = pc + 1
             if _trace.ENABLED:
-                self._trace_step("sched.nbc_step", step)
-        self._finish()
-        if _trace.ENABLED:
-            self._trace_step("sched.nbc_complete", None)
-        return True
-
-    def _step_data_time(self, step: Step) -> float:
-        """Arrival time of the received data ``step`` reads (0 when it only
-        touches caller-supplied payload)."""
-        if isinstance(step, SendStep):
-            return self._buffer_ready.get(step.buf, 0.0) if step.buf else 0.0
-        if isinstance(step, ReduceStep):
-            return max(
-                self._buffer_ready.get(step.src, 0.0),
-                self._buffer_ready.get(step.dst, 0.0),
-            )
-        return 0.0
-
-    def _step_ready_time(self, pc: int) -> float:
-        """Earliest virtual time step ``pc`` may execute.
-
-        Combines the round barrier (a new round needs every earlier round's
-        payload to have arrived -- a *control* dependency, so it also covers
-        zero-byte barrier tokens) with the step's own data dependency.
-        """
-        step = self._steps[pc]
-        needed = self._step_data_time(step)
-        if pc > 0 and self._round_of[pc] != self._round_of[pc - 1]:
-            needed = max(needed, self.data_time)
-        return needed
-
-    def next_ready_time(self) -> Optional[float]:
-        """Earliest virtual time at which time alone unblocks this executor.
-
-        ``data_time`` when the schedule is finished (payload still in flight),
-        the stalled step's ready time when a data- or round-dependent step is
-        waiting; ``None`` while progress depends on a peer's message instead.
-        """
-        if self.done:
-            return self.data_time
-        needed = self._step_ready_time(self._pc)
-        if needed > 0 and self._cc.now() < needed:
-            return needed
-        return None
-
-    # ---------------------------------------------------------------- tracing
-
-    def _trace_tid(self) -> int:
-        """Per-rank trace stream: the COMM_WORLD rank."""
-        return self._cc.world_rank
-
-    def _trace_now(self) -> float:
-        return self._cc.now()
-
-    def _trace_step(self, name: str, step: Optional[Step]) -> None:
-        """Instant event for one executed step (callers guard on the flag)."""
-        args = None
-        if step is not None:
-            # Prefer the step's own (build-time) round stamp so trace labels
-            # agree with repro.analysis findings; positional attribution is
-            # only the fallback for hand-built steps never added to a round.
-            round_no = step.round_index
-            if round_no is None:
-                round_no = self._round_of[self._pc - 1] if self._pc else 0
-            args = {"kind": type(step).__name__, "round": round_no}
-            peer = getattr(step, "peer", None)
-            if peer is not None:
-                args["peer"] = peer
-                args["nbytes"] = step.nbytes
-        _trace.RECORDER.instant(name, self._trace_tid(), self._trace_now(), args)
-
-    def run_to_completion(self) -> None:
-        """Execute every step, blocking inside unmatched receives.
-
-        For a fresh executor only (:func:`execute` is the one caller): the
-        loop computes no ready times, which is sound because blocking
-        receives never leave payload in flight -- it must not be used to
-        finish a schedule :meth:`try_progress` has started.
-        """
-        if _trace.ENABLED and not self.done:
-            self._run_to_completion_traced()
-            return
-        steps = self._steps
-        while self._pc < len(steps):
-            self._execute(steps[self._pc])
-            self._pc += 1
+                tid = cc.world_rank
+                if pc == 0 or round_of[pc] != round_of[pc - 1]:
+                    _trace.RECORDER.instant(f"sched.round[{round_of[pc]}]", tid, start)
+                args = {"round": round_of[pc]}
+                if type(step) is SendStep or type(step) is RecvStep:
+                    args["peer"], args["nbytes"] = step.peer, step.nbytes
+                _trace.RECORDER.complete(
+                    f"sched.{type(step).__name__}", tid, start, cc.now() - start, args
+                )
             if _inject.ARMED or _checkpoint.CAPTURE is not None:
                 self._notify_round()
-        self._finish()
-
-    def _run_to_completion_traced(self) -> None:
-        """Blocking execution with one span per round and per step.
-
-        Only this path emits round/step *spans*: blocking execution runs the
-        schedule start-to-finish inside one MPI call, so the spans nest under
-        the call's span on the rank's stream.  Incremental execution
-        (:meth:`try_progress`) interleaves steps of several schedules across
-        many MPI calls and emits instant events instead -- begin/end pairs
-        there would partially overlap other spans and break nesting.
-        """
-        recorder = _trace.RECORDER
-        tid = self._trace_tid()
-        current_round = -1
-        while not self.done:
-            round_no = self._round_of[self._pc]
-            if round_no != current_round:
-                if current_round >= 0:
-                    recorder.end(tid, self._trace_now())
-                recorder.begin(f"sched.round[{round_no}]", tid, self._trace_now())
-                current_round = round_no
-            step = self._steps[self._pc]
-            recorder.begin(f"sched.{type(step).__name__}", tid, self._trace_now())
-            self._execute(step)
-            self._pc += 1
-            recorder.end(tid, self._trace_now())
-            if _inject.ARMED or _checkpoint.CAPTURE is not None:
-                self._notify_round()
-        if current_round >= 0:
-            recorder.end(tid, self._trace_now())
-        self._finish()
-
-    def _finish(self) -> None:
         if not self._finished:
             self._finished = True
             if self._on_complete is not None:
                 self._on_complete(self.buffers)
+        return True
+
+    def _step_ready_time(self, pc: int) -> float:
+        """Earliest virtual time step ``pc`` may execute: the round barrier
+        at a round's first step -- and at the end, which completes the
+        operation -- and otherwise the arrival of the received bytes the
+        step reads (0 when it only touches caller-supplied payload)."""
+        if pc == len(self._steps) or (pc > 0 and self._round_of[pc] != self._round_of[pc - 1]):
+            return self.data_time  # no arrival is later than data_time
+        step = self._steps[pc]
+        ready = self._buffer_ready
+        if isinstance(step, SendStep):
+            return ready.get(step.buf, 0.0) if step.buf else 0.0
+        if isinstance(step, ReduceStep):
+            return max(ready.get(step.src, 0.0), ready.get(step.dst, 0.0))
+        return 0.0
+
+    def next_ready_time(self) -> Optional[float]:
+        """Earliest virtual time at which time alone unblocks this executor.
+
+        ``data_time`` when every step has run (payload still in flight), the
+        stalled step's ready time on a time stall; ``None`` on a message
+        stall, when progress depends on a peer instead.
+        """
+        if self.done:
+            return self.data_time
+        needed = self._step_ready_time(self._pc)
+        return needed if needed > self._cc.now() else None
 
     def _target(self, step: Union[SendStep, RecvStep]) -> Optional[memoryview]:
         """The slice of its buffer a send reads or a receive fills (``None``
@@ -480,30 +423,26 @@ class ScheduleExecutor:
         return self._views[step.buf][step.lo : step.lo + step.nbytes]
 
     def _execute(self, step: Step) -> None:
-        """Perform one step.  Ready times are the incremental loop's concern
-        (:meth:`try_progress`): blocking receives advance the clock to the
-        arrival themselves, so under :meth:`run_to_completion` every ready
-        time is 0 and nothing needs computing.
+        """Perform one send, copy or reduction (receives are the loop's).
 
         Payload moves through the buffers' memoryviews, so a slice is copied
         once: a send hands the context a view (the message takes its own
-        copy), a receive hands it the destination view (the message is
+        copy), as a receive hands it the destination view (the message is
         written straight into it).
         """
         views = self._views
         if isinstance(step, SendStep):
             self._cc.send(step.peer, step.tag, self._target(step) or b"")
-        elif isinstance(step, RecvStep):
-            self._cc.recv(step.peer, step.tag, self._target(step))
         elif isinstance(step, CopyStep):
             if step.nbytes > 0:
                 views[step.dst][step.dlo : step.dlo + step.nbytes] = views[step.src][
                     step.slo : step.slo + step.nbytes
                 ]
                 # The copy itself is free, but the destination now carries the
-                # source's (possibly still in-flight) data.
+                # source's data, which may still be in flight (an arrival the
+                # clock has passed can never stall a step, so it is dropped).
                 src_ready = self._buffer_ready.get(step.src, 0.0)
-                if src_ready > 0:
+                if src_ready > self._clock_seen:
                     self._buffer_ready[step.dst] = max(
                         self._buffer_ready.get(step.dst, 0.0), src_ready
                     )
@@ -519,19 +458,6 @@ class ScheduleExecutor:
                 )
         else:  # pragma: no cover - registry integrity guard
             raise TypeError(f"unknown schedule step {step!r}")
-
-
-def execute(
-    cc: CollectiveContext,
-    schedule: Schedule,
-    buffers: Optional[Dict[str, bytearray]] = None,
-    datatype: Optional[Datatype] = None,
-    op: Optional[Op] = None,
-) -> Dict[str, bytearray]:
-    """Run ``schedule`` to completion (the blocking entry points use this)."""
-    executor = ScheduleExecutor(cc, schedule, buffers, datatype, op)
-    executor.run_to_completion()
-    return executor.buffers
 
 
 # ------------------------------------------------------------ builder registry

@@ -282,15 +282,14 @@ class MatchingEngine:
         tag: int,
         buffer: Optional[memoryview],
         max_bytes: int,
-    ) -> Optional[Tuple[Status, float]]:
+    ) -> Optional[float]:
         """Consume a matching buffered message without waiting for its arrival.
 
-        The progress engine's receive: charges only the receiver's CPU
-        overhead and returns ``(status, arrival_time)`` instead of advancing
-        the clock to the arrival -- the caller decides when the *data*
-        dependency bites (that separation is what lets a non-blocking
-        collective overlap its transfer time with caller compute).  Returns
-        ``None`` when nothing matches.
+        A schedule's receive: charges only the receiver's CPU overhead and
+        returns the arrival time instead of advancing the clock to it -- the
+        caller decides when the *data* dependency bites (that separation is
+        what lets a non-blocking collective overlap its transfer time with
+        caller compute).  Returns ``None`` when nothing matches.
         """
         msg = self._find_match(dst_world, context_id, src, tag)
         if msg is None:
@@ -301,8 +300,7 @@ class MatchingEngine:
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": len(msg.data)},
             )
         self._queues[(dst_world, context_id)].remove(msg)
-        arrival = self._consume(ctx, msg, buffer, max_bytes)
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=len(msg.data)), arrival
+        return self._consume(ctx, msg, buffer, max_bytes)
 
     def _consume(
         self,

@@ -39,7 +39,7 @@ from repro.mpi import ops as mpi_ops
 from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.base import CollectiveContext
 from repro.mpi.algorithms.decision import CollectiveSelector
-from repro.mpi.algorithms.schedule import ScheduleExecutor, execute, get_builder
+from repro.mpi.algorithms.schedule import ScheduleExecutor, get_builder
 from repro.mpi.communicator import (
     Communicator,
     Group,
@@ -229,14 +229,15 @@ class _PendingRecv:
 
 
 class _PendingCollective:
-    """A non-blocking collective: a schedule executor advanced incrementally.
+    """A non-blocking collective: a schedule executor advanced by progress
+    passes, and finished by ``MPI_Wait`` with the executor's own wait
+    (:meth:`MPIRuntime._wait_collective`).
 
     The operation has two tails: executing the schedule's steps, and the
     arrival of payload consumed along the way (``executor.data_time``).  It
     counts as complete only once both are behind the rank's clock --
-    ``MPI_Test`` before the arrival reports False, and a blocking wait simply
-    sleeps the clock forward to it (:meth:`completion_time`); that gap is
-    exactly the transfer time a caller can hide behind compute.
+    ``MPI_Test`` before the arrival reports False; that gap is exactly the
+    transfer time a caller can hide behind compute.
     """
 
     __slots__ = ("executor", "comm")
@@ -246,16 +247,11 @@ class _PendingCollective:
         self.comm = comm
 
     def try_progress(self, rt: "MPIRuntime") -> Optional[Status]:
-        if not self.executor.try_progress():
-            return None
-        if rt.ctx.now < self.executor.data_time:
-            return None  # steps done, but payload still in flight
-        return Status()
+        return Status() if self.executor.progress() else None
 
     def completion_time(self, rt: "MPIRuntime") -> Optional[float]:
-        """Earliest time at which time alone makes more progress: completion
-        when the schedule is done, or the arrival a data-dependent step is
-        stalled on."""
+        """Earliest time at which time alone makes more progress (the
+        executor's time stall), or ``None`` on a message stall."""
         return self.executor.next_ready_time()
 
     def wait_patterns(self, rt: "MPIRuntime") -> List[Tuple[int, int, int]]:
@@ -478,8 +474,10 @@ class MPIRuntime:
         nbytes = count * datatype.size
         view = _writable(buf, nbytes, "recv") if buf is not None and nbytes > 0 else None
         src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank(source)
-        status = self._recv_with_progress(
-            comm.context_id, src_world, tag, view, nbytes, extra_overhead=extra_overhead
+        self._await_match(comm.context_id, src_world, tag)
+        status = self.world.matching.recv(
+            self.ctx, self.rank_world, comm.context_id, src_world, tag, view, nbytes,
+            extra_overhead=extra_overhead,
         )
         # Convert the world-rank source back to a communicator-local rank.
         local_src = comm.rank_of_world(status.source)
@@ -487,22 +485,16 @@ class MPIRuntime:
             status.source = local_src
         return status
 
-    def _recv_with_progress(
-        self,
-        context_id: int,
-        src_world: int,
-        tag: int,
-        view: Optional[memoryview],
-        nbytes: int,
-        extra_overhead: float = 0.0,
-    ) -> Status:
-        """Blocking receive with weak progress.
+    def _await_match(self, context_id: int, src_world: int, tag: int) -> None:
+        """Block until a matching message is buffered, with weak progress.
 
-        While the matching message has not arrived, keep advancing every
-        outstanding non-blocking request -- a peer may be unable to send our
-        message until a schedule of ours posts *its* sends -- and wake on our
-        own pattern or on anything an outstanding request is stalled on.
-        With no outstanding requests this is exactly a plain blocking receive.
+        The one blocking protocol of a receive -- ``MPI_Recv``'s and a
+        schedule's message stall alike.  While the message has not arrived,
+        keep advancing every outstanding non-blocking request -- a peer may
+        be unable to send our message until a schedule of ours posts *its*
+        sends -- and wake on our own pattern or on anything an outstanding
+        request is stalled on.  With no outstanding requests this is exactly
+        a plain blocking wait for the message.
         """
         matching = self.world.matching
         self.progress()
@@ -512,10 +504,6 @@ class MPIRuntime:
                 self._active_requests, pattern,
                 lambda: f"recv src={src_world} tag={tag} ctx={context_id}",
             )
-        return matching.recv(
-            self.ctx, self.rank_world, context_id, src_world, tag, view, nbytes,
-            extra_overhead=extra_overhead,
-        )
 
     @_traced("MPI_Sendrecv")
     def sendrecv(
@@ -672,9 +660,9 @@ class MPIRuntime:
     ) -> None:
         """One blocking step of the shared wake protocol.
 
-        First yield the execution token (one tick) so every lower-clock peer
-        gets to post its sends -- a message that *can* arrive must complete us
-        at its true time, not at a later sleep target.  Only if that produced
+        First :meth:`_nudge` so every lower-clock peer gets to post its sends
+        -- a message that *can* arrive must complete us at its true time, not
+        at a later sleep target.  Only if that produced
         nothing: if any watched request completes by time alone (a schedule
         whose steps are done or stalled only on an in-flight arrival), sleep
         the clock to the earliest such point; otherwise block until a message
@@ -695,8 +683,7 @@ class MPIRuntime:
         """
         matching = self.world.matching
         patterns = [*extra_patterns, *self._wait_patterns(requests)] if requests else extra_patterns
-        self.ctx.advance(self.wtick())
-        self.ctx.yield_turn()
+        self._nudge()
         self.progress()
         if any(req.complete for req in requests) or any(
             matching.has_match(self.rank_world, c, s, t) for (c, s, t) in patterns
@@ -710,16 +697,48 @@ class MPIRuntime:
             matching.block_for_any(self.ctx, self.rank_world, patterns, reason=reason())
         self.progress()
 
+    def _nudge(self) -> None:
+        """Advance one ``wtick`` and offer the token to lower-clock peers.
+
+        Every call that polls without blocking (``test``, ``testall``,
+        ``iprobe``, ``waitany``'s spin) and every blocking step of the wake
+        protocol goes through here.  The tick is what makes a poll loop
+        live: a rank that only yielded would keep the token for as long as
+        it holds the smallest ``(clock, rank)``, and a peer with the same
+        clock and a higher rank would never run.
+        """
+        self.ctx.advance(self.wtick())
+        self.ctx.yield_turn()
+
+    def _wait_collective(self, executor: ScheduleExecutor) -> None:
+        """The wait of a collective: ``MPI_Wait`` on an ``MPI_I<c>`` request,
+        and the second half of ``MPI_<C>``.  One progress pass for the rank's
+        other requests, then the executor runs to completion, resolving each
+        stall in place (see :meth:`ScheduleExecutor.progress`)."""
+        self.progress()
+        executor.progress(wait=True)
+
     @_traced("MPI_Wait")
     def wait(self, request: Request) -> Status:
         """``MPI_Wait``: block until ``request`` completes.
 
-        While blocked, the rank wakes on *any* message one of its outstanding
-        requests is waiting for (or on a rendezvous drain), runs a progress
-        pass, and re-checks -- so outstanding schedules keep advancing even
-        while the caller waits on a different request.
+        A collective request leaves the progress engine and finishes with
+        :meth:`_wait_collective`, exactly as its blocking twin does.  Any
+        other request blocks in the shared wake protocol: the rank wakes on
+        *any* message one of its outstanding requests is waiting for (or on
+        a rendezvous drain), runs a progress pass, and re-checks -- so
+        outstanding schedules keep advancing even while the caller waits on
+        a different request.
         """
         self._require_init()
+        op = request._op
+        if isinstance(op, _PendingCollective) and not request.complete:
+            # Out of the sweep first: the wait's own progress passes must not
+            # re-enter this executor.
+            self._retire(request)
+            self._wait_collective(op.executor)
+            request.mark_complete(Status())
+            return request.status
         self.progress()
         while not request.complete:
             if request._op is None:
@@ -779,16 +798,14 @@ class MPIRuntime:
 
         Runs a progress pass (completing the request if it can complete now)
         but never blocks.  When the request cannot complete yet, the rank
-        nudges its clock one tick and yields the execution token once (the
-        same courtesy ``iprobe`` performs) so peers get to post their sends
-        -- without it a guest polling ``MPI_Test`` in a loop would starve the
+        takes one :meth:`_nudge` so peers get to post their sends -- without
+        it a guest polling ``MPI_Test`` in a loop would starve the
         cooperative scheduler -- and re-checks after the yield.
         """
         self._require_init()
         self.progress()
         if not self._try_complete(request):
-            self.ctx.advance(self.wtick())
-            self.ctx.yield_turn()
+            self._nudge()
             self.progress()
             if not self._try_complete(request):
                 return False, Status()
@@ -804,8 +821,8 @@ class MPIRuntime:
 
         Returns ``(index, status)`` of the completed request, or
         ``(-1, empty status)`` when no request is active (``MPI_UNDEFINED``).
-        While no request is ready the rank nudges its virtual clock forward
-        one tick and yields, letting other ranks post their sends; after
+        While no request is ready the rank takes one :meth:`_nudge` per
+        round, letting other ranks post their sends; after
         :data:`WAITANY_SPIN_LIMIT` fruitless rounds it blocks until *any*
         active request can make progress (so a late-posted sender to any of
         the requests resumes it), which keeps genuine deadlocks detectable.
@@ -828,8 +845,7 @@ class MPIRuntime:
             done = poll()
             if done is not None:
                 return done
-            self.ctx.advance(self.wtick())
-            self.ctx.yield_turn()
+            self._nudge()
         while True:
             done = poll()
             if done is not None:
@@ -859,9 +875,8 @@ class MPIRuntime:
             return done
 
         if not attempt():
-            # Give other ranks a chance to post their sends, then re-check
-            # (the same courtesy yield iprobe performs).
-            self.ctx.yield_turn()
+            # Give other ranks a chance to post their sends, then re-check.
+            self._nudge()
             if not attempt():
                 return False, [r.status if r.complete else Status() for r in requests]
         return True, [r.status for r in requests]
@@ -876,7 +891,7 @@ class MPIRuntime:
         msg = self.world.matching.probe_match(self.rank_world, comm.context_id, src_world, tag)
         if msg is None:
             # Give other ranks a chance to post their sends before returning.
-            self.ctx.yield_turn()
+            self._nudge()
             msg = self.world.matching.probe_match(self.rank_world, comm.context_id, src_world, tag)
         if msg is None:
             return False, Status()
@@ -915,30 +930,6 @@ class MPIRuntime:
             )
         return algorithm
 
-    def _start_collective(
-        self,
-        kind: str,
-        comm: Communicator,
-        cc: CollectiveContext,
-        schedule,
-        buffers,
-        datatype: Optional[Datatype] = None,
-        op: Optional[Op] = None,
-        finalize=None,
-    ) -> Request:
-        """Create the request for one non-blocking collective and kick it off.
-
-        The first progress pass posts the schedule's initial sends right away
-        (so peers still running their blocking counterparts can proceed) and
-        may complete trivial schedules (single rank, zero payload) on the
-        spot.  ``finalize`` runs exactly once, at completion, to copy results
-        from the schedule's working buffers into the caller's memory.
-        """
-        executor = ScheduleExecutor(cc, schedule, buffers, datatype, op, on_complete=finalize)
-        request = Request(kind=kind)
-        self._activate(request, _PendingCollective(executor, comm))
-        return request
-
     def _collective_context(self, comm: Communicator) -> CollectiveContext:
         """The :class:`CollectiveContext` of ``comm`` (checks the Init/Finalize
         window on every call).  Bound on the communicator's first collective
@@ -951,26 +942,26 @@ class MPIRuntime:
 
     def _bind_collective_context(self, comm: Communicator) -> CollectiveContext:
         matching, ctx, me = self.world.matching, self.ctx, self.rank_world
-        context_id, world_rank = comm.context_id, comm.world_rank
+        # Peers come from verified schedule builders, so they index the
+        # group's world ranks directly (no range check per message).
+        context_id, world_rank = comm.context_id, comm.group.world_ranks
         # The context is cached on this runtime: a strong reference back
         # would make the pair a cycle that outlives a job ending in an error.
         runtime = weakref.proxy(self)
 
         def send(dst_local: int, tag: int, data) -> None:
-            matching.post_send(ctx, me, world_rank(dst_local), context_id, tag, data,
+            matching.post_send(ctx, me, world_rank[dst_local], context_id, tag, data,
                                blocking=False)
 
-        def recv(src_local: int, tag: int, view: Optional[memoryview]) -> None:
-            # Weak progress while blocked inside a blocking collective, too:
-            # an outstanding non-blocking schedule may owe a peer the very
-            # send that lets it reach its part of this collective.
-            runtime._recv_with_progress(context_id, world_rank(src_local), tag, view,
-                                        0 if view is None else len(view))
+        def recv(src_local: int, tag: int, view: Optional[memoryview]) -> Optional[float]:
+            return matching.consume_nowait(ctx, me, context_id, world_rank[src_local], tag,
+                                           view, 0 if view is None else len(view))
 
-        def recv_nb(src_local: int, tag: int, view: Optional[memoryview]) -> Optional[float]:
-            out = matching.consume_nowait(ctx, me, context_id, world_rank(src_local), tag,
-                                          view, 0 if view is None else len(view))
-            return None if out is None else out[1]
+        def wait(src_local: int, tag: int) -> None:
+            # Weak progress while a schedule waits, too: another outstanding
+            # schedule may owe a peer the very send that lets it reach its
+            # part of this collective.
+            runtime._await_match(context_id, world_rank[src_local], tag)
 
         return CollectiveContext(
             rank=self.comm_rank(comm),
@@ -978,7 +969,7 @@ class MPIRuntime:
             world_rank=me,
             send=send,
             recv=recv,
-            recv_nb=recv_nb,
+            wait=wait,
             compute=ctx.advance,
             now=lambda: ctx.now,
             advance_to=ctx.advance_to,
@@ -989,16 +980,25 @@ class MPIRuntime:
     # says which buffers a call involves; its definition below maps the
     # public ``MPI_<C>`` arguments onto :meth:`_collective`, which validates,
     # stages, selects and builds for ``MPI_<C>`` and ``MPI_I<c>`` alike -- so
-    # both go through the same decision table and execute the same schedule,
-    # and differ only in who drives it: ``MPI_<C>`` runs it to completion,
-    # ``MPI_I<c>`` returns a Request the progress engine advances from
-    # ``test``/``wait``-family calls, which lets communication overlap any
-    # compute between the post and the wait.
+    # both go through the same decision table and execute the same schedule.
+    # Both start it with one progress pass.  ``MPI_I<c>`` then returns a
+    # Request the progress engine advances from ``test``/``wait``-family
+    # calls, which lets communication overlap any compute between the post
+    # and the wait; ``MPI_<C>`` runs the wait ``MPI_Wait`` would, inside the
+    # same call, with no Request.
+
+    def _run_collective(self, executor: ScheduleExecutor) -> None:
+        """``MPI_<C>``'s schedule: the start ``MPI_I<c>`` makes, then the
+        wait ``MPI_Wait`` makes on its request."""
+        executor.progress()
+        self._wait_collective(executor)
 
     def _barrier(self, comm: Communicator, seq: int) -> None:
         algorithm = self._select_algorithm("barrier", comm, 0)
         cc = self._collective_context(comm)
-        execute(cc, get_builder("barrier", algorithm)(cc.rank, cc.size, seq))
+        self._run_collective(
+            ScheduleExecutor(cc, get_builder("barrier", algorithm)(cc.rank, cc.size, seq))
+        )
 
     def _collective(
         self,
@@ -1023,6 +1023,8 @@ class MPIRuntime:
         number spent, so the error is local and the communicator stays
         usable.  With ``kind`` ``None`` the schedule runs to completion and
         the result is copied out; otherwise it becomes a Request of that kind
+        -- started by :meth:`_activate`'s first pass, which posts the initial
+        sends right away and may complete a trivial schedule on the spot --
         and the result is copied out when the request completes.
         """
         comm = comm or self.comm_world
@@ -1067,7 +1069,7 @@ class MPIRuntime:
             self._next_seq(comm),
         )
         if kind is None:
-            execute(cc, schedule, buffers, datatype, op)
+            self._run_collective(ScheduleExecutor(cc, schedule, buffers, datatype, op))
             if out is not None:
                 out[:] = buffers[result.key]
             return None
@@ -1077,7 +1079,10 @@ class MPIRuntime:
             functools.partial(_copy_out, recvbuf, out_bytes, result.key, row.name)
             if out is not None else None
         )
-        return self._start_collective(kind, comm, cc, schedule, buffers, datatype, op, finalize)
+        executor = ScheduleExecutor(cc, schedule, buffers, datatype, op, on_complete=finalize)
+        request = Request(kind=kind)
+        self._activate(request, _PendingCollective(executor, comm))
+        return request
 
     def _define_barrier(row, kind):
         def barrier(self, comm: Optional[Communicator] = None):

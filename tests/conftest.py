@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import datatypes, ops
+from repro.mpi.algorithms import registry
 from repro.mpi.runtime import MPIRuntime, MPIWorld
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEngine
@@ -122,3 +123,33 @@ def collective_expected(collective: str, rank: int, size: int, root: int = 0, co
     else:
         raise KeyError(collective)
     return result.tolist()
+
+
+#: Every registered ``(collective, algorithm)`` pair, sorted.
+ALGORITHMS = sorted(
+    (collective, algorithm)
+    for collective, algorithms in registry.catalog().items()
+    for algorithm in algorithms
+)
+
+
+def two_collective_calls(collective: str, algorithm: str, nonblocking: bool, nranks: int,
+                         root: int = 1, reached=None):
+    """A :func:`run_mpi_program` program: two calls of one forced algorithm
+    (``MPI_<C>``, or ``MPI_I<c>`` + ``MPI_Wait``), then a barrier nobody
+    passes alone.  ``reached`` (a set) records the ranks that got to it."""
+
+    def program(rt, ctx):
+        rt.world.collectives.force(collective, algorithm)
+        for _ in range(2):
+            args, _out = collective_args(collective, ctx.rank, nranks, root)
+            if nonblocking:
+                rt.wait(getattr(rt, "i" + collective)(*args))
+            else:
+                getattr(rt, collective)(*args)
+        if reached is not None:
+            reached.add(ctx.rank)
+        rt.barrier()
+        return ctx.now
+
+    return program

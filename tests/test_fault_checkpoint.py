@@ -36,6 +36,8 @@ from repro.fault.checkpoint import (
     write_checkpoint,
 )
 
+from tests.conftest import ALGORITHMS, run_mpi_program, two_collective_calls
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -178,6 +180,27 @@ def test_checkpoint_taken_inside_gather_restores_to_the_oracle(session):
         BENCHMARKS.unregister("test-gather-only")
     assert oracle(resumed) == oracle(baseline)
     assert oracle(baseline)["values"][1] == [r + 1 for r in range(4) for _ in range(16)]
+
+
+@pytest.mark.parametrize("collective,algorithm", ALGORITHMS,
+                         ids=[f"{c}:{a}" for c, a in ALGORITHMS])
+def test_checkpoint_inside_every_algorithm_replays_in_both_modes(collective, algorithm):
+    """Every rank's second round boundary is inside the first two calls of
+    the collective.  The state captured there replays without a mismatch,
+    and it is the same state whether the calls were ``MPI_<C>`` or
+    ``MPI_I<c>`` + ``MPI_Wait`` -- one loop crosses the same boundaries at
+    the same clocks."""
+    nranks, captured = 5, {}
+    for nonblocking in (False, True):
+        program = two_collective_calls(collective, algorithm, nonblocking, nranks)
+        with capture_checkpoint(1) as capture:
+            run_mpi_program(program, nranks)
+        assert sorted(capture.captured) == list(range(nranks))
+        with capture_checkpoint(1, validate_against=Checkpoint(capture.build())) as replay:
+            run_mpi_program(program, nranks)
+        assert replay.mismatches == []
+        captured[nonblocking] = capture.captured
+    assert captured[False] == captured[True]
 
 
 _RESUME_SCRIPT = """\

@@ -25,7 +25,7 @@ from repro.fault.recover import _injected_cause
 from repro.mpi import datatypes, ops
 from repro.sim.engine import DeadlockError, RankFailedError, RankState, SimEngine
 from repro.toolchain.guest import GuestProgram
-from tests.conftest import run_mpi_program
+from tests.conftest import ALGORITHMS, run_mpi_program, two_collective_calls
 
 
 @pytest.fixture()
@@ -140,6 +140,27 @@ def test_kill_rank_at_a_round_inside_gather_and_rabenseifner(collective):
     assert all(state is RankState.TORN_DOWN
                for rank, state in err.rank_states.items() if rank != victim)
     assert not [t for t in threading.enumerate() if t.name.startswith("sim-rank-")]
+
+
+@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
+@pytest.mark.parametrize("collective,algorithm", ALGORITHMS,
+                         ids=[f"{c}:{a}" for c, a in ALGORITHMS])
+def test_kill_rank_at_a_round_inside_every_algorithm(collective, algorithm, nonblocking):
+    """Every schedule crosses at least one round per call, so a kill at the
+    victim's second crossing lands inside the collective -- blocking or not --
+    and every survivor is torn down at the barrier behind it."""
+    nranks, victim, reached = 5, 3, set()
+    program = two_collective_calls(collective, algorithm, nonblocking, nranks, reached=reached)
+    plan = FaultPlan(faults=(Fault(kind="kill_rank", rank=victim, round=1),))
+    with inject_faults(plan) as active:
+        with pytest.raises(RankFailedError) as excinfo:
+            run_mpi_program(program, nranks)
+    err = excinfo.value
+    assert err.rank == victim and isinstance(_injected_cause(err), InjectedFault)
+    assert active.fired[0]["round"] == 1
+    assert victim not in reached
+    assert all(state is RankState.TORN_DOWN
+               for rank, state in err.rank_states.items() if rank != victim)
 
 
 def test_faults_fire_once_and_disarmed_faults_stay_dark(session):

@@ -2,9 +2,11 @@
 
 Virtual time is deterministic, so it is pinned: for every registered
 ``(collective, algorithm)`` x nranks {5, 8} x payload {16 B, 64 KiB} x root
-{0, last} (where rooted) x {blocking call, ``I*`` + ``wait`` (key suffix
-``/nb``)} the job makespan and every rank's final clock are compared with
-``==`` against ``tests/golden/collective_makespans.json``.
+{0, last} (where rooted) the job makespan and every rank's final clock are
+compared with ``==`` against ``tests/golden/collective_makespans.json``.
+Every point is measured twice, as the blocking call and as ``I*`` + ``wait``:
+one schedule loop runs both, so the two must leave every rank's clock
+identical, and the file holds each point once.
 A change that moves a simulated number must say so by regenerating the file
 with ``pytest tests/test_golden_makespans.py --update-golden`` and committing
 the diff.
@@ -82,8 +84,9 @@ def _points(collective: str, algorithm: str) -> dict:
                 if collective in ROOTED:
                     key += f"/root{root}"
                 out[key] = _measure(collective, algorithm, nranks, nbytes, root, False)
-                # The same point as post + ``wait`` through the progress engine.
-                out[key + "/nb"] = _measure(collective, algorithm, nranks, nbytes, root, True)
+                # The same point as post + ``wait``: not a second pin, the same one.
+                nonblocking = _measure(collective, algorithm, nranks, nbytes, root, True)
+                assert nonblocking == out[key], key
     return out
 
 
@@ -108,3 +111,4 @@ def test_golden_file_covers_exactly_the_registered_algorithms():
     golden = json.loads(GOLDEN.read_text())
     assert {key.split("/")[0] for key in golden} == {f"{c}:{a}" for c, a in ALL_POINTS}
     assert len(ALL_POINTS) == 17
+    assert len(golden) == 96 and not any(key.endswith("/nb") for key in golden)

@@ -16,6 +16,9 @@
   straight into a schedule buffer, stages in with one copy, and allocates
   nothing payload-sized beyond stage-in, schedule temporaries and the
   messages in flight.
+* **Blocking price** -- ``MPI_Allreduce`` and ``MPI_Iallreduce`` + wait hand
+  the execution token on equally often, and no more often than the blocking
+  call did before it shared the non-blocking wait.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from repro.mpi import datatypes, ops  # noqa: E402
 from repro.mpi.algorithms import registry  # noqa: E402
 from repro.mpi.algorithms.schedule import ScheduleExecutor  # noqa: E402
 from repro.mpi.pt2pt import MatchingEngine  # noqa: E402
-from repro.sim.engine import DeadlockError  # noqa: E402
+from repro.sim.engine import DeadlockError, RankContext  # noqa: E402
+from repro.sim.machines import supermuc_ng  # noqa: E402
 from tests.conftest import run_mpi_program  # noqa: E402
 
 LONG = datatypes.LONG
@@ -210,13 +214,12 @@ def test_in_place_reduction_matches_the_copying_formula(datatype, count, data):
 #: as produced by the copying receive path this module guards.
 CORRUPTED_RESULT = "41583e944bbb2311"
 RING_MAKESPAN = 1.321425391304348e-05
-DROPPED_REPORT = {
-    False: "simulation deadlocked; blocked: rank 0 (recv src=3 tag=24117251 ctx=0), "
-           "rank 1 (recv src=0 tag=24117252 ctx=0), rank 2 (recv src=1 tag=24117249 ctx=0), "
-           "rank 3 (recv src=2 tag=24117250 ctx=0)",
-    True: "simulation deadlocked; blocked: rank 0 (wait iallreduce), rank 1 (wait iallreduce), "
-          "rank 2 (wait iallreduce), rank 3 (wait iallreduce)",
-}
+#: One report for both modes: ``MPI_Wait`` blocks in the same receive wait.
+DROPPED_REPORT = (
+    "simulation deadlocked; blocked: rank 0 (recv src=3 tag=24117251 ctx=0), "
+    "rank 1 (recv src=0 tag=24117252 ctx=0), rank 2 (recv src=1 tag=24117249 ctx=0), "
+    "rank 3 (recv src=2 tag=24117250 ctx=0)"
+)
 DROPPED_CLOCKS = [7.671166956521741e-06, 9.545862608695654e-06, 2.611055652173913e-06,
                   5.141111304347827e-06]
 
@@ -252,7 +255,7 @@ def test_dropped_hop_inside_ring_allreduce_deadlocks_as_pinned(nonblocking):
     with inject_faults(plan):
         with pytest.raises(DeadlockError) as excinfo:
             run_mpi_program(_ring_allreduce(nonblocking), 4)
-    assert str(excinfo.value) == DROPPED_REPORT[nonblocking]
+    assert str(excinfo.value) == DROPPED_REPORT
     assert excinfo.value.rank_clocks == DROPPED_CLOCKS
 
 
@@ -370,3 +373,44 @@ def test_stage_in_copies_the_send_buffer_once():
     run_mpi_program(program, 1)
     assert recv.tolist() == send.tolist()
     assert peak["bytes"] <= MIB + SLACK
+
+
+# ------------------------------------------------------------ the blocking price
+
+#: ``RankContext.yield_turn`` calls of the loop below as ``MPI_Allreduce``
+#: when the blocking collectives had a loop of their own: the wait they now
+#: share with ``MPI_Wait`` must not cost them a single extra handoff.
+ALLREDUCE_YIELDS_BEFORE = 360
+
+
+def test_blocking_and_nonblocking_allreduce_yield_equally(monkeypatch):
+    """30 allreduces of 16 doubles at np 8: ``MPI_Iallreduce`` + ``MPI_Wait``
+    hands the token on exactly as often as ``MPI_Allreduce``, which hands it
+    on no more often than before.  Handoffs are the host cost of a wait, and
+    unlike wall time they are counted exactly."""
+    yields = [0]
+    yield_turn = RankContext.yield_turn
+
+    def counting(ctx):
+        yields[0] += 1
+        yield_turn(ctx)
+
+    monkeypatch.setattr(RankContext, "yield_turn", counting)
+
+    def measure(nonblocking: bool):
+        def program(rt, ctx):
+            send, recv = np.full(16, ctx.rank + 1.0), np.zeros(16)
+            for _ in range(30):
+                if nonblocking:
+                    rt.wait(rt.iallreduce(send, recv, 16, datatypes.DOUBLE, ops.SUM))
+                else:
+                    rt.allreduce(send, recv, 16, datatypes.DOUBLE, ops.SUM)
+            return ctx.now
+
+        yields[0] = 0
+        clocks = run_mpi_program(program, 8, machine=supermuc_ng())
+        return yields[0], clocks
+
+    blocking, clocks = measure(False)
+    assert measure(True) == (blocking, clocks)
+    assert blocking <= ALLREDUCE_YIELDS_BEFORE

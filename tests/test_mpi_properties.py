@@ -1,6 +1,6 @@
 """Seeded property-based tests over the MPI layer.
 
-Two conformance properties, checked on randomized draws with Hypothesis in
+The conformance properties below, checked on randomized draws with Hypothesis in
 ``derandomize`` mode (the shrink-friendly equivalent of a fixed seed, so CI
 runs are reproducible):
 
@@ -20,6 +20,10 @@ runs are reproducible):
   (immediate ``test`` polling or ``wait``), every non-blocking collective
   must agree *bit-for-bit* with the same NumPy oracle as its blocking
   counterpart.
+* **Blocking/non-blocking virtual time** -- for random (algorithm x nranks
+  2-12 x payload x root x ranks per node) draws of two back-to-back calls,
+  ``MPI_<C>`` and ``MPI_I<c>`` + ``MPI_Wait`` leave every rank's final clock
+  ``==``: one schedule loop prices both.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from repro.mpi.algorithms import schedule as schedules  # noqa: E402
 from repro.mpi.runtime import MPIRuntime, MPIWorld  # noqa: E402
 from repro.sim.cluster import Cluster  # noqa: E402
 from repro.sim.engine import SimEngine  # noqa: E402
-from repro.sim.machines import graviton2  # noqa: E402
+from repro.sim.machines import graviton2, supermuc_ng  # noqa: E402
+from tests.conftest import ALGORITHMS, collective_args  # noqa: E402
 
 #: Fixed-seed mode: every example sequence is derived deterministically from
 #: the test function, never from entropy -- what the CI main job relies on.
@@ -324,6 +329,52 @@ def test_nonblocking_collectives_agree_with_blocking_oracle(params):
 
     else:  # pragma: no cover - keeps the draw space and dispatch in sync
         pytest.fail(f"collective {collective!r} not covered by the oracle")
+
+
+# ------------------------------------------- blocking/non-blocking virtual time
+
+@st.composite
+def timing_draws(draw):
+    collective, algorithm = draw(st.sampled_from(ALGORITHMS))
+    nranks = draw(st.integers(min_value=2, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=8192))  # MPI_LONGs: 8 B to 64 KiB
+    root = draw(st.integers(min_value=0, max_value=nranks - 1))
+    ranks_per_node = draw(st.integers(min_value=1, max_value=nranks))
+    return collective, algorithm, nranks, count, root, ranks_per_node
+
+
+def _clocks(collective, algorithm, nranks, count, root, ranks_per_node, nonblocking):
+    """Every rank's final clock after two back-to-back calls."""
+    engine = SimEngine(nranks)
+    world = MPIWorld.install(Cluster(supermuc_ng(), nranks, ranks_per_node), engine)
+    world.collectives.force_many({collective: algorithm})
+
+    def make(rank):
+        def rank_main(ctx):
+            rt = MPIRuntime(world, ctx)
+            rt.init()
+            for _ in range(2):
+                args, _out = collective_args(collective, ctx.rank, nranks, root, count)
+                if nonblocking:
+                    rt.wait(getattr(rt, "i" + collective)(*args))
+                else:
+                    getattr(rt, collective)(*args)
+            rt.finalize()
+
+        return rank_main
+
+    engine.spawn_all(make)
+    engine.run()
+    return engine.clocks()
+
+
+@PROPERTY_SETTINGS
+@given(timing_draws())
+def test_blocking_and_nonblocking_collectives_cost_the_same_virtual_time(params):
+    """One schedule loop: ``MPI_<C>`` and ``MPI_I<c>`` + ``MPI_Wait`` leave
+    every rank's clock identical, off the golden points too (odd rank
+    counts, any root, any node packing)."""
+    assert _clocks(*params, nonblocking=False) == _clocks(*params, nonblocking=True)
 
 
 # ------------------------------------------------------- pt2pt non-overtaking

@@ -147,6 +147,36 @@ def test_testall_completes_all_when_ready():
 # ----------------------------------------------------------------- guest ABI
 
 
+@pytest.mark.parametrize("poll", ["iprobe", "testall"])
+def test_polling_rank_lets_a_later_sender_run(poll):
+    """A rank spinning on ``MPI_Iprobe``/``MPI_Testall`` must not keep the
+    token: rank 1 computes 1 ms before it sends, and starts with the same
+    clock as rank 0 but a higher rank, so a poll that yields without
+    advancing the clock would hand the token back to rank 0 forever."""
+    spin_bound = 1000
+
+    def program(rt, ctx):
+        if ctx.rank == 1:
+            ctx.advance(1e-3)
+            rt.send(np.full(1, 7, dtype=np.int32), 1, datatypes.INT, 0, 5)
+            return None
+        buf = np.zeros(1, dtype=np.int32)
+        requests = [rt.irecv(buf, 1, datatypes.INT, 1, 5)]
+        for _ in range(spin_bound):
+            if poll == "iprobe" and rt.iprobe(1, 5)[0]:
+                rt.wait(requests[0])
+                break
+            if poll == "testall" and rt.testall(requests)[0]:
+                break
+        else:
+            return None  # livelocked: rank 1 never got the token
+        return int(buf[0]), ctx.now
+
+    value, now = run_mpi_program(program, 2)[0] or (None, 0.0)
+    assert value == 7
+    assert now >= 1e-3
+
+
 def test_guest_waitany_and_testall():
     """Drive MPI_Waitany/MPI_Testall through the full Wasm import path."""
     from repro.api import run

@@ -165,16 +165,32 @@ def test_tracing_disabled_records_nothing():
     assert not trace_mod.ENABLED
 
 
-def test_nbc_schedule_emits_instants_not_spans():
-    """Incrementally-executed NBC schedules must not emit round spans (their
-    rounds interleave with unrelated MPI calls, which would break nesting);
-    they emit nbc_step/nbc_complete instants instead."""
+def test_nbc_schedule_steps_nest_inside_mpi_call_spans():
+    """One trace form for every schedule: a ``sched.round[N]`` instant where
+    a round starts and one ``sched.<Step>`` span per step, inside the MPI
+    call that ran it -- ``MPI_Iallreduce`` for the steps its start pass ran,
+    ``MPI_Wait`` for the rest."""
     from repro.api import Session
 
     with Session(backend="singlepass", trace=True) as session:
         job = session.run("iallreduce", 2)
-    names = {e["name"] for e in job.trace["events"]}
-    assert "sched.nbc_complete" in names
+    events = job.trace["events"]
+    steps = [e for e in events if e["name"].startswith("sched.") and e["name"].endswith("Step")]
+    calls = [e for e in events if e["name"].startswith("MPI_")]
+    assert steps and all(e["ph"] == "X" for e in steps)
+    eps = 1e-15  # seconds of float rounding in ts + dur
+
+    def owners(step):
+        return [c["name"] for c in calls
+                if c["tid"] == step["tid"] and c["ts"] <= step["ts"] + eps
+                and step["ts"] + step["dur"] <= c["ts"] + c["dur"] + eps]
+
+    step_owners = [owners(step) for step in steps]
+    assert all(step_owners)
+    assert {"MPI_Iallreduce", "MPI_Wait"} <= {name for names in step_owners for name in names}
+    rounds = [e for e in events if e["name"].startswith("sched.round[")]
+    assert rounds and all(e["ph"] == "i" for e in rounds)
+    assert not any(e["name"].startswith("sched.nbc_") for e in events)
     doc = to_chrome_trace(job.trace)
     assert validate_chrome_trace(doc) == []
 
@@ -208,17 +224,17 @@ def test_traced_campaign_merges_into_one_valid_timeline(tmp_path):
                 if e["pid"] == pid and e["ph"] == "X"}
         assert tids == {0, 1, 2, 3}
 
-    # Schedule rounds nest inside the owning collective's MPI-call span.
+    # Schedule steps nest inside the owning collective's MPI-call span.
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    rounds = [e for e in spans if e["name"].startswith("sched.round")]
+    steps = [e for e in spans if e["name"].startswith("sched.") and e["name"].endswith("Step")]
     mpi_calls = [e for e in spans if e["name"].startswith("MPI_")]
-    assert rounds and mpi_calls
+    assert steps and mpi_calls
     eps = 1e-6      # microseconds; absorbs float rounding in the µs conversion
     def encloses(outer, inner):
         return (outer["pid"] == inner["pid"] and outer["tid"] == inner["tid"]
                 and outer["ts"] <= inner["ts"] + eps
                 and inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + eps)
-    assert all(any(encloses(m, r) for m in mpi_calls) for r in rounds)
+    assert all(any(encloses(m, s) for m in mpi_calls) for s in steps)
 
     # And the written file is a valid Chrome trace document.
     path = result.write_trace(tmp_path / "timeline.json")

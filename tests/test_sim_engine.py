@@ -459,5 +459,5 @@ def test_benchmark_makespans_are_pinned():
         nbc_np8 = sum(session.run(make_imb_nbc_program(routine, iterations=4), 8).makespan
                       for routine in NBC_ROUTINES)
     assert imb_np32 == 0.00024274347826087192
-    assert imb_np8 == 0.0015185388799999612
-    assert nbc_np8 == 0.001969228560000001
+    assert imb_np8 == 0.0015171234886956135
+    assert nbc_np8 == 0.001964554864347827
