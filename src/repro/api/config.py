@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core import envvars
+from repro.wasm.types import MemoryType
 
 _UNSET = object()
 
@@ -31,6 +32,18 @@ def _parse_algorithms(raw: object) -> Dict[str, str]:
     from repro.mpi.algorithms.decision import parse_env_knob
 
     return parse_env_knob(str(raw))
+
+
+def _parse_memory_pages(raw: object) -> Optional[int]:
+    """A page count a wasm32 memory can have, from any layer."""
+    if raw is None:
+        return None
+    pages = int(raw)
+    if not 0 <= pages <= MemoryType.MAX_PAGES:
+        raise ValueError(
+            f"memory_pages (REPRO_MEMORY_PAGES) must be in 0..{MemoryType.MAX_PAGES}, got {pages}"
+        )
+    return pages
 
 
 @dataclass(frozen=True)
@@ -57,8 +70,8 @@ FIELDS: Tuple[_Field, ...] = (
            parse=lambda raw: envvars.parse_bool(raw, "REPRO_CACHE"), coerce=bool),
     _Field("validate", True, "REPRO_VALIDATE",
            parse=lambda raw: envvars.parse_bool(raw, "REPRO_VALIDATE"), coerce=bool),
-    _Field("memory_pages", None, "REPRO_MEMORY_PAGES", parse=int,
-           coerce=lambda v: None if v is None else int(v)),
+    _Field("memory_pages", None, "REPRO_MEMORY_PAGES",
+           parse=_parse_memory_pages, coerce=_parse_memory_pages),
     _Field("max_call_depth", 256, "REPRO_MAX_CALL_DEPTH", parse=int, coerce=int),
     _Field("collective_algorithms", {}, "REPRO_COLL_ALGO",
            parse=_parse_algorithms, coerce=_parse_algorithms),

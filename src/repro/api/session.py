@@ -47,6 +47,7 @@ from repro.toolchain.wasicc import CompiledApplication, compile_guest
 from repro.wasm.compilers.base import CompiledModule
 from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, TieredCache
 from repro.wasm.decoder import decode_module
+from repro.wasm.runtime import memory_type_of
 from repro.wasm.validation import validate_module
 
 #: Application argument accepted by :meth:`Session.run` / :meth:`Session.compile`.
@@ -429,6 +430,9 @@ def _run_wasm_mode(
     """Run a guest under MPIWasm: one embedder per rank, shared warm store."""
     compiled_app = session._compiled_application(app)
     cache = session.artifact_cache(config)
+    # An override the module's memory cannot take fails the job here, once,
+    # instead of in every rank's instantiation.
+    memory_type_of(compiled_app.module, config.memory_pages)
     if config.validate:
         # Once per job, before any rank runs; the per-rank embedders below
         # only look the artifact up, so they are told not to validate again.

@@ -301,9 +301,8 @@ def build_mpi_imports() -> Dict[str, Callable]:
         datatype = env.resolve_datatype(_signed(datatype_handle))
         env.charge_overhead("MPI_Irecv", datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        # Lazy view: translated when the message is actually consumed, so no
-        # live view pins linear memory (memory.grow must keep working while
-        # the request is outstanding).
+        # A resolver (see LazyBuffer): the runtime translates the receive's
+        # extent when it consumes the message.
         request = env.runtime.irecv(
             partial(_translator(instance).to_host, buf),
             count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm,
@@ -440,11 +439,11 @@ def build_mpi_imports() -> Dict[str, Callable]:
     # the runtime method: handles -> host objects, the embedder overhead
     # charged under the calling import's name, guest pointers -> resolvers
     # the runtime calls with the extent it needs (so no extent is computed
-    # here, a negative count is rejected before any pointer is translated,
-    # and no view is held while an MPI_I<c> request is outstanding).  A NULL
-    # pointer for the buffer only the root uses becomes None: "not supplied",
-    # MPI_ERR_BUFFER at the root.  MPI_<C> and MPI_I<c> -- the same arguments
-    # plus the request slot -- are both registered from the one decoder.
+    # here, and a negative count is rejected before any pointer is
+    # translated).  A NULL pointer for the buffer only the root uses becomes
+    # None: "not supplied", MPI_ERR_BUFFER at the root.  MPI_<C> and MPI_I<c>
+    # -- the same arguments plus the request slot -- are both registered from
+    # the one decoder.
 
     def collective(name: str):
         run, post = getattr(MPIRuntime, name), getattr(MPIRuntime, "i" + name)

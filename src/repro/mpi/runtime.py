@@ -67,14 +67,13 @@ from repro.sim.metrics import MetricsRegistry
 
 BufferLike = Union[bytes, bytearray, memoryview, np.ndarray]
 
-#: Buffers of *deferred* operations (irecv and the collectives) may also be
-#: supplied as a resolver: a callable taking the number of bytes the runtime
-#: needs and returning the buffer.  The embedder passes guest pointers this
-#: way, which leaves the extent arithmetic to the runtime and defers guest
-#: address translation to the moment bytes actually move: holding a live
-#: memoryview into Wasm linear memory for the whole post-to-wait window would
-#: pin the underlying buffer and make ``memory.grow`` fail for any guest that
-#: allocates during the overlap.
+#: Buffers of irecv and the collectives may also be supplied as a resolver: a
+#: callable taking the number of bytes the runtime needs and returning the
+#: buffer.  The embedder passes guest pointers this way.  How many bytes a
+#: buffer spans depends on the call (a gather root's receive buffer holds a
+#: block per rank, a non-root's none), and that extent arithmetic lives in
+#: the runtime and the collective's contract row only: the resolver
+#: translates -- and bounds-checks -- exactly the range the runtime touches.
 LazyBuffer = Union[BufferLike, "Callable[[int], BufferLike]"]
 
 
@@ -284,10 +283,10 @@ def _writable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
     return view[:nbytes]
 
 
-def _copy_out(recvbuf: LazyBuffer, nbytes: int, key: str, what: str, buffers) -> None:
-    """Completion of a posted collective: its result leaves the schedule's
-    working buffer ``key`` for the caller's (lazily resolved) buffer."""
-    _writable(_supplied(recvbuf, nbytes), nbytes, what)[:] = buffers[key]
+def _copy_out(out: memoryview, key: str, buffers) -> None:
+    """Completion of a collective: its result leaves the schedule's working
+    buffer ``key`` for the caller's buffer."""
+    out[:] = buffers[key]
 
 
 class MPIWorld:
@@ -1068,18 +1067,11 @@ class MPIRuntime:
             get_builder(row.name, algorithm), cc.rank, size, count, datatype.size, root,
             self._next_seq(comm),
         )
-        if kind is None:
-            self._run_collective(ScheduleExecutor(cc, schedule, buffers, datatype, op))
-            if out is not None:
-                out[:] = buffers[result.key]
-            return None
-        # The result buffer is resolved again at completion: no view into guest
-        # memory is held across the post-to-wait window -- see LazyBuffer.
-        finalize = (
-            functools.partial(_copy_out, recvbuf, out_bytes, result.key, row.name)
-            if out is not None else None
-        )
+        finalize = functools.partial(_copy_out, out, result.key) if out is not None else None
         executor = ScheduleExecutor(cc, schedule, buffers, datatype, op, on_complete=finalize)
+        if kind is None:
+            self._run_collective(executor)
+            return None
         request = Request(kind=kind)
         self._activate(request, _PendingCollective(executor, comm))
         return request

@@ -10,19 +10,39 @@ The embedder's zero-copy path (§3.5) is exposed through :meth:`view`:
 a writable ``memoryview`` of a region of the linear memory that can be handed
 straight to the host MPI library, which is exactly how MPIWasm passes guest
 buffers to OpenMPI without copying.
+
+Storage is one anonymous private ``mmap`` that reserves the memory's declared
+maximum up front, the way Wasmtime reserves linear memory:
+
+* **The base never moves.**  ``memory.grow`` only raises the bound every
+  access is checked against, so a view or ``ndarray`` handed out before a
+  grow stays valid -- and sees later writes -- after it, for as long as the
+  host holds it.
+* **Pages are zeroed lazily.**  The kernel maps a page, zero-filled, on its
+  first touch; creating a memory writes nothing, and pages the guest never
+  uses cost address space, not resident memory.
+* **The reservation caps growth.**  A memory without a declared maximum
+  reserves :data:`DEFAULT_RESERVED_PAGES` (or its minimum, if larger); a host
+  that refuses the reservation (strict overcommit) gets the minimum only.
+  Growing past the reservation returns -1, which the spec allows
+  ``memory.grow`` to answer at any time.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
-from typing import Optional
 
 import numpy as np
 
 from repro.wasm.errors import MemoryOutOfBoundsTrap, Trap
-from repro.wasm.types import Limits, MemoryType
+from repro.wasm.types import MemoryType
 
 PAGE_SIZE = MemoryType.PAGE_SIZE
+
+#: Pages reserved for a memory that declares no maximum: the toolchain's
+#: default maximum, 256 MiB of address space.
+DEFAULT_RESERVED_PAGES = 4096
 
 # Pre-compiled scalar codecs: parsing "<f"/"<d" format strings on every load
 # and store is measurable on the interpreter's hot path.
@@ -30,19 +50,31 @@ _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
 
 
+def _reserve(pages: int) -> mmap.mmap:
+    """Anonymous private mapping of ``pages`` pages (at least one byte: an
+    empty mapping is not allowed), zero-filled by the kernel on first touch."""
+    return mmap.mmap(-1, pages * PAGE_SIZE or 1, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
 class LinearMemory:
-    """A bounds-checked, growable linear memory."""
+    """A bounds-checked linear memory that grows in place."""
 
     def __init__(self, memory_type: MemoryType):
         memory_type.validate()
         self.type = memory_type
-        self._pages = memory_type.limits.minimum
-        self._max_pages = (
-            memory_type.limits.maximum
-            if memory_type.limits.maximum is not None
-            else MemoryType.MAX_PAGES
+        limits = memory_type.limits
+        self._pages = limits.minimum
+        reserved = (
+            limits.maximum
+            if limits.maximum is not None
+            else max(DEFAULT_RESERVED_PAGES, limits.minimum)
         )
-        self._buffer = bytearray(self._pages * PAGE_SIZE)
+        try:
+            self._buffer = _reserve(reserved)
+        except OSError:
+            reserved = limits.minimum
+            self._buffer = _reserve(reserved)
+        self._max_pages = reserved
 
     # ------------------------------------------------------------------- sizes
 
@@ -57,14 +89,20 @@ class LinearMemory:
         return self._pages * PAGE_SIZE
 
     def grow(self, delta_pages: int) -> int:
-        """Grow by ``delta_pages``; returns the old page count or -1 on failure."""
+        """Grow by ``delta_pages``; returns the old page count or -1 on failure.
+
+        The pages are already reserved, so growing moves nothing and copies
+        nothing: it raises the bound :meth:`_check` enforces, and every view
+        taken before stays valid.  A request past the reservation (the
+        declared maximum, or the cap described in the module docstring)
+        returns -1 and leaves the memory unchanged; it never raises.
+        """
         if delta_pages < 0:
             return -1
         new_pages = self._pages + delta_pages
         if new_pages > self._max_pages:
             return -1
         old = self._pages
-        self._buffer.extend(bytes(delta_pages * PAGE_SIZE))
         self._pages = new_pages
         return old
 
@@ -77,7 +115,7 @@ class LinearMemory:
     def read(self, address: int, nbytes: int) -> bytes:
         """Copy ``nbytes`` out of memory (bounds-checked)."""
         self._check(address, nbytes)
-        return bytes(self._buffer[address : address + nbytes])
+        return self._buffer[address : address + nbytes]
 
     def write(self, address: int, data: bytes) -> None:
         """Copy ``data`` into memory (bounds-checked)."""
@@ -109,20 +147,19 @@ class LinearMemory:
     def copy_within(self, dst: int, src: int, nbytes: int) -> None:
         """memmove-style copy inside the memory (bounds-checked, overlap-safe).
 
-        This is the ``memory.copy`` primitive: slicing the source first makes
-        a copy, so overlapping ranges behave like ``memmove``, as the
-        bulk-memory proposal requires.
+        This is the ``memory.copy`` primitive; overlapping ranges behave like
+        ``memmove``, as the bulk-memory proposal requires.
         """
         self._check(dst, nbytes)
         self._check(src, nbytes)
-        self._buffer[dst : dst + nbytes] = self._buffer[src : src + nbytes]
+        self._buffer.move(dst, src, nbytes)
 
     # ------------------------------------------------------------ scalar access
 
     def load_int(self, address: int, nbytes: int, signed: bool = False) -> int:
         """Load a little-endian integer of ``nbytes`` bytes."""
-        raw = self.read(address, nbytes)
-        return int.from_bytes(raw, "little", signed=signed)
+        self._check(address, nbytes)
+        return int.from_bytes(self._buffer[address : address + nbytes], "little", signed=signed)
 
     def store_int(self, address: int, value: int, nbytes: int) -> None:
         """Store a little-endian integer of ``nbytes`` bytes (wraps silently)."""
@@ -153,13 +190,11 @@ class LinearMemory:
 
     def read_cstring(self, address: int, max_len: int = 1 << 20) -> str:
         """Read a NUL-terminated UTF-8 string (bounds-checked)."""
-        end = address
-        limit = min(self.size, address + max_len)
-        while end < limit and self._buffer[end] != 0:
-            end += 1
-        if end >= limit and (end >= self.size or self._buffer[end] != 0):
+        self._check(address, 0)
+        end = self._buffer.find(b"\x00", address, min(self.size, address + max_len + 1))
+        if end < 0:
             raise Trap(f"unterminated string at address {address}")
-        return bytes(self._buffer[address:end]).decode("utf-8", errors="replace")
+        return self._buffer[address:end].decode("utf-8", errors="replace")
 
     def write_cstring(self, address: int, text: str) -> int:
         """Write a NUL-terminated UTF-8 string; returns bytes written."""

@@ -114,6 +114,31 @@ class ImportObject:
         return sorted(self._functions)
 
 
+def memory_type_of(module: Module, pages_override: Optional[int] = None) -> Optional[MemoryType]:
+    """Type of the memory an instance of ``module`` allocates (``None``: none).
+
+    That is the module's first memory, imported or defined, with its minimum
+    raised to ``pages_override`` when that is larger.  An override above the
+    declared maximum cannot be honoured and raises :class:`LinkError`.
+    """
+    mem_types = list(module.memories)
+    for imp in module.imports:
+        if imp.kind == ExternKind.MEMORY:
+            mem_types.insert(0, imp.desc)
+    if not mem_types:
+        return None
+    mem_type = mem_types[0]
+    limits = mem_type.limits
+    if pages_override is None or pages_override <= limits.minimum:
+        return mem_type
+    if limits.maximum is not None and pages_override > limits.maximum:
+        raise LinkError(
+            f"memory_pages override of {pages_override} pages exceeds the module's "
+            f"declared maximum of {limits.maximum} pages"
+        )
+    return MemoryType(limits=type(limits)(pages_override, limits.maximum))
+
+
 class Executor:
     """Interface implemented by the compiler back-ends.
 
@@ -197,18 +222,9 @@ class Instance:
             )
 
     def _allocate_memory(self, pages_override: Optional[int]) -> None:
-        mem_types = list(self.module.memories)
-        for imp in self.module.imports:
-            if imp.kind == ExternKind.MEMORY:
-                mem_types.insert(0, imp.desc)
-        if not mem_types:
-            return
-        mem_type = mem_types[0]
-        if pages_override is not None and pages_override > mem_type.limits.minimum:
-            mem_type = MemoryType(
-                limits=type(mem_type.limits)(pages_override, mem_type.limits.maximum)
-            )
-        self.memory = LinearMemory(mem_type)
+        mem_type = memory_type_of(self.module, pages_override)
+        if mem_type is not None:
+            self.memory = LinearMemory(mem_type)
 
     def _init_globals(self) -> None:
         for glob in self.module.globals:

@@ -84,6 +84,23 @@ def test_malformed_values_fail_loudly(tmp_path, monkeypatch):
         ResolvedConfig.resolve(config_file=path)
 
 
+def test_memory_pages_outside_the_wasm32_range_fail_at_resolve(tmp_path, monkeypatch):
+    """A page count no wasm32 memory can have (0..65536) is rejected by every
+    layer before a job starts, naming the environment knob."""
+    monkeypatch.setenv("REPRO_MEMORY_PAGES", "70000")
+    with pytest.raises(ValueError, match="REPRO_MEMORY_PAGES"):
+        ResolvedConfig.resolve(config_file=None)
+    monkeypatch.delenv("REPRO_MEMORY_PAGES")
+    for pages in (70000, -1):
+        with pytest.raises(ValueError, match="REPRO_MEMORY_PAGES"):
+            ResolvedConfig.resolve(memory_pages=pages, config_file=None)
+    path = tmp_path / "pages.json"
+    path.write_text(json.dumps({"memory_pages": 65537}))
+    with pytest.raises(ValueError, match="REPRO_MEMORY_PAGES"):
+        ResolvedConfig.resolve(config_file=path)
+    assert ResolvedConfig.resolve(memory_pages=65536, config_file=None).memory_pages == 65536
+
+
 def test_replaced_keeps_base_and_marks_kwargs():
     base = ResolvedConfig.resolve(backend="cranelift")
     updated = base.replaced(nranks=2)

@@ -102,6 +102,21 @@ def test_module_is_validated_once_per_job_not_once_per_rank(monkeypatch):
     assert len(validated) == 3
 
 
+def test_memory_pages_above_the_module_maximum_fail_the_job_before_any_rank(monkeypatch):
+    """The toolchain declares a 4096-page maximum; a larger ``memory_pages``
+    override is one LinkError for the job, raised before a rank starts."""
+    import repro.api.session as session_mod
+    from repro.wasm.errors import LinkError
+
+    started = []
+    monkeypatch.setattr(session_mod, "execute_job", lambda *a, **k: started.append(a))
+    with Session(machine="graviton2", backend="cranelift", memory_pages=8192,
+                 validate=False) as session:
+        with pytest.raises(LinkError, match="8192 pages exceeds the module's declared maximum of 4096"):
+            session.run(_noop_program("pages-over-max"), 2)
+    assert started == []
+
+
 # ------------------------------------------------------------ lifecycle/overrides
 
 
