@@ -7,9 +7,10 @@ achieved instructions/sec are written to ``BENCH_interpreter.json`` at the
 repository root -- the perf-trajectory record for the execution core; a plain
 run only asserts the floors and leaves the committed file untouched.
 
-The acceptance bar of the lowering refactor is asserted here: the Cranelift
-back-end (threaded dispatch over eagerly lowered IR) must retire at least 2x
-the instructions/sec of the pre-refactor interpreter.
+The acceptance bar of the lowering refactor is asserted here: the
+interpreter (Singlepass: threaded dispatch over the lowered IR) must retire
+at least 2x the instructions/sec of the pre-refactor interpreter.  Cranelift
+and LLVM run generated code and are recorded beside it.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a reduced iteration count (the CI smoke
 mode).
@@ -42,7 +43,7 @@ MAX_ROUNDS = 20
 #: signed comparisons and loop back-edge fusion.
 BASELINE_FLOOR = 2_500_000
 LLVM_FLOOR = 30_000_000
-MIN_CRANELIFT_SPEEDUP = 2.0
+MIN_SINGLEPASS_SPEEDUP = 2.0
 
 #: Dynamic instructions per loop iteration of the ``hot`` function below:
 #: 4 for the exit check (get i, get n, ge_s, br_if), 8 for the body
@@ -73,8 +74,8 @@ def _floors_met(rows) -> bool:
     return (
         baseline >= BASELINE_FLOOR
         and rows["llvm"]["instructions_per_second"] >= LLVM_FLOOR
-        and rows["cranelift"]["instructions_per_second"]
-        >= MIN_CRANELIFT_SPEEDUP * baseline
+        and rows["singlepass"]["instructions_per_second"]
+        >= MIN_SINGLEPASS_SPEEDUP * baseline
     )
 
 
@@ -115,7 +116,7 @@ def test_all_backends_agree_on_hot_loop(throughput_rows):
 
 
 def test_dispatch_throughput_and_write_trajectory(throughput_rows):
-    """Cranelift must retire >= 2x the baseline's instructions/sec."""
+    """The interpreter must retire >= 2x the baseline's instructions/sec."""
     payload = {
         "loop_iterations": LOOP_ITERATIONS,
         "instructions_per_iteration": INSTRS_PER_ITERATION,
@@ -130,8 +131,8 @@ def test_dispatch_throughput_and_write_trajectory(throughput_rows):
         },
     }
     baseline_ips = throughput_rows["baseline"]["instructions_per_second"]
-    cranelift_ips = throughput_rows["cranelift"]["instructions_per_second"]
-    payload["cranelift_speedup_over_baseline"] = cranelift_ips / baseline_ips
+    singlepass_ips = throughput_rows["singlepass"]["instructions_per_second"]
+    payload["singlepass_speedup_over_baseline"] = singlepass_ips / baseline_ips
 
     record_trajectory("BENCH_interpreter.json", payload)
 
@@ -142,13 +143,13 @@ def test_dispatch_throughput_and_write_trajectory(throughput_rows):
             f"   ({row['seconds'] * 1e3:.2f} ms)"
             for name, row in throughput_rows.items()
         ]
-        + [f"cranelift speedup over pre-refactor baseline: "
-           f"{payload['cranelift_speedup_over_baseline']:.2f}x"],
+        + [f"singlepass speedup over pre-refactor baseline: "
+           f"{payload['singlepass_speedup_over_baseline']:.2f}x"],
     )
 
-    assert cranelift_ips >= MIN_CRANELIFT_SPEEDUP * baseline_ips, (
-        f"threaded dispatch must be >= {MIN_CRANELIFT_SPEEDUP}x the "
-        f"pre-refactor interpreter (got {cranelift_ips / baseline_ips:.2f}x)"
+    assert singlepass_ips >= MIN_SINGLEPASS_SPEEDUP * baseline_ips, (
+        f"threaded dispatch must be >= {MIN_SINGLEPASS_SPEEDUP}x the "
+        f"pre-refactor interpreter (got {singlepass_ips / baseline_ips:.2f}x)"
     )
     # Absolute perf-trajectory floors (PR 7): the optimised baseline and the
     # peephole-folded LLVM backend must not regress below these marks.
@@ -161,9 +162,7 @@ def test_dispatch_throughput_and_write_trajectory(throughput_rows):
         f"{throughput_rows['llvm']['instructions_per_second']:.0f} "
         f"< {LLVM_FLOOR} instr/s"
     )
-    # Table 1 ordering within the refactored core: LLVM-generated code beats
-    # the interpreting back-ends on the same hot loop.
-    assert (
-        throughput_rows["llvm"]["instructions_per_second"]
-        > throughput_rows["singlepass"]["instructions_per_second"]
-    )
+    # Table 1 ordering within the refactored core: generated code (Cranelift,
+    # LLVM) beats the interpreting Singlepass on the same hot loop.
+    for name in ("cranelift", "llvm"):
+        assert throughput_rows[name]["instructions_per_second"] > singlepass_ips, name

@@ -32,4 +32,9 @@ def test_table1_rows(benchmark):
             for name, row in result.items()
         ],
     )
-    assert result["llvm"]["kernel_mflops"] > result["singlepass"]["kernel_mflops"]
+    # Table 1's orderings, and Cranelift at >= half of LLVM (the paper: 86 %).
+    compile_ms = [result[name]["compile_ms"] for name in ("singlepass", "cranelift", "llvm")]
+    kernel = [result[name]["kernel_mflops"] for name in ("singlepass", "cranelift", "llvm")]
+    assert compile_ms[0] < compile_ms[1] < compile_ms[2], compile_ms
+    assert kernel[0] < kernel[1] < kernel[2], kernel
+    assert kernel[1] >= 0.5 * kernel[2], kernel

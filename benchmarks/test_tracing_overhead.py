@@ -5,12 +5,13 @@ disabled: call sites check a module-level flag *before* building event
 arguments, and the interpreter's dispatch loop pays one ``_profile.ACTIVE``
 load per function call, not per instruction.  This benchmark enforces that
 claim against the recorded perf trajectory: with tracing disabled (the
-default), the Cranelift executor must retire at least 97% of the
+default), the interpreter (the Singlepass executor; Cranelift and LLVM run
+generated code with no dispatch loop) must retire at least 97% of the
 instructions/sec floor recorded in ``BENCH_interpreter.json``.
 
 Raw instructions/sec depends on the host, so the floor is machine-
 normalised: both runs also measure the pre-refactor baseline interpreter,
-and the comparison is made on the cranelift/baseline *ratio* -- a pure
+and the comparison is made on the singlepass/baseline *ratio* -- a pure
 dispatch-efficiency number that cancels host speed (and smoke-mode
 iteration counts) out.
 
@@ -59,8 +60,14 @@ def _time_once(instance) -> float:
     return time.perf_counter() - start
 
 
+def _interpreter_instance(module):
+    """An instance on the interpreter: the Singlepass back-end's executor."""
+    compiled = get_backend("singlepass").compile(module)
+    return Instance(module, ImportObject(), executor=compiled.make_executor())
+
+
 def _paired_ratio(module, target=None):
-    """Best cranelift/baseline throughput ratio over paired rounds.
+    """Best singlepass/baseline throughput ratio over paired rounds.
 
     Each round times both executors back to back, so host frequency drift
     and scheduler interference hit both sides of the ratio roughly equally
@@ -70,19 +77,18 @@ def _paired_ratio(module, target=None):
     rounds can only rescue a noisy host, never mask a slow build.
     """
     baseline = Instance(module, ImportObject(), executor=BaselineInterpreter())
-    compiled = get_backend("cranelift").compile(module)
-    cranelift = Instance(module, ImportObject(), executor=compiled.make_executor())
+    interpreter = _interpreter_instance(module)
     baseline.invoke("hot", 64)                       # warm up both
-    cranelift.invoke("hot", 64)
+    interpreter.invoke("hot", 64)
     best_ratio, best_ips = 0.0, 0.0
     rounds = ROUNDS if target is None else MAX_ROUNDS
     for i in range(rounds):
         gc.collect()                                 # keep GC pauses out of the window
         base_s = _time_once(baseline)
-        cran_s = _time_once(cranelift)
-        if base_s / cran_s > best_ratio:
-            best_ratio = base_s / cran_s
-            best_ips = LOOP_ITERATIONS * INSTRS_PER_ITERATION / cran_s
+        interp_s = _time_once(interpreter)
+        if base_s / interp_s > best_ratio:
+            best_ratio = base_s / interp_s
+            best_ips = LOOP_ITERATIONS * INSTRS_PER_ITERATION / interp_s
         if target is not None and best_ratio >= target and i + 1 >= ROUNDS:
             break
     return best_ratio, best_ips
@@ -99,34 +105,32 @@ def test_tracing_disabled_throughput_within_3pct_of_floor():
         pytest.skip("no BENCH_interpreter.json floors recorded yet")
     floors = json.loads(FLOORS_PATH.read_text())
     stored_baseline = floors["backends"]["baseline"]["instructions_per_second"]
-    stored_cranelift = floors["backends"]["cranelift"]["instructions_per_second"]
-    stored_ratio = stored_cranelift / stored_baseline
+    stored_singlepass = floors["backends"]["singlepass"]["instructions_per_second"]
+    stored_ratio = stored_singlepass / stored_baseline
 
     assert trace_mod.ENABLED is False                # the gated configuration
     module = build_hot_loop_module()
     floor_ratio = stored_ratio * (1 - MAX_REGRESSION)
-    ratio, cranelift_ips = _paired_ratio(module, target=floor_ratio)
+    ratio, singlepass_ips = _paired_ratio(module, target=floor_ratio)
 
     report(
         "Tracing-disabled dispatch overhead gate",
         [
-            f"stored  cranelift/baseline ratio: {stored_ratio:.3f}",
-            f"current cranelift/baseline ratio: {ratio:.3f}"
-            f"  ({cranelift_ips:.0f} instr/s)",
-            f"floor (97% of stored):            {stored_ratio * (1 - MAX_REGRESSION):.3f}",
+            f"stored  singlepass/baseline ratio: {stored_ratio:.3f}",
+            f"current singlepass/baseline ratio: {ratio:.3f}"
+            f"  ({singlepass_ips:.0f} instr/s)",
+            f"floor (97% of stored):             {stored_ratio * (1 - MAX_REGRESSION):.3f}",
         ],
     )
     assert ratio >= stored_ratio * (1 - MAX_REGRESSION), (
-        f"tracing hooks regressed dispatch throughput: cranelift/baseline "
+        f"tracing hooks regressed dispatch throughput: singlepass/baseline "
         f"ratio {ratio:.3f} fell below 97% of the recorded {stored_ratio:.3f}"
     )
 
 
 def test_profiled_execution_stays_correct():
     """The instrumented twin of the dispatch loop computes the same result."""
-    module = build_hot_loop_module()
-    compiled = get_backend("cranelift").compile(module)
-    instance = Instance(module, ImportObject(), executor=compiled.make_executor())
+    instance = _interpreter_instance(build_hot_loop_module())
     [plain] = instance.invoke("hot", 500)
     with profiling() as profiler:
         [profiled] = instance.invoke("hot", 500)

@@ -169,6 +169,23 @@ class _OpsChecker:
             self._err(pc, "bad-immediate",
                       f"{kind} names unknown binary op {value!r}")
 
+    def _locals(self, pc: int, imm: Any, kind: str, *slots: int) -> None:
+        """Local indices of a fused op (generated code splices them as ints)."""
+        for slot in slots:
+            if not _is_int(imm[slot]):
+                self._err(pc, "bad-immediate",
+                          f"{kind} local index {imm[slot]!r} invalid")
+
+    def _fused_operands(self, pc: int, imm: Any, kind: str) -> None:
+        """``(a, b, ...)`` of a ``get_get``/``get_const`` op: locals or a number."""
+        if kind.startswith("fused.get_get"):
+            self._locals(pc, imm, kind, 0, 1)
+            return
+        self._locals(pc, imm, kind, 0)
+        if isinstance(imm[1], bool) or not isinstance(imm[1], (int, float)):
+            self._err(pc, "bad-immediate",
+                      f"{kind} constant must be int/float, got {type(imm[1]).__name__}")
+
     # ------------------------------------------------------------ per-kind imm
 
     def _check_imm(self, pc: int, kind: str, imm: Any) -> None:
@@ -263,12 +280,12 @@ class _OpsChecker:
                 self._err(pc, "bad-immediate", f"{kind} op name {imm!r} invalid")
         elif kind in ("fused.get_get_bin", "fused.get_const_bin"):
             if self._shape(pc, imm, kind, 3):
-                if not _is_int(imm[0]):
-                    self._err(pc, "bad-immediate", f"{kind} local index {imm[0]!r} invalid")
+                self._fused_operands(pc, imm, kind)
                 self._binop_name(pc, imm[2], kind)
         elif kind == "fused.get_const_store":
             if self._shape(pc, imm, kind, 4) and not (
-                _is_int(imm[0]) and _is_int(imm[2]) and _is_int(imm[3], lo=1)
+                _is_int(imm[0]) and isinstance(imm[1], int) and not isinstance(imm[1], bool)
+                and _is_int(imm[2]) and _is_int(imm[3], lo=1)
             ):
                 self._err(pc, "bad-immediate", f"{kind} immediate {imm!r} invalid")
         elif kind == "fused.cmp_br_if":
@@ -279,22 +296,28 @@ class _OpsChecker:
             self._depth(pc, imm, f"{kind} depth")
         elif kind == "fused.get_get_cmp_br_if":
             if self._shape(pc, imm, kind, 4):
+                self._locals(pc, imm, kind, 0, 1)
                 self._binop_name(pc, imm[2], kind)
                 self._depth(pc, imm[3], f"{kind} depth")
         elif kind in ("fused.get_get_bin_set", "fused.get_const_bin_set"):
             if self._shape(pc, imm, kind, 4):
+                self._fused_operands(pc, imm, kind)
                 self._binop_name(pc, imm[2], kind)
                 if not _is_int(imm[3]):
                     self._err(pc, "bad-immediate", f"{kind} dest {imm[3]!r} invalid")
         elif kind == "fused.bin_set":
             if self._shape(pc, imm, kind, 2):
                 self._binop_name(pc, imm[0], kind)
+                self._locals(pc, imm, kind, 1)
         elif kind in ("fused.get_get_bin_set_br", "fused.get_const_bin_set_br"):
             if self._shape(pc, imm, kind, 5):
+                self._fused_operands(pc, imm, kind)
                 self._binop_name(pc, imm[2], kind)
+                self._locals(pc, imm, kind, 3)
                 self._depth(pc, imm[4], f"{kind} depth")
         elif kind == "fused.set_br":
             if self._shape(pc, imm, kind, 2):
+                self._locals(pc, imm, kind, 0)
                 self._depth(pc, imm[1], f"{kind} depth")
         elif kind == "fused.mined":
             self._check_mined(pc, imm)

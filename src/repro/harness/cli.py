@@ -208,8 +208,13 @@ def _cmd_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_profile(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.obs import format_profile_report, profiling
+    from repro.wasm.interpreter import Interpreter
 
     with Session(backend=args.backend) as session:
+        if not isinstance(session.compile(args.benchmark).make_executor(), Interpreter):
+            print(f"backend {args.backend!r} runs generated code, which has no dispatch "
+                  "loop to profile; use --backend singlepass")
+            return 1
         with profiling(sample_every=args.sample_every) as profiler:
             job = session.run(args.benchmark, args.nranks, machine=args.machine)
     fusion_table = None
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("benchmark", help="registered benchmark name (e.g. allreduce)")
     profile_parser.add_argument("--nranks", type=int, default=2, help="rank count (default 2)")
     profile_parser.add_argument("--backend", default="singlepass",
-                                help="compiler backend; the interpreter hooks fire for every "
-                                     "backend's execution tier (default singlepass)")
+                                help="compiler backend whose executor is the interpreter "
+                                     "(default and only such backend: singlepass)")
     profile_parser.add_argument("--machine", default="graviton2",
                                 help="machine preset (default graviton2)")
     profile_parser.add_argument("--top", type=int, default=15,

@@ -46,6 +46,9 @@ from repro.wasm.compilers import get_backend
 
 OVERHEADS = TranslationOverheadModel()
 
+#: Table 1 reports each back-end's fastest of this many compiles.
+_TABLE1_COMPILE_REPEATS = 3
+
 #: Message-size sweep used by the figure-scale IMB models (1 B .. 4 MiB).
 FIGURE_MESSAGE_SIZES = tuple(2 ** k for k in range(0, 23))
 
@@ -120,10 +123,14 @@ def table1_compiler_backends(
 
     Compile durations are real wall-clock measurements of each back-end
     compiling the HPCG guest module.  The "single-core performance" column
-    runs the module's Wasm ``hpcg_ddot`` kernel repeatedly under each
-    back-end's executor and reports achieved (host-side) MFLOP/s -- absolute
-    values are Python-scale, but the ordering and ratios between back-ends are
-    the reproduced quantity.
+    runs the module's Wasm ``hpcg_ddot`` kernel ``kernel_iterations`` times
+    under each back-end's executor and reports achieved (host-side) MFLOP/s
+    -- absolute values are Python-scale, but the ordering and ratios between
+    back-ends are the reproduced quantity.  Both columns take the best of
+    their repeats, since host contention only ever slows a run, and the
+    kernel calls rotate through the back-ends so that a slow spell of the
+    host hits all of them alike.  The first call of each also pays
+    Cranelift's first-call code generation.
     """
     from repro.wasm.runtime import ImportObject, Instance
     from repro.core.mpi_imports import register_mpi_imports  # noqa: F401 - ensures table import side effects
@@ -132,9 +139,11 @@ def table1_compiler_backends(
     app = compile_guest(make_hpcg_program(dims=dims, iterations=2))
     n = dims[0] * dims[1] * dims[2]
     results: Dict[str, Dict[str, float]] = {}
+    kernels = {}
     for backend_name in backends:
         backend = get_backend(backend_name)
-        compiled = backend.compile(app.module)
+        compiled = min((backend.compile(app.module) for _ in range(_TABLE1_COMPILE_REPEATS)),
+                       key=lambda c: c.compile_seconds)
         executor = backend.executor_for(compiled)
         # Stand-alone instance: no MPI/WASI needed to drive the ddot kernel.
         from repro.wasi.snapshot_preview1 import WasiEnvironment, build_wasi_imports
@@ -150,19 +159,18 @@ def table1_compiler_backends(
         [b_ptr] = instance.invoke("malloc", n * 8)
         instance.exported_memory().ndarray(a_ptr, n, "float64")[:] = np.arange(n, dtype=np.float64)
         instance.exported_memory().ndarray(b_ptr, n, "float64")[:] = 1.0
+        kernels[backend_name] = (instance, a_ptr, b_ptr)
+        results[backend_name] = {"compile_ms": compiled.compile_seconds * 1e3, "checksum": 0.0}
 
-        start = time.perf_counter()
-        acc = 0.0
-        for _ in range(kernel_iterations):
+    best = dict.fromkeys(kernels, float("inf"))
+    for _ in range(kernel_iterations):
+        for backend_name, (instance, a_ptr, b_ptr) in kernels.items():
+            start = time.perf_counter()
             [value] = instance.invoke("hpcg_ddot", a_ptr, b_ptr, n)
-            acc += value
-        elapsed = time.perf_counter() - start
-        flops = 2.0 * n * kernel_iterations
-        results[backend_name] = {
-            "compile_ms": compiled.compile_seconds * 1e3,
-            "kernel_mflops": flops / elapsed / 1e6,
-            "checksum": acc,
-        }
+            best[backend_name] = min(best[backend_name], time.perf_counter() - start)
+            results[backend_name]["checksum"] += value
+    for backend_name, row in results.items():
+        row["kernel_mflops"] = 2.0 * n / best[backend_name] / 1e6
     return results
 
 

@@ -6,14 +6,16 @@ time (Table 1 of the paper).  The analogues here share that exact trade-off
 structure, all rebased on the pre-resolved IR of :mod:`repro.wasm.lowering`:
 
 * :class:`repro.wasm.compilers.singlepass.SinglepassBackend` does essentially
-  no ahead-of-time work; its executor lowers each function lazily on first
-  call,
+  no ahead-of-time work; its executor is the interpreter, which lowers each
+  function lazily on first call,
 * :class:`repro.wasm.compilers.cranelift.CraneliftBackend` spends compile time
   eagerly lowering every function body (pre-resolved handlers, jump offsets
-  and superinstructions),
-* :class:`repro.wasm.compilers.llvm.LLVMBackend` consumes the lowered IR as
-  the input to its Python code generator (its "shared object"), pays the
-  largest compile cost and runs fastest.
+  and superinstructions); its executor generates Python code from that IR,
+  one function at a time on first call, without LLVM's stack-to-expression
+  fold,
+* :class:`repro.wasm.compilers.llvm.LLVMBackend` runs the same code generator
+  over the whole module at compile time, fold included (its "shared
+  object"), pays the largest compile cost and runs fastest.
 
 All three produce a :class:`CompiledModule` whose ``artifact`` is a
 *serializable* payload -- what the content-addressed cache in

@@ -3,9 +3,10 @@
 MPIWasm offsets the LLVM back-end's long compile times by caching the
 generated shared object in the filesystem, keyed by a Blake-3 hash of the
 Wasm module.  Since the lowering refactor *every* back-end produces a
-serializable artifact (lowered IR for the interpreting back-ends, generated
-Python source for LLVM), so the cache is useful for all three -- repeated
-launches of the same application skip lowering and code generation entirely.
+serializable artifact (a scan record for Singlepass, lowered IR for
+Cranelift, generated Python source for LLVM), so the cache is useful for all
+three -- repeated launches of the same application skip the compile-time
+lowering and code generation.
 
 Keys are a ``blake2b`` hash over module bytes + back-end name + IR version
 (Blake-3 is not packaged offline; the only property used is collision-

@@ -3,13 +3,18 @@
 Wasmer's LLVM back-end lowers Wasm through LLVM-IR into an optimised shared
 object that is later ``dlopen``-ed.  The analogue here consumes the
 pre-resolved IR of :mod:`repro.wasm.lowering` -- the same lowered form the
-interpreting back-ends execute, including fused superinstructions -- and
+interpreter executes, including fused superinstructions -- and
 translates it into Python source code (the module's "shared object"), compiles
 it with ``compile``/``exec`` once, and thereafter executes plain Python
 functions with no per-instruction dispatch: the slowest back-end to compile
 and the fastest to run, reproducing the LLVM row of Table 1.  The generated
 source travels inside a serializable artifact dict, which is exactly what the
 compilation cache stores and reloads (§3.3 of the paper).
+
+The generator is shared with the Cranelift back-end, which runs it per
+function on first call and without the stack-to-expression fold
+(:class:`FirstCallTable`); :class:`GeneratedCodeExecutor` runs the callables
+of both.
 
 Structured Wasm control flow is lowered with the label-id scheme: every
 ``block``/``loop``/``if`` gets a unique integer label, branches set ``_br`` to
@@ -37,7 +42,7 @@ from repro.wasm.lowering import (
     lower_module,
 )
 from repro.wasm.module import Module
-from repro.wasm.runtime import Executor, HostFunction, Instance
+from repro.wasm.runtime import Executor, HostFunction, Instance, reserve_recursion_headroom
 
 MAX_CALL_DEPTH = 256
 
@@ -136,11 +141,18 @@ _IMPURE = re.compile(r"S\.|call\(|M\.|G\[|instance|\b_[a-z][a-z0-9]*\b")
 
 
 class _FunctionCodeGen:
-    """Generates the Python source for one lowered Wasm function."""
+    """Generates the Python source for one lowered Wasm function.
 
-    def __init__(self, lowered: LoweredFunction, func_name: str):
+    ``fold`` is the optimisation level: with it the stack-to-expression
+    peephole (:meth:`_pop_expr`) turns pushes and pops into nested
+    expressions (LLVM); without it every op is translated on its own, local
+    lowering and the IR's fused superinstructions only (Cranelift).
+    """
+
+    def __init__(self, lowered: LoweredFunction, func_name: str, fold: bool = True):
         self.lowered = lowered
         self.func_name = func_name
+        self.fold = fold
         self.lines: List[str] = []
         self.indent = 0
         self.label_counter = 0
@@ -169,7 +181,7 @@ class _FunctionCodeGen:
         cross another statement, a control-flow join (those dedent), or a
         mutation of anything the expression reads.
         """
-        if self.lines:
+        if self.fold and self.lines:
             prefix = "    " * self.indent + "S.append("
             line = self.lines[-1]
             if line.startswith(prefix) and line.endswith(")"):
@@ -597,13 +609,45 @@ def load_artifact(source: str, function_count: int) -> List:
     return [namespace[PythonCodeGenerator.function_symbol(i)] for i in range(function_count)]
 
 
-class LLVMExecutor(Executor):
-    """Executes the Python callables produced by the code generator."""
+class FirstCallTable(list):
+    """Generated callables by module-local index, each built on its first call.
 
-    name = "llvm"
+    Entry ``i`` starts as a stub that generates function ``i``'s source from
+    its lowered IR (at optimisation level ``fold``), compiles it, replaces
+    itself with the result and runs it -- the code-generating counterpart of
+    Singlepass lowering a function on first call.  Functions a run never
+    calls are never generated.
+    """
 
-    def __init__(self, compiled_functions: List, max_call_depth: int = MAX_CALL_DEPTH):
-        self._functions = compiled_functions
+    def __init__(self, lowered: Sequence[LoweredFunction], fold: bool):
+        namespace = _exec_namespace()
+        super().__init__(
+            self._stub(i, fn, namespace, fold) for i, fn in enumerate(lowered)
+        )
+
+    def _stub(self, index: int, lowered: LoweredFunction, namespace: dict, fold: bool):
+        def generate_then_call(instance, args):
+            symbol = PythonCodeGenerator.function_symbol(index)
+            source = _FunctionCodeGen(lowered, symbol, fold=fold).generate()
+            exec(compile(source, "<wasm-generated-function>", "exec"), namespace)  # noqa: S102
+            self[index] = function = namespace[symbol]
+            return function(instance, args)
+
+        return generate_then_call
+
+
+class GeneratedCodeExecutor(Executor):
+    """Executes generated Python callables: LLVM's and Cranelift's tier.
+
+    ``functions`` is indexed by module-local function index: the callables
+    of LLVM's artifact, compiled up front, or Cranelift's
+    :class:`FirstCallTable`, filled in as functions are first called.
+    """
+
+    name = "generated"
+
+    def __init__(self, functions: List, max_call_depth: int = MAX_CALL_DEPTH):
+        self._functions = functions
         self.max_call_depth = max_call_depth
 
     def prepare(self, module: Module) -> None:
@@ -625,6 +669,8 @@ class LLVMExecutor(Executor):
         depth = instance.host_state.get("_call_depth", 0)
         if depth >= self.max_call_depth:
             raise StackExhaustionTrap(depth)
+        if depth == 0:
+            reserve_recursion_headroom(self.max_call_depth)
         instance.host_state["_call_depth"] = depth + 1
         try:
             return self._functions[local_index](instance, list(args))
@@ -656,7 +702,7 @@ class LLVMBackend(CompilerBackend):
             source = artifact["source"] if isinstance(artifact, dict) else str(artifact)
             functions = load_artifact(source, len(module.functions))
             module._llvm_runtime = functions
-        return LLVMExecutor(functions)
+        return GeneratedCodeExecutor(functions)
 
 
 register_backend(LLVMBackend())

@@ -1,25 +1,25 @@
 """Threaded-dispatch interpreter over the pre-resolved lowered IR.
 
-This is the execution core shared by the Singlepass and Cranelift back-ends
-(:mod:`repro.wasm.compilers`).  Function bodies are lowered once by
-:mod:`repro.wasm.lowering` into a flat array of ``(handler, immediate)``
-pairs -- handlers resolved to direct function references, branch targets
-pre-computed into jump offsets, adjacent instruction pairs fused into
+This is the execution core of the Singlepass back-end
+(:mod:`repro.wasm.compilers`), the one interpreting tier, and the home of the
+sampled profiler (:mod:`repro.obs.profile`).  Function bodies are lowered
+once by :mod:`repro.wasm.lowering` into a flat array of ``(handler,
+immediate)`` pairs -- handlers resolved to direct function references, branch
+targets pre-computed into jump offsets, adjacent instruction pairs fused into
 superinstructions -- and the dispatch loop below simply indexes the array and
 calls, with no per-step string comparisons or forward scans.
 
-The difference between the two interpreting back-ends is only *when* the
-lowering work happens: Singlepass executors lower lazily on a function's
-first call (near-zero compile time), Cranelift executors receive the
-eagerly-lowered module from compile time.  Numeric semantics are delegated to
-:mod:`repro.wasm.values` through the tables in :mod:`repro.wasm.lowering`,
-which the code-generating LLVM back-end reuses, so all three back-ends agree
-bit-for-bit.
+Singlepass executors lower lazily, on a function's first call (near-zero
+compile time); an executor can also be seeded with an eagerly lowered
+module.  Cranelift and LLVM run Python code generated from the same lowered
+IR instead (:mod:`repro.wasm.compilers.llvm`).  Numeric semantics are
+delegated to :mod:`repro.wasm.values` through the tables in
+:mod:`repro.wasm.lowering`, which the generated code reuses, so all three
+back-ends agree bit-for-bit.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import profile as _profile
@@ -33,7 +33,13 @@ from repro.wasm.lowering import (
     lower_module,
 )
 from repro.wasm.module import Module
-from repro.wasm.runtime import Executor, HostFunction, Instance, WasmFunction
+from repro.wasm.runtime import (
+    Executor,
+    HostFunction,
+    Instance,
+    WasmFunction,
+    reserve_recursion_headroom,
+)
 
 __all__ = ["Interpreter", "MAX_CALL_DEPTH", "build_control_map"]
 
@@ -41,12 +47,12 @@ MAX_CALL_DEPTH = 256
 
 
 class Interpreter(Executor):
-    """The shared threaded-dispatch executor over lowered function bodies.
+    """The threaded-dispatch executor over lowered function bodies.
 
-    ``lowered`` seeds the executor with pre-lowered functions (Cranelift-style
-    eager compilation).  ``lazy`` selects Singlepass-style behaviour: nothing
-    is lowered until a function's first call.  The default (neither) lowers
-    the whole module in :meth:`prepare`.
+    ``lowered`` seeds the executor with pre-lowered functions (eager
+    compilation).  ``lazy`` selects Singlepass-style behaviour: nothing is
+    lowered until a function's first call.  The default (neither) lowers the
+    whole module in :meth:`prepare`.
     """
 
     name = "interpreter"
@@ -97,15 +103,7 @@ class Interpreter(Executor):
         if depth >= self.max_call_depth:
             raise StackExhaustionTrap(depth)
         if depth == 0:
-            # Each Wasm call level costs a handful of Python frames (call ->
-            # _exec -> call handler -> call_function); make sure the guest
-            # hits the Wasm call-depth guard before CPython's own limit.
-            # Capped so an extreme max_call_depth cannot push the process
-            # limit past C-stack safety (beyond the cap, deep guests get a
-            # RecursionError rather than a weakened host-wide guard).
-            needed = min(self.max_call_depth, 2048) * 6 + 1000
-            if sys.getrecursionlimit() < needed:
-                sys.setrecursionlimit(needed)
+            reserve_recursion_headroom(self.max_call_depth)
         instance.host_state["_call_depth"] = depth + 1
         try:
             return self._exec(instance, target, list(args))

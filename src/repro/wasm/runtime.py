@@ -9,6 +9,7 @@ Python callables wrapped in :class:`HostFunction`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -163,6 +164,23 @@ class Executor:
     def call(self, instance: "Instance", func_index: int, args: Sequence) -> List:
         """Execute a module-defined function."""
         raise NotImplementedError
+
+
+def reserve_recursion_headroom(max_call_depth: int) -> None:
+    """Raise CPython's recursion limit so the Wasm call-depth trap fires first.
+
+    Each Wasm call level costs a handful of Python frames (executor ``call``
+    -> function body -> ``call_function`` -> ``call``); executors call this
+    on entry from the host, so a deep guest raises
+    :class:`~repro.wasm.errors.StackExhaustionTrap` rather than
+    ``RecursionError``.  Capped so an extreme ``max_call_depth`` cannot push
+    the process limit past C-stack safety (beyond the cap, deep guests get a
+    ``RecursionError`` rather than a weakened host-wide guard).  Never lowers
+    the limit.
+    """
+    needed = min(max_call_depth, 2048) * 6 + 1000
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
 
 
 class Instance:

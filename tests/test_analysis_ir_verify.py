@@ -130,6 +130,44 @@ def test_bad_branch_depth_is_rejected():
     _expect_rejection(payload, "bad-branch-depth")
 
 
+def test_fused_local_index_must_be_an_int():
+    # Generated code splices local indices into source text (``L[{a}]``).
+    payload = _clean_payload()
+    fi, pc = _find_op(payload, "fused.get_get_cmp_br_if")
+    imm = list(payload["functions"][fi]["ops"][pc][1])
+    imm[1] = "0] + L[0"
+    payload["functions"][fi]["ops"][pc][1] = imm
+    _expect_rejection(payload, "bad-immediate")
+
+
+def test_cranelift_verifies_disk_ir_before_generating_source(monkeypatch):
+    import builtins
+
+    from repro.wasm import ImportObject, Instance
+    from repro.wasm.compilers import llvm
+    from repro.wasm.compilers.base import CompiledModule
+
+    module = _sum_module()   # fresh: no in-process lowered IR stashed on it
+    payload = _clean_payload()
+    fi, pc = _find_op(payload, "local.get")
+    injected = "0]); __import__('builtins').__dict__.__setitem__('_wasm_ir_injected', 1); (L[0"
+    payload["functions"][fi]["ops"][pc][1] = injected
+    generated = []
+    generate = llvm._FunctionCodeGen.generate
+    monkeypatch.setattr(llvm._FunctionCodeGen, "generate",
+                        lambda self: generated.append(self.func_name) or generate(self))
+    compiled = CompiledModule(backend_name="cranelift", module=module,
+                              compile_seconds=0.0, artifact=payload)
+    try:
+        with pytest.raises(ValidationError, match="lowered-IR artifact rejected"):
+            executor = compiled.make_executor()
+            Instance(module, ImportObject(), executor=executor).invoke("sum_to", 3)
+        assert generated == []
+        assert not hasattr(builtins, "_wasm_ir_injected")
+    finally:
+        monkeypatch.delattr(builtins, "_wasm_ir_injected", raising=False)
+
+
 def test_unchainable_kind_in_mined_chain_is_rejected():
     payload = _mined_payload()
     fi, pc = _find_op(payload, "fused.mined")

@@ -56,11 +56,13 @@ def test_table1_has_all_backends(table1):
 
 
 def test_table1_orderings_match_paper(table1):
-    # Compile time: Singlepass < Cranelift < LLVM; runtime: LLVM fastest.
-    assert table1["singlepass"]["compile_ms"] <= table1["cranelift"]["compile_ms"]
-    assert table1["cranelift"]["compile_ms"] < table1["llvm"]["compile_ms"]
-    assert table1["llvm"]["kernel_mflops"] > table1["singlepass"]["kernel_mflops"]
-    assert table1["llvm"]["kernel_mflops"] > table1["cranelift"]["kernel_mflops"]
+    # Compile and kernel: Singlepass < Cranelift < LLVM, and Cranelift at
+    # least half of LLVM (the paper has 86 %).
+    compile_ms = [table1[name]["compile_ms"] for name in ("singlepass", "cranelift", "llvm")]
+    kernel = [table1[name]["kernel_mflops"] for name in ("singlepass", "cranelift", "llvm")]
+    assert compile_ms[0] < compile_ms[1] < compile_ms[2], compile_ms
+    assert kernel[0] < kernel[1] < kernel[2], kernel
+    assert kernel[1] >= 0.5 * kernel[2], kernel
     # All back-ends compute the same checksum (they agree bit-for-bit).
     checks = {round(row["checksum"], 6) for row in table1.values()}
     assert len(checks) == 1
@@ -241,3 +243,14 @@ def test_harness_cli_profile_emits_fusion_report(capsys):
     assert "fusion_report" in report
     for rec in report["fusion_report"]:
         assert rec["width"] == len(rec["kinds"]) >= 2 and rec["score"] > 0
+
+
+@pytest.mark.parametrize("backend", ["cranelift", "llvm"])
+def test_harness_cli_profile_rejects_generated_code_backends(capsys, backend):
+    from repro.harness.cli import main
+
+    assert main(["profile", "allreduce", "--nranks", "2", "--backend", backend]) != 0
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert backend in out and "singlepass" in out
+    assert "dispatches" not in out

@@ -251,3 +251,48 @@ def test_embedder_configures_executor_call_depth():
     executor = compiled.make_executor()
     executor.configure(max_call_depth=config.max_call_depth)
     assert executor.max_call_depth == 64
+
+
+# ------------------------------------------- cranelift: code on first call
+
+
+#: sha256 of the pickled cranelift artifact of the e2e ``compile-big`` module
+#: (``benchmarks/e2e/modgen.py``) per seed.  Cranelift's compile side is the
+#: eager lowering pass whatever its executor does; these pin its artifact.
+CRANELIFT_BIG_ARTIFACT_SHA256 = {
+    1: "9f10a3e629c907477e98f8c02c41724fa3e177129a7542ab7e8e7f08b2e3dbeb",
+    2828: "e806196830abedf9014e0b42316f693a855f0dadd0d491ce8fabb611c9502693",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CRANELIFT_BIG_ARTIFACT_SHA256))
+def test_cranelift_artifact_of_compile_big_module_is_pinned(seed):
+    import hashlib
+    import pickle
+
+    from benchmarks.e2e.modgen import build_big_module
+    from repro.wasm import encode_module
+    from repro.wasm.decoder import decode_module
+
+    module = decode_module(encode_module(build_big_module(seed)))
+    artifact = get_backend("cranelift").compile(module).artifact
+    assert hashlib.sha256(pickle.dumps(artifact)).hexdigest() == \
+        CRANELIFT_BIG_ARTIFACT_SHA256[seed]
+
+
+def test_cranelift_generates_each_function_once_on_first_call():
+    from repro.wasm.compilers.llvm import FirstCallTable
+
+    module = _sum_module()
+    compiled = get_backend("cranelift").compile(module)
+    instance = Instance(module, ImportObject(), executor=compiled.make_executor())
+    table = module._cranelift_runtime
+    assert isinstance(table, FirstCallTable)
+    stub = table[0]
+    assert instance.invoke("sum_to", 10) == [45]
+    generated = table[0]
+    assert generated is not stub                 # replaced by its generated code
+    # Every executor in the process (one per rank) shares the generated code.
+    other = Instance(module, ImportObject(), executor=compiled.make_executor())
+    assert other.invoke("sum_to", 4) == [6]
+    assert module._cranelift_runtime is table and table[0] is generated

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,6 +191,38 @@ def test_stack_exhaustion_guard():
     inst = Instance(module, ImportObject(), executor=backend.executor_for(backend.compile(module)))
     with pytest.raises(StackExhaustionTrap):
         inst.invoke("loop_forever", 0)
+
+
+_DEEP_RECURSION_SCRIPT = """
+import sys
+from repro.wasm import ImportObject, Instance, ModuleBuilder
+from repro.wasm.compilers import get_backend
+from repro.wasm.errors import StackExhaustionTrap
+
+mb = ModuleBuilder()
+f = mb.function("loop_forever", params=[("n", "i32")], results=["i32"], export=True)
+f.get("n").i32_const(1).emit("i32.add").call("loop_forever")
+module = mb.build()
+backend = get_backend(sys.argv[1])
+executor = backend.executor_for(backend.compile(module))
+executor.configure(max_call_depth=1000)
+try:
+    Instance(module, ImportObject(), executor=executor).invoke("loop_forever", 0)
+except StackExhaustionTrap:
+    print("trap")
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_call_depth_trap_fires_before_recursion_error_in_fresh_process(backend):
+    # A fresh process keeps CPython's default recursion limit (1000), which
+    # 1000 Wasm call levels exceed unless the executor raises it on entry.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", _DEEP_RECURSION_SCRIPT, backend],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "trap"
 
 
 @given(n=st.integers(min_value=0, max_value=15), a=st.integers(min_value=1, max_value=500),
