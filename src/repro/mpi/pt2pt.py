@@ -20,7 +20,6 @@ and test validates actual payloads, not just timings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.fault import inject as _inject
@@ -59,16 +58,6 @@ class Message:
         self.consumed_time = 0.0
 
 
-@dataclass
-class _WaitingReceiver:
-    """A rank blocked inside a receive, with its match pattern."""
-
-    world_rank: int
-    context_id: int
-    src: int
-    tag: int
-
-
 class MatchingEngine:
     """Shared MPI message-matching and timing engine.
 
@@ -87,11 +76,10 @@ class MatchingEngine:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self._queues: Dict[Tuple[int, int], List[Message]] = {}
-        # Per-rank list of patterns the rank is currently blocked on.  A plain
-        # receive registers one; ``block_for_any`` (the progress engine's
-        # wait-for-anything primitive behind Waitany and non-blocking
-        # collectives) registers one per outstanding request.
-        self._waiting: Dict[int, List[_WaitingReceiver]] = {}
+        # The ``(context_id, src, tag)`` patterns each blocked rank waits on
+        # (a rank is in at most one block at a time): ``block_for_any`` is
+        # the one place a rank registers them.
+        self._waiting: Dict[int, List[Tuple[int, int, int]]] = {}
         self._msg_counter = itertools.count(1)
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -177,11 +165,13 @@ class MatchingEngine:
                 args={"dst": dst_world, "tag": tag, "nbytes": nbytes,
                       "rendezvous": msg.rendezvous},
             )
-        # Wake the receiver if it is blocked on any matching pattern.
-        for waiter in self._waiting.get(dst_world, ()):
-            if waiter.context_id == context_id and self._matches(msg, waiter.src, waiter.tag):
-                arrival = msg.send_time + transport.transfer_time(nbytes)
-                ctx.wake(dst_world, not_before=arrival)
+        # Wake the receiver if it is blocked on any matching pattern.  It may
+        # match the message from its injection on -- exactly when a receiver
+        # that checks its queue finds it -- and its consumer accounts for
+        # the arrival as for any buffered match.
+        for waited_context, src, waited_tag in self._waiting.get(dst_world, ()):
+            if waited_context == context_id and self._matches(msg, src, waited_tag):
+                ctx.wake(dst_world, not_before=msg.send_time)
                 break
         if blocking and msg.rendezvous:
             self.wait_send(ctx, msg)
@@ -210,10 +200,11 @@ class MatchingEngine:
         dst_world: int,
         patterns: List[Tuple[int, int, int]],
         reason: str = "",
+        wake_at: Optional[float] = None,
     ) -> None:
         """Block until a message matching *any* ``(context_id, src, tag)``
         pattern is buffered for ``dst_world`` -- or until any wake arrives
-        (e.g. a rendezvous send draining).
+        (e.g. a rendezvous send draining), or virtual time ``wake_at``.
 
         Returns immediately when a match is already buffered.  This is a
         condition-variable style wait: callers re-check their own completion
@@ -225,19 +216,11 @@ class MatchingEngine:
         for context_id, src, tag in patterns:
             if self._find_match(dst_world, context_id, src, tag) is not None:
                 return
-        waiters = [
-            _WaitingReceiver(dst_world, context_id, src, tag)
-            for context_id, src, tag in patterns
-        ]
-        registered = self._waiting.setdefault(dst_world, [])
-        registered.extend(waiters)
+        self._waiting[dst_world] = patterns
         try:
-            ctx.block(reason=reason or f"wait-any on {len(patterns)} request(s)")
+            ctx.block(reason or f"wait-any on {len(patterns)} request(s)", wake_at=wake_at)
         finally:
-            for waiter in waiters:
-                registered.remove(waiter)
-            if not registered:
-                self._waiting.pop(dst_world, None)
+            del self._waiting[dst_world]
 
     # -------------------------------------------------------------------- recv
 
@@ -259,15 +242,8 @@ class MatchingEngine:
         """
         msg = self._find_match(dst_world, context_id, src, tag)
         while msg is None:
-            waiter = _WaitingReceiver(dst_world, context_id, src, tag)
-            registered = self._waiting.setdefault(dst_world, [])
-            registered.append(waiter)
-            try:
-                ctx.block(reason=f"recv src={src} tag={tag} ctx={context_id}")
-            finally:
-                registered.remove(waiter)
-                if not registered:
-                    self._waiting.pop(dst_world, None)
+            self.block_for_any(ctx, dst_world, [(context_id, src, tag)],
+                               reason=f"recv src={src} tag={tag} ctx={context_id}")
             msg = self._find_match(dst_world, context_id, src, tag)
         self._queues[(dst_world, context_id)].remove(msg)
         ctx.advance_to(self._consume(ctx, msg, buffer, max_bytes, extra_overhead))

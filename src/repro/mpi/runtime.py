@@ -500,8 +500,7 @@ class MPIRuntime:
         pattern = [(context_id, src_world, tag)]
         while not matching.has_match(self.rank_world, context_id, src_world, tag):
             self._await_progress(
-                self._active_requests, pattern,
-                lambda: f"recv src={src_world} tag={tag} ctx={context_id}",
+                self._active_requests, pattern, f"recv src={src_world} tag={tag} ctx={context_id}"
             )
 
     @_traced("MPI_Sendrecv")
@@ -655,53 +654,37 @@ class MPIRuntime:
         self,
         requests: List[Request],
         extra_patterns: List[Tuple[int, int, int]],
-        reason: Callable[[], str],
+        reason: str,
     ) -> None:
         """One blocking step of the shared wake protocol.
 
-        First :meth:`_nudge` so every lower-clock peer gets to post its sends
-        -- a message that *can* arrive must complete us at its true time, not
-        at a later sleep target.  Only if that produced
-        nothing: if any watched request completes by time alone (a schedule
-        whose steps are done or stalled only on an in-flight arrival), sleep
-        the clock to the earliest such point; otherwise block until a message
-        matching any watched request's pattern -- or one of the caller's
-        ``extra_patterns`` -- can be consumed.  Either way, finish with a
-        progress pass.  Callers loop around this re-checking their own
-        condition; every blocking primitive (wait, waitany, blocking receive)
-        shares this single implementation of the protocol.  ``reason()``
-        names the wait in a deadlock report; it is formatted only when the
-        rank really blocks.
-
-        Known approximation: the sleep targets the earliest *watched*
-        completion, so a receive whose sender is itself transitively blocked
-        (and therefore cannot post during the yield) may be stamped at a
-        sibling schedule's arrival time rather than its own, slightly
-        inflating that wait.  Removing it would need timer wakes in the
-        engine; the sleep is what keeps stalled schedules live.
+        Block until a message matching any watched request's pattern -- or
+        one of the caller's ``extra_patterns`` -- can be consumed, or until
+        the earliest time at which a watched request progresses by time
+        alone (a schedule whose steps are done or stalled only on an
+        in-flight arrival), whichever comes first in virtual time; then run
+        one progress pass.  Every rank that can act earlier runs first, so
+        a message that can arrive before that time completes us at its true
+        arrival.  Callers run a progress pass before the first step and
+        loop around this re-checking their own condition; every blocking
+        primitive (wait, waitany, blocking receive) shares this single
+        implementation of the protocol.  ``reason`` names the wait in a
+        deadlock report.
         """
-        matching = self.world.matching
         patterns = [*extra_patterns, *self._wait_patterns(requests)] if requests else extra_patterns
-        self._nudge()
-        self.progress()
-        if any(req.complete for req in requests) or any(
-            matching.has_match(self.rank_world, c, s, t) for (c, s, t) in patterns
-        ):
-            return
-        if not self._sleep_until_completion(requests):
-            if requests:
-                # Recollect: the progress pass may have moved a schedule to a
-                # different pending receive.
-                patterns = [*extra_patterns, *self._wait_patterns(requests)]
-            matching.block_for_any(self.ctx, self.rank_world, patterns, reason=reason())
+        times = [req._op.completion_time(self) for req in requests
+                 if not req.complete and isinstance(req._op, _PendingCollective)]
+        self.world.matching.block_for_any(
+            self.ctx, self.rank_world, patterns, reason=reason,
+            wake_at=min((t for t in times if t is not None), default=None),
+        )
         self.progress()
 
     def _nudge(self) -> None:
         """Advance one ``wtick`` and offer the token to lower-clock peers.
 
         Every call that polls without blocking (``test``, ``testall``,
-        ``iprobe``, ``waitany``'s spin) and every blocking step of the wake
-        protocol goes through here.  The tick is what makes a poll loop
+        ``iprobe``) goes through here.  The tick is what makes a poll loop
         live: a rank that only yielded would keep the token for as long as
         it holds the smallest ``(clock, rank)``, and a peer with the same
         clock and a higher rank would never run.
@@ -747,29 +730,10 @@ class MPIRuntime:
             # sibling collective stalled on a data-dependent step advances by
             # time alone, and peers may need the sends it will post.
             self._await_progress(
-                [request, *self._active_requests], [], lambda: f"wait {request.kind}"
+                [request, *self._active_requests], [], f"wait {request.kind}"
             )
         self._retire(request)
         return request.status
-
-    def _sleep_until_completion(self, requests: List[Request]) -> bool:
-        """If any of ``requests`` completes by time alone (its steps are done
-        and only payload arrival is outstanding), advance the clock to the
-        earliest such completion and return True."""
-        times = []
-        for req in requests:
-            op = req._op
-            if req.complete or op is None:
-                continue
-            when = getattr(op, "completion_time", None)
-            if when is not None:
-                when = when(self)
-                if when is not None:
-                    times.append(when)
-        if not times:
-            return False
-        self.ctx.advance_to(min(times))
-        return True
 
     @_traced("MPI_Waitall")
     def waitall(self, requests: List[Request]) -> List[Status]:
@@ -810,48 +774,28 @@ class MPIRuntime:
                 return False, Status()
         return True, request.status
 
-    #: Bounded busy-wait budget of ``waitany`` before it falls back to a
-    #: blocking wait (which integrates with the engine's deadlock detection).
-    WAITANY_SPIN_LIMIT = 1024
-
     @_traced("MPI_Waitany")
     def waitany(self, requests: List[Request]) -> Tuple[int, Status]:
         """``MPI_Waitany``: block until one request completes.
 
         Returns ``(index, status)`` of the completed request, or
         ``(-1, empty status)`` when no request is active (``MPI_UNDEFINED``).
-        While no request is ready the rank takes one :meth:`_nudge` per
-        round, letting other ranks post their sends; after
-        :data:`WAITANY_SPIN_LIMIT` fruitless rounds it blocks until *any*
-        active request can make progress (so a late-posted sender to any of
-        the requests resumes it), which keeps genuine deadlocks detectable.
+        While no request is ready the rank blocks until *any* active request
+        can make progress (so a late-posted sender to any of the requests
+        resumes it), which keeps genuine deadlocks detectable.
         """
         self._require_init()
         active = [i for i, r in enumerate(requests) if r.kind != "null"]
         if not active:
             return -1, Status()
-
-        def poll() -> Optional[Tuple[int, Status]]:
-            # One progress pass, then non-yielding checks, so a spin round
-            # costs exactly one tick and one yield regardless of list length.
-            self.progress()
+        self.progress()
+        while True:
             for i in active:
                 if self._try_complete(requests[i]):
                     return i, requests[i].status
-            return None
-
-        for _ in range(self.WAITANY_SPIN_LIMIT):
-            done = poll()
-            if done is not None:
-                return done
-            self._nudge()
-        while True:
-            done = poll()
-            if done is not None:
-                return done
             self._await_progress(
                 [*(requests[i] for i in active), *self._active_requests], [],
-                lambda: f"waitany over {len(active)} request(s)",
+                f"waitany over {len(active)} request(s)",
             )
 
     @_traced("MPI_Testall")

@@ -8,24 +8,33 @@ Token protocol (direct handoff, no scheduler thread in the loop):
 
 * A rank gives the token up in three places -- :meth:`SimEngine.block`,
   :meth:`SimEngine.yield_rank` and when its program ends.  Under the engine
-  lock it picks the next holder itself: the ``READY`` rank with the smallest
-  ``(clock, rank)``.  That rule alone orders execution, so virtual clocks,
+  lock it picks the next holder itself: the rank with the smallest
+  ``(turn, rank)``.  A ``READY`` rank's turn is its clock.  A ``BLOCKED``
+  rank has a turn only once it has a wake time: a *timed block*
+  (``block(..., wake_at=t)``) gives it ``max(clock, t)``, and a wake with
+  ``not_before`` lowers that to ``max(clock, not_before)`` if earlier -- so
+  it resumes at whichever comes first, after every rank that can act
+  before then.  That rule alone orders execution, so virtual clocks,
   makespans and trace order are deterministic.
-* It marks that rank ``RUNNING`` and releases that rank's *park* lock, a
-  binary semaphore released exactly once per ``READY -> RUNNING`` transition,
-  then parks on its own.  One OS thread switch per handoff; when the yielding
-  rank is itself the minimum it keeps the token and no switch happens.
+* It marks that rank ``RUNNING``, moves its clock to its turn and releases
+  that rank's *park* lock, a binary semaphore released exactly once per
+  transition to ``RUNNING``, then parks on its own.  One OS thread switch
+  per handoff; when the rank giving the token up is itself the minimum (a
+  yield, or a timed block whose deadline is the earliest turn) it keeps the
+  token and no switch happens.
 * The thread inside :meth:`SimEngine.run` starts the first rank and sleeps
   until a rank reports that nothing can be handed the token: every rank
   finished, a rank ``FAILED`` (the failing rank hands off to nobody), or every
-  unfinished rank is ``BLOCKED`` (deadlock).  Only then does it act: it alone
-  wakes survivors, in rank order, to unwind them (no rank hands off during
-  teardown) and raises :class:`RankFailedError` or :class:`DeadlockError`.
+  unfinished rank is ``BLOCKED`` with no wake time (deadlock).  Only then does
+  it act: it alone wakes survivors, in rank order, to unwind them (no rank
+  hands off during teardown) and raises :class:`RankFailedError` or
+  :class:`DeadlockError`.
 
 Rank code never touches the engine directly -- it goes through a
 :class:`RankContext`, which exposes the rank id, the virtual clock, explicit
 time advancement (used by the network and compute models) and a
-block/wake protocol used by the MPI matching engine.
+block/wake protocol, with an optional wake time, used by the MPI matching
+engine.
 """
 
 from __future__ import annotations
@@ -98,6 +107,10 @@ class RankState(Enum):
     TORN_DOWN = "torn_down"
 
 
+#: The turn of a rank that cannot be handed the token.
+_NEVER = float("inf")
+
+
 def _held_lock() -> Any:
     lock = threading.Lock()
     lock.acquire()
@@ -120,9 +133,13 @@ class _RankRecord:
     error: Optional[BaseException] = None
     error_tb: str = ""
     block_reason: str = ""
-    # Earliest virtual time at which the rank may resume after being woken.
+    # A wake that arrived while the rank was not blocked, and its earliest
+    # resume time: consumed by the rank's next yield or block.
     wake_not_before: float = 0.0
     wake_pending: bool = False
+    # Virtual time at which the rank competes for the token: its clock while
+    # READY, its wake time while BLOCKED, _NEVER while it cannot be picked.
+    turn: float = _NEVER
     # Set by the engine after a failure or deadlock: the next time this rank
     # is woken it unwinds via _RankTeardown instead of resuming.
     teardown: bool = False
@@ -176,14 +193,15 @@ class RankContext:
             rec.clock = t
         return rec.clock
 
-    def block(self, reason: str = "") -> float:
-        """Block this rank until another rank wakes it.
+    def block(self, reason: str = "", *, wake_at: Optional[float] = None) -> float:
+        """Block this rank until another rank wakes it or, given ``wake_at``,
+        until virtual time ``wake_at`` is the earliest thing left to happen.
 
         Returns the virtual time at which execution resumed.  Callers are
         expected to re-check their wait condition after returning (the wake
         protocol is a condition-variable style "notify", not a guarantee).
         """
-        return self._engine.block(self._rank, reason)
+        return self._engine.block(self._rank, reason, wake_at=wake_at)
 
     def wake(self, other: int, not_before: float = 0.0) -> None:
         """Wake another rank, optionally constraining its resume time."""
@@ -193,7 +211,7 @@ class RankContext:
         """Voluntarily yield the execution token without blocking.
 
         The rank stays runnable but offers the token to any rank with an
-        earlier virtual clock (keeping it if there is none); used by busy-wait
+        earlier turn (keeping it if there is none); used by busy-wait
         style loops (e.g. ``MPI_Iprobe`` polling).
         """
         self._engine.yield_rank(self._rank)
@@ -265,54 +283,75 @@ class SimEngine:
 
     # ------------------------------------------------------------ block / wake
 
-    def block(self, rank: int, reason: str = "") -> float:
-        """Block the calling rank thread until another rank wakes it."""
+    def block(self, rank: int, reason: str = "", *, wake_at: Optional[float] = None) -> float:
+        """Block the calling rank thread until another rank wakes it.
+
+        With ``wake_at`` the block is *timed*: the rank competes for the
+        token at ``(max(clock, wake_at), rank)`` and resumes at that time,
+        unless a wake with an earlier ``not_before`` comes first.  A wake
+        already pending resumes it at once, at its ``not_before`` capped by
+        ``wake_at``.
+        """
         rec = self._records[rank]
         if rec.teardown:
             raise _RankTeardown()
+        deadline = _NEVER if wake_at is None else wake_at
         with self._lock:
             if rec.wake_pending:
                 # A wake arrived before we blocked: consume it and continue.
-                rec.wake_pending = False
-                if rec.wake_not_before > rec.clock:
-                    rec.clock = rec.wake_not_before
-                return rec.clock
+                return self._consume_wake(rec, deadline)
             rec.state = RankState.BLOCKED
             rec.block_reason = reason
-            self._pass_token(rec)
-        return self._park(rec)
+            rec.turn = max(rec.clock, deadline)
+            kept = self._pass_token(rec)
+        return self._park(rec, switched=not kept)
 
     def yield_rank(self, rank: int) -> float:
-        """Offer the token to an earlier-clock rank while staying runnable."""
+        """Offer the token to a rank with an earlier turn while staying runnable."""
         rec = self._records[rank]
         if rec.teardown:
             raise _RankTeardown()
         with self._lock:
             if rec.wake_pending:
-                # Someone already re-scheduled us; keep running.
-                rec.wake_pending = False
-                return rec.clock
+                # Someone already re-scheduled us: consume the wake, keep running.
+                return self._consume_wake(rec, _NEVER)
             rec.state = RankState.READY
+            rec.turn = rec.clock
             kept = self._pass_token(rec)
         return self._park(rec, switched=not kept)
+
+    @staticmethod
+    def _consume_wake(rec: _RankRecord, deadline: float) -> float:
+        """Take a pending wake: the rank keeps running from its
+        ``not_before``, capped at ``deadline``.  The caller holds ``_lock``."""
+        rec.wake_pending = False
+        resume = min(rec.wake_not_before, deadline)
+        rec.wake_not_before = 0.0
+        if resume > rec.clock:
+            rec.clock = resume
+        return rec.clock
 
     def _pass_token(self, rec: Optional[_RankRecord]) -> bool:
         """Hand the token on; the caller holds ``_lock`` and gave it up.
 
-        The next holder is the ``READY`` rank with the smallest
-        ``(clock, rank)`` (ranks are scanned in order, so a strict ``<`` on the
-        clock breaks ties by rank).  Returns true when that is ``rec`` itself,
-        which then keeps running; with nobody to pick, :meth:`run` is woken to
-        tell completion from deadlock.
+        The next holder is the rank with the smallest ``(turn, rank)`` (ranks
+        are scanned in order, so a strict ``<`` breaks ties by rank); its
+        clock moves to its turn.  Returns true when the holder is ``rec``
+        itself, which then keeps running; with nobody to pick, :meth:`run`
+        is woken to tell completion from deadlock.
         """
         nxt = None
-        ready = RankState.READY
+        turn = _NEVER
         for cand in self._records:
-            if cand.state is ready and (nxt is None or cand.clock < nxt.clock):
-                nxt = cand
+            if cand.turn < turn:
+                nxt, turn = cand, cand.turn
         if nxt is None:
             self._idle.set()
             return False
+        # A READY rank may have been woken since it yielded (a BLOCKED one
+        # never has a wake pending: a wake lowers its turn instead).
+        nxt.clock = max(turn, nxt.wake_not_before)
+        nxt.wake_not_before, nxt.turn = 0.0, _NEVER
         nxt.state = RankState.RUNNING
         if nxt is not rec:
             nxt.park.release()
@@ -324,22 +363,18 @@ class SimEngine:
             rec.park.acquire()
             if rec.teardown:
                 raise _RankTeardown()
-        with self._lock:
-            if rec.wake_not_before > rec.clock:
-                rec.clock = rec.wake_not_before
-            rec.wake_not_before = 0.0
         return rec.clock
 
     def wake(self, rank: int, not_before: float = 0.0) -> None:
-        """Mark ``rank`` as runnable, not resuming before ``not_before``."""
+        """End ``rank``'s block at ``not_before`` (at once if already past),
+        unless it resumes earlier anyway."""
         rec = self._records[rank]
         with self._lock:
-            rec.wake_not_before = max(rec.wake_not_before, not_before)
-            if rec.state == RankState.BLOCKED:
-                rec.state = RankState.READY
-                rec.block_reason = ""
+            if rec.state is RankState.BLOCKED:
+                rec.turn = min(rec.turn, max(rec.clock, not_before))
             else:
                 # Rank has not blocked yet (or is running); remember the wake.
+                rec.wake_not_before = max(rec.wake_not_before, not_before)
                 rec.wake_pending = True
 
     def trace(self, rank: int, message: str) -> None:
@@ -381,6 +416,7 @@ class SimEngine:
         self._started = True
         for rec in self._records:
             rec.state = RankState.READY
+            rec.turn = rec.clock
             rec.thread = threading.Thread(
                 target=self._thread_main, args=(rec,), name=f"sim-rank-{rec.rank}", daemon=True
             )

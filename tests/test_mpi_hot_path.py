@@ -40,7 +40,7 @@ from repro.mpi import datatypes, ops  # noqa: E402
 from repro.mpi.algorithms import registry  # noqa: E402
 from repro.mpi.algorithms.schedule import ScheduleExecutor  # noqa: E402
 from repro.mpi.pt2pt import MatchingEngine  # noqa: E402
-from repro.sim.engine import DeadlockError, RankContext  # noqa: E402
+from repro.sim.engine import DeadlockError, SimEngine  # noqa: E402
 from repro.sim.machines import supermuc_ng  # noqa: E402
 from tests.conftest import run_mpi_program  # noqa: E402
 
@@ -220,8 +220,8 @@ DROPPED_REPORT = (
     "rank 1 (recv src=0 tag=24117252 ctx=0), rank 2 (recv src=1 tag=24117249 ctx=0), "
     "rank 3 (recv src=2 tag=24117250 ctx=0)"
 )
-DROPPED_CLOCKS = [7.671166956521741e-06, 9.545862608695654e-06, 2.611055652173913e-06,
-                  5.141111304347827e-06]
+DROPPED_CLOCKS = [7.67016695652174e-06, 9.544862608695654e-06, 2.610055652173913e-06,
+                  5.140111304347827e-06]
 
 
 def _ring_allreduce(nonblocking: bool):
@@ -377,25 +377,27 @@ def test_stage_in_copies_the_send_buffer_once():
 
 # ------------------------------------------------------------ the blocking price
 
-#: ``RankContext.yield_turn`` calls of the loop below as ``MPI_Allreduce``
-#: when the blocking collectives had a loop of their own: the wait they now
-#: share with ``MPI_Wait`` must not cost them a single extra handoff.
-ALLREDUCE_YIELDS_BEFORE = 360
+#: Engine entries (``SimEngine.yield_rank`` + ``SimEngine.block``) of the
+#: loop below as ``MPI_Allreduce``: one per stall, each a single block.
+ALLREDUCE_ENGINE_ENTRIES = 360
 
 
 def test_blocking_and_nonblocking_allreduce_yield_equally(monkeypatch):
     """30 allreduces of 16 doubles at np 8: ``MPI_Iallreduce`` + ``MPI_Wait``
-    hands the token on exactly as often as ``MPI_Allreduce``, which hands it
-    on no more often than before.  Handoffs are the host cost of a wait, and
-    unlike wall time they are counted exactly."""
+    enters the engine exactly as often as ``MPI_Allreduce``, which enters it
+    no more often than pinned.  Engine entries are the host cost of a wait,
+    and unlike wall time they are counted exactly."""
     yields = [0]
-    yield_turn = RankContext.yield_turn
+    yield_rank, block = SimEngine.yield_rank, SimEngine.block
 
-    def counting(ctx):
-        yields[0] += 1
-        yield_turn(ctx)
+    def counting(entry):
+        def count(*args, **kwargs):
+            yields[0] += 1
+            return entry(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(RankContext, "yield_turn", counting)
+    monkeypatch.setattr(SimEngine, "yield_rank", counting(yield_rank))
+    monkeypatch.setattr(SimEngine, "block", counting(block))
 
     def measure(nonblocking: bool):
         def program(rt, ctx):
@@ -413,4 +415,4 @@ def test_blocking_and_nonblocking_allreduce_yield_equally(monkeypatch):
 
     blocking, clocks = measure(False)
     assert measure(True) == (blocking, clocks)
-    assert blocking <= ALLREDUCE_YIELDS_BEFORE
+    assert blocking <= ALLREDUCE_ENGINE_ENTRIES

@@ -5,7 +5,7 @@ Covers the two request-layer bugs this layer was rebuilt around:
 * ``wait``/``test`` on an ``MPI_Isend`` never drained the posted message, so
   a rendezvous send was never synchronised with the receiver's virtual clock
   (the way ``sendrecv`` synchronises);
-* ``waitany``'s post-spin fallback blocked on ``active[0]`` unconditionally,
+* ``waitany``'s blocking wait once blocked on ``active[0]`` unconditionally,
   deadlocking (or returning the wrong index) when a *different* request was
   the one that could complete.
 
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import datatypes, ops
-from repro.mpi.runtime import MPIRuntime
 from repro.mpi.status import Request
 from repro.sim.engine import DeadlockError
 from tests.conftest import run_mpi_program
@@ -108,16 +107,15 @@ def test_wait_on_eager_isend_does_not_block():
     assert results[1] == [0, 1, 2, 3]
 
 
-# -------------------------------------------------------------- waitany fallback
+# ------------------------------------------------------------- waitany blocking
 
 
-def test_waitany_fallback_unblocks_on_any_request(monkeypatch):
-    """After the spin budget, waitany must block on progress of *any* active
-    request: request 0's sender is gated on waitany returning first, so only
-    request 1 (whose sender shows up late) can complete.  The old fallback
-    blocked on request 0 unconditionally -- a deadlock."""
-    monkeypatch.setattr(MPIRuntime, "WAITANY_SPIN_LIMIT", 8)
-    late = 0.01  # far beyond 8 spin ticks of 1 ns
+def test_waitany_fallback_unblocks_on_any_request():
+    """waitany must block on progress of *any* active request: request 0's
+    sender is gated on waitany returning first, so only request 1 (whose
+    sender shows up late) can complete.  Blocking on request 0
+    unconditionally -- as waitany once did -- is a deadlock."""
+    late = 0.01
 
     def program(rt, ctx):
         if ctx.rank == 0:
@@ -150,10 +148,9 @@ def test_waitany_fallback_unblocks_on_any_request(monkeypatch):
     assert buf2 == [20] * 4
 
 
-def test_waitany_genuine_deadlock_still_detected(monkeypatch):
-    """When *no* request can ever complete, the fallback must still block (so
-    the engine's deadlock detection fires) instead of spinning forever."""
-    monkeypatch.setattr(MPIRuntime, "WAITANY_SPIN_LIMIT", 8)
+def test_waitany_genuine_deadlock_still_detected():
+    """When *no* request can ever complete, waitany must block (so the
+    engine's deadlock detection fires) instead of spinning forever."""
 
     def program(rt, ctx):
         if ctx.rank == 0:
@@ -230,3 +227,47 @@ def test_wait_on_one_request_progresses_other_outstanding_requests():
     assert count_bytes == 16
     assert buf_a == [10] * 4
     assert buf_b == [20] * 4
+
+
+def test_receive_behind_a_blocked_sender_completes_at_its_true_arrival():
+    """Rank 0 receives from rank 1, which first waits for a message from the
+    slow rank 2, while rank 0's own ibcast has a later, time-only completion
+    (its payload is still in flight).  The receive completes when rank 1's
+    message arrives -- not at the sibling schedule's completion, which a
+    wait that jumped to its earliest watched completion would stamp it with
+    because rank 1 cannot post before rank 2 runs."""
+    sibling_bytes = 32 * 1024  # eager, and long in flight at 3 ranks on one node
+
+    def program(rt, ctx):
+        rt.world.collectives.force("bcast", "binomial")
+        if ctx.rank != 2:
+            # Let the root post the ibcast first, so ranks 0 and 1 consume
+            # its payload at post time and only its arrival is outstanding.
+            ctx.advance(1e-8)
+            ctx.yield_turn()
+        sibling = rt.ibcast(np.zeros(sibling_bytes, dtype=np.uint8), sibling_bytes,
+                            datatypes.BYTE, 2)
+        token, out = np.zeros(1, dtype=np.uint8), {}
+        if ctx.rank == 2:
+            ctx.advance(2e-7)
+            ctx.yield_turn()  # behind ranks 0 and 1, which block
+            rt.send(token, 1, datatypes.BYTE, 1, 1)
+        elif ctx.rank == 1:
+            rt.recv(token, 1, datatypes.BYTE, 2, 1)
+            rt.send(token, 1, datatypes.BYTE, 0, 2)
+            out["sent"] = ctx.now
+        else:
+            rt.recv(token, 1, datatypes.BYTE, 1, 2)
+            out["received"] = ctx.now
+            transport = rt.world.cluster.transport(1, 0)
+            out["transfer"] = transport.transfer_time(1)
+            out["overhead"] = transport.recv_overhead(1)
+        rt.wait(sibling)
+        out["sibling_done"] = ctx.now
+        return out
+
+    receiver, sender, _root = run_mpi_program(program, 3)
+    assert receiver["received"] < receiver["sibling_done"]
+    assert sender["sent"] < sender["sibling_done"]  # nor was its sender's receive
+    assert receiver["overhead"] < receiver["transfer"]  # overlapped by the transfer
+    assert receiver["received"] == sender["sent"] + receiver["transfer"]

@@ -167,10 +167,14 @@ def test_trace_log_collects_messages():
 # ------------------------------------------------- stress + determinism oracle
 #
 # Seeded-random rank programs are run on the real engine and on a small
-# single-threaded model of its contract: "the READY rank with the smallest
-# (clock, rank) holds the token until it yields, blocks or ends".  The order
-# in which ops execute, the final clocks and whether (and where) the run
-# deadlocks must be identical.
+# single-threaded model of its contract: "the rank with the smallest
+# (turn, rank) holds the token until it yields, blocks or ends".  A READY
+# rank's turn is its clock; a BLOCKED rank's is max(clock, deadline), where
+# a timed block sets the deadline and a wake lowers it to the wake's
+# not_before (a plain block without a wake has none and cannot run).  A wake
+# to a rank that is not blocked stays pending until its next yield or block.
+# The order in which ops execute, the final clocks and whether (and where)
+# the run deadlocks must be identical.
 
 STRESS_RANKS = 64
 STRESS_SEEDS = 200
@@ -185,9 +189,12 @@ def _random_programs(seed: int, nranks: int = STRESS_RANKS) -> List[List[Tuple]]
         # rank order) before the random part begins.
         ops: List[Tuple] = [("advance", rng.choice((0.5, 1.0))), ("yield",)]
         for _ in range(rng.randint(4, 12)):
-            kind = rng.choices(("advance", "yield", "block", "wake"), (4, 3, 1, 3))[0]
+            kind = rng.choices(("advance", "yield", "block", "block_until", "wake"),
+                               (4, 3, 1, 2, 3))[0]
             if kind == "advance":
                 ops.append((kind, rng.choice((0.0, 0.5, 1.0, 2.5))))
+            elif kind == "block_until":  # an absolute deadline, often already passed
+                ops.append((kind, rng.choice((0.5, 1.0, 3.0, 6.0, 12.0))))
             elif kind == "wake":
                 ops.append((kind, rng.randrange(nranks), rng.choice((0.0, 0.0, 3.0, 7.5))))
             else:
@@ -200,19 +207,25 @@ def _random_programs(seed: int, nranks: int = STRESS_RANKS) -> List[List[Tuple]]
 
 def _reference_run(programs):
     """Single-threaded model; returns (order, clocks, outcome, detail)."""
-    n = len(programs)
+    n, never = len(programs), float("inf")
     clock, pc, state = [0.0] * n, [0] * n, ["READY"] * n
-    pending, not_before, parked = [False] * n, [0.0] * n, [False] * n
+    pending, not_before, deadline = [False] * n, [0.0] * n, [never] * n
     order = []
+
+    def turn(r):
+        if state[r] == "READY":
+            return clock[r]
+        return max(clock[r], deadline[r]) if state[r] == "BLOCKED" else never
+
     while True:
-        ready = [r for r in range(n) if state[r] == "READY"]
-        if not ready:
+        r = min(range(n), key=lambda r: (turn(r), r))
+        if turn(r) == never:
             blocked = [r for r in range(n) if state[r] == "BLOCKED"]
             return order, clock, ("deadlock" if blocked else "done"), blocked
-        r = min(ready, key=lambda r: (clock[r], r))
-        if parked[r]:  # resuming from yield/block applies the wake's not_before
-            clock[r], not_before[r], parked[r] = max(clock[r], not_before[r]), 0.0, False
-        while state[r] != "DONE":
+        # A rank woken while it sat in a yield resumes at the wake's not_before.
+        clock[r] = max(turn(r), not_before[r])
+        not_before[r], deadline[r], state[r] = 0.0, never, "RUNNING"
+        while state[r] == "RUNNING":
             if pc[r] == len(programs[r]):
                 state[r] = "DONE"
                 break
@@ -224,18 +237,23 @@ def _reference_run(programs):
             if op[0] == "advance":
                 clock[r] += op[1]
             elif op[0] == "wake":
-                not_before[op[1]] = max(not_before[op[1]], op[2])
-                if state[op[1]] == "BLOCKED":
-                    state[op[1]] = "READY"
+                other = op[1]
+                if state[other] == "BLOCKED":
+                    deadline[other] = min(deadline[other], op[2])
                 else:
-                    pending[op[1]] = True
+                    not_before[other] = max(not_before[other], op[2])
+                    pending[other] = True
             elif pending[r]:  # yield/block with a wake already pending: keep running
                 pending[r] = False
-                if op[0] == "block":
-                    clock[r] = max(clock[r], not_before[r])
+                until = op[1] if op[0] == "block_until" else never
+                clock[r] = max(clock[r], min(not_before[r], until))
+                not_before[r] = 0.0
+            elif op[0] == "yield":
+                state[r] = "READY"
             else:
-                state[r], parked[r] = ("READY" if op[0] == "yield" else "BLOCKED"), True
-                break
+                state[r] = "BLOCKED"
+                if op[0] == "block_until":
+                    deadline[r] = op[1]
 
 
 def _engine_run(programs):
@@ -255,6 +273,8 @@ def _engine_run(programs):
                         ctx.yield_turn()
                     elif op[0] == "block":
                         ctx.block(f"op {index}")
+                    elif op[0] == "block_until":
+                        ctx.block(f"op {index}", wake_at=op[1])
                     elif op[0] == "wake":
                         ctx.wake(op[1], not_before=op[2])
                     else:
@@ -438,6 +458,91 @@ def test_lone_runnable_rank_keeps_the_token_without_switching():
     assert [p.acquires for p in parks] == [2, 1]
 
 
+def test_ranks_blocked_without_a_deadline_deadlock_and_unwind_in_rank_order():
+    """Timed blocks end at their deadlines; once every rank sits in a block
+    without one, the run is a deadlock and the survivors unwind in rank
+    order."""
+    cleaned = []
+
+    def program(ctx):
+        ctx.block("nap", wake_at=0.5 * (ctx.nranks - ctx.rank))
+        try:
+            ctx.block("never")
+        finally:
+            cleaned.append(ctx.rank)
+
+    engine = SimEngine(4)
+    engine.spawn_all(lambda r: program)
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run()
+    err = excinfo.value
+    assert "rank 0 (never)" in str(err) and "nap" not in str(err)
+    assert cleaned == [0, 1, 2, 3]
+    assert err.rank_states == {r: RankState.TORN_DOWN for r in range(4)}
+    assert err.rank_clocks == [2.0, 1.5, 1.0, 0.5]
+    assert _live_rank_threads() == []
+
+
+def test_ranks_blocked_only_on_deadlines_never_deadlock():
+    """Nobody ever wakes anybody: every rank resumes at each of its
+    deadlines, in (deadline, rank) order."""
+    resumed = []
+
+    def program(ctx):
+        for step in (1, 2, 3):
+            resumed.append((ctx.block("sleep", wake_at=step * (ctx.rank + 1)), ctx.rank))
+        return ctx.now
+
+    engine = SimEngine(3)
+    engine.spawn_all(lambda r: program)
+    assert engine.run() == [3.0, 6.0, 9.0]
+    assert resumed == sorted(resumed)
+    assert len(resumed) == 9
+    assert _live_rank_threads() == []
+
+
+def test_timed_block_at_the_earliest_turn_keeps_the_token_without_switching():
+    def program(ctx):
+        if ctx.rank == 0:
+            return ctx.block("until rank 1 is done")
+        for step in range(1, 1001):
+            assert ctx.block("sleep", wake_at=step * 1e-3) == step * 1e-3
+        ctx.wake(0)
+        return ctx.now
+
+    engine = SimEngine(2)
+    engine.spawn_all(lambda r: program)
+    parks = []
+    for rec in engine._records:
+        rec.park = _CountingPark(rec.park)
+        parks.append(rec.park)
+    assert engine.run() == [0.0, 1.0]
+    # Rank 1 parked once, for its first turn; none of its 1 000 naps switched.
+    assert [p.acquires for p in parks] == [2, 1]
+
+
+def test_deadline_resume_leaves_no_stale_wake():
+    """A post that lands after the deadline does not outlive the block it
+    was meant for: the rank resumes at the deadline, and its next block
+    neither returns at once nor jumps to the post's time."""
+
+    def program(ctx):
+        if ctx.rank == 0:
+            first = ctx.block("pattern", wake_at=1.0)
+            second = ctx.block("next")
+            return first, second
+        ctx.advance(0.5)
+        ctx.wake(0, not_before=3.0)  # lands after rank 0's deadline
+        ctx.advance(1.0)
+        ctx.yield_turn()  # rank 0's deadline (1.0) comes first
+        ctx.wake(0, not_before=2.0)  # ends rank 0's second block
+        return ctx.now
+
+    engine = SimEngine(2)
+    engine.spawn_all(lambda r: program)
+    assert engine.run() == [(1.0, 2.0), 1.5]
+
+
 def test_benchmark_makespans_are_pinned():
     """Virtual time of the three engine-bound e2e workloads, bit for bit.
 
@@ -458,6 +563,6 @@ def test_benchmark_makespans_are_pinned():
         imb_np8 = session.run(make_imb_suite_program(iterations=8), 8).makespan
         nbc_np8 = sum(session.run(make_imb_nbc_program(routine, iterations=4), 8).makespan
                       for routine in NBC_ROUTINES)
-    assert imb_np32 == 0.00024274347826087192
-    assert imb_np8 == 0.0015171234886956135
-    assert nbc_np8 == 0.001964554864347827
+    assert imb_np32 == 0.00024182778260869794
+    assert imb_np8 == 0.0015154704886956145
+    assert nbc_np8 == 0.0019591951686956546
