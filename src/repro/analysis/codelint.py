@@ -31,6 +31,12 @@ the linter exists so those regressions stay fixed:
   the only implementation of a collective; an algorithm that talks to the
   ``CollectiveContext`` itself is invisible to the schedule analyzer, the NBC
   path, round-boundary checkpoints and at-round fault plans.
+* ``one-block-site-in-mpi`` -- a ``.block(`` call under ``mpi/`` anywhere
+  but ``MatchingEngine.block_for_any``.  Every blocking MPI call waits in
+  the runtime's one wait, which blocks there; a second block site is a wait
+  that registers no patterns and runs no progress -- which is how a
+  rendezvous ``MPI_Send`` once deadlocked beside an outstanding
+  ``MPI_Ibcast``.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -75,6 +81,11 @@ _ENVIRON_MUTATORS = ("pop", "setdefault", "update")
 _ALGORITHMS_DIR = "mpi/algorithms/"
 _ALGORITHMS_EXECUTOR = "mpi/algorithms/schedule.py"
 
+#: ``one-block-site-in-mpi``: the package it covers, and its one block site
+#: (file suffix, qualified name).
+_MPI_DIR = "/mpi/"
+_MPI_BLOCK_SITE = ("mpi/pt2pt.py", "MatchingEngine.block_for_any")
+
 
 def _qualname_stack(stack: Sequence[ast.AST]) -> str:
     names = [
@@ -106,6 +117,7 @@ class _FileLinter(ast.NodeVisitor):
         self.algorithm_module = (
             _ALGORITHMS_DIR in relpath and not relpath.endswith(_ALGORITHMS_EXECUTOR)
         )
+        self.mpi_module = _MPI_DIR in f"/{relpath}"
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
         self._if_enabled_depth = 0             # inside an ENABLED-guarded if
@@ -250,6 +262,15 @@ class _FileLinter(ast.NodeVisitor):
                 "no-direct-pt2pt-in-algorithms", node,
                 f".{node.func.attr}() in a collective algorithm bypasses the "
                 "schedule executor; emit a SendStep/RecvStep from the builder",
+            )
+        if (self.mpi_module and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "block"
+                and not (self.relpath.endswith(_MPI_BLOCK_SITE[0])
+                         and _qualname_stack(self._stack) == _MPI_BLOCK_SITE[1])):
+            self._report(
+                "one-block-site-in-mpi", node,
+                ".block() outside MatchingEngine.block_for_any is a second "
+                "wait: wait through MPIRuntime._wait_until instead",
             )
         if ".RECORDER." in f".{name}." and self._if_enabled_depth == 0:
             self._report(

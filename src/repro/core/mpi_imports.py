@@ -299,13 +299,12 @@ def build_mpi_imports() -> Dict[str, Callable]:
         env.note_call("MPI_Irecv")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
-        env.charge_overhead("MPI_Irecv", datatype.name, count * datatype.size)
+        nbytes = count * datatype.size
+        env.charge_overhead("MPI_Irecv", datatype.name, nbytes)
         comm = env.resolve_comm(_signed(comm_handle))
-        # A resolver (see LazyBuffer): the runtime translates the receive's
-        # extent when it consumes the message.
+        view = _translator(instance).to_host(buf, nbytes)
         request = env.runtime.irecv(
-            partial(_translator(instance).to_host, buf),
-            count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm,
+            view, count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm
         )
         return _register_request(instance, env, request, request_ptr)
 

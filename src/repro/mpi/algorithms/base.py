@@ -63,8 +63,9 @@ class CollectiveContext:
       is buffered.  Separating consumption from arrival is what lets
       transfers overlap caller compute.  A message longer than ``view``
       raises ``TruncationError``;
-    * ``wait(src, tag)`` blocks until a matching message is buffered (the
-      runtime's blocking protocol, which keeps its other requests moving);
+    * ``wait(src, tag, view) -> float`` is ``recv`` that blocks until a
+      matching message is buffered (the runtime's one wait, which keeps its
+      other requests moving) and so always returns the arrival time;
     * ``compute(seconds)`` charges local computation (the combine step of
       reductions);
     * ``now() -> float`` / ``advance_to(t)`` -- the rank's virtual clock,
@@ -84,7 +85,7 @@ class CollectiveContext:
         world_rank: int,
         send: Callable[[int, int, Union[bytes, memoryview]], None],
         recv: Callable[[int, int, Optional[memoryview]], Optional[float]],
-        wait: Callable[[int, int], None],
+        wait: Callable[[int, int, Optional[memoryview]], float],
         compute: Callable[[float], None],
         now: Callable[[], float],
         advance_to: Callable[[float], None],

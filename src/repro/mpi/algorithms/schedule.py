@@ -322,9 +322,9 @@ class ScheduleExecutor:
         of stall, and ``wait`` decides what each costs:
 
         * a **message stall** -- a receive with no buffered match.  A pass
-          returns ``False``; a wait calls the context's ``wait``, the
-          runtime's one blocking protocol (which keeps weak progress on the
-          rank's other requests), and retries;
+          returns ``False``; a wait receives through the context's ``wait``,
+          the runtime's one blocking wait (which keeps weak progress on the
+          rank's other requests);
         * a **time stall** -- a round barrier, a data dependency, or payload
           still in flight at the end.  A pass returns ``False``, so the gap
           stays available for caller compute; a wait advances the clock to
@@ -358,11 +358,10 @@ class ScheduleExecutor:
             if type(step) is RecvStep:
                 target = self._target(step)
                 arrival = cc.recv(step.peer, step.tag, target)
-                while arrival is None:
+                if arrival is None:
                     if not wait:
                         return False
-                    cc.wait(step.peer, step.tag)
-                    arrival = cc.recv(step.peer, step.tag, target)
+                    arrival = cc.wait(step.peer, step.tag, target)
                 if arrival > self.data_time:
                     self.data_time = arrival
                 if step.buf is not None and arrival > self._buffer_ready.get(step.buf, 0.0):

@@ -10,7 +10,9 @@ accounting for sends and receives using the cluster's transport models:
 * the message "arrives" at ``send_time + latency + size/bandwidth``,
 * the receiver's clock advances to at least the arrival time,
 * messages larger than the transport's eager threshold use a rendezvous
-  protocol: the sender blocks until the receiver has drained the message.
+  protocol: the send completes only once the receiver has drained the
+  message -- the sender waits for that in the runtime's one wait, like
+  every other blocking MPI call (the engine itself never blocks a sender).
 
 Data movement is real: send buffers are copied into the message at injection
 time and copied out into the receive buffer at match time, so every benchmark
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.fault import inject as _inject
 from repro.mpi.errors import TruncationError
-from repro.mpi.status import Status
 from repro.obs import trace as _trace
 from repro.sim.cluster import Cluster
 from repro.sim.engine import RankContext
@@ -42,7 +43,7 @@ class Message:
     """
 
     __slots__ = ("msg_id", "src_world", "dst_world", "context_id", "tag", "data",
-                 "send_time", "rendezvous", "consumed", "consumed_time")
+                 "send_time", "rendezvous", "consumed", "consumed_time", "arrival")
 
     def __init__(self, msg_id: int, src_world: int, dst_world: int, context_id: int,
                  tag: int, data: bytes, send_time: float, rendezvous: bool):
@@ -56,6 +57,8 @@ class Message:
         self.rendezvous = rendezvous
         self.consumed = False
         self.consumed_time = 0.0
+        # When the last byte is on the receiver; set when it is consumed.
+        self.arrival = 0.0
 
 
 class MatchingEngine:
@@ -65,10 +68,10 @@ class MatchingEngine:
     ----------
     cluster:
         Supplies the per-pair transport models.
-    extra_send_overhead, extra_recv_overhead:
-        Additional per-call CPU time charged on top of the transport model.
-        The MPIWasm embedder uses these hooks to charge its translation costs
-        (Figure 6) to the ranks running Wasm guests.
+
+    A post buffers a message and a consume takes a buffered match or reports
+    that there is none; neither waits.  :meth:`block_for_any` is the one
+    place a rank blocks.
     """
 
     SHARED_KEY = "mpi.matching"
@@ -94,24 +97,15 @@ class MatchingEngine:
             return False
         return True
 
-    def _find_match(
+    def probe_match(
         self, dst_world: int, context_id: int, src: int, tag: int
     ) -> Optional[Message]:
+        """The first matching buffered message, not consumed (``MPI_Iprobe``)."""
         # ``get``, not ``setdefault``: a probe must not create an empty queue.
         for msg in self._queues.get((dst_world, context_id), ()):
             if self._matches(msg, src, tag):
                 return msg
         return None
-
-    def has_match(self, dst_world: int, context_id: int, src: int, tag: int) -> bool:
-        """Whether a matching message is already buffered (``MPI_Iprobe``)."""
-        return self._find_match(dst_world, context_id, src, tag) is not None
-
-    def probe_match(
-        self, dst_world: int, context_id: int, src: int, tag: int
-    ) -> Optional[Message]:
-        """Return (without consuming) the first matching buffered message."""
-        return self._find_match(dst_world, context_id, src, tag)
 
     # -------------------------------------------------------------------- send
 
@@ -123,13 +117,11 @@ class MatchingEngine:
         context_id: int,
         tag: int,
         data: bytes,
-        extra_overhead: float = 0.0,
-        blocking: bool = True,
     ) -> Message:
-        """Inject a message; optionally block for rendezvous completion.
+        """Inject a message without blocking.
 
-        Returns the :class:`Message` record (used by ``MPI_Isend`` requests and
-        by ``Sendrecv`` to defer the rendezvous wait).
+        Returns the :class:`Message` record: a rendezvous send is complete
+        once the receiver has consumed it (``consumed``/``consumed_time``).
         """
         nbytes = len(data)
         transport = self.cluster.transport(src_world, dst_world)
@@ -137,7 +129,7 @@ class MatchingEngine:
         # copy an injection makes (``data`` may be a view of the sender's buffer).
         msg = Message(
             next(self._msg_counter), src_world, dst_world, context_id, tag, bytes(data),
-            ctx.advance(transport.send_overhead(nbytes) + extra_overhead),
+            ctx.advance(transport.send_overhead(nbytes)),
             transport.is_rendezvous(nbytes),
         )
         if _inject.ARMED:
@@ -173,24 +165,7 @@ class MatchingEngine:
             if waited_context == context_id and self._matches(msg, src, waited_tag):
                 ctx.wake(dst_world, not_before=msg.send_time)
                 break
-        if blocking and msg.rendezvous:
-            self.wait_send(ctx, msg)
         return msg
-
-    def wait_send(self, ctx: RankContext, msg: Message) -> None:
-        """Block the sender until a rendezvous message has been consumed."""
-        if not msg.rendezvous:
-            return
-        while not msg.consumed:
-            # Record that the sender is waiting so the receiver can wake it via
-            # the message record itself (the receiver always knows the sender).
-            ctx.block(reason=f"rendezvous send to {msg.dst_world} tag={msg.tag}")
-        ctx.advance_to(msg.consumed_time)
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
-                "pt2pt.rendezvous_drain", msg.src_world, ctx.now,
-                args={"dst": msg.dst_world, "tag": msg.tag, "nbytes": len(msg.data)},
-            )
 
     # ---------------------------------------------------------- any-of waiting
 
@@ -208,13 +183,13 @@ class MatchingEngine:
 
         Returns immediately when a match is already buffered.  This is a
         condition-variable style wait: callers re-check their own completion
-        condition after it returns.  The progress engine uses it so a rank
-        stuck in ``MPI_Waitany``/``MPI_Wait`` resumes as soon as *any* of its
+        condition after it returns.  The runtime's one wait blocks here, so
+        a rank in any blocking call resumes as soon as *any* of its
         outstanding requests can make progress, rather than pinning itself to
-        one arbitrarily chosen request.
+        the one it waits for.
         """
         for context_id, src, tag in patterns:
-            if self._find_match(dst_world, context_id, src, tag) is not None:
+            if self.probe_match(dst_world, context_id, src, tag) is not None:
                 return
         self._waiting[dst_world] = patterns
         try:
@@ -224,7 +199,7 @@ class MatchingEngine:
 
     # -------------------------------------------------------------------- recv
 
-    def recv(
+    def consume(
         self,
         ctx: RankContext,
         dst_world: int,
@@ -233,50 +208,33 @@ class MatchingEngine:
         tag: int,
         buffer: Optional[memoryview],
         max_bytes: int,
-        extra_overhead: float = 0.0,
-    ) -> Status:
-        """Blocking receive into ``buffer`` (or a pure timing receive if None).
+    ) -> Optional[Message]:
+        """Consume the first matching buffered message, never waiting.
 
-        Raises :class:`TruncationError` if the matched message is larger than
-        ``max_bytes`` -- the same condition ``MPI_ERR_TRUNCATE`` reports.
+        One scan of the queue.  Charges only the receiver's CPU overhead and
+        records the arrival time on the returned message (``arrival``)
+        instead of advancing the clock to it -- the caller decides when the
+        *data* dependency bites: ``MPI_Recv`` at once, a schedule when a
+        step reads the bytes (that separation is what lets a non-blocking
+        collective overlap its transfer time with caller compute).  Returns
+        ``None`` when nothing matches.
         """
-        msg = self._find_match(dst_world, context_id, src, tag)
-        while msg is None:
-            self.block_for_any(ctx, dst_world, [(context_id, src, tag)],
-                               reason=f"recv src={src} tag={tag} ctx={context_id}")
-            msg = self._find_match(dst_world, context_id, src, tag)
-        self._queues[(dst_world, context_id)].remove(msg)
-        ctx.advance_to(self._consume(ctx, msg, buffer, max_bytes, extra_overhead))
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=len(msg.data))
-
-    def consume_nowait(
-        self,
-        ctx: RankContext,
-        dst_world: int,
-        context_id: int,
-        src: int,
-        tag: int,
-        buffer: Optional[memoryview],
-        max_bytes: int,
-    ) -> Optional[float]:
-        """Consume a matching buffered message without waiting for its arrival.
-
-        A schedule's receive: charges only the receiver's CPU overhead and
-        returns the arrival time instead of advancing the clock to it -- the
-        caller decides when the *data* dependency bites (that separation is
-        what lets a non-blocking collective overlap its transfer time with
-        caller compute).  Returns ``None`` when nothing matches.
-        """
-        msg = self._find_match(dst_world, context_id, src, tag)
-        if msg is None:
+        queue = self._queues.get((dst_world, context_id))
+        if not queue:
+            return None
+        for index, msg in enumerate(queue):
+            if self._matches(msg, src, tag):
+                break
+        else:
             return None
         if _trace.ENABLED:
             _trace.RECORDER.instant(
                 "pt2pt.match", dst_world, ctx.now,
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": len(msg.data)},
             )
-        self._queues[(dst_world, context_id)].remove(msg)
-        return self._consume(ctx, msg, buffer, max_bytes)
+        del queue[index]
+        msg.arrival = self._consume(ctx, msg, buffer, max_bytes)
+        return msg
 
     def _consume(
         self,
@@ -284,7 +242,6 @@ class MatchingEngine:
         msg: Message,
         buffer: Optional[memoryview],
         max_bytes: int,
-        extra_overhead: float = 0.0,
     ) -> float:
         """Shared consumption core of a dequeued message: charge the
         receiver's CPU overhead, write the payload straight into ``buffer``
@@ -304,7 +261,7 @@ class MatchingEngine:
             raise TruncationError(
                 f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
             )
-        ctx.advance(transport.recv_overhead(nbytes) + extra_overhead)
+        ctx.advance(transport.recv_overhead(nbytes))
         if buffer is not None and nbytes > 0:
             buffer[:nbytes] = msg.data
         self._complete(ctx, msg, max(ctx.now, arrival))
@@ -319,7 +276,7 @@ class MatchingEngine:
     @staticmethod
     def _complete(ctx: RankContext, msg: Message, when: float) -> None:
         """Mark ``msg`` consumed at ``when``; wake a rendezvous sender (it may
-        be blocked in :meth:`wait_send`)."""
+        be blocked waiting for the drain)."""
         msg.consumed = True
         msg.consumed_time = when
         if msg.rendezvous:

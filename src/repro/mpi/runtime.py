@@ -19,7 +19,11 @@ operations the per-rank *progress engine* advances: every
 outstanding requests (draining rendezvous sends, consuming matched receives,
 stepping collective schedules), then blocks -- if it must -- on progress of
 *any* of them.  MPI's weak-progress model applies: outstanding operations are
-only guaranteed to advance inside MPI calls.
+only guaranteed to advance inside MPI calls.  Blocking calls are the same
+machinery: ``send``/``recv``/``sendrecv`` post operations and wait on them,
+a blocking collective runs the wait its ``I<collective>`` request would, and
+every one of those waits -- a schedule's wait for a message included -- is
+:meth:`MPIRuntime._wait_until`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -66,8 +70,9 @@ from repro.sim.engine import RankContext, SimEngine
 from repro.sim.metrics import MetricsRegistry
 
 BufferLike = Union[bytes, bytearray, memoryview, np.ndarray]
+_T = TypeVar("_T")
 
-#: Buffers of irecv and the collectives may also be supplied as a resolver: a
+#: Buffers of the collectives may also be supplied as a resolver: a
 #: callable taking the number of bytes the runtime needs and returning the
 #: buffer.  The embedder passes guest pointers this way.  How many bytes a
 #: buffer spans depends on the call (a gather root's receive buffer holds a
@@ -144,87 +149,107 @@ def _entry_points(collective: str, define):
 # Status once the operation finished -- on every outstanding request whenever
 # a test/wait-family call runs.  ``wait_patterns`` reports the
 # ``(context_id, src_world, tag)`` message patterns the operation is
-# currently stalled on, so a blocked rank can be woken by *any* of them.
+# currently stalled on, so a blocked rank can be woken by *any* of them, and
+# ``describe`` names the stall in a deadlock report.  A blocking call may
+# wait on such a record with no Request around it (:meth:`MPIRuntime._wait_op`).
 
 
 class _PendingSend:
-    """An ``MPI_Isend`` awaiting completion (rendezvous drain).
+    """A posted send awaiting completion (rendezvous drain).
 
-    Eager sends are buffered by the matching engine at post time and complete
-    at the first progress pass; a rendezvous send completes once the receiver
-    has consumed it, synchronising the sender's virtual clock with the
-    consumption time exactly like ``sendrecv`` does.
+    An eager send is buffered by the matching engine at post time and
+    completes at its first attempt; a rendezvous send completes once the
+    receiver has consumed it, advancing the sender's virtual clock to the
+    consumption time.
     """
 
     __slots__ = ("msg", "status")
 
-    def __init__(self, msg: Optional[Message], status: Status):
+    def __init__(self, msg: Message, status: Status):
         self.msg = msg
         self.status = status
 
     def try_progress(self, rt: "MPIRuntime") -> Optional[Status]:
-        if self.msg is None or not self.msg.rendezvous:
+        msg = self.msg
+        if not msg.rendezvous:
             return self.status
-        if self.msg.consumed:
-            rt.ctx.advance_to(self.msg.consumed_time)
-            return self.status
-        return None
+        if not msg.consumed:
+            return None
+        rt.ctx.advance_to(msg.consumed_time)
+        if _trace.ENABLED:
+            _trace.RECORDER.instant(
+                "pt2pt.rendezvous_drain", msg.src_world, rt.ctx.now,
+                args={"dst": msg.dst_world, "tag": msg.tag, "nbytes": len(msg.data)},
+            )
+        return self.status
 
     def wait_patterns(self, rt: "MPIRuntime") -> List[Tuple[int, int, int]]:
         # Nothing to match: the drain wake arrives directly from the receiver
         # when it consumes the rendezvous message.
         return []
 
+    def describe(self) -> str:
+        return f"rendezvous send to {self.msg.dst_world} tag={self.msg.tag}"
+
 
 class _PendingRecv:
-    """An ``MPI_Irecv`` whose matching receive is performed on completion."""
+    """A posted receive: each attempt is one non-blocking consume of the
+    first matching buffered message, straight into ``view``.
 
-    __slots__ = ("buf", "count", "datatype", "source", "tag", "comm")
+    ``comm`` translates the matched source back to a communicator rank; a
+    schedule's receive (no ``comm``) only ever calls :meth:`consume`.
+    """
 
-    def __init__(self, buf, count, datatype, source, tag, comm):
-        self.buf = buf
-        self.count = count
-        self.datatype = datatype
-        self.source = source
+    __slots__ = ("view", "nbytes", "context_id", "src_world", "tag", "comm")
+
+    def __init__(self, view: Optional[memoryview], nbytes: int, context_id: int,
+                 src_world: int, tag: int, comm: Optional[Communicator] = None):
+        self.view = view
+        self.nbytes = nbytes
+        self.context_id = context_id
+        self.src_world = src_world
         self.tag = tag
         self.comm = comm
 
-    def _src_world(self, rt: "MPIRuntime") -> Tuple["Communicator", int]:
-        comm = self.comm or rt.comm_world
-        src = ANY_SOURCE if self.source == ANY_SOURCE else comm.world_rank(self.source)
-        return comm, src
+    def consume(self, rt: "MPIRuntime") -> Optional[Message]:
+        return rt.world.matching.consume(
+            rt.ctx, rt.rank_world, self.context_id, self.src_world, self.tag,
+            self.view, self.nbytes,
+        )
 
     def try_progress(self, rt: "MPIRuntime") -> Optional[Status]:
-        # A PROC_NULL receive completes immediately with an empty status.
-        if self.source == PROC_NULL:
-            return Status(source=PROC_NULL, tag=ANY_TAG, count_bytes=0)
-        comm, src = self._src_world(rt)
-        if not rt.world.matching.has_match(rt.rank_world, comm.context_id, src, self.tag):
+        msg = self.consume(rt)
+        if msg is None:
             return None
-        # Consume straight through the matching engine (the match is buffered,
-        # so this never blocks) rather than re-entering the public recv path:
-        # its progress loop must not run nested inside a progress pass.  The
-        # buffer may be a lazy supplier (guest memory translated on demand).
-        nbytes = self.count * self.datatype.size
-        target = _supplied(self.buf, nbytes)
-        view = (
-            _writable(target, nbytes, "recv")
-            if target is not None and nbytes > 0
-            else None
-        )
-        status = rt.world.matching.recv(
-            rt.ctx, rt.rank_world, comm.context_id, src, self.tag, view, nbytes
-        )
-        local_src = comm.rank_of_world(status.source)
-        if local_src is not None:
-            status.source = local_src
-        return status
+        rt.ctx.advance_to(msg.arrival)
+        local_src = self.comm.rank_of_world(msg.src_world)
+        return Status(source=msg.src_world if local_src is None else local_src,
+                      tag=msg.tag, count_bytes=len(msg.data))
 
     def wait_patterns(self, rt: "MPIRuntime") -> List[Tuple[int, int, int]]:
-        if self.source == PROC_NULL:
-            return []
-        comm, src = self._src_world(rt)
-        return [(comm.context_id, src, self.tag)]
+        return [(self.context_id, self.src_world, self.tag)]
+
+    def describe(self) -> str:
+        return f"recv src={self.src_world} tag={self.tag} ctx={self.context_id}"
+
+
+class _Done:
+    """An operation complete at its post: a send to or receive from
+    ``PROC_NULL``."""
+
+    __slots__ = ("status",)
+
+    def __init__(self, status: Status):
+        self.status = status
+
+    def try_progress(self, rt: "MPIRuntime") -> Status:
+        return self.status
+
+    def wait_patterns(self, rt: "MPIRuntime") -> List[Tuple[int, int, int]]:
+        return []
+
+    def describe(self) -> str:
+        return "PROC_NULL"
 
 
 class _PendingCollective:
@@ -423,6 +448,38 @@ class MPIRuntime:
         if peer not in (ANY_SOURCE, PROC_NULL) and not 0 <= peer < comm.size:
             raise InvalidRankError(f"peer rank {peer} out of range for {comm.name} of size {comm.size}")
 
+    # Blocking point-to-point is the non-blocking path: ``MPI_Send`` is
+    # ``MPI_Isend`` plus ``MPI_Wait``'s wait (:meth:`_wait`), ``MPI_Recv`` the
+    # wait on a posted receive (:meth:`_wait_op`), and ``MPI_Sendrecv`` the
+    # send's post, the receive's wait and then the send's wait.  A blocking
+    # call's own operation is never handed to the progress engine unless
+    # ``MPI_I*`` would hand it over too, so a Sendrecv's drain cannot move
+    # the clock ahead of its receive.
+
+    def _post_send(self, buf: BufferLike, count: int, datatype: Datatype, dest: int,
+                   tag: int, comm: Communicator) -> Union[_PendingSend, _Done]:
+        """Post a send: the message is injected and buffered (never blocks)."""
+        self._validate_pt2pt(comm, dest, tag, count)
+        if dest == PROC_NULL:
+            return _Done(Status())
+        nbytes = count * datatype.size
+        msg = self.world.matching.post_send(
+            self.ctx, self.rank_world, comm.world_rank(dest), comm.context_id, tag,
+            _readable(buf, nbytes, "send"),
+        )
+        return _PendingSend(msg, Status(source=dest, tag=tag, count_bytes=nbytes))
+
+    def _post_recv(self, buf: Optional[BufferLike], count: int, datatype: Datatype,
+                   source: int, tag: int, comm: Communicator) -> Union[_PendingRecv, _Done]:
+        """Post a receive into ``buf`` (``None``: a pure timing receive)."""
+        self._validate_pt2pt(comm, source, tag, count)
+        if source == PROC_NULL:
+            return _Done(Status(source=PROC_NULL, tag=ANY_TAG, count_bytes=0))
+        nbytes = count * datatype.size
+        view = _writable(buf, nbytes, "recv") if buf is not None and nbytes > 0 else None
+        src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank(source)
+        return _PendingRecv(view, nbytes, comm.context_id, src_world, tag, comm)
+
     @_traced("MPI_Send")
     def send(
         self,
@@ -432,26 +489,11 @@ class MPIRuntime:
         dest: int,
         tag: int,
         comm: Optional[Communicator] = None,
-        extra_overhead: float = 0.0,
     ) -> None:
         """``MPI_Send`` (standard mode; rendezvous above the eager threshold)."""
         self._require_init()
-        comm = comm or self.comm_world
-        self._validate_pt2pt(comm, dest, tag, count)
-        if dest == PROC_NULL:
-            return
-        nbytes = count * datatype.size
-        data = _readable(buf, nbytes, "send")
-        self.world.matching.post_send(
-            self.ctx,
-            self.rank_world,
-            comm.world_rank(dest),
-            comm.context_id,
-            tag,
-            data,
-            extra_overhead=extra_overhead,
-            blocking=True,
-        )
+        self._wait(self._activate(Request(kind="isend"), self._post_send(
+            buf, count, datatype, dest, tag, comm or self.comm_world)))
 
     @_traced("MPI_Recv")
     def recv(
@@ -462,46 +504,11 @@ class MPIRuntime:
         source: int,
         tag: int,
         comm: Optional[Communicator] = None,
-        extra_overhead: float = 0.0,
     ) -> Status:
         """``MPI_Recv``."""
         self._require_init()
-        comm = comm or self.comm_world
-        self._validate_pt2pt(comm, source, tag, count)
-        if source == PROC_NULL:
-            return Status(source=PROC_NULL, tag=ANY_TAG, count_bytes=0)
-        nbytes = count * datatype.size
-        view = _writable(buf, nbytes, "recv") if buf is not None and nbytes > 0 else None
-        src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank(source)
-        self._await_match(comm.context_id, src_world, tag)
-        status = self.world.matching.recv(
-            self.ctx, self.rank_world, comm.context_id, src_world, tag, view, nbytes,
-            extra_overhead=extra_overhead,
-        )
-        # Convert the world-rank source back to a communicator-local rank.
-        local_src = comm.rank_of_world(status.source)
-        if local_src is not None:
-            status.source = local_src
-        return status
-
-    def _await_match(self, context_id: int, src_world: int, tag: int) -> None:
-        """Block until a matching message is buffered, with weak progress.
-
-        The one blocking protocol of a receive -- ``MPI_Recv``'s and a
-        schedule's message stall alike.  While the message has not arrived,
-        keep advancing every outstanding non-blocking request -- a peer may
-        be unable to send our message until a schedule of ours posts *its*
-        sends -- and wake on our own pattern or on anything an outstanding
-        request is stalled on.  With no outstanding requests this is exactly
-        a plain blocking wait for the message.
-        """
-        matching = self.world.matching
-        self.progress()
-        pattern = [(context_id, src_world, tag)]
-        while not matching.has_match(self.rank_world, context_id, src_world, tag):
-            self._await_progress(
-                self._active_requests, pattern, f"recv src={src_world} tag={tag} ctx={context_id}"
-            )
+        return self._wait_op(self._post_recv(buf, count, datatype, source, tag,
+                                             comm or self.comm_world))
 
     @_traced("MPI_Sendrecv")
     def sendrecv(
@@ -518,27 +525,13 @@ class MPIRuntime:
         recvtag: int,
         comm: Optional[Communicator] = None,
     ) -> Status:
-        """``MPI_Sendrecv``: post the send without blocking, then receive."""
+        """``MPI_Sendrecv``: post the send, wait for the receive, then for the send."""
         self._require_init()
         comm = comm or self.comm_world
-        self._validate_pt2pt(comm, dest, sendtag, sendcount)
-        self._validate_pt2pt(comm, source, recvtag, recvcount)
-        msg: Optional[Message] = None
-        if dest != PROC_NULL:
-            nbytes = sendcount * sendtype.size
-            data = _readable(sendbuf, nbytes, "send")
-            msg = self.world.matching.post_send(
-                self.ctx,
-                self.rank_world,
-                comm.world_rank(dest),
-                comm.context_id,
-                sendtag,
-                data,
-                blocking=False,
-            )
-        status = self.recv(recvbuf, recvcount, recvtype, source, recvtag, comm)
-        if msg is not None:
-            self.world.matching.wait_send(self.ctx, msg)
+        receive = self._post_recv(recvbuf, recvcount, recvtype, source, recvtag, comm)
+        send = self._post_send(sendbuf, sendcount, sendtype, dest, sendtag, comm)
+        status = self._wait_op(receive)
+        self._wait_op(send)
         return status
 
     @_traced("MPI_Isend")
@@ -553,60 +546,42 @@ class MPIRuntime:
     ) -> Request:
         """``MPI_Isend`` (buffered at post time; completes at wait/test).
 
-        An eager send completes at the first progress pass; a rendezvous send
-        stays active until the receiver drains it, at which point the waiting
-        rank's virtual clock advances to the consumption time (the same
-        synchronisation ``sendrecv`` performs).
+        An eager send completes at once; a rendezvous send stays active until
+        the receiver drains it, at which point the waiting rank's virtual
+        clock advances to the consumption time.
         """
         self._require_init()
-        comm = comm or self.comm_world
-        self._validate_pt2pt(comm, dest, tag, count)
-        req = Request(kind="isend")
-        if dest == PROC_NULL:
-            req.mark_complete()
-            return req
-        nbytes = count * datatype.size
-        data = _readable(buf, nbytes, "send")
-        msg = self.world.matching.post_send(
-            self.ctx,
-            self.rank_world,
-            comm.world_rank(dest),
-            comm.context_id,
-            tag,
-            data,
-            blocking=False,
-        )
-        self._activate(req, _PendingSend(msg, Status(source=dest, tag=tag, count_bytes=nbytes)))
-        return req
+        return self._activate(Request(kind="isend"), self._post_send(
+            buf, count, datatype, dest, tag, comm or self.comm_world))
 
     @_traced("MPI_Irecv")
     def irecv(
         self,
-        buf: LazyBuffer,
+        buf: Optional[BufferLike],
         count: int,
         datatype: Datatype,
         source: int,
         tag: int,
         comm: Optional[Communicator] = None,
     ) -> Request:
-        """``MPI_Irecv``: the matching receive is performed on completion."""
+        """``MPI_Irecv``: consumes a buffered match at once, else at a later
+        test/wait-family call."""
         self._require_init()
-        comm = comm or self.comm_world
-        self._validate_pt2pt(comm, source, tag, count)
-        req = Request(kind="irecv")
-        self._activate(req, _PendingRecv(buf, count, datatype, source, tag, comm))
-        return req
+        return self._activate(Request(kind="irecv"), self._post_recv(
+            buf, count, datatype, source, tag, comm or self.comm_world))
 
     # ---------------------------------------------------------- progress engine
 
-    def _activate(self, request: Request, op) -> None:
-        """Attach a pending operation; complete immediately if it already can."""
+    def _activate(self, request: Request, op) -> Request:
+        """Attach a posted operation to ``request``: complete it now if it
+        can, else hand it to the progress engine."""
         request._op = op
         status = op.try_progress(self)
         if status is not None:
             request.mark_complete(status)
         else:
             self._active_requests.append(request)
+        return request
 
     def _retire(self, request: Request) -> None:
         if request in self._active_requests:
@@ -650,35 +625,38 @@ class MPIRuntime:
                 patterns.extend(req._op.wait_patterns(self))
         return patterns
 
-    def _await_progress(
-        self,
-        requests: List[Request],
-        extra_patterns: List[Tuple[int, int, int]],
-        reason: str,
-    ) -> None:
-        """One blocking step of the shared wake protocol.
+    def _wait_until(self, attempt: Callable[[], Optional[_T]],
+                    patterns: List[Tuple[int, int, int]], describe: Callable[[], str]) -> _T:
+        """The one blocking wait: a progress pass, then ``attempt()`` until it
+        returns something other than ``None``.
 
-        Block until a message matching any watched request's pattern -- or
-        one of the caller's ``extra_patterns`` -- can be consumed, or until
-        the earliest time at which a watched request progresses by time
-        alone (a schedule whose steps are done or stalled only on an
-        in-flight arrival), whichever comes first in virtual time; then run
-        one progress pass.  Every rank that can act earlier runs first, so
-        a message that can arrive before that time completes us at its true
-        arrival.  Callers run a progress pass before the first step and
-        loop around this re-checking their own condition; every blocking
-        primitive (wait, waitany, blocking receive) shares this single
-        implementation of the protocol.  ``reason`` names the wait in a
-        deadlock report.
+        ``MPI_Wait``/``MPI_Waitall``/``MPI_Waitany``, ``MPI_Send``/``MPI_Recv``
+        /``MPI_Sendrecv`` and a schedule's message stall all wait here, so
+        every outstanding request keeps advancing while any of them waits.
+        Between attempts the rank blocks once -- until a message matching
+        one of ``patterns`` or an outstanding request's can be consumed, or
+        until the earliest time at which an outstanding request progresses
+        by time alone (a schedule whose steps are done or stalled only on an
+        in-flight arrival), whichever comes first in virtual time -- and
+        then runs one progress pass.  Every rank that can act earlier runs
+        first, so a message that can arrive before that time completes us
+        at its true arrival.  ``describe()`` names the wait in a deadlock
+        report.
         """
-        patterns = [*extra_patterns, *self._wait_patterns(requests)] if requests else extra_patterns
-        times = [req._op.completion_time(self) for req in requests
-                 if not req.complete and isinstance(req._op, _PendingCollective)]
-        self.world.matching.block_for_any(
-            self.ctx, self.rank_world, patterns, reason=reason,
-            wake_at=min((t for t in times if t is not None), default=None),
-        )
         self.progress()
+        done = attempt()
+        while done is None:
+            requests = self._active_requests
+            watched = [*patterns, *self._wait_patterns(requests)] if requests else patterns
+            times = [req._op.completion_time(self) for req in requests
+                     if not req.complete and isinstance(req._op, _PendingCollective)]
+            self.world.matching.block_for_any(
+                self.ctx, self.rank_world, watched, reason=describe(),
+                wake_at=min((t for t in times if t is not None), default=None),
+            )
+            self.progress()
+            done = attempt()
+        return done
 
     def _nudge(self) -> None:
         """Advance one ``wtick`` and offer the token to lower-clock peers.
@@ -700,60 +678,61 @@ class MPIRuntime:
         self.progress()
         executor.progress(wait=True)
 
-    @_traced("MPI_Wait")
-    def wait(self, request: Request) -> Status:
-        """``MPI_Wait``: block until ``request`` completes.
+    def _wait(self, request: Request) -> Status:
+        """Wait for ``request`` (untraced: ``MPI_Wait`` and ``MPI_Waitall`` on
+        it, and the second half of ``MPI_Send``/``MPI_Recv``/``MPI_Sendrecv``).
 
         A collective request leaves the progress engine and finishes with
         :meth:`_wait_collective`, exactly as its blocking twin does.  Any
-        other request blocks in the shared wake protocol: the rank wakes on
-        *any* message one of its outstanding requests is waiting for (or on
-        a rendezvous drain), runs a progress pass, and re-checks -- so
-        outstanding schedules keep advancing even while the caller waits on
-        a different request.
+        other request waits in :meth:`_wait_until` on its own patterns and
+        every outstanding request's (or on a rendezvous drain).
         """
-        self._require_init()
         op = request._op
-        if isinstance(op, _PendingCollective) and not request.complete:
+        if isinstance(op, _PendingCollective):
             # Out of the sweep first: the wait's own progress passes must not
             # re-enter this executor.
             self._retire(request)
             self._wait_collective(op.executor)
             request.mark_complete(Status())
             return request.status
-        self.progress()
-        while not request.complete:
-            if request._op is None:
-                request.mark_complete()
-                break
-            # Watch every outstanding request, not just the waited one: a
-            # sibling collective stalled on a data-dependent step advances by
-            # time alone, and peers may need the sends it will post.
-            self._await_progress(
-                [request, *self._active_requests], [], f"wait {request.kind}"
-            )
-        self._retire(request)
-        return request.status
+        if op is None:  # complete already, or never started
+            self.progress()
+            return self._try_complete(request)
+        return self._wait_until(functools.partial(self._try_complete, request),
+                                op.wait_patterns(self), op.describe)
+
+    def _wait_op(self, op) -> Status:
+        """Wait for a posted operation no request tracks (the receive of
+        ``MPI_Recv``, both halves of ``MPI_Sendrecv``)."""
+        return self._wait_until(functools.partial(op.try_progress, self),
+                                op.wait_patterns(self), op.describe)
+
+    @_traced("MPI_Wait")
+    def wait(self, request: Request) -> Status:
+        """``MPI_Wait``: block until ``request`` completes."""
+        self._require_init()
+        return self._wait(request)
 
     @_traced("MPI_Waitall")
     def waitall(self, requests: List[Request]) -> List[Status]:
         """``MPI_Waitall``."""
-        return [self.wait(r) for r in requests]
+        self._require_init()
+        return [self._wait(r) for r in requests]
 
-    def _try_complete(self, request: Request) -> bool:
-        """Non-yielding completion attempt (run a progress pass first)."""
+    def _try_complete(self, request: Request) -> Optional[Status]:
+        """Non-blocking completion attempt: the status once ``request`` is
+        complete, else ``None``."""
         if not request.complete:
             if request._op is None:
                 # Inactive kinds (user-constructed requests) complete trivially.
                 request.mark_complete()
             else:
                 status = request._op.try_progress(self)
-                if status is not None:
-                    request.mark_complete(status)
-        if request.complete:
-            self._retire(request)
-            return True
-        return False
+                if status is None:
+                    return None
+                request.mark_complete(status)
+        self._retire(request)
+        return request.status
 
     @_traced("MPI_Test")
     def test(self, request: Request) -> Tuple[bool, Status]:
@@ -788,15 +767,15 @@ class MPIRuntime:
         active = [i for i, r in enumerate(requests) if r.kind != "null"]
         if not active:
             return -1, Status()
-        self.progress()
-        while True:
+
+        def attempt() -> Optional[Tuple[int, Status]]:
             for i in active:
-                if self._try_complete(requests[i]):
-                    return i, requests[i].status
-            self._await_progress(
-                [*(requests[i] for i in active), *self._active_requests], [],
-                f"waitany over {len(active)} request(s)",
-            )
+                status = self._try_complete(requests[i])
+                if status is not None:
+                    return i, status
+            return None
+
+        return self._wait_until(attempt, [], lambda: f"waitany over {len(active)} request(s)")
 
     @_traced("MPI_Testall")
     def testall(self, requests: List[Request]) -> Tuple[bool, List[Status]]:
@@ -893,18 +872,22 @@ class MPIRuntime:
         runtime = weakref.proxy(self)
 
         def send(dst_local: int, tag: int, data) -> None:
-            matching.post_send(ctx, me, world_rank[dst_local], context_id, tag, data,
-                               blocking=False)
+            matching.post_send(ctx, me, world_rank[dst_local], context_id, tag, data)
 
         def recv(src_local: int, tag: int, view: Optional[memoryview]) -> Optional[float]:
-            return matching.consume_nowait(ctx, me, context_id, world_rank[src_local], tag,
-                                           view, 0 if view is None else len(view))
+            msg = matching.consume(ctx, me, context_id, world_rank[src_local], tag,
+                                   view, 0 if view is None else len(view))
+            return None if msg is None else msg.arrival
 
-        def wait(src_local: int, tag: int) -> None:
-            # Weak progress while a schedule waits, too: another outstanding
-            # schedule may owe a peer the very send that lets it reach its
-            # part of this collective.
-            runtime._await_match(context_id, world_rank[src_local], tag)
+        def wait(src_local: int, tag: int, view: Optional[memoryview]) -> float:
+            # The one wait, so weak progress holds while a schedule waits too:
+            # another outstanding schedule may owe a peer the very send that
+            # lets it reach its part of this collective.
+            op = _PendingRecv(view, 0 if view is None else len(view), context_id,
+                              world_rank[src_local], tag)
+            return runtime._wait_until(
+                functools.partial(op.consume, runtime), op.wait_patterns(runtime), op.describe
+            ).arrival
 
         return CollectiveContext(
             rank=self.comm_rank(comm),
@@ -1016,9 +999,7 @@ class MPIRuntime:
         if kind is None:
             self._run_collective(executor)
             return None
-        request = Request(kind=kind)
-        self._activate(request, _PendingCollective(executor, comm))
-        return request
+        return self._activate(Request(kind=kind), _PendingCollective(executor, comm))
 
     def _define_barrier(row, kind):
         def barrier(self, comm: Optional[Communicator] = None):

@@ -188,6 +188,44 @@ def test_direct_pt2pt_in_an_algorithm_module_is_flagged():
         assert "no-direct-pt2pt-in-algorithms" not in rules
 
 
+def test_a_second_block_site_in_mpi_is_flagged():
+    """Mutation test: the checked-in matching engine has one block site; a
+    rendezvous wait that blocks on its own (the shape of the deleted
+    ``MatchingEngine.wait_send``) is a second one."""
+    from pathlib import Path
+
+    import repro.mpi.pt2pt as pt2pt
+
+    source = Path(pt2pt.__file__).read_text()
+    relpath = "src/repro/mpi/pt2pt.py"
+    _, rules = _rules(source, relpath)
+    assert "one-block-site-in-mpi" not in rules
+    anchor = "    def block_for_any(\n"
+    assert anchor in source
+    mutant = source.replace(anchor, textwrap.indent(textwrap.dedent("""
+        def wait_send(self, ctx, msg):
+            while not msg.consumed:
+                ctx.block(reason="rendezvous send")
+
+    """), "    ") + anchor)
+    report, rules = _rules(mutant, relpath)
+    assert "one-block-site-in-mpi" in rules
+    [finding] = [f for f in report.errors if f.rule == "one-block-site-in-mpi"]
+    assert finding.details["baseline_key"] == (
+        "one-block-site-in-mpi::src/repro/mpi/pt2pt.py::MatchingEngine.wait_send")
+    # The same call is no business of the rule outside the MPI package, and
+    # the allowed name is no excuse in another file of it.
+    blocking = """
+        class MatchingEngine:
+            def block_for_any(self, ctx):
+                ctx.block("x")
+    """
+    _, rules = _rules(blocking, "src/repro/sim/engine.py")
+    assert "one-block-site-in-mpi" not in rules
+    _, rules = _rules(blocking, "src/repro/mpi/runtime.py")
+    assert "one-block-site-in-mpi" in rules
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

@@ -270,3 +270,46 @@ def test_wtime_is_monotone_and_processor_name_is_stable():
 
     names = run_mpi_program(program, 4)
     assert len(set(names)) == 1  # 4 ranks on one Graviton2 node
+
+
+# ------------------------------------------------- one span per public call
+
+
+def _sendrecv_then_waitall(rt, ctx):
+    peer = 1 - ctx.rank
+    out, back = np.zeros(1, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    rt.sendrecv(np.array([ctx.rank], dtype=np.int32), 1, datatypes.INT, peer, 1,
+                out, 1, datatypes.INT, peer, 1)
+    requests = [rt.isend(np.full(2, ctx.rank + 5, dtype=np.int32), 2, datatypes.INT, peer, 2),
+                rt.irecv(back, 2, datatypes.INT, peer, 2)]
+    rt.waitall(requests)
+    return int(out[0]), back.tolist()
+
+
+def test_every_public_call_is_one_span():
+    """``MPI_Sendrecv`` and ``MPI_Waitall`` wait through the runtime's
+    untraced internals: at np 2 the trace holds exactly the 8 calls the
+    program makes, not a nested ``MPI_Recv`` per Sendrecv and an
+    ``MPI_Wait`` per waited request."""
+    from collections import Counter
+
+    from repro.obs.trace import tracing
+
+    with tracing() as recorder:
+        results = run_mpi_program(_sendrecv_then_waitall, 2)
+    assert results == [(1, [6, 6]), (0, [5, 5])]
+    spans = Counter(e["name"] for e in recorder.events() if e["name"].startswith("MPI_"))
+    assert spans == {"MPI_Sendrecv": 2, "MPI_Isend": 2, "MPI_Irecv": 2, "MPI_Waitall": 2}
+
+
+def test_kill_rank_counts_only_public_calls():
+    """``kill_rank`` at the first ``MPI_Wait`` must not fire inside an
+    ``MPI_Waitall`` (nor at the first ``MPI_Recv`` inside an ``MPI_Sendrecv``):
+    the program below makes neither call, so the plan never fires."""
+    from repro.fault import Fault, FaultPlan, inject_faults
+
+    plan = FaultPlan(faults=(Fault(kind="kill_rank", rank=1, call="MPI_Wait", call_index=0),
+                             Fault(kind="kill_rank", rank=0, call="MPI_Recv", call_index=0)))
+    with inject_faults(plan) as active:
+        assert run_mpi_program(_sendrecv_then_waitall, 2) == [(1, [6, 6]), (0, [5, 5])]
+    assert active.fired == []

@@ -271,3 +271,110 @@ def test_receive_behind_a_blocked_sender_completes_at_its_true_arrival():
     assert sender["sent"] < sender["sibling_done"]  # nor was its sender's receive
     assert receiver["overhead"] < receiver["transfer"]  # overlapped by the transfer
     assert receiver["received"] == sender["sent"] + receiver["transfer"]
+
+
+# ------------------------------------------------- blocking pt2pt is the wait
+
+#: 1 MiB: rendezvous on every transport preset.
+MIB = 1 << 20
+
+
+def _send_beside_a_late_ibcast(nonblocking: bool):
+    """np 4: every rank posts an ``MPI_Ibcast`` whose root is late; rank 2
+    then sends 1 MiB to rank 3, which waits for the ibcast before receiving."""
+
+    def program(rt, ctx):
+        if ctx.rank == 0:
+            ctx.advance(1e-3)  # the late root
+        word = np.full(4, ctx.rank, dtype=np.int64)
+        bcast = rt.ibcast(word, 4, datatypes.LONG, 0)
+        payload = np.zeros(MIB, dtype=np.uint8)
+        if ctx.rank == 2:
+            payload[:] = 7
+            if nonblocking:
+                rt.wait(rt.isend(payload, MIB, datatypes.BYTE, 3, 1))
+            else:
+                rt.send(payload, MIB, datatypes.BYTE, 3, 1)
+        rt.wait(bcast)
+        if ctx.rank == 3:
+            rt.recv(payload, MIB, datatypes.BYTE, 2, 1)
+        return ctx.now, word.tolist(), int(payload.sum())
+
+    return program
+
+
+def test_rendezvous_send_keeps_outstanding_requests_moving():
+    """A rendezvous ``MPI_Send`` waits in the one wait, so rank 2's ibcast
+    keeps advancing while it waits for rank 3's drain -- rank 3 can only
+    drain after that ibcast completes.  The send used to block on the drain
+    alone, and the job deadlocked."""
+    blocking = run_mpi_program(_send_beside_a_late_ibcast(False), 4)
+    assert blocking == run_mpi_program(_send_beside_a_late_ibcast(True), 4)
+    assert [words for _t, words, _s in blocking] == [[0] * 4] * 4
+    assert blocking[3][2] == 7 * MIB
+
+
+def _pt2pt_rounds(send_mode: str, recv_mode: str, nbytes: int, with_ibcast: bool):
+    """Every rank sends to rank 0 (after a rank-dependent compute), then rank 0
+    answers each; sends and receives use the given modes."""
+
+    def send(rt, buf, dest, tag):
+        if send_mode == "blocking":
+            rt.send(buf, nbytes, datatypes.BYTE, dest, tag)
+        else:
+            rt.wait(rt.isend(buf, nbytes, datatypes.BYTE, dest, tag))
+
+    def recv(rt, buf, source, tag):
+        if recv_mode == "blocking":
+            return rt.recv(buf, nbytes, datatypes.BYTE, source, tag)
+        return rt.wait(rt.irecv(buf, nbytes, datatypes.BYTE, source, tag))
+
+    def program(rt, ctx):
+        size = rt.comm_size()
+        word = np.full(2, ctx.rank, dtype=np.int64)
+        bcast = rt.ibcast(word, 2, datatypes.LONG, size - 1) if with_ibcast else None
+        mine = np.full(nbytes, ctx.rank + 1, dtype=np.uint8)
+        got, statuses = [], []
+        if ctx.rank == 0:
+            for peer in range(1, size):
+                buf = np.zeros(nbytes, dtype=np.uint8)
+                status = recv(rt, buf, peer, 1)
+                got.append(bytes(buf))
+                statuses.append((status.source, status.tag, status.count_bytes))
+            for peer in range(1, size):
+                send(rt, mine, peer, 2)
+        else:
+            ctx.advance(ctx.rank * 3e-7)
+            send(rt, mine, 0, 1)
+            buf = np.zeros(nbytes, dtype=np.uint8)
+            status = recv(rt, buf, 0, 2)
+            got.append(bytes(buf))
+            statuses.append((status.source, status.tag, status.count_bytes))
+        if bcast is not None:
+            rt.wait(bcast)
+        return ctx.now, got, statuses, word.tolist()
+
+    return program
+
+
+#: An eager and a rendezvous size (the graviton2 eager limit is 64 KiB).
+PT2PT_SIZES = [1024, RENDEZVOUS_BYTES]
+
+
+@pytest.mark.parametrize("nbytes", PT2PT_SIZES, ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("nranks", range(2, 9))
+@pytest.mark.parametrize("with_ibcast", [False, True], ids=["alone", "beside-ibcast"])
+def test_send_is_isend_plus_wait(with_ibcast, nranks, nbytes):
+    blocking = run_mpi_program(_pt2pt_rounds("blocking", "blocking", nbytes, with_ibcast), nranks)
+    assert blocking == run_mpi_program(
+        _pt2pt_rounds("nonblocking", "blocking", nbytes, with_ibcast), nranks)
+    assert blocking[0][1] == [bytes([peer + 1]) * nbytes for peer in range(1, nranks)]
+
+
+@pytest.mark.parametrize("nbytes", PT2PT_SIZES, ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("nranks", range(2, 9))
+def test_recv_is_irecv_plus_wait(nranks, nbytes):
+    blocking = run_mpi_program(_pt2pt_rounds("blocking", "blocking", nbytes, False), nranks)
+    assert blocking == run_mpi_program(
+        _pt2pt_rounds("blocking", "nonblocking", nbytes, False), nranks)
+    assert all(got == [bytes([1]) * nbytes] for _t, got, _s, _w in blocking[1:])
