@@ -9,7 +9,7 @@ sections we do not emit) is exercised by the hypothesis tests.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.wasm import opcodes
 from repro.wasm.encoder import MAGIC, VERSION
@@ -46,6 +46,10 @@ class DecodeError(WasmError, ValueError):
     """
 
 
+def _eof(pos: int, wanted: int) -> DecodeError:
+    return DecodeError(f"unexpected end of stream at offset {pos} (wanted {wanted} bytes)")
+
+
 class _Reader:
     """Byte-stream reader with LEB128 helpers and bounds checking."""
 
@@ -63,41 +67,53 @@ class _Reader:
 
     def bytes(self, n: int) -> bytes:
         if self.pos + n > self.end:
-            raise DecodeError(f"unexpected end of stream at offset {self.pos} (wanted {n} bytes)")
+            raise _eof(self.pos, n)
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
 
     def byte(self) -> int:
-        return self.bytes(1)[0]
+        pos = self.pos
+        if pos >= self.end:
+            raise _eof(pos, 1)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u32(self) -> int:
+        data, pos, end = self.data, self.pos, self.end
         result = 0
         shift = 0
         while True:
-            b = self.byte()
+            if pos >= end:
+                raise _eof(pos, 1)
+            b = data[pos]
+            pos += 1
             result |= (b & 0x7F) << shift
             if not b & 0x80:
-                break
+                self.pos = pos
+                return result
             shift += 7
-            if shift > 35:
+            if shift >= 32:  # a u32 takes at most ceil(32 / 7) = 5 bytes
                 raise DecodeError("u32 LEB128 too long")
-        return result
 
     def sleb(self, bits: int) -> int:
+        data, pos, end = self.data, self.pos, self.end
         result = 0
         shift = 0
         while True:
-            b = self.byte()
+            if pos >= end:
+                raise _eof(pos, 1)
+            b = data[pos]
+            pos += 1
             result |= (b & 0x7F) << shift
             shift += 7
             if not b & 0x80:
                 if b & 0x40:
                     result |= -(1 << shift)
-                break
-            if shift > bits + 7:
+                self.pos = pos
+                return result
+            if shift >= bits:  # an sN takes at most ceil(N / 7) bytes
                 raise DecodeError(f"s{bits} LEB128 too long")
-        return result
 
     def s32(self) -> int:
         return self.sleb(32)
@@ -125,65 +141,118 @@ class _Reader:
 
 
 # ---------------------------------------------------------------- instructions
+#
+# One per-opcode table, built once from ``opcodes.BY_OPCODE``, drives the
+# decoder (the design of wasmparser's operator table): an opcode's
+# OpcodeInfo, the reader of its immediates, its nesting delta (+1 opens a
+# block, -1 is ``end``), for an opcode without immediates the one
+# Instruction every occurrence shares, and for an opcode with one u32
+# immediate the Instructions shared per single-byte value (0..127, built on
+# first use).  Instructions are frozen and compare by value, so sharing one
+# is indistinguishable from building a new one, and two threads filling the
+# same slot at once store equal values.
 
 
-def _decode_instruction(r: _Reader) -> Instruction:
-    opcode = r.byte()
-    if opcode == 0xFD:
-        opcode = 0xFD00 | r.u32()
-    elif opcode == 0xFC:
-        opcode = 0xFC00 | r.u32()
-    try:
-        info = opcodes.info(opcode)
-    except KeyError as exc:
-        raise DecodeError(str(exc)) from exc
+def _read_u32(r: _Reader) -> tuple:
+    return (r.u32(),)
 
-    imm = info.imm
-    if imm == Imm.NONE:
-        return Instruction(info, ())
-    if imm == Imm.BLOCKTYPE:
-        b = r.byte()
-        result = None if b == 0x40 else ValType.from_byte(b)
-        return Instruction(info, (BlockType(result),))
-    if imm in (Imm.LABEL, Imm.FUNC, Imm.LOCAL, Imm.GLOBAL, Imm.MEMORY, Imm.LANE):
-        return Instruction(info, (r.u32(),))
-    if imm == Imm.MEMORY_PAIR:
-        return Instruction(info, (r.u32(), r.u32()))
-    if imm == Imm.LABEL_TABLE:
-        n = r.u32()
-        targets = tuple(r.u32() for _ in range(n))
-        default = r.u32()
-        return Instruction(info, (targets, default))
-    if imm == Imm.CALL_INDIRECT:
-        return Instruction(info, (r.u32(), r.u32()))
-    if imm == Imm.MEMARG:
-        return Instruction(info, (MemArg(r.u32(), r.u32()),))
-    if imm == Imm.I32_CONST:
-        return Instruction(info, (r.s32(),))
-    if imm == Imm.I64_CONST:
-        return Instruction(info, (r.s64(),))
-    if imm == Imm.F32_CONST:
-        return Instruction(info, (r.f32(),))
-    if imm == Imm.F64_CONST:
-        return Instruction(info, (r.f64(),))
-    if imm == Imm.V128_CONST:
-        return Instruction(info, (r.bytes(16),))
-    raise DecodeError(f"unhandled immediate kind {imm}")  # pragma: no cover
+
+def _read_u32_pair(r: _Reader) -> tuple:
+    return (r.u32(), r.u32())
+
+
+def _read_blocktype(r: _Reader) -> tuple:
+    b = r.byte()
+    return (BlockType(None if b == 0x40 else ValType.from_byte(b)),)
+
+
+def _read_label_table(r: _Reader) -> tuple:
+    n = r.u32()
+    targets = tuple(r.u32() for _ in range(n))
+    return (targets, r.u32())
+
+
+def _read_memarg(r: _Reader) -> tuple:
+    return (MemArg(r.u32(), r.u32()),)
+
+
+_READ_IMMEDIATES: Dict[Imm, Optional[Callable[[_Reader], tuple]]] = {
+    Imm.NONE: None,
+    Imm.BLOCKTYPE: _read_blocktype,
+    Imm.LABEL: _read_u32,
+    Imm.FUNC: _read_u32,
+    Imm.LOCAL: _read_u32,
+    Imm.GLOBAL: _read_u32,
+    Imm.MEMORY: _read_u32,
+    Imm.LANE: _read_u32,
+    Imm.MEMORY_PAIR: _read_u32_pair,
+    Imm.CALL_INDIRECT: _read_u32_pair,
+    Imm.LABEL_TABLE: _read_label_table,
+    Imm.MEMARG: _read_memarg,
+    Imm.I32_CONST: lambda r: (r.s32(),),
+    Imm.I64_CONST: lambda r: (r.s64(),),
+    Imm.F32_CONST: lambda r: (r.f32(),),
+    Imm.F64_CONST: lambda r: (r.f64(),),
+    Imm.V128_CONST: lambda r: (r.bytes(16),),
+}
+
+_NESTING = {"block": 1, "loop": 1, "if": 1, "end": -1}
+
+#: opcode -> (info, immediate reader or None, nesting delta,
+#:            shared Instruction or None, per-byte shared Instructions or None)
+_OPS: Dict[int, tuple] = {
+    opcode: (
+        info,
+        _READ_IMMEDIATES[info.imm],
+        _NESTING.get(info.name, 0),
+        Instruction(info, ()) if info.imm is Imm.NONE else None,
+        [None] * 0x80 if _READ_IMMEDIATES[info.imm] is _read_u32 else None,
+    )
+    for opcode, info in opcodes.BY_OPCODE.items()
+}
 
 
 def _decode_expression(r: _Reader) -> List[Instruction]:
     """Decode instructions until the matching top-level ``end`` (consumed)."""
+    data, end, ops = r.data, r.end, _OPS
     body: List[Instruction] = []
+    append = body.append
     depth = 0
+    pos = r.pos
     while True:
-        instr = _decode_instruction(r)
-        if instr.name in ("block", "loop", "if"):
-            depth += 1
-        elif instr.name == "end":
-            if depth == 0:
+        if pos >= end:
+            raise _eof(pos, 1)
+        opcode = data[pos]
+        pos += 1
+        if opcode == 0xFC or opcode == 0xFD:
+            r.pos = pos
+            sub = r.u32()
+            pos = r.pos
+            if sub > 0xFF:
+                raise DecodeError(f"unknown opcode 0x{opcode:x} 0x{sub:x}")
+            opcode = opcode << 8 | sub
+        try:
+            info, read, delta, shared, by_byte = ops[opcode]
+        except KeyError:
+            raise DecodeError(f"unknown opcode 0x{opcode:x}") from None
+        if delta:
+            if delta < 0 and not depth:
+                r.pos = pos
                 return body
-            depth -= 1
-        body.append(instr)
+            depth += delta
+        if shared is not None:
+            append(shared)
+        elif by_byte is not None and pos < end and data[pos] < 0x80:
+            b = data[pos]
+            pos += 1
+            instr = by_byte[b]
+            if instr is None:
+                instr = by_byte[b] = Instruction(info, (b,))
+            append(instr)
+        else:
+            r.pos = pos
+            append(Instruction(info, read(r)))
+            pos = r.pos
 
 
 # -------------------------------------------------------------------- sections

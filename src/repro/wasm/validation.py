@@ -10,13 +10,14 @@ sandbox guarantees described in §2.2 of the paper.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.wasm.errors import Trap, ValidationError
 from repro.wasm.instructions import BlockType, Instruction
 from repro.wasm.module import ExternKind, Module
-from repro.wasm.opcodes import Imm
+from repro.wasm.opcodes import BY_OPCODE, Imm, OpcodeInfo
 from repro.wasm.types import FuncType, ValType
 
 
@@ -104,9 +105,46 @@ class FunctionValidator:
     # ---------------------------------------------------------------- validate
 
     def validate(self, body: Sequence[Instruction]) -> None:
-        """Validate the instruction sequence of one function body."""
+        """Validate the instruction sequence of one function body.
+
+        A plain numeric/const op or a ``local.get/set/tee`` whose operands are
+        on top of the stack, above the current frame's height, is accepted
+        inline from its row of :data:`_ACCEPT`.  That holds in an unreachable
+        frame too: values above its height are real and typed, and the
+        stack-polymorphic case (too few of them) is not accepted inline.
+        Every other instruction -- control, calls, globals, memory ops, and
+        any operand that does not fit -- goes through
+        :meth:`_validate_instruction`, so every rejection keeps one message
+        and one ``instr_offset``.
+        """
         self._push_frame("func", [], list(self.func_type.results))
+        stack, frames, locals_ = self.stack, self.frames, self.locals
+        n_locals = len(locals_)
+        height, sp = frames[-1].height, len(stack)
         for position, instr in enumerate(body):
+            accept = _ACCEPT[instr.info.opcode]
+            if accept is not None:
+                kind, n, pops, pushes = accept
+                if kind == _PLAIN:
+                    if sp - n >= height and (not n or stack[-n:] == pops):
+                        if n:
+                            del stack[-n:]
+                        stack += pushes
+                        sp += len(pushes) - n
+                        continue
+                else:
+                    index = instr.operands[0]
+                    if index < n_locals:
+                        lt = locals_[index]
+                        if kind == _LOCAL_GET:
+                            stack.append(lt)
+                            sp += 1
+                            continue
+                        if sp > height and stack[-1] is lt:
+                            if kind == _LOCAL_SET:
+                                del stack[-1]
+                                sp -= 1
+                            continue
             try:
                 self._validate_instruction(instr)
             except ValidationError as exc:
@@ -115,6 +153,10 @@ class FunctionValidator:
                     instr_offset=position,
                     opcode=instr.name,
                 ) from None
+            sp = len(stack)
+            # A stray ``end`` may have closed the function: then no operand
+            # is above the height, and the slow path fails as it always has.
+            height = frames[-1].height if frames else _NO_FRAME
         # The implicit end of the function body.
         frame = self._pop_frame()
         self._push_many(frame.end_types)
@@ -244,6 +286,40 @@ class FunctionValidator:
         # Plain numeric / const / SIMD instructions: use the static signature.
         self._pop_many(info.pops)
         self._push_many(info.pushes)
+
+
+# -------------------------------------------------------------- accept table
+#
+# One row per opcode, keyed by the integer opcode (hashing the frozen
+# OpcodeInfo would cost more than the lookup saves).  A row is None for an
+# instruction whose typing depends on context; otherwise it names how
+# ``FunctionValidator.validate`` may accept it inline: ``(_PLAIN, number of
+# pops, pops, pushes)`` or ``(_LOCAL_GET | _LOCAL_SET | _LOCAL_TEE, ...)``.
+
+_PLAIN, _LOCAL_GET, _LOCAL_SET, _LOCAL_TEE = range(4)
+_NO_FRAME = sys.maxsize
+_LOCAL_KINDS = {"local.get": _LOCAL_GET, "local.set": _LOCAL_SET, "local.tee": _LOCAL_TEE}
+
+#: Instructions :meth:`FunctionValidator._validate_instruction` types by context.
+_CONTEXTUAL = frozenset({
+    "block", "loop", "if", "else", "end", "br", "br_if", "br_table", "return",
+    "unreachable", "call", "call_indirect", "drop", "select",
+    "local.get", "local.set", "local.tee", "global.get", "global.set",
+    "memory.size", "memory.grow", "memory.copy", "memory.fill",
+})
+
+
+def _accept_row(info: OpcodeInfo) -> Optional[tuple]:
+    if info.name in _LOCAL_KINDS:
+        return (_LOCAL_KINDS[info.name], 0, None, None)
+    if info.name in _CONTEXTUAL or info.imm == Imm.MEMARG:
+        return None
+    return (_PLAIN, len(info.pops), list(info.pops), list(info.pushes))
+
+
+_ACCEPT: Dict[int, Optional[tuple]] = {
+    opcode: _accept_row(info) for opcode, info in BY_OPCODE.items()
+}
 
 
 def validate_module(module: Module) -> None:

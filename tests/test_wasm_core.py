@@ -440,3 +440,264 @@ def test_decoder_rejects_oversized_section_and_locals():
     with pytest.raises(DecodeError) as excinfo:
         decode_module(bytes(data))
     assert str(MAX_FUNCTION_LOCALS) in str(excinfo.value)
+
+
+# ------------------------------------------------- per-opcode decode table
+
+from unittest import mock as _mock  # noqa: E402
+
+from repro.wasm import validation as _validation  # noqa: E402
+from repro.wasm.decoder import _OPS  # noqa: E402
+from repro.wasm.encoder import MAGIC, VERSION  # noqa: E402
+from repro.wasm.instructions import BlockType, Instruction, MemArg  # noqa: E402
+from repro.wasm.module import Function  # noqa: E402
+from repro.wasm.opcodes import BY_OPCODE, Imm  # noqa: E402
+
+#: One representative immediate per kind; several need a multi-byte LEB128.
+_IMMEDIATE_SAMPLES = {
+    Imm.NONE: (),
+    Imm.BLOCKTYPE: (BlockType(ValType.I32),),
+    Imm.LABEL: (3,),
+    Imm.LABEL_TABLE: ((0, 2, 130), 1),
+    Imm.FUNC: (200,),
+    Imm.CALL_INDIRECT: (5, 0),
+    Imm.LOCAL: (1,),
+    Imm.GLOBAL: (128,),
+    Imm.MEMARG: (MemArg(2, 4096),),
+    Imm.MEMORY: (0,),
+    Imm.MEMORY_PAIR: (0, 0),
+    Imm.I32_CONST: (-(2**31),),
+    Imm.I64_CONST: (2**63 - 1,),
+    Imm.F32_CONST: (1.5,),
+    Imm.F64_CONST: (-2.25,),
+    Imm.V128_CONST: (bytes(range(16)),),
+    Imm.LANE: (15,),
+}
+
+
+def _raw_module(*bodies: bytes) -> bytes:
+    """Module bytes with one ``() -> ()`` function per code entry in ``bodies``
+    (each a locals vector plus instructions, shorter than 128 bytes)."""
+    def section(section_id: int, payload: bytes) -> bytes:
+        return bytes([section_id, len(payload)]) + payload
+
+    types = section(1, b"\x01\x60\x00\x00")
+    funcs = section(3, bytes([len(bodies)]) + b"\x00" * len(bodies))
+    code = section(10, bytes([len(bodies)]) + b"".join(bytes([len(b)]) + b for b in bodies))
+    return MAGIC + VERSION + types + funcs + code
+
+
+def test_decode_table_has_exactly_the_opcode_registry():
+    assert set(_OPS) == set(BY_OPCODE)
+    assert set(_IMMEDIATE_SAMPLES) == set(Imm)
+
+
+@pytest.mark.parametrize("opcode", sorted(BY_OPCODE), ids=lambda op: BY_OPCODE[op].name)
+def test_every_opcode_roundtrips_through_binary(opcode):
+    info_ = BY_OPCODE[opcode]
+    instr = Instruction(info_, _IMMEDIATE_SAMPLES[info_.imm])
+    if info_.name in ("block", "loop", "if"):
+        body = [instr, make("end")]
+    elif info_.name == "else":
+        body = [make("if"), instr, make("end")]
+    elif info_.name == "end":
+        body = [make("block"), instr]
+    else:
+        body = [instr]
+    module = Module(types=[FuncType((), ())], functions=[Function(0, [], body)])
+    assert decode_module(encode_module(module)) == module
+
+
+@pytest.mark.parametrize("code, message", [
+    (b"\xff", "unknown opcode 0xff"),
+    (b"\xfd\xff\x01", "unknown opcode 0xfdff"),
+    (b"\xfc\x00", "unknown opcode 0xfc00"),
+    # A sub-opcode past 0xFF must not alias into the next prefix's range
+    # (0xFC00 | 0x100 would read as v128.load).
+    (b"\xfc\x80\x02", "unknown opcode 0xfc 0x100"),
+])
+def test_unknown_opcode_message_is_exact(code, message):
+    with pytest.raises(DecodeError) as excinfo:
+        decode_module(_raw_module(b"\x00" + code + b"\x0b"))
+    assert str(excinfo.value) == message
+
+
+def _eof_at(offset):
+    return f"unexpected end of stream at offset {offset} (wanted 1 bytes)"
+
+
+@pytest.mark.parametrize("bodies, message", [
+    # local.get whose single-byte u32 immediate is the body's last byte: the
+    # body then ends without its ``end``.
+    ((b"\x00\x20\x00",), _eof_at(25)),
+    # local.get whose immediate would be one byte past the body (offset 25);
+    # the byte there (the next body's size) exists but is not this body's.
+    ((b"\x00\x20", b"\x00\x0b"), _eof_at(25)),
+    # ... and one past the end of the whole stream.
+    ((b"\x00\x20",), _eof_at(24)),
+    # A 6-byte u32 LEB128 immediate, and a 6-byte s32 one.
+    ((b"\x00\x20\x80\x80\x80\x80\x80\x00\x0b",), "u32 LEB128 too long"),
+    ((b"\x00\x41\x80\x80\x80\x80\x80\x00\x0b",), "s32 LEB128 too long"),
+    # A 0xFC prefix as the last byte of the stream.
+    ((b"\x00\xfc",), _eof_at(24)),
+    # br_table whose 2**32 - 1 target count runs past the body.
+    ((b"\x00\x41\x00\x0e\xff\xff\xff\xff\x0f\x00\x00\x0b",), _eof_at(34)),
+], ids=["imm-last-byte", "imm-past-body", "imm-past-stream", "u32-6-bytes",
+        "s32-6-bytes", "prefix-at-eof", "br-table-count"])
+def test_hostile_immediates_raise_decode_error(bodies, message):
+    data = _raw_module(*bodies)
+    with pytest.raises(DecodeError) as excinfo:
+        decode_module(data)
+    assert str(excinfo.value) == message
+
+
+# ------------------------------------- validator accept table vs. slow path
+
+
+class _OneByOneValidator(_validation.FunctionValidator):
+    """Sends every instruction through ``_validate_instruction``: the
+    validator before its inline accept path, kept as the oracle."""
+
+    def validate(self, body):
+        self._push_frame("func", [], list(self.func_type.results))
+        for position, instr in enumerate(body):
+            try:
+                self._validate_instruction(instr)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"at instruction {position} ({instr.name}): {exc}",
+                    instr_offset=position,
+                    opcode=instr.name,
+                ) from None
+        frame = self._pop_frame()
+        self._push_many(frame.end_types)
+
+
+def _verdict(module):
+    try:
+        validate_module(module)
+    except WasmError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "instr_offset", None),
+                getattr(exc, "opcode", None))
+    return ("ok",)
+
+
+def _reference_verdict(module):
+    with _mock.patch.object(_validation, "FunctionValidator", _OneByOneValidator):
+        return _verdict(module)
+
+
+def _one_function(body, results=("i32",)):
+    return Module(
+        types=[FuncType.of(["i32", "i64"], list(results))],
+        functions=[Function(0, [ValType.F64, ValType.I32], list(body), name="f")],
+    )
+
+
+_I = make
+#: Well-typed, stack-neutral fragments (locals: 0 i32, 1 i64, 2 f64, 3 i32).
+_SNIPPETS = [
+    [_I("local.get", 0), _I("i32.const", 5), _I("i32.add"), _I("local.set", 3)],
+    [_I("local.get", 1), _I("i64.const", 2), _I("i64.mul"), _I("local.tee", 1), _I("drop")],
+    [_I("local.get", 2), _I("f64.const", 0.5), _I("f64.add"), _I("local.set", 2)],
+    [_I("i32.const", 1), _I("if"), _I("local.get", 0), _I("local.set", 3), _I("else"),
+     _I("local.get", 3), _I("local.set", 0), _I("end")],
+    [_I("block", ValType.I32), _I("local.get", 0), _I("end"), _I("drop")],
+    [_I("block"), _I("unreachable"), _I("i32.add"), _I("drop"), _I("end")],
+    [_I("block"), _I("br", 0), _I("i64.add"), _I("i32.wrap_i64"), _I("drop"), _I("end")],
+    [_I("local.get", 0), _I("i32.eqz"), _I("f64.convert_i32_s"), _I("local.set", 2)],
+]
+
+_token = st.one_of(
+    st.sampled_from(_SNIPPETS),
+    st.sampled_from(["i32.add", "i32.eqz", "i64.mul", "f64.add", "i32.wrap_i64",
+                     "i64.extend_i32_s", "f64.convert_i32_s", "i32.lt_s", "nop",
+                     "drop", "select", "unreachable", "else", "end", "return"]).map(lambda n: [_I(n)]),
+    st.sampled_from([("i32.const", 7), ("i64.const", -3), ("f64.const", 1.5)]).map(lambda c: [_I(*c)]),
+    st.tuples(st.sampled_from(["local.get", "local.set", "local.tee"]),
+              st.integers(0, 4)).map(lambda t: [_I(*t)]),
+    st.tuples(st.sampled_from(["block", "loop", "if"]),
+              st.sampled_from([None, ValType.I32, ValType.F64])).map(lambda t: [_I(*t)]),
+    st.integers(0, 3).map(lambda depth: [_I("br", depth)]),
+    # A value left below a new frame, which no op inside it may consume.
+    st.sampled_from([[_I("i32.const", 1), _I("block")], [_I("local.get", 2), _I("loop")]]),
+)
+
+
+#: Well-typed snippets around a few random tokens, so a body is sometimes
+#: valid and otherwise fails at any depth, not only at its first instruction.
+_body = st.tuples(
+    st.lists(st.sampled_from(_SNIPPETS), max_size=5),
+    st.lists(_token, max_size=4),
+    st.lists(st.sampled_from(_SNIPPETS), max_size=3),
+).map(lambda parts: [i for part in parts for snippet in part for i in snippet])
+
+#: Function results, each with the instruction that pushes one.
+_RESULTS = [((), []), (("i32",), [_I("local.get", 0)]), (("f64",), [_I("local.get", 2)])]
+
+
+@given(_body, st.sampled_from(_RESULTS), st.booleans())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_inline_accept_path_matches_one_by_one_validation(body, results, push_result):
+    types, push = results
+    module = _one_function(body + (push if push_result else []), types)
+    assert _verdict(module) == _reference_verdict(module)
+
+
+@pytest.mark.parametrize("body", [
+    [_I("unreachable"), _I("i32.add"), _I("i32.eqz")],
+    [_I("i32.const", 0), _I("br", 0), _I("i32.add")],
+    [_I("block"), _I("br", 0), _I("f64.add"), _I("drop"), _I("end"), _I("local.get", 0)],
+], ids=["after-unreachable", "after-br", "after-br-in-block"])
+def test_plain_ops_in_unreachable_code_are_stack_polymorphic(body):
+    module = _one_function(body)
+    assert _verdict(module) == ("ok",) == _reference_verdict(module)
+
+
+@pytest.mark.parametrize("body, message", [
+    ([_I("i32.const", 1), _I("block"), _I("i32.eqz"), _I("drop"), _I("end")],
+     "at instruction 2 (i32.eqz): stack underflow (expected i32)"),
+    ([_I("local.get", 0), _I("block"), _I("local.set", 3), _I("end")],
+     "at instruction 2 (local.set): stack underflow (expected i32)"),
+    ([_I("local.get", 0), _I("unreachable"), _I("block"), _I("local.tee", 0), _I("end")],
+     "at instruction 3 (local.tee): stack underflow (expected i32)"),
+], ids=["plain", "local.set", "local.tee"])
+def test_ops_cannot_consume_values_below_their_frame(body, message):
+    module = _one_function(body, ())
+    verdict = _verdict(module)
+    assert verdict == _reference_verdict(module)
+    assert verdict[1] == f"function 0 (f): {message}"
+
+
+_CONST_FOR = {
+    ValType.I32: _I("i32.const", 0),
+    ValType.I64: _I("i64.const", 0),
+    ValType.F32: _I("f32.const", 0.0),
+    ValType.F64: _I("f64.const", 0.0),
+    ValType.V128: _I("v128.const", bytes(16)),
+}
+
+
+@pytest.mark.parametrize("opcode", sorted(op for op, row in _validation._ACCEPT.items()
+                                          if row is not None and row[0] == _validation._PLAIN),
+                         ids=lambda op: BY_OPCODE[op].name)
+def test_every_inline_row_agrees_with_the_slow_path(opcode):
+    """Each plain row accepts its operands and rejects one fewer exactly as
+    ``_validate_instruction`` does, so the row and the if-chain cannot drift."""
+    info_ = BY_OPCODE[opcode]
+    instr = Instruction(info_, _IMMEDIATE_SAMPLES[info_.imm])
+    operands = [_CONST_FOR[t] for t in info_.pops]
+    drops = [_I("drop")] * len(info_.pushes)
+    full = _one_function(operands + [instr] + drops, ())
+    assert _verdict(full) == ("ok",) == _reference_verdict(full)
+    if operands:
+        short = _one_function(operands[1:] + [instr] + drops, ())
+        assert _verdict(short) == _reference_verdict(short) != ("ok",)
+
+
+def test_underflow_on_empty_stack_keeps_message_and_offset():
+    module = _one_function([_I("i32.add")])
+    expected = ("ValidationError",
+                "function 0 (f): at instruction 0 (i32.add): stack underflow (expected i32)",
+                0, "i32.add")
+    assert _verdict(module) == expected == _reference_verdict(module)
