@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -103,16 +102,19 @@ def _verify_ir_path(path: Path, report: Report) -> None:
             return
         ir_verify.verify_payload(payload, report, str(path))
         return
+    from repro.wasm.compilers.cache import decode_record
+
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except Exception as exc:
-        report.error("ir", "bad-artifact-file", f"cannot unpickle: {exc}", str(path))
+        raw = path.read_bytes()
+    except OSError as exc:
+        report.error("ir", "bad-artifact-file", f"cannot read: {exc}", str(path))
         return
-    # Cache files wrap the artifact in run metadata; accept both forms.
-    if isinstance(payload, dict) and "artifact" in payload and "kind" not in payload:
-        payload = payload["artifact"]
-    ir_verify.verify_payload(payload, report, str(path))
+    record = decode_record(raw)
+    if record is None:
+        report.error("ir", "bad-artifact-file",
+                     "not an intact cache record (digest mismatch or undecodable)", str(path))
+        return
+    ir_verify.verify_payload(record["artifact"], report, str(path))
 
 
 def _cmd_ir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

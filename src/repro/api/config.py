@@ -66,8 +66,6 @@ FIELDS: Tuple[_Field, ...] = (
     _Field("cache_dir", None, "REPRO_CACHE_DIR",
            parse=lambda raw: raw or None,
            coerce=lambda v: str(v) if v else None),
-    _Field("enable_cache", True, "REPRO_CACHE",
-           parse=lambda raw: envvars.parse_bool(raw, "REPRO_CACHE"), coerce=bool),
     _Field("validate", True, "REPRO_VALIDATE",
            parse=lambda raw: envvars.parse_bool(raw, "REPRO_VALIDATE"), coerce=bool),
     _Field("memory_pages", None, "REPRO_MEMORY_PAGES",
@@ -93,7 +91,6 @@ class ResolvedConfig:
     nranks: int = 4
     ranks_per_node: Optional[int] = None
     cache_dir: Optional[str] = None
-    enable_cache: bool = True
     validate: bool = True
     memory_pages: Optional[int] = None
     max_call_depth: int = 256
@@ -218,7 +215,6 @@ class ResolvedConfig:
         kwargs: Dict[str, Any] = dict(
             compiler_backend=self.backend,
             cache_dir=self.cache_dir,
-            enable_cache=self.enable_cache,
             memory_pages=self.memory_pages,
             max_call_depth=self.max_call_depth,
             validate=self.validate,

@@ -45,7 +45,7 @@ from repro.sim.metrics import MetricsRegistry
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import CompiledApplication, compile_guest
 from repro.wasm.compilers.base import CompiledModule
-from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, TieredCache
+from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache
 from repro.wasm.decoder import decode_module
 from repro.wasm.runtime import memory_type_of
 from repro.wasm.validation import validate_module
@@ -155,14 +155,13 @@ class Session:
         config: Union[ResolvedConfig, Mapping[str, Any], None] = None,
         *,
         config_file: Union[str, None, object] = _UNSET,
-        artifact_store: Optional[InMemoryCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         **overrides: Any,
     ):
         self.config = ResolvedConfig.resolve(config, config_file=config_file, **overrides)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._memory = artifact_store if artifact_store is not None else InMemoryCache()
-        self._disk: Dict[str, FileSystemCache] = {}
+        self._memory = InMemoryCache()
+        self._fronts: Dict[str, InMemoryCache] = {}
         self._programs: Dict[str, GuestProgram] = {}
         self._apps: Dict[int, Tuple[object, CompiledApplication]] = {}
         self._jobs_run = 0
@@ -219,16 +218,16 @@ class Session:
             guest_args=tuple(guest_args),
         )
 
-    def artifact_cache(self, config: EmbedderConfig):
+    def artifact_cache(self, config: EmbedderConfig) -> InMemoryCache:
         """Artifact store for one job: the session's in-memory tier, fronting
         the shared on-disk cache when the configuration names a directory."""
-        if config.cache_dir:
-            directory = str(config.cache_dir)
-            disk = self._disk.get(directory)
-            if disk is None:
-                disk = self._disk[directory] = FileSystemCache(directory)
-            return TieredCache(self._memory, disk)
-        return self._memory
+        if not config.cache_dir:
+            return self._memory
+        directory = str(config.cache_dir)
+        front = self._fronts.get(directory)
+        if front is None:
+            front = self._fronts[directory] = self._memory.fronting(FileSystemCache(directory))
+        return front
 
     # ------------------------------------------------------------ application
 
@@ -288,10 +287,7 @@ class Session:
         else:
             compiled_app = self._compiled_application(app)
             compiled = embedder.compile_module(compiled_app.wasm_bytes, compiled_app.module)
-        self.metrics.record_cache_event(
-            embedder.last_cache_hit,
-            tier=getattr(embedder, "last_cache_tier", None),
-        )
+        self.metrics.record_cache_event(embedder.last_cache_tier)
         artifact = getattr(compiled, "artifact", None)
         if isinstance(artifact, dict) and artifact.get("kind") == "lowered-ir":
             from repro.analysis.ir_verify import verify_artifact

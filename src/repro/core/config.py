@@ -75,7 +75,6 @@ class EmbedderConfig:
     #: ``FileSystemCache(path).clear()`` or by deleting the ``*.mpiwasm``
     #: files.
     cache_dir: Optional[str] = None
-    enable_cache: bool = True
     memory_pages: Optional[int] = None       # override the module's declared minimum
     max_call_depth: int = 256
     overheads: TranslationOverheadModel = field(default_factory=TranslationOverheadModel)

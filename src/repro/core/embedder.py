@@ -18,12 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.wasm.compilers.cache import (
-    FileSystemCache,
-    InMemoryCache,
-    TieredCache,
-    module_hash,
-)
+from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, module_hash
 from repro.core.config import EmbedderConfig
 from repro.core.env import Env
 from repro.fault import checkpoint as _checkpoint
@@ -67,11 +62,10 @@ class MPIWasm:
     the embedder never picks a store itself.
     """
 
-    def __init__(self, config: EmbedderConfig,
-                 cache: Union[FileSystemCache, InMemoryCache, TieredCache]):
+    def __init__(self, config: EmbedderConfig, cache: Union[InMemoryCache, FileSystemCache]):
         self.config = config
         self.cache = cache
-        self.last_cache_hit = False
+        #: Tier that served the last compile (``"memory"``/``"fs"``; ``None``: compiled).
         self.last_cache_tier: Optional[str] = None
 
     # ------------------------------------------------------------- compilation
@@ -86,18 +80,13 @@ class MPIWasm:
         # Content-addressed key: module bytes + back-end + IR version, so an
         # IR format change transparently invalidates stale artifacts.
         key = module_hash(wasm_bytes, backend.name)
-        if self.config.enable_cache:
-            # load_or_compute serialises concurrent compilers of the same key
-            # (per-key lock file for the on-disk cache), so a worker pool
-            # sharing one cache directory compiles each module exactly once.
-            compiled, self.last_cache_hit = self.cache.load_or_compute(
-                key, module, lambda: backend.compile(module)
-            )
-            self.last_cache_tier = getattr(self.cache, "last_hit_tier", None)
-            return compiled
-        self.last_cache_hit = False
-        self.last_cache_tier = None
-        return backend.compile(module)
+        # load_or_compute serialises concurrent compilers of the same key
+        # (per-key lock file for the on-disk cache), so a worker pool
+        # sharing one cache directory compiles each module exactly once.
+        compiled, self.last_cache_tier = self.cache.load_or_compute(
+            key, module, lambda: backend.compile(module)
+        )
+        return compiled
 
     def compile_application(self, app: Union[GuestProgram, CompiledApplication]) -> CompiledModule:
         """Compile a guest program (running wasicc first if needed)."""
@@ -171,10 +160,9 @@ class MPIWasm:
         """Compile, instantiate and run a guest program to completion on one rank."""
         program = app.program if isinstance(app, CompiledApplication) else app
         compiled = self.compile_application(app)
-        cache_hit = self.last_cache_hit
         cache_tier = self.last_cache_tier
         instance, env, api = self.instantiate(compiled, runtime, guest_args)
-        env.metrics.record_cache_event(cache_hit, tier=cache_tier)
+        env.metrics.record_cache_event(cache_tier)
         env.metrics.record("wasm.compile_seconds", compiled.compile_seconds)
         start_virtual = runtime.ctx.now
         exit_code = 0
@@ -199,5 +187,5 @@ class MPIWasm:
             call_counts=dict(env.call_counts),
             metrics=env.metrics,
             compile_seconds=compiled.compile_seconds,
-            cache_hit=cache_hit,
+            cache_hit=cache_tier is not None,
         )

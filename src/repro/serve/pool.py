@@ -6,7 +6,7 @@ pool-initializer pattern: each worker owns a long-lived
 jobs (compile-once-per-worker), all fronting one shared on-disk
 :class:`~repro.wasm.compilers.cache.FileSystemCache` so workers also reuse
 each other's artifacts -- and so ``/v1/artifacts`` can serve the compiled
-``.mpiwasm`` blobs.
+records.
 
 Worker threads call ``session.run(...)`` / ``session.compile(...)``
 directly; a campaign job additionally binds its worker's session as the
@@ -83,15 +83,6 @@ class WorkerPool:
         if self._started:
             raise RuntimeError("pool already started")
         self._started = True
-        # Serve workers execute artifacts from the shared on-disk cache --
-        # possibly written by another process -- so cache loads are statically
-        # verified (repro.analysis.ir_verify) for the pool's lifetime.  The
-        # prior flag value is restored in stop() so in-process embedders (and
-        # tests) are not left with the serve policy.
-        from repro.wasm import lowering as _lowering
-
-        self._verify_on_load_prior = _lowering.VERIFY_ON_LOAD
-        _lowering.VERIFY_ON_LOAD = True
         for name in self._names:
             self._sessions[name] = self._factory(name)
             self._busy[name] = None
@@ -118,10 +109,6 @@ class WorkerPool:
             thread.join(max(0.0, deadline - time.monotonic()) + 1.0)
         for session in self._sessions.values():
             session.close()
-        if self._started:
-            from repro.wasm import lowering as _lowering
-
-            _lowering.VERIFY_ON_LOAD = self._verify_on_load_prior
         return cancelled
 
     def busy_count(self) -> int:

@@ -16,7 +16,7 @@ Endpoints (see ``docs/SERVING.md`` for the full contract)::
     GET  /v1/jobs/<id>            job status
     GET  /v1/jobs/<id>/result     status + result body
     GET  /v1/artifacts            compiled artifact keys + sizes
-    GET  /v1/artifacts/<key>      raw .mpiwasm bytes from the AoT cache
+    GET  /v1/artifacts/<key>      raw record bytes from the AoT cache
 
 Production semantics: per-tenant API keys (401), token-bucket throttling
 and job quotas (429 + ``Retry-After``), backpressure with load-shedding
@@ -49,6 +49,7 @@ from repro.serve.wire import (
     validate_submission,
 )
 from repro.sim.metrics import MetricsRegistry
+from repro.wasm.compilers.cache import FileSystemCache
 
 #: Retry-After advertised on a load-shed (queue-full) 503.
 SHED_RETRY_AFTER = 1.0
@@ -107,6 +108,7 @@ class JobService:
         else:
             self.cache_dir = tempfile.mkdtemp(prefix="repro-serve-")
             self._owns_cache_dir = True
+        self.artifacts = FileSystemCache(self.cache_dir)
         self.store = JobStore(max_records=config.retention)
         self.queue = BoundedJobQueue(config.queue_size)
         self.admission = AdmissionController()
@@ -300,12 +302,8 @@ class JobService:
 
     def artifact_index(self, api_key: Optional[str]) -> Dict[str, Any]:
         self.tenants.authenticate(api_key)
-        directory = Path(self.cache_dir)
-        artifacts = [
-            {"key": p.stem, "bytes": p.stat().st_size}
-            for p in directory.glob("*.mpiwasm")
-        ] if directory.is_dir() else []
-        return {"artifacts": sorted(artifacts, key=lambda a: a["key"])}
+        entries = sorted(self.artifacts.entries().items())
+        return {"artifacts": [{"key": key, "bytes": size} for key, size in entries]}
 
     def artifact_bytes(self, api_key: Optional[str], key: str) -> bytes:
         self.tenants.authenticate(api_key)
@@ -313,15 +311,14 @@ class JobService:
             # Also forecloses path traversal: keys are pure lowercase hex.
             raise WireError(400, "artifact keys are 64 lowercase hex characters",
                             code="bad_key")
-        path = Path(self.cache_dir) / f"{key}.mpiwasm"
         try:
-            raw = path.read_bytes()
+            raw, record = self.artifacts.read(key)
         except FileNotFoundError:
             raise WireError(404, f"no compiled artifact {key!r}", code="not_found") from None
-        self._verify_artifact(key, raw)
+        self._verify_artifact(key, record)
         return raw
 
-    def _verify_artifact(self, key: str, raw: bytes) -> None:
+    def _verify_artifact(self, key: str, record: Optional[Dict[str, Any]]) -> None:
         """Statically verify a cached lowered-IR artifact before streaming it.
 
         The cache directory is shared with other processes; a corrupt or
@@ -329,18 +326,13 @@ class JobService:
         ``repro_serve_artifact_verify_failures`` metric tick), never a
         download a tenant would go on to execute.
         """
-        import pickle
-
         from repro.analysis.ir_verify import verify_artifact
 
-        try:
-            payload = pickle.loads(raw)
-        except Exception:
+        if record is None:
             self.metrics.increment("serve.artifact_verify_failures")
-            raise WireError(500, f"artifact {key!r} does not deserialize",
-                            code="artifact_corrupt") from None
-        artifact = payload.get("artifact") if isinstance(payload, dict) else None
-        report = verify_artifact(artifact, loc=key)
+            raise WireError(500, f"artifact {key!r} is corrupt (digest or decode)",
+                            code="artifact_corrupt")
+        report = verify_artifact(record["artifact"], loc=key)
         if not report.ok:
             self.metrics.increment("serve.artifact_verify_failures")
             first = report.errors[0]

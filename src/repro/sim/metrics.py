@@ -368,25 +368,23 @@ class MetricsRegistry:
 
     CACHE_PREFIX = "wasm.cache."
 
-    def record_cache_event(self, hit: bool, tier: Optional[str] = None) -> None:
+    def record_cache_event(self, tier: Optional[str]) -> None:
         """Count one AoT-cache lookup (the embedder calls this per compile).
 
-        ``tier`` attributes a hit to the cache layer that served it
-        (``"memory"`` or ``"fs"``), reconciling the registry's counters with
-        the FileSystemCache's own append-only events.log: a TieredCache
-        memory hit never reaches the FS log, so without the tier split the
-        two reports disagree.
+        ``tier`` is what the lookup returned: the layer that served a hit
+        (``"memory"`` or ``"fs"``), or ``None`` on a miss.
         """
-        self.increment(f"{self.CACHE_PREFIX}{'hit' if hit else 'miss'}")
-        if hit and tier in ("memory", "fs"):
+        if tier is None:
+            self.increment(f"{self.CACHE_PREFIX}miss")
+        else:
+            self.increment(f"{self.CACHE_PREFIX}hit")
             self.increment(f"{self.CACHE_PREFIX}hit.{tier}")
 
     def cache_summary(self) -> Dict[str, float]:
         """Aggregate the AoT compilation-cache counters.
 
         Returns ``{"hits", "misses", "hit_rate", "hits_memory", "hits_fs"}``;
-        the rate is 0.0 when no lookups were recorded.  Hits recorded
-        without tier attribution count toward ``hits`` only.
+        the rate is 0.0 when no lookups were recorded.
         """
         hits = self.counter(f"{self.CACHE_PREFIX}hit")
         misses = self.counter(f"{self.CACHE_PREFIX}miss")

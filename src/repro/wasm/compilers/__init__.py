@@ -21,7 +21,6 @@ from repro.wasm.compilers import llvm as _llvm  # noqa: F401 - registration
 from repro.wasm.compilers.cache import (
     FileSystemCache,
     InMemoryCache,
-    TieredCache,
     module_hash,
 )
 from repro.wasm.compilers.cranelift import CraneliftBackend
@@ -47,7 +46,6 @@ __all__ = [
     "PythonCodeGenerator",
     "FileSystemCache",
     "InMemoryCache",
-    "TieredCache",
     "module_hash",
     "IR_VERSION",
     "backend_names",

@@ -14,6 +14,17 @@ resistant content addressing, so the substitution is behaviour-preserving).
 Including :data:`repro.wasm.lowering.IR_VERSION` in the key means an IR
 format change transparently invalidates stale artifacts instead of loading
 them into a newer runtime.
+
+This module is the only one that knows the on-disk record: a ``blake2b``
+digest of the body, then the body, a pickled dict of the compiled module's
+fields.  A record that does not check out -- a flipped bit, a truncation, a
+file in an older format, an undecodable or malformed body -- is a miss: the
+module is compiled again and the record republished.
+
+A lookup returns ``(compiled, tier)``: the tier that served it (``"memory"``
+or ``"fs"``), or ``None`` on a miss, so the tier is truthy exactly on a hit.
+Lookups are counted where their readers look: the session's
+:class:`~repro.sim.metrics.MetricsRegistry` and the directory's event log.
 """
 
 from __future__ import annotations
@@ -23,8 +34,9 @@ import itertools
 import os
 import pickle
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.wasm.compilers.base import CompiledModule
 from repro.wasm.lowering import IR_VERSION
@@ -42,24 +54,33 @@ def module_hash(wasm_bytes: bytes, backend_name: str, ir_version: int = IR_VERSI
     return h.hexdigest()
 
 
-class _CacheStatsMixin:
-    """Hit/miss accounting shared by both cache flavours.
-
-    ``last_hit_tier`` records which tier served the most recent lookup
-    (``"memory"``, ``"fs"``, or ``None`` on a miss) so the embedder can
-    attribute each compile's cache outcome in the metrics registry.
-    """
-
-    hits: int
-    misses: int
-    last_hit_tier: Optional[str]
-
-    def stats(self) -> Dict[str, int]:
-        """Counters in the shape the metrics registry and reports consume."""
-        return {"hits": self.hits, "misses": self.misses}
+#: Bytes of the ``blake2b`` digest that starts every on-disk record.
+DIGEST_SIZE = 32
 
 
-class FileSystemCache(_CacheStatsMixin):
+def _digest(body) -> bytes:
+    return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
+
+
+def decode_record(raw: bytes) -> Optional[Dict[str, Any]]:
+    """The record ``raw`` holds, or ``None`` when it is corrupt."""
+    body = memoryview(raw)[DIGEST_SIZE:]
+    if _digest(body) != raw[:DIGEST_SIZE]:
+        return None
+    try:
+        record = pickle.loads(body)
+    except Exception:
+        # Unpickling fails in many ways (a record whose classes have since
+        # moved raises ImportError or AttributeError); every one leaves the
+        # record unusable, which is a miss, not an error.
+        return None
+    if not (isinstance(record, dict) and isinstance(record.get("backend"), str)
+            and isinstance(record.get("function_count"), int) and "artifact" in record):
+        return None
+    return record
+
+
+class FileSystemCache:
     """Filesystem-backed cache of compilation artifacts, safe under
     concurrent writers.
 
@@ -73,7 +94,8 @@ class FileSystemCache(_CacheStatsMixin):
 
     * **Publishes are atomic.**  Artifacts are written to a private temporary
       file and published with :func:`os.replace`, so a reader either sees no
-      artifact or a complete one -- never a torn read.
+      artifact or a complete one -- never a torn read.  A failed publish
+      removes its temporary file.
     * **Each module compiles once.**  :meth:`load_or_compute` guards the
       compile step with a per-key lock file (``O_CREAT | O_EXCL``); losers
       wait for the winner's publish instead of recompiling.  A crashed
@@ -95,10 +117,6 @@ class FileSystemCache(_CacheStatsMixin):
         self._stats_dir = self.directory / "_stats"
         self._stats_dir.mkdir(exist_ok=True)
         self._tmp_counter = itertools.count()
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-        self.last_hit_tier: Optional[str] = None
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.mpiwasm"
@@ -165,66 +183,58 @@ class FileSystemCache(_CacheStatsMixin):
 
     # ------------------------------------------------------------ store/load
 
-    def contains(self, key: str) -> bool:
-        """Whether an artifact for ``key`` is cached."""
-        return self._path(key).exists()
-
     def store(self, key: str, compiled: CompiledModule) -> Path:
         """Persist a compilation artifact under ``key`` (atomic publish)."""
-        payload = {
+        body = pickle.dumps({
             "backend": compiled.backend_name,
             "ir_version": compiled.ir_version,
             "compile_seconds": compiled.compile_seconds,
             "function_count": compiled.function_count,
             "artifact": compiled.artifact,
-        }
+        })
         path = self._path(key)
         # Private temporary name (pid + per-instance counter), then an atomic
         # rename: concurrent readers never observe a partially written file.
         tmp = self.directory / f"{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_digest(body))
+                fh.write(body)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
+    def read(self, key: str) -> Tuple[bytes, Optional[Dict[str, Any]]]:
+        """``key``'s raw record bytes and the record they decode to (``None``
+        when corrupt); raises :class:`FileNotFoundError` when there is none."""
+        raw = self._path(key).read_bytes()
+        return raw, decode_record(raw)
+
     def _read(self, key: str, module: Module) -> Optional[CompiledModule]:
-        """Load an artifact without touching the hit/miss counters."""
-        path = self._path(key)
+        """The artifact for ``key``; ``None`` when it is absent, unreadable,
+        corrupt or from an older IR (each a miss that recompiles)."""
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
+            _raw, record = self.read(key)
+        except OSError:
             return None
-        except (EOFError, pickle.UnpicklingError, OSError):
-            # Corrupt or unreadable artifact (should not happen with atomic
-            # publishes, but never poison the caller): treat as a miss.
-            return None
-        if payload.get("ir_version", IR_VERSION) != IR_VERSION:
-            # Stale artifact from an older IR: treat as a miss and recompile.
+        if record is None or record.get("ir_version", IR_VERSION) != IR_VERSION:
             return None
         return CompiledModule(
-            backend_name=payload["backend"],
+            backend_name=record["backend"],
             module=module,
             compile_seconds=0.0,  # cache hits skip compilation
-            artifact=payload["artifact"],
-            function_count=payload["function_count"],
-            ir_version=payload.get("ir_version", IR_VERSION),
+            artifact=record["artifact"],
+            function_count=record["function_count"],
+            ir_version=IR_VERSION,
         )
 
-    def load(self, key: str, module: Module) -> Optional[CompiledModule]:
-        """Load a cached artifact for ``key`` (``None`` on miss)."""
-        compiled = self._read(key, module)
-        if compiled is None:
-            self.misses += 1
-            self.last_hit_tier = None
-            self._log_event("miss", key)
-            return None
-        self.hits += 1
-        self.last_hit_tier = "fs"
+    def _hit(self, key: str, compiled: CompiledModule) -> Tuple[CompiledModule, Optional[str]]:
         self._log_event("hit", key)
-        return compiled
+        return compiled, "fs"
 
     # ----------------------------------------------------- compile-once path
 
@@ -290,9 +300,10 @@ class FileSystemCache(_CacheStatsMixin):
 
     def load_or_compute(
         self, key: str, module: Module, compute: Callable[[], CompiledModule]
-    ) -> Tuple[CompiledModule, bool]:
-        """Return ``(artifact, was_hit)``; compile via ``compute`` at most once
-        across every process sharing this directory.
+    ) -> Tuple[CompiledModule, Optional[str]]:
+        """Return ``(artifact, tier)`` -- ``"fs"`` on a hit, ``None`` on a
+        miss; compile via ``compute`` at most once across every process
+        sharing this directory.
 
         Exactly one hit-or-miss event is recorded per call: a call that got
         the artifact without compiling -- even by waiting out a concurrent
@@ -300,10 +311,7 @@ class FileSystemCache(_CacheStatsMixin):
         """
         compiled = self._read(key, module)
         if compiled is not None:
-            self.hits += 1
-            self.last_hit_tier = "fs"
-            self._log_event("hit", key)
-            return compiled, True
+            return self._hit(key, compiled)
         lock = self._lock_path(key)
         # The wait deadline is *monotonic*: it times out a wait happening in
         # this process, where wall-clock steps must not matter (a backwards
@@ -324,10 +332,7 @@ class FileSystemCache(_CacheStatsMixin):
                 while lock.exists() and time.monotonic() < deadline:
                     compiled = self._read(key, module)
                     if compiled is not None:
-                        self.hits += 1
-                        self.last_hit_tier = "fs"
-                        self._log_event("hit", key)
-                        return compiled, True
+                        return self._hit(key, compiled)
                     time.sleep(self.LOCK_POLL)
                 if time.monotonic() >= deadline:
                     # Liveness backstop: the holder is wedged well past the
@@ -337,32 +342,15 @@ class FileSystemCache(_CacheStatsMixin):
             # between our read and the acquire.
             compiled = self._read(key, module)
             if compiled is not None:
-                self.hits += 1
-                self.last_hit_tier = "fs"
-                self._log_event("hit", key)
-                return compiled, True
+                return self._hit(key, compiled)
             compiled = compute()
             self.store(key, compiled)
-            self.compiles += 1
-            self.misses += 1
-            self.last_hit_tier = None
             self._log_event("miss", key)
             self._log_event("compile", key)
-            return compiled, False
+            return compiled, None
         finally:
             if acquired:
                 self._release(lock)
-
-    def log_external_hit(self, key: str) -> None:
-        """Record a lookup served by a warm tier fronting this directory.
-
-        A :class:`TieredCache` whose in-memory tier satisfies a lookup calls
-        this so the cross-process event log keeps counting one event per
-        lookup -- campaign-level hit/miss/compile totals stay comparable
-        whether or not a warm session sat in front of the directory.
-        """
-        self.hits += 1
-        self._log_event("hit", key)
 
     # ------------------------------------------------------------ maintenance
 
@@ -393,150 +381,52 @@ class FileSystemCache(_CacheStatsMixin):
         return removed
 
 
-class InMemoryCache(_CacheStatsMixin):
-    """Process-local artifact cache used when no cache directory is configured."""
+class InMemoryCache:
+    """The session's artifact store: process memory, optionally in front of
+    one on-disk cache.
 
-    def __init__(self) -> None:
+    A lookup tries memory first; on a memory miss it goes to ``disk``'s
+    compile-once :meth:`FileSystemCache.load_or_compute` (straight to
+    ``compute`` without a disk) and keeps what it got, so the next job of
+    the session skips the filesystem.  A memory hit in front of a disk logs
+    the one ``hit`` event the disk would have, so the directory's totals are
+    the same with or without a warm session in front of it.
+    """
+
+    def __init__(self, disk: Optional[FileSystemCache] = None) -> None:
+        self.disk = disk
         self._store: Dict[str, CompiledModule] = {}
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-        self.last_hit_tier: Optional[str] = None
 
-    def contains(self, key: str) -> bool:
-        """Whether an artifact for ``key`` is cached."""
-        return key in self._store
+    def fronting(self, disk: FileSystemCache) -> "InMemoryCache":
+        """A store that shares this one's memory, in front of ``disk``."""
+        front = InMemoryCache(disk)
+        front._store = self._store
+        return front
 
     def store(self, key: str, compiled: CompiledModule) -> None:
         """Keep a compilation artifact in memory."""
         self._store[key] = compiled
 
-    def load(self, key: str, module: Module) -> Optional[CompiledModule]:
-        """Load a cached artifact (``None`` on miss)."""
-        cached = self._store.get(key)
-        if cached is None or cached.ir_version != IR_VERSION:
-            self.misses += 1
-            self.last_hit_tier = None
-            return None
-        self.hits += 1
-        self.last_hit_tier = "memory"
-        return CompiledModule(
-            backend_name=cached.backend_name,
-            module=module,
-            compile_seconds=0.0,
-            artifact=cached.artifact,
-            function_count=cached.function_count,
-            ir_version=cached.ir_version,
-        )
-
     def load_or_compute(
         self, key: str, module: Module, compute: Callable[[], CompiledModule]
-    ) -> Tuple[CompiledModule, bool]:
-        """Return ``(artifact, was_hit)``, compiling on a miss.
-
-        Same contract as :meth:`FileSystemCache.load_or_compute`, minus the
-        cross-process coordination (this cache never crosses a process).
-        """
-        cached = self.load(key, module)
+    ) -> Tuple[CompiledModule, Optional[str]]:
+        """Return ``(artifact, tier)``: ``"memory"``, ``"fs"``, or ``None``
+        when ``compute`` ran."""
+        cached = self._store.get(key)
         if cached is not None:
-            return cached, True
-        compiled = compute()
-        self.store(key, compiled)
-        self.compiles += 1
-        return compiled, False
+            if self.disk is not None:
+                self.disk._log_event("hit", key)
+            return replace(cached, module=module, compile_seconds=0.0), "memory"
+        if self.disk is None:
+            compiled, tier = compute(), None
+        else:
+            compiled, tier = self.disk.load_or_compute(key, module, compute)
+        self._store[key] = compiled
+        return compiled, tier
 
     def clear(self) -> int:
-        """Drop everything; returns the number of entries removed."""
+        """Drop the memory (never the disk: it is shared state); returns the
+        number of entries removed."""
         n = len(self._store)
         self._store.clear()
         return n
-
-
-class TieredCache(_CacheStatsMixin):
-    """A session-lifetime in-memory tier fronting the shared on-disk cache.
-
-    ``repro.api.Session`` hands one of these to its embedders: lookups are
-    served from ``memory`` first (no disk round-trip, no pickling), falling
-    back to ``disk``'s cross-process compile-once path on a memory miss; every
-    artifact obtained from the disk tier is promoted into memory so the next
-    job in the same session skips the filesystem entirely.
-
-    Stats contract: exactly one hit-or-miss is recorded per lookup, and a
-    memory-tier hit is reported to the disk tier's event log (see
-    :meth:`FileSystemCache.log_external_hit`), so campaign-wide counters are
-    identical with or without a warm session in front.
-    """
-
-    def __init__(self, memory: InMemoryCache, disk: Optional[FileSystemCache] = None):
-        self.memory = memory
-        self.disk = disk
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-        self.last_hit_tier: Optional[str] = None
-
-    def contains(self, key: str) -> bool:
-        """Whether either tier holds an artifact for ``key``."""
-        return self.memory.contains(key) or (self.disk is not None and self.disk.contains(key))
-
-    def store(self, key: str, compiled: CompiledModule) -> None:
-        """Publish an artifact to both tiers."""
-        self.memory.store(key, compiled)
-        if self.disk is not None:
-            self.disk.store(key, compiled)
-
-    def load(self, key: str, module: Module) -> Optional[CompiledModule]:
-        """Load from memory, then disk (promoting on a disk hit)."""
-        cached = self.memory.load(key, module)
-        if cached is not None:
-            self.hits += 1
-            self.last_hit_tier = "memory"
-            if self.disk is not None:
-                self.disk.log_external_hit(key)
-            return cached
-        if self.disk is None:
-            self.misses += 1
-            self.last_hit_tier = None
-            return None
-        cached = self.disk.load(key, module)
-        if cached is None:
-            self.misses += 1
-            self.last_hit_tier = None
-            return None
-        self.memory.store(key, cached)
-        self.hits += 1
-        self.last_hit_tier = "fs"
-        return cached
-
-    def load_or_compute(
-        self, key: str, module: Module, compute: Callable[[], CompiledModule]
-    ) -> Tuple[CompiledModule, bool]:
-        """Same contract as :meth:`FileSystemCache.load_or_compute`."""
-        cached = self.memory.load(key, module)
-        if cached is not None:
-            self.hits += 1
-            self.last_hit_tier = "memory"
-            if self.disk is not None:
-                self.disk.log_external_hit(key)
-            return cached, True
-        if self.disk is None:
-            compiled = compute()
-            self.memory.store(key, compiled)
-            self.misses += 1
-            self.compiles += 1
-            self.last_hit_tier = None
-            return compiled, False
-        compiled, was_hit = self.disk.load_or_compute(key, module, compute)
-        self.memory.store(key, compiled)
-        if was_hit:
-            self.hits += 1
-            self.last_hit_tier = "fs"
-        else:
-            self.misses += 1
-            self.compiles += 1
-            self.last_hit_tier = None
-        return compiled, was_hit
-
-    def clear(self) -> int:
-        """Clear the memory tier only (the disk tier is shared state)."""
-        return self.memory.clear()

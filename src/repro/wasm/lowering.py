@@ -1520,24 +1520,13 @@ def serialize_lowered(
     return payload
 
 
-#: Process-wide default for :func:`deserialize_lowered`'s ``verify``
-#: parameter.  Off by default (trusted in-process artifacts, benchmark
-#: paths); the serve worker pool flips it on so artifacts loaded from the
-#: shared on-disk cache -- possibly written by another process -- are
-#: statically verified before they are linked and executed.
-VERIFY_ON_LOAD = False
-
-
-def deserialize_lowered(
-    payload: object, verify: Optional[bool] = None
-) -> Optional[List[LoweredFunction]]:
+def deserialize_lowered(payload: object, verify: bool = False) -> Optional[List[LoweredFunction]]:
     """Rebuild lowered functions from an artifact payload.
 
     Returns ``None`` when the payload is not a lowered-IR artifact of the
     current :data:`IR_VERSION` (the caller then re-lowers from the module).
 
-    With ``verify=True`` (default: the :data:`VERIFY_ON_LOAD` process flag)
-    the payload is first run through the static verifier
+    With ``verify=True`` the payload is first run through the static verifier
     (:mod:`repro.analysis.ir_verify`); a structurally-broken artifact raises
     :class:`~repro.wasm.errors.ValidationError` instead of being linked.
     """
@@ -1545,7 +1534,7 @@ def deserialize_lowered(
         return None
     if payload.get("ir_version") != IR_VERSION:
         return None
-    if verify if verify is not None else VERIFY_ON_LOAD:
+    if verify:
         # Imported lazily: repro.analysis.ir_verify imports this module.
         from repro.analysis.ir_verify import verify_payload
         from repro.wasm.errors import ValidationError

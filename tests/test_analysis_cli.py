@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 
 from repro.analysis.cli import main as analyze_main
 from repro.harness.cli import main as harness_main
+
+
+def _write_record(path, artifact):
+    from repro.wasm.compilers import CompiledModule, FileSystemCache
+
+    FileSystemCache(path.parent).store(path.stem, CompiledModule(
+        backend_name="cranelift", module=None, compile_seconds=0.0,
+        artifact=artifact, function_count=1))
 
 
 def _corrupt_artifact(tmp_path):
@@ -23,7 +30,7 @@ def _corrupt_artifact(tmp_path):
     payload = serialize_lowered(lower_module(module))
     payload["functions"][0]["ops"][0][0] = "i32.frobnicate"
     path = tmp_path / ("b" * 64 + ".mpiwasm")
-    path.write_bytes(pickle.dumps({"artifact": payload}))
+    _write_record(path, payload)
     return path
 
 
@@ -70,8 +77,7 @@ def test_clean_artifact_dir_exits_zero(tmp_path, capsys):
     module = mb.build()
     validate_module(module)
     payload = serialize_lowered(lower_module(module))
-    (tmp_path / ("c" * 64 + ".mpiwasm")).write_bytes(
-        pickle.dumps({"artifact": payload}))
+    _write_record(tmp_path / ("c" * 64 + ".mpiwasm"), payload)
     assert analyze_main(["ir", str(tmp_path)]) == 0
 
 

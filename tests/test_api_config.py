@@ -12,13 +12,13 @@ from repro.api import ResolvedConfig
 
 def test_defaults_and_provenance(monkeypatch):
     for var in ("REPRO_BACKEND", "REPRO_MACHINE", "REPRO_NRANKS", "REPRO_CACHE_DIR",
-                "REPRO_CONFIG", "REPRO_CACHE", "REPRO_COLL_ALGO"):
+                "REPRO_CONFIG", "REPRO_COLL_ALGO"):
         monkeypatch.delenv(var, raising=False)
     config = ResolvedConfig.resolve()
     assert config.backend == "llvm"
     assert config.machine == "supermuc-ng"
     assert config.nranks == 4 and config.workers == 1
-    assert config.cache_dir is None and config.enable_cache is True
+    assert config.cache_dir is None
     assert all(source == "default" for source in config.provenance.values())
 
 
@@ -57,12 +57,11 @@ def test_repro_config_env_names_the_file(tmp_path, monkeypatch):
 
 
 def test_env_parsing_flags_ints_and_algorithms(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
     monkeypatch.setenv("REPRO_VALIDATE", "false")
     monkeypatch.setenv("REPRO_MAX_CALL_DEPTH", "99")
     monkeypatch.setenv("REPRO_COLL_ALGO", "allreduce:ring,bcast:binomial")
     config = ResolvedConfig.resolve()
-    assert config.enable_cache is False and config.validate is False
+    assert config.validate is False
     assert config.max_call_depth == 99
     assert config.collective_algorithms == {"allreduce": "ring", "bcast": "binomial"}
     assert config.provenance["collective_algorithms"] == "env:REPRO_COLL_ALGO"

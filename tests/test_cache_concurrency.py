@@ -7,15 +7,15 @@ tests pin down the contract that makes that safe:
   compile (per-key lock file; losers wait for the winner's publish),
 * artifact publishes are atomic -- a concurrent reader never observes a torn
   (partially written) file,
-* hit/miss accounting is correct both per-process and aggregated across the
-  pool via the append-only event log (``global_stats``).
+* hit/miss accounting is correct both per lookup (the returned tier) and
+  aggregated across the pool via the append-only event log
+  (``global_stats``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import time
 
 import pytest
@@ -25,7 +25,7 @@ from repro.core.embedder import MPIWasm
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm.compilers import FileSystemCache, get_backend
-from repro.wasm.compilers.cache import module_hash
+from repro.wasm.compilers.cache import decode_record, module_hash
 
 
 def _ctx():
@@ -47,15 +47,12 @@ def _compile_worker(cache_dir: str, barrier, queue) -> None:
     cache = FileSystemCache(cache_dir)
     key = module_hash(app.wasm_bytes, "cranelift")
     barrier.wait()  # maximise the race: everyone starts together
-    compiled, was_hit = cache.load_or_compute(
+    compiled, tier = cache.load_or_compute(
         key, app.module, lambda: get_backend("cranelift").compile(app.module)
     )
     queue.put({
         "pid": os.getpid(),
-        "was_hit": was_hit,
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "compiles": cache.compiles,
+        "tier": tier,
         "function_count": compiled.function_count,
         "ir_version": compiled.ir_version,
     })
@@ -67,7 +64,7 @@ def _embedder_worker(cache_dir: str, barrier, queue) -> None:
     embedder = MPIWasm(EmbedderConfig(compiler_backend="cranelift"), FileSystemCache(cache_dir))
     barrier.wait()
     compiled = embedder.compile_application(app)
-    queue.put({"cache_hit": embedder.last_cache_hit, "function_count": compiled.function_count})
+    queue.put({"tier": embedder.last_cache_tier, "function_count": compiled.function_count})
 
 
 def _store_worker(cache_dir: str, key: str, payload_id: int, rounds: int) -> None:
@@ -111,8 +108,8 @@ def test_concurrent_compiles_produce_exactly_one_artifact(tmp_path):
     assert stats["misses"] == 1
     assert stats["hits"] == N_WORKERS - 1
     assert len(cache.compiled_keys()) == 1
-    assert sum(r["compiles"] for r in results) == 1
-    assert sum(1 for r in results if r["was_hit"]) == N_WORKERS - 1
+    assert sum(1 for r in results if r["tier"] is None) == 1
+    assert sum(1 for r in results if r["tier"] == "fs") == N_WORKERS - 1
     # Everyone got an equivalent artifact.
     assert len({r["function_count"] for r in results}) == 1
     assert len({r["ir_version"] for r in results}) == 1
@@ -130,7 +127,7 @@ def test_concurrent_embedders_compile_once_through_public_path(tmp_path):
     results = [queue.get(timeout=10) for _ in range(N_WORKERS)]
     stats = FileSystemCache(tmp_path).global_stats()
     assert stats["compiles"] == 1
-    assert sum(1 for r in results if not r["cache_hit"]) == 1
+    assert sum(1 for r in results if r["tier"] is None) == 1
     assert len({r["function_count"] for r in results}) == 1
 
 
@@ -152,10 +149,10 @@ def test_no_torn_reads_under_concurrent_republish(tmp_path):
         while any(p.is_alive() for p in procs) and time.time() < deadline:
             if not path.exists():
                 continue
-            # Raw pickle read on purpose: FileSystemCache.load tolerates
-            # corruption, which would mask a torn publish in this test.
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+            # Raw record read on purpose: a lookup treats a corrupt record
+            # as a miss, which would mask a torn publish in this test.
+            payload = decode_record(path.read_bytes())
+            assert payload is not None, "torn read: record fails its digest"
             marker = payload["artifact"]["marker"]
             blob = payload["artifact"]["blob"]
             assert blob == bytes([marker]) * (1 << 20), "torn read: mixed payloads"
@@ -171,14 +168,13 @@ def test_event_log_counts_match_local_counters(tmp_path):
     app = _app()
     cache = FileSystemCache(tmp_path)
     key = module_hash(app.wasm_bytes, "cranelift")
-    compiled, hit = cache.load_or_compute(
+    compiled, tier = cache.load_or_compute(
         key, app.module, lambda: get_backend("cranelift").compile(app.module)
     )
-    assert not hit and compiled is not None
-    for _ in range(3):
-        _, hit = cache.load_or_compute(key, app.module, lambda: pytest.fail("must not recompile"))
-        assert hit
-    assert cache.stats() == {"hits": 3, "misses": 1}
+    assert tier is None and compiled is not None
+    tiers = [cache.load_or_compute(key, app.module, lambda: pytest.fail("must not recompile"))[1]
+             for _ in range(3)]
+    assert tiers == ["fs", "fs", "fs"]
     assert cache.global_stats() == {"hits": 3, "misses": 1, "compiles": 1}
     assert cache.compiled_keys() == [key]
     # A second handle on the same directory sees the pool-wide stats.

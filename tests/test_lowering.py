@@ -175,8 +175,8 @@ def test_every_backend_artifact_is_serializable(backend_name, tmp_path):
     cache = FileSystemCache(tmp_path)
     key = module_hash(app.wasm_bytes, backend_name)
     cache.store(key, compiled)
-    loaded = cache.load(key, app.module)
-    assert loaded is not None and loaded.artifact == compiled.artifact
+    loaded, tier = cache.load_or_compute(key, app.module, lambda: pytest.fail("must not recompile"))
+    assert tier == "fs" and loaded.artifact == compiled.artifact
     assert loaded.compile_seconds == 0.0
     # The reloaded artifact must yield a working executor without recompiling.
     assert loaded.make_executor() is not None
@@ -189,8 +189,10 @@ def test_filesystem_cache_rejects_stale_ir_artifacts(tmp_path):
     cache = FileSystemCache(tmp_path)
     key = module_hash(app.wasm_bytes, "cranelift")
     cache.store(key, compiled)
-    assert cache.load(key, app.module) is None
-    assert cache.stats() == {"hits": 0, "misses": 1}
+    fresh = get_backend("cranelift").compile(app.module)
+    loaded, tier = cache.load_or_compute(key, app.module, lambda: fresh)
+    assert tier is None and loaded is fresh
+    assert cache.global_stats() == {"hits": 0, "misses": 1, "compiles": 1}
 
 
 def test_second_identical_compile_does_zero_work(tmp_path):
@@ -199,11 +201,11 @@ def test_second_identical_compile_does_zero_work(tmp_path):
     config = EmbedderConfig(compiler_backend="llvm", cache_dir=str(tmp_path))
     embedder = MPIWasm(config, FileSystemCache(tmp_path))
     first = embedder.compile_module(app.wasm_bytes, app.module)
-    assert not embedder.last_cache_hit and first.compile_seconds > 0
+    assert embedder.last_cache_tier is None and first.compile_seconds > 0
     second = embedder.compile_module(app.wasm_bytes, app.module)
-    assert embedder.last_cache_hit
+    assert embedder.last_cache_tier == "fs"
     assert second.compile_seconds == 0.0
-    assert embedder.cache.stats() == {"hits": 1, "misses": 1}
+    assert embedder.cache.global_stats() == {"hits": 1, "misses": 1, "compiles": 1}
 
 
 def test_cache_dir_env_knob(monkeypatch, tmp_path):

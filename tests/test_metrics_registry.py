@@ -211,21 +211,12 @@ def test_histogram_counts_sorted_by_frequency():
 
 def test_cache_summary_distinguishes_tiers():
     reg = MetricsRegistry()
-    reg.record_cache_event(False)
-    reg.record_cache_event(True, tier="memory")
-    reg.record_cache_event(True, tier="memory")
-    reg.record_cache_event(True, tier="fs")
+    reg.record_cache_event(None)
+    reg.record_cache_event("memory")
+    reg.record_cache_event("memory")
+    reg.record_cache_event("fs")
     summary = reg.cache_summary()
     assert summary["hits"] == 3 and summary["misses"] == 1
     assert summary["hits_memory"] == 2
     assert summary["hits_fs"] == 1
     assert summary["hit_rate"] == pytest.approx(0.75)
-
-
-def test_cache_event_unknown_tier_counts_as_plain_hit():
-    reg = MetricsRegistry()
-    reg.record_cache_event(True, tier=None)
-    reg.record_cache_event(True, tier="weird")
-    summary = reg.cache_summary()
-    assert summary["hits"] == 2
-    assert summary["hits_memory"] == 0 and summary["hits_fs"] == 0

@@ -511,10 +511,12 @@ class TestArtifactVerification:
         )
         return JobService(config)   # no pool needed
 
-    def _write(self, tmp_path, payload):
-        import pickle
+    def _write(self, tmp_path, artifact):
+        from repro.wasm.compilers import CompiledModule, FileSystemCache
 
-        (tmp_path / f"{self.KEY}.mpiwasm").write_bytes(pickle.dumps(payload))
+        FileSystemCache(tmp_path).store(self.KEY, CompiledModule(
+            backend_name="cranelift", module=None, compile_seconds=0.0,
+            artifact=artifact, function_count=1))
 
     def _lowered_payload(self):
         from repro.wasm import ModuleBuilder, validate_module
@@ -529,7 +531,7 @@ class TestArtifactVerification:
 
     def test_clean_artifact_streams(self, tmp_path):
         service = self._service(tmp_path)
-        self._write(tmp_path, {"artifact": self._lowered_payload()})
+        self._write(tmp_path, self._lowered_payload())
         raw = service.artifact_bytes("t-key-0123456789", self.KEY)
         assert raw
         assert service.metrics.counter("serve.artifact_verify_failures") == 0
@@ -538,7 +540,7 @@ class TestArtifactVerification:
         service = self._service(tmp_path)
         payload = self._lowered_payload()
         payload["functions"][0]["ops"][0][0] = "i32.frobnicate"
-        self._write(tmp_path, {"artifact": payload})
+        self._write(tmp_path, payload)
         with pytest.raises(WireError) as excinfo:
             service.artifact_bytes("t-key-0123456789", self.KEY)
         assert excinfo.value.status == 500
@@ -558,14 +560,14 @@ class TestArtifactVerification:
     def test_non_lowered_artifact_still_streams(self, tmp_path):
         # Backends whose artifacts carry no lowered IR are passed through.
         service = self._service(tmp_path)
-        self._write(tmp_path, {"artifact": {"kind": "module", "blob": b"x"}})
+        self._write(tmp_path, {"kind": "module", "blob": b"x"})
         assert service.artifact_bytes("t-key-0123456789", self.KEY)
 
     def test_metric_appears_in_metrics_text(self, tmp_path):
         service = self._service(tmp_path)
         payload = self._lowered_payload()
         payload["functions"][0]["ops"][0][0] = "i32.frobnicate"
-        self._write(tmp_path, {"artifact": payload})
+        self._write(tmp_path, payload)
         with pytest.raises(WireError):
             service.artifact_bytes("t-key-0123456789", self.KEY)
         text = service.metrics_text()
@@ -743,24 +745,3 @@ class TestServeJournal:
             assert second.queue.depth() == 0, "cancelled jobs are not re-queued"
         finally:
             second.shutdown(drain=False)
-
-
-class TestPoolVerifyFlag:
-    def test_pool_lifetime_scopes_verify_on_load(self):
-        from repro.serve.pool import WorkerPool
-        from repro.wasm import lowering
-
-        class _FakeSession:
-            def close(self):
-                pass
-
-        store = JobStore()
-        queue = BoundedJobQueue(capacity=2)
-        pool = WorkerPool(1, lambda name: _FakeSession(), store, queue)
-        assert lowering.VERIFY_ON_LOAD is False
-        pool.start()
-        try:
-            assert lowering.VERIFY_ON_LOAD is True
-        finally:
-            pool.stop(drain=False, timeout=2.0)
-        assert lowering.VERIFY_ON_LOAD is False
