@@ -347,3 +347,36 @@ def test_profiling_context_restores_prior_state():
     with profiling() as p:
         assert profile_mod.ACTIVE is p
     assert profile_mod.ACTIVE is None
+
+
+# The profile of a fixed guest, pinned exactly: `repro-harness profile hpcg
+# --nranks 2 --backend singlepass` at strides 1 and 7.  Raw handler hits (the
+# report's histogram divided by the stride), the exact dispatch count and the
+# per-function call counts.
+_HPCG_CALLS = {"hpcg_ddot": 50, "malloc": 12}
+_HPCG_HANDLER_HITS = {
+    1: {"_h_local_get": 153686, "_h_bin": 153636, "_h_get_const_bin": 102400,
+        "_h_load_f64": 102400, "_h_get_get_cmp_br_if": 51250, "_h_bin_set": 51212,
+        "_h_get_const_bin_set_br": 51200, "_h_const": 86, "_h_block": 50,
+        "_h_local_set": 50, "_h_loop": 50, "_h_end": 12, "_h_get_get_bin_set": 12,
+        "_h_global_get": 12, "_h_global_set": 12, "_h_if": 12, "_h_memory_size": 12},
+    7: {"_h_local_get": 21952, "_h_bin": 21949, "_h_load_f64": 14629,
+        "_h_get_const_bin": 14628, "_h_get_get_cmp_br_if": 7321, "_h_bin_set": 7317,
+        "_h_get_const_bin_set_br": 7315, "_h_const": 11, "_h_local_set": 8,
+        "_h_block": 7, "_h_loop": 7, "_h_end": 2, "_h_get_get_bin_set": 2,
+        "_h_global_get": 2, "_h_global_set": 2, "_h_if": 2, "_h_memory_size": 2},
+}
+
+
+@pytest.mark.parametrize("stride", sorted(_HPCG_HANDLER_HITS))
+def test_profile_cli_numbers_are_pinned_on_hpcg(capsys, stride):
+    from repro.harness.cli import main
+
+    assert main(["profile", "hpcg", "--nranks", "2", "--backend", "singlepass",
+                 "--sample-every", str(stride), "--top", "1000", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dispatches"] == 666092
+    assert {name: hits // stride for name, hits in report["handlers"].items()} \
+        == _HPCG_HANDLER_HITS[stride]
+    assert report["sampled_dispatches"] == sum(_HPCG_HANDLER_HITS[stride].values())
+    assert {row["name"]: row["calls"] for row in report["functions"]} == _HPCG_CALLS
