@@ -11,7 +11,8 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.benchmarks_suite.hpcg import make_hpcg_program
-from repro.core import EmbedderConfig, MPIWasm
+from repro.api import ResolvedConfig
+from repro.core import MPIWasm
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm.compilers import FileSystemCache
 
@@ -21,7 +22,7 @@ BACKENDS = ("singlepass", "cranelift", "llvm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_second_identical_compile_hits_cache(tmp_path, backend):
     app = compile_guest(make_hpcg_program(dims=(8, 4, 4), iterations=1))
-    embedder = MPIWasm(EmbedderConfig(compiler_backend=backend), FileSystemCache(tmp_path))
+    embedder = MPIWasm(ResolvedConfig(backend=backend), FileSystemCache(tmp_path))
 
     first = embedder.compile_module(app.wasm_bytes, app.module)
     assert embedder.last_cache_tier is None, f"{backend}: first compile must miss"

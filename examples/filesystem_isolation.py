@@ -12,9 +12,8 @@ Run:  python examples/filesystem_isolation.py
 
 from __future__ import annotations
 
-from repro.api import run
+from repro.api import Session, run
 from repro.benchmarks_suite.ior import make_ior_program
-from repro.core import EmbedderConfig
 from repro.toolchain.guest import GuestProgram
 from repro.wasi.errno import WasiError
 
@@ -52,8 +51,8 @@ def isolation_demo_main(api, args):
 
 def main() -> int:
     program = GuestProgram(name="isolation-demo", main=isolation_demo_main)
-    config = EmbedderConfig(preopen_dirs=(("/results", True), ("/reference", False)))
-    job = run(program, 1, machine="graviton2", config=config)
+    with Session(preopen_dirs=(("/results", True), ("/reference", False))) as session:
+        job = session.run(program, 1, machine="graviton2")
     print("Filesystem isolation (-d semantics):")
     for line in job.return_values()[0]:
         print("  " + line)

@@ -37,6 +37,12 @@ the linter exists so those regressions stay fixed:
   that registers no patterns and runs no progress -- which is how a
   rendezvous ``MPI_Send`` once deadlocked beside an outstanding
   ``MPI_Ibcast``.
+* ``one-dispatch-loop`` -- a ``while`` loop under ``wasm/`` that sets ``pc``
+  from a call of an indexed handler (``pc = code[pc][0](...)``, or a name
+  bound from a subscript) anywhere but ``Interpreter._exec``.  The profiler
+  once had a hand-copied twin of the dispatch loop whose stale local counter
+  overwrote a callee's dispatches; profiling now swaps the code array the one
+  loop runs, and a second loop would drift from it again.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -86,6 +92,11 @@ _ALGORITHMS_EXECUTOR = "mpi/algorithms/schedule.py"
 _MPI_DIR = "/mpi/"
 _MPI_BLOCK_SITE = ("mpi/pt2pt.py", "MatchingEngine.block_for_any")
 
+#: ``one-dispatch-loop``: the package it covers, and its one dispatch loop
+#: (file suffix, qualified name).
+_WASM_DIR = "/wasm/"
+_DISPATCH_LOOP = ("wasm/interpreter.py", "Interpreter._exec")
+
 
 def _qualname_stack(stack: Sequence[ast.AST]) -> str:
     names = [
@@ -118,9 +129,11 @@ class _FileLinter(ast.NodeVisitor):
             _ALGORITHMS_DIR in relpath and not relpath.endswith(_ALGORITHMS_EXECUTOR)
         )
         self.mpi_module = _MPI_DIR in f"/{relpath}"
+        self.wasm_module = _WASM_DIR in f"/{relpath}"
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
         self._if_enabled_depth = 0             # inside an ENABLED-guarded if
+        self._while_depth = 0                  # inside a while loop
 
     # ------------------------------------------------------------- reporting
 
@@ -224,6 +237,39 @@ class _FileLinter(ast.NodeVisitor):
             self._if_enabled_depth -= 1
         for child in node.orelse:
             self.visit(child)
+
+    def visit_While(self, node: ast.While) -> None:
+        self._while_depth += 1
+        self.generic_visit(node)
+        self._while_depth -= 1
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if (self.wasm_module and self._while_depth
+                and any(isinstance(t, ast.Name) and t.id == "pc" for t in node.targets)
+                and isinstance(node.value, ast.Call)
+                and self._calls_indexed_handler(node.value.func)
+                and not (self.relpath.endswith(_DISPATCH_LOOP[0])
+                         and _qualname_stack(self._stack) == _DISPATCH_LOOP[1])):
+            self._report(
+                "one-dispatch-loop", node,
+                "a second dispatch loop drifts from Interpreter._exec; to "
+                "instrument dispatch, hand _exec a different code array",
+            )
+        self.generic_visit(node)
+
+    def _calls_indexed_handler(self, func: ast.AST) -> bool:
+        """Whether ``func`` is a subscript, or a name the enclosing function
+        binds from one (``handler = op[0]``)."""
+        if isinstance(func, ast.Subscript):
+            return True
+        if not isinstance(func, ast.Name):
+            return False
+        scope = next((n for n in reversed(self._stack)
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))), None)
+        return scope is not None and any(
+            isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Subscript)
+            and any(isinstance(t, ast.Name) and t.id == func.id for t in sub.targets)
+            for sub in ast.walk(scope))
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)

@@ -191,7 +191,7 @@ class _OpsChecker:
     def _check_imm(self, pc: int, kind: str, imm: Any) -> None:
         if kind in ("nop", "unreachable", "loop", "end", "drop", "select",
                     "memory.size", "memory.grow", "memory.copy", "memory.fill",
-                    "v128.not", "f64x2.sqrt", "fused.pad"):
+                    "v128.not", "fused.pad"):
             return  # no immediate (handlers ignore it)
         if kind == "block":
             if self._shape(pc, imm, kind, 2):

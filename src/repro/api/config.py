@@ -74,6 +74,8 @@ FIELDS: Tuple[_Field, ...] = (
     _Field("collective_algorithms", {}, "REPRO_COLL_ALGO",
            parse=_parse_algorithms, coerce=_parse_algorithms),
     _Field("guest_args", (), None, coerce=lambda v: tuple(str(a) for a in v)),
+    _Field("preopen_dirs", (("/work", True),), None,
+           coerce=lambda v: tuple((str(path), bool(writable)) for path, writable in v)),
     _Field("workers", 1, "REPRO_WORKERS", parse=int, coerce=int),
     _Field("trace", False, "REPRO_TRACE",
            parse=lambda raw: envvars.parse_bool(raw, "REPRO_TRACE"), coerce=bool),
@@ -96,6 +98,9 @@ class ResolvedConfig:
     max_call_depth: int = 256
     collective_algorithms: Dict[str, str] = field(default_factory=dict)
     guest_args: Tuple[str, ...] = ()
+    #: Directories exposed to the guest (the ``-d`` flag of §3.4):
+    #: ``(guest path, writable)`` pairs.
+    preopen_dirs: Tuple[Tuple[str, bool], ...] = (("/work", True),)
     workers: int = 1
     trace: bool = False
     #: Winning layer per field: "default", "file:<path>", "env:<VAR>", "kwarg".
@@ -201,28 +206,6 @@ class ResolvedConfig:
             source = self.provenance.get(spec.name, "default")
             lines.append(f"{spec.name} = {getattr(self, spec.name)!r}  ({source})")
         return "\n".join(lines)
-
-    # -------------------------------------------------------------- adapters
-
-    def embedder_config(self, **overrides: Any):
-        """Materialise an :class:`repro.core.config.EmbedderConfig`.
-
-        ``overrides`` replace individual embedder fields (``compiler_backend``,
-        ``cache_dir``, ...) without re-running the layering.
-        """
-        from repro.core.config import EmbedderConfig
-
-        kwargs: Dict[str, Any] = dict(
-            compiler_backend=self.backend,
-            cache_dir=self.cache_dir,
-            memory_pages=self.memory_pages,
-            max_call_depth=self.max_call_depth,
-            validate=self.validate,
-            guest_args=tuple(self.guest_args),
-            collective_algorithms=dict(self.collective_algorithms),
-        )
-        kwargs.update(overrides)
-        return EmbedderConfig(**kwargs)
 
 
 __all__ = ["ResolvedConfig", "FIELDS"]

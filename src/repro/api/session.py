@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 from repro.api.config import ResolvedConfig, _UNSET
 from repro.api.registry import BENCHMARKS, MACHINES, MODES, register_mode
 from repro.core import envvars
-from repro.core.config import EmbedderConfig
 from repro.core.embedder import GuestResult, MPIWasm
 from repro.fault import checkpoint as _checkpoint
 from repro.mpi.runtime import MPIRuntime, MPIWorld
@@ -201,24 +200,7 @@ class Session:
 
     # ---------------------------------------------------------- config/cache
 
-    def _embedder_config(
-        self,
-        *,
-        backend: Optional[str] = None,
-        algorithms: Optional[Mapping[str, str]] = None,
-        cache_dir: Any = _UNSET,
-        guest_args: Sequence[str] = (),
-    ) -> EmbedderConfig:
-        if cache_dir is _UNSET:
-            cache_dir = self.config.cache_dir
-        return self.config.embedder_config(
-            compiler_backend=backend or self.config.backend,
-            cache_dir=str(cache_dir) if cache_dir else None,
-            collective_algorithms={**self.config.collective_algorithms, **(algorithms or {})},
-            guest_args=tuple(guest_args),
-        )
-
-    def artifact_cache(self, config: EmbedderConfig) -> InMemoryCache:
+    def artifact_cache(self, config: ResolvedConfig) -> InMemoryCache:
         """Artifact store for one job: the session's in-memory tier, fronting
         the shared on-disk cache when the configuration names a directory."""
         if not config.cache_dir:
@@ -280,7 +262,7 @@ class Session:
         :class:`~repro.wasm.errors.ValidationError`.
         """
         self._check_open()
-        config = self._embedder_config(backend=backend)
+        config = self.config.replaced(backend=backend) if backend else self.config
         embedder = MPIWasm(config, self.artifact_cache(config))
         if isinstance(app, bytes):
             compiled = embedder.compile_module(app, module or decode_module(app))
@@ -313,19 +295,16 @@ class Session:
         guest_args: Sequence[str] = (),
         algorithms: Optional[Mapping[str, str]] = None,
         cache_dir: Any = _UNSET,
-        config: Optional[EmbedderConfig] = None,
     ) -> JobResult:
         """Run one job and fold its metrics into the session.
 
         ``mode`` selects a registered execution mode (``"wasm"`` runs the
         embedder, ``"native"`` the no-embedder baseline).  Per-run keyword
-        overrides beat the session configuration.  An explicit
-        :class:`EmbedderConfig` (``config=``) sets the embedder-level fields
-        the layered configuration has no knob for (``preopen_dirs``,
-        ``environ``, ``overheads``) and replaces the session's values for the
-        rest; its ``collective_algorithms`` are applied on top of the
-        session's, and artifacts go through the session's store (tiered over
-        ``config.cache_dir`` when set) like every other run.
+        overrides beat the session configuration; ``algorithms`` are applied
+        on top of the session's ``collective_algorithms``.  The runner gets
+        the job's configuration as ``session.config.replaced(...)`` with those
+        overrides; settings without a per-run keyword (``preopen_dirs``,
+        ``memory_pages``, ...) come from the session.
         """
         self._check_open()
         runner = MODES.get(mode)
@@ -334,18 +313,19 @@ class Session:
             nranks = np if np is not None else self.config.nranks
         if ranks_per_node is None:
             ranks_per_node = self.config.ranks_per_node
-        if config is None:
-            config = self._embedder_config(
-                backend=backend, algorithms=algorithms, cache_dir=cache_dir
-            )
-        else:
-            merged = {**self.config.collective_algorithms,
-                      **config.collective_algorithms, **(algorithms or {})}
-            config = replace(config, collective_algorithms=merged)
+        overrides: Dict[str, Any] = {}
+        if backend:
+            overrides["backend"] = backend
+        if algorithms:
+            overrides["collective_algorithms"] = {**self.config.collective_algorithms,
+                                                  **algorithms}
+        if cache_dir is not _UNSET:
+            overrides["cache_dir"] = cache_dir
+        config = self.config.replaced(**overrides) if overrides else self.config
         # The mode-runner contract: every registered runner takes exactly
         # this keyword set.
         request = dict(nranks=int(nranks), preset=preset, ranks_per_node=ranks_per_node,
-                       config=config, guest_args=tuple(guest_args))
+                       config=config, guest_args=tuple(guest_args) or config.guest_args)
         if self.config.trace and not _trace.ENABLED:
             # Session-level tracing: record this job on a fresh recorder and
             # attach the snapshot to the result.  When a recorder is already
@@ -420,7 +400,7 @@ def _run_wasm_mode(
     nranks: int,
     preset: MachinePreset,
     ranks_per_node: Optional[int],
-    config: EmbedderConfig,
+    config: ResolvedConfig,
     guest_args: Tuple[str, ...],
 ) -> JobResult:
     """Run a guest under MPIWasm: one embedder per rank, shared warm store."""

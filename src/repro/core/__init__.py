@@ -1,9 +1,11 @@
 """MPIWasm -- the paper's core contribution.
 
-``repro.core`` contains the embedder: configuration, the per-instance ``Env``
-state, address and datatype translation, the ``env.MPI_*`` import
-implementations, the WASI wiring, the ``REPRO_*`` environment catalogue
-(:mod:`repro.core.envvars`), and the ``mpiwasm-run`` launcher CLI.
+``repro.core`` contains the embedder: its translation-cost model, the
+per-instance ``Env`` state, address and datatype translation, the
+``env.MPI_*`` import implementations, the WASI wiring, the ``REPRO_*``
+environment catalogue (:mod:`repro.core.envvars`), and the ``mpiwasm-run``
+launcher CLI.  The embedder's settings are a
+:class:`repro.api.config.ResolvedConfig`.
 
 The programmatic front door -- the only way a job runs -- is
 :class:`repro.api.Session`.
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 
 #: name -> submodule that defines it (resolved lazily on first access).
 _EXPORT_SOURCES = {
-    "EmbedderConfig": "config",
+    "OVERHEADS": "config",
     "TranslationOverheadModel": "config",
     "MPIWasm": "embedder",
     "GuestResult": "embedder",
@@ -38,7 +40,7 @@ _EXPORT_SOURCES = {
 __all__ = list(_EXPORT_SOURCES)
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.core.config import EmbedderConfig, TranslationOverheadModel  # noqa: F401
+    from repro.core.config import OVERHEADS, TranslationOverheadModel  # noqa: F401
     from repro.core.datatype_translation import (  # noqa: F401
         DatatypeTranslationError,
         DatatypeTranslator,

@@ -1,16 +1,14 @@
-"""Embedder configuration.
+"""The embedder's calibrated translation costs (the quantities Figure 6 measures).
 
-Collects every knob MPIWasm exposes: which compiler back-end to use, which
-directories to expose to the module (the ``-d`` flag of §3.4), where the
-AoT-compilation cache lives, how large the module's memory may grow, and the
-calibrated overhead parameters of the translation layers (the quantities
-Figure 6 measures).
+The embedder's settings -- back-end, pre-opened directories (the ``-d`` flag
+of §3.4), AoT-cache directory, memory and call-depth limits -- are fields of
+:class:`repro.api.config.ResolvedConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -62,34 +60,6 @@ class TranslationOverheadModel:
         )
 
 
-@dataclass
-class EmbedderConfig:
-    """Configuration of one MPIWasm embedder process."""
-
-    compiler_backend: str = "llvm"
-    #: Directories exposed to the module: (guest path, writable).
-    preopen_dirs: Tuple[Tuple[str, bool], ...] = (("/work", True),)
-    #: On-disk AoT cache directory (the paper's per-node cache, §3.3) that
-    #: the session's artifact store tiers over; ``None`` keeps artifacts in
-    #: the session's in-memory tier only.  Clear a directory cache with
-    #: ``FileSystemCache(path).clear()`` or by deleting the ``*.mpiwasm``
-    #: files.
-    cache_dir: Optional[str] = None
-    memory_pages: Optional[int] = None       # override the module's declared minimum
-    max_call_depth: int = 256
-    overheads: TranslationOverheadModel = field(default_factory=TranslationOverheadModel)
-    #: Arguments passed to the guest (argv[1:]).
-    guest_args: Tuple[str, ...] = ()
-    environ: Dict[str, str] = field(default_factory=dict)
-    validate: bool = True
-    #: Forced collective algorithms, {collective: algorithm} -- the
-    #: programmatic equivalent of the ``REPRO_COLL_ALGO`` environment knob
-    #: (and it wins over the environment, like MCA parameters beat env vars
-    #: in Open MPI).  Empty means: let the decision table pick per call.
-    collective_algorithms: Dict[str, str] = field(default_factory=dict)
-
-    def with_backend(self, backend: str) -> "EmbedderConfig":
-        """Copy of this configuration using a different compiler back-end."""
-        from dataclasses import replace
-
-        return replace(self, compiler_backend=backend)
+#: The embedder's translation costs: what ``Env.charge_overhead`` charges
+#: per MPI call and what the figure-scale experiment models add.
+OVERHEADS = TranslationOverheadModel()

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.api.config import ResolvedConfig
 from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, module_hash
-from repro.core.config import EmbedderConfig
 from repro.core.env import Env
 from repro.fault import checkpoint as _checkpoint
 from repro.core.guest_api import GuestAPI
@@ -62,7 +62,7 @@ class MPIWasm:
     the embedder never picks a store itself.
     """
 
-    def __init__(self, config: EmbedderConfig, cache: Union[InMemoryCache, FileSystemCache]):
+    def __init__(self, config: ResolvedConfig, cache: Union[InMemoryCache, FileSystemCache]):
         self.config = config
         self.cache = cache
         #: Tier that served the last compile (``"memory"``/``"fs"``; ``None``: compiled).
@@ -76,7 +76,7 @@ class MPIWasm:
             module = decode_module(wasm_bytes)
         if self.config.validate:
             validate_module(module)
-        backend = get_backend(self.config.compiler_backend)
+        backend = get_backend(self.config.backend)
         # Content-addressed key: module bytes + back-end + IR version, so an
         # IR format change transparently invalidates stale artifacts.
         key = module_hash(wasm_bytes, backend.name)
@@ -108,7 +108,6 @@ class MPIWasm:
             vfs.preopen(guest_path, read=True, write=writable)
         wasi_env = WasiEnvironment(
             args=["wasm-app", *list(guest_args or self.config.guest_args)],
-            environ=self.config.environ,
             vfs=vfs,
             clock=runtime.wtime,
         )

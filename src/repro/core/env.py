@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.config import EmbedderConfig, TranslationOverheadModel
+from repro.api.config import ResolvedConfig
+from repro.core.config import OVERHEADS
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import InvalidCommunicatorError, InvalidDatatypeError, InvalidOpError
@@ -66,7 +67,7 @@ class Env:
     """Global state of one embedder instance (one MPI rank running one module)."""
 
     runtime: MPIRuntime
-    config: EmbedderConfig
+    config: ResolvedConfig
     wasi: WasiEnvironment
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     comms: HandleTable = field(default_factory=lambda: HandleTable(abi.FIRST_USER_COMM))
@@ -126,8 +127,7 @@ class Env:
         Advances the rank's virtual clock, records the datatype translation
         sample for Figure 6, and returns the charged time in seconds.
         """
-        overheads: TranslationOverheadModel = self.config.overheads
-        cost = overheads.call_cost(n_datatype_args, datatype_name, message_bytes)
+        cost = OVERHEADS.call_cost(n_datatype_args, datatype_name, message_bytes)
         self.runtime.ctx.advance(cost)
         key = (name, datatype_name, n_datatype_args)
         sinks = self._overhead_sinks.get(key)
@@ -140,7 +140,7 @@ class Env:
                 self.metrics.series(series).add
                 for series in (*names, f"embedder.call_overhead.{name}"))
         if n_datatype_args:
-            per_type = overheads.datatype_cost(datatype_name, message_bytes)
+            per_type = OVERHEADS.datatype_cost(datatype_name, message_bytes)
             sinks[0](per_type)
             sinks[1](per_type)
         sinks[-1](cost)

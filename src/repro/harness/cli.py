@@ -48,9 +48,6 @@ from repro.harness.campaign import (
 from repro.harness.experiments import EXPERIMENT_DRIVERS
 from repro.harness.report import format_campaign_report, format_table
 
-#: Back-compat alias: the driver table used to live here.
-EXPERIMENTS = EXPERIMENT_DRIVERS
-
 
 def _print_summary(name: str, result) -> None:
     print(f"\n=== {name} ===")

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.registry import EXPERIMENTS, register_experiment
 from repro.api.session import current_session
 from repro.baselines.faasm import FaasmPlatform
-from repro.core.config import EmbedderConfig, TranslationOverheadModel
+from repro.core.config import OVERHEADS
 from repro.benchmarks_suite.custom_pingpong import (
     FIGURE6_DATATYPES,
     FIGURE6_MESSAGE_SIZES,
@@ -43,8 +43,6 @@ from repro.sim.network import CollectiveCostModel
 from repro.toolchain.linker import LinkerModel, PAPER_APPLICATIONS, table2_rows
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm.compilers import get_backend
-
-OVERHEADS = TranslationOverheadModel()
 
 #: Table 1 reports each back-end's fastest of this many compiles.
 _TABLE1_COMPILE_REPEATS = 3

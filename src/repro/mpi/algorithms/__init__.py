@@ -5,8 +5,9 @@ host MPI library: every collective has several interchangeable algorithms
 -- each a schedule builder (:mod:`repro.mpi.algorithms.schedule`) -- in a
 registry keyed by ``(collective, algorithm)``, and a
 size-based decision layer picks one per call -- overridable per job through
-:class:`repro.core.config.EmbedderConfig` or the ``REPRO_COLL_ALGO``
-environment knob (see :mod:`repro.mpi.algorithms.decision`).
+``collective_algorithms`` of :class:`repro.api.config.ResolvedConfig` (the
+``REPRO_COLL_ALGO`` environment knob, a config file or a keyword; see
+:mod:`repro.mpi.algorithms.decision`).
 
 Importing this package populates the registry with the bundled algorithms:
 

@@ -1,15 +1,17 @@
 """Opt-in sampled profiling hooks for the threaded-dispatch interpreter.
 
-The interpreter's dispatch loop (:mod:`repro.wasm.interpreter`) checks the
-module-level :data:`ACTIVE` slot once per function call; when it is
-``None`` (the default) the plain loop runs and profiling costs one
-attribute read per *call*, not per instruction.  When a profiler is
-installed the instrumented loop counts every ``sample_every``-th handler
-hit -- handler function names are the histogram keys, so fused
-superinstructions (``_h_get_get_bin``, ``_h_get_const_bin``, ...) show up
-as first-class rows, proving which fusions actually fire -- and tracks
-per-function call counts and self/total wall time via an enter/exit
-stack.
+The interpreter's one dispatch loop (:meth:`repro.wasm.interpreter.Interpreter._exec`)
+checks the module-level :data:`ACTIVE` slot once per function call; when it
+is ``None`` (the default) it runs the function's linked code and profiling
+costs one attribute read per *call*, not per instruction.  When a profiler
+is installed the loop runs :meth:`InterpreterProfiler.counted_code` instead:
+the same array with every handler slot a counting wrapper.  Each wrapper
+bumps the profiler's one ``dispatches`` counter, so the sampling keeps its
+phase across calls, and counts every ``sample_every``-th dispatch under its
+handler's name.  Handler function names are the histogram keys, so fused
+superinstructions (``_h_get_get_bin``, ``_h_get_const_bin``, ...) show up as
+first-class rows, proving which fusions actually fire.  Per-function call
+counts and self/total wall time come from an enter/exit stack.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ACTIVE",
@@ -26,7 +28,8 @@ __all__ = [
     "profiling",
 ]
 
-# Module-level fast path: ``interpreter._exec`` reads this once per call.
+# Module-level fast path: ``Interpreter._exec`` reads this once per call and,
+# when it is set, runs the profiler's counted copy of the function's code.
 ACTIVE: Optional["InterpreterProfiler"] = None
 
 
@@ -41,7 +44,7 @@ class InterpreterProfiler:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.sample_every = sample_every
-        # Exact dispatch count, maintained by the interpreter loop so the
+        # Exact dispatch count, bumped by every counting wrapper, so the
         # modulo sampling keeps its phase across function calls.
         self.dispatches = 0
         self.handler_hits: Counter = Counter()
@@ -54,6 +57,8 @@ class InterpreterProfiler:
         # profiled entry -- the input (together with the handler histogram)
         # for lowering.mine_superinstructions().
         self.ir_traces: Dict[str, List] = {}
+        # id(lowered function) -> (that function, its counted code).
+        self._counted: Dict[int, Tuple[object, List]] = {}
 
     # -------------------------------------------------- interpreter callbacks
 
@@ -65,6 +70,32 @@ class InterpreterProfiler:
         """Record a function's serial lowered ops (first profiled entry wins)."""
         if name not in self.ir_traces:
             self.ir_traces[name] = list(ops)
+
+    def counted_code(self, lowered, name: str, code: List) -> List:
+        """``code`` (``lowered``'s linked array) with counting handler slots.
+
+        Built on a function's first profiled call and kept on the profiler,
+        never in ``lowered.code``, so a shared or cached artifact never holds
+        a wrapper.
+        """
+        entry = self._counted.get(id(lowered))
+        if entry is None:
+            self.record_ir(name, lowered.ops)
+            entry = self._counted[id(lowered)] = (
+                lowered, [(self._counter(handler), imm) for handler, imm in code])
+        return entry[1]
+
+    def _counter(self, handler: Callable) -> Callable:
+        hits, stride, name = self.handler_hits, self.sample_every, handler.__name__
+
+        # Unlocked read-modify-write: the engine runs one rank at a time.
+        def counter(st, pc, imm):
+            self.dispatches = tick = self.dispatches + 1
+            if tick % stride == 0:
+                hits[name] += 1
+            return handler(st, pc, imm)
+
+        return counter
 
     def exit(self, name: str) -> None:
         frame = self._stack.pop()
@@ -138,6 +169,7 @@ class InterpreterProfiler:
         self.total_seconds.clear()
         self._stack.clear()
         self.ir_traces.clear()
+        self._counted.clear()
 
 
 def format_profile_report(profiler: InterpreterProfiler, top: int = 15) -> str:

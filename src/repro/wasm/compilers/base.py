@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import List, Optional, Type
 
 from repro.wasm.lowering import IR_VERSION
 from repro.wasm.module import Module
@@ -87,9 +87,6 @@ class CompilerBackend:
 
 
 from repro.api.registry import BACKENDS as _BACKENDS  # noqa: E402 - leaf module
-
-#: Live backing dict of the unified registry (kept for back-compat).
-_REGISTRY: Dict[str, CompilerBackend] = _BACKENDS.entries
 
 
 def register_backend(backend: CompilerBackend) -> CompilerBackend:

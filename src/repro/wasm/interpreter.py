@@ -1,13 +1,15 @@
 """Threaded-dispatch interpreter over the pre-resolved lowered IR.
 
 This is the execution core of the Singlepass back-end
-(:mod:`repro.wasm.compilers`), the one interpreting tier, and the home of the
-sampled profiler (:mod:`repro.obs.profile`).  Function bodies are lowered
-once by :mod:`repro.wasm.lowering` into a flat array of ``(handler,
-immediate)`` pairs -- handlers resolved to direct function references, branch
-targets pre-computed into jump offsets, adjacent instruction pairs fused into
-superinstructions -- and the dispatch loop below simply indexes the array and
-calls, with no per-step string comparisons or forward scans.
+(:mod:`repro.wasm.compilers`) and the one interpreting tier.  Function
+bodies are lowered once by :mod:`repro.wasm.lowering` into a flat array of
+``(handler, immediate)`` pairs -- handlers resolved to direct function
+references, branch targets pre-computed into jump offsets, adjacent
+instruction pairs fused into superinstructions -- and the one dispatch loop,
+:meth:`Interpreter._exec`, simply indexes the array and calls, with no
+per-step string comparisons or forward scans.  Under an active sampled
+profiler (:mod:`repro.obs.profile`) the same loop runs the profiler's copy of
+the array, whose handler slots count their dispatches.
 
 Singlepass executors lower lazily, on a function's first call (near-zero
 compile time); an executor can also be seeded with an eagerly lowered
@@ -119,6 +121,11 @@ class Interpreter(Executor):
         code = lowered.code
         if code is None:
             code = link(lowered)
+        prof = _profile.ACTIVE
+        if prof is not None:
+            name = lowered.name or f"func[{local_index}]"
+            code = prof.counted_code(lowered, name, code)
+            prof.enter(name)
 
         st = _State()
         st.instance = instance
@@ -131,43 +138,15 @@ class Interpreter(Executor):
         # Implicit function frame: branching to it jumps past the end.
         st.frames = [(False, lowered.nresults, 0, n)]
 
-        prof = _profile.ACTIVE
         pc = 0
-        if prof is None:
+        try:
             while pc < n:
                 op = code[pc]
                 pc = op[0](st, pc, op[1])
-        else:
-            pc = self._exec_profiled(prof, lowered, local_index, st, code, pc, n)
+        finally:
+            if prof is not None:
+                prof.exit(name)
 
         if lowered.nresults:
             return stack[len(stack) - lowered.nresults:]
         return []
-
-    def _exec_profiled(self, prof, lowered, local_index: int, st, code, pc: int, n: int) -> int:
-        """Instrumented twin of the hot dispatch loop.
-
-        Kept out of line so the common (unprofiled) path pays only one
-        ``_profile.ACTIVE`` load per function call.  Counts every
-        ``sample_every``-th dispatched handler by name and attributes
-        wall-clock self-time to this function (child-call time is subtracted
-        by the profiler's enter/exit stack).
-        """
-        name = lowered.name or f"func[{local_index}]"
-        stride = prof.sample_every
-        tick = prof.dispatches
-        prof.record_ir(name, lowered.ops)
-        prof.enter(name)
-        try:
-            hits = prof.handler_hits
-            while pc < n:
-                op = code[pc]
-                handler = op[0]
-                tick += 1
-                if tick % stride == 0:
-                    hits[handler.__name__] += 1
-                pc = handler(st, pc, op[1])
-        finally:
-            prof.dispatches = tick
-            prof.exit(name)
-        return pc

@@ -804,15 +804,6 @@ def _h_v128_not(st, pc, imm):
     return pc + 1
 
 
-@_op_handler("f64x2.sqrt")
-def _h_f64x2_sqrt(st, pc, imm):
-    # Legacy kind kept for handler-table compatibility; lowering now emits
-    # ("simd.un", "f64x2.sqrt") instead.
-    stack = st.stack
-    stack[-1] = _simd_unary("f64x2.sqrt", stack[-1])
-    return pc + 1
-
-
 @_op_handler("simd.bin")
 def _h_simd_bin(st, pc, imm):
     stack = st.stack

@@ -157,7 +157,7 @@ class Executor:
         """Apply embedder-level execution limits.
 
         The embedder calls this after :meth:`prepare` with the knobs from its
-        :class:`repro.core.config.EmbedderConfig`; back-ends ignore what they
+        :class:`repro.api.config.ResolvedConfig`; back-ends ignore what they
         do not support.
         """
 

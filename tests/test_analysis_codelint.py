@@ -226,6 +226,50 @@ def test_a_second_block_site_in_mpi_is_flagged():
     assert "one-block-site-in-mpi" in rules
 
 
+def test_a_second_dispatch_loop_in_wasm_is_flagged():
+    """Mutation test: the checked-in interpreter has one dispatch loop; an
+    instrumented twin of it (the shape of the profiler's deleted loop) is a
+    second one."""
+    from pathlib import Path
+
+    import repro.wasm.interpreter as interpreter
+
+    source = Path(interpreter.__file__).read_text()
+    relpath = "src/repro/wasm/interpreter.py"
+    _, rules = _rules(source, relpath)
+    assert "one-dispatch-loop" not in rules
+    twin = textwrap.indent(textwrap.dedent("""
+
+        def _exec_twin(self, prof, st, code, pc, n):
+            tick = prof.dispatches
+            while pc < n:
+                op = code[pc]
+                handler = op[0]
+                tick += 1
+                pc = handler(st, pc, op[1])
+            prof.dispatches = tick
+            return pc
+    """), "    ")
+    report, rules = _rules(source.rstrip("\n") + "\n" + twin, relpath)
+    assert "one-dispatch-loop" in rules
+    [finding] = [f for f in report.errors if f.rule == "one-dispatch-loop"]
+    assert finding.details["baseline_key"] == (
+        "one-dispatch-loop::src/repro/wasm/interpreter.py::Interpreter._exec_twin")
+    # A directly indexed call is the same loop; outside the Wasm package the
+    # shape is no business of the rule, and the allowed name is no excuse in
+    # another file of it.
+    loop = """
+        class Interpreter:
+            def _exec(self, st, code, pc, n):
+                while pc < n:
+                    pc = code[pc][0](st, pc, code[pc][1])
+    """
+    _, rules = _rules(loop, "src/repro/sim/engine.py")
+    assert "one-dispatch-loop" not in rules
+    _, rules = _rules(loop, "src/repro/wasm/compilers/llvm.py")
+    assert "one-dispatch-loop" in rules
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

@@ -110,15 +110,18 @@ def test_replaced_keeps_base_and_marks_kwargs():
     assert base.provenance["nranks"] == "default"
 
 
-def test_embedder_config_materialisation():
-    config = ResolvedConfig.resolve(
-        backend="singlepass", cache_dir=None, max_call_depth=64,
-        collective_algorithms={"allreduce": "ring"}, guest_args=["x"],
-    )
-    embedder = config.embedder_config()
-    assert embedder.compiler_backend == "singlepass"
-    assert embedder.cache_dir is None
-    assert embedder.max_call_depth == 64
-    assert embedder.collective_algorithms == {"allreduce": "ring"}
-    assert embedder.guest_args == ("x",)
-    assert config.embedder_config(compiler_backend="llvm").compiler_backend == "llvm"
+def test_preopen_dirs_come_from_a_file_or_a_kwarg(tmp_path):
+    """Pre-opened directories are a deployment setting: a config file or a
+    kwarg sets them, and no environment variable does."""
+    from repro.api.config import FIELDS
+
+    assert ResolvedConfig.resolve(config_file=None).preopen_dirs == (("/work", True),)
+    path = tmp_path / "dirs.json"
+    path.write_text(json.dumps({"preopen_dirs": [["/results", True], ["/reference", False]]}))
+    config = ResolvedConfig.resolve(config_file=path)
+    assert config.preopen_dirs == (("/results", True), ("/reference", False))
+    assert config.provenance["preopen_dirs"] == f"file:{path}"
+    updated = config.replaced(preopen_dirs=[("/scratch", 1)])
+    assert updated.preopen_dirs == (("/scratch", True),)
+    assert updated.provenance["preopen_dirs"] == "kwarg"
+    assert [f.env for f in FIELDS if f.name == "preopen_dirs"] == [None]

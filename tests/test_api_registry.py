@@ -166,7 +166,7 @@ def test_third_party_mode_receives_run_request():
         from repro.api import JobResult
         from repro.sim.metrics import MetricsRegistry
 
-        seen.update(nranks=nranks, machine=preset.name, backend=config.compiler_backend)
+        seen.update(nranks=nranks, machine=preset.name, backend=config.backend)
         return JobResult(nranks=nranks, machine=preset.name, mode="echo",
                          rank_results=[0] * nranks, makespan=0.0,
                          metrics=MetricsRegistry(), stdout="")
@@ -187,7 +187,7 @@ def test_every_mode_runner_accepts_the_same_request():
 
     with Session(machine="graviton2", backend="cranelift") as session:
         request = dict(nranks=2, preset=resolve_machine("graviton2"), ranks_per_node=None,
-                       config=session.config.embedder_config(), guest_args=())
+                       config=session.config, guest_args=())
         for mode, runner in MODES.items():
             job = runner(session, "pingpong", **request)
             assert isinstance(job, JobResult) and job.mode == mode

@@ -13,7 +13,6 @@ from repro.benchmarks_suite.imb import ROUTINES, make_imb_program, make_imb_suit
 from repro.benchmarks_suite.ior import make_ior_program
 from repro.benchmarks_suite.npb import make_dt_program, make_is_program
 from repro.api import run
-from repro.core import EmbedderConfig
 
 SIZES = (16, 1024)
 
@@ -68,8 +67,7 @@ def test_registry_contains_all_benchmarks():
 
 def test_hpcg_converges_and_reports_metrics_wasm_vs_native():
     program = make_hpcg_program(dims=(8, 4, 4), iterations=5)
-    wasm = run(program, 2, machine="graviton2",
-               config=EmbedderConfig(compiler_backend="llvm"))
+    wasm = run(program, 2, machine="graviton2", backend="llvm")
     native = run(program, 2, machine="graviton2", mode="native")
     for job in (wasm, native):
         result = job.return_values()[0]

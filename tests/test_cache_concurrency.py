@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.core.config import EmbedderConfig
+from repro.api.config import ResolvedConfig
 from repro.core.embedder import MPIWasm
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import compile_guest
@@ -61,7 +61,7 @@ def _compile_worker(cache_dir: str, barrier, queue) -> None:
 def _embedder_worker(cache_dir: str, barrier, queue) -> None:
     """Same race through the embedder's public compile path."""
     app = _app()
-    embedder = MPIWasm(EmbedderConfig(compiler_backend="cranelift"), FileSystemCache(cache_dir))
+    embedder = MPIWasm(ResolvedConfig(backend="cranelift"), FileSystemCache(cache_dir))
     barrier.wait()
     compiled = embedder.compile_application(app)
     queue.put({"tier": embedder.last_cache_tier, "function_count": compiled.function_count})

@@ -8,7 +8,7 @@ Covers:
   and communicator sizes, including non-power-of-two rank counts,
 * the size-based decision table and forced overrides,
 * the ``REPRO_COLL_ALGO`` environment knob end-to-end
-  (guest -> embedder -> dispatcher), and the ``EmbedderConfig`` override.
+  (guest -> embedder -> dispatcher), and the per-run ``algorithms=`` override.
 
 The reduction equivalence cases use order-insensitive (op, dtype) pairs --
 integer SUM/XOR and floating-point MAX -- because, exactly as in real MPI
@@ -347,13 +347,12 @@ def test_malformed_env_knob_fails_loudly(monkeypatch):
 
 
 def test_config_override_forces_algorithm(monkeypatch):
-    from repro.core.config import EmbedderConfig
     from repro.api import run
 
-    # The config override must beat the environment knob.
+    # The per-run override must beat the environment knob.
     monkeypatch.setenv(ENV_KNOB, "bcast:binomial")
-    config = EmbedderConfig(collective_algorithms={"bcast": "scatter_allgather"})
-    job = run(_bcast_guest(), 2, machine="graviton2", config=config)
+    job = run(_bcast_guest(), 2, machine="graviton2",
+              algorithms={"bcast": "scatter_allgather"})
     summary = job.metrics.collective_summary()
     assert summary["bcast"]["algorithms"] == {"scatter_allgather": 2}
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import run
+from repro.api import ResolvedConfig, run
 from repro.core import (
     AddressTranslator,
     DatatypeTranslator,
-    EmbedderConfig,
     Env,
     GuestResult,
     HandleTable,
@@ -126,7 +125,7 @@ def test_handle_table_register_lookup_release():
 
 def test_compilation_cache_hits_on_identical_module():
     cache = InMemoryCache()
-    config = EmbedderConfig(compiler_backend="cranelift")
+    config = ResolvedConfig(backend="cranelift")
     program = GuestProgram(name="cached", main=lambda api, args: 0)
     app = compile_guest(program)
     embedder = MPIWasm(config, cache=cache)
@@ -174,8 +173,7 @@ def _two_rank_guest(body):
         return result
 
     program.main = main
-    return run(program, 2, machine="graviton2",
-               config=EmbedderConfig(compiler_backend="cranelift"))
+    return run(program, 2, machine="graviton2", backend="cranelift")
 
 
 def test_guest_send_recv_with_status_and_get_count():
@@ -344,3 +342,21 @@ def test_guest_exit_code_via_proc_exit():
     job = run(program, 1, machine="graviton2")
     assert job.exit_codes() == [3]
     assert "bye" in job.stdout
+
+
+def test_session_settings_reach_the_guest_in_every_mode():
+    """``preopen_dirs`` and ``guest_args`` set on the session are what the
+    guest sees; a per-run ``guest_args`` beats the session's."""
+    from repro.api import Session
+
+    def main(api, args):
+        env = getattr(api, "env", None)       # the native API has no embedder Env
+        dirs = None if env is None else [p.guest_path for p in env.wasi.vfs.preopens()]
+        return list(args), dirs
+
+    program = GuestProgram(name="settings-probe", main=main)
+    with Session(preopen_dirs=(("/results", True),), guest_args=("a",),
+                 machine="graviton2") as session:
+        assert session.run(program, 1).return_values() == [(["a"], ["/results"])]
+        assert session.run(program, 1, guest_args=["b"]).return_values() == [(["b"], ["/results"])]
+        assert session.run(program, 1, mode="native").return_values() == [(["a"], None)]

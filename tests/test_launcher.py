@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.api import run
-from repro.core.config import EmbedderConfig
 from repro.core.embedder import GuestResult
 from repro.core.launcher import JobResult
 from repro.sim.engine import RankFailedError

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, run
-from repro.core import EmbedderConfig, MPIWasm
+from repro.api import ResolvedConfig, Session, run
+from repro.core import MPIWasm
 from repro.harness.report import format_cache_report
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import compile_guest
@@ -198,8 +198,7 @@ def test_filesystem_cache_rejects_stale_ir_artifacts(tmp_path):
 def test_second_identical_compile_does_zero_work(tmp_path):
     """Acceptance: a cache hit skips lowering/codegen entirely."""
     app = compile_guest(GuestProgram(name="zero-work", main=lambda api, args: 0))
-    config = EmbedderConfig(compiler_backend="llvm", cache_dir=str(tmp_path))
-    embedder = MPIWasm(config, FileSystemCache(tmp_path))
+    embedder = MPIWasm(ResolvedConfig(backend="llvm"), FileSystemCache(tmp_path))
     first = embedder.compile_module(app.wasm_bytes, app.module)
     assert embedder.last_cache_tier is None and first.compile_seconds > 0
     second = embedder.compile_module(app.wasm_bytes, app.module)
@@ -211,9 +210,8 @@ def test_second_identical_compile_does_zero_work(tmp_path):
 def test_cache_dir_env_knob(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "aot"))
     with Session() as session:
-        config = session.config.embedder_config()
-        assert config.cache_dir == str(tmp_path / "aot")
-        assert isinstance(session.artifact_cache(config).disk, FileSystemCache)
+        assert session.config.cache_dir == str(tmp_path / "aot")
+        assert isinstance(session.artifact_cache(session.config).disk, FileSystemCache)
     monkeypatch.delenv("REPRO_CACHE_DIR")
     assert Session().config.cache_dir is None
 
@@ -231,8 +229,7 @@ def test_cache_counters_surface_in_metrics_and_report(tmp_path):
     # this independent of what other tests may already have warmed.
     with Session() as session:
         job = session.run(program, 2, machine="graviton2",
-                          config=EmbedderConfig(compiler_backend="cranelift",
-                                                cache_dir=str(tmp_path)))
+                          backend="cranelift", cache_dir=str(tmp_path))
     summary = job.metrics.cache_summary()
     # Rank 0 compiles (miss), rank 1 hits the shared in-process cache.
     assert summary["misses"] >= 1 and summary["hits"] >= 1
@@ -245,9 +242,9 @@ def test_cache_counters_surface_in_metrics_and_report(tmp_path):
 # -------------------------------------------------- executor interface wiring
 
 
-def test_embedder_configures_executor_call_depth():
+def test_embedder_applies_call_depth_to_executor():
     app = compile_guest(GuestProgram(name="depth-test", main=lambda api, args: 0))
-    config = EmbedderConfig(compiler_backend="cranelift", max_call_depth=64)
+    config = ResolvedConfig(backend="cranelift", max_call_depth=64)
     embedder = MPIWasm(config, InMemoryCache())
     compiled = embedder.compile_module(app.wasm_bytes, app.module)
     executor = compiled.make_executor()

@@ -380,3 +380,39 @@ def test_profile_cli_numbers_are_pinned_on_hpcg(capsys, stride):
         == _HPCG_HANDLER_HITS[stride]
     assert report["sampled_dispatches"] == sum(_HPCG_HANDLER_HITS[stride].values())
     assert {row["name"]: row["calls"] for row in report["functions"]} == _HPCG_CALLS
+
+
+def _nested_call_guest():
+    """``outer(a) = inner(inner(a))`` with ``inner(a) = (a + 1) * 3``."""
+    from repro.wasm import ModuleBuilder, validate_module
+
+    mb = ModuleBuilder(name="nested-calls")
+    inner = mb.function("inner", params=[("a", "i32")], results=["i32"])
+    inner.get("a").i32_const(1).emit("i32.add").i32_const(3).emit("i32.mul")
+    outer = mb.function("outer", params=[("a", "i32")], results=["i32"], export=True)
+    outer.get("a").call("inner").call("inner")
+    module = mb.build()
+    validate_module(module)
+    return module
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_profiler_counts_every_dispatch_across_wasm_calls(stride):
+    from repro.wasm import ImportObject, Instance
+    from repro.wasm.interpreter import Interpreter
+    from repro.wasm.lowering import _HANDLERS, lower_module
+
+    module = _nested_call_guest()
+    lowered = lower_module(module)
+    with profiling(sample_every=stride) as profiler:
+        instance = Instance(module, ImportObject(), executor=Interpreter(lowered=lowered))
+        assert instance.invoke("outer", 5) == [57]
+    assert profiler.calls == {"inner": 2, "outer": 1}
+    assert profiler.dispatches == 9
+    assert sum(profiler.handler_hits.values()) == profiler.dispatches // stride
+    # The counting wrappers live on the profiler: the lowered functions keep
+    # their plain handlers.
+    plain = set(_HANDLERS.values())
+    for function in lowered:
+        assert function.code is not None
+        assert {handler for handler, _imm in function.code} <= plain
