@@ -43,6 +43,16 @@ the linter exists so those regressions stay fixed:
   once had a hand-copied twin of the dispatch loop whose stale local counter
   overwrote a callee's dispatches; profiling now swaps the code array the one
   loop runs, and a second loop would drift from it again.
+* ``one-guest-binding`` -- a call of an ``MPIRuntime`` MPI entry point
+  (point-to-point, completion, communicator and lifecycle calls, every
+  collective and its ``i`` form) on a ``runtime`` outside ``mpi/`` and
+  ``core/mpi_imports.py``.  Native mode once had a guest binding of its own
+  that called the runtime directly, and wherever its translation differed
+  from the embedder's -- a negative count killed the job instead of
+  returning ``MPI_ERR_COUNT`` -- the wasm-vs-native gap measured that
+  difference instead of the embedder.  Both modes now call the
+  ``env.MPI_*`` host functions; a second binding would drift from them
+  again.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -97,6 +107,20 @@ _MPI_BLOCK_SITE = ("mpi/pt2pt.py", "MatchingEngine.block_for_any")
 _WASM_DIR = "/wasm/"
 _DISPATCH_LOOP = ("wasm/interpreter.py", "Interpreter._exec")
 
+#: ``one-guest-binding``: the ``MPIRuntime`` entry points a guest binding
+#: would call (the clock queries ``wtime``/``wtick`` are not bindings), the
+#: receivers that name a runtime, and the one binding outside ``mpi/``.
+_COLLECTIVES = ("barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
+                "allgather", "alltoall")
+_RUNTIME_ENTRY_POINTS = frozenset((
+    "init", "finalize", "abort", "send", "recv", "sendrecv", "isend", "irecv",
+    "wait", "waitall", "waitany", "test", "testall", "iprobe",
+    "comm_rank", "comm_size", "comm_split", "comm_dup", "comm_free",
+    *_COLLECTIVES, *("i" + name for name in _COLLECTIVES),
+))
+_RUNTIME_RECEIVERS = ("runtime", "MPIRuntime")
+_GUEST_BINDING = "core/mpi_imports.py"
+
 
 def _qualname_stack(stack: Sequence[ast.AST]) -> str:
     names = [
@@ -119,6 +143,14 @@ def _call_name(node: ast.Call) -> str:
     return ".".join(reversed(parts))
 
 
+def _receiver_name(node: ast.AST) -> str:
+    """Last identifier of a call's receiver (``runtime`` for
+    ``self.env.runtime``), or ``""``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
 class _FileLinter(ast.NodeVisitor):
     """One file's lint pass; accumulates findings with baseline keys."""
 
@@ -130,6 +162,7 @@ class _FileLinter(ast.NodeVisitor):
         )
         self.mpi_module = _MPI_DIR in f"/{relpath}"
         self.wasm_module = _WASM_DIR in f"/{relpath}"
+        self.may_bind_guests = self.mpi_module or relpath.endswith(_GUEST_BINDING)
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
         self._if_enabled_depth = 0             # inside an ENABLED-guarded if
@@ -317,6 +350,15 @@ class _FileLinter(ast.NodeVisitor):
                 "one-block-site-in-mpi", node,
                 ".block() outside MatchingEngine.block_for_any is a second "
                 "wait: wait through MPIRuntime._wait_until instead",
+            )
+        if (not self.may_bind_guests and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _RUNTIME_ENTRY_POINTS
+                and _receiver_name(node.func.value) in _RUNTIME_RECEIVERS):
+            self._report(
+                "one-guest-binding", node,
+                f"runtime.{node.func.attr}() outside the embedder's imports is "
+                "a second guest binding: call the env.MPI_* host function "
+                "(GuestAPI._call) instead",
             )
         if ".RECORDER." in f".{name}." and self._if_enabled_depth == 0:
             self._report(

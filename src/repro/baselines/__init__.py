@@ -1,6 +1,5 @@
-"""Baselines: native execution and the Faasm platform model."""
+"""Baselines: native execution (``mode="native"``) and the Faasm platform model."""
 
 from repro.baselines.faasm import FaabricMessageBus, FaasmConfig, FaasmPlatform
-from repro.baselines.native import NativeAPI
 
-__all__ = ["NativeAPI", "FaasmPlatform", "FaasmConfig", "FaabricMessageBus"]
+__all__ = ["FaasmPlatform", "FaasmConfig", "FaabricMessageBus"]

@@ -1,8 +1,8 @@
 """Guest benchmark suites used by the paper's evaluation.
 
 Intel MPI Benchmarks, NPB IS and DT, IOR, HPCG and the custom
-datatype-translation PingPong, all written against the GuestAPI/NativeAPI
-interface so one implementation serves both the Wasm and native series.
+datatype-translation PingPong, all written against the one GuestAPI, which
+serves both the Wasm and the native series.
 """
 
 from repro.benchmarks_suite import registry

@@ -18,7 +18,7 @@ rate model so figure-scale GFLOP/s numbers have the right magnitude.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def make_hpcg_program(
         x = np.zeros(n_local)
 
         # Guest-side vectors for the Wasm kernels (dot products of r and p).
-        wasm_kernels = use_wasm_kernels and hasattr(api, "call_kernel") and hasattr(api, "env")
+        wasm_kernels = use_wasm_kernels and not api.native
         if wasm_kernels:
             r_ptr, r_view = api.alloc_array(n_local, abi.MPI_DOUBLE)
             p_ptr, p_view = api.alloc_array(n_local, abi.MPI_DOUBLE)

@@ -7,8 +7,9 @@ iterations per size, and reports the average/min/max iteration time in
 microseconds exactly like the original benchmark's ``t_avg``/``t_min``/
 ``t_max`` columns.
 
-The guests are written against the GuestAPI/NativeAPI interface so the same
-code produces both the "Native" and the "WASM" series of Figures 3 and 4.
+The guests are written against the GuestAPI, which both execution modes
+hand them, so the same code produces both the "Native" and the "WASM" series
+of Figures 3 and 4.
 Like the original IMB, the collectives run on a duplicated communicator
 (``MPI_Comm_dup``) -- the feature the paper points out Faasm lacks.
 """

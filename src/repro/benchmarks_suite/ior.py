@@ -16,11 +16,10 @@ of the real measurement while the code path exercised is the WASI one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.toolchain import mpi_header as abi
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.linker import PAPER_APPLICATIONS
 from repro.sim.filesystem import ParallelFileSystemModel
@@ -58,20 +57,14 @@ def make_ior_program(
         api.barrier()
         t0 = api.wtime()
         written = 0
-        if hasattr(api, "env"):  # Wasm path: real WASI file I/O
-            vfs = api.env.wasi.vfs
-            dirfd = vfs.preopen_fd(0)
-            fd = vfs.path_open(dirfd, f"ior-rank{rank}.dat", create=True, truncate=True,
-                               read=True, write=True)
-            for offset in range(0, functional_bytes, transfer_size):
-                chunk = payload[offset : offset + transfer_size].tobytes()
-                written += vfs.fd_write(fd, chunk)
-            vfs.fd_seek(fd, 0, 0)
-        else:  # native path: an in-memory file stand-in
-            api._ior_file = bytearray()  # noqa: SLF001 - benchmark-local scratch
-            for offset in range(0, functional_bytes, transfer_size):
-                api._ior_file.extend(payload[offset : offset + transfer_size].tobytes())
-                written += transfer_size
+        vfs = api.env.wasi.vfs
+        dirfd = vfs.preopen_fd(0)
+        fd = vfs.path_open(dirfd, f"ior-rank{rank}.dat", create=True, truncate=True,
+                           read=True, write=True)
+        for offset in range(0, functional_bytes, transfer_size):
+            chunk = payload[offset : offset + transfer_size].tobytes()
+            written += vfs.fd_write(fd, chunk)
+        vfs.fd_seek(fd, 0, 0)
         api.compute(fs.transfer_time(block_size, size, nnodes, write=True, extra_overhead_per_byte=extra))
         api.barrier()
         write_elapsed = max(api.wtime() - t0, 1e-9)
@@ -79,15 +72,12 @@ def make_ior_program(
         # --- read phase ------------------------------------------------------
         t1 = api.wtime()
         read_back = bytearray()
-        if hasattr(api, "env"):
-            while True:
-                chunk = vfs.fd_read(fd, transfer_size)
-                if not chunk:
-                    break
-                read_back.extend(chunk)
-            vfs.fd_close(fd)
-        else:
-            read_back = bytearray(api._ior_file)
+        while True:
+            chunk = vfs.fd_read(fd, transfer_size)
+            if not chunk:
+                break
+            read_back.extend(chunk)
+        vfs.fd_close(fd)
         api.compute(fs.transfer_time(block_size, size, nnodes, write=False, extra_overhead_per_byte=extra))
         api.barrier()
         read_elapsed = max(api.wtime() - t1, 1e-9)

@@ -14,9 +14,8 @@ shared object is shared between processes in the paper's implementation.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Union
 
 from repro.api.config import ResolvedConfig
 from repro.wasm.compilers.cache import FileSystemCache, InMemoryCache, module_hash
@@ -32,7 +31,7 @@ from repro.wasi.snapshot_preview1 import WasiEnvironment, build_wasi_imports
 from repro.wasi.vfs import VirtualFilesystem
 from repro.wasm.compilers import CompiledModule, get_backend
 from repro.wasm.decoder import decode_module
-from repro.wasm.errors import ExitTrap, Trap
+from repro.wasm.errors import ExitTrap
 from repro.wasm.module import Module
 from repro.wasm.runtime import ImportObject, Instance
 from repro.wasm.validation import validate_module
@@ -52,6 +51,26 @@ class GuestResult:
     metrics: MetricsRegistry
     compile_seconds: float
     cache_hit: bool
+
+
+def make_env(config: ResolvedConfig, runtime: MPIRuntime, guest_args: Sequence[str] = (),
+             **fields) -> Env:
+    """One rank's :class:`Env` and its WASI environment, in either mode.
+
+    The WASI environment gets the configuration's pre-opened directories,
+    the guest's arguments and the rank's ``MPI_Wtime`` clock; ``fields`` are
+    further :class:`Env` fields (native mode: the job's metrics registry and
+    ``translation_costs=False``).
+    """
+    vfs = VirtualFilesystem()
+    for guest_path, writable in config.preopen_dirs:
+        vfs.preopen(guest_path, read=True, write=writable)
+    wasi = WasiEnvironment(
+        args=["wasm-app", *list(guest_args or config.guest_args)],
+        vfs=vfs,
+        clock=runtime.wtime,
+    )
+    return Env(runtime=runtime, wasi=wasi, **fields)
 
 
 class MPIWasm:
@@ -103,17 +122,10 @@ class MPIWasm:
         guest_args: Sequence[str] = (),
     ) -> tuple:
         """Instantiate a compiled module for one rank; returns (instance, env, api)."""
-        vfs = VirtualFilesystem()
-        for guest_path, writable in self.config.preopen_dirs:
-            vfs.preopen(guest_path, read=True, write=writable)
-        wasi_env = WasiEnvironment(
-            args=["wasm-app", *list(guest_args or self.config.guest_args)],
-            vfs=vfs,
-            clock=runtime.wtime,
-        )
+        env = make_env(self.config, runtime, guest_args)
         imports = ImportObject()
         register_mpi_imports(imports)
-        wasi_imports = build_wasi_imports(wasi_env)
+        wasi_imports = build_wasi_imports(env.wasi)
         for ns in wasi_imports.namespaces():
             imports.register_module(ns, wasi_imports._functions[ns])  # noqa: SLF001
 
@@ -125,7 +137,6 @@ class MPIWasm:
             executor=executor,
             memory_pages_override=self.config.memory_pages,
         )
-        env = Env(runtime=runtime, config=self.config, wasi=wasi_env)
         instance.host_state[Env.HOST_STATE_KEY] = env
         instance.run_start()
         if _checkpoint.CAPTURE is not None:

@@ -11,16 +11,14 @@ environment, and the instrumentation that the datatype-translation experiment
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from repro.api.config import ResolvedConfig
 from repro.core.config import OVERHEADS
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import InvalidCommunicatorError, InvalidDatatypeError, InvalidOpError
 from repro.mpi.ops import Op
 from repro.mpi.runtime import MPIRuntime
-from repro.mpi.status import Request
 from repro.sim.metrics import MetricsRegistry
 from repro.toolchain import mpi_header as abi
 from repro.wasi.snapshot_preview1 import WasiEnvironment
@@ -67,7 +65,6 @@ class Env:
     """Global state of one embedder instance (one MPI rank running one module)."""
 
     runtime: MPIRuntime
-    config: ResolvedConfig
     wasi: WasiEnvironment
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     comms: HandleTable = field(default_factory=lambda: HandleTable(abi.FIRST_USER_COMM))
@@ -75,6 +72,10 @@ class Env:
     #: Number of MPI calls the module has made (per function name).
     call_counts: Dict[str, int] = field(default_factory=dict)
     finalized: bool = False
+    #: Whether :meth:`charge_overhead` charges and records the translation
+    #: costs: off in native mode, where the guest calls the host functions
+    #: directly instead of through the Wasm import.
+    translation_costs: bool = True
     #: (import name, datatype name, datatype args) -> the ``add`` of each
     #: metric series :meth:`charge_overhead` records into, resolved on first use.
     _overhead_sinks: Dict[Tuple[str, str, int], Tuple[Callable[[float], None], ...]] = field(
@@ -125,8 +126,11 @@ class Env:
         """Charge the embedder's translation overhead for one MPI call.
 
         Advances the rank's virtual clock, records the datatype translation
-        sample for Figure 6, and returns the charged time in seconds.
+        sample for Figure 6, and returns the charged time in seconds (none,
+        and nothing recorded, with ``translation_costs`` off).
         """
+        if not self.translation_costs:
+            return 0.0
         cost = OVERHEADS.call_cost(n_datatype_args, datatype_name, message_bytes)
         self.runtime.ctx.advance(cost)
         key = (name, datatype_name, n_datatype_args)

@@ -19,33 +19,32 @@ The one (documented) substitution is that the guest's own compute statements
 run as Python instead of Wasm bytecode; compute *kernels* that matter for the
 experiments (HPCG, Table 1) are provided as real Wasm functions through
 ``GuestProgram.build_kernels`` and invoked with :meth:`call_kernel`.
+
+The same class is the guest interface of native mode (the paper's "Native"
+series): there the "instance" is a :class:`HostHeap` and ``_call`` runs the
+``env.MPI_*`` host functions directly, with the ``Env``'s translation costs
+off, so the only difference between the two modes is the embedder's Wasm
+call and translation overhead.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.env import Env
 from repro.core.memory_translation import write_handle_array
+from repro.core.mpi_imports import MPI_HOST_FUNCTIONS
 from repro.mpi.algorithms.registry import CONTRACTS
 from repro.toolchain import mpi_header as abi
+from repro.toolchain.guest import GuestProgram
+from repro.toolchain.wasicc import HEAP_BASE
+from repro.wasm.errors import LinkError
+from repro.wasm.memory import PAGE_SIZE, LinearMemory
 from repro.wasm.runtime import Instance
-
-#: Map guest datatype handles to NumPy dtypes (for the ndarray helpers).
-_NP_DTYPES: Dict[int, str] = {
-    abi.MPI_BYTE: "uint8",
-    abi.MPI_CHAR: "int8",
-    abi.MPI_INT: "int32",
-    abi.MPI_UNSIGNED: "uint32",
-    abi.MPI_LONG: "int64",
-    abi.MPI_LONG_LONG: "int64",
-    abi.MPI_FLOAT: "float32",
-    abi.MPI_DOUBLE: "float64",
-}
+from repro.wasm.types import Limits, MemoryType
 
 
 def _entry_points(call, nbc_call, collective: str, define):
@@ -54,7 +53,7 @@ def _entry_points(call, nbc_call, collective: str, define):
     ``define(call, name)`` returns the method: the collective's guest-side
     signature, whose arguments it hands to ``call`` in the import's order.
     It is instantiated with ``GuestAPI._call`` and ``MPI_<C>`` (returns the
-    error code), and with ``GuestAPI._nbc_call`` and ``MPI_I<c>`` (the same
+    error code), and with ``GuestAPI._call_out`` and ``MPI_I<c>`` (the same
     arguments plus a request slot; returns the guest request handle).
     """
     blocking_name, nonblocking_name = CONTRACTS[collective].mpi_names
@@ -65,31 +64,69 @@ def _entry_points(call, nbc_call, collective: str, define):
     return blocking, nonblocking
 
 
-class GuestAPI:
-    """What a guest program can touch: its memory, MPI and WASI."""
+class HostHeap:
+    """Native mode's stand-in for a Wasm instance: no module, no Wasm code.
 
-    def __init__(self, instance: Instance, env: Env):
+    It holds a linear memory sized like the guest program's and a host-side
+    copy of wasicc's bump allocator (the heap starts at ``HEAP_BASE``, every
+    allocation is 8-byte aligned, memory grows on demand, ``free`` does
+    nothing), and offers what the ``env.MPI_*`` host functions use of an
+    instance -- ``exported_memory()``, ``host_state``, ``has_export`` and
+    ``invoke("malloc"|"free")`` -- so they, ``AddressTranslator`` and the
+    status write-back run unchanged.
+    """
+
+    def __init__(self, program: GuestProgram, env: Env):
+        self.memory = LinearMemory(MemoryType(Limits(program.memory_pages,
+                                                     program.max_memory_pages)))
+        self.host_state: Dict[str, object] = {Env.HOST_STATE_KEY: env}
+        self._top = HEAP_BASE
+
+    def exported_memory(self) -> LinearMemory:
+        """The heap's linear memory."""
+        return self.memory
+
+    def has_export(self, name: str) -> bool:
+        """Only the allocator pair is "exported"."""
+        return name in ("malloc", "free")
+
+    def invoke(self, export_name: str, *args) -> List:
+        """``malloc``/``free``; any other name raises :class:`LinkError`."""
+        if export_name == "malloc":
+            return [self._malloc(int(args[0]))]
+        if export_name == "free":
+            return []
+        raise LinkError(f"native mode runs no Wasm: no function {export_name!r} to call")
+
+    def _malloc(self, nbytes: int) -> int:
+        ptr = (self._top + 7) & ~7
+        self._top = ptr + nbytes
+        if self._top > self.memory.size:
+            # Like the Wasm allocator, a failed grow goes unnoticed here and
+            # traps at the first access past the end.
+            self.memory.grow(-(-(self._top - self.memory.size) // PAGE_SIZE))
+        return ptr
+
+
+class GuestAPI:
+    """What a guest program can touch: its memory, MPI and WASI.
+
+    ``instance`` is the rank's Wasm instance, or a :class:`HostHeap` in
+    native mode.  :attr:`native` tells the two apart for guests whose code
+    differs between the modes: a native guest has no Wasm kernels to call.
+    """
+
+    def __init__(self, instance: Union[Instance, HostHeap], env: Env):
         self.instance = instance
         self.env = env
-        self._import_index: Dict[str, int] = {}
-        for i, imp in enumerate(instance.module.imported_functions()):
-            self._import_index[f"{imp.module}.{imp.name}"] = i
+        #: ``True`` in native mode: MPI calls skip the Wasm import and its
+        #: translation costs, and :meth:`call_kernel` raises.
+        self.native = isinstance(instance, HostHeap)
+        self._import_index: Dict[str, int] = {} if self.native else {
+            f"{imp.module}.{imp.name}": i
+            for i, imp in enumerate(instance.module.imported_functions())}
         self._scratch_status = self.malloc(abi.STATUS_SIZE_BYTES)
         self._scratch_i32 = self.malloc(16)
-
-    # re-exported ABI constants for guest convenience
-    MPI_COMM_WORLD = abi.MPI_COMM_WORLD
-    MPI_ANY_SOURCE = abi.MPI_ANY_SOURCE
-    MPI_ANY_TAG = abi.MPI_ANY_TAG
-    MPI_SUM = abi.MPI_SUM
-    MPI_MAX = abi.MPI_MAX
-    MPI_MIN = abi.MPI_MIN
-    MPI_BYTE = abi.MPI_BYTE
-    MPI_CHAR = abi.MPI_CHAR
-    MPI_INT = abi.MPI_INT
-    MPI_LONG = abi.MPI_LONG
-    MPI_FLOAT = abi.MPI_FLOAT
-    MPI_DOUBLE = abi.MPI_DOUBLE
 
     # ------------------------------------------------------------------ memory
 
@@ -107,11 +144,12 @@ class GuestAPI:
         return self.instance.exported_memory().view(guest_ptr, nbytes)
 
     def ndarray(self, guest_ptr: int, count: int, guest_datatype: int) -> np.ndarray:
-        """Zero-copy NumPy view of ``count`` elements of a guest datatype."""
-        dtype = _NP_DTYPES.get(guest_datatype)
-        if dtype is None:
+        """Zero-copy NumPy view of ``count`` elements of a guest datatype
+        (one whose NumPy dtype has its size: not ``MPI_LONG_DOUBLE``)."""
+        datatype = abi.HOST_DATATYPES.get(guest_datatype)
+        if datatype is None or datatype.numpy().itemsize != datatype.size:
             raise KeyError(f"no NumPy dtype for guest datatype handle {guest_datatype}")
-        return self.instance.exported_memory().ndarray(guest_ptr, count, dtype)
+        return self.instance.exported_memory().ndarray(guest_ptr, count, datatype.numpy())
 
     def alloc_array(self, count: int, guest_datatype: int, fill: Optional[float] = None) -> Tuple[int, np.ndarray]:
         """Allocate and view an array; returns (guest pointer, NumPy view)."""
@@ -135,11 +173,19 @@ class GuestAPI:
     # --------------------------------------------------------------------- MPI
 
     def _call(self, name: str, *args) -> int:
+        if self.native:
+            return MPI_HOST_FUNCTIONS[name](self.instance, *args)
         index = self._import_index.get(f"env.{name}")
         if index is None:
             raise KeyError(f"module does not import env.{name}")
         results = self.instance.call_function(index, list(args))
         return results[0] if results else 0
+
+    def _call_out(self, name: str, *args, signed: bool = False) -> int:
+        """Call an import whose last parameter is an ``int *`` it writes; returns
+        that value (for ``MPI_I<c>``: the guest request handle)."""
+        self._call(name, *args, self._scratch_i32)
+        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4, signed=signed))
 
     def mpi_init(self) -> int:
         """``MPI_Init(NULL, NULL)``."""
@@ -151,19 +197,15 @@ class GuestAPI:
 
     def rank(self, comm: int = abi.MPI_COMM_WORLD) -> int:
         """``MPI_Comm_rank``."""
-        self._call("MPI_Comm_rank", comm, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4, signed=True))
+        return self._call_out("MPI_Comm_rank", comm, signed=True)
 
     def size(self, comm: int = abi.MPI_COMM_WORLD) -> int:
         """``MPI_Comm_size``."""
-        self._call("MPI_Comm_size", comm, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4, signed=True))
+        return self._call_out("MPI_Comm_size", comm, signed=True)
 
     def wtime(self) -> float:
         """``MPI_Wtime`` (simulated seconds)."""
-        index = self._import_index["env.MPI_Wtime"]
-        [t] = self.instance.call_function(index, [])
-        return float(t)
+        return float(self._call("MPI_Wtime"))
 
     def send(self, buf: int, count: int, datatype: int, dest: int, tag: int,
              comm: int = abi.MPI_COMM_WORLD) -> int:
@@ -187,14 +229,12 @@ class GuestAPI:
     def isend(self, buf: int, count: int, datatype: int, dest: int, tag: int,
               comm: int = abi.MPI_COMM_WORLD) -> int:
         """``MPI_Isend``; returns the guest request handle."""
-        self._call("MPI_Isend", buf, count, datatype, dest, tag, comm, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4))
+        return self._call_out("MPI_Isend", buf, count, datatype, dest, tag, comm)
 
     def irecv(self, buf: int, count: int, datatype: int, source: int, tag: int,
               comm: int = abi.MPI_COMM_WORLD) -> int:
         """``MPI_Irecv``; returns the guest request handle."""
-        self._call("MPI_Irecv", buf, count, datatype, source, tag, comm, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4))
+        return self._call_out("MPI_Irecv", buf, count, datatype, source, tag, comm)
 
     def wait(self, request_handle: int) -> Dict[str, int]:
         """``MPI_Wait`` on a guest request handle."""
@@ -261,11 +301,6 @@ class GuestAPI:
         self.free(arr_ptr)
         return flag, statuses
 
-    def _nbc_call(self, name: str, *args) -> int:
-        """Issue a non-blocking collective import; returns the request handle."""
-        self._call(name, *args, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4))
-
     # One definition per collective: its guest-side signature, which is also
     # the argument order of the import (see ``_entry_points``).
 
@@ -307,7 +342,7 @@ class GuestAPI:
                         comm)
         return blocks
 
-    _pair = functools.partial(_entry_points, _call, _nbc_call)
+    _pair = functools.partial(_entry_points, _call, _call_out)
     barrier, ibarrier = _pair("barrier", _define_barrier)
     bcast, ibcast = _pair("bcast", _define_bcast)
     reduce, ireduce = _pair("reduce", _define_reduce)
@@ -319,18 +354,15 @@ class GuestAPI:
 
     def comm_split(self, comm: int, color: int, key: int) -> int:
         """``MPI_Comm_split``; returns the new guest communicator handle."""
-        self._call("MPI_Comm_split", comm, color & 0xFFFFFFFF, key, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4, signed=True))
+        return self._call_out("MPI_Comm_split", comm, color & 0xFFFFFFFF, key, signed=True)
 
     def comm_dup(self, comm: int) -> int:
         """``MPI_Comm_dup``; returns the new guest communicator handle."""
-        self._call("MPI_Comm_dup", comm, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4, signed=True))
+        return self._call_out("MPI_Comm_dup", comm, signed=True)
 
     def alloc_mem(self, nbytes: int) -> int:
         """``MPI_Alloc_mem`` (routed through the module's exported malloc)."""
-        self._call("MPI_Alloc_mem", nbytes, abi.MPI_INFO_NULL, self._scratch_i32)
-        return int(self.instance.exported_memory().load_int(self._scratch_i32, 4))
+        return self._call_out("MPI_Alloc_mem", nbytes, abi.MPI_INFO_NULL)
 
     def free_mem(self, guest_ptr: int) -> int:
         """``MPI_Free_mem``."""
@@ -349,7 +381,8 @@ class GuestAPI:
     # ------------------------------------------------------------ Wasm kernels
 
     def call_kernel(self, export_name: str, *args) -> List:
-        """Invoke a Wasm-defined kernel function exported by the module."""
+        """Invoke a Wasm-defined kernel function exported by the module
+        (native mode has none: :class:`HostHeap` raises ``LinkError``)."""
         return self.instance.invoke(export_name, *args)
 
     # --------------------------------------------------------------- simulation
@@ -384,6 +417,7 @@ class GuestAPI:
         """Record one communication/computation overlap sample (0..1).
 
         The IMB-NBC style benchmark calls this per iteration; samples land in
-        this instance's metrics and are merged into the job's registry.
+        the ``Env``'s metrics: the rank's, merged into the job's registry
+        after the run, or in native mode the job's registry itself.
         """
         self.env.metrics.record_nbc_overlap(collective, overlap)

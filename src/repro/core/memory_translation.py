@@ -16,8 +16,6 @@ embedder memory.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.wasm.errors import MemoryOutOfBoundsTrap
@@ -47,10 +45,6 @@ class AddressTranslator:
         """Zero-copy NumPy view of ``count`` elements at ``guest_ptr``."""
         return self.memory.ndarray(guest_ptr, count, dtype)
 
-    def copy_guest_range(self, dst_ptr: int, src_ptr: int, nbytes: int) -> None:
-        """Bulk guest-to-guest copy with ``memmove`` overlap semantics."""
-        self.memory.copy_within(dst_ptr, src_ptr, nbytes)
-
     # -------------------------------------------------------------- from host
 
     def from_host(self, view: memoryview) -> int:
@@ -73,10 +67,6 @@ class AddressTranslator:
         return int(offset)
 
     # ------------------------------------------------------------------ checks
-
-    def check_range(self, guest_ptr: int, nbytes: int) -> None:
-        """Bounds-check a guest range without materialising a view."""
-        self.memory._check(guest_ptr, nbytes)  # noqa: SLF001 - deliberate reuse
 
     def is_zero_copy(self, guest_ptr: int, nbytes: int) -> bool:
         """Verify that :meth:`to_host` aliases the module memory (no copy).

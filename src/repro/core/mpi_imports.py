@@ -17,6 +17,12 @@ this module registers a host function that
 ``MPI_Alloc_mem``/``MPI_Free_mem`` are the exception described in §3.7: they
 are implemented by calling the module's own exported ``malloc``/``free`` so
 the returned address lies inside the module's 32-bit address space.
+
+The host functions use only ``exported_memory()``, ``host_state``,
+``has_export`` and ``invoke("malloc"|"free")`` of the instance they are
+handed, so native mode runs them over a
+:class:`repro.core.guest_api.HostHeap` instead, with the ``Env``'s
+translation costs off.
 """
 
 from __future__ import annotations
@@ -625,12 +631,13 @@ def _build_host_functions() -> Dict[str, HostFunction]:
     return functions
 
 
-#: Every ``env.MPI_*`` import, built once at import time: the implementations
-#: take the calling instance as their first argument and close over nothing
-#: per rank, so all ranks share them.
-_MPI_HOST_FUNCTIONS = _build_host_functions()
+#: Every ``env.MPI_*`` import by name, built once at import time: the
+#: implementations take the calling instance as their first argument and
+#: close over nothing per rank, so all ranks -- and native mode's
+#: ``GuestAPI``, which calls them directly -- share them.
+MPI_HOST_FUNCTIONS = _build_host_functions()
 
 
 def register_mpi_imports(imports: ImportObject) -> None:
     """Register all ``env.MPI_*`` host functions on an import object."""
-    imports.register_module(ENV_NAMESPACE, _MPI_HOST_FUNCTIONS)
+    imports.register_module(ENV_NAMESPACE, MPI_HOST_FUNCTIONS)

@@ -270,6 +270,50 @@ def test_a_second_dispatch_loop_in_wasm_is_flagged():
     assert "one-dispatch-loop" in rules
 
 
+def test_a_second_guest_binding_is_flagged():
+    """Mutation test: the checked-in native mode reaches the runtime only
+    through the embedder's host functions; a guest method that calls it
+    directly (the shape of the deleted ``NativeAPI.send``) is a second
+    binding."""
+    from pathlib import Path
+
+    import repro.baselines.native as native
+    from repro.analysis import codelint
+    from repro.mpi.algorithms.registry import COLLECTIVES
+
+    source = Path(native.__file__).read_text()
+    relpath = "src/repro/baselines/native.py"
+    _, rules = _rules(source, relpath)
+    assert "one-guest-binding" not in rules
+    mutant = source + textwrap.dedent("""
+
+        class NativeAPI:
+            def send(self, buf, count, datatype, dest, tag, comm=0):
+                self.runtime.send(self._buffer(buf, count), count, datatype, dest, tag,
+                                  self._comm(comm))
+                return 0
+    """)
+    report, rules = _rules(mutant, relpath)
+    [finding] = [f for f in report.errors if f.rule == "one-guest-binding"]
+    assert finding.details["baseline_key"] == (
+        "one-guest-binding::src/repro/baselines/native.py::NativeAPI.send")
+    # Every collective and its i form is an entry point; the MPI package and
+    # the embedder's imports may call them, and a clock query is no binding.
+    assert {*COLLECTIVES, *("i" + c for c in COLLECTIVES)} <= codelint._RUNTIME_ENTRY_POINTS
+    call = """
+        def post(env):
+            return env.runtime.ialltoall(1, 2, 3)
+    """
+    assert "one-guest-binding" in _rules(call, "src/repro/core/guest_api.py")[1]
+    assert "one-guest-binding" not in _rules(call, "src/repro/core/mpi_imports.py")[1]
+    assert "one-guest-binding" not in _rules(call, "src/repro/mpi/runtime.py")[1]
+    clock = """
+        def tick(runtime):
+            runtime.ctx.advance(runtime.wtick())
+    """
+    assert "one-guest-binding" not in _rules(clock, "src/repro/fault/recover.py")[1]
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

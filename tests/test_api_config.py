@@ -102,11 +102,13 @@ def test_memory_pages_outside_the_wasm32_range_fail_at_resolve(tmp_path, monkeyp
 
 def test_replaced_keeps_base_and_marks_kwargs():
     base = ResolvedConfig.resolve(backend="cranelift")
-    updated = base.replaced(nranks=2)
-    assert updated.backend == "cranelift" and updated.nranks == 2
+    nranks, provenance = base.nranks, dict(base.provenance)
+    updated = base.replaced(nranks=nranks + 1)
+    assert updated.backend == "cranelift" and updated.nranks == nranks + 1
     assert updated.provenance["backend"] == "kwarg"      # inherited from base
     assert updated.provenance["nranks"] == "kwarg"
-    assert base.nranks != 2 or base.nranks == 2  # base unchanged (frozen)
+    # The base is unchanged: its value and its provenance.
+    assert base.nranks == nranks and base.provenance == provenance
     assert base.provenance["nranks"] == "default"
 
 

@@ -371,8 +371,10 @@ def test_native_run_honours_forced_algorithms():
 def test_algosweep_restores_job_level_force():
     """The sweep guest must hand back any REPRO_COLL_ALGO/config force it
     temporarily overrode, not clear it."""
-    from repro.baselines.native import NativeAPI
+    from repro.api.config import ResolvedConfig
     from repro.benchmarks_suite.imb import make_imb_algorithm_sweep_program
+    from repro.core.embedder import make_env
+    from repro.core.guest_api import GuestAPI, HostHeap
 
     preset = graviton2()
     nranks = 3
@@ -382,9 +384,13 @@ def test_algosweep_restores_job_level_force():
     world.collectives.force("allreduce", "ring")
     program = make_imb_algorithm_sweep_program("allreduce", message_sizes=(64,), iterations=1)
 
+    config = ResolvedConfig.resolve(config_file=None)
+
     def make(rank):
         def rank_main(ctx):
-            return program.main(NativeAPI(MPIRuntime(world, ctx)), [])
+            env = make_env(config, MPIRuntime(world, ctx), metrics=world.metrics,
+                           translation_costs=False)
+            return program.main(GuestAPI(HostHeap(program, env), env), [])
 
         return rank_main
 

@@ -2,8 +2,8 @@
 
 A collective is one row of ``registry.CONTRACTS`` plus its registered
 builders; everything else -- the runtime's ``MPI_<C>``/``MPI_I<c>`` entry
-points, the guest ABI rows, the embedder imports, the guest-side and native
-APIs -- is derived from that row and must exist, agree and stay within it.
+points, the guest ABI rows, the embedder imports, the guest API (one class
+for both execution modes) -- is derived from that row and must exist, agree and stay within it.
 Each provider is run through the same minimal contract here instead of being
 spot-checked per layer.
 """
@@ -14,7 +14,6 @@ import inspect
 
 import pytest
 
-from repro.baselines.native import NativeAPI
 from repro.core.guest_api import GuestAPI
 from repro.core.mpi_imports import build_mpi_imports
 from repro.mpi.algorithms import registry
@@ -60,12 +59,11 @@ def test_every_abi_row_is_declared_in_the_header_and_implemented_by_the_embedder
 
 @pytest.mark.parametrize("collective", CATALOG)
 def test_guest_and_native_api_expose_the_same_methods(collective):
-    """The benchmark code is shared between the Wasm and the native path, so
-    the two APIs must take the same arguments under the same names."""
+    """Both modes run the benchmark code against the one ``GuestAPI``, whose
+    ``MPI_<C>`` and ``MPI_I<c>`` take the same arguments under the same
+    names, one per parameter of the import either mode calls."""
     blocking = _parameters(getattr(GuestAPI, collective))
-    assert blocking == _parameters(getattr(NativeAPI, collective))
-    for api in (GuestAPI, NativeAPI):
-        assert _parameters(getattr(api, "i" + collective)) == blocking
+    assert _parameters(getattr(GuestAPI, "i" + collective)) == blocking
     # One guest argument per parameter of the import.
     params, _results = abi.MPI_SIGNATURES[registry.CONTRACTS[collective].mpi_names[0]]
     assert len(blocking) - 1 == len(params)

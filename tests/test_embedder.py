@@ -350,13 +350,11 @@ def test_session_settings_reach_the_guest_in_every_mode():
     from repro.api import Session
 
     def main(api, args):
-        env = getattr(api, "env", None)       # the native API has no embedder Env
-        dirs = None if env is None else [p.guest_path for p in env.wasi.vfs.preopens()]
-        return list(args), dirs
+        return list(args), [p.guest_path for p in api.env.wasi.vfs.preopens()]
 
     program = GuestProgram(name="settings-probe", main=main)
     with Session(preopen_dirs=(("/results", True),), guest_args=("a",),
                  machine="graviton2") as session:
         assert session.run(program, 1).return_values() == [(["a"], ["/results"])]
         assert session.run(program, 1, guest_args=["b"]).return_values() == [(["b"], ["/results"])]
-        assert session.run(program, 1, mode="native").return_values() == [(["a"], None)]
+        assert session.run(program, 1, mode="native").return_values() == [(["a"], ["/results"])]

@@ -1,4 +1,4 @@
-"""Golden outputs of every registered benchmark in both execution modes.
+"""One guest API, two execution modes.
 
 Each ``BENCHMARKS`` entry runs at 2 and 4 ranks in ``mode="native"`` and in
 ``mode="wasm"``; the makespan, the per-rank exit codes and the per-rank values
@@ -8,6 +8,10 @@ native number names a place where the two modes' bindings of the guest API
 differ, and a moved wasm number a change to the embedder's translation.  A
 deliberate change regenerates the file with ``pytest tests/test_guest_modes.py
 --update-golden``.
+
+Both modes run the guest against the same ``GuestAPI`` and the same
+``env.MPI_*`` host functions, so a guest sees the same stdout and the same
+error codes in each; native mode compiles nothing and executes no Wasm.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ import pytest
 
 from repro.api import Session
 from repro.api.registry import BENCHMARKS
+from repro.mpi import errors
+from repro.toolchain import mpi_header as abi
+from repro.toolchain.guest import GuestProgram
+from repro.wasm.errors import LinkError
 
 GOLDEN = Path(__file__).parent / "golden" / "guest_modes.json"
 
@@ -62,3 +70,64 @@ def test_benchmark_output_is_golden_in_both_modes(name, session, request):
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         return
     assert json.loads(GOLDEN.read_text())[name] == measured
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_job_stdout_is_rank_zeros_output(mode, session):
+    def main(api, args):
+        api.mpi_init()
+        api.print("hello from %d" % api.rank())
+        api.mpi_finalize()
+        return 0
+
+    job = session.run(GuestProgram(name="hello", main=main), 2, mode=mode)
+    assert job.stdout == "hello from 0\n"
+
+
+#: A handle no datatype and no communicator has.
+UNKNOWN_HANDLE = 999
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bad_calls_return_the_same_error_code_in_both_modes(mode, session):
+    def main(api, args):
+        api.mpi_init()
+        send, _ = api.alloc_array(4, abi.MPI_DOUBLE, fill=1.0)
+        recv, values = api.alloc_array(4, abi.MPI_DOUBLE)
+        codes = [
+            api.allreduce(send, recv, -1, abi.MPI_DOUBLE, abi.MPI_SUM),
+            api.allreduce(send, recv, 4, UNKNOWN_HANDLE, abi.MPI_SUM),
+            api.allreduce(send, recv, 4, abi.MPI_DOUBLE, abi.MPI_SUM, UNKNOWN_HANDLE),
+            api.allreduce(send, recv, 4, abi.MPI_DOUBLE, abi.MPI_SUM),
+        ]
+        api.mpi_finalize()
+        return codes, values.tolist()
+
+    job = session.run(GuestProgram(name="bad-calls", main=main), 2, mode=mode)
+    for codes, values in job.return_values():
+        assert codes == [errors.MPI_ERR_COUNT, errors.MPI_ERR_TYPE, errors.MPI_ERR_COMM,
+                         errors.MPI_SUCCESS]
+        assert values == [2.0] * 4
+
+
+def test_native_mode_compiles_nothing_and_runs_no_wasm():
+    def main(api, args):
+        api.mpi_init()
+        try:
+            api.call_kernel("hpcg_ddot", 0, 0, 0)
+        except LinkError:
+            raised = True
+        else:
+            raised = False
+        api.mpi_finalize()
+        return raised
+
+    with Session(backend="cranelift") as session:
+        job = session.run(GuestProgram(name="kernel-call", main=main), 2, mode="native")
+        nbc = session.run("iallreduce", 2, mode="native")
+        assert session.cache_summary()["hits"] == session.cache_summary()["misses"] == 0
+    assert job.return_values() == [True, True]
+    snapshot = nbc.metrics.snapshot()
+    assert snapshot["series"] and snapshot["counters"]
+    assert not [name for kind in snapshot.values() for name in kind
+                if name.startswith("embedder.")]
