@@ -3,9 +3,9 @@
 A collective is one row of ``registry.CONTRACTS`` plus its registered
 builders; everything else -- the runtime's ``MPI_<C>``/``MPI_I<c>`` entry
 points, the guest ABI rows, the embedder imports, the guest API (one class
-for both execution modes) -- is derived from that row and must exist, agree and stay within it.
-Each provider is run through the same minimal contract here instead of being
-spot-checked per layer.
+for both execution modes) -- is derived from that row and must exist, agree
+and stay within it.  Each provider is run through the same minimal
+contract here instead of being spot-checked per layer.
 """
 
 from __future__ import annotations
