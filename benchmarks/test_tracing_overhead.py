@@ -1,9 +1,9 @@
 """Overhead gate for the observability subsystem (repro.obs).
 
 The tracing and profiling hooks are designed to be near-zero-cost when
-disabled: call sites check a module-level flag *before* building event
-arguments, and the interpreter's dispatch loop pays one ``_profile.ACTIVE``
-load per function call, not per instruction.  This benchmark enforces that
+disabled: call sites test the job's hook against ``None`` *before* building
+event arguments, and the interpreter's dispatch loop pays one
+``instance.profiler`` load per function call, not per instruction.  This benchmark enforces that
 claim against the recorded perf trajectory: with tracing disabled (the
 default), the interpreter (the Singlepass executor; Cranelift and LLVM run
 generated code with no dispatch loop) must retire at least 97% of the
@@ -34,9 +34,8 @@ from benchmarks.test_interpreter_throughput import (
     INSTRS_PER_ITERATION,
     build_hot_loop_module,
 )
-from repro.obs import profile as profile_mod
-from repro.obs import trace as trace_mod
 from repro.obs import profiling
+from repro.obs.hooks import NO_HOOKS, current_hooks
 from repro.wasm import ImportObject, Instance
 from repro.wasm.compilers import get_backend
 
@@ -95,9 +94,9 @@ def _paired_ratio(module, target=None):
 
 
 def test_observability_hooks_are_disabled_by_default():
-    assert trace_mod.ENABLED is False
-    assert trace_mod.RECORDER is None
-    assert profile_mod.ACTIVE is None
+    assert current_hooks() == NO_HOOKS
+    assert current_hooks().tracer is None
+    assert current_hooks().profiler is None
 
 
 def test_tracing_disabled_throughput_within_3pct_of_floor():
@@ -108,7 +107,7 @@ def test_tracing_disabled_throughput_within_3pct_of_floor():
     stored_singlepass = floors["backends"]["singlepass"]["instructions_per_second"]
     stored_ratio = stored_singlepass / stored_baseline
 
-    assert trace_mod.ENABLED is False                # the gated configuration
+    assert current_hooks().tracer is None            # the gated configuration
     module = build_hot_loop_module()
     floor_ratio = stored_ratio * (1 - MAX_REGRESSION)
     ratio, singlepass_ips = _paired_ratio(module, target=floor_ratio)
@@ -129,10 +128,11 @@ def test_tracing_disabled_throughput_within_3pct_of_floor():
 
 
 def test_profiled_execution_stays_correct():
-    """The instrumented twin of the dispatch loop computes the same result."""
-    instance = _interpreter_instance(build_hot_loop_module())
-    [plain] = instance.invoke("hot", 500)
+    """The counted code array computes the same result as the plain one."""
+    module = build_hot_loop_module()
+    [plain] = _interpreter_instance(module).invoke("hot", 500)
     with profiling() as profiler:
+        instance = _interpreter_instance(module)      # profiled from its creation
         [profiled] = instance.invoke("hot", 500)
     assert profiled == plain
     assert profiler.dispatches > 0

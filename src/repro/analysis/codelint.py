@@ -22,10 +22,16 @@ the linter exists so those regressions stay fixed:
 * ``no-mutable-default-args`` -- the classic shared-state trap.
 * ``no-bare-except`` -- swallows ``KeyboardInterrupt``/``SystemExit``; name
   an exception type (``Exception`` at the broadest).
-* ``obs-fastpath-discipline`` -- calls on the trace ``RECORDER`` must sit
-  under an ``ENABLED`` guard so the disabled-tracing fast path never
-  constructs trace arguments (the PR 6 overhead contract: BENCH gates assume
-  a sub-1% disabled-path cost).
+* ``obs-fastpath-discipline`` -- a call on a job hook (``tracer``,
+  ``faults``, ``capture``, ``profiler``; ``_``-prefixed too) outside a
+  ``hook is not None`` or truthiness guard on that hook, unless the function
+  holds it (``with ... as hook``, a non-``Optional`` parameter): a hook that
+  is off is ``None``, and the disabled path must build no event arguments
+  (BENCH gates assume a sub-1% disabled-path cost).
+* ``no-module-hooks`` -- a ``global`` statement under ``repro/`` but in the
+  two process-wide warm sessions (``_GLOBAL_SITES``).  Tracing, profiling,
+  fault plans and checkpoint capture were module globals, so one job's hook
+  applied to every job in the process; job state travels with the job.
 * ``no-direct-pt2pt-in-algorithms`` -- a ``.send(``/``.recv(`` call inside
   ``mpi/algorithms/`` anywhere but ``schedule.py``.  PR 13 made the schedule
   the only implementation of a collective; an algorithm that talks to the
@@ -121,6 +127,17 @@ _RUNTIME_ENTRY_POINTS = frozenset((
 _RUNTIME_RECEIVERS = ("runtime", "MPIRuntime")
 _GUEST_BINDING = "core/mpi_imports.py"
 
+#: ``obs-fastpath-discipline``: the receiver names of a job's hooks.
+_HOOK_NAMES = ("tracer", "faults", "capture", "profiler")
+
+#: ``no-module-hooks``: the package it covers, and the (file suffix,
+#: function) pairs that may hold a ``global`` statement.
+_REPRO_DIR = "/repro/"
+_GLOBAL_SITES = (
+    ("api/session.py", "default_session"),
+    ("harness/campaign.py", "_init_worker_session"),
+)
+
 
 def _qualname_stack(stack: Sequence[ast.AST]) -> str:
     names = [
@@ -151,6 +168,36 @@ def _receiver_name(node: ast.AST) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+def _is_hook(node: ast.AST) -> bool:
+    """Whether ``node`` names a job hook (``tracer``, ``self._faults``, ...)."""
+    name = node.arg if isinstance(node, ast.arg) else _receiver_name(node)
+    return name.lstrip("_") in _HOOK_NAMES
+
+
+def _hook_guards(test: ast.AST) -> List[str]:
+    """The hooks a condition proves present: ``hook is not None`` or a bare
+    ``hook``, alone or as operands of ``and``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return [guard for value in test.values for guard in _hook_guards(value)]
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.IsNot) and ast.unparse(test.comparators[0]) == "None"):
+        test = test.left
+    return [ast.unparse(test)] if _is_hook(test) else []
+
+
+def _held_hooks(func: ast.AST) -> List[str]:
+    """Hooks a function holds for certain: bound by ``with ... as hook`` or
+    taken as a parameter whose annotation does not admit ``None``."""
+    held = [arg.arg for arg in func.args.args + func.args.kwonlyargs
+            if arg.annotation is not None and _is_hook(arg)
+            and not any(word in ast.unparse(arg.annotation) for word in ("Optional", "None"))]
+    for sub in ast.walk(func):
+        if isinstance(sub, (ast.With, ast.AsyncWith)):
+            held += [ast.unparse(item.optional_vars) for item in sub.items
+                     if item.optional_vars is not None and _is_hook(item.optional_vars)]
+    return held
+
+
 class _FileLinter(ast.NodeVisitor):
     """One file's lint pass; accumulates findings with baseline keys."""
 
@@ -165,7 +212,7 @@ class _FileLinter(ast.NodeVisitor):
         self.may_bind_guests = self.mpi_module or relpath.endswith(_GUEST_BINDING)
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
-        self._if_enabled_depth = 0             # inside an ENABLED-guarded if
+        self._guarded: List[str] = []          # hooks proven present here
         self._while_depth = 0                  # inside a while loop
 
     # ------------------------------------------------------------- reporting
@@ -202,14 +249,18 @@ class _FileLinter(ast.NodeVisitor):
                 return False
         return False
 
-    def _may_read_env(self) -> bool:
-        """Whether this spot is one of ``_ENV_READER_CALLERS``."""
+    def _at_site(self, sites) -> bool:
+        """Whether this spot is one of ``sites``: (file suffix, enclosing
+        function or ``None`` for the whole file) pairs."""
         enclosing = {n.name for n in self._stack
                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
         return any(
             self.relpath.endswith(suffix) and (function is None or function in enclosing)
-            for suffix, function in _ENV_READER_CALLERS
+            for suffix, function in sites
         )
+
+    def _may_read_env(self) -> bool:
+        return self._at_site(_ENV_READER_CALLERS)
 
     def _visit_def(self, node) -> None:
         args = node.args
@@ -230,7 +281,9 @@ class _FileLinter(ast.NodeVisitor):
                 )
                 self._stack.pop()
         self._stack.append(node)
-        self.generic_visit(node)
+        for child in (*node.decorator_list, node.args, *([node.returns] if node.returns else [])):
+            self.visit(child)
+        self._visit_guarded(_held_hooks(node), node.body)
         self._stack.pop()
 
     visit_FunctionDef = _visit_def
@@ -250,26 +303,24 @@ class _FileLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    @staticmethod
-    def _mentions_enabled(test: ast.AST) -> bool:
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Name) and sub.id == "ENABLED":
-                return True
-            if isinstance(sub, ast.Attribute) and sub.attr == "ENABLED":
-                return True
-        return False
+    def _visit_guarded(self, guards: List[str], body) -> None:
+        self._guarded.extend(guards)
+        for child in body if isinstance(body, list) else [body]:
+            self.visit(child)
+        del self._guarded[len(self._guarded) - len(guards):]
 
     def visit_If(self, node: ast.If) -> None:
-        guarded = self._mentions_enabled(node.test)
         self.visit(node.test)
-        if guarded:
-            self._if_enabled_depth += 1
-        for child in node.body:
-            self.visit(child)
-        if guarded:
-            self._if_enabled_depth -= 1
+        self._visit_guarded(_hook_guards(node.test), node.body)
         for child in node.orelse:
             self.visit(child)
+
+    def visit_Global(self, node: ast.Global) -> None:
+        if _REPRO_DIR in f"/{self.relpath}" and not self._at_site(_GLOBAL_SITES):
+            self._report("no-module-hooks", node,
+                         f"global {', '.join(node.names)}: process-wide state applies "
+                         "to every job; hand it down with the job (repro.obs.hooks)")
+        self.generic_visit(node)
 
     def visit_While(self, node: ast.While) -> None:
         self._while_depth += 1
@@ -360,12 +411,11 @@ class _FileLinter(ast.NodeVisitor):
                 "a second guest binding: call the env.MPI_* host function "
                 "(GuestAPI._call) instead",
             )
-        if ".RECORDER." in f".{name}." and self._if_enabled_depth == 0:
-            self._report(
-                "obs-fastpath-discipline", node,
-                "RECORDER call without an ENABLED guard in scope: the "
-                "disabled-tracing fast path must not construct trace args",
-            )
+        if (isinstance(node.func, ast.Attribute) and _is_hook(node.func.value)
+                and ast.unparse(node.func.value) not in self._guarded):
+            self._report("obs-fastpath-discipline", node,
+                         f"{ast.unparse(node.func.value)}.{node.func.attr}() without "
+                         "a guard on that hook: a hook that is off is None")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:

@@ -438,15 +438,6 @@ def verify_function(fn: LoweredFunction, index: int = 0,
     return report
 
 
-def verify_functions(functions: Sequence[LoweredFunction],
-                     report: Optional[Report] = None, loc: str = "") -> Report:
-    """Verify every lowered function of a module."""
-    report = report if report is not None else Report()
-    for index, fn in enumerate(functions):
-        verify_function(fn, index, report, loc)
-    return report
-
-
 def verify_fusion_table(table: Any, report: Optional[Report] = None,
                         loc: str = "fusion_table") -> Report:
     """Validate a mined fusion table (the ``fusion_table`` payload entry)."""

@@ -44,7 +44,9 @@ export Perfetto-loadable timelines, and :func:`profiling` /
 ``docs/API.md`` (regenerate with ``python -m repro.api.docgen``) documents
 every name.  Version 2.0 removed the pre-session entry points (the one-shot
 launcher functions, self-configuring embedders, the cache façade module):
-:class:`Session` is the only way a job runs.
+:class:`Session` is the only way a job runs.  Version 3.0 removed
+``enable_tracing``/``disable_tracing``: tracing is a per-job hook, switched
+on by :func:`tracing` around a job or ``Session(trace=True)``.
 
 Attribute access is lazy (PEP 562) so that low-level modules may import
 ``repro.api.registry`` without dragging the whole execution stack in.
@@ -55,7 +57,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 #: Version of the public API contract (bumped on breaking surface changes).
-API_VERSION = "2.0"
+API_VERSION = "3.0"
 
 #: name -> submodule that defines it (resolved lazily on first access).
 _EXPORT_SOURCES = {
@@ -85,8 +87,6 @@ _EXPORT_SOURCES = {
     # Observability (repro.obs): absolute module paths, resolved the same way.
     "TraceRecorder": "repro.obs",
     "tracing": "repro.obs",
-    "enable_tracing": "repro.obs",
-    "disable_tracing": "repro.obs",
     "to_chrome_trace": "repro.obs",
     "merge_traces": "repro.obs",
     "write_chrome_trace": "repro.obs",
@@ -132,8 +132,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.obs import (  # noqa: F401
         InterpreterProfiler,
         TraceRecorder,
-        disable_tracing,
-        enable_tracing,
         format_profile_report,
         merge_traces,
         profiling,

@@ -28,6 +28,7 @@ and register themselves, never the other way round.
 from __future__ import annotations
 
 import importlib
+import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 _MISSING = object()
@@ -60,25 +61,31 @@ class Registry:
         self._populate_modules = tuple(populate)
         self._populated = not self._populate_modules
         self._populating = False
+        self._populate_lock = threading.RLock()
         self.entries: Dict[str, Any] = {}
 
     # ----------------------------------------------------------- population
 
     def _ensure_populated(self) -> None:
-        if self._populated or self._populating:
+        if self._populated:
             return
-        # The in-progress guard stops recursion when a provider module
-        # performs lookups while it imports; the success flag is only set
-        # after every provider imported cleanly, so a failed import is
-        # retried (and its real error re-raised) on the next lookup instead
-        # of leaving the registry permanently, silently empty.
-        self._populating = True
-        try:
-            for module in self._populate_modules:
-                importlib.import_module(module)
-        finally:
-            self._populating = False
-        self._populated = True
+        # The lock makes another thread's first lookup wait for the providers
+        # instead of reading a half-filled registry.  It is re-entrant, so the
+        # in-progress guard stops recursion when a provider module performs
+        # lookups while it imports; the success flag is only set after every
+        # provider imported cleanly, so a failed import is retried (and its
+        # real error re-raised) on the next lookup instead of leaving the
+        # registry permanently, silently empty.
+        with self._populate_lock:
+            if self._populated or self._populating:
+                return
+            self._populating = True
+            try:
+                for module in self._populate_modules:
+                    importlib.import_module(module)
+            finally:
+                self._populating = False
+            self._populated = True
 
     # --------------------------------------------------------- registration
 

@@ -34,9 +34,9 @@ from repro.api.config import ResolvedConfig, _UNSET
 from repro.api.registry import BENCHMARKS, MACHINES, MODES, register_mode
 from repro.core import envvars
 from repro.core.embedder import GuestResult, MPIWasm
-from repro.fault import checkpoint as _checkpoint
 from repro.mpi.runtime import MPIRuntime, MPIWorld
-from repro.obs import trace as _trace
+from repro.obs.hooks import current_hooks
+from repro.obs.trace import tracing
 from repro.sim.cluster import Cluster
 from repro.sim.engine import RankFailedError, SimEngine
 from repro.sim.machines import MachinePreset
@@ -111,16 +111,15 @@ def execute_job(
     Builds the cluster, discrete-event engine and MPI world, applies forced
     collective algorithms, spawns one rank program per rank (obtained from
     ``program_factory(world, metrics)``) and runs the job to completion.
-    Returns ``(rank_results, makespan, metrics)``.
+    Returns ``(rank_results, makespan, metrics)``.  The job's hooks
+    (:mod:`repro.obs.hooks`) are read once, here, and travel with the world.
     """
     cluster = Cluster(preset, nranks, ranks_per_node)
     engine = SimEngine(nranks)
     metrics = MetricsRegistry()
-    world = MPIWorld.install(cluster, engine, metrics)
+    world = MPIWorld.install(cluster, engine, metrics, current_hooks())
     if collective_algorithms:
         world.collectives.force_many(dict(collective_algorithms))
-    if _checkpoint.CAPTURE is not None:
-        _checkpoint.CAPTURE.register_world(world)
     engine.spawn_all(program_factory(world, metrics))
     try:
         rank_results = engine.run()
@@ -326,11 +325,11 @@ class Session:
         # this keyword set.
         request = dict(nranks=int(nranks), preset=preset, ranks_per_node=ranks_per_node,
                        config=config, guest_args=tuple(guest_args) or config.guest_args)
-        if self.config.trace and not _trace.ENABLED:
+        if self.config.trace and current_hooks().tracer is None:
             # Session-level tracing: record this job on a fresh recorder and
-            # attach the snapshot to the result.  When a recorder is already
-            # installed (the campaign runner owns one per job), defer to it.
-            with _trace.tracing() as recorder:
+            # attach the snapshot to the result.  When this thread already
+            # traces its jobs (a campaign job's recorder), defer to it.
+            with tracing() as recorder:
                 job = runner(self, app, **request)
             job.trace = recorder.snapshot()
         else:

@@ -131,16 +131,18 @@ class MPIWasm:
 
         executor = compiled.make_executor()
         executor.configure(max_call_depth=self.config.max_call_depth)
+        hooks = runtime.world.hooks
         instance = Instance(
             compiled.module,
             imports,
             executor=executor,
             memory_pages_override=self.config.memory_pages,
+            hooks=hooks,
         )
         instance.host_state[Env.HOST_STATE_KEY] = env
         instance.run_start()
-        if _checkpoint.CAPTURE is not None:
-            _checkpoint.CAPTURE.register_instance(runtime.ctx.rank, instance)
+        if hooks.capture is not None:
+            hooks.capture.register_instance(runtime.ctx.rank, instance)
         api = GuestAPI(instance, env)
         return instance, env, api
 

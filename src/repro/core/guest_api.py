@@ -127,6 +127,8 @@ class GuestAPI:
             for i, imp in enumerate(instance.module.imported_functions())}
         self._scratch_status = self.malloc(abi.STATUS_SIZE_BYTES)
         self._scratch_i32 = self.malloc(16)
+        # waitany/testall arrays: reused, as the guest allocator never frees.
+        self._scratch_array, self._scratch_array_bytes = 0, 0
 
     # ------------------------------------------------------------------ memory
 
@@ -138,6 +140,13 @@ class GuestAPI:
     def free(self, guest_ptr: int) -> None:
         """Release an allocation via the module's Wasm ``free``."""
         self.instance.invoke("free", int(guest_ptr))
+
+    def _array_scratch(self, nbytes: int) -> int:
+        """Guest pointer to at least ``nbytes`` of reusable scratch memory."""
+        if nbytes > self._scratch_array_bytes:
+            self._scratch_array = self.malloc(nbytes)
+            self._scratch_array_bytes = nbytes
+        return self._scratch_array
 
     def view(self, guest_ptr: int, nbytes: int) -> memoryview:
         """Writable zero-copy byte view of guest memory."""
@@ -270,11 +279,10 @@ class GuestAPI:
         """
         memory = self.instance.exported_memory()
         n = len(request_handles)
-        arr_ptr = self.malloc(max(4 * n, 4))
+        arr_ptr = self._array_scratch(max(4 * n, 4))
         write_handle_array(memory, arr_ptr, request_handles)
         self._call("MPI_Waitany", n, arr_ptr, self._scratch_i32, self._scratch_status)
         index = int(memory.load_int(self._scratch_i32, 4, signed=True))
-        self.free(arr_ptr)
         return index, self.read_status(self._scratch_status)
 
     def testall(self, request_handles: Sequence[int]) -> Tuple[bool, List[Dict[str, int]]]:
@@ -287,8 +295,8 @@ class GuestAPI:
         """
         memory = self.instance.exported_memory()
         n = len(request_handles)
-        arr_ptr = self.malloc(max(4 * n, 4))
-        statuses_ptr = self.malloc(max(abi.STATUS_SIZE_BYTES * n, 4))
+        arr_ptr = self._array_scratch(max((4 + abi.STATUS_SIZE_BYTES) * n, 4))
+        statuses_ptr = arr_ptr + 4 * n
         write_handle_array(memory, arr_ptr, request_handles)
         self._call("MPI_Testall", n, arr_ptr, self._scratch_i32, statuses_ptr)
         flag = bool(memory.load_int(self._scratch_i32, 4))
@@ -297,8 +305,6 @@ class GuestAPI:
             if flag
             else []
         )
-        self.free(statuses_ptr)
-        self.free(arr_ptr)
         return flag, statuses
 
     # One definition per collective: its guest-side signature, which is also
@@ -370,13 +376,9 @@ class GuestAPI:
 
     def read_status(self, status_ptr: int) -> Dict[str, int]:
         """Decode a guest ``MPI_Status`` structure."""
-        memory = self.instance.exported_memory()
-        return {
-            "source": int(memory.load_int(status_ptr + abi.STATUS_SOURCE_OFFSET, 4, signed=True)),
-            "tag": int(memory.load_int(status_ptr + abi.STATUS_TAG_OFFSET, 4, signed=True)),
-            "error": int(memory.load_int(status_ptr + abi.STATUS_ERROR_OFFSET, 4, signed=True)),
-            "count_bytes": int(memory.load_int(status_ptr + abi.STATUS_COUNT_OFFSET, 4, signed=True)),
-        }
+        source, tag, error, count_bytes = self.instance.exported_memory().load_struct(
+            status_ptr, abi.STATUS_INTS)
+        return {"source": source, "tag": tag, "error": error, "count_bytes": count_bytes}
 
     # ------------------------------------------------------------ Wasm kernels
 

@@ -86,11 +86,9 @@ def _write_status(instance: Instance, status_ptr: int, status: Status) -> None:
     """Write an ``MPI_Status`` structure into guest memory (if requested)."""
     if status_ptr in (0, abi.MPI_STATUS_IGNORE):
         return
-    memory = instance.exported_memory()
-    memory.store_int(status_ptr + abi.STATUS_SOURCE_OFFSET, status.source & 0xFFFFFFFF, 4)
-    memory.store_int(status_ptr + abi.STATUS_TAG_OFFSET, status.tag & 0xFFFFFFFF, 4)
-    memory.store_int(status_ptr + abi.STATUS_ERROR_OFFSET, status.error, 4)
-    memory.store_int(status_ptr + abi.STATUS_COUNT_OFFSET, status.count_bytes, 4)
+    instance.exported_memory().store_struct(
+        status_ptr, abi.STATUS_WORDS, status.source & 0xFFFFFFFF, status.tag & 0xFFFFFFFF,
+        status.error & 0xFFFFFFFF, status.count_bytes & 0xFFFFFFFF)
 
 
 def _live_requests(env: Env, memory, requests_ptr: int, count: int):

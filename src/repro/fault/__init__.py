@@ -8,7 +8,7 @@ The fault-tolerance subsystem (ROADMAP item 4).  Four coordinated pieces:
   restore path, plus true write-back restore for quiescent instance state.
 * :mod:`repro.fault.inject` -- seeded, serializable :class:`FaultPlan`\\ s
   (kill a rank at an MPI call or schedule round, drop/corrupt a message,
-  delay a link) behind a ``RECORDER``-style module guard so the uninjected
+  delay a link), armed per job as its ``faults`` hook so the uninjected
   hot path pays one attribute read.
 * :mod:`repro.fault.recover` -- restart-from-fault recovery at the launcher
   level (:func:`run_with_recovery`) and cooperative ULFM-style primitives

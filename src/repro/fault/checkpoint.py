@@ -24,10 +24,10 @@ the uninterrupted run.  For *quiescent* state (an instance between calls),
 :func:`restore_instance_state` performs a true write-back restore into a
 fresh instance.
 
-Capture is armed through the module-level :data:`CAPTURE` slot -- the same
-fast-path idiom as the trace recorder -- and fed by three registration
-hooks: the embedder registers each rank's instance, ``MPIRuntime`` registers
-itself, and ``execute_job`` registers the world.
+:func:`capture_checkpoint` arms a capture as the ``capture`` hook of the
+jobs its thread starts (:mod:`repro.obs.hooks`), and two registrations feed
+it: the embedder registers each rank's instance, and ``MPIRuntime``
+registers itself (and, through it, the job's world).
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.obs.hooks import current_hooks, installed
+
 FORMAT = "repro.fault.checkpoint"
 VERSION = 1
-
-#: Armed capture (or replay-validation) state; hooks check ``is not None``
-#: first, so an unarmed run pays one module attribute read per site.
-CAPTURE: Optional["CheckpointCapture"] = None
 
 
 class CheckpointError(Exception):
@@ -227,7 +225,6 @@ class CheckpointCapture:
         self.mismatches: List[str] = []
         self._instances: Dict[int, object] = {}
         self._runtimes: Dict[int, object] = {}
-        self._world = None
         self._round_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------ registration
@@ -237,9 +234,6 @@ class CheckpointCapture:
 
     def register_runtime(self, rank: int, runtime) -> None:
         self._runtimes[rank] = runtime
-
-    def register_world(self, world) -> None:
-        self._world = world
 
     # ------------------------------------------------------------------- hooks
 
@@ -296,19 +290,9 @@ class CheckpointCapture:
 
     # ------------------------------------------------------------------ results
 
-    def final_memory_digests(self) -> Dict[int, str]:
-        """Digest of each registered instance's memory *now* (post-run)."""
-        out: Dict[int, str] = {}
-        for rank, instance in sorted(self._instances.items()):
-            memory = instance.memory
-            out[rank] = (
-                _digest_bytes(memory.read(0, memory.size)) if memory is not None else ""
-            )
-        return out
-
     def build(self, job: Optional[dict] = None) -> dict:
         """Assemble the checkpoint payload from the captured rank states."""
-        world = self._world
+        world = next((runtime.world for runtime in self._runtimes.values()), None)
         payload: dict = {
             "format": FORMAT,
             "version": VERSION,
@@ -335,21 +319,7 @@ class CheckpointCapture:
         return write_checkpoint(self.build(), path)
 
 
-# ------------------------------------------------------------------ arm/disarm
-
-
-def arm(capture: CheckpointCapture) -> CheckpointCapture:
-    global CAPTURE
-    if CAPTURE is not None:
-        raise RuntimeError("a checkpoint capture is already armed")
-    CAPTURE = capture
-    return capture
-
-
-def disarm() -> Optional[CheckpointCapture]:
-    global CAPTURE
-    capture, CAPTURE = CAPTURE, None
-    return capture
+# ---------------------------------------------------------------------- arming
 
 
 @contextmanager
@@ -359,16 +329,16 @@ def capture_checkpoint(
     include_memory: bool = True,
     validate_against: Optional[Checkpoint] = None,
 ):
-    """Arm a capture (or replay validation) for the duration of one run."""
+    """Arm a capture (or replay validation) for the jobs this thread starts
+    during the block; yields the :class:`CheckpointCapture`."""
+    if current_hooks().capture is not None:
+        raise RuntimeError("a checkpoint capture is already armed")
     capture = CheckpointCapture(
         at_round, job=job, include_memory=include_memory,
         validate_against=validate_against,
     )
-    arm(capture)
-    try:
+    with installed(capture=capture):
         yield capture
-    finally:
-        disarm()
 
 
 # ---------------------------------------------------------------------- resume

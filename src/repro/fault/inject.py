@@ -6,11 +6,10 @@ crossing, drop or corrupt a matching message payload, or delay a link.  Plans
 round-trip through JSON, so a campaign matrix can sweep them like any other
 axis.
 
-The hot path stays free when nothing is injected: like the trace recorder's
-``ENABLED``/``RECORDER`` pair, the hooks in ``mpi/runtime.py``, ``pt2pt.py``
-and ``algorithms/schedule.py`` check the module-level :data:`ARMED` flag
-before touching anything else, so a disabled plan costs one module attribute
-read per call site.
+:func:`inject_faults` arms a plan as the ``faults`` hook of the jobs its
+thread starts (:mod:`repro.obs.hooks`).  Like the job's tracer, the hooks in
+``mpi/runtime.py``, ``pt2pt.py`` and ``algorithms/schedule.py`` test it
+against ``None`` first, so a disabled plan costs one attribute read per site.
 
 Faults are *one-shot*: once fired they record themselves and disarm, so a
 recovery layer can re-run the job with the already-fired faults excluded
@@ -26,13 +25,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs import trace as _trace
-
-#: Fast-path guard: every hook checks this first (mirrors ``_trace.ENABLED``).
-ARMED: bool = False
-
-#: The armed plan, when :data:`ARMED` is True.
-ACTIVE: Optional["ActivePlan"] = None
+from repro.obs.hooks import current_hooks, installed
+from repro.obs.trace import TraceRecorder
 
 #: Recognised fault kinds.
 KINDS = ("kill_rank", "drop_message", "corrupt_message", "delay_link")
@@ -148,7 +142,8 @@ def _corrupt(data: bytes, plan_seed: int, fault: Fault) -> bytes:
 
 
 class ActivePlan:
-    """An armed plan: per-site match counters plus the fired-fault record."""
+    """An armed plan: per-site match counters plus the fired-fault record.
+    Each hook records a firing into the job's ``tracer`` (``None``: off)."""
 
     def __init__(self, plan: FaultPlan, disarmed: Iterable[int] = ()):
         self.plan = plan
@@ -166,7 +161,8 @@ class ActivePlan:
             if f.kind in kinds and i not in self.disarmed
         ]
 
-    def _fire(self, index: int, fault: Fault, rank: int, now: float, **extra) -> dict:
+    def _fire(self, index: int, fault: Fault, rank: int, now: float,
+              tracer: Optional[TraceRecorder], **extra) -> dict:
         self.disarmed.add(index)  # one-shot
         event = {
             "fault": index,
@@ -177,8 +173,8 @@ class ActivePlan:
             **extra,
         }
         self.fired.append(event)
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if tracer is not None:
+            tracer.instant(
                 "fault.injected", max(rank, 0), now,
                 args={k: v for k, v in event.items() if k != "at"},
             )
@@ -189,7 +185,8 @@ class ActivePlan:
 
     # ------------------------------------------------------------------- hooks
 
-    def on_mpi_call(self, rank: int, name: str, now: float) -> None:
+    def on_mpi_call(self, rank: int, name: str, now: float,
+                    tracer: Optional[TraceRecorder]) -> None:
         """Hook from ``_traced``: fires ``kill_rank`` at-call faults."""
         key = (rank, name)
         count = self._call_counts.get(key, 0)
@@ -199,10 +196,11 @@ class ActivePlan:
                 continue
             if fault.rank not in (ANY, rank) or fault.call_index != count:
                 continue
-            self._fire(index, fault, rank, now, call=name, call_index=count)
+            self._fire(index, fault, rank, now, tracer, call=name, call_index=count)
             raise InjectedFault(rank, fault, index, now)
 
-    def on_schedule_round(self, rank: int, now: float) -> None:
+    def on_schedule_round(self, rank: int, now: float,
+                          tracer: Optional[TraceRecorder]) -> None:
         """Hook from the schedule executor: fires ``kill_rank`` at-round faults.
 
         Rounds are counted per rank across *all* collectives of the run (the
@@ -216,11 +214,12 @@ class ActivePlan:
                 continue
             if fault.rank not in (ANY, rank) or fault.round != crossing:
                 continue
-            self._fire(index, fault, rank, now, round=crossing)
+            self._fire(index, fault, rank, now, tracer, round=crossing)
             raise InjectedFault(rank, fault, index, now)
 
     def on_message(
-        self, src_world: int, dst_world: int, data: bytes, now: float
+        self, src_world: int, dst_world: int, data: bytes, now: float,
+        tracer: Optional[TraceRecorder],
     ) -> Tuple[str, bytes, float]:
         """Hook from ``post_send``: returns ``(verdict, payload, extra_delay)``.
 
@@ -236,7 +235,7 @@ class ActivePlan:
             self._msg_counts[index] = seen + 1
             if seen != fault.match_index:
                 continue
-            self._fire(index, fault, src_world, now, src=src_world, dst=dst_world,
+            self._fire(index, fault, src_world, now, tracer, src=src_world, dst=dst_world,
                        nbytes=len(data))
             if fault.kind == "drop_message":
                 verdict = "drop"
@@ -247,31 +246,14 @@ class ActivePlan:
         return verdict, data, extra_delay
 
 
-# ----------------------------------------------------------------- arm/disarm
-
-
-def arm(plan: FaultPlan, disarmed: Iterable[int] = ()) -> ActivePlan:
-    """Arm ``plan`` process-wide (returns the active record)."""
-    global ARMED, ACTIVE
-    if ARMED:
-        raise RuntimeError("a fault plan is already armed")
-    ACTIVE = ActivePlan(plan, disarmed)
-    ARMED = True
-    return ACTIVE
-
-
-def disarm() -> Optional[ActivePlan]:
-    """Disarm the active plan (returns it, for inspection)."""
-    global ARMED, ACTIVE
-    active, ACTIVE, ARMED = ACTIVE, None, False
-    return active
+# ----------------------------------------------------------------------- arming
 
 
 @contextmanager
 def inject_faults(plan: FaultPlan, disarmed: Iterable[int] = ()):
-    """Context manager arming ``plan`` for the duration of a run."""
-    active = arm(plan, disarmed)
-    try:
-        yield active
-    finally:
-        disarm()
+    """Arm ``plan`` for the jobs this thread starts during the block; yields
+    the :class:`ActivePlan` (its ``fired`` record)."""
+    if current_hooks().faults is not None:
+        raise RuntimeError("a fault plan is already armed")
+    with installed(faults=ActivePlan(plan, disarmed)) as hooks:
+        yield hooks.faults

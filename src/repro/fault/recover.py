@@ -29,7 +29,7 @@ from repro.fault import inject as _inject
 from repro.fault.inject import FaultPlan, InjectedFault
 from repro.mpi.communicator import Communicator, Group
 from repro.mpi.errors import MPIError
-from repro.obs import trace as _trace
+from repro.obs.hooks import current_hooks
 from repro.sim.engine import RankFailedError
 
 #: Engine-blackboard key holding the set of revoked context ids.
@@ -179,6 +179,7 @@ def run_with_recovery(
     from repro.api.session import current_session  # late: api imports this stack
 
     sess = session if session is not None else current_session()
+    tracer = current_hooks().tracer
     disarmed: List[int] = []
     fired: List[dict] = []
     failures: List[dict] = []
@@ -207,8 +208,8 @@ def run_with_recovery(
             })
             if injected is None or attempts > max_restarts:
                 raise
-            if _trace.ENABLED:
-                _trace.RECORDER.instant(
+            if tracer is not None:
+                tracer.instant(
                     "fault.recovery.restart", injected.rank, injected.at,
                     args={"attempt": attempts, "fault": injected.index},
                 )
@@ -219,8 +220,8 @@ def run_with_recovery(
     job.metrics.increment("fault.restarts", attempts - 1)
     if attempts > 1:
         job.metrics.increment("fault.recovered")
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if tracer is not None:
+            tracer.instant(
                 "fault.recovered", 0, 0.0,
                 args={"attempts": attempts, "fired": len(fired)},
             )

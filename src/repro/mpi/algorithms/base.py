@@ -19,6 +19,7 @@ from typing import Callable, List, Optional, Union
 
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
+from repro.obs.hooks import JobHooks
 
 # Tag space reserved for collectives (user tags are non-negative and small).
 COLL_TAG_BASE = 1 << 24
@@ -72,11 +73,12 @@ class CollectiveContext:
       used to enforce data dependencies (a step that reads received data
       cannot execute before that data has arrived).
 
-    ``world_rank`` is this rank in ``COMM_WORLD`` (trace attribution).
+    ``world_rank`` is this rank in ``COMM_WORLD`` (trace attribution), and
+    ``hooks`` are the job's tracer, fault plan and checkpoint capture.
     """
 
     __slots__ = ("rank", "size", "world_rank", "send", "recv", "wait", "compute",
-                 "now", "advance_to", "reduce_compute_per_byte")
+                 "now", "advance_to", "reduce_compute_per_byte", "hooks")
 
     def __init__(
         self,
@@ -90,6 +92,7 @@ class CollectiveContext:
         now: Callable[[], float],
         advance_to: Callable[[float], None],
         reduce_compute_per_byte: float,
+        hooks: JobHooks,
     ):
         self.rank = rank
         self.size = size
@@ -101,6 +104,7 @@ class CollectiveContext:
         self.now = now
         self.advance_to = advance_to
         self.reduce_compute_per_byte = reduce_compute_per_byte
+        self.hooks = hooks
 
 
 def combine_segment(cc: CollectiveContext, op: Op, acc, contribution,

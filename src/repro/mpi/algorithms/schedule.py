@@ -33,13 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.fault import checkpoint as _checkpoint
-from repro.fault import inject as _inject
 from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.base import CollectiveContext, combine_segment
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
-from repro.obs import trace as _trace
 
 
 class _StepBase:
@@ -297,9 +294,8 @@ class ScheduleExecutor:
     def _notify_round(self) -> None:
         """Fault/checkpoint hook at round boundaries.
 
-        Callers invoke this right after every ``_pc`` increment, guarded on
-        the module-level flags (one attribute read each on the unarmed hot
-        path, mirroring ``_trace.ENABLED``).  A *crossing* is the transition
+        Callers invoke this right after every ``_pc`` increment when the job
+        has a fault plan or a capture.  A *crossing* is the transition
         out of a round: all steps of earlier rounds executed, none of the
         next -- schedule completion counts as crossing out of the last round,
         so single-round schedules still cross once.  The capture hook runs
@@ -309,11 +305,11 @@ class ScheduleExecutor:
         pc = self._pc
         if pc < len(self._steps) and self._round_of[pc] == self._round_of[pc - 1]:
             return
-        rank, now = self._cc.world_rank, self._cc.now()
-        if _checkpoint.CAPTURE is not None:
-            _checkpoint.CAPTURE.on_schedule_round(rank, now, self)
-        if _inject.ARMED:
-            _inject.ACTIVE.on_schedule_round(rank, now)
+        rank, now, hooks = self._cc.world_rank, self._cc.now(), self._cc.hooks
+        if hooks.capture is not None:
+            hooks.capture.on_schedule_round(rank, now, self)
+        if hooks.faults is not None:
+            hooks.faults.on_schedule_round(rank, now, hooks.tracer)
 
     def progress(self, wait: bool = False) -> bool:
         """The execution loop: run steps in order until a stall or the end.
@@ -332,13 +328,15 @@ class ScheduleExecutor:
           only from messages already consumed and no peer can make it
           earlier.
 
-        Trace form (behind ``_trace.ENABLED``): one ``sched.round[N]``
+        Trace form (when the job has a tracer): one ``sched.round[N]``
         instant where a round starts and one ``sched.<Step>`` span per step
         (a wait's receive span includes its message stall), so steps nest
         inside the MPI call that ran them.
         """
         cc, steps, round_of = self._cc, self._steps, self._round_of
         n_steps = len(steps)
+        tracer = cc.hooks.tracer
+        at_rounds = cc.hooks.faults is not None or cc.hooks.capture is not None
         while True:
             pc = self._pc
             # Every ready time is an arrival already folded into data_time.
@@ -354,7 +352,7 @@ class ScheduleExecutor:
             if pc == n_steps:
                 break
             step = steps[pc]
-            start = cc.now() if _trace.ENABLED else 0.0
+            start = cc.now() if tracer is not None else 0.0
             if type(step) is RecvStep:
                 target = self._target(step)
                 arrival = cc.recv(step.peer, step.tag, target)
@@ -369,17 +367,17 @@ class ScheduleExecutor:
             else:
                 self._execute(step)
             self._pc = pc + 1
-            if _trace.ENABLED:
+            if tracer is not None:
                 tid = cc.world_rank
                 if pc == 0 or round_of[pc] != round_of[pc - 1]:
-                    _trace.RECORDER.instant(f"sched.round[{round_of[pc]}]", tid, start)
+                    tracer.instant(f"sched.round[{round_of[pc]}]", tid, start)
                 args = {"round": round_of[pc]}
                 if type(step) is SendStep or type(step) is RecvStep:
                     args["peer"], args["nbytes"] = step.peer, step.nbytes
-                _trace.RECORDER.complete(
+                tracer.complete(
                     f"sched.{type(step).__name__}", tid, start, cc.now() - start, args
                 )
-            if _inject.ARMED or _checkpoint.CAPTURE is not None:
+            if at_rounds:
                 self._notify_round()
         if not self._finished:
             self._finished = True

@@ -76,10 +76,6 @@ class Communicator:
         """World rank corresponding to a communicator-local rank."""
         return self.group.translate(local_rank)
 
-    def contains_world(self, world_rank: int) -> bool:
-        """Whether the world rank belongs to this communicator."""
-        return self.group.rank_of(world_rank) is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator({self.name}, size={self.size}, ctx={self.context_id})"
 

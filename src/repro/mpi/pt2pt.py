@@ -1,7 +1,7 @@
 """Point-to-point message matching engine.
 
 One :class:`MatchingEngine` instance is shared by every rank of a simulation
-(it lives in the engine's shared blackboard).  It implements the MPI matching
+(it is the ``MPIWorld``'s ``matching``).  It implements the MPI matching
 rules -- messages match on (communicator context, source, tag) in send order,
 with ``ANY_SOURCE``/``ANY_TAG`` wildcards -- and drives the virtual-time
 accounting for sends and receives using the cluster's transport models:
@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.fault import inject as _inject
 from repro.mpi.errors import TruncationError
-from repro.obs import trace as _trace
+from repro.obs.hooks import JobHooks
 from repro.sim.cluster import Cluster
 from repro.sim.engine import RankContext
 
@@ -68,16 +67,18 @@ class MatchingEngine:
     ----------
     cluster:
         Supplies the per-pair transport models.
+    hooks:
+        The job's hooks: its tracer and fault plan (``None`` when off).
 
     A post buffers a message and a consume takes a buffered match or reports
     that there is none; neither waits.  :meth:`block_for_any` is the one
     place a rank blocks.
     """
 
-    SHARED_KEY = "mpi.matching"
-
-    def __init__(self, cluster: Cluster):
+    def __init__(self, cluster: Cluster, hooks: JobHooks):
         self.cluster = cluster
+        self._tracer = hooks.tracer
+        self._faults = hooks.faults
         self._queues: Dict[Tuple[int, int], List[Message]] = {}
         # The ``(context_id, src, tag)`` patterns each blocked rank waits on
         # (a rank is in at most one block at a time): ``block_for_any`` is
@@ -132,9 +133,9 @@ class MatchingEngine:
             ctx.advance(transport.send_overhead(nbytes)),
             transport.is_rendezvous(nbytes),
         )
-        if _inject.ARMED:
-            verdict, payload, extra_delay = _inject.ACTIVE.on_message(
-                src_world, dst_world, msg.data, ctx.now
+        if self._faults is not None:
+            verdict, payload, extra_delay = self._faults.on_message(
+                src_world, dst_world, msg.data, ctx.now, self._tracer
             )
             if verdict == "drop":
                 # The sender completes normally (the bytes left its NIC); the
@@ -151,8 +152,8 @@ class MatchingEngine:
         self._queues.setdefault((dst_world, context_id), []).append(msg)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if self._tracer is not None:
+            self._tracer.instant(
                 "pt2pt.post", src_world, ctx.now,
                 args={"dst": dst_world, "tag": tag, "nbytes": nbytes,
                       "rendezvous": msg.rendezvous},
@@ -227,8 +228,8 @@ class MatchingEngine:
                 break
         else:
             return None
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if self._tracer is not None:
+            self._tracer.instant(
                 "pt2pt.match", dst_world, ctx.now,
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": len(msg.data)},
             )
@@ -265,8 +266,8 @@ class MatchingEngine:
         if buffer is not None and nbytes > 0:
             buffer[:nbytes] = msg.data
         self._complete(ctx, msg, max(ctx.now, arrival))
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if self._tracer is not None:
+            self._tracer.instant(
                 "pt2pt.consume", msg.dst_world, ctx.now,
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": nbytes,
                       "arrival": arrival, "rendezvous": msg.rendezvous},

@@ -35,9 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from repro.fault import checkpoint as _checkpoint
-from repro.fault import inject as _inject
-from repro.obs import trace as _trace
 from repro.mpi import datatypes as dts
 from repro.mpi import ops as mpi_ops
 from repro.mpi.algorithms import registry
@@ -65,6 +62,7 @@ from repro.mpi.errors import (
 from repro.mpi.ops import Op
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG, PROC_NULL, MatchingEngine, Message
 from repro.mpi.status import Request, Status
+from repro.obs.hooks import JobHooks, current_hooks
 from repro.sim.cluster import Cluster
 from repro.sim.engine import RankContext, SimEngine
 from repro.sim.metrics import MetricsRegistry
@@ -90,30 +88,31 @@ def _supplied(buf, nbytes: int):
 def _traced(name: str):
     """Wrap one MPI entry point in a trace span (one per call, per rank).
 
-    The enabled flag is checked before anything else -- including argument
-    evaluation for the event -- so a disabled trace costs one module
-    attribute read per call.  Spans are stamped with the rank's virtual
-    clock on entry and exit; the recorder adds the wall clock.
+    The job's tracer (``None`` when tracing is off) is tested before anything
+    else -- including argument evaluation for the event -- so a disabled
+    trace costs one attribute read per call.  Spans are stamped with the
+    rank's virtual clock on entry and exit; the recorder adds the wall clock.
 
     The fault-injection hook rides the same decorator: one armed-plan check
     per MPI call covers every entry point by name (``kill_rank`` at the
     N-th ``MPI_Allreduce``, say), and the unarmed hot path pays exactly one
-    extra module attribute read.
+    extra attribute read.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            if _inject.ARMED:
-                _inject.ACTIVE.on_mpi_call(self.rank_world, name, self.ctx.now)
-            if not _trace.ENABLED:
-                return fn(self, *args, **kwargs)
-            recorder = _trace.RECORDER
-            recorder.begin(name, self.rank_world, self.ctx.now)
-            try:
-                return fn(self, *args, **kwargs)
-            finally:
-                recorder.end(self.rank_world, self.ctx.now)
+            faults = self.faults
+            if faults is not None:
+                faults.on_mpi_call(self.rank_world, name, self.ctx.now, self.tracer)
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.begin(name, self.rank_world, self.ctx.now)
+                try:
+                    return fn(self, *args, **kwargs)
+                finally:
+                    tracer.end(self.rank_world, self.ctx.now)
+            return fn(self, *args, **kwargs)
         return wrapper
 
     return decorate
@@ -176,8 +175,8 @@ class _PendingSend:
         if not msg.consumed:
             return None
         rt.ctx.advance_to(msg.consumed_time)
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if rt.tracer is not None:
+            rt.tracer.instant(
                 "pt2pt.rendezvous_drain", msg.src_world, rt.ctx.now,
                 args={"dst": msg.dst_world, "tag": msg.tag, "nbytes": len(msg.data)},
             )
@@ -315,14 +314,18 @@ def _copy_out(out: memoryview, key: str, buffers) -> None:
 
 
 class MPIWorld:
-    """State shared by every rank of one simulated MPI job."""
+    """State shared by every rank of one simulated MPI job.  Its ``hooks``
+    (:mod:`repro.obs.hooks`; by default the creating thread's) are the ones
+    every rank runs with."""
 
     SHARED_KEY = "mpi.world"
 
-    def __init__(self, cluster: Cluster, engine: SimEngine, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, cluster: Cluster, engine: SimEngine,
+                 metrics: Optional[MetricsRegistry] = None, hooks: Optional[JobHooks] = None):
         self.cluster = cluster
         self.engine = engine
-        self.matching = MatchingEngine(cluster)
+        self.hooks = hooks if hooks is not None else current_hooks()
+        self.matching = MatchingEngine(cluster, self.hooks)
         self.metrics = metrics or MetricsRegistry()
         self.nranks = cluster.nranks
         # Collective coordination state keyed by (context_id, purpose, sequence).
@@ -335,18 +338,11 @@ class MPIWorld:
         self.collectives = CollectiveSelector()
 
     @classmethod
-    def install(cls, cluster: Cluster, engine: SimEngine, metrics: Optional[MetricsRegistry] = None) -> "MPIWorld":
+    def install(cls, cluster: Cluster, engine: SimEngine, metrics: Optional[MetricsRegistry] = None,
+                hooks: Optional[JobHooks] = None) -> "MPIWorld":
         """Create a world and store it on the engine's shared blackboard."""
-        world = cls(cluster, engine, metrics)
+        world = cls(cluster, engine, metrics, hooks)
         engine.shared[cls.SHARED_KEY] = world
-        return world
-
-    @classmethod
-    def of(cls, engine: SimEngine) -> "MPIWorld":
-        """Fetch the world previously installed on ``engine``."""
-        world = engine.shared.get(cls.SHARED_KEY)
-        if world is None:
-            raise NotInitializedError("no MPIWorld installed on this simulation engine")
         return world
 
 
@@ -374,8 +370,11 @@ class MPIRuntime:
         # Outstanding (incomplete) requests the progress engine sweeps.
         self._active_requests: List[Request] = []
         self._progressing = False
-        if _checkpoint.CAPTURE is not None:
-            _checkpoint.CAPTURE.register_runtime(ctx.rank, self)
+        # Tested on every MPI call (``_traced``).
+        self.tracer = world.hooks.tracer
+        self.faults = world.hooks.faults
+        if world.hooks.capture is not None:
+            world.hooks.capture.register_runtime(ctx.rank, self)
 
     # re-export the wildcard constants for caller convenience
     ANY_SOURCE = ANY_SOURCE
@@ -844,8 +843,8 @@ class MPIRuntime:
         self.world.metrics.record_collective(
             collective, algorithm, nbytes if bytes_moved is None else bytes_moved
         )
-        if _trace.ENABLED:
-            _trace.RECORDER.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 "coll.algorithm", self.rank_world, self.ctx.now,
                 args={"collective": collective, "algorithm": algorithm,
                       "nbytes": int(nbytes), "comm_size": comm.size},
@@ -900,6 +899,7 @@ class MPIRuntime:
             now=lambda: ctx.now,
             advance_to=ctx.advance_to,
             reduce_compute_per_byte=self.world.reduce_compute_per_byte,
+            hooks=self.world.hooks,
         )
 
     # Every collective is written once.  Its row of ``registry.CONTRACTS``

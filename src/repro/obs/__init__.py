@@ -1,15 +1,14 @@
 """repro.obs -- tracing, profiling, and timeline export.
 
-Three cooperating pieces:
+Three cooperating pieces, switched on per job (:mod:`repro.obs.hooks`):
 
-* :mod:`repro.obs.trace` -- the :class:`TraceRecorder` span/instant API
-  behind the module-level ``ENABLED`` fast path; the MPI runtime, the
-  collective schedule executor, and the pt2pt matching engine emit into
-  it when tracing is on (``Session(trace=True)``, ``REPRO_TRACE=1``, or
-  ``repro-harness trace``).
+* :mod:`repro.obs.trace` -- the :class:`TraceRecorder` span/instant API,
+  the job's ``tracer``; the MPI runtime, the collective schedule executor,
+  and the pt2pt matching engine emit into it when tracing is on
+  (``Session(trace=True)``, ``REPRO_TRACE=1``, or ``repro-harness trace``).
 * :mod:`repro.obs.profile` -- opt-in sampled interpreter profiling
-  (handler/superinstruction histograms, hot-function self time) behind
-  the ``ACTIVE`` fast path; surfaced by ``repro-harness profile``.
+  (handler/superinstruction histograms, hot-function self time), the job's
+  ``profiler``; surfaced by ``repro-harness profile``.
 * :mod:`repro.obs.export` / :mod:`repro.obs.validate` -- Chrome
   trace-event JSON (Perfetto-loadable) and JSON-lines exporters, plus a
   structural validator used by tests and CI.
@@ -27,19 +26,12 @@ from repro.obs.profile import (
     format_profile_report,
     profiling,
 )
-from repro.obs.trace import (
-    TraceRecorder,
-    disable_tracing,
-    enable_tracing,
-    tracing,
-)
+from repro.obs.trace import TraceRecorder, tracing
 from repro.obs.validate import validate_chrome_trace
 
 __all__ = [
     "InterpreterProfiler",
     "TraceRecorder",
-    "disable_tracing",
-    "enable_tracing",
     "format_profile_report",
     "merge_traces",
     "profiling",

@@ -1,17 +1,18 @@
 """Opt-in sampled profiling hooks for the threaded-dispatch interpreter.
 
 The interpreter's one dispatch loop (:meth:`repro.wasm.interpreter.Interpreter._exec`)
-checks the module-level :data:`ACTIVE` slot once per function call; when it
-is ``None`` (the default) it runs the function's linked code and profiling
-costs one attribute read per *call*, not per instruction.  When a profiler
-is installed the loop runs :meth:`InterpreterProfiler.counted_code` instead:
-the same array with every handler slot a counting wrapper.  Each wrapper
-bumps the profiler's one ``dispatches`` counter, so the sampling keeps its
-phase across calls, and counts every ``sample_every``-th dispatch under its
-handler's name.  Handler function names are the histogram keys, so fused
-superinstructions (``_h_get_get_bin``, ``_h_get_const_bin``, ...) show up as
-first-class rows, proving which fusions actually fire.  Per-function call
-counts and self/total wall time come from an enter/exit stack.
+reads its instance's ``profiler`` (the job's hooks, :mod:`repro.obs.hooks`)
+once per function call; when it is ``None`` (the default) it runs the
+function's linked code and profiling costs one attribute read per *call*,
+not per instruction.  With a profiler the loop runs
+:meth:`InterpreterProfiler.counted_code` instead: the same array with every
+handler slot a counting wrapper.  Each wrapper bumps the profiler's one
+``dispatches`` counter, so the sampling keeps its phase across calls, and
+counts every ``sample_every``-th dispatch under its handler's name.
+Handler function names are the histogram keys, so fused superinstructions
+(``_h_get_get_bin``, ``_h_get_const_bin``, ...) show up as first-class rows,
+proving which fusions actually fire.  Per-function call counts and
+self/total wall time come from an enter/exit stack.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.hooks import installed
+
 __all__ = [
-    "ACTIVE",
     "InterpreterProfiler",
     "format_profile_report",
     "profiling",
 ]
-
-# Module-level fast path: ``Interpreter._exec`` reads this once per call and,
-# when it is set, runs the profiler's counted copy of the function's code.
-ACTIVE: Optional["InterpreterProfiler"] = None
 
 
 class InterpreterProfiler:
@@ -201,11 +199,8 @@ def format_profile_report(profiler: InterpreterProfiler, top: int = 15) -> str:
 @contextmanager
 def profiling(sample_every: int = 1,
               profiler: Optional[InterpreterProfiler] = None) -> Iterator[InterpreterProfiler]:
-    """Install a profiler for the duration of the block, restoring prior state."""
-    global ACTIVE
-    prev = ACTIVE
-    ACTIVE = profiler if profiler is not None else InterpreterProfiler(sample_every)
-    try:
-        yield ACTIVE
-    finally:
-        ACTIVE = prev
+    """Profile the Wasm instances this thread creates in the block (those of
+    the jobs it starts included)."""
+    active = profiler if profiler is not None else InterpreterProfiler(sample_every)
+    with installed(profiler=active):
+        yield active

@@ -4,10 +4,11 @@ The recorder is the collection half of :mod:`repro.obs`; the export half
 (:mod:`repro.obs.export`) turns its snapshots into Chrome trace-event JSON
 and JSON-lines.  Design constraints, in order:
 
-* **Near-zero cost when disabled.**  Instrumentation sites in the MPI
-  runtime, the schedule executor, and the matching engine guard on the
-  module-level :data:`ENABLED` flag *before* evaluating any event
-  arguments, so a disabled trace costs one attribute read per site.
+* **Near-zero cost when disabled.**  A job's recorder is its hooks'
+  ``tracer`` (:mod:`repro.obs.hooks`); instrumentation sites in the MPI
+  runtime, the schedule executor, and the matching engine test it against
+  ``None`` *before* evaluating any event arguments, so a disabled trace
+  costs one attribute read per site.
 * **Bounded memory.**  Events live in a ring buffer; when ``capacity`` is
   exceeded the oldest events are dropped and counted in
   :attr:`TraceRecorder.dropped` rather than silently lost.
@@ -31,22 +32,15 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional
 
+from repro.obs.hooks import installed
+
 __all__ = [
     "DEFAULT_CAPACITY",
-    "ENABLED",
-    "RECORDER",
     "TraceRecorder",
-    "disable_tracing",
-    "enable_tracing",
     "tracing",
 ]
 
 DEFAULT_CAPACITY = 65536
-
-# Module-level fast path: instrumentation sites check ``trace.ENABLED``
-# before building event arguments and only then touch ``trace.RECORDER``.
-ENABLED: bool = False
-RECORDER: Optional["TraceRecorder"] = None
 
 
 class TraceRecorder:
@@ -161,35 +155,12 @@ class TraceRecorder:
 # ----------------------------------------------------------------- activation
 
 
-def enable_tracing(recorder: Optional[TraceRecorder] = None,
-                   capacity: int = DEFAULT_CAPACITY) -> TraceRecorder:
-    """Install ``recorder`` (or a fresh one) and flip the fast-path flag on."""
-    global ENABLED, RECORDER
-    RECORDER = recorder if recorder is not None else TraceRecorder(capacity)
-    ENABLED = True
-    return RECORDER
-
-
-def disable_tracing() -> Optional[TraceRecorder]:
-    """Flip the fast-path flag off; returns the recorder that was active."""
-    global ENABLED, RECORDER
-    recorder, RECORDER = RECORDER, None
-    ENABLED = False
-    return recorder
-
-
 @contextmanager
 def tracing(recorder: Optional[TraceRecorder] = None,
             capacity: int = DEFAULT_CAPACITY) -> Iterator[TraceRecorder]:
-    """Enable tracing for the duration of the block, restoring prior state.
-
-    Nesting is safe: an inner ``tracing()`` block records into its own
-    recorder and the outer one resumes afterwards.
-    """
-    global ENABLED, RECORDER
-    prev_enabled, prev_recorder = ENABLED, RECORDER
-    active = enable_tracing(recorder, capacity)
-    try:
+    """Trace the jobs this thread starts in the block into ``recorder`` (or
+    a fresh one).  An inner ``tracing()`` block records into its own
+    recorder and the outer one resumes afterwards."""
+    active = recorder if recorder is not None else TraceRecorder(capacity)
+    with installed(tracer=active):
         yield active
-    finally:
-        ENABLED, RECORDER = prev_enabled, prev_recorder

@@ -16,6 +16,7 @@ This module is the single source of truth for that ABI on both sides:
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Tuple
 
 from repro.mpi import datatypes as host_datatypes
@@ -134,12 +135,13 @@ HOST_DATATYPES: Dict[int, Datatype] = {
 }
 HOST_OPS: Dict[int, Op] = {handle: host_ops.by_name(name) for handle, name in GUEST_OP_NAMES.items()}
 
-# Guest MPI_Status layout: four i32 fields (source, tag, error, count_bytes).
+# Guest MPI_Status layout: four i32 fields (source, tag, error, count_bytes)
+# at offsets 0, 4, 8, 12, moved as one record: the host writes four 32-bit
+# words, the guest reads four C ``int``s.
 STATUS_SIZE_BYTES = 16
-STATUS_SOURCE_OFFSET = 0
-STATUS_TAG_OFFSET = 4
-STATUS_ERROR_OFFSET = 8
 STATUS_COUNT_OFFSET = 12
+STATUS_WORDS = struct.Struct("<4I")
+STATUS_INTS = struct.Struct("<4i")
 
 MPI_MAX_PROCESSOR_NAME = 128
 

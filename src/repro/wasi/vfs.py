@@ -304,10 +304,6 @@ class VirtualFilesystem:
             raise WasiError(EISDIR, f"{path!r} is a directory")
         del parent.entries[leaf]
 
-    def open_fds(self) -> List[int]:
-        """Currently open descriptors (excluding stdio)."""
-        return sorted(self._open)
-
     def stdout_text(self) -> str:
         """Captured stdout as text."""
         return self.stdout.decode("utf-8", errors="replace")

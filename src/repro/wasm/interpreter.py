@@ -7,9 +7,9 @@ bodies are lowered once by :mod:`repro.wasm.lowering` into a flat array of
 references, branch targets pre-computed into jump offsets, adjacent
 instruction pairs fused into superinstructions -- and the one dispatch loop,
 :meth:`Interpreter._exec`, simply indexes the array and calls, with no
-per-step string comparisons or forward scans.  Under an active sampled
-profiler (:mod:`repro.obs.profile`) the same loop runs the profiler's copy of
-the array, whose handler slots count their dispatches.
+per-step string comparisons or forward scans.  When the instance carries a
+sampled profiler (:mod:`repro.obs.profile`) the same loop runs the
+profiler's copy of the array, whose handler slots count their dispatches.
 
 Singlepass executors lower lazily, on a function's first call (near-zero
 compile time); an executor can also be seeded with an eagerly lowered
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import profile as _profile
 from repro.wasm.errors import StackExhaustionTrap
 from repro.wasm.lowering import (
     LoweredFunction,
@@ -121,11 +120,11 @@ class Interpreter(Executor):
         code = lowered.code
         if code is None:
             code = link(lowered)
-        prof = _profile.ACTIVE
-        if prof is not None:
+        profiler = instance.profiler
+        if profiler is not None:
             name = lowered.name or f"func[{local_index}]"
-            code = prof.counted_code(lowered, name, code)
-            prof.enter(name)
+            code = profiler.counted_code(lowered, name, code)
+            profiler.enter(name)
 
         st = _State()
         st.instance = instance
@@ -144,8 +143,8 @@ class Interpreter(Executor):
                 op = code[pc]
                 pc = op[0](st, pc, op[1])
         finally:
-            if prof is not None:
-                prof.exit(name)
+            if profiler is not None:
+                profiler.exit(name)
 
         if lowered.nresults:
             return stack[len(stack) - lowered.nresults:]

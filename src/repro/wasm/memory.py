@@ -166,6 +166,18 @@ class LinearMemory:
         mask = (1 << (8 * nbytes)) - 1
         self.write(address, (value & mask).to_bytes(nbytes, "little"))
 
+    def load_struct(self, address: int, layout: struct.Struct) -> tuple:
+        """Unpack one ``layout`` record at ``address`` (one bounds check)."""
+        self._check(address, layout.size)
+        return layout.unpack_from(self._buffer, address)
+
+    def store_struct(self, address: int, layout: struct.Struct, *values) -> None:
+        """Pack ``values`` as one ``layout`` record at ``address`` (one
+        bounds check: an out-of-range record traps before any byte is
+        written)."""
+        self._check(address, layout.size)
+        layout.pack_into(self._buffer, address, *values)
+
     def load_f32(self, address: int) -> float:
         """Load an IEEE-754 single."""
         self._check(address, 4)

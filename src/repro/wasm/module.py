@@ -161,18 +161,6 @@ class Module:
                 return export
         return None
 
-    def exported_functions(self) -> Dict[str, int]:
-        """Mapping of exported function name to function index."""
-        return {e.name: e.index for e in self.exports if e.kind == ExternKind.FUNC}
-
-    def type_index_for(self, func_type: FuncType) -> int:
-        """Index of ``func_type`` in the type section, adding it if missing."""
-        for i, existing in enumerate(self.types):
-            if existing == func_type:
-                return i
-        self.types.append(func_type)
-        return len(self.types) - 1
-
     def summary(self) -> Dict[str, int]:
         """Size summary used by reports and tests."""
         return {

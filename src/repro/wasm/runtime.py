@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.obs.hooks import JobHooks, current_hooks
 from repro.wasm.errors import LinkError, Trap
 from repro.wasm.instructions import Instruction
 from repro.wasm.memory import LinearMemory
@@ -184,7 +185,9 @@ def reserve_recursion_headroom(max_call_depth: int) -> None:
 
 
 class Instance:
-    """A fully linked, executable module instance."""
+    """A fully linked, executable module instance.  The interpreter counts
+    its dispatches into the ``profiler`` of its job's ``hooks`` (by default,
+    the creating thread's: :mod:`repro.obs.hooks`)."""
 
     def __init__(
         self,
@@ -192,6 +195,7 @@ class Instance:
         imports: Optional[ImportObject] = None,
         executor: Optional[Executor] = None,
         memory_pages_override: Optional[int] = None,
+        hooks: Optional[JobHooks] = None,
     ):
         from repro.wasm.compilers import default_executor  # local import to avoid a cycle
 
@@ -205,6 +209,7 @@ class Instance:
         self.exit_code: Optional[int] = None
         # Arbitrary embedder-attached state (the MPIWasm Env structure hangs here).
         self.host_state: Dict[str, object] = {}
+        self.profiler = (hooks if hooks is not None else current_hooks()).profiler
 
         self._link_functions()
         self._allocate_memory(memory_pages_override)

@@ -24,11 +24,6 @@ class ValType(Enum):
     FUNCREF = 0x70
 
     @property
-    def is_numeric(self) -> bool:
-        """Whether the type is one of the four scalar numeric types."""
-        return self in (ValType.I32, ValType.I64, ValType.F32, ValType.F64)
-
-    @property
     def short_name(self) -> str:
         """Lower-case WAT spelling (``i32``, ``f64``, ``v128``, ...)."""
         return self.name.lower()

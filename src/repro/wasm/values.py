@@ -72,16 +72,6 @@ def signed64(value: int) -> int:
     return value - 0x10000000000000000 if value & 0x8000000000000000 else value
 
 
-def unsigned32(value: int) -> int:
-    """Interpret a (possibly negative) value as unsigned 32-bit."""
-    return value & MASK32
-
-
-def unsigned64(value: int) -> int:
-    """Interpret a (possibly negative) value as unsigned 64-bit."""
-    return value & MASK64
-
-
 def div_s(a: int, b: int, bits: int) -> int:
     """Signed division with Wasm trap semantics (truncates toward zero)."""
     mask = MASK32 if bits == 32 else MASK64

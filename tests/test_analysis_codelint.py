@@ -152,22 +152,132 @@ def test_bare_except_flagged():
     assert "no-bare-except" not in rules
 
 
+HOOKS = ("tracer", "faults", "capture", "profiler")
+
+
 def test_recorder_fastpath_guard_rule():
+    """A call on a job hook (which is None when off) must sit under a guard on
+    that same hook -- for each of the four hooks, as an attribute, a private
+    attribute or a local."""
+    for hook in HOOKS:
+        for ref in (f"self.{hook}", f"self._{hook}", hook):
+            _, rules = _rules(f"""
+                def hot_loop(self, step):
+                    {ref}.record(step)
+            """)
+            assert "obs-fastpath-discipline" in rules, ref
+            for guard in (f"{ref} is not None", ref, f"step and {ref} is not None"):
+                _, rules = _rules(f"""
+                    def hot_loop(self, step):
+                        if {guard}:
+                            {ref}.record(step)
+                """)
+                assert "obs-fastpath-discipline" not in rules, guard
+            # A guard that does not prove this hook present is no guard.
+            for guard in (f"{ref} is None", f"not {ref}", f"step or {ref}",
+                          "self.other is not None"):
+                _, rules = _rules(f"""
+                    def hot_loop(self, step):
+                        if {guard}:
+                            {ref}.record(step)
+                """)
+                assert "obs-fastpath-discipline" in rules, guard
+            _, rules = _rules(f"""
+                def hot_loop(self, step):
+                    if {ref} is not None:
+                        pass
+                    else:
+                        {ref}.record(step)
+                    {ref}.record(step)
+            """)
+            assert "obs-fastpath-discipline" in rules, ref
+        other = HOOKS[(HOOKS.index(hook) + 1) % len(HOOKS)]
+        report, _ = _rules(f"""
+            def hot_loop(self, step):
+                if self.{other} is not None:
+                    self.{hook}.record(step)
+        """)
+        assert [f.rule for f in report.errors] == ["obs-fastpath-discipline"]
+    # A hook the function holds for certain needs no guard: the one a ``with``
+    # entry point yields, or a parameter that cannot be None.
     _, rules = _rules("""
-        from repro.obs import trace
+        def run(job):
+            with tracing() as tracer:
+                job()
+            return tracer.snapshot()
 
-        def hot_loop(step):
-            trace.RECORDER.record(step)
-    """)
-    assert "obs-fastpath-discipline" in rules
-    _, rules = _rules("""
-        from repro.obs import trace
-
-        def hot_loop(step):
-            if trace.ENABLED:
-                trace.RECORDER.record(step)
+        def report(profiler: InterpreterProfiler):
+            return profiler.report()
     """)
     assert "obs-fastpath-discipline" not in rules
+    _, rules = _rules("""
+        def report(profiler: Optional[InterpreterProfiler]):
+            return profiler.report()
+    """)
+    assert "obs-fastpath-discipline" in rules
+
+
+def test_an_unguarded_hook_call_in_the_matching_engine_is_flagged():
+    """Mutation test: drop the guard of one checked-in tracer call."""
+    from pathlib import Path
+
+    import repro.mpi.pt2pt as pt2pt
+
+    source = Path(pt2pt.__file__).read_text()
+    relpath = "src/repro/mpi/pt2pt.py"
+    _, rules = _rules(source, relpath)
+    assert "obs-fastpath-discipline" not in rules
+    guard = "        if self._tracer is not None:\n            self._tracer.instant(\n"
+    assert guard in source
+    mutant = source.replace(guard, "        if True:\n            self._tracer.instant(\n", 1)
+    report, rules = _rules(mutant, relpath)
+    assert [f.rule for f in report.errors] == ["obs-fastpath-discipline"]
+
+
+def test_a_module_global_hook_is_flagged():
+    """Mutation test: put the process-wide ``ENABLED`` flag back into
+    ``obs/trace.py``, switched on by a module function."""
+    from pathlib import Path
+
+    import repro.obs.trace as trace
+
+    source = Path(trace.__file__).read_text()
+    relpath = "src/repro/obs/trace.py"
+    _, rules = _rules(source, relpath)
+    assert "no-module-hooks" not in rules
+    mutant = source + textwrap.dedent("""
+
+        ENABLED = False
+
+
+        def enable_tracing():
+            global ENABLED
+            ENABLED = True
+    """)
+    report, rules = _rules(mutant, relpath)
+    [finding] = [f for f in report.errors if f.rule == "no-module-hooks"]
+    assert finding.details["baseline_key"] == (
+        "no-module-hooks::src/repro/obs/trace.py::enable_tracing")
+    # The two process-wide warm sessions are the allowed sites, and code
+    # outside the package is not the rule's business.
+    warm = """
+        _SESSION = None
+
+        def {function}():
+            global _SESSION
+            _SESSION = object()
+    """
+    _, rules = _rules(warm.format(function="default_session"), "src/repro/api/session.py")
+    assert "no-module-hooks" not in rules
+    _, rules = _rules(warm.format(function="_init_worker_session"),
+                      "src/repro/harness/campaign.py")
+    assert "no-module-hooks" not in rules
+    _, rules = _rules(warm.format(function="other_session"), "src/repro/api/session.py")
+    assert "no-module-hooks" in rules
+    _, rules = _rules(warm.format(function="default_session"), "src/repro/harness/campaign.py")
+    assert "no-module-hooks" in rules
+    _, rules = _rules(warm.format(function="anything"), "benchmarks/e2e/run.py")
+    assert "no-module-hooks" not in rules
 
 
 def test_direct_pt2pt_in_an_algorithm_module_is_flagged():

@@ -61,6 +61,81 @@ def test_registry_duplicate_requires_override():
     assert "x" not in reg
 
 
+# ------------------------------------------------------------------ population
+
+
+def _provider(tmp_path, monkeypatch, name: str, body: str):
+    """A fresh registry whose one provider module is ``body`` (which sees the
+    registry as ``host.REGISTRY`` and a scratch list as ``host.SEEN``)."""
+    import sys
+    import textwrap
+    import types
+
+    host = types.ModuleType(f"{name}_host")
+    host.REGISTRY = Registry("widget", populate=[name])
+    host.SEEN = []
+    monkeypatch.setitem(sys.modules, host.__name__, host)
+    (tmp_path / f"{name}.py").write_text(
+        f"import {host.__name__} as host\n" + textwrap.dedent(body))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return host
+
+
+def test_first_lookups_from_many_threads_all_see_every_entry(tmp_path, monkeypatch):
+    """A lookup that arrives while another thread's first lookup is still
+    importing the providers waits for them instead of reading a half-filled
+    (or empty) registry."""
+    import threading
+
+    host = _provider(tmp_path, monkeypatch, "slow_widget_provider", """
+        import time
+        host.REGISTRY.register("a", obj=1)
+        time.sleep(0.2)
+        host.REGISTRY.register("b", obj=2)
+    """)
+    nthreads = 8
+    barrier = threading.Barrier(nthreads)
+    seen = [None] * nthreads
+
+    def first_lookup(i):
+        barrier.wait(timeout=10)
+        try:
+            seen[i] = host.REGISTRY.names()
+        except Exception as exc:  # noqa: BLE001 - recorded and asserted below
+            seen[i] = exc
+
+    threads = [threading.Thread(target=first_lookup, args=(i,)) for i in range(nthreads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [["a", "b"]] * nthreads
+
+
+def test_a_provider_may_look_up_its_own_registry_while_importing(tmp_path, monkeypatch):
+    host = _provider(tmp_path, monkeypatch, "reentrant_widget_provider", """
+        host.REGISTRY.register("a", obj=1)
+        host.SEEN.append(host.REGISTRY.names())
+        host.REGISTRY.register("b", obj=2)
+    """)
+    assert host.REGISTRY.names() == ["a", "b"]
+    assert host.SEEN == [["a"]]
+
+
+def test_a_failed_provider_import_is_retried_on_the_next_lookup(tmp_path, monkeypatch):
+    host = _provider(tmp_path, monkeypatch, "flaky_widget_provider", """
+        host.SEEN.append("import")
+        if len(host.SEEN) == 1:
+            raise RuntimeError("provider failed to import")
+        host.REGISTRY.register("a", obj=1)
+    """)
+    with pytest.raises(RuntimeError, match="provider failed to import"):
+        host.REGISTRY.names()
+    assert host.REGISTRY.names() == ["a"]
+    assert host.SEEN == ["import", "import"]
+
+
 def test_unknown_entry_error_is_keyerror_and_lists_known():
     reg = Registry("widget")
     reg.register("alpha", obj=1)

@@ -27,7 +27,8 @@ from repro.api.registry import BENCHMARKS
 from repro.mpi import errors
 from repro.toolchain import mpi_header as abi
 from repro.toolchain.guest import GuestProgram
-from repro.wasm.errors import LinkError
+from repro.sim.engine import RankFailedError
+from repro.wasm.errors import LinkError, MemoryOutOfBoundsTrap
 
 GOLDEN = Path(__file__).parent / "golden" / "guest_modes.json"
 
@@ -108,6 +109,55 @@ def test_bad_calls_return_the_same_error_code_in_both_modes(mode, session):
         assert codes == [errors.MPI_ERR_COUNT, errors.MPI_ERR_TYPE, errors.MPI_ERR_COMM,
                          errors.MPI_SUCCESS]
         assert values == [2.0] * 4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_testall_reuses_one_scratch_region(mode, session):
+    """``GuestAPI.testall`` stages its handle and status arrays in one reused
+    region: the guest allocator never frees, so after the first of 1 000
+    calls the heap top stays where it is."""
+    def main(api, args):
+        api.mpi_init()
+        buf, values = api.alloc_array(2, abi.MPI_INT)
+        handles = [api.irecv(buf, 1, abi.MPI_INT, 0, 1),
+                   api.irecv(buf + 4, 1, abi.MPI_INT, 0, 2)]
+        assert api.testall(handles) == (False, [])
+        top = api.malloc(0)
+        for _ in range(999):
+            api.testall(handles)
+        grown = api.malloc(0) - top
+        src, data = api.alloc_array(2, abi.MPI_INT)
+        data[:] = [7, 8]
+        api.send(src, 1, abi.MPI_INT, 0, 1)
+        api.send(src + 4, 1, abi.MPI_INT, 0, 2)
+        flag, statuses = api.testall(handles)
+        api.mpi_finalize()
+        return grown, flag, [s["tag"] for s in statuses], values.tolist()
+
+    job = session.run(GuestProgram(name="testall-heap", main=main), 1, mode=mode)
+    assert job.return_values() == [(0, True, [1, 2], [7, 8])]
+
+
+@pytest.mark.parametrize("offset", [0, -8], ids=["past-the-end", "straddling"])
+@pytest.mark.parametrize("mode", MODES)
+def test_out_of_bounds_status_pointer_traps(mode, offset, session):
+    """The status write-back of an import and ``GuestAPI.read_status`` are
+    bounds-checked over the whole 16-byte ``MPI_Status``: a pointer at or
+    straddling the end of memory traps, it is never a short write or read."""
+    def main(api, args):
+        api.mpi_init()
+        status_ptr = api.instance.exported_memory().size + offset
+        if args == ["read"]:
+            return api.read_status(status_ptr)
+        buf, _ = api.alloc_array(1, abi.MPI_INT, fill=3)
+        return api._call("MPI_Sendrecv", buf, 1, abi.MPI_INT, 0, 5, buf, 1, abi.MPI_INT, 0, 5,
+                         abi.MPI_COMM_WORLD, status_ptr)
+
+    for how in ("write", "read"):
+        with pytest.raises(RankFailedError) as excinfo:
+            session.run(GuestProgram(name="bad-status", main=main), 1, mode=mode,
+                        guest_args=[how])
+        assert isinstance(excinfo.value.original, MemoryOutOfBoundsTrap)
 
 
 def test_native_mode_compiles_nothing_and_runs_no_wasm():

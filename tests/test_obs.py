@@ -24,7 +24,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs import trace as trace_mod
+from repro.obs.hooks import current_hooks
 
 
 # ---------------------------------------------------------------- the recorder
@@ -71,12 +71,12 @@ def test_recorder_unbalanced_end_is_counted_not_fatal():
 
 
 def test_tracing_context_installs_and_restores():
-    assert not trace_mod.ENABLED
+    assert current_hooks().tracer is None
     with tracing() as recorder:
-        assert trace_mod.ENABLED and trace_mod.RECORDER is recorder
+        assert current_hooks().tracer is recorder
         with recorder.span("s", tid=3, now=lambda: 1.0):
             pass
-    assert not trace_mod.ENABLED and trace_mod.RECORDER is None
+    assert current_hooks().tracer is None
     assert recorder.events()[0]["tid"] == 3
 
 
@@ -162,7 +162,7 @@ def test_tracing_disabled_records_nothing():
     with Session(backend="singlepass") as session:       # trace defaults off
         job = session.run("allreduce", 2)
     assert job.trace is None
-    assert not trace_mod.ENABLED
+    assert current_hooks().tracer is None
 
 
 def test_nbc_schedule_steps_nest_inside_mpi_call_spans():
@@ -341,12 +341,10 @@ def test_profiler_self_time_excludes_children():
 
 
 def test_profiling_context_restores_prior_state():
-    from repro.obs import profile as profile_mod
-
-    assert profile_mod.ACTIVE is None
+    assert current_hooks().profiler is None
     with profiling() as p:
-        assert profile_mod.ACTIVE is p
-    assert profile_mod.ACTIVE is None
+        assert current_hooks().profiler is p
+    assert current_hooks().profiler is None
 
 
 # The profile of a fixed guest, pinned exactly: `repro-harness profile hpcg
