@@ -303,9 +303,9 @@ class _FileLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    def _visit_guarded(self, guards: List[str], body) -> None:
+    def _visit_guarded(self, guards: List[str], body: List[ast.stmt]) -> None:
         self._guarded.extend(guards)
-        for child in body if isinstance(body, list) else [body]:
+        for child in body:
             self.visit(child)
         del self._guarded[len(self._guarded) - len(guards):]
 

@@ -85,6 +85,7 @@ def test_first_lookups_from_many_threads_all_see_every_entry(tmp_path, monkeypat
     """A lookup that arrives while another thread's first lookup is still
     importing the providers waits for them instead of reading a half-filled
     (or empty) registry."""
+    import sys
     import threading
 
     host = _provider(tmp_path, monkeypatch, "slow_widget_provider", """
@@ -105,10 +106,15 @@ def test_first_lookups_from_many_threads_all_see_every_entry(tmp_path, monkeypat
             seen[i] = exc
 
     threads = [threading.Thread(target=first_lookup, args=(i,)) for i in range(nthreads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [["a", "b"]] * nthreads
 

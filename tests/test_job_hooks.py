@@ -119,13 +119,13 @@ def test_one_traced_service_job_beside_an_untraced_one(monkeypatch, tmp_path):
 def test_a_fault_plan_kills_only_the_job_of_its_thread(monkeypatch):
     plan = FaultPlan(faults=(Fault(kind="kill_rank", rank=0, call="MPI_Bcast", call_index=0),))
 
-    def armed(benchmark):
+    def armed(benchmark, fired):
         def job():
             with inject_faults(plan) as active, Session() as session:
                 try:
                     session.run(benchmark, 2, mode="native")
                 finally:
-                    job.fired = list(active.fired)
+                    fired.extend(active.fired)
         return job
 
     def unarmed():
@@ -134,17 +134,16 @@ def test_a_fault_plan_kills_only_the_job_of_its_thread(monkeypatch):
 
     _overlap(monkeypatch)
     # The armed job never calls MPI_Bcast; the concurrent unarmed one does.
-    quiet = armed("allreduce")
-    (_, codes), errors = _in_threads(quiet, unarmed)
-    assert errors == [None, None] and codes == [0, 0] and quiet.fired == []
+    fired = []
+    (_, codes), errors = _in_threads(armed("allreduce", fired), unarmed)
+    assert errors == [None, None] and codes == [0, 0] and fired == []
 
     # Both call it: the plan fires in its own job only.
-    killed = armed("bcast")
-    (_, codes), errors = _in_threads(killed, unarmed)
+    (_, codes), errors = _in_threads(armed("bcast", fired), unarmed)
     assert isinstance(errors[0], RankFailedError)
     assert isinstance(errors[0].original, InjectedFault)
     assert errors[1] is None and codes == [0, 0]
-    assert [event["rank"] for event in killed.fired] == [0]
+    assert [event["rank"] for event in fired] == [0]
 
 
 def _run_allreduce_on_the_interpreter():
