@@ -264,19 +264,63 @@ CRANELIFT_BIG_ARTIFACT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(CRANELIFT_BIG_ARTIFACT_SHA256))
-def test_cranelift_artifact_of_compile_big_module_is_pinned(seed):
-    import hashlib
-    import pickle
+#: sha256 of the LLVM artifact's generated ``source`` for the ``compile-big``
+#: module per seed: what LLVM compiles and the disk cache stores.
+LLVM_BIG_SOURCE_SHA256 = {
+    1: "a0e5bf42dd970729c2be0cbd8130f2b1fc0e3b85a2bc23c006330035ac05d832",
+    2828: "b07699baa4d501851252c14d3ce401c214f5d3d0e280f933d23ccb4dd7e160f9",
+}
 
+#: sha256 of the fold-free generated source of every function, joined in
+#: order: the code Cranelift generates on each function's first call.
+CRANELIFT_FIRST_CALL_SOURCE_SHA256 = {
+    "compile-big-1": "9115c173f7074499e66cb3ff9ae8b6b3c2ca8f94ef9897f7511cae2a55c53ef2",
+    "hpcg": "9097a843216c2942e660e140b4c7f42d42e64ed204408ea8fc424615cccad5d2",
+}
+
+
+def _compile_big_module(seed):
     from benchmarks.e2e.modgen import build_big_module
     from repro.wasm import encode_module
     from repro.wasm.decoder import decode_module
 
-    module = decode_module(encode_module(build_big_module(seed)))
-    artifact = get_backend("cranelift").compile(module).artifact
-    assert hashlib.sha256(pickle.dumps(artifact)).hexdigest() == \
-        CRANELIFT_BIG_ARTIFACT_SHA256[seed]
+    return decode_module(encode_module(build_big_module(seed)))
+
+
+def _sha256(data):
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CRANELIFT_BIG_ARTIFACT_SHA256))
+def test_cranelift_artifact_of_compile_big_module_is_pinned(seed):
+    import pickle
+
+    artifact = get_backend("cranelift").compile(_compile_big_module(seed)).artifact
+    assert _sha256(pickle.dumps(artifact)) == CRANELIFT_BIG_ARTIFACT_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LLVM_BIG_SOURCE_SHA256))
+def test_llvm_source_of_compile_big_module_is_pinned(seed):
+    artifact = get_backend("llvm").compile(_compile_big_module(seed)).artifact
+    assert _sha256(artifact["source"].encode()) == LLVM_BIG_SOURCE_SHA256[seed]
+
+
+@pytest.mark.parametrize("name", sorted(CRANELIFT_FIRST_CALL_SOURCE_SHA256))
+def test_cranelift_first_call_source_is_pinned(name):
+    from repro.benchmarks_suite.registry import get_program
+    from repro.wasm.compilers.llvm import PythonCodeGenerator, _FunctionCodeGen
+
+    if name == "hpcg":
+        module = compile_guest(get_program("hpcg")).module
+    else:
+        module = _compile_big_module(int(name.rsplit("-", 1)[1]))
+    source = "\n\n\n".join(
+        _FunctionCodeGen(fn, PythonCodeGenerator.function_symbol(i), fold=False).generate()
+        for i, fn in enumerate(lower_module(module))
+    )
+    assert _sha256(source.encode()) == CRANELIFT_FIRST_CALL_SOURCE_SHA256[name]
 
 
 def test_cranelift_generates_each_function_once_on_first_call():
