@@ -8,7 +8,7 @@ runs it to quantify the speedup of the threaded-dispatch loop over the
 pre-resolved IR (the ``>= 2x`` acceptance bar of the refactor).
 
 Numeric semantics delegate to the same shared tables in
-:mod:`repro.wasm.lowering`, so the comparison measures dispatch cost only.
+:mod:`repro.wasm.semantics`, so the comparison measures dispatch cost only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.wasm import values as V
 from repro.wasm.errors import IndirectCallTrap, StackExhaustionTrap, Trap, UnreachableTrap
 from repro.wasm.instructions import BlockType, MemArg
-from repro.wasm.lowering import (
+from repro.wasm.lowering import build_control_map
+from repro.wasm.semantics import (
     _CONVERSIONS,
     _F_BIN,
     _I32_BIN,
@@ -31,7 +32,6 @@ from repro.wasm.lowering import (
     _f_unary,
     _simd_binary,
     _simd_lanes,
-    build_control_map,
 )
 from repro.wasm.module import Module
 from repro.wasm.runtime import Executor, HostFunction, Instance, WasmFunction

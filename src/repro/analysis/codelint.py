@@ -59,6 +59,13 @@ the linter exists so those regressions stay fixed:
   difference instead of the embedder.  Both modes now call the
   ``env.MPI_*`` host functions; a second binding would drift from them
   again.
+* ``ir-kinds-in-one-table`` -- outside ``wasm/ir.py``, a function comparing
+  a ``*kind`` variable against more than :data:`IR_KINDS_LIMIT` lowered-IR
+  kinds, or a module-level dict/set literal keyed by more than that many,
+  one of them a kind of the IR's own (``bin``, ``fused.*``; not only Wasm
+  instruction names such as ``block``).  Eight such tables and if-chains
+  once had to agree on each kind, and a dead kind outlived an IR version in
+  two; each kind is now one row of ``repro.wasm.ir.OPS``.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -75,6 +82,8 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, Report, Severity
+from repro.wasm.ir import MINED, OPS
+from repro.wasm.opcodes import BY_NAME
 
 #: Identifier fragments that mark a function as lock/deadline code for the
 #: wall-clock rule.
@@ -129,6 +138,14 @@ _GUEST_BINDING = "core/mpi_imports.py"
 
 #: ``obs-fastpath-discipline``: the receiver names of a job's hooks.
 _HOOK_NAMES = ("tracer", "faults", "capture", "profiler")
+
+#: ``ir-kinds-in-one-table``: the lowered-IR kinds, the one module that may
+#: list them, and how many one function's comparisons or one module-level
+#: literal may name (the fusion pass compares 3, the verifier's walk 5).
+_IR_KINDS = frozenset(OPS) | {MINED}
+_IR_OWN_KINDS = _IR_KINDS - set(BY_NAME)
+_IR_ROWS_MODULE = "wasm/ir.py"
+IR_KINDS_LIMIT = 8
 
 #: ``no-module-hooks``: the package it covers, and the (file suffix,
 #: function) pairs that may hold a ``global`` statement.
@@ -198,6 +215,37 @@ def _held_hooks(func: ast.AST) -> List[str]:
     return held
 
 
+def _is_ir_kind(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Constant) and node.value in _IR_KINDS
+
+
+def _lists_ir_kinds(kinds: set) -> bool:
+    """Whether a set of kind literals is a per-IR-kind table or chain."""
+    return len(kinds) > IR_KINDS_LIMIT and not kinds.isdisjoint(_IR_OWN_KINDS)
+
+
+def _names_a_kind(node: ast.AST) -> bool:
+    """Whether ``node`` is a variable holding an op kind (``kind``,
+    ``label_kind``, ``self.kind``)."""
+    return _receiver_name(node).endswith("kind")
+
+
+def _compared_ir_kinds(func: ast.AST) -> set:
+    """The IR kinds a function compares a kind variable against (``==``,
+    ``!=``, ``in`` a tuple/list/set of literals)."""
+    kinds = set()
+    for sub in ast.walk(func):
+        if not isinstance(sub, ast.Compare):
+            continue
+        operands = [sub.left, *sub.comparators]
+        if not any(_names_a_kind(op) for op in operands):
+            continue
+        for op in operands:
+            elts = op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op]
+            kinds.update(elt.value for elt in elts if _is_ir_kind(elt))
+    return kinds
+
+
 class _FileLinter(ast.NodeVisitor):
     """One file's lint pass; accumulates findings with baseline keys."""
 
@@ -210,6 +258,7 @@ class _FileLinter(ast.NodeVisitor):
         self.mpi_module = _MPI_DIR in f"/{relpath}"
         self.wasm_module = _WASM_DIR in f"/{relpath}"
         self.may_bind_guests = self.mpi_module or relpath.endswith(_GUEST_BINDING)
+        self.may_list_ir_kinds = relpath.endswith(_IR_ROWS_MODULE)
         self.findings: List[Finding] = []
         self._stack: List[ast.AST] = []        # enclosing class/function defs
         self._guarded: List[str] = []          # hooks proven present here
@@ -284,6 +333,11 @@ class _FileLinter(ast.NodeVisitor):
         for child in (*node.decorator_list, node.args, *([node.returns] if node.returns else [])):
             self.visit(child)
         self._visit_guarded(_held_hooks(node), node.body)
+        kinds = _compared_ir_kinds(node)
+        if not self.may_list_ir_kinds and _lists_ir_kinds(kinds):
+            self._report("ir-kinds-in-one-table", node,
+                         f"{node.name}() compares a kind against {len(kinds)} IR "
+                         "kinds: read the kind's row of repro.wasm.ir.OPS instead")
         self._stack.pop()
 
     visit_FunctionDef = _visit_def
@@ -293,6 +347,22 @@ class _FileLinter(ast.NodeVisitor):
         self._stack.append(node)
         self.generic_visit(node)
         self._stack.pop()
+
+    def _check_module_table(self, node) -> None:
+        if self._stack or self.may_list_ir_kinds or node.value is None:
+            return
+        for sub in ast.walk(node.value):
+            if isinstance(sub, (ast.Dict, ast.Set)):
+                keys = sub.keys if isinstance(sub, ast.Dict) else sub.elts
+                kinds = {key.value for key in keys if _is_ir_kind(key)}
+                if _lists_ir_kinds(kinds):
+                    self._report("ir-kinds-in-one-table", sub,
+                                 f"a module-level table keyed by {len(kinds)} IR "
+                                 "kinds: make it a column of repro.wasm.ir.OPS")
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_module_table(node)
+        self.generic_visit(node)
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
@@ -328,6 +398,7 @@ class _FileLinter(ast.NodeVisitor):
         self._while_depth -= 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
+        self._check_module_table(node)
         if (self.wasm_module and self._while_depth
                 and any(isinstance(t, ast.Name) and t.id == "pc" for t in node.targets)
                 and isinstance(node.value, ast.Call)

@@ -173,7 +173,9 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Load and verify (format, version, content digest) a checkpoint file."""
+    """Load and verify (format, version, content digest, one state per rank)
+    a checkpoint file.  A partial capture loads: resume checks the ranks it
+    holds."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -193,6 +195,13 @@ def load_checkpoint(path) -> Checkpoint:
     if expected != actual:
         raise CheckpointError(
             f"checkpoint {path} digest mismatch: stored {expected}, computed {actual}"
+        )
+    seen = [state.get("rank") for state in payload.get("ranks", [])
+            if isinstance(state, dict)]
+    duplicates = sorted({rank for rank in seen if seen.count(rank) > 1})
+    if duplicates:
+        raise CheckpointError(
+            f"checkpoint {path} holds rank state(s) {duplicates} more than once"
         )
     return Checkpoint(payload, path)
 

@@ -11,8 +11,8 @@ because it lacks user-defined communicators).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.mpi.errors import InvalidRankError
 

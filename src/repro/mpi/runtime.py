@@ -30,20 +30,17 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro.mpi import datatypes as dts
-from repro.mpi import ops as mpi_ops
 from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.base import CollectiveContext
 from repro.mpi.algorithms.decision import CollectiveSelector
 from repro.mpi.algorithms.schedule import ScheduleExecutor, get_builder
 from repro.mpi.communicator import (
     Communicator,
-    Group,
     SplitCoordinator,
     self_communicator,
     world_communicator,
@@ -318,8 +315,6 @@ class MPIWorld:
     (:mod:`repro.obs.hooks`; by default the creating thread's) are the ones
     every rank runs with."""
 
-    SHARED_KEY = "mpi.world"
-
     def __init__(self, cluster: Cluster, engine: SimEngine,
                  metrics: Optional[MetricsRegistry] = None, hooks: Optional[JobHooks] = None):
         self.cluster = cluster
@@ -340,10 +335,8 @@ class MPIWorld:
     @classmethod
     def install(cls, cluster: Cluster, engine: SimEngine, metrics: Optional[MetricsRegistry] = None,
                 hooks: Optional[JobHooks] = None) -> "MPIWorld":
-        """Create a world and store it on the engine's shared blackboard."""
-        world = cls(cluster, engine, metrics, hooks)
-        engine.shared[cls.SHARED_KEY] = world
-        return world
+        """Create the world of one job on ``engine``."""
+        return cls(cluster, engine, metrics, hooks)
 
 
 class MPIRuntime:

@@ -30,6 +30,9 @@ __all__ = [
     "profiling",
 ]
 
+#: ``__name__`` prefix of a mined chain's executor (``lowering._chain_handler``).
+_MINED_PREFIX = "_h_fused_mined__"
+
 
 class InterpreterProfiler:
     """Handler-hit histogram plus per-function call/self-time accounting.
@@ -111,19 +114,14 @@ class InterpreterProfiler:
                 for name, hits in sorted(self.handler_hits.items(),
                                          key=lambda kv: (-kv[1], kv[0]))}
 
-    _FUSED_HANDLERS = (
-        "_h_get_get_bin", "_h_get_const_bin", "_h_get_const_store",
-        "_h_cmp_br_if", "_h_eqz_br_if", "_h_get_get_cmp_br_if",
-        "_h_get_get_bin_set", "_h_get_const_bin_set", "_h_bin_set",
-        "_h_get_get_bin_set_br", "_h_get_const_bin_set_br", "_h_set_br",
-        "_h_pad",
-    )
-
     def fused_hits(self) -> int:
-        """Estimated dispatches that went through a fused superinstruction."""
+        """Estimated dispatches that went through a fused superinstruction:
+        the handlers of the ``fused.*`` rows and every mined chain."""
+        from repro.wasm.ir import FUSED_HANDLER_NAMES
+
         return sum(hits * self.sample_every
                    for name, hits in self.handler_hits.items()
-                   if name in self._FUSED_HANDLERS or "fused" in name)
+                   if name in FUSED_HANDLER_NAMES or name.startswith(_MINED_PREFIX))
 
     def mined_hits(self) -> Dict[str, int]:
         """Estimated dispatches per *mined* superinstruction, by chain name.
@@ -135,7 +133,7 @@ class InterpreterProfiler:
         return {name: hits * self.sample_every
                 for name, hits in sorted(self.handler_hits.items(),
                                          key=lambda kv: (-kv[1], kv[0]))
-                if name.startswith("_h_fused_mined__")}
+                if name.startswith(_MINED_PREFIX)}
 
     def report(self) -> dict:
         """Plain-data profile report (the ``--json`` CLI output)."""
@@ -186,7 +184,7 @@ def format_profile_report(profiler: InterpreterProfiler, top: int = 15) -> str:
         lines.append("")
         lines.append(f"{'mined superinstruction':<48} {'hits':>12}")
         for name, hits in list(mined.items())[:top]:
-            chain = " + ".join(name[len("_h_fused_mined__"):].split("__"))
+            chain = " + ".join(name[len(_MINED_PREFIX):].split("__"))
             lines.append(f"{chain:<48} {hits:>12}")
     lines.append("")
     lines.append(f"{'function':<28} {'calls':>10} {'self s':>10} {'total s':>10}")

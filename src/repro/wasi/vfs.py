@@ -18,7 +18,7 @@ import posixpath
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.wasi.errno import EACCES, EBADF, EEXIST, EINVAL, EISDIR, ENOENT, ENOTCAPABLE, ENOTDIR, WasiError
+from repro.wasi.errno import EACCES, EBADF, EINVAL, EISDIR, ENOENT, ENOTCAPABLE, ENOTDIR, WasiError
 
 
 @dataclass

@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.wasm.errors import StackExhaustionTrap
+from repro.wasm.ir_exec import _State
 from repro.wasm.lowering import (
     LoweredFunction,
-    _State,
     build_control_map,
     link,
     lower_function,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.wasm.instructions import Instruction
-from repro.wasm.types import FuncType, GlobalType, Limits, MemoryType, TableType, ValType
+from repro.wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
 
 
 class ExternKind(Enum):

@@ -10,7 +10,7 @@ Python callables wrapped in :class:`HostFunction`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs.hooks import JobHooks, current_hooks
@@ -18,8 +18,7 @@ from repro.wasm.errors import LinkError, Trap
 from repro.wasm.instructions import Instruction
 from repro.wasm.memory import LinearMemory
 from repro.wasm.module import ExternKind, Function, Module
-from repro.wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
-from repro.wasm.values import default_value
+from repro.wasm.types import FuncType, GlobalType, MemoryType, TableType
 
 
 @dataclass

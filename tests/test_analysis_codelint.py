@@ -380,6 +380,51 @@ def test_a_second_dispatch_loop_in_wasm_is_flagged():
     assert "one-dispatch-loop" in rules
 
 
+def test_a_second_per_ir_kind_table_is_flagged():
+    """Mutation test: the verifier reads each kind's row; putting its old
+    per-kind stack-effect table or immediate if-chain back is reported."""
+    from pathlib import Path
+
+    import repro.analysis.ir_verify as ir_verify
+    from repro.analysis.codelint import IR_KINDS_LIMIT
+
+    source = Path(ir_verify.__file__).read_text()
+    relpath = "src/repro/analysis/ir_verify.py"
+    _, rules = _rules(source, relpath)
+    assert "ir-kinds-in-one-table" not in rules
+    table = textwrap.dedent("""
+
+        CHAIN_STACK_EFFECT: Dict[str, Tuple[int, int]] = {
+            "nop": (0, 0), "drop": (1, 0), "select": (3, 1),
+            "local.get": (0, 1), "local.set": (1, 0), "local.tee": (1, 1),
+            "global.get": (0, 1), "global.set": (1, 0), "const": (0, 1),
+            "bin": (2, 1), "un": (1, 1), "load.u": (1, 1), "store.i": (2, 0),
+        }
+    """)
+    report, rules = _rules(source.rstrip("\n") + "\n" + table, relpath)
+    [finding] = [f for f in report.errors if f.rule == "ir-kinds-in-one-table"]
+    assert finding.details["baseline_key"] == (
+        "ir-kinds-in-one-table::src/repro/analysis/ir_verify.py::<module>")
+    kinds = ["block", "if", "else", "br_table", "call", "const", "bin", "un",
+             "load.u", "fused.set_br"]
+    chain = "def check(kind, imm):\n" + "".join(
+        f"    {'if' if i == 0 else 'elif'} kind == {k!r}:\n        return {i}\n"
+        for i, k in enumerate(kinds))
+    _, rules = _rules(chain, "src/repro/wasm/compilers/llvm.py")
+    assert "ir-kinds-in-one-table" in rules
+    # At the limit, in the rows module, or naming only kinds that are also
+    # Wasm instruction names (an instruction table), it is no finding.
+    _, rules = _rules("def check(label_kind):\n    return label_kind in (" + ", ".join(
+        repr(k) for k in kinds[:IR_KINDS_LIMIT]) + ")\n")
+    assert "ir-kinds-in-one-table" not in rules
+    _, rules = _rules(chain, "src/repro/wasm/ir.py")
+    assert "ir-kinds-in-one-table" not in rules
+    _, rules = _rules("_CONTEXTUAL = frozenset({" + ", ".join(repr(k) for k in (
+        "block", "loop", "if", "else", "end", "br", "br_if", "br_table", "return",
+        "local.get")) + "})\n")
+    assert "ir-kinds-in-one-table" not in rules
+
+
 def test_a_second_guest_binding_is_flagged():
     """Mutation test: the checked-in native mode reaches the runtime only
     through the embedder's host functions; a guest method that calls it

@@ -7,7 +7,6 @@ import copy
 import pytest
 
 from repro.analysis.ir_verify import (
-    CHAIN_STACK_EFFECT,
     chain_stack_effect,
     verify_artifact,
     verify_function,
@@ -16,8 +15,8 @@ from repro.analysis.ir_verify import (
 )
 from repro.wasm import ModuleBuilder, validate_module
 from repro.wasm.errors import ValidationError
+from repro.wasm.ir import CHAINABLE, OPS
 from repro.wasm.lowering import (
-    _CHAINABLE_KINDS,
     IR_VERSION,
     LoweredFunction,
     apply_fusion_table,
@@ -113,6 +112,20 @@ def test_out_of_bounds_block_target_is_rejected():
     report = _expect_rejection(payload, "bad-jump-target")
     [finding] = report.errors
     assert f"op {pc}" in finding.location
+
+
+def test_unknown_simd_op_name_is_rejected():
+    # Executing ("simd.bin", "zz.add") raises a bare KeyError from the lane
+    # table, not a Trap; the verifier must stop such an artifact first.
+    from repro.wasm.ir import SIMD_BINARY_OPS, SIMD_UNARY_OPS
+
+    for kind, name in (("simd.bin", "zz.add"), ("simd.un", "i32x4.bogus"),
+                       ("simd.bin", "i32x4.neg"), ("simd.un", "i32x4.add")):
+        payload = _clean_payload()
+        fi, pc = _find_op(payload, "local.get")
+        payload["functions"][fi]["ops"][pc] = [kind, name]
+        _expect_rejection(payload, "bad-immediate")
+    assert "i32x4.add" in SIMD_BINARY_OPS and "f64x2.sqrt" in SIMD_UNARY_OPS
 
 
 def test_unknown_op_kind_is_rejected():
@@ -246,8 +259,28 @@ def test_verify_on_load_default_off_still_loads_corrupt_payloads():
 # -------------------------------------------------------------- chain algebra
 
 
+#: The ``(pops, pushes)`` of every kind a mined chain may contain.
+_CHAIN_EFFECTS = {
+    "nop": (0, 0), "drop": (1, 0), "select": (3, 1),
+    "local.get": (0, 1), "local.set": (1, 0), "local.tee": (1, 1),
+    "global.get": (0, 1), "global.set": (1, 0), "const": (0, 1),
+    "bin": (2, 1), "un": (1, 1),
+    "load.u": (1, 1), "load.s32": (1, 1), "load.s64": (1, 1),
+    "load.f32": (1, 1), "load.f64": (1, 1), "load.v128": (1, 1),
+    "store.i": (2, 0), "store.f32": (2, 0), "store.f64": (2, 0), "store.v128": (2, 0),
+    "memory.size": (0, 1), "memory.grow": (1, 1), "memory.copy": (3, 0),
+    "memory.fill": (3, 0),
+    "splat": (1, 1), "extract_lane": (1, 1), "replace_lane": (2, 1),
+    "v128.not": (1, 1), "simd.bin": (2, 1), "simd.un": (1, 1),
+}
+
+
 def test_chain_stack_effect_covers_all_chainable_kinds():
-    assert set(CHAIN_STACK_EFFECT) == set(_CHAINABLE_KINDS)
+    # Chainable is derived from the rows: exactly the kinds with an effect,
+    # each a one-slot op; the set and every effect are pinned here.
+    assert CHAINABLE == {kind for kind, row in OPS.items() if row.effect is not None}
+    assert {kind: OPS[kind].effect for kind in CHAINABLE} == _CHAIN_EFFECTS
+    assert all(OPS[kind].width == 1 for kind in CHAINABLE)
 
 
 def test_chain_stack_effect_composition():

@@ -105,6 +105,16 @@ def test_load_rejects_foreign_and_future_documents(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_rejects_a_duplicate_rank_and_accepts_a_partial_capture(session, tmp_path):
+    payload = _capture_payload(session)
+    twice = dict(payload, ranks=[payload["ranks"][0], payload["ranks"][0]])
+    with pytest.raises(CheckpointError, match=r"rank state\(s\) \[0\] more than once"):
+        load_checkpoint(write_checkpoint(twice, tmp_path / "twice.ckpt.json"))
+    partial = dict(payload, ranks=[payload["ranks"][1]])
+    ckpt = load_checkpoint(write_checkpoint(partial, tmp_path / "partial.ckpt.json"))
+    assert ckpt.rank_state(0) is None and ckpt.rank_state(1) is not None
+
+
 def test_write_is_atomic_no_tmp_residue(session, tmp_path):
     write_checkpoint(_capture_payload(session), tmp_path / "a.ckpt.json")
     leftovers = [p for p in tmp_path.iterdir() if p.name != "a.ckpt.json"]

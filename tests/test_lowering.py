@@ -85,6 +85,60 @@ def test_lazy_interpreter_lowers_on_first_call_only():
     assert set(executor._functions) == {0}      # lowered exactly on first call
 
 
+# ------------------------------------------------------ one row per IR kind
+
+
+def test_an_ir_row_without_one_of_its_columns_fails_when_built():
+    from repro.wasm.ir import OPS, IROp
+
+    row = OPS["bin"]
+    columns = dict(kind="bin", handler=row.handler, linker=row.linker, check=row.check,
+                   width=1, effect=(2, 1), emit=row.emit)
+    assert IROp(**columns) == row
+    for missing in ("handler", "linker", "check", "width", "effect", "emit"):
+        with pytest.raises(TypeError):
+            IROp(**{k: v for k, v in columns.items() if k != missing})
+    for column, bad in (("handler", None), ("check", None), ("emit", None),
+                        ("linker", "bin"), ("width", 0), ("effect", (1, 2, 3))):
+        with pytest.raises(TypeError, match=column if column != "effect" else "effect"):
+            IROp(**{**columns, column: bad})
+    # Only a one-slot kind can sit in a mined chain.
+    with pytest.raises(TypeError, match="one-slot"):
+        IROp(**{**columns, "width": 2})
+
+
+def test_every_kind_lowering_emits_has_a_row():
+    from repro.benchmarks_suite import registry
+    from repro.wasm.ir import OPS
+
+    modules = [_compile_big_module(1), _sum_module(), _v128_mix_module()]
+    modules += [compile_guest(registry.get_program(name)).module
+                for name in registry.names()]
+    emitted = {kind for module in modules
+               for fn in lower_module(module) for kind, _imm in fn.ops}
+    assert emitted <= set(OPS), sorted(emitted - set(OPS))
+    assert {"fused.get_get_cmp_br_if", "fused.get_const_bin_set_br", "simd.bin", "call"} <= emitted
+
+
+def test_simd_rows_accept_exactly_the_names_lowering_emits():
+    from repro.wasm.instructions import make
+    from repro.wasm.ir import SIMD_BINARY_OPS, SIMD_UNARY_OPS
+    from repro.wasm.lowering import _lower_instruction
+    from repro.wasm.opcodes import BY_NAME, Imm
+    from repro.wasm.semantics import _simd_binary, _simd_unary
+
+    lowered = {}
+    for name, info in BY_NAME.items():
+        if info.is_simd and info.imm == Imm.NONE:
+            kind, imm = _lower_instruction(None, make(name), 0, {}, {}, 0)
+            lowered.setdefault(kind, set()).add(imm)
+    assert lowered["simd.bin"] == SIMD_BINARY_OPS
+    assert lowered["simd.un"] == SIMD_UNARY_OPS
+    vector = bytes(range(16))
+    assert all(len(_simd_binary(name, vector, vector)) == 16 for name in SIMD_BINARY_OPS)
+    assert all(len(_simd_unary(name, vector)) == 16 for name in SIMD_UNARY_OPS)
+
+
 # -------------------------------------------- profile-guided superinstructions
 
 

@@ -398,7 +398,8 @@ def _nested_call_guest():
 def test_profiler_counts_every_dispatch_across_wasm_calls(stride):
     from repro.wasm import ImportObject, Instance
     from repro.wasm.interpreter import Interpreter
-    from repro.wasm.lowering import _HANDLERS, lower_module
+    from repro.wasm.ir import OPS
+    from repro.wasm.lowering import lower_module
 
     module = _nested_call_guest()
     lowered = lower_module(module)
@@ -410,7 +411,7 @@ def test_profiler_counts_every_dispatch_across_wasm_calls(stride):
     assert sum(profiler.handler_hits.values()) == profiler.dispatches // stride
     # The counting wrappers live on the profiler: the lowered functions keep
     # their plain handlers.
-    plain = set(_HANDLERS.values())
+    plain = {row.handler for row in OPS.values()}
     for function in lowered:
         assert function.code is not None
         assert {handler for handler, _imm in function.code} <= plain
