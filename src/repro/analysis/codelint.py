@@ -141,7 +141,7 @@ _HOOK_NAMES = ("tracer", "faults", "capture", "profiler")
 
 #: ``ir-kinds-in-one-table``: the lowered-IR kinds, the one module that may
 #: list them, and how many one function's comparisons or one module-level
-#: literal may name (the fusion pass compares 3, the verifier's walk 5).
+#: literal may name (the fusion pass compares 4, the verifier's walk 5).
 _IR_KINDS = frozenset(OPS) | {MINED}
 _IR_OWN_KINDS = _IR_KINDS - set(BY_NAME)
 _IR_ROWS_MODULE = "wasm/ir.py"

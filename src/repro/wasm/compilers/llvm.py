@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from typing import Dict, List, Optional, Sequence
 
 from repro.wasm import values as V
@@ -217,13 +216,10 @@ class PythonCodeGenerator:
 def _exec_namespace() -> Dict[str, object]:
     """Globals injected into the generated code's namespace."""
     return {
-        "struct": struct,
-        "math": math,
         # repr() of non-finite floats emits the bare names inf/-inf/nan in
         # generated constants; bind them so those literals evaluate.
         "inf": math.inf,
         "nan": math.nan,
-        "V": V,
         "_BIN": _BINOPS,
         "_UN": _UNOPS,
         "_SIMD_BIN": _simd_binary,
@@ -234,7 +230,6 @@ def _exec_namespace() -> Dict[str, object]:
         "_F32": V.round_f32,
         "UnreachableTrap": UnreachableTrap,
         "IndirectCallTrap": IndirectCallTrap,
-        "Trap": Trap,
     }
 
 

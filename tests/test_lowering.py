@@ -377,6 +377,38 @@ def test_cranelift_first_call_source_is_pinned(name):
     assert _sha256(source.encode()) == CRANELIFT_FIRST_CALL_SOURCE_SHA256[name]
 
 
+def test_generated_code_reads_only_names_its_namespace_binds():
+    import builtins
+    import dis
+    import types
+
+    from repro.wasm.compilers.llvm import PythonCodeGenerator, _exec_namespace, _FunctionCodeGen
+
+    def global_names(code):
+        names = {ins.argval for ins in dis.get_instructions(code)
+                 if ins.opname == "LOAD_GLOBAL"}
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                names |= global_names(const)
+        return names
+
+    # Every emitter that reads a namespace name, compiled (never run).
+    ops = [("const", 1), ("const", 2), ("bin", "i32.rotl"), ("bin", "i32.shr_s"),
+           ("const", 1.0), ("un", "f32.neg"), ("bin", "f32.add"), ("splat", ("f", 4, 4)),
+           ("extract_lane", ("f", 4, 0, False)), ("const", bytes(16)), ("simd.bin", "i32x4.add"),
+           ("simd.un", "i32x4.neg"), ("const", 0), ("call_indirect", (0, 0, 0)),
+           ("unreachable", None)]
+    source = _FunctionCodeGen(LoweredFunction(ops, 0, ()), "f", fold=False).generate()
+    names = global_names(compile(source, "<generated>", "exec"))
+    assert {"_BIN", "_UN", "_S32", "_F32", "_V128L", "_SIMD_BIN", "_SIMD_UN",
+            "IndirectCallTrap", "UnreachableTrap"} <= names
+    bound = set(_exec_namespace()) | set(dir(builtins))
+    assert names <= bound
+    module = _v128_mix_module()
+    code = compile(PythonCodeGenerator(module).generate(), "<generated>", "exec")
+    assert global_names(code) - {PythonCodeGenerator.function_symbol(0)} <= bound
+
+
 def test_cranelift_generates_each_function_once_on_first_call():
     from repro.wasm.compilers.llvm import FirstCallTable
 
