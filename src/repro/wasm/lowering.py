@@ -559,11 +559,11 @@ def _fuse(ops: List[Tuple[str, object]], targets: set) -> int:
         if kind in _BACK_EDGE_KINDS:
             j = i + OPS[kind].width
             if j < n and j not in targets and ops[j][0] == "br":
-                imm = ops[i][1]
+                imm, fused_kind = ops[i][1], _BACK_EDGE_KINDS[kind]
                 if kind == "local.set":
-                    ops[i] = ("fused.set_br", (imm, ops[j][1]))
+                    ops[i] = (fused_kind, (imm, ops[j][1]))
                 else:
-                    ops[i] = (kind + "_br", (*imm, ops[j][1]))
+                    ops[i] = (fused_kind, (*imm, ops[j][1]))
                 ops[j] = _PAD
                 fused += 1
                 i = j + 1
@@ -572,11 +572,15 @@ def _fuse(ops: List[Tuple[str, object]], targets: set) -> int:
     return fused
 
 
-#: The set-style kinds a following ``br`` fuses with, read off the rows: each
-#: ``X`` that has an ``X_br`` row, and a bare ``local.set`` (``fused.set_br``).
-_BACK_EDGE_KINDS = frozenset(
-    kind[:-3] for kind in OPS if kind.endswith("_br") and kind[:-3] in OPS
-) | {"local.set"}
+#: The set-style kinds a following ``br`` fuses with, read off the rows, each
+#: to its fused kind: ``X`` to the ``X_br`` row's key, and a bare
+#: ``local.set`` to ``fused.set_br``.  The fused kind is the row's own key
+#: string, never a fresh ``kind + "_br"``, so every such op of an artifact
+#: shares one string and pickles it once.
+_BACK_EDGE_KINDS = {
+    kind[:-3]: kind for kind in OPS if kind.endswith("_br") and kind[:-3] in OPS
+}
+_BACK_EDGE_KINDS["local.set"] = "fused.set_br"
 
 
 def lower_function(module: Module, func: Function, func_type) -> LoweredFunction:

@@ -313,8 +313,8 @@ def test_embedder_applies_call_depth_to_executor():
 #: (``benchmarks/e2e/modgen.py``) per seed.  Cranelift's compile side is the
 #: eager lowering pass whatever its executor does; these pin its artifact.
 CRANELIFT_BIG_ARTIFACT_SHA256 = {
-    1: "9f10a3e629c907477e98f8c02c41724fa3e177129a7542ab7e8e7f08b2e3dbeb",
-    2828: "e806196830abedf9014e0b42316f693a855f0dadd0d491ce8fabb611c9502693",
+    1: "ea6494c2a7ecd2e0196be2e14b1402619a29aeb817e481ba5f44333608474c10",
+    2828: "18100bfc34c5243d4401a8154f8413bc38fd62f9db3c90ab37b9bcbb016dfa4d",
 }
 
 
