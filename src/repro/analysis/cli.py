@@ -27,7 +27,6 @@ exactly when the merged report contains errors (or warnings under
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import List, Optional, Sequence
 

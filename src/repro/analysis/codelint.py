@@ -66,6 +66,12 @@ the linter exists so those regressions stay fixed:
   instruction names such as ``block``).  Eight such tables and if-chains
   once had to agree on each kind, and a dead kind outlived an IR version in
   two; each kind is now one row of ``repro.wasm.ir.OPS``.
+* ``no-unused-import`` -- a top-level import in a module under ``repro/``
+  (not a package ``__init__``) whose name the module never reads, does not
+  list in ``__all__``, and no other linted file imports from it.  The
+  sweep that came with the rule deleted 47 such names in 24 modules, left
+  behind as code moved; an unread import is a dependency nobody can see is
+  dead.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -78,8 +84,9 @@ from __future__ import annotations
 
 import ast
 import json
+from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Report, Severity
 from repro.wasm.ir import MINED, OPS
@@ -520,8 +527,57 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, relpath: str, report: Optional[Report] = None) -> Report:
-    """Lint one file's source text; findings carry ``relpath:line`` locations."""
+def _module_name(relpath: str) -> Optional[str]:
+    """Dotted module name of a file under ``repro/`` (``repro.wasm.ir``)."""
+    parts = Path(relpath).with_suffix("").parts
+    if "repro" not in parts:
+        return None
+    parts = parts[parts.index("repro"):]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _unused_imports(tree: ast.Module, imported: Iterable[str]) -> Iterator[Tuple[ast.stmt, str]]:
+    """Top-level imports whose name the module never reads, does not export
+    in ``__all__``, and nobody imports from it (``imported``)."""
+    kept = set(imported)
+    kept.update(node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            kept.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        yield from ((node, name) for name in names if name not in kept)
+
+
+def _imports_by_module(sources: Iterable[str]) -> Dict[str, Set[str]]:
+    """The names ``from M import N`` statements in ``sources`` take from each
+    module ``M`` (absolute imports: the repo uses no relative ones)."""
+    imported: Dict[str, Set[str]] = defaultdict(set)
+    for source in sources:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported[node.module].update(alias.name for alias in node.names)
+    return imported
+
+
+def lint_source(source: str, relpath: str, report: Optional[Report] = None,
+                imported: Iterable[str] = ()) -> Report:
+    """Lint one file's source text; findings carry ``relpath:line`` locations.
+
+    ``imported`` names what other files import from this module, which
+    ``no-unused-import`` does not report (:func:`lint_paths` gathers it).
+    """
     report = report if report is not None else Report()
     try:
         tree = ast.parse(source, filename=relpath)
@@ -532,6 +588,11 @@ def lint_source(source: str, relpath: str, report: Optional[Report] = None) -> R
     env_exempt = any(relpath.endswith(sfx) for sfx in _ENV_EXEMPT_SUFFIX)
     linter = _FileLinter(relpath, env_exempt)
     linter.visit(tree)
+    if _module_name(relpath) is not None and not relpath.endswith("__init__.py"):
+        for node, name in _unused_imports(tree, imported):
+            linter._report("no-unused-import", node,
+                           f"{name!r} is imported but never read, exported or "
+                           "imported from here elsewhere: delete the import")
     report.findings.extend(linter.findings)
     return report
 
@@ -547,7 +608,7 @@ def iter_python_files(root: Path) -> Iterable[Path]:
 
 def lint_paths(paths: Sequence[Path], root: Optional[Path] = None) -> Report:
     """Lint every ``.py`` file under ``paths``; locations are ``root``-relative."""
-    report = Report()
+    files: List[Tuple[str, str]] = []
     for base in paths:
         base = Path(base)
         rel_root = root if root is not None else (base if base.is_dir() else base.parent)
@@ -556,7 +617,11 @@ def lint_paths(paths: Sequence[Path], root: Optional[Path] = None) -> Report:
                 relpath = path.relative_to(rel_root).as_posix()
             except ValueError:
                 relpath = path.as_posix()
-            lint_source(path.read_text(encoding="utf-8"), relpath, report)
+            files.append((relpath, path.read_text(encoding="utf-8")))
+    imported = _imports_by_module(source for _relpath, source in files)
+    report = Report()
+    for relpath, source in files:
+        lint_source(source, relpath, report, imported.get(_module_name(relpath), ()))
     return report
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Report, Severity
+from repro.analysis.findings import Report
 from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.schedule import (
     CopyStep,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import importlib
 import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 _MISSING = object()
 

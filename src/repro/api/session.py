@@ -268,7 +268,7 @@ class Session:
         else:
             compiled_app = self._compiled_application(app)
             compiled = embedder.compile_module(compiled_app.wasm_bytes, compiled_app.module)
-        self.metrics.record_cache_event(embedder.last_cache_tier)
+        self.metrics.record_cache_event(embedder.last_cache_tier, embedder.last_cache_key)
         artifact = getattr(compiled, "artifact", None)
         if isinstance(artifact, dict) and artifact.get("kind") == "lowered-ir":
             from repro.analysis.ir_verify import verify_artifact

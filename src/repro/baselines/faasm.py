@@ -16,7 +16,7 @@ moves bytes; the Figure 7 series come from :meth:`FaasmPlatform.pingpong_series`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.machines import faasm_cloud

@@ -22,7 +22,7 @@ reuse these kernels' operation counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
 

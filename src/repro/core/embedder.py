@@ -86,6 +86,8 @@ class MPIWasm:
         self.cache = cache
         #: Tier that served the last compile (``"memory"``/``"fs"``; ``None``: compiled).
         self.last_cache_tier: Optional[str] = None
+        #: Module key of the last compile's lookup.
+        self.last_cache_key: Optional[str] = None
 
     # ------------------------------------------------------------- compilation
 
@@ -98,7 +100,7 @@ class MPIWasm:
         backend = get_backend(self.config.backend)
         # Content-addressed key: module bytes + back-end + IR version, so an
         # IR format change transparently invalidates stale artifacts.
-        key = module_hash(wasm_bytes, backend.name)
+        key = self.last_cache_key = module_hash(wasm_bytes, backend.name)
         # load_or_compute serialises concurrent compilers of the same key
         # (per-key lock file for the on-disk cache), so a worker pool
         # sharing one cache directory compiles each module exactly once.
@@ -172,9 +174,11 @@ class MPIWasm:
         """Compile, instantiate and run a guest program to completion on one rank."""
         program = app.program if isinstance(app, CompiledApplication) else app
         compiled = self.compile_application(app)
-        cache_tier = self.last_cache_tier
+        cache_tier, cache_key = self.last_cache_tier, self.last_cache_key
         instance, env, api = self.instantiate(compiled, runtime, guest_args)
-        env.metrics.record_cache_event(cache_tier)
+        # Into the job's registry at once, so a rank that fails later still
+        # counts its lookup.
+        runtime.world.metrics.record_cache_event(cache_tier, cache_key)
         env.metrics.record("wasm.compile_seconds", compiled.compile_seconds)
         start_virtual = runtime.ctx.now
         exit_code = 0

@@ -61,7 +61,7 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import BACKENDS, MODES
 from repro.obs import trace as _trace
@@ -188,6 +188,12 @@ class JobOutcome:
             "hits": int(counters.get(f"{prefix}hit", 0)),
             "misses": int(counters.get(f"{prefix}miss", 0)),
         }
+
+    def missed_modules(self) -> List[str]:
+        """Keys of the modules this job's lookups missed (and so compiled)."""
+        prefix = MetricsRegistry.CACHE_MISS_PREFIX
+        return [name[len(prefix):] for name in self.metrics.get("counters", {})
+                if name.startswith(prefix)]
 
     def fingerprint(self) -> str:
         """Digest of everything deterministic about this job's outcome.
@@ -462,11 +468,17 @@ def _serial_session(session, cache_dir: Union[str, bool]) -> Iterator:
         session.config = configured
 
 
+def _cache_counters(counters: Mapping[str, int]) -> Dict[str, int]:
+    return {name: value for name, value in counters.items()
+            if name.startswith(MetricsRegistry.CACHE_PREFIX)}
+
+
 def run_job(
     spec: JobSpec,
     campaign_seed: int = 0,
     session=None,
     trace: bool = False,
+    journal_dir: Union[str, None] = None,
 ) -> JobOutcome:
     """Execute one campaign job; never raises for job-level failures.
 
@@ -482,17 +494,30 @@ def run_job(
     through the process environment.  ``trace=True`` records the job on a
     fresh :mod:`repro.obs.trace` recorder and attaches the snapshot to the
     outcome (the campaign runner merges the snapshots into one timeline).
+
+    Every AoT-cache lookup the job makes -- an experiment driver's on the
+    ambient session and a failed job's too -- is counted once in the
+    outcome's ``wasm.cache.*`` counters.  ``journal_dir`` gets the job's
+    ``started`` event first (one ``O_APPEND`` write, safe across processes),
+    so a job whose worker is killed mid-run stays unfinished and re-runs on
+    resume.
     """
     import numpy as np
 
     from repro.api.session import current_session, use_session
 
+    if journal_dir is not None:
+        from repro.fault.journal import Journal
+
+        Journal(journal_dir).record("started", spec.job_id)
     seed = spec.seed(campaign_seed)
     outcome = JobOutcome(job_id=spec.job_id, spec=spec, seed=seed)
     random.seed(seed)
     np.random.seed(seed & 0xFFFFFFFF)
     if session is None:
         session = _WORKER_SESSION or current_session()
+    before = _cache_counters(session.metrics.counters())
+    lookups: Dict[str, int] = {}
     start = time.perf_counter()
     try:
         with use_session(session):
@@ -511,8 +536,18 @@ def run_job(
             "message": str(exc),
             "traceback": traceback.format_exc(),
         }
+        # A failed run's metrics never reached the session; its lookups
+        # ride on the error.
+        lookups = _cache_counters(getattr(exc, "metrics_snapshot", {}).get("counters", {}))
     finally:
         outcome.wall_seconds = time.perf_counter() - start
+    for name, value in _cache_counters(session.metrics.counters()).items():
+        if value != before.get(name, 0):
+            lookups[name] = lookups.get(name, 0) + value - before.get(name, 0)
+    if lookups:
+        # A benchmark job's own counters already hold its ranks' lookups,
+        # which the session merged: these overwrite them with equal values.
+        outcome.metrics.setdefault("counters", {}).update(lookups)
     return outcome
 
 
@@ -548,53 +583,14 @@ def _run_experiment_job(spec: JobSpec, outcome: JobOutcome) -> None:
     outcome.exit_codes = [0]
 
 
-def _interrupted_outcome(spec: JobSpec, campaign_seed: int) -> JobOutcome:
-    """Structured record for a job the interrupt cut short (or never started)."""
+def _unfinished_outcome(spec: JobSpec, campaign_seed: int, status: str,
+                        error_type: str, message: str) -> JobOutcome:
+    """Structured record for a job that produced no outcome of its own: the
+    interrupt cut it short (or it never started), or its worker died."""
     return JobOutcome(
-        job_id=spec.job_id,
-        spec=spec,
-        seed=spec.seed(campaign_seed),
-        status="interrupted",
-        error={
-            "type": "KeyboardInterrupt",
-            "message": "campaign interrupted before this job completed",
-            "traceback": "",
-        },
+        job_id=spec.job_id, spec=spec, seed=spec.seed(campaign_seed), status=status,
+        error={"type": error_type, "message": message, "traceback": ""},
     )
-
-
-def _broken_outcome(spec: JobSpec, campaign_seed: int, exc: BaseException) -> JobOutcome:
-    """Structured record for a job whose worker process died (e.g. SIGKILL)."""
-    return JobOutcome(
-        job_id=spec.job_id,
-        spec=spec,
-        seed=spec.seed(campaign_seed),
-        status="error",
-        error={
-            "type": "BrokenProcessPool",
-            "message": str(exc) or "a campaign worker process died before the job finished",
-            "traceback": "",
-        },
-    )
-
-
-def _run_job_with_journal(
-    spec: JobSpec,
-    campaign_seed: int = 0,
-    trace: bool = False,
-    journal_dir: Union[str, None] = None,
-) -> JobOutcome:
-    """Pool entry point for journaled campaigns.
-
-    The ``started`` event is written *by the worker* (a single ``O_APPEND``
-    write, safe across processes), so a worker killed mid-job leaves its job
-    at a non-terminal event and a resume re-runs exactly that job.
-    """
-    if journal_dir is not None:
-        from repro.fault.journal import Journal
-
-        Journal(journal_dir).record("started", spec.job_id)
-    return run_job(spec, campaign_seed, trace=trace)
 
 
 def _journal_terminal(journal, outcome: JobOutcome) -> None:
@@ -730,6 +726,55 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
+@contextmanager
+def _job_stream(pending: List[JobSpec], seed: int, workers: int,
+                shared_cache: Union[str, bool], trace: bool,
+                journal_dir: Optional[str], session) -> Iterator:
+    """Run ``pending`` and yield an iterator of ``(outcome, broken)`` pairs in
+    job order: in-process on one warm session when ``workers <= 1``, else on
+    a process pool whose initializer gives every worker its own.
+
+    ``broken`` marks a job whose worker process died (SIGKILL, segfault,
+    OOM): the executor notices instead of hanging, and that job -- and every
+    job still queued behind the broken pool -- becomes a structured error
+    record.  A ``KeyboardInterrupt`` terminates and joins the workers
+    instead of orphaning them mid-job, then propagates.
+    """
+    if workers == 1 or not pending:
+        with _serial_session(session, shared_cache) as job_session:
+            yield ((run_job(job, seed, session=job_session, trace=trace,
+                            journal_dir=journal_dir), False) for job in pending)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = ProcessPoolExecutor(
+        max_workers=min(workers, len(pending)),
+        mp_context=_pool_context(),
+        initializer=_init_worker_session,
+        initargs=(shared_cache,),
+    )
+
+    def outcomes():
+        futures = [executor.submit(run_job, job, seed, trace=trace, journal_dir=journal_dir)
+                   for job in pending]
+        for job, future in zip(pending, futures):
+            try:
+                yield future.result(), False
+            except BrokenProcessPool as exc:
+                message = str(exc) or "a campaign worker process died before the job finished"
+                yield _unfinished_outcome(job, seed, "error", "BrokenProcessPool", message), True
+
+    try:
+        yield outcomes()
+    except KeyboardInterrupt:
+        for proc in list(getattr(executor, "_processes", {}).values()):
+            proc.terminate()
+        executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    executor.shutdown(wait=True)
+
+
 def run_campaign(
     spec: Union[CampaignSpec, Mapping[str, object], None],
     workers: int = 1,
@@ -826,8 +871,6 @@ def run_campaign(
     # a throwaway cache.
     disk_disabled = cache_dir is False or (cache_dir is None and spec.cache_dir is False)
     temporary_cache = False
-    stats_cache = None
-    baseline_events = 0
     if disk_disabled:
         shared_cache: Union[str, bool] = False
     else:
@@ -839,100 +882,40 @@ def run_campaign(
         if temporary_cache:
             shared_cache = tempfile.mkdtemp(prefix="repro-campaign-cache-")
 
-        from repro.wasm.compilers.cache import FileSystemCache
-
-        stats_cache = FileSystemCache(shared_cache)
-        # Persistent directories carry history from earlier runs; snapshot the
-        # event count so the reported stats cover this campaign only.
-        baseline_events = stats_cache.event_count()
-
     start = time.perf_counter()
     outcomes: List[JobOutcome] = []
     interrupted = False
     try:
-        if workers == 1 or not pending:
-            try:
-                with _serial_session(session, shared_cache) as job_session:
-                    for job in pending:
-                        if journal is not None:
-                            journal.record("started", job.job_id)
-                        outcome = run_job(job, spec.seed, session=job_session,
-                                          trace=do_trace)
-                        outcomes.append(outcome)
-                        if journal is not None:
-                            _journal_terminal(journal, outcome)
-                        if progress is not None:
-                            progress(outcome)
-            except KeyboardInterrupt:
-                interrupted = True
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            ctx = _pool_context()
-            executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                mp_context=ctx,
-                initializer=_init_worker_session,
-                initargs=(shared_cache,),
-            )
-            try:
-                futures = [
-                    executor.submit(
-                        _run_job_with_journal, job, campaign_seed=spec.seed,
-                        trace=do_trace, journal_dir=journal_path,
-                    )
-                    for job in pending
-                ]
-                for job, future in zip(pending, futures):
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        # A worker died (SIGKILL, segfault, OOM): the executor
-                        # noticed instead of hanging.  This job -- and every
-                        # job still queued behind the broken pool -- becomes a
-                        # structured error record; journaled as "broken"
-                        # (non-terminal), so a resume re-runs it.
-                        outcome = _broken_outcome(job, spec.seed, exc)
-                        if journal is not None:
-                            journal.record("broken", job.job_id,
-                                           message=outcome.error["message"])
-                        outcomes.append(outcome)
-                        if progress is not None:
-                            progress(outcome)
-                        continue
-                    outcomes.append(outcome)
-                    if journal is not None:
-                        _journal_terminal(journal, outcome)
-                    if progress is not None:
-                        progress(outcome)
-            except KeyboardInterrupt:
-                # Ctrl-C (or a SIGINT to the process group): stop the
-                # workers instead of orphaning them mid-job, then report
-                # a *partial* campaign -- every unfinished job gets an
-                # "interrupted" record so campaign.json still accounts
-                # for the whole job list.
-                interrupted = True
-                for proc in list(getattr(executor, "_processes", {}).values()):
-                    proc.terminate()
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                executor.shutdown(wait=True)
-        if interrupted:
-            done = {o.job_id for o in outcomes} | set(restored)
-            for job in jobs:
-                if job.job_id not in done:
-                    outcomes.append(_interrupted_outcome(job, spec.seed))
-        if stats_cache is not None:
-            cache_stats = stats_cache.global_stats(since=baseline_events)
-            compiled = stats_cache.compiled_keys(since=baseline_events)
-        else:
-            cache_stats = {}
-            compiled = []
+        with _job_stream(pending, spec.seed, workers, shared_cache, do_trace,
+                         journal_path, session) as stream:
+            for outcome, broken in stream:
+                outcomes.append(outcome)
+                if journal is not None and broken:
+                    # Non-terminal, so a resume re-runs the job.
+                    journal.record("broken", outcome.job_id, message=outcome.error["message"])
+                elif journal is not None:
+                    _journal_terminal(journal, outcome)
+                if progress is not None:
+                    progress(outcome)
+    except KeyboardInterrupt:
+        interrupted = True
     finally:
         if temporary_cache:
             shutil.rmtree(shared_cache, ignore_errors=True)
+    if interrupted:
+        done = {o.job_id for o in outcomes} | set(restored)
+        for job in jobs:
+            if job.job_id not in done:
+                outcomes.append(_unfinished_outcome(
+                    job, spec.seed, "interrupted", "KeyboardInterrupt",
+                    "campaign interrupted before this job completed"))
 
+    # This run's cache use is what its jobs counted, summed before restored
+    # jobs are spliced in: they made their lookups in the run that
+    # journaled them.
+    hits = sum(o.cache_events()["hits"] for o in outcomes)
+    misses = sum(o.cache_events()["misses"] for o in outcomes)
+    compiled = sorted({key for o in outcomes for key in o.missed_modules()})
     if restored:
         # Splice restored outcomes back into expansion order.
         by_id = {o.job_id: o for o in outcomes}
@@ -944,21 +927,11 @@ def run_campaign(
         workers=workers,
         outcomes=outcomes,
         wall_seconds=time.perf_counter() - start,
-        cache_stats=cache_stats,
+        cache_stats={"hits": hits, "misses": misses, "compiles": misses},
         compiled_modules=compiled,
         interrupted=interrupted,
     )
     for outcome in outcomes:
         if outcome.metrics:
             result.metrics.merge_snapshot(outcome.metrics)
-    if stats_cache is None:
-        # Disk cache disabled: derive the totals from the per-rank lookup
-        # counters instead of the (absent) cross-process event log.  Every
-        # miss compiled, so misses == compiles.
-        summary = result.metrics.cache_summary()
-        result.cache_stats = {
-            "hits": int(summary["hits"]),
-            "misses": int(summary["misses"]),
-            "compiles": int(summary["misses"]),
-        }
     return result

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.registry import EXPERIMENTS, register_experiment
 from repro.api.session import current_session
@@ -35,12 +34,12 @@ from repro.benchmarks_suite.hpcg import (
     FLOPS_PER_ROW_PER_ITER,
     make_hpcg_program,
 )
-from repro.benchmarks_suite.imb import DEFAULT_MESSAGE_SIZES, NBC_ROUTINES, make_imb_program
+from repro.benchmarks_suite.imb import NBC_ROUTINES, make_imb_program
 from repro.benchmarks_suite.npb import make_dt_program, make_is_program
 from repro.benchmarks_suite.ior import WASI_INDIRECTION_OVERHEAD_PER_BYTE, make_ior_program
-from repro.sim.machines import MachinePreset, get_preset, graviton2, supermuc_ng
+from repro.sim.machines import MachinePreset, graviton2, supermuc_ng
 from repro.sim.network import CollectiveCostModel
-from repro.toolchain.linker import LinkerModel, PAPER_APPLICATIONS, table2_rows
+from repro.toolchain.linker import LinkerModel, table2_rows
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm.compilers import get_backend
 

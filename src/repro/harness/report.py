@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
@@ -99,7 +99,7 @@ def format_campaign_report(result, title: str = "") -> str:
 
     One row per job (status, wall time, virtual makespan, per-job AoT-cache
     lookups) followed by the campaign totals: job/failure counts, wall-clock,
-    and the *cross-process* cache counters -- the line that shows each
+    and the sum of the jobs' cache counters -- the line that shows each
     distinct guest module was compiled exactly once across the worker pool.
     """
     rows = []

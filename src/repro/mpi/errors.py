@@ -91,12 +91,6 @@ class TruncationError(MPIError):
     code = MPI_ERR_TRUNCATE
 
 
-class InvalidRequestError(MPIError):
-    """A request handle did not name an active request."""
-
-    code = MPI_ERR_REQUEST
-
-
 class NotInitializedError(MPIError):
     """An MPI call was made before ``MPI_Init`` or after ``MPI_Finalize``."""
 

@@ -10,7 +10,7 @@ interconnect otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.machines import MachinePreset
 from repro.sim.network import InterconnectModel

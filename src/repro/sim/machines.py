@@ -24,14 +24,7 @@ from typing import Dict, Optional
 
 from repro.api.registry import MACHINES, register_machine
 from repro.sim.filesystem import ParallelFileSystemModel
-from repro.sim.network import (
-    GrpcMessagingModel,
-    InterconnectModel,
-    OmniPathModel,
-    SharedMemoryModel,
-    TcpEthernetModel,
-    make_interconnect,
-)
+from repro.sim.network import InterconnectModel, make_interconnect
 
 
 @dataclass(frozen=True)

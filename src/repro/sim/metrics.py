@@ -368,14 +368,20 @@ class MetricsRegistry:
 
     CACHE_PREFIX = "wasm.cache."
 
-    def record_cache_event(self, tier: Optional[str]) -> None:
+    #: Prefix of the per-module miss counters: ``wasm.cache.miss.<key>``.
+    CACHE_MISS_PREFIX = f"{CACHE_PREFIX}miss."
+
+    def record_cache_event(self, tier: Optional[str], key: Optional[str] = None) -> None:
         """Count one AoT-cache lookup (the embedder calls this per compile).
 
         ``tier`` is what the lookup returned: the layer that served a hit
-        (``"memory"`` or ``"fs"``), or ``None`` on a miss.
+        (``"memory"`` or ``"fs"``), or ``None`` on a miss.  A miss also
+        counts ``key``, the module it compiled, when one is given.
         """
         if tier is None:
             self.increment(f"{self.CACHE_PREFIX}miss")
+            if key is not None:
+                self.increment(f"{self.CACHE_MISS_PREFIX}{key}")
         else:
             self.increment(f"{self.CACHE_PREFIX}hit")
             self.increment(f"{self.CACHE_PREFIX}hit.{tier}")

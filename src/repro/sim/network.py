@@ -27,8 +27,8 @@ one parameterisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 
 def _ceil_log2(n: int) -> int:

@@ -21,8 +21,8 @@ runs -- the analogue of one MPI application's source tree.  It carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.toolchain.linker import ApplicationProfile
 from repro.wasm.builder import ModuleBuilder

@@ -23,7 +23,7 @@ three totals per application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 KIB = 1024
 MIB = 1024 * 1024

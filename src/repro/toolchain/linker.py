@@ -21,7 +21,7 @@ magnitude larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.toolchain import libraries as libs

@@ -19,7 +19,7 @@ validated, binary-encodable Wasm module that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.toolchain import mpi_header
 from repro.toolchain.guest import GuestProgram

@@ -11,13 +11,12 @@ through out-pointers in linear memory, and an errno returned as ``i32``.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.wasi.errno import EBADF, EINVAL, ENOSYS, SUCCESS, WasiError
+from repro.wasi.errno import EBADF, SUCCESS, WasiError
 from repro.wasi.vfs import VirtualFilesystem
 from repro.wasm.errors import ExitTrap
-from repro.wasm.runtime import HostFunction, ImportObject, Instance
+from repro.wasm.runtime import ImportObject, Instance
 from repro.wasm.types import FuncType
 
 NAMESPACE = "wasi_snapshot_preview1"

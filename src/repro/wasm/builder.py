@@ -15,12 +15,11 @@ definitions can be declared in any order.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.wasm import instructions as ins
 from repro.wasm import opcodes
-from repro.wasm.instructions import BlockType, Instruction, MemArg, make
+from repro.wasm.instructions import Instruction, MemArg, make
 from repro.wasm.module import (
     DataSegment,
     Export,

@@ -26,8 +26,8 @@ version so format changes invalidate stale entries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Type
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.wasm.lowering import IR_VERSION
 from repro.wasm.module import Module

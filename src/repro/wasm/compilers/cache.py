@@ -23,8 +23,9 @@ module is compiled again and the record republished.
 
 A lookup returns ``(compiled, tier)``: the tier that served it (``"memory"``
 or ``"fs"``), or ``None`` on a miss, so the tier is truthy exactly on a hit.
-Lookups are counted where their readers look: the session's
-:class:`~repro.sim.metrics.MetricsRegistry` and the directory's event log.
+The store keeps no count of its own: the caller records each lookup in the
+job's or session's :class:`~repro.sim.metrics.MetricsRegistry`, which is the
+one record of cache use (a campaign sums its jobs').
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import pickle
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.wasm.compilers.base import CompiledModule
 from repro.wasm.lowering import IR_VERSION
@@ -100,10 +101,9 @@ class FileSystemCache:
       compile step with a per-key lock file (``O_CREAT | O_EXCL``); losers
       wait for the winner's publish instead of recompiling.  A crashed
       winner's stale lock is broken after :data:`LOCK_TIMEOUT` seconds.
-    * **Counters aggregate across processes.**  Every hit / miss / compile
-      appends one line to ``_stats/events.log`` (``O_APPEND`` writes below
-      the pipe-buffer size are atomic on POSIX), so :meth:`global_stats`
-      reflects the whole worker pool, not just this process.
+    * **The directory holds artifacts and locks only.**  Lookups are not
+      logged here; each one is counted once, by its caller, in the metrics
+      of the job that made it, and a campaign sums its jobs' metrics.
     """
 
     #: Seconds after which another process's compile lock is considered stale.
@@ -114,8 +114,6 @@ class FileSystemCache:
     def __init__(self, directory: Union[Path, str]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._stats_dir = self.directory / "_stats"
-        self._stats_dir.mkdir(exist_ok=True)
         self._tmp_counter = itertools.count()
 
     def _path(self, key: str) -> Path:
@@ -123,63 +121,6 @@ class FileSystemCache:
 
     def _lock_path(self, key: str) -> Path:
         return self.directory / f"{key}.lock"
-
-    @property
-    def _events_path(self) -> Path:
-        return self._stats_dir / "events.log"
-
-    # --------------------------------------------------- cross-process stats
-
-    def _log_event(self, kind: str, key: str) -> None:
-        line = f"{kind} {key}\n".encode("ascii")
-        fd = os.open(self._events_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-
-    def _events(self) -> List[Tuple[str, str]]:
-        try:
-            text = self._events_path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return []
-        events = []
-        for raw in text.splitlines():
-            kind, _, key = raw.partition(" ")
-            if kind:
-                events.append((kind, key))
-        return events
-
-    def event_count(self) -> int:
-        """Number of events logged so far; a baseline for ``since`` arguments.
-
-        The log grows by one short line per lookup and is only reset by
-        :meth:`clear` -- acceptable for per-campaign cache directories; a
-        long-lived shared directory should be cleared periodically.
-        """
-        return len(self._events())
-
-    def global_stats(self, since: int = 0) -> Dict[str, int]:
-        """Hit/miss/compile totals across *every* process using this directory.
-
-        ``since`` skips that many leading events, so a caller can scope the
-        totals to its own run of a persistent directory by snapshotting
-        :meth:`event_count` first.
-        """
-        totals = {"hits": 0, "misses": 0, "compiles": 0}
-        for kind, _key in self._events()[since:]:
-            if kind == "hit":
-                totals["hits"] += 1
-            elif kind == "miss":
-                totals["misses"] += 1
-            elif kind == "compile":
-                totals["compiles"] += 1
-        return totals
-
-    def compiled_keys(self, since: int = 0) -> List[str]:
-        """Keys actually compiled (not cache-served), in publish order,
-        aggregated across every process using this directory."""
-        return [key for kind, key in self._events()[since:] if kind == "compile"]
 
     # ------------------------------------------------------------ store/load
 
@@ -231,10 +172,6 @@ class FileSystemCache:
             function_count=record["function_count"],
             ir_version=IR_VERSION,
         )
-
-    def _hit(self, key: str, compiled: CompiledModule) -> Tuple[CompiledModule, Optional[str]]:
-        self._log_event("hit", key)
-        return compiled, "fs"
 
     # ----------------------------------------------------- compile-once path
 
@@ -305,13 +242,13 @@ class FileSystemCache:
         miss; compile via ``compute`` at most once across every process
         sharing this directory.
 
-        Exactly one hit-or-miss event is recorded per call: a call that got
-        the artifact without compiling -- even by waiting out a concurrent
-        compiler -- is a hit; a call that ran ``compute`` is a miss.
+        A call that got the artifact without compiling -- even by waiting out
+        a concurrent compiler -- is a hit; a call that ran ``compute`` is a
+        miss.
         """
         compiled = self._read(key, module)
         if compiled is not None:
-            return self._hit(key, compiled)
+            return compiled, "fs"
         lock = self._lock_path(key)
         # The wait deadline is *monotonic*: it times out a wait happening in
         # this process, where wall-clock steps must not matter (a backwards
@@ -332,7 +269,7 @@ class FileSystemCache:
                 while lock.exists() and time.monotonic() < deadline:
                     compiled = self._read(key, module)
                     if compiled is not None:
-                        return self._hit(key, compiled)
+                        return compiled, "fs"
                     time.sleep(self.LOCK_POLL)
                 if time.monotonic() >= deadline:
                     # Liveness backstop: the holder is wedged well past the
@@ -342,11 +279,9 @@ class FileSystemCache:
             # between our read and the acquire.
             compiled = self._read(key, module)
             if compiled is not None:
-                return self._hit(key, compiled)
+                return compiled, "fs"
             compiled = compute()
             self.store(key, compiled)
-            self._log_event("miss", key)
-            self._log_event("compile", key)
             return compiled, None
         finally:
             if acquired:
@@ -359,9 +294,9 @@ class FileSystemCache:
         return {p.stem: p.stat().st_size for p in self.directory.glob("*.mpiwasm")}
 
     def clear(self) -> int:
-        """Delete all cached artifacts (and locks, and the event log);
-        returns the number of artifacts removed.  Tolerates concurrent
-        removals -- another process releasing its lock mid-clear is fine."""
+        """Delete all cached artifacts (and locks); returns the number of
+        artifacts removed.  Tolerates concurrent removals -- another process
+        releasing its lock mid-clear is fine."""
         removed = 0
         for p in self.directory.glob("*.mpiwasm"):
             try:
@@ -374,10 +309,6 @@ class FileSystemCache:
                 p.unlink()
             except FileNotFoundError:
                 pass
-        try:
-            self._events_path.unlink()
-        except FileNotFoundError:
-            pass
         return removed
 
 
@@ -388,9 +319,7 @@ class InMemoryCache:
     A lookup tries memory first; on a memory miss it goes to ``disk``'s
     compile-once :meth:`FileSystemCache.load_or_compute` (straight to
     ``compute`` without a disk) and keeps what it got, so the next job of
-    the session skips the filesystem.  A memory hit in front of a disk logs
-    the one ``hit`` event the disk would have, so the directory's totals are
-    the same with or without a warm session in front of it.
+    the session skips the filesystem.
     """
 
     def __init__(self, disk: Optional[FileSystemCache] = None) -> None:
@@ -414,8 +343,6 @@ class InMemoryCache:
         when ``compute`` ran."""
         cached = self._store.get(key)
         if cached is not None:
-            if self.disk is not None:
-                self.disk._log_event("hit", key)
             return replace(cached, module=module, compile_seconds=0.0), "memory"
         if self.disk is None:
             compiled, tier = compute(), None

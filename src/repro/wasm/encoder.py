@@ -10,11 +10,10 @@ measures ("Wasm Size"), and the decoder round-trips them back into modules
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.wasm.instructions import BlockType, Instruction, MemArg
 from repro.wasm.module import (
-    CustomSection,
     DataSegment,
     ElementSegment,
     Export,
@@ -25,7 +24,7 @@ from repro.wasm.module import (
     Module,
 )
 from repro.wasm.opcodes import Imm
-from repro.wasm.types import FuncType, GlobalType, Limits, MemoryType, TableType, ValType
+from repro.wasm.types import FuncType, GlobalType, Limits, ValType
 
 # Pre-compiled float-immediate codecs (same spirit as wasm.values: parse the
 # format string once, not per encoded constant).

@@ -8,8 +8,8 @@ never as raw LEB128 bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.wasm import opcodes
 from repro.wasm.opcodes import Imm, OpcodeInfo

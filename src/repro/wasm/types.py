@@ -8,7 +8,7 @@ plus the 128-bit ``v128`` type of the fixed-width SIMD proposal (enabled with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

@@ -11,7 +11,7 @@ sandbox guarantees described in §2.2 of the paper.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.wasm.errors import Trap, ValidationError

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Tuple
 
 from repro.wasm.errors import IntegerDivideByZeroTrap, IntegerOverflowTrap
 

@@ -469,6 +469,44 @@ def test_a_second_guest_binding_is_flagged():
     assert "one-guest-binding" not in _rules(clock, "src/repro/fault/recover.py")[1]
 
 
+def test_an_unused_import_is_flagged(tmp_path):
+    """Mutation test: the checked-in builder reads every name it imports; an
+    import it never reads is reported, unless the module exports it in
+    ``__all__`` or another linted file imports it from there."""
+    from pathlib import Path
+
+    import repro.wasm.builder as builder
+    from repro.analysis.codelint import lint_paths
+
+    source = Path(builder.__file__).read_text()
+    relpath = "src/repro/wasm/builder.py"
+    _, rules = _rules(source, relpath)
+    assert "no-unused-import" not in rules
+    mutated = source.replace("from __future__ import annotations\n",
+                             "from __future__ import annotations\n\nimport struct\n", 1)
+    report, rules = _rules(mutated, relpath)
+    [finding] = [f for f in report.errors if f.rule == "no-unused-import"]
+    assert finding.details["baseline_key"] == "no-unused-import::src/repro/wasm/builder.py::<module>"
+    assert "'struct'" in finding.message
+    # Read, exported, in a package __init__, or outside repro/: no finding.
+    for text, path in (
+        ("import struct\n\ndef f(x: struct.Struct):\n    return x\n", relpath),
+        ("import struct\n\n__all__ = ['struct']\n", relpath),
+        ("import struct\n", "src/repro/wasm/__init__.py"),
+        ("import struct\n", "tools/script.py"),
+    ):
+        _, rules = _rules(text, path)
+        assert "no-unused-import" not in rules, (text, path)
+    # A name another file imports from the module is a re-export.
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("from typing import Dict, List\n")
+    (package / "b.py").write_text("from repro.a import Dict\n\nX: Dict = {}\n")
+    report = lint_paths([tmp_path / "src"], root=tmp_path)
+    assert [(f.location, f.rule) for f in report.errors] == [("src/repro/a.py:1", "no-unused-import")]
+    assert "'List'" in report.errors[0].message
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

@@ -211,6 +211,66 @@ def test_repro_cache_dir_env_is_honoured(tmp_path, monkeypatch):
     assert second.cache_stats == {"hits": 2, "misses": 0, "compiles": 0}
 
 
+#: One benchmark job plus one experiment job whose driver runs (and so
+#: compiles) on the ambient session.
+ALLREDUCE_AND_NBC = {
+    "benchmarks": [{"benchmark": "allreduce", "nranks": 2}],
+    "experiments": [{"experiment": "nbc"}],
+}
+
+
+def test_cache_stats_are_the_same_with_the_disk_cache_on_and_off(tmp_path):
+    """A driver's compiles count in its job's metrics, whether or not a disk
+    cache is there to see them."""
+    on = run_campaign(ALLREDUCE_AND_NBC, cache_dir=str(tmp_path))
+    off = run_campaign(ALLREDUCE_AND_NBC, cache_dir=False)
+    assert on.cache_stats == off.cache_stats == {"hits": 20, "misses": 2, "compiles": 2}
+    assert on.compiled_modules == off.compiled_modules
+    assert len(on.compiled_modules) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_json_per_job_cache_sums_to_its_top_level_cache(tmp_path, workers):
+    result = run_campaign(ALLREDUCE_AND_NBC, workers=workers, cache_dir=str(tmp_path / "aot"))
+    payload = json.loads(result.write(tmp_path / "campaign.json").read_text())
+    jobs = [job["cache"] for job in payload["jobs"]]
+    total = payload["cache"]
+    assert sum(job["hits"] for job in jobs) == total["hits"] > 0
+    assert sum(job["misses"] for job in jobs) == total["misses"] == total["compiles"] > 0
+
+
+def test_lookups_leave_only_artifacts_in_the_cache_directory(tmp_path):
+    result = run_campaign(ALLREDUCE_AND_NBC, cache_dir=str(tmp_path))
+    assert result.cache_stats["hits"] > 0
+    assert not (tmp_path / "_stats").exists()
+    assert {path.suffix for path in tmp_path.iterdir()} == {".mpiwasm"}
+
+
+def test_a_failed_jobs_lookups_count_in_its_outcome():
+    from repro.api import Session
+    from repro.api.registry import BENCHMARKS, register_benchmark
+    from repro.toolchain.guest import GuestProgram
+
+    @register_benchmark("test-fails-after-compile")
+    def make_failing():
+        def main(api, args):
+            api.mpi_init()
+            api.barrier()          # both ranks have compiled by now
+            raise RuntimeError("guest gave up")
+
+        return GuestProgram(name="test-fails-after-compile", main=main)
+
+    try:
+        with Session(cache_dir=None) as session:
+            outcome = run_job(JobSpec(kind="benchmark", name="test-fails-after-compile"),
+                              session=session)
+    finally:
+        BENCHMARKS.unregister("test-fails-after-compile")
+    assert outcome.status == "error" and "guest gave up" in outcome.error["message"]
+    assert outcome.cache_events() == {"hits": 1, "misses": 1}
+    assert len(outcome.missed_modules()) == 1
+
+
 def test_jobs_never_touch_the_process_environment(tmp_path):
     """The campaign's cache directory reaches a job through its session: a
     driver looking at ``os.environ`` mid-job sees what the caller had."""
