@@ -15,9 +15,11 @@ findings model (:mod:`repro.analysis.findings`) and one CLI
 * :mod:`repro.analysis.codelint` -- AST linter for invariants this repo has
   already paid for in bugfixes (monotonic clocks in lock code, env reads
   via ``core/envvars.py``, obs fast-path discipline, ...), baseline-gated.
-* :mod:`repro.analysis.checkpoint_verify` -- document-level verification of
+* :func:`verify_checkpoint` -- document-level verification of
   :mod:`repro.fault.checkpoint` snapshots (digest, rank coverage, executor
-  position bounds, memory-image consistency) without resuming them.
+  position bounds, memory-image consistency) without resuming them.  The
+  checks live with the format, in :mod:`repro.fault.checkpoint`, so
+  ``load_checkpoint`` refuses exactly what this reports as an error.
 
 The findings types are eagerly importable; the analyzers themselves load
 lazily so ``import repro.analysis`` stays cheap (the schedule checker pulls
@@ -32,7 +34,6 @@ __all__ = [
     "Finding",
     "Report",
     "Severity",
-    "checkpoint_verify",
     "codelint",
     "findings",
     "ir_verify",
@@ -42,13 +43,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in ("checkpoint_verify", "codelint", "findings", "ir_verify",
-                "schedule_check"):
+    if name in ("codelint", "findings", "ir_verify", "schedule_check"):
         import importlib
 
         return importlib.import_module(f"repro.analysis.{name}")
     if name == "verify_checkpoint":
-        from repro.analysis.checkpoint_verify import verify_checkpoint
+        from repro.fault.checkpoint import verify_checkpoint
 
         return verify_checkpoint
     raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")

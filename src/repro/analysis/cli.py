@@ -130,7 +130,7 @@ def _cmd_ir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.analysis import checkpoint_verify
+    from repro.fault.checkpoint import verify_checkpoint
 
     report = Report()
     for raw in args.paths:
@@ -141,9 +141,9 @@ def _cmd_checkpoint(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 report.note("checkpoint", "no-checkpoints",
                             "directory holds no *.ckpt.json files", str(path))
             for file in found:
-                report.merge(checkpoint_verify.verify_checkpoint(file))
+                report.merge(verify_checkpoint(file))
         else:
-            report.merge(checkpoint_verify.verify_checkpoint(path))
+            report.merge(verify_checkpoint(path))
     return _finish(report, args)
 
 

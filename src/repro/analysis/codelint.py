@@ -72,6 +72,12 @@ the linter exists so those regressions stay fixed:
   sweep that came with the rule deleted 47 such names in 24 modules, left
   behind as code moved; an unread import is a dependency nobody can see is
   dead.
+* ``no-unraised-error`` -- an exception class in a module under ``repro/``
+  that no linted file raises, constructs or hands to a call (a class a
+  helper raises, such as ``report.raise_if_error(CheckpointError)``), and
+  that is not a base of a class that is.  An error nothing raises is a
+  branch of every ``except`` clause naming it that cannot run, and a
+  promise in the error taxonomy the code does not keep.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -83,6 +89,7 @@ code motion never churns the baseline) appears in the checked-in
 from __future__ import annotations
 
 import ast
+import builtins
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -556,19 +563,52 @@ def _unused_imports(tree: ast.Module, imported: Iterable[str]) -> Iterator[Tuple
         yield from ((node, name) for name in names if name not in kept)
 
 
-def _imports_by_module(sources: Iterable[str]) -> Dict[str, Set[str]]:
-    """The names ``from M import N`` statements in ``sources`` take from each
+def _imports_by_module(trees: Iterable[ast.Module]) -> Dict[str, Set[str]]:
+    """The names ``from M import N`` statements in ``trees`` take from each
     module ``M`` (absolute imports: the repo uses no relative ones)."""
     imported: Dict[str, Set[str]] = defaultdict(set)
-    for source in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 imported[node.module].update(alias.name for alias in node.names)
     return imported
+
+
+def _raised_names(tree: ast.Module) -> Iterator[str]:
+    """Names a module raises, calls, or hands to a call other than
+    ``isinstance``/``issubclass`` (a class a helper raises)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            yield _receiver_name(node.exc)
+        elif isinstance(node, ast.Call):
+            yield _receiver_name(node.func)
+            if _call_name(node) not in ("isinstance", "issubclass"):
+                for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                    yield _receiver_name(arg)
+
+
+def _unraised_errors(trees: Dict[str, ast.Module]) -> Iterator[Tuple[str, ast.ClassDef]]:
+    """``(relpath, class)`` of each exception class under ``repro/`` that no
+    tree raises or constructs, and that is no base of a class that is."""
+    bases: Dict[str, Set[str]] = defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name].update(_receiver_name(base) for base in node.bases)
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    while found := {name for name, parents in bases.items() if parents & errors} - errors:
+        errors |= found         # a subclass of an exception class is one
+    used = {name for tree in trees.values() for name in _raised_names(tree)}
+    pending = list(used & errors)
+    while pending:              # a base of a used class is used
+        for parent in bases.get(pending.pop(), set()) - used:
+            used.add(parent)
+            pending.append(parent)
+    for relpath, tree in trees.items():
+        if _module_name(relpath) is not None:
+            yield from ((relpath, node) for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) and node.name in errors - used)
 
 
 def lint_source(source: str, relpath: str, report: Optional[Report] = None,
@@ -618,10 +658,23 @@ def lint_paths(paths: Sequence[Path], root: Optional[Path] = None) -> Report:
             except ValueError:
                 relpath = path.as_posix()
             files.append((relpath, path.read_text(encoding="utf-8")))
-    imported = _imports_by_module(source for _relpath, source in files)
+    trees: Dict[str, ast.Module] = {}
+    for relpath, source in files:
+        try:
+            trees[relpath] = ast.parse(source)
+        except SyntaxError:
+            continue        # lint_source reports it
+    imported = _imports_by_module(trees.values())
     report = Report()
     for relpath, source in files:
         lint_source(source, relpath, report, imported.get(_module_name(relpath), ()))
+    for relpath, node in _unraised_errors(trees):
+        report.findings.append(Finding(
+            "lint", "no-unraised-error", Severity.ERROR,
+            f"{node.name} is never raised or constructed, nor a base of an error that is",
+            f"{relpath}:{node.lineno}",
+            {"baseline_key": f"no-unraised-error::{relpath}::{node.name}"},
+        ))
     return report
 
 

@@ -46,7 +46,10 @@ every name.  Version 2.0 removed the pre-session entry points (the one-shot
 launcher functions, self-configuring embedders, the cache façade module):
 :class:`Session` is the only way a job runs.  Version 3.0 removed
 ``enable_tracing``/``disable_tracing``: tracing is a per-job hook, switched
-on by :func:`tracing` around a job or ``Session(trace=True)``.
+on by :func:`tracing` around a job or ``Session(trace=True)``.  Version 4.0
+removed the ``validate`` setting (``REPRO_VALIDATE``) and
+``Session.compile``'s ``module=`` keyword: the session validates every
+module it compiles or runs.
 
 Attribute access is lazy (PEP 562) so that low-level modules may import
 ``repro.api.registry`` without dragging the whole execution stack in.
@@ -57,7 +60,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 #: Version of the public API contract (bumped on breaking surface changes).
-API_VERSION = "3.0"
+API_VERSION = "4.0"
 
 #: name -> submodule that defines it (resolved lazily on first access).
 _EXPORT_SOURCES = {
@@ -179,7 +182,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         Report,
         Severity,
     )
-    from repro.analysis.checkpoint_verify import (  # noqa: F401
+    from repro.fault.checkpoint import (  # noqa: F401
         verify_checkpoint,
     )
     from repro.analysis.ir_verify import (  # noqa: F401

@@ -66,8 +66,6 @@ FIELDS: Tuple[_Field, ...] = (
     _Field("cache_dir", None, "REPRO_CACHE_DIR",
            parse=lambda raw: raw or None,
            coerce=lambda v: str(v) if v else None),
-    _Field("validate", True, "REPRO_VALIDATE",
-           parse=lambda raw: envvars.parse_bool(raw, "REPRO_VALIDATE"), coerce=bool),
     _Field("memory_pages", None, "REPRO_MEMORY_PAGES",
            parse=_parse_memory_pages, coerce=_parse_memory_pages),
     _Field("max_call_depth", 256, "REPRO_MAX_CALL_DEPTH", parse=int, coerce=int),
@@ -93,7 +91,6 @@ class ResolvedConfig:
     nranks: int = 4
     ranks_per_node: Optional[int] = None
     cache_dir: Optional[str] = None
-    validate: bool = True
     memory_pages: Optional[int] = None
     max_call_depth: int = 256
     collective_algorithms: Dict[str, str] = field(default_factory=dict)

@@ -25,9 +25,9 @@ the campaign runner binds to the job's warm session via :func:`use_session`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.config import ResolvedConfig, _UNSET
@@ -38,7 +38,7 @@ from repro.mpi.runtime import MPIRuntime, MPIWorld
 from repro.obs.hooks import current_hooks
 from repro.obs.trace import tracing
 from repro.sim.cluster import Cluster
-from repro.sim.engine import RankFailedError, SimEngine
+from repro.sim.engine import DeadlockError, RankFailedError, SimEngine
 from repro.sim.machines import MachinePreset
 from repro.sim.metrics import MetricsRegistry
 from repro.toolchain.guest import GuestProgram
@@ -123,10 +123,10 @@ def execute_job(
     engine.spawn_all(program_factory(world, metrics))
     try:
         rank_results = engine.run()
-    except RankFailedError as err:
+    except (RankFailedError, DeadlockError) as err:
         # Survivors are already torn down (the engine guarantees it); attach
         # the job's final metrics so the error record carries each rank's
-        # counters at failure time.
+        # counters at failure time, and the session can count them.
         err.metrics_snapshot = metrics.snapshot()
         raise
     return rank_results, engine.max_clock, metrics
@@ -244,15 +244,15 @@ class Session:
     # ------------------------------------------------------------ compilation
 
     def compile(self, app: Union[AppLike, bytes], *,
-                backend: Optional[str] = None,
-                module=None) -> CompiledModule:
+                backend: Optional[str] = None) -> CompiledModule:
         """AoT-compile an application through the session's artifact store.
 
         Accepts a guest program, a ``wasicc`` output, a registered benchmark
-        name, or raw ``.wasm`` bytes (with an optional already-decoded
-        ``module`` to skip re-decoding).  Repeated compiles of the same
-        module (any job, same session) are served from the warm store; the
-        lookup is recorded in the session's ``metrics.cache_summary()``.
+        name, or raw ``.wasm`` bytes, which are decoded here.  The module is
+        validated once per call, before the lookup: the session is where a
+        module is admitted.  Repeated compiles of the same module (any job,
+        same session) are served from the warm store; the lookup is recorded
+        in the session's ``metrics.cache_summary()``.
 
         Compiled lowered-IR artifacts -- freshly built or loaded from the
         shared on-disk cache -- are statically verified
@@ -264,10 +264,12 @@ class Session:
         config = self.config.replaced(backend=backend) if backend else self.config
         embedder = MPIWasm(config, self.artifact_cache(config))
         if isinstance(app, bytes):
-            compiled = embedder.compile_module(app, module or decode_module(app))
+            wasm_bytes, module = app, decode_module(app)
         else:
             compiled_app = self._compiled_application(app)
-            compiled = embedder.compile_module(compiled_app.wasm_bytes, compiled_app.module)
+            wasm_bytes, module = compiled_app.wasm_bytes, compiled_app.module
+        validate_module(module)
+        compiled = embedder.compile_module(wasm_bytes, module)
         self.metrics.record_cache_event(embedder.last_cache_tier, embedder.last_cache_key)
         artifact = getattr(compiled, "artifact", None)
         if isinstance(artifact, dict) and artifact.get("kind") == "lowered-ir":
@@ -325,15 +327,20 @@ class Session:
         # this keyword set.
         request = dict(nranks=int(nranks), preset=preset, ranks_per_node=ranks_per_node,
                        config=config, guest_args=tuple(guest_args) or config.guest_args)
-        if self.config.trace and current_hooks().tracer is None:
-            # Session-level tracing: record this job on a fresh recorder and
-            # attach the snapshot to the result.  When this thread already
-            # traces its jobs (a campaign job's recorder), defer to it.
-            with tracing() as recorder:
+        # Session-level tracing records this job on a fresh recorder and
+        # attaches the snapshot to the result.  When this thread already
+        # traces its jobs (a campaign job's recorder), defer to it.
+        own_trace = self.config.trace and current_hooks().tracer is None
+        try:
+            with (tracing() if own_trace else nullcontext()) as recorder:
                 job = runner(self, app, **request)
+        except (RankFailedError, DeadlockError) as err:
+            # A failed job's metrics (its cache lookups among them) count in
+            # the session like a finished job's.
+            self.metrics.merge_snapshot(getattr(err, "metrics_snapshot", {}))
+            raise
+        if recorder is not None:
             job.trace = recorder.snapshot()
-        else:
-            job = runner(self, app, **request)
         self._jobs_run += 1
         self.metrics.merge(job.metrics)
         return job
@@ -408,11 +415,9 @@ def _run_wasm_mode(
     # An override the module's memory cannot take fails the job here, once,
     # instead of in every rank's instantiation.
     memory_type_of(compiled_app.module, config.memory_pages)
-    if config.validate:
-        # Once per job, before any rank runs; the per-rank embedders below
-        # only look the artifact up, so they are told not to validate again.
-        validate_module(compiled_app.module)
-        config = replace(config, validate=False)
+    # Admitted once per job, before any rank runs; the per-rank embedders
+    # below only look the artifact up.
+    validate_module(compiled_app.module)
 
     def program_factory(world: MPIWorld, metrics: MetricsRegistry):
         def make_rank_program(rank: int):

@@ -25,16 +25,13 @@ from repro.core.guest_api import GuestAPI
 from repro.core.mpi_imports import register_mpi_imports
 from repro.mpi.runtime import MPIRuntime
 from repro.sim.metrics import MetricsRegistry
-from repro.toolchain.guest import GuestProgram
-from repro.toolchain.wasicc import CompiledApplication, compile_guest
+from repro.toolchain.wasicc import CompiledApplication
 from repro.wasi.snapshot_preview1 import WasiEnvironment, build_wasi_imports
 from repro.wasi.vfs import VirtualFilesystem
 from repro.wasm.compilers import CompiledModule, get_backend
-from repro.wasm.decoder import decode_module
 from repro.wasm.errors import ExitTrap
 from repro.wasm.module import Module
 from repro.wasm.runtime import ImportObject, Instance
-from repro.wasm.validation import validate_module
 
 
 @dataclass
@@ -91,12 +88,14 @@ class MPIWasm:
 
     # ------------------------------------------------------------- compilation
 
-    def compile_module(self, wasm_bytes: bytes, module: Optional[Module] = None) -> CompiledModule:
-        """AoT-compile a module with the configured back-end, using the cache."""
-        if module is None:
-            module = decode_module(wasm_bytes)
-        if self.config.validate:
-            validate_module(module)
+    def compile_module(self, wasm_bytes: bytes, module: Module) -> CompiledModule:
+        """AoT-compile an admitted module with the configured back-end, using
+        the cache.
+
+        ``module`` is ``wasm_bytes`` decoded, and validated by the session
+        that admitted it (:class:`repro.api.Session`); the embedder neither
+        decodes nor validates.
+        """
         backend = get_backend(self.config.backend)
         # Content-addressed key: module bytes + back-end + IR version, so an
         # IR format change transparently invalidates stale artifacts.
@@ -108,12 +107,6 @@ class MPIWasm:
             key, module, lambda: backend.compile(module)
         )
         return compiled
-
-    def compile_application(self, app: Union[GuestProgram, CompiledApplication]) -> CompiledModule:
-        """Compile a guest program (running wasicc first if needed)."""
-        if isinstance(app, GuestProgram):
-            app = compile_guest(app)
-        return self.compile_module(app.wasm_bytes, app.module)
 
     # ------------------------------------------------------------ instantiation
 
@@ -167,13 +160,13 @@ class MPIWasm:
 
     def run_guest(
         self,
-        app: Union[GuestProgram, CompiledApplication],
+        app: CompiledApplication,
         runtime: MPIRuntime,
         guest_args: Sequence[str] = (),
     ) -> GuestResult:
-        """Compile, instantiate and run a guest program to completion on one rank."""
-        program = app.program if isinstance(app, CompiledApplication) else app
-        compiled = self.compile_application(app)
+        """Look up (or compile) an application the session admitted,
+        instantiate it and run its guest program to completion on one rank."""
+        compiled = self.compile_module(app.wasm_bytes, app.module)
         cache_tier, cache_key = self.last_cache_tier, self.last_cache_key
         instance, env, api = self.instantiate(compiled, runtime, guest_args)
         # Into the job's registry at once, so a rank that fails later still
@@ -184,8 +177,8 @@ class MPIWasm:
         exit_code = 0
         return_value: object = None
         try:
-            if program.main is not None:
-                return_value = program.main(api, list(guest_args or self.config.guest_args))
+            if app.program.main is not None:
+                return_value = app.program.main(api, list(guest_args or self.config.guest_args))
                 if isinstance(return_value, int):
                     exit_code = return_value
             else:

@@ -33,7 +33,6 @@ KNOWN_ENV_VARS: Dict[str, str] = {
     "REPRO_MACHINE": "default machine preset name (supermuc-ng, graviton2, ...)",
     "REPRO_NRANKS": "default rank count for Session.run",
     "REPRO_CACHE_DIR": "on-disk AoT compilation cache directory (unset: in-memory only)",
-    "REPRO_VALIDATE": "set to 0/false to skip Wasm module validation before compiling",
     "REPRO_MAX_CALL_DEPTH": "guest call-stack depth limit enforced by the executor",
     "REPRO_MEMORY_PAGES": "override the module's declared minimum linear-memory pages",
     "REPRO_COLL_ALGO": "force collective algorithms, e.g. 'allreduce:ring,bcast:binomial'",

@@ -33,18 +33,26 @@ registers itself (and, through it, the job's world).
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import os
 import zlib
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.hooks import current_hooks, installed
+from repro.wasm import PAGE_SIZE
+
+if TYPE_CHECKING:
+    from repro.analysis.findings import Report
 
 FORMAT = "repro.fault.checkpoint"
 VERSION = 1
+#: The ``analyzer`` of the checks' findings (``analyze checkpoint``).
+ANALYZER = "checkpoint"
 
 
 class CheckpointError(Exception):
@@ -172,38 +180,171 @@ class Checkpoint:
         return None
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Load and verify (format, version, content digest, one state per rank)
-    a checkpoint file.  A partial capture loads: resume checks the ranks it
-    holds."""
-    path = Path(path)
+# ---------------------------------------------------------------- the checks
+#
+# The one set of checks on a checkpoint document: ``load_checkpoint``
+# refuses a document they report an error for, and ``analyze checkpoint``
+# prints what they report.  A document that passes can still diverge at
+# replay; they prove it is internally consistent, the cheap half of restore
+# safety.  ``report`` is a :class:`repro.analysis.Report`.
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, float)) and value >= 0
+
+
+def _check_executor(report, executor, loc: str) -> None:
+    error = partial(report.error, ANALYZER, location=loc)
+    if not isinstance(executor, dict):
+        return error("missing-executor", "rank state carries no schedule-executor snapshot")
+    pc, n_steps, round_no = executor.get("pc"), executor.get("n_steps"), executor.get("round")
+    if not isinstance(pc, int) or not isinstance(n_steps, int):
+        return error("bad-executor-state",
+                     f"executor pc/n_steps must be integers, got {pc!r}/{n_steps!r}")
+    if not 0 <= pc <= n_steps:
+        error("pc-out-of-bounds", f"executor pc {pc} outside [0, {n_steps}]",
+              pc=pc, n_steps=n_steps)
+    done = pc >= n_steps
+    if done and round_no != -1:
+        error("round-after-done", f"finished executor (pc={pc}) still reports round {round_no}")
+    if not done and (not isinstance(round_no, int) or round_no < 0):
+        error("bad-round", f"in-flight executor reports invalid round {round_no!r}")
+    if executor.get("finished") and not done:
+        error("finished-before-done", f"executor marked finished with pc {pc} of {n_steps} steps")
+    if not _is_count(executor.get("data_time")):
+        error("bad-data-time",
+              f"executor data_time {executor.get('data_time')!r} is not a non-negative number")
+
+
+def _check_guest(report, guest: dict, loc: str) -> None:
+    """The memory image decompresses to exactly ``memory_pages`` Wasm pages
+    and hashes to the stored digest."""
+    error = partial(report.error, ANALYZER, location=loc)
+    pages, encoded = guest.get("memory_pages", 0), guest.get("memory_b64")
+    if not isinstance(pages, int) or pages < 0:
+        return error("bad-memory-pages", f"memory_pages {pages!r} is not a non-negative integer")
+    if encoded is None:
+        return report.note(ANALYZER, "digest-only-memory",
+                           "snapshot keeps only the memory digest (replay-validation "
+                           "form); write-back restore is not possible from it", loc)
     try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-        raise CheckpointError(f"{path} is not a {FORMAT} document")
+        raw = zlib.decompress(base64.b64decode(encoded))
+    except (binascii.Error, ValueError, zlib.error) as exc:
+        return error("bad-memory-image", f"memory_b64 does not decode: {exc}")
+    if len(raw) != pages * PAGE_SIZE:
+        error("memory-size-mismatch",
+              f"memory image is {len(raw)} bytes but {pages} pages declare {pages * PAGE_SIZE}",
+              image_bytes=len(raw), memory_pages=pages)
+    if guest.get("memory_digest") and _digest_bytes(raw) != guest["memory_digest"]:
+        error("memory-digest-mismatch", "memory image does not hash to the stored memory_digest")
+
+
+def _check_rank(report, state: dict, nranks: int, location: str) -> None:
+    rank, clock = state.get("rank"), state.get("clock")
+    loc = f"{location} rank {rank}"
+    if not isinstance(rank, int) or not 0 <= rank < max(nranks, 1):
+        report.error(ANALYZER, "rank-out-of-range",
+                     f"rank {rank!r} outside the declared world of {nranks}", loc)
+    if not _is_count(clock):
+        report.error(ANALYZER, "bad-clock",
+                     f"rank clock {clock!r} is not a non-negative number", loc)
+    _check_executor(report, state.get("executor"), loc)
+    for i, request in enumerate(state.get("requests") or []):
+        if not isinstance(request, dict) or "kind" not in request or "complete" not in request:
+            report.error(ANALYZER, "bad-request-state",
+                         f"request #{i} must record 'kind' and 'complete', got {request!r}", loc)
+    if state.get("guest") is None:
+        report.note(ANALYZER, "no-guest-state", "rank captured without an instance snapshot "
+                    "(native mode, or capture before instantiation)", loc)
+    else:
+        _check_guest(report, state["guest"], loc)
+
+
+def _check_payload(payload: dict, report, location: str) -> None:
+    """Check one parsed checkpoint document into ``report``: format, version,
+    content digest, world size, rank coverage, and each rank's state."""
+    error = partial(report.error, ANALYZER, location=location)
+    if payload.get("format") != FORMAT:
+        return error("bad-format", f"not a {FORMAT} document (format={payload.get('format')!r})")
     if payload.get("version") != VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('version')!r} "
-            f"(this build reads version {VERSION})"
-        )
-    expected = payload.get("digest")
-    actual = content_digest(payload)
-    if expected != actual:
-        raise CheckpointError(
-            f"checkpoint {path} digest mismatch: stored {expected}, computed {actual}"
-        )
-    seen = [state.get("rank") for state in payload.get("ranks", [])
-            if isinstance(state, dict)]
-    duplicates = sorted({rank for rank in seen if seen.count(rank) > 1})
+        return error("unsupported-version",
+                     f"unsupported checkpoint version {payload.get('version')!r} "
+                     f"(this build reads version {VERSION})")
+    stored, computed = payload.get("digest"), content_digest(payload)
+    if stored is None:
+        error("missing-digest", "payload carries no content digest")
+    elif stored != computed:
+        error("digest-mismatch", f"digest mismatch: stored {stored}, computed {computed}")
+    nranks, ranks = payload.get("nranks"), payload.get("ranks")
+    at_round = payload.get("at_round")
+    if not isinstance(at_round, int) or at_round < 0:
+        error("bad-at-round", f"at_round {at_round!r} is not a non-negative integer")
+    if not isinstance(nranks, int) or nranks < 1:
+        error("bad-nranks", f"nranks {nranks!r} is not a positive integer")
+        nranks = 0
+    if not isinstance(ranks, list) or not ranks:
+        return error("no-rank-states", "checkpoint captured no per-rank states")
+    seen = [s["rank"] for s in ranks if isinstance(s, dict) and isinstance(s.get("rank"), int)]
+    duplicates = sorted({r for r in seen if seen.count(r) > 1})
     if duplicates:
-        raise CheckpointError(
-            f"checkpoint {path} holds rank state(s) {duplicates} more than once"
-        )
-    return Checkpoint(payload, path)
+        error("duplicate-rank", f"holds rank state(s) {duplicates} more than once")
+    if nranks and len(set(seen)) < nranks:
+        missing = sorted(set(range(nranks)) - set(seen))
+        report.warning(ANALYZER, "partial-capture",
+                       f"{len(set(seen))} of {nranks} ranks captured (missing {missing}); "
+                       "resume validation only covers captured ranks", location)
+    for state in ranks:
+        if isinstance(state, dict):
+            _check_rank(report, state, nranks, location)
+    if not payload.get("job"):
+        report.warning(ANALYZER, "no-job-descriptor", "checkpoint has no job descriptor; "
+                       "resume_from_checkpoint cannot replay it", location)
+    report.note(ANALYZER, "verified", f"{len(ranks)} rank state(s) at round crossing "
+                f"{at_round}", location)
+
+
+def _read(path):
+    """The one reader of the format: ``(payload or None, findings)``."""
+    # Imported lazily: repro.analysis is not needed to capture or run a job.
+    from repro.analysis.findings import Report
+
+    report, location, payload = Report(), str(path), None
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        report.error(ANALYZER, "unreadable", f"cannot read checkpoint: {exc}", location)
+    except ValueError as exc:
+        report.error(ANALYZER, "not-json", f"not valid JSON: {exc}", location)
+    else:
+        if isinstance(payload, dict):
+            _check_payload(payload, report, location)
+        else:
+            report.error(ANALYZER, "bad-format", f"not a {FORMAT} document (top-level "
+                         f"JSON value is {type(payload).__name__})", location)
+    return payload, report
+
+
+def verify_checkpoint(path) -> "Report":
+    """Check the checkpoint file at ``path``; returns the findings report.
+
+    This is ``repro-harness analyze checkpoint``: it verifies a snapshot
+    without resuming it.  :func:`load_checkpoint` refuses a file whose
+    report has an error."""
+    return _read(path)[1]
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Load and check a checkpoint file; any error finding refuses it.
+
+    :class:`CheckpointError` is raised on each error :func:`verify_checkpoint`
+    reports: a foreign format or version, a digest mismatch, a bad world
+    size or round, a repeated or out-of-range rank, a broken executor
+    position, clock, request or memory image.  A partial capture and a document
+    without a job descriptor load: they are warnings, and resume checks the
+    ranks the document holds."""
+    payload, report = _read(path)
+    report.raise_if_error(CheckpointError, "checkpoint refused: ")
+    return Checkpoint(payload, Path(path))
 
 
 # --------------------------------------------------------------------- capture

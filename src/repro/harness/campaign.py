@@ -517,7 +517,6 @@ def run_job(
     if session is None:
         session = _WORKER_SESSION or current_session()
     before = _cache_counters(session.metrics.counters())
-    lookups: Dict[str, int] = {}
     start = time.perf_counter()
     try:
         with use_session(session):
@@ -536,14 +535,13 @@ def run_job(
             "message": str(exc),
             "traceback": traceback.format_exc(),
         }
-        # A failed run's metrics never reached the session; its lookups
-        # ride on the error.
-        lookups = _cache_counters(getattr(exc, "metrics_snapshot", {}).get("counters", {}))
     finally:
         outcome.wall_seconds = time.perf_counter() - start
-    for name, value in _cache_counters(session.metrics.counters()).items():
-        if value != before.get(name, 0):
-            lookups[name] = lookups.get(name, 0) + value - before.get(name, 0)
+    # Session.run merges a job's metrics, a failed job's too, so the
+    # session's delta is every lookup the job made.
+    lookups = {name: value - before.get(name, 0)
+               for name, value in _cache_counters(session.metrics.counters()).items()
+               if value != before.get(name, 0)}
     if lookups:
         # A benchmark job's own counters already hold its ranks' lookups,
         # which the session merged: these overwrite them with equal values.

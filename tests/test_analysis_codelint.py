@@ -507,6 +507,59 @@ def test_an_unused_import_is_flagged(tmp_path):
     assert "'List'" in report.errors[0].message
 
 
+def test_an_unraised_error_is_flagged(tmp_path):
+    """Mutation test: the checked-in checkpoint module raises both its
+    errors; once nothing raises ``CheckpointStateMismatch`` it is reported.
+    Catching a class or testing ``isinstance`` against it is no use; being
+    constructed, raised by a helper it is handed to, or a base of a raised
+    class is."""
+    from pathlib import Path
+
+    import repro.fault.checkpoint as checkpoint
+    from repro.analysis.codelint import lint_paths
+
+    def unraised(files):
+        package = tmp_path / "src" / "repro"
+        for relpath, text in files.items():
+            path = package / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(text))
+        report = lint_paths([tmp_path / "src"], root=tmp_path)
+        for path in package.rglob("*.py"):
+            path.unlink()
+        return [(f.location, f.details["baseline_key"]) for f in report.errors
+                if f.rule == "no-unraised-error"]
+
+    source = Path(checkpoint.__file__).read_text()
+    assert unraised({"fault/checkpoint.py": source}) == []
+    assert source.count("raise CheckpointStateMismatch(") == 2
+    mutant = source.replace("raise CheckpointStateMismatch(", "raise CheckpointError(")
+    [(location, key)] = unraised({"fault/checkpoint.py": mutant})
+    assert location.startswith("src/repro/fault/checkpoint.py:")
+    assert key == "no-unraised-error::src/repro/fault/checkpoint.py::CheckpointStateMismatch"
+    assert unraised({
+        "errors.py": """
+            class BaseError(Exception): pass
+            class RaisedError(BaseError): pass
+            class HandedError(ValueError): pass
+            class CaughtError(Exception): pass
+            class NotAnError: pass
+        """,
+        "use.py": """
+            from repro.errors import CaughtError, HandedError, RaisedError
+
+            def f(report, exc):
+                report.raise_if_error(HandedError, "prefix: ")
+                if isinstance(exc, CaughtError):
+                    raise RaisedError("x")
+                try:
+                    pass
+                except CaughtError:
+                    pass
+        """,
+    }) == [("src/repro/errors.py:5", "no-unraised-error::src/repro/errors.py::CaughtError")]
+
+
 def test_findings_carry_location_and_baseline_key():
     report, _ = _rules("""
         def f(xs=[]):

@@ -57,11 +57,12 @@ def test_repro_config_env_names_the_file(tmp_path, monkeypatch):
 
 
 def test_env_parsing_flags_ints_and_algorithms(monkeypatch):
-    monkeypatch.setenv("REPRO_VALIDATE", "false")
+    monkeypatch.setenv("REPRO_TRACE", "false")
     monkeypatch.setenv("REPRO_MAX_CALL_DEPTH", "99")
     monkeypatch.setenv("REPRO_COLL_ALGO", "allreduce:ring,bcast:binomial")
     config = ResolvedConfig.resolve()
-    assert config.validate is False
+    assert config.trace is False
+    assert config.provenance["trace"] == "env:REPRO_TRACE"
     assert config.max_call_depth == 99
     assert config.collective_algorithms == {"allreduce": "ring", "bcast": "binomial"}
     assert config.provenance["collective_algorithms"] == "env:REPRO_COLL_ALGO"

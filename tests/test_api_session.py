@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
+from repro.sim.engine import DeadlockError, RankFailedError
 from repro.toolchain.guest import GuestProgram
 
 
@@ -72,9 +73,43 @@ def test_session_tiers_over_the_fs_cache(tmp_path):
         assert cold.metrics.cache_summary()["misses"] == 0
 
 
+def _failing_after_barrier():
+    def main(api, _args):
+        api.mpi_init()
+        api.barrier()          # both ranks have compiled by now
+        raise RuntimeError("guest gave up")
+
+    return GuestProgram(name="fails-after-barrier", main=main)
+
+
+def _deadlocking_after_barrier():
+    from repro.toolchain import mpi_header as abi
+
+    def main(api, _args):
+        api.mpi_init()
+        api.barrier()
+        ptr, _ = api.alloc_array(1, abi.MPI_INT)
+        api.recv(ptr, 1, abi.MPI_INT, 1 - api.rank(), 0)   # nobody sends
+        return 0
+
+    return GuestProgram(name="deadlocks-after-barrier", main=main)
+
+
+@pytest.mark.parametrize("make,error", [(_failing_after_barrier, RankFailedError),
+                                        (_deadlocking_after_barrier, DeadlockError)])
+def test_a_failed_jobs_lookups_count_in_its_session(make, error):
+    """A job whose ranks fail or deadlock still made its lookups: the
+    session counts them (``cache_summary()``, serve's per-worker counters)."""
+    with Session(machine="graviton2", backend="cranelift", cache_dir=None) as session:
+        with pytest.raises(error):
+            session.run(make(), 2)
+        summary = session.cache_summary()
+    assert (summary["misses"], summary["hits_memory"]) == (1, 1)
+
+
 def test_module_is_validated_once_per_job_not_once_per_rank(monkeypatch):
     import repro.api.session as session_mod
-    import repro.core.embedder as embedder_mod
+    from repro.toolchain.wasicc import compile_guest
 
     validated = []
     real = session_mod.validate_module
@@ -84,7 +119,6 @@ def test_module_is_validated_once_per_job_not_once_per_rank(monkeypatch):
         return real(module)
 
     monkeypatch.setattr(session_mod, "validate_module", counting)
-    monkeypatch.setattr(embedder_mod, "validate_module", counting)
     program = _noop_program("validate-once")
     with Session(machine="graviton2", backend="cranelift", cache_dir=None) as session:
         session.run(program, 8)
@@ -96,10 +130,40 @@ def test_module_is_validated_once_per_job_not_once_per_rank(monkeypatch):
         assert (summary["misses"], summary["hits"]) == (1, 15)
         session.compile(program)
         assert len(validated) == 3
-    with Session(machine="graviton2", backend="cranelift", cache_dir=None,
-                 validate=False) as session:
-        session.run(program, 2)
-    assert len(validated) == 3
+        session.compile(compile_guest(program).wasm_bytes)    # decoded, then admitted
+        assert len(validated) == 4
+
+
+def test_the_embedder_compiles_an_admitted_module_without_decoding_or_validating():
+    """The session admits a module; ``MPIWasm.compile_module`` only looks it
+    up or compiles it.  Counted on the functions' code objects, so no import
+    style can hide a call."""
+    import sys
+
+    from repro.api.config import ResolvedConfig
+    from repro.core.embedder import MPIWasm
+    from repro.toolchain.wasicc import compile_guest
+    from repro.wasm.compilers.cache import InMemoryCache
+    from repro.wasm.decoder import decode_module
+    from repro.wasm.validation import validate_module
+
+    watched = {decode_module.__code__: "decode", validate_module.__code__: "validate"}
+    app = compile_guest(_noop_program("admitted"))
+    embedder = MPIWasm(ResolvedConfig(backend="cranelift"), InMemoryCache())
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        embedder.compile_module(app.wasm_bytes, app.module)   # a miss: compiles
+        embedder.compile_module(app.wasm_bytes, app.module)   # a memory hit
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert embedder.last_cache_tier == "memory"
 
 
 def test_memory_pages_above_the_module_maximum_fail_the_job_before_any_rank(monkeypatch):
@@ -110,8 +174,7 @@ def test_memory_pages_above_the_module_maximum_fail_the_job_before_any_rank(monk
 
     started = []
     monkeypatch.setattr(session_mod, "execute_job", lambda *a, **k: started.append(a))
-    with Session(machine="graviton2", backend="cranelift", memory_pages=8192,
-                 validate=False) as session:
+    with Session(machine="graviton2", backend="cranelift", memory_pages=8192) as session:
         with pytest.raises(LinkError, match="8192 pages exceeds the module's declared maximum of 4096"):
             session.run(_noop_program("pages-over-max"), 2)
     assert started == []

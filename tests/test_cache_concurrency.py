@@ -67,7 +67,7 @@ def _embedder_worker(cache_dir: str, barrier, queue) -> None:
     app = _app()
     embedder = MPIWasm(ResolvedConfig(backend="cranelift"), FileSystemCache(cache_dir))
     barrier.wait()
-    compiled = embedder.compile_application(app)
+    compiled = embedder.compile_module(app.wasm_bytes, app.module)
     queue.put({"tier": embedder.last_cache_tier, "function_count": compiled.function_count})
 
 

@@ -11,6 +11,7 @@ quiescent write-back restore of instance state, and the static
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import subprocess
@@ -113,6 +114,68 @@ def test_load_rejects_a_duplicate_rank_and_accepts_a_partial_capture(session, tm
     partial = dict(payload, ranks=[payload["ranks"][1]])
     ckpt = load_checkpoint(write_checkpoint(partial, tmp_path / "partial.ckpt.json"))
     assert ckpt.rank_state(0) is None and ckpt.rank_state(1) is not None
+
+
+@pytest.fixture(scope="module")
+def captured() -> dict:
+    with Session(backend="cranelift", machine="graviton2") as session:
+        return _capture_payload(session)
+
+
+def _set(path, value):
+    """A mutation setting one field of the payload (``path`` of keys)."""
+    def mutate(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value(payload[last]) if callable(value) else value
+    return mutate
+
+
+#: name -> (mutation of a captured 2-rank payload, the rule it breaks or
+#: ``None`` when the document must load).  Every document but the
+#: ``digest-mismatch`` one is published with its digest rewritten.
+_DOCUMENTS = {
+    "pc-out-of-bounds": (_set(("ranks", 0, "executor", "pc"), 10_000), "pc-out-of-bounds"),
+    "rank-out-of-range": (_set(("ranks", 1, "rank"), 2), "rank-out-of-range"),
+    "memory-size-mismatch": (_set(("ranks", 0, "guest", "memory_pages"), lambda n: n + 1),
+                             "memory-size-mismatch"),
+    "bad-nranks": (_set(("nranks",), 0), "bad-nranks"),
+    "bad-clock": (_set(("ranks", 0, "clock"), -1.0), "bad-clock"),
+    "bad-at-round": (_set(("at_round",), "soon"), "bad-at-round"),
+    "digest-mismatch": (None, "digest-mismatch"),
+    "foreign-format": (_set(("format",), "something-else"), "bad-format"),
+    "future-version": (_set(("version",), 99), "unsupported-version"),
+    "duplicate-rank": (lambda p: p.update(ranks=[p["ranks"][0], p["ranks"][0]]), "duplicate-rank"),
+    "partial-capture": (lambda p: p.update(ranks=p["ranks"][1:]), None),
+    "no-job-descriptor": (_set(("job",), None), None),
+    "as-captured": (lambda p: None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
+def test_load_refuses_exactly_what_the_analyzer_reports_as_an_error(captured, tmp_path, name):
+    from repro.analysis import verify_checkpoint
+
+    mutate, rule = _DOCUMENTS[name]
+    payload = copy.deepcopy(captured)
+    path = tmp_path / f"{name}.ckpt.json"
+    if mutate is None:                       # a bit flip after publish
+        write_checkpoint(payload, path)
+        doc = json.loads(path.read_text())
+        doc["ranks"][0]["clock"] += 1.0
+        path.write_text(json.dumps(doc))
+    else:
+        mutate(payload)
+        write_checkpoint(payload, path)
+    report = verify_checkpoint(path)
+    assert [f.rule for f in report.errors if f.rule == rule] == ([rule] if rule else [])
+    if report.ok:
+        assert load_checkpoint(path).payload == json.loads(path.read_text())
+    else:
+        with pytest.raises(CheckpointError, match="checkpoint refused"):
+            load_checkpoint(path)
+    assert report.ok is (rule is None)
 
 
 def test_write_is_atomic_no_tmp_residue(session, tmp_path):
