@@ -181,6 +181,9 @@ class FunctionValidator:
             self._push_frame("else", [], frame.end_types)
             return
         if name == "end":
+            if self.frames[-1].opcode == "if" and self.frames[-1].end_types:
+                # The missing else would have to produce the result from nothing.
+                raise ValidationError("if with a result has no else")
             frame = self._pop_frame()
             self._push_many(frame.end_types)
             return

@@ -38,6 +38,20 @@ def test_offset_points_at_the_failing_instruction():
     assert err.func_name == "later"
 
 
+def test_an_if_with_a_result_and_no_else_is_rejected():
+    # (func (param i32) (result i32) local.get 0 if (result i32) i32.const 1 end)
+    mb = ModuleBuilder(name="diag3")
+    f = mb.function("h", params=[("a", "i32")], results=["i32"])
+    f.get("a")
+    with f.if_("i32"):
+        f.i32_const(1)
+    module = mb.build()
+    with pytest.raises(ValidationError, match="if with a result has no else") as excinfo:
+        validate_module(module)
+    assert excinfo.value.instr_offset == 3
+    assert excinfo.value.opcode == "end"
+
+
 def test_attributes_default_to_none():
     err = ValidationError("plain message")
     assert err.func_index is None
