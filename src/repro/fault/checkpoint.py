@@ -296,9 +296,14 @@ def _check_payload(payload: dict, report, location: str) -> None:
     for state in ranks:
         if isinstance(state, dict):
             _check_rank(report, state, nranks, location)
-    if not payload.get("job"):
+    job = payload.get("job")
+    if job is None:
         report.warning(ANALYZER, "no-job-descriptor", "checkpoint has no job descriptor; "
                        "resume_from_checkpoint cannot replay it", location)
+    elif not (isinstance(job, dict) and isinstance(job.get("benchmark"), str)
+              and type(job.get("nranks")) is int and job["nranks"] >= 1):
+        error("bad-job", f"job descriptor {job!r} is not a dict with a str benchmark "
+              "and a positive int nranks")
     report.note(ANALYZER, "verified", f"{len(ranks)} rank state(s) at round crossing "
                 f"{at_round}", location)
 

@@ -149,6 +149,8 @@ _DOCUMENTS = {
     "duplicate-rank": (lambda p: p.update(ranks=[p["ranks"][0], p["ranks"][0]]), "duplicate-rank"),
     "partial-capture": (lambda p: p.update(ranks=p["ranks"][1:]), None),
     "no-job-descriptor": (_set(("job",), None), None),
+    "job-not-a-dict": (_set(("job",), "allreduce"), "bad-job"),
+    "job-without-nranks": (lambda p: p["job"].pop("nranks"), "bad-job"),
     "as-captured": (lambda p: None, None),
 }
 
