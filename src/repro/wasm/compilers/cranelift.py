@@ -8,10 +8,13 @@ superinstructions -- and ships the serialized lowered IR as its artifact.
 
 Its executor runs generated Python code, not the interpreter: on a function's
 first call the lowered IR of that function goes through LLVM's source
-generator (:mod:`repro.wasm.compilers.llvm`) without the stack-to-expression
-fold, and the compiled callable is kept for the rest of the process.  So
-compile duration sits between Singlepass and LLVM, and so does execution
-speed -- the middle row of Table 1.
+generator (:mod:`repro.wasm.compilers.llvm`) without LLVM's optimisation
+level -- operands and locals in Python locals as there, and branches copying
+their carried values the same way, but no stack-to-expression fold on the
+slot assignments and every load and store a call of the memory's method --
+and the compiled callable is kept for the rest of the process.  So compile
+duration sits between Singlepass and LLVM, and so does execution speed --
+the middle row of Table 1.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class CraneliftBackend(CompilerBackend):
                 lowered = deserialize_lowered(compiled.artifact, verify=True)
                 if lowered is None:  # missing or stale artifact: re-lower
                     lowered = lower_module(module)
-            runtime = module._cranelift_runtime = FirstCallTable(lowered, fold=False)
+            runtime = module._cranelift_runtime = FirstCallTable(module, lowered, fold=False)
         return GeneratedCodeExecutor(runtime)
 
 

@@ -49,8 +49,12 @@ from repro.wasm.semantics import _BINOPS, _LOADS, _STORES, _UNOPS, _simd_lanes
 #: Version 2: bulk memory (``memory.copy``/``memory.fill``), the full SIMD
 #: lane-arithmetic set (NumPy-backed), signedness-aware ``extract_lane``
 #: immediates, and the mined-superinstruction op kind ``fused.mined`` plus the
-#: serialized fusion table.
-IR_VERSION = 2
+#: serialized fusion table.  Version 3: the IR is unchanged, but the LLVM
+#: artifact is source generated from it, and its generator now keeps the
+#: operand stack and the locals in Python locals (and copies the values a
+#: branch carries); this is the only version in the cache key, so the bump is
+#: what keeps a disk cache from serving the old source.
+IR_VERSION = 3
 
 
 # --------------------------------------------------------------- control scan

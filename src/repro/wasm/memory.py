@@ -63,7 +63,8 @@ class LinearMemory:
         memory_type.validate()
         self.type = memory_type
         limits = memory_type.limits
-        self._pages = limits.minimum
+        # The bound every access is checked against, in bytes.
+        self._size = limits.minimum * PAGE_SIZE
         reserved = (
             limits.maximum
             if limits.maximum is not None
@@ -81,36 +82,35 @@ class LinearMemory:
     @property
     def pages(self) -> int:
         """Current size in 64 KiB pages (``memory.size``)."""
-        return self._pages
+        return self._size // PAGE_SIZE
 
     @property
     def size(self) -> int:
         """Current size in bytes."""
-        return self._pages * PAGE_SIZE
+        return self._size
 
     def grow(self, delta_pages: int) -> int:
         """Grow by ``delta_pages``; returns the old page count or -1 on failure.
 
         The pages are already reserved, so growing moves nothing and copies
-        nothing: it raises the bound :meth:`_check` enforces, and every view
-        taken before stays valid.  A request past the reservation (the
-        declared maximum, or the cap described in the module docstring)
+        nothing: it raises the bound every access is checked against, and
+        every view taken before stays valid.  A request past the reservation
+        (the declared maximum, or the cap described in the module docstring)
         returns -1 and leaves the memory unchanged; it never raises.
         """
         if delta_pages < 0:
             return -1
-        new_pages = self._pages + delta_pages
-        if new_pages > self._max_pages:
+        old = self._size // PAGE_SIZE
+        if old + delta_pages > self._max_pages:
             return -1
-        old = self._pages
-        self._pages = new_pages
+        self._size += delta_pages * PAGE_SIZE
         return old
 
     # ---------------------------------------------------------------- raw access
 
     def _check(self, address: int, nbytes: int) -> None:
-        if address < 0 or nbytes < 0 or address + nbytes > self.size:
-            raise MemoryOutOfBoundsTrap(address, nbytes, self.size)
+        if address < 0 or nbytes < 0 or address + nbytes > self._size:
+            raise MemoryOutOfBoundsTrap(address, nbytes, self._size)
 
     def read(self, address: int, nbytes: int) -> bytes:
         """Copy ``nbytes`` out of memory (bounds-checked)."""
@@ -155,16 +155,22 @@ class LinearMemory:
         self._buffer.move(dst, src, nbytes)
 
     # ------------------------------------------------------------ scalar access
+    #
+    # Each scalar accessor tests its bound inline, so a load or store is one
+    # Python call; the trap and its message are those of ``_check``.
 
     def load_int(self, address: int, nbytes: int, signed: bool = False) -> int:
         """Load a little-endian integer of ``nbytes`` bytes."""
-        self._check(address, nbytes)
+        if address < 0 or address + nbytes > self._size:
+            raise MemoryOutOfBoundsTrap(address, nbytes, self._size)
         return int.from_bytes(self._buffer[address : address + nbytes], "little", signed=signed)
 
     def store_int(self, address: int, value: int, nbytes: int) -> None:
         """Store a little-endian integer of ``nbytes`` bytes (wraps silently)."""
-        mask = (1 << (8 * nbytes)) - 1
-        self.write(address, (value & mask).to_bytes(nbytes, "little"))
+        if address < 0 or address + nbytes > self._size:
+            raise MemoryOutOfBoundsTrap(address, nbytes, self._size)
+        self._buffer[address : address + nbytes] = (
+            (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little"))
 
     def load_struct(self, address: int, layout: struct.Struct) -> tuple:
         """Unpack one ``layout`` record at ``address`` (one bounds check)."""
@@ -180,22 +186,26 @@ class LinearMemory:
 
     def load_f32(self, address: int) -> float:
         """Load an IEEE-754 single."""
-        self._check(address, 4)
+        if address < 0 or address + 4 > self._size:
+            raise MemoryOutOfBoundsTrap(address, 4, self._size)
         return _F32.unpack_from(self._buffer, address)[0]
 
     def store_f32(self, address: int, value: float) -> None:
         """Store an IEEE-754 single."""
-        self._check(address, 4)
+        if address < 0 or address + 4 > self._size:
+            raise MemoryOutOfBoundsTrap(address, 4, self._size)
         _F32.pack_into(self._buffer, address, value)
 
     def load_f64(self, address: int) -> float:
         """Load an IEEE-754 double."""
-        self._check(address, 8)
+        if address < 0 or address + 8 > self._size:
+            raise MemoryOutOfBoundsTrap(address, 8, self._size)
         return _F64.unpack_from(self._buffer, address)[0]
 
     def store_f64(self, address: int, value: float) -> None:
         """Store an IEEE-754 double."""
-        self._check(address, 8)
+        if address < 0 or address + 8 > self._size:
+            raise MemoryOutOfBoundsTrap(address, 8, self._size)
         _F64.pack_into(self._buffer, address, value)
 
     # ---------------------------------------------------------- string helpers
@@ -203,7 +213,7 @@ class LinearMemory:
     def read_cstring(self, address: int, max_len: int = 1 << 20) -> str:
         """Read a NUL-terminated UTF-8 string (bounds-checked)."""
         self._check(address, 0)
-        end = self._buffer.find(b"\x00", address, min(self.size, address + max_len + 1))
+        end = self._buffer.find(b"\x00", address, min(self._size, address + max_len + 1))
         if end < 0:
             raise Trap(f"unterminated string at address {address}")
         return self._buffer[address:end].decode("utf-8", errors="replace")

@@ -311,6 +311,110 @@ def test_bulk_memory_modules_bit_for_bit(seed):
     _assert_all_agree(results, f"bulk-memory seed {seed}")
 
 
+def _carrying_branch_module(seed: int):
+    """A seeded module of blocks left by value-carrying ``br``, ``br_if``,
+    ``br_table`` and ``return`` over operands the branch must drop, with
+    dead code (a nested block included) after every unconditional branch;
+    also a loop re-entered from a block inside it, and a ``br_table`` whose
+    targets include the function's own label."""
+    rng = random.Random(seed ^ 0xCA77)
+    mb = ModuleBuilder(name=f"carry-fuzz-{seed}")
+    mb.add_global("g", "i32", 0)
+    side = mb.function("side", params=[("x", "i32")], results=[])
+    with side.block():
+        with side.block():
+            side.get("x").i32_const(3).emit("i32.and")
+            side.emit("br_table", (0, 1, 2), 0)
+        side.emit("global.get", "g").i32_const(1).emit("i32.add").emit("global.set", "g")
+    side.emit("global.get", "g").i32_const(10).emit("i32.add").emit("global.set", "g")
+    f = mb.function("carry", params=[("a", "i32"), ("b", "i32")],
+                    results=["i32"], export=True)
+    f.add_local("acc", "i32")
+    f.add_local("n", "i32")
+    for name in _LOCALS:
+        f.add_local(name, "i32")
+    fuzzer = _ModuleFuzzer(seed)              # its expressions, into this function
+    fuzzer.f = f
+
+    def dead_code():
+        with f.block():
+            f.i32_const(rng.randrange(2**31)).br_if(0)
+        f.i32_const(rng.randrange(2**31)).get("b").emit(rng.choice(_BINARY))
+
+    for _ in range(rng.randrange(3, 7)):
+        kind = rng.randrange(6)
+        f.get("acc")                          # an operand beneath every block
+        if kind == 0:                         # br over an extra operand
+            with f.block("i32"):
+                f.get("a")
+                fuzzer.expr(1)
+                f.br(0)
+                dead_code()
+        elif kind == 1:                       # br_if: carried if taken, kept if not
+            with f.block("i32"):
+                f.get("b")
+                fuzzer.expr(1)
+                fuzzer.expr(1)
+                f.br_if(0)
+                f.emit(rng.choice(_BINARY))
+        elif kind == 2:                       # br_table to two heights
+            with f.block("i32"):
+                f.get("b")
+                with f.block("i32"):
+                    f.get("a")
+                    fuzzer.expr(1)
+                    fuzzer.expr(1)
+                    f.i32_const(3).emit("i32.and")
+                    f.emit("br_table", (0, 1, 0), 1)
+                    dead_code()
+                f.emit(rng.choice(_BINARY))
+        elif kind == 3:                       # a return from inside an if
+            fuzzer.expr(1)
+            with f.if_():
+                f.get("b")
+                fuzzer.expr(1)
+                f.ret()
+                dead_code()
+                f.drop()
+            f.get("a")
+        elif kind == 4:                       # a loop re-entered from a block in it
+            f.get("b").i32_const(7).emit("i32.and").set("n")
+            with f.loop():
+                with f.block():
+                    f.get("n").emit("i32.eqz").br_if(0)
+                    f.get("n").i32_const(1).emit("i32.sub").set("n")
+                    f.get("a").get("n").emit(rng.choice(_BINARY)).set("v0")
+                    f.br(1)
+                    dead_code()
+                    f.drop()
+            f.get("v0")
+        else:                                 # br_table to two blocks and the function
+            f.get("a").get("acc").emit("i32.add").call("side")
+            f.emit("global.get", "g")
+        f.emit("i32.xor").set("acc")
+    f.get("acc")
+    module = mb.build()
+    validate_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_value_carrying_branches_bit_for_bit(seed):
+    module = _carrying_branch_module(seed)
+    inputs = [(0, 0), (1, 2), (0xFFFFFFFF, 7), (123456789, 0x80000000), (3, 0)]
+    results, _formed = _all_executor_results(module, "carry", inputs)
+    _assert_all_agree(results, f"carry seed {seed}")
+
+
+def test_carrying_corpus_covers_every_branch_shape():
+    kinds = set()
+    for seed in range(12):
+        for lowered in lower_module(_carrying_branch_module(seed)):
+            kinds.update(kind for kind, _imm in lowered.ops)
+    assert {"br", "br_table", "return", "loop", "call"} <= kinds
+    assert kinds & {"br_if", "fused.cmp_br_if", "fused.eqz_br_if"}
+
+
 def test_extended_corpus_forms_mined_chains():
     """The mined-fusion leg must actually fuse something across the corpus."""
     total = 0

@@ -326,23 +326,23 @@ def test_embedder_applies_call_depth_to_executor():
 #: (``benchmarks/e2e/modgen.py``) per seed.  Cranelift's compile side is the
 #: eager lowering pass whatever its executor does; these pin its artifact.
 CRANELIFT_BIG_ARTIFACT_SHA256 = {
-    1: "ea6494c2a7ecd2e0196be2e14b1402619a29aeb817e481ba5f44333608474c10",
-    2828: "18100bfc34c5243d4401a8154f8413bc38fd62f9db3c90ab37b9bcbb016dfa4d",
+    1: "0c216075774a0f52a05ae95d80bca99048fe351eedd0238ba439643dced7d303",
+    2828: "e639a5a7a45d2f5f6e6cdfb1f2a630e79493580d57d9c9136389e61f1433aa74",
 }
 
 
 #: sha256 of the LLVM artifact's generated ``source`` for the ``compile-big``
 #: module per seed: what LLVM compiles and the disk cache stores.
 LLVM_BIG_SOURCE_SHA256 = {
-    1: "a0e5bf42dd970729c2be0cbd8130f2b1fc0e3b85a2bc23c006330035ac05d832",
-    2828: "b07699baa4d501851252c14d3ce401c214f5d3d0e280f933d23ccb4dd7e160f9",
+    1: "433940c68b9f8dd57a506573b6f829f9fa773ab5da213469822dc4e725751afc",
+    2828: "ee6017022c524e682321ab2e8ce27486e8b067dae9f19d4c4b2c88760985024c",
 }
 
 #: sha256 of the fold-free generated source of every function, joined in
 #: order: the code Cranelift generates on each function's first call.
 CRANELIFT_FIRST_CALL_SOURCE_SHA256 = {
-    "compile-big-1": "9115c173f7074499e66cb3ff9ae8b6b3c2ca8f94ef9897f7511cae2a55c53ef2",
-    "hpcg": "9097a843216c2942e660e140b4c7f42d42e64ed204408ea8fc424615cccad5d2",
+    "compile-big-1": "14d52d32b327927892db77bce68bfce12856f60fc60bcb759b66c5b625c0b8d8",
+    "hpcg": "7d22d87eef3d18c855f02a379830da6c9d8de2ac1328a543e06a11a268097537",
 }
 
 
@@ -377,17 +377,46 @@ def test_llvm_source_of_compile_big_module_is_pinned(seed):
 @pytest.mark.parametrize("name", sorted(CRANELIFT_FIRST_CALL_SOURCE_SHA256))
 def test_cranelift_first_call_source_is_pinned(name):
     from repro.benchmarks_suite.registry import get_program
-    from repro.wasm.compilers.llvm import PythonCodeGenerator, _FunctionCodeGen
+    from repro.wasm.compilers.llvm import _FunctionCodeGen
 
     if name == "hpcg":
         module = compile_guest(get_program("hpcg")).module
     else:
         module = _compile_big_module(int(name.rsplit("-", 1)[1]))
     source = "\n\n\n".join(
-        _FunctionCodeGen(fn, PythonCodeGenerator.function_symbol(i), fold=False).generate()
+        _FunctionCodeGen(module, i, fn, fold=False).generate()
         for i, fn in enumerate(lower_module(module))
     )
     assert _sha256(source.encode()) == CRANELIFT_FIRST_CALL_SOURCE_SHA256[name]
+
+
+def test_every_chainable_emitter_moves_the_height_by_its_effect():
+    """The generator's slot heights are the rows' ``effect`` columns: each
+    chainable kind, emitted at both optimisation levels over a stack of three
+    operands, leaves it at ``3 - pops + pushes``."""
+    from repro.wasm.compilers.llvm import _FunctionCodeGen
+    from repro.wasm.ir import CHAINABLE, OPS
+
+    samples = {
+        "nop": None, "drop": None, "select": None, "local.get": 0, "local.set": 0,
+        "local.tee": 0, "global.get": 0, "global.set": 0, "const": 1,
+        "load.u": (0, 4), "load.s32": (0, 2), "load.s64": (4, 4), "load.f32": 0,
+        "load.f64": 8, "load.v128": 0, "store.i": (0, 4), "store.f32": 0,
+        "store.f64": 8, "store.v128": 0, "memory.size": None, "memory.grow": None,
+        "memory.copy": None, "memory.fill": None, "bin": "i32.add", "un": "i32.eqz",
+        "splat": ("f", 4, 4), "extract_lane": ("f", 4, 0, False),
+        "replace_lane": ("f", 4, 0), "v128.not": None, "simd.bin": "i32x4.add",
+        "simd.un": "i32x4.neg",
+    }
+    assert set(samples) == CHAINABLE
+    module = _sum_module()
+    for kind, imm in samples.items():
+        pops, pushes = OPS[kind].effect
+        for fold in (False, True):
+            gen = _FunctionCodeGen(module, 0, lower_module(module)[0], fold)
+            gen.height = 3
+            OPS[kind].emit(gen, imm)
+            assert gen.height == 3 - pops + pushes, (kind, fold)
 
 
 def test_generated_code_reads_only_names_its_namespace_binds():
@@ -405,16 +434,30 @@ def test_generated_code_reads_only_names_its_namespace_binds():
                 names |= global_names(const)
         return names
 
-    # Every emitter that reads a namespace name, compiled (never run).
-    ops = [("const", 1), ("const", 2), ("bin", "i32.rotl"), ("bin", "i32.shr_s"),
-           ("const", 1.0), ("un", "f32.neg"), ("bin", "f32.add"), ("splat", ("f", 4, 4)),
-           ("extract_lane", ("f", 4, 0, False)), ("const", bytes(16)), ("simd.bin", "i32x4.add"),
-           ("simd.un", "i32x4.neg"), ("const", 0), ("call_indirect", (0, 0, 0)),
-           ("unreachable", None)]
-    source = _FunctionCodeGen(LoweredFunction(ops, 0, ()), "f", fold=False).generate()
-    names = global_names(compile(source, "<generated>", "exec"))
+    # Every emitter that reads a namespace name, in a stack-valid body of
+    # function 0 (type 0: no params, no results), compiled (never run) at
+    # both optimisation levels: LLVM's inlined accesses read their own names.
+    ops = [("const", 1), ("const", 2), ("bin", "i32.rotl"), ("const", 3),
+           ("bin", "i32.shr_s"), ("drop", None),
+           ("const", 1.0), ("un", "f32.neg"), ("const", 2.0), ("bin", "f32.add"),
+           ("splat", ("f", 4, 4)), ("extract_lane", ("f", 4, 0, False)), ("drop", None),
+           ("const", bytes(16)), ("const", bytes(16)), ("simd.bin", "i32x4.add"),
+           ("simd.un", "i32x4.neg"), ("drop", None),
+           ("const", 8), ("load.f64", 0), ("drop", None),
+           ("const", 8), ("load.s32", (0, 2)), ("drop", None),
+           ("const", 8), ("const", 1.5), ("store.f64", 0),
+           ("const", 8), ("const", 7), ("store.i", (0, 4)),
+           ("const", 0), ("call_indirect", (0, 0, 0)), ("unreachable", None)]
+    mb = ModuleBuilder(name="namespace")
+    mb.add_memory(1)
+    mb.function("f", params=[], results=[])
+    names = set()
+    for fold in (False, True):
+        source = _FunctionCodeGen(mb.build(), 0, LoweredFunction(ops, 0, ()), fold).generate()
+        names |= global_names(compile(source, "<generated>", "exec"))
     assert {"_BIN", "_UN", "_S32", "_F32", "_V128L", "_SIMD_BIN", "_SIMD_UN",
-            "IndirectCallTrap", "UnreachableTrap"} <= names
+            "IndirectCallTrap", "UnreachableTrap", "MemoryOutOfBoundsTrap",
+            "_LD_d", "_LD_h", "_ST_d", "_ST_I"} <= names
     bound = set(_exec_namespace()) | set(dir(builtins))
     assert names <= bound
     module = _v128_mix_module()

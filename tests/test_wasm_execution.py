@@ -182,6 +182,65 @@ def test_traps(compiled_instances, backend):
         inst.invoke("read_oob")
 
 
+def _value_carrying_branches_module():
+    """Branches that carry a value out of a block over operands beneath it:
+    the branch must drop those operands (they are not the block's result)."""
+    mb = ModuleBuilder(name="carry")
+    f = mb.function("f", params=[("x", "i32")], results=["i32"], export=True)
+    f.get("x")
+    with f.block("i32"):
+        f.i32_const(5).i32_const(7).br(0)
+    f.emit("i32.add")
+    g = mb.function("g", params=[("x", "i32")], results=["i32"], export=True)
+    g.i32_const(100)
+    with g.block("i32"):
+        g.i32_const(1)
+        with g.if_("i32"):
+            g.i32_const(3).i32_const(4).br(1)
+            g.else_()
+            g.i32_const(9)
+    g.emit("i32.add")
+    module = mb.build()
+    validate_module(module)
+    return module
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_branch_carries_its_value_over_the_operands_beneath(backend):
+    module = _value_carrying_branches_module()
+    compiled = get_backend(backend).compile(module)
+    inst = Instance(module, ImportObject(), executor=compiled.make_executor())
+    assert inst.invoke("f", 10) == [17]
+    assert inst.invoke("g", 10) == [104]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_folded_expression_keeps_its_precedence_and_its_trap(backend):
+    mb = ModuleBuilder(name="folding")
+    mb.add_memory(1)
+    # (a & b) + 8, not a & (b + 8): the load must read address 8.
+    f = mb.function("masked", params=[("a", "i32"), ("b", "i32")], results=["i32"],
+                    export=True)
+    f.get("a").get("b").emit("i32.and").load("i32.load", offset=8)
+    # A dropped division still traps.
+    g = mb.function("div_drop", params=[("a", "i32")], results=[], export=True)
+    g.get("a").i32_const(0).emit("i32.div_s").drop()
+    # So does a division select does not pick.
+    h = mb.function("div_select", params=[("a", "i32")], results=["i32"], export=True)
+    h.get("a").i32_const(0).emit("i32.div_s").i32_const(1).i32_const(0).emit("select")
+    module = mb.build()
+    validate_module(module)
+    inst = Instance(module, ImportObject(),
+                    executor=get_backend(backend).compile(module).make_executor())
+    inst.memory.store_int(0, 5, 4)
+    inst.memory.store_int(8, 7, 4)
+    assert inst.invoke("masked", 0, 0xFF00) == [7]
+    with pytest.raises(IntegerDivideByZeroTrap):
+        inst.invoke("div_drop", 5)
+    with pytest.raises(IntegerDivideByZeroTrap):
+        inst.invoke("div_select", 5)
+
+
 def test_stack_exhaustion_guard():
     mb = ModuleBuilder()
     f = mb.function("loop_forever", params=[("n", "i32")], results=["i32"], export=True)
