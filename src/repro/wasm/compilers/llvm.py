@@ -113,6 +113,8 @@ class _FunctionCodeGen:
         self.height = 0
         # Nesting depth inside unreachable code (0: the code is live).
         self.dead = 0
+        # Whether an inlined access reads the memory's buffer ``B``.
+        self.uses_buffer = False
 
     # ------------------------------------------------------------------- utils
 
@@ -188,6 +190,7 @@ class _FunctionCodeGen:
             self.emit(f"{slot} = {address}")
         self.emit(f"if {slot} < 0 or {slot} + {nbytes} > M._size: "
                   f"raise MemoryOutOfBoundsTrap({slot}, {nbytes}, M.size)")
+        self.uses_buffer = True
         return slot
 
     # ---------------------------------------------------------------- generate
@@ -223,8 +226,12 @@ class _FunctionCodeGen:
                                           for i in range(len(lowered.local_defaults)))
                         + " = " + ", ".join(repr(v) for v in lowered.local_defaults))
         # Bind only what the body reads (a name inside a constant's repr only
-        # costs an unused binding).
-        head += [f"    {line}" for token, line in _PROLOGUE if token in body]
+        # costs an unused binding); ``B`` follows ``M``, which its test reads.
+        for token, line in _PROLOGUE:
+            if token in body:
+                head.append(f"    {line}")
+                if token == "M." and self.uses_buffer:
+                    head.append("    B = M._buffer")
         return "\n".join(head) + "\n" + body
 
     # --------------------------------------------------------------------- ops
@@ -299,7 +306,6 @@ _CLOSERS = frozenset(("else", "end"))
 #: The prologue: (a token of the body that reads the name, its binding).
 _PROLOGUE = (
     ("M.", "M = instance.memory"),
-    ("(B, ", "B = M._buffer"),
     ("G[", "G = instance.globals"),
     ("call(", "call = instance.call_function"),
     ("_br", "_br = None"),

@@ -465,6 +465,27 @@ def test_generated_code_reads_only_names_its_namespace_binds():
     assert global_names(code) - {PythonCodeGenerator.function_symbol(0)} <= bound
 
 
+def test_the_prologue_binds_what_the_body_reads():
+    from repro.benchmarks_suite.registry import get_program
+    from repro.wasm.compilers.llvm import PythonCodeGenerator
+
+    # hpcg's ddot reads memory through inlined accesses, and no global or call.
+    module = compile_guest(get_program("hpcg")).module
+    source = PythonCodeGenerator(module).generate()
+    ddot = source[source.index("def __wasm_func_4("):].split("\n\n\n")[0]
+    assert "    M = instance.memory\n    B = M._buffer\n" in ddot
+    assert "G = " not in ddot and "call = " not in ddot
+    # A memory-less module whose constant spells every prologue token runs:
+    # a name bound for a constant's text is unused, never unbound.
+    mb = ModuleBuilder(name="prologue")
+    f = mb.function("k", params=[], results=["i32"], export=True)
+    f.emit("v128.const", b"(B, M.G[call(_br").emit("i32x4.extract_lane", 0)
+    module = mb.build()
+    for name in ("singlepass", "cranelift", "llvm"):
+        executor = get_backend(name).compile(module).make_executor()
+        assert Instance(module, ImportObject(), executor=executor).invoke("k") == [539771432]
+
+
 def test_cranelift_generates_each_function_once_on_first_call():
     from repro.wasm.compilers.llvm import FirstCallTable
 
