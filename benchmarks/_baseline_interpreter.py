@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.wasm import values as V
-from repro.wasm.errors import IndirectCallTrap, StackExhaustionTrap, Trap, UnreachableTrap
+from repro.wasm.errors import IndirectCallTrap, Trap, UnreachableTrap
 from repro.wasm.instructions import BlockType, MemArg
 from repro.wasm.lowering import build_control_map
 from repro.wasm.semantics import (
@@ -34,7 +34,7 @@ from repro.wasm.semantics import (
     _simd_lanes,
 )
 from repro.wasm.module import Module
-from repro.wasm.runtime import Executor, HostFunction, Instance, WasmFunction
+from repro.wasm.runtime import Executor, Instance, WasmFunction
 
 MAX_CALL_DEPTH = 256
 
@@ -72,19 +72,7 @@ class BaselineInterpreter(Executor):
 
     def call(self, instance: Instance, func_index: int, args) -> List:
         target = instance.functions[func_index]
-        if isinstance(target, HostFunction):
-            result = target(instance, *args)
-            if result is None:
-                return []
-            return list(result) if isinstance(result, (list, tuple)) else [result]
-        depth = instance.host_state.get("_call_depth", 0)
-        if depth >= self.max_call_depth:
-            raise StackExhaustionTrap(depth)
-        instance.host_state["_call_depth"] = depth + 1
-        try:
-            return self._exec(instance, target, list(args))
-        finally:
-            instance.host_state["_call_depth"] = depth
+        return self._exec(instance, target, list(args))
 
     def _exec(self, instance: Instance, target: WasmFunction, args: List) -> List:
         module = instance.module

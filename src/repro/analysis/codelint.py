@@ -78,6 +78,11 @@ the linter exists so those regressions stay fixed:
   that is not a base of a class that is.  An error nothing raises is a
   branch of every ``except`` clause naming it that cannot run, and a
   promise in the error taxonomy the code does not keep.
+* ``host-calls-bound-once`` -- an ``isinstance(..., HostFunction)`` test
+  outside ``wasm/runtime.py``, or any ``host_state`` attribute.  A host
+  import was once dispatched in three places, and every MPI import looked
+  its ``Env`` and translator up in an instance's ``host_state`` dict per
+  call; instantiation now binds each import to its instance and ``Env``.
 
 Findings are baseline-gated: :func:`apply_baseline` demotes violations whose
 stable key (``rule::relpath::qualname`` -- line numbers excluded, so pure
@@ -149,6 +154,12 @@ _RUNTIME_ENTRY_POINTS = frozenset((
 ))
 _RUNTIME_RECEIVERS = ("runtime", "MPIRuntime")
 _GUEST_BINDING = "core/mpi_imports.py"
+
+#: ``host-calls-bound-once``: the one module that may test for a host
+#: function, and the instance side dict that is gone.
+_HOST_FUNCTION = "HostFunction"
+_HOST_FUNCTION_MODULE = "wasm/runtime.py"
+_HOST_STATE = "host_state"
 
 #: ``obs-fastpath-discipline``: the receiver names of a job's hooks.
 _HOOK_NAMES = ("tracer", "faults", "capture", "profiler")
@@ -496,6 +507,12 @@ class _FileLinter(ast.NodeVisitor):
                 "a second guest binding: call the env.MPI_* host function "
                 "(GuestAPI._call) instead",
             )
+        if (name == "isinstance" and len(node.args) == 2
+                and not self.relpath.endswith(_HOST_FUNCTION_MODULE)
+                and _HOST_FUNCTION in {_receiver_name(sub) for sub in ast.walk(node.args[1])}):
+            self._report("host-calls-bound-once", node,
+                         "isinstance(..., HostFunction) dispatches a host import a second "
+                         "way: call what the instance bound (Instance.host_call)")
         if (isinstance(node.func, ast.Attribute) and _is_hook(node.func.value)
                 and ast.unparse(node.func.value) not in self._guarded):
             self._report("obs-fastpath-discipline", node,
@@ -513,6 +530,13 @@ class _FileLinter(ast.NodeVisitor):
                         "configuration resolver; take the value from the "
                         "Session's ResolvedConfig",
                     )
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == _HOST_STATE:
+            self._report("host-calls-bound-once", node,
+                         "host_state is a per-call side lookup: bind what a host function "
+                         "needs once, when it is registered or instantiated")
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:

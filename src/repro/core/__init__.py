@@ -31,7 +31,6 @@ _EXPORT_SOURCES = {
     "HandleTable": "env",
     "GuestAPI": "guest_api",
     "AddressTranslator": "memory_translation",
-    "translator_for": "memory_translation",
     "DatatypeTranslator": "datatype_translation",
     "DatatypeTranslationError": "datatype_translation",
     "JobResult": "launcher",
@@ -49,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.core.env import Env, HandleTable  # noqa: F401
     from repro.core.guest_api import GuestAPI  # noqa: F401
     from repro.core.launcher import JobResult  # noqa: F401
-    from repro.core.memory_translation import AddressTranslator, translator_for  # noqa: F401
+    from repro.core.memory_translation import AddressTranslator  # noqa: F401
 
 
 def __getattr__(name: str):

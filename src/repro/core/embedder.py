@@ -3,8 +3,8 @@
 Ties everything together for one MPI rank: ahead-of-time compilation of the
 Wasm module through the configured back-end (with the content-addressed
 cache), instantiation with the ``env`` (MPI) and ``wasi_snapshot_preview1``
-import namespaces, attachment of the per-instance :class:`Env` state, and
-execution of the guest program.
+import namespaces bound to the rank's :class:`Env`, and execution of the
+guest program.
 
 One embedder object is created per rank ("each MPI rank corresponds to one
 instance of the embedder with its own Wasm module", §4.3); the compiled
@@ -119,10 +119,8 @@ class MPIWasm:
         """Instantiate a compiled module for one rank; returns (instance, env, api)."""
         env = make_env(self.config, runtime, guest_args)
         imports = ImportObject()
-        register_mpi_imports(imports)
-        wasi_imports = build_wasi_imports(env.wasi)
-        for ns in wasi_imports.namespaces():
-            imports.register_module(ns, wasi_imports._functions[ns])  # noqa: SLF001
+        register_mpi_imports(imports, env)
+        build_wasi_imports(env.wasi, imports)
 
         executor = compiled.make_executor()
         executor.configure(max_call_depth=self.config.max_call_depth)
@@ -134,7 +132,7 @@ class MPIWasm:
             memory_pages_override=self.config.memory_pages,
             hooks=hooks,
         )
-        instance.host_state[Env.HOST_STATE_KEY] = env
+        env.memory = instance.memory
         instance.run_start()
         if hooks.capture is not None:
             hooks.capture.register_instance(runtime.ctx.rank, instance)

@@ -11,9 +11,11 @@ environment, and the instrumentation that the datatype-translation experiment
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.config import OVERHEADS
+from repro.core.memory_translation import AddressTranslator
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import InvalidCommunicatorError, InvalidDatatypeError, InvalidOpError
@@ -22,6 +24,8 @@ from repro.mpi.runtime import MPIRuntime
 from repro.sim.metrics import MetricsRegistry
 from repro.toolchain import mpi_header as abi
 from repro.wasi.snapshot_preview1 import WasiEnvironment
+from repro.wasm.errors import LinkError
+from repro.wasm.memory import LinearMemory
 
 
 class HandleTable:
@@ -76,12 +80,22 @@ class Env:
     #: costs: off in native mode, where the guest calls the host functions
     #: directly instead of through the Wasm import.
     translation_costs: bool = True
+    #: The module's linear memory (``None``: the module has none), set when
+    #: the module is instantiated; :attr:`translator` translates into it.
+    memory: Optional[LinearMemory] = None
     #: (import name, datatype name, datatype args) -> the ``add`` of each
     #: metric series :meth:`charge_overhead` records into, resolved on first use.
     _overhead_sinks: Dict[Tuple[str, str, int], Tuple[Callable[[float], None], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    HOST_STATE_KEY = "mpiwasm.env"
+    @cached_property
+    def translator(self) -> AddressTranslator:
+        """The guest-pointer translator into :attr:`memory` (§3.5), built at
+        the first buffer translation, which is where a module without a
+        memory fails."""
+        if self.memory is None:
+            raise LinkError("module has no linear memory")
+        return AddressTranslator(self.memory)
 
     # ------------------------------------------------------------ communicator
 

@@ -11,8 +11,9 @@ the compiled C code would do inside the Wasm sandbox:
   guest pointers and viewed zero-copy as NumPy arrays,
 * every MPI function goes through the embedder's ``env.MPI_*`` host
   implementations -- including handle translation, address translation and
-  overhead accounting -- via the same code path a Wasm ``call`` of the import
-  would take,
+  overhead accounting -- by calling the callable the instance bound for the
+  import, the one a Wasm ``call`` of it reaches through
+  ``Instance.call_function``,
 * ``print`` goes through WASI ``fd_write`` to the captured stdout.
 
 The one (documented) substitution is that the guest's own compute statements
@@ -21,29 +22,29 @@ experiments (HPCG, Table 1) are provided as real Wasm functions through
 ``GuestProgram.build_kernels`` and invoked with :meth:`call_kernel`.
 
 The same class is the guest interface of native mode (the paper's "Native"
-series): there the "instance" is a :class:`HostHeap` and ``_call`` runs the
-``env.MPI_*`` host functions directly, with the ``Env``'s translation costs
-off, so the only difference between the two modes is the embedder's Wasm
-call and translation overhead.
+series): there the "instance" is a :class:`HostHeap`, which binds the same
+``env.MPI_*`` host functions to itself the same way, with the ``Env``'s
+translation costs off, so the only difference between the two modes is the
+embedder's Wasm call and translation overhead.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.env import Env
 from repro.core.memory_translation import write_handle_array
-from repro.core.mpi_imports import MPI_HOST_FUNCTIONS
+from repro.core.mpi_imports import ENV_NAMESPACE, register_mpi_imports
 from repro.mpi.algorithms.registry import CONTRACTS
 from repro.toolchain import mpi_header as abi
 from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import HEAP_BASE
 from repro.wasm.errors import LinkError
 from repro.wasm.memory import PAGE_SIZE, LinearMemory
-from repro.wasm.runtime import Instance
+from repro.wasm.runtime import ImportObject, Instance
 from repro.wasm.types import Limits, MemoryType
 
 
@@ -67,20 +68,29 @@ def _entry_points(call, nbc_call, collective: str, define):
 class HostHeap:
     """Native mode's stand-in for a Wasm instance: no module, no Wasm code.
 
-    It holds a linear memory sized like the guest program's and a host-side
-    copy of wasicc's bump allocator (the heap starts at ``HEAP_BASE``, every
-    allocation is 8-byte aligned, memory grows on demand, ``free`` does
-    nothing), and offers what the ``env.MPI_*`` host functions use of an
-    instance -- ``exported_memory()``, ``host_state``, ``has_export`` and
-    ``invoke("malloc"|"free")`` -- so they, ``AddressTranslator`` and the
-    status write-back run unchanged.
+    It holds a linear memory sized like the guest program's (the ``Env``'s
+    memory) and a host-side copy of wasicc's bump allocator (the heap starts
+    at ``HEAP_BASE``, every allocation is 8-byte aligned, memory grows on
+    demand, ``free`` does nothing).  It binds the ``env.MPI_*`` host
+    functions to itself as an instance binds its imports
+    (:meth:`host_call`), and offers what they use of an instance --
+    ``exported_memory()``, ``has_export`` and ``invoke("malloc"|"free")`` --
+    so they and the status write-back run unchanged.
     """
 
     def __init__(self, program: GuestProgram, env: Env):
-        self.memory = LinearMemory(MemoryType(Limits(program.memory_pages,
-                                                     program.max_memory_pages)))
-        self.host_state: Dict[str, object] = {Env.HOST_STATE_KEY: env}
+        self.memory = env.memory = LinearMemory(
+            MemoryType(Limits(program.memory_pages, program.max_memory_pages)))
+        self.imports = ImportObject()
+        register_mpi_imports(self.imports, env)
         self._top = HEAP_BASE
+
+    def host_call(self, namespace: str, name: str) -> Callable:
+        """``namespace.name`` bound to this heap (see ``Instance.host_call``)."""
+        host = self.imports.lookup(namespace, name)
+        if host is None:
+            raise KeyError(f"module does not import {namespace}.{name}")
+        return host.bind(self)
 
     def exported_memory(self) -> LinearMemory:
         """The heap's linear memory."""
@@ -122,9 +132,8 @@ class GuestAPI:
         #: ``True`` in native mode: MPI calls skip the Wasm import and its
         #: translation costs, and :meth:`call_kernel` raises.
         self.native = isinstance(instance, HostHeap)
-        self._import_index: Dict[str, int] = {} if self.native else {
-            f"{imp.module}.{imp.name}": i
-            for i, imp in enumerate(instance.module.imported_functions())}
+        #: ``env.MPI_*`` callables by name, each looked up on its first call.
+        self._mpi: Dict[str, Callable] = {}
         self._scratch_status = self.malloc(abi.STATUS_SIZE_BYTES)
         self._scratch_i32 = self.malloc(16)
         # waitany/testall arrays: reused, as the guest allocator never frees.
@@ -182,13 +191,11 @@ class GuestAPI:
     # --------------------------------------------------------------------- MPI
 
     def _call(self, name: str, *args) -> int:
-        if self.native:
-            return MPI_HOST_FUNCTIONS[name](self.instance, *args)
-        index = self._import_index.get(f"env.{name}")
-        if index is None:
-            raise KeyError(f"module does not import env.{name}")
-        results = self.instance.call_function(index, list(args))
-        return results[0] if results else 0
+        try:
+            call = self._mpi[name]
+        except KeyError:
+            call = self._mpi[name] = self.instance.host_call(ENV_NAMESPACE, name)
+        return call(*args)[0]
 
     def _call_out(self, name: str, *args, signed: bool = False) -> int:
         """Call an import whose last parameter is an ``int *`` it writes; returns

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.wasm.errors import MemoryOutOfBoundsTrap
 from repro.wasm.memory import LinearMemory
-from repro.wasm.runtime import Instance
 
 
 class AddressTranslator:
@@ -83,11 +82,6 @@ class AddressTranslator:
         visible = self.memory.read(guest_ptr, 1)[0] == probe
         view[0] = original[0]
         return visible
-
-
-def translator_for(instance: Instance) -> AddressTranslator:
-    """Build an :class:`AddressTranslator` for an instantiated module."""
-    return AddressTranslator(instance.exported_memory())
 
 
 # --------------------------------------------------------- bulk handle arrays

@@ -18,49 +18,34 @@ this module registers a host function that
 are implemented by calling the module's own exported ``malloc``/``free`` so
 the returned address lies inside the module's 32-bit address space.
 
-The host functions use only ``exported_memory()``, ``host_state``,
-``has_export`` and ``invoke("malloc"|"free")`` of the instance they are
-handed, so native mode runs them over a
-:class:`repro.core.guest_api.HostHeap` instead, with the ``Env``'s
+Each implementation takes the rank's ``Env`` and the calling instance
+ahead of the Wasm arguments.  :data:`MPI_IMPORTS` is built once, at import
+time; :func:`register_mpi_imports` binds a rank's ``Env`` with one
+``functools.partial`` per import, and instantiation binds the instance.
+Of the instance they use only ``exported_memory()``, ``has_export`` and
+``invoke("malloc"|"free")``, and guest buffers are translated by the
+``Env``'s :attr:`~repro.core.env.Env.translator`, so native mode runs them
+over a :class:`repro.core.guest_api.HostHeap` instead, with the ``Env``'s
 translation costs off.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.env import Env
-from repro.core.memory_translation import (
-    AddressTranslator,
-    read_handle_array,
-    write_handle_array,
-)
+from repro.core.memory_translation import read_handle_array, write_handle_array
 from repro.mpi.algorithms.registry import CONTRACTS
 from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.mpi.runtime import MPIRuntime
 from repro.mpi.status import Request, Status
 from repro.toolchain import mpi_header as abi
-from repro.wasm.runtime import HostFunction, ImportObject, Instance
+from repro.wasm.runtime import ImportObject, Instance
 from repro.wasm.types import FuncType
 
 ENV_NAMESPACE = "env"
-
-
-def _env_of(instance: Instance) -> Env:
-    env = instance.host_state.get(Env.HOST_STATE_KEY)
-    if env is None:
-        raise MPIError("module instance has no MPIWasm Env attached")
-    return env
-
-
-def _translator(instance: Instance) -> AddressTranslator:
-    translator = instance.host_state.get("mpiwasm.translator")
-    if translator is None:
-        translator = AddressTranslator(instance.exported_memory())
-        instance.host_state["mpiwasm.translator"] = translator
-    return translator
 
 
 def _guest_source(value: int) -> int:
@@ -114,9 +99,9 @@ def _live_requests(env: Env, memory, requests_ptr: int, count: int):
 def _wrap(env_fn: Callable) -> Callable:
     """Convert host-side MPI exceptions into guest-visible error codes."""
 
-    def wrapper(instance: Instance, *args):
+    def wrapper(env: Env, instance: Instance, *args):
         try:
-            return env_fn(instance, *args)
+            return env_fn(env, instance, *args)
         except KeyError:
             return abi.MPI_ERR_OTHER
         except MPIError as exc:
@@ -140,22 +125,19 @@ def build_mpi_imports() -> Dict[str, Callable]:
     # ------------------------------------------------------------ init / meta
 
     @define("MPI_Init")
-    def mpi_init(instance, argc_ptr, argv_ptr):
-        env = _env_of(instance)
+    def mpi_init(env, instance, argc_ptr, argv_ptr):
         env.note_call("MPI_Init")
         env.charge_overhead("MPI_Init", "MPI_BYTE", 0, n_datatype_args=0)
         env.runtime.init()
         return abi.MPI_SUCCESS
 
     @define("MPI_Initialized")
-    def mpi_initialized(instance, flag_ptr):
-        env = _env_of(instance)
+    def mpi_initialized(env, instance, flag_ptr):
         instance.exported_memory().store_int(flag_ptr, 1 if env.runtime.is_initialized() else 0, 4)
         return abi.MPI_SUCCESS
 
     @define("MPI_Finalize")
-    def mpi_finalize(instance):
-        env = _env_of(instance)
+    def mpi_finalize(env, instance):
         env.note_call("MPI_Finalize")
         env.charge_overhead("MPI_Finalize", "MPI_BYTE", 0, n_datatype_args=0)
         env.runtime.finalize()
@@ -163,15 +145,13 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Abort")
-    def mpi_abort(instance, comm_handle, errorcode):
-        env = _env_of(instance)
+    def mpi_abort(env, instance, comm_handle, errorcode):
         env.note_call("MPI_Abort")
         env.runtime.abort(errorcode=_signed(errorcode))
         return abi.MPI_SUCCESS  # pragma: no cover - abort raises
 
     @define("MPI_Comm_rank")
-    def mpi_comm_rank(instance, comm_handle, rank_ptr):
-        env = _env_of(instance)
+    def mpi_comm_rank(env, instance, comm_handle, rank_ptr):
         env.note_call("MPI_Comm_rank")
         env.charge_overhead("MPI_Comm_rank", "MPI_BYTE", 0, n_datatype_args=0)
         comm = env.resolve_comm(_signed(comm_handle))
@@ -179,8 +159,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Comm_size")
-    def mpi_comm_size(instance, comm_handle, size_ptr):
-        env = _env_of(instance)
+    def mpi_comm_size(env, instance, comm_handle, size_ptr):
         env.note_call("MPI_Comm_size")
         env.charge_overhead("MPI_Comm_size", "MPI_BYTE", 0, n_datatype_args=0)
         comm = env.resolve_comm(_signed(comm_handle))
@@ -188,33 +167,28 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Get_processor_name")
-    def mpi_get_processor_name(instance, name_ptr, resultlen_ptr):
-        env = _env_of(instance)
+    def mpi_get_processor_name(env, instance, name_ptr, resultlen_ptr):
         name = env.runtime.get_processor_name()[: abi.MPI_MAX_PROCESSOR_NAME - 1]
         written = instance.exported_memory().write_cstring(name_ptr, name)
         instance.exported_memory().store_int(resultlen_ptr, written - 1, 4)
         return abi.MPI_SUCCESS
 
     @define("MPI_Wtime")
-    def mpi_wtime(instance):
-        env = _env_of(instance)
+    def mpi_wtime(env, instance):
         return env.runtime.wtime()
 
     @define("MPI_Wtick")
-    def mpi_wtick(instance):
-        env = _env_of(instance)
+    def mpi_wtick(env, instance):
         return env.runtime.wtick()
 
     @define("MPI_Type_size")
-    def mpi_type_size(instance, datatype_handle, size_ptr):
-        env = _env_of(instance)
+    def mpi_type_size(env, instance, datatype_handle, size_ptr):
         datatype = env.resolve_datatype(_signed(datatype_handle))
         instance.exported_memory().store_int(size_ptr, datatype.size, 4)
         return abi.MPI_SUCCESS
 
     @define("MPI_Get_count")
-    def mpi_get_count(instance, status_ptr, datatype_handle, count_ptr):
-        env = _env_of(instance)
+    def mpi_get_count(env, instance, status_ptr, datatype_handle, count_ptr):
         datatype = env.resolve_datatype(_signed(datatype_handle))
         count_bytes = instance.exported_memory().load_int(status_ptr + abi.STATUS_COUNT_OFFSET, 4)
         count = count_bytes // datatype.size if datatype.size else 0
@@ -229,28 +203,26 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Send")
-    def mpi_send(instance, buf, count, datatype_handle, dest, tag, comm_handle):
-        env = _env_of(instance)
+    def mpi_send(env, instance, buf, count, datatype_handle, dest, tag, comm_handle):
         env.note_call("MPI_Send")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         nbytes = count * datatype.size
         env.charge_overhead("MPI_Send", datatype.name, nbytes)
         comm = env.resolve_comm(_signed(comm_handle))
-        view = _translator(instance).to_host(buf, nbytes)
+        view = env.translator.to_host(buf, nbytes)
         env.runtime.send(view, count, datatype, _guest_source(_signed(dest)), _signed(tag), comm)
         return abi.MPI_SUCCESS
 
     @define("MPI_Recv")
-    def mpi_recv(instance, buf, count, datatype_handle, source, tag, comm_handle, status_ptr):
-        env = _env_of(instance)
+    def mpi_recv(env, instance, buf, count, datatype_handle, source, tag, comm_handle, status_ptr):
         env.note_call("MPI_Recv")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         nbytes = count * datatype.size
         env.charge_overhead("MPI_Recv", datatype.name, nbytes)
         comm = env.resolve_comm(_signed(comm_handle))
-        view = _translator(instance).to_host(buf, nbytes)
+        view = env.translator.to_host(buf, nbytes)
         status = env.runtime.recv(
             view, count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm
         )
@@ -259,12 +231,11 @@ def build_mpi_imports() -> Dict[str, Callable]:
 
     @define("MPI_Sendrecv")
     def mpi_sendrecv(
-        instance,
+        env, instance,
         sendbuf, sendcount, sendtype_handle, dest, sendtag,
         recvbuf, recvcount, recvtype_handle, source, recvtag,
         comm_handle, status_ptr,
     ):
-        env = _env_of(instance)
         env.note_call("MPI_Sendrecv")
         sendcount = _signed(sendcount)
         recvcount = _signed(recvcount)
@@ -273,7 +244,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         send_bytes = sendcount * sendtype.size
         env.charge_overhead("MPI_Sendrecv", sendtype.name, send_bytes, n_datatype_args=2)
         comm = env.resolve_comm(_signed(comm_handle))
-        translator = _translator(instance)
+        translator = env.translator
         send_view = translator.to_host(sendbuf, send_bytes)
         recv_view = translator.to_host(recvbuf, recvcount * recvtype.size)
         status = env.runtime.sendrecv(
@@ -285,36 +256,33 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Isend")
-    def mpi_isend(instance, buf, count, datatype_handle, dest, tag, comm_handle, request_ptr):
-        env = _env_of(instance)
+    def mpi_isend(env, instance, buf, count, datatype_handle, dest, tag, comm_handle, request_ptr):
         env.note_call("MPI_Isend")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         nbytes = count * datatype.size
         env.charge_overhead("MPI_Isend", datatype.name, nbytes)
         comm = env.resolve_comm(_signed(comm_handle))
-        view = _translator(instance).to_host(buf, nbytes)
+        view = env.translator.to_host(buf, nbytes)
         request = env.runtime.isend(view, count, datatype, _guest_source(_signed(dest)), _signed(tag), comm)
         return _register_request(instance, env, request, request_ptr)
 
     @define("MPI_Irecv")
-    def mpi_irecv(instance, buf, count, datatype_handle, source, tag, comm_handle, request_ptr):
-        env = _env_of(instance)
+    def mpi_irecv(env, instance, buf, count, datatype_handle, source, tag, comm_handle, request_ptr):
         env.note_call("MPI_Irecv")
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         nbytes = count * datatype.size
         env.charge_overhead("MPI_Irecv", datatype.name, nbytes)
         comm = env.resolve_comm(_signed(comm_handle))
-        view = _translator(instance).to_host(buf, nbytes)
+        view = env.translator.to_host(buf, nbytes)
         request = env.runtime.irecv(
             view, count, datatype, _guest_source(_signed(source)), _guest_tag(_signed(tag)), comm
         )
         return _register_request(instance, env, request, request_ptr)
 
     @define("MPI_Test")
-    def mpi_test(instance, request_ptr, flag_ptr, status_ptr):
-        env = _env_of(instance)
+    def mpi_test(env, instance, request_ptr, flag_ptr, status_ptr):
         env.note_call("MPI_Test")
         env.charge_overhead("MPI_Test", "MPI_BYTE", 0, n_datatype_args=0)
         memory = instance.exported_memory()
@@ -334,8 +302,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Wait")
-    def mpi_wait(instance, request_ptr, status_ptr):
-        env = _env_of(instance)
+    def mpi_wait(env, instance, request_ptr, status_ptr):
         env.note_call("MPI_Wait")
         env.charge_overhead("MPI_Wait", "MPI_BYTE", 0, n_datatype_args=0)
         memory = instance.exported_memory()
@@ -351,8 +318,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Waitall")
-    def mpi_waitall(instance, count, requests_ptr, statuses_ptr):
-        env = _env_of(instance)
+    def mpi_waitall(env, instance, count, requests_ptr, statuses_ptr):
         env.note_call("MPI_Waitall")
         env.charge_overhead("MPI_Waitall", "MPI_BYTE", 0, n_datatype_args=0)
         memory = instance.exported_memory()
@@ -373,8 +339,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Waitany")
-    def mpi_waitany(instance, count, requests_ptr, index_ptr, status_ptr):
-        env = _env_of(instance)
+    def mpi_waitany(env, instance, count, requests_ptr, index_ptr, status_ptr):
         env.note_call("MPI_Waitany")
         env.charge_overhead("MPI_Waitany", "MPI_BYTE", 0, n_datatype_args=0)
         memory = instance.exported_memory()
@@ -394,8 +359,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Testall")
-    def mpi_testall(instance, count, requests_ptr, flag_ptr, statuses_ptr):
-        env = _env_of(instance)
+    def mpi_testall(env, instance, count, requests_ptr, flag_ptr, statuses_ptr):
         env.note_call("MPI_Testall")
         env.charge_overhead("MPI_Testall", "MPI_BYTE", 0, n_datatype_args=0)
         memory = instance.exported_memory()
@@ -419,15 +383,14 @@ def build_mpi_imports() -> Dict[str, Callable]:
                     )
             if count > 0:
                 # Null the whole handle array in one vectorized fill.
-                translator = _translator(instance)
+                translator = env.translator
                 translator.to_host_ndarray(requests_ptr, count, "<u4").fill(
                     abi.MPI_REQUEST_NULL
                 )
         return abi.MPI_SUCCESS
 
     @define("MPI_Iprobe")
-    def mpi_iprobe(instance, source, tag, comm_handle, flag_ptr, status_ptr):
-        env = _env_of(instance)
+    def mpi_iprobe(env, instance, source, tag, comm_handle, flag_ptr, status_ptr):
         env.note_call("MPI_Iprobe")
         comm = env.resolve_comm(_signed(comm_handle))
         found, status = env.runtime.iprobe(_guest_source(_signed(source)), _guest_tag(_signed(tag)), comm)
@@ -453,16 +416,14 @@ def build_mpi_imports() -> Dict[str, Callable]:
         blocking_name, nonblocking_name = CONTRACTS[name].mpi_names
 
         def decorator(decode: Callable) -> Callable:
-            def blocking(instance, *args):
-                env = _env_of(instance)
+            def blocking(env, instance, *args):
                 env.note_call(blocking_name)
-                run(env.runtime, *decode(instance, env, blocking_name, *args))
+                run(env.runtime, *decode(env, blocking_name, *args))
                 return abi.MPI_SUCCESS
 
-            def nonblocking(instance, *args):
-                env = _env_of(instance)
+            def nonblocking(env, instance, *args):
                 env.note_call(nonblocking_name)
-                request = post(env.runtime, *decode(instance, env, nonblocking_name, *args[:-1]))
+                request = post(env.runtime, *decode(env, nonblocking_name, *args[:-1]))
                 return _register_request(instance, env, request, args[-1])
 
             impl[blocking_name] = _wrap(blocking)
@@ -472,39 +433,39 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return decorator
 
     @collective("barrier")
-    def decode_barrier(instance, env, name, comm_handle):
+    def decode_barrier(env, name, comm_handle):
         env.charge_overhead(name, "MPI_BYTE", 0, n_datatype_args=0)
         return (env.resolve_comm(_signed(comm_handle)),)
 
     @collective("bcast")
-    def decode_bcast(instance, env, name, buf, count, datatype_handle, root, comm_handle):
+    def decode_bcast(env, name, buf, count, datatype_handle, root, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        return partial(_translator(instance).to_host, buf), count, datatype, _signed(root), comm
+        return partial(env.translator.to_host, buf), count, datatype, _signed(root), comm
 
     @collective("reduce")
-    def decode_reduce(instance, env, name, sendbuf, recvbuf, count, datatype_handle, op_handle,
+    def decode_reduce(env, name, sendbuf, recvbuf, count, datatype_handle, op_handle,
                       root, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         op = env.resolve_op(_signed(op_handle))
         env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        to_host = _translator(instance).to_host
+        to_host = env.translator.to_host
         return (partial(to_host, sendbuf), partial(to_host, recvbuf) if recvbuf else None,
                 count, datatype, op, _signed(root), comm)
 
     @collective("allreduce")
-    def decode_allreduce(instance, env, name, sendbuf, recvbuf, count, datatype_handle,
+    def decode_allreduce(env, name, sendbuf, recvbuf, count, datatype_handle,
                          op_handle, comm_handle):
         count = _signed(count)
         datatype = env.resolve_datatype(_signed(datatype_handle))
         op = env.resolve_op(_signed(op_handle))
         env.charge_overhead(name, datatype.name, count * datatype.size)
         comm = env.resolve_comm(_signed(comm_handle))
-        to_host = _translator(instance).to_host
+        to_host = env.translator.to_host
         return partial(to_host, sendbuf), partial(to_host, recvbuf), count, datatype, op, comm
 
     def typed_blocks(env, name, sendcount, sendtype_handle, recvcount, recvtype_handle,
@@ -519,42 +480,41 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return sendcount, sendtype, recvcount, recvtype
 
     @collective("gather")
-    def decode_gather(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+    def decode_gather(env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
                       recvcount, recvtype_handle, root, comm_handle):
         sendcount, sendtype, recvcount, recvtype = typed_blocks(
             env, name, sendcount, sendtype_handle, recvcount, recvtype_handle)
         comm = env.resolve_comm(_signed(comm_handle))
-        to_host = _translator(instance).to_host
+        to_host = env.translator.to_host
         return (partial(to_host, sendbuf), sendcount, sendtype,
                 partial(to_host, recvbuf) if recvbuf else None, recvcount, recvtype,
                 _signed(root), comm)
 
     @collective("scatter")
-    def decode_scatter(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+    def decode_scatter(env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
                        recvcount, recvtype_handle, root, comm_handle):
         sendcount, sendtype, recvcount, recvtype = typed_blocks(
             env, name, sendcount, sendtype_handle, recvcount, recvtype_handle, charge_received=True)
         comm = env.resolve_comm(_signed(comm_handle))
-        to_host = _translator(instance).to_host
+        to_host = env.translator.to_host
         return (partial(to_host, sendbuf) if sendbuf else None, sendcount, sendtype,
                 partial(to_host, recvbuf), recvcount, recvtype, _signed(root), comm)
 
     @collective("allgather")
     @collective("alltoall")
-    def decode_all_blocks(instance, env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
+    def decode_all_blocks(env, name, sendbuf, sendcount, sendtype_handle, recvbuf,
                           recvcount, recvtype_handle, comm_handle):
         sendcount, sendtype, recvcount, recvtype = typed_blocks(
             env, name, sendcount, sendtype_handle, recvcount, recvtype_handle)
         comm = env.resolve_comm(_signed(comm_handle))
-        to_host = _translator(instance).to_host
+        to_host = env.translator.to_host
         return (partial(to_host, sendbuf), sendcount, sendtype,
                 partial(to_host, recvbuf), recvcount, recvtype, comm)
 
     # -------------------------------------------------------------- communicators
 
     @define("MPI_Comm_split")
-    def mpi_comm_split(instance, comm_handle, color, key, newcomm_ptr):
-        env = _env_of(instance)
+    def mpi_comm_split(env, instance, comm_handle, color, key, newcomm_ptr):
         env.note_call("MPI_Comm_split")
         env.charge_overhead("MPI_Comm_split", "MPI_BYTE", 0, n_datatype_args=0)
         comm = env.resolve_comm(_signed(comm_handle))
@@ -567,8 +527,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Comm_dup")
-    def mpi_comm_dup(instance, comm_handle, newcomm_ptr):
-        env = _env_of(instance)
+    def mpi_comm_dup(env, instance, comm_handle, newcomm_ptr):
         env.note_call("MPI_Comm_dup")
         env.charge_overhead("MPI_Comm_dup", "MPI_BYTE", 0, n_datatype_args=0)
         comm = env.resolve_comm(_signed(comm_handle))
@@ -578,8 +537,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Comm_free")
-    def mpi_comm_free(instance, comm_ptr):
-        env = _env_of(instance)
+    def mpi_comm_free(env, instance, comm_ptr):
         env.note_call("MPI_Comm_free")
         memory = instance.exported_memory()
         handle = _signed(memory.load_int(comm_ptr, 4))
@@ -592,8 +550,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
     # --------------------------------------------------------------------- memory
 
     @define("MPI_Alloc_mem")
-    def mpi_alloc_mem(instance, size, info, baseptr_ptr):
-        env = _env_of(instance)
+    def mpi_alloc_mem(env, instance, size, info, baseptr_ptr):
         env.note_call("MPI_Alloc_mem")
         env.charge_overhead("MPI_Alloc_mem", "MPI_BYTE", 0, n_datatype_args=0)
         if not instance.has_export("malloc"):
@@ -605,8 +562,7 @@ def build_mpi_imports() -> Dict[str, Callable]:
         return abi.MPI_SUCCESS
 
     @define("MPI_Free_mem")
-    def mpi_free_mem(instance, guest_ptr):
-        env = _env_of(instance)
+    def mpi_free_mem(env, instance, guest_ptr):
         env.note_call("MPI_Free_mem")
         if not instance.has_export("free"):
             return abi.MPI_ERR_OTHER
@@ -616,26 +572,33 @@ def build_mpi_imports() -> Dict[str, Callable]:
     return impl
 
 
-def _build_host_functions() -> Dict[str, HostFunction]:
+def _build_import_table() -> Dict[str, Tuple[FuncType, Callable]]:
     implementations = build_mpi_imports()
-    functions = {}
+    table = {}
     for name, (params, results) in abi.MPI_SIGNATURES.items():
         fn = implementations.get(name)
         if fn is None:  # pragma: no cover - table integrity guard
             raise MPIError(f"no host implementation for {name}")
-        functions[name] = HostFunction(
-            name=f"{ENV_NAMESPACE}.{name}", func_type=FuncType.of(params, results), callable=fn
-        )
-    return functions
+        table[name] = (FuncType.of(params, results), fn)
+    return table
 
 
-#: Every ``env.MPI_*`` import by name, built once at import time: the
-#: implementations take the calling instance as their first argument and
-#: close over nothing per rank, so all ranks -- and native mode's
-#: ``GuestAPI``, which calls them directly -- share them.
-MPI_HOST_FUNCTIONS = _build_host_functions()
+#: Every ``env.MPI_*`` import by name: its signature and its implementation,
+#: built once at import time.  The implementations close over nothing per
+#: rank, so all ranks share them.
+MPI_IMPORTS = _build_import_table()
 
 
-def register_mpi_imports(imports: ImportObject) -> None:
-    """Register all ``env.MPI_*`` host functions on an import object."""
-    imports.register_module(ENV_NAMESPACE, MPI_HOST_FUNCTIONS)
+def _no_env(name: str, instance, *args):
+    raise MPIError(f"env.{name} called on an instance without an MPIWasm Env")
+
+
+def register_mpi_imports(imports: ImportObject, env: Optional[Env]) -> None:
+    """Register every ``env.MPI_*`` import on ``imports``, bound to ``env``.
+
+    Without an ``env`` (an instance that only runs Wasm kernels) every import
+    links, and raises :class:`MPIError` when called.
+    """
+    for name, (func_type, fn) in MPI_IMPORTS.items():
+        imports.register(ENV_NAMESPACE, name, func_type,
+                         partial(fn, env) if env is not None else partial(_no_env, name))

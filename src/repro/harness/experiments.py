@@ -130,7 +130,8 @@ def table1_compiler_backends(
     Cranelift's first-call code generation.
     """
     from repro.wasm.runtime import ImportObject, Instance
-    from repro.core.mpi_imports import register_mpi_imports  # noqa: F401 - ensures table import side effects
+    from repro.core.mpi_imports import register_mpi_imports
+    from repro.wasi.snapshot_preview1 import WasiEnvironment, build_wasi_imports
     import numpy as np
 
     app = compile_guest(make_hpcg_program(dims=dims, iterations=2))
@@ -142,15 +143,10 @@ def table1_compiler_backends(
         compiled = min((backend.compile(app.module) for _ in range(_TABLE1_COMPILE_REPEATS)),
                        key=lambda c: c.compile_seconds)
         executor = backend.executor_for(compiled)
-        # Stand-alone instance: no MPI/WASI needed to drive the ddot kernel.
-        from repro.wasi.snapshot_preview1 import WasiEnvironment, build_wasi_imports
-        from repro.core.env import Env  # noqa: F401
-
+        # Stand-alone instance: no MPI (no Env) needed to drive the ddot kernel.
         imports = ImportObject()
-        register_mpi_imports(imports)
-        wasi = build_wasi_imports(WasiEnvironment())
-        for ns in wasi.namespaces():
-            imports.register_module(ns, wasi._functions[ns])  # noqa: SLF001
+        register_mpi_imports(imports, None)
+        build_wasi_imports(WasiEnvironment(), imports)
         instance = Instance(app.module, imports, executor=executor)
         [a_ptr] = instance.invoke("malloc", n * 8)
         [b_ptr] = instance.invoke("malloc", n * 8)

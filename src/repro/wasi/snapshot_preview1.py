@@ -106,9 +106,8 @@ def _iovec_gather(memory, iovs_ptr: int, iovs_len: int) -> List[tuple]:
     return out
 
 
-def build_wasi_imports(env: WasiEnvironment) -> ImportObject:
-    """Build an :class:`ImportObject` exposing WASI to a module."""
-    imports = ImportObject()
+def build_wasi_imports(env: WasiEnvironment, imports: ImportObject) -> ImportObject:
+    """Register WASI, over ``env``, on ``imports``; returns ``imports``."""
 
     def register(name: str, fn) -> None:
         imports.register(NAMESPACE, name, _SIGNATURES[name], fn)

@@ -45,17 +45,14 @@ from repro.wasm.compilers.base import CompiledModule, CompilerBackend, register_
 from repro.wasm.errors import (
     IndirectCallTrap,
     MemoryOutOfBoundsTrap,
-    StackExhaustionTrap,
     Trap,
     UnreachableTrap,
 )
 from repro.wasm.ir import MINED, OPS
 from repro.wasm.lowering import IR_VERSION, LoweredFunction, lower_module
 from repro.wasm.module import Module
-from repro.wasm.runtime import Executor, HostFunction, Instance, reserve_recursion_headroom
+from repro.wasm.runtime import Executor, Instance
 from repro.wasm.semantics import _BINOPS, _UNOPS, _simd_binary, _simd_unary
-
-MAX_CALL_DEPTH = 256
 
 # An expression is foldable when deferring its evaluation to the consuming
 # statement cannot change behaviour: no memory/global/call effects through
@@ -437,36 +434,12 @@ class GeneratedCodeExecutor(Executor):
 
     name = "generated"
 
-    def __init__(self, functions: List, max_call_depth: int = MAX_CALL_DEPTH):
+    def __init__(self, functions: List):
         self._functions = functions
-        self.max_call_depth = max_call_depth
 
-    def prepare(self, module: Module) -> None:
-        """No per-instance work: compilation already happened."""
-
-    def configure(self, max_call_depth: Optional[int] = None) -> None:
-        """Apply embedder-level execution limits (see :class:`Executor`)."""
-        if max_call_depth is not None:
-            self.max_call_depth = max_call_depth
-
-    def call(self, instance: Instance, func_index: int, args: Sequence) -> List:
-        target = instance.functions[func_index]
-        if isinstance(target, HostFunction):
-            result = target(instance, *args)
-            if result is None:
-                return []
-            return list(result) if isinstance(result, (list, tuple)) else [result]
-        local_index = func_index - instance.module.num_imported_functions()
-        depth = instance.host_state.get("_call_depth", 0)
-        if depth >= self.max_call_depth:
-            raise StackExhaustionTrap(depth)
-        if depth == 0:
-            reserve_recursion_headroom(self.max_call_depth)
-        instance.host_state["_call_depth"] = depth + 1
-        try:
-            return self._functions[local_index](instance, args)
-        finally:
-            instance.host_state["_call_depth"] = depth
+    def call(self, instance: Instance, func_index: int, args: List) -> List:
+        local_index = func_index - len(instance.host_calls)
+        return self._functions[local_index](instance, args)
 
 
 class LLVMBackend(CompilerBackend):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.wasm.errors import StackExhaustionTrap
 from repro.wasm.ir_exec import _State
 from repro.wasm.lowering import (
     LoweredFunction,
@@ -34,17 +33,9 @@ from repro.wasm.lowering import (
     lower_module,
 )
 from repro.wasm.module import Module
-from repro.wasm.runtime import (
-    Executor,
-    HostFunction,
-    Instance,
-    WasmFunction,
-    reserve_recursion_headroom,
-)
+from repro.wasm.runtime import MAX_CALL_DEPTH, Executor, Instance, WasmFunction
 
 __all__ = ["Interpreter", "MAX_CALL_DEPTH", "build_control_map"]
-
-MAX_CALL_DEPTH = 256
 
 
 class Interpreter(Executor):
@@ -58,17 +49,11 @@ class Interpreter(Executor):
 
     name = "interpreter"
 
-    def __init__(
-        self,
-        lowered: Optional[Sequence[LoweredFunction]] = None,
-        lazy: bool = False,
-        max_call_depth: int = MAX_CALL_DEPTH,
-    ):
+    def __init__(self, lowered: Optional[Sequence[LoweredFunction]] = None, lazy: bool = False):
         self._functions: Dict[int, LoweredFunction] = (
             dict(enumerate(lowered)) if lowered is not None else {}
         )
         self.lazy = lazy
-        self.max_call_depth = max_call_depth
 
     # ------------------------------------------------------------------ prepare
 
@@ -77,11 +62,6 @@ class Interpreter(Executor):
         if self.lazy or self._functions:
             return
         self._functions = dict(enumerate(lower_module(module)))
-
-    def configure(self, max_call_depth: Optional[int] = None) -> None:
-        """Apply embedder-level execution limits (see :class:`Executor`)."""
-        if max_call_depth is not None:
-            self.max_call_depth = max_call_depth
 
     def _lowered(self, module: Module, local_index: int) -> LoweredFunction:
         lowered = self._functions.get(local_index)
@@ -93,29 +73,14 @@ class Interpreter(Executor):
 
     # --------------------------------------------------------------------- call
 
-    def call(self, instance: Instance, func_index: int, args: Sequence) -> List:
-        target = instance.functions[func_index]
-        if isinstance(target, HostFunction):
-            result = target(instance, *args)
-            if result is None:
-                return []
-            return list(result) if isinstance(result, (list, tuple)) else [result]
-        depth = instance.host_state.get("_call_depth", 0)
-        if depth >= self.max_call_depth:
-            raise StackExhaustionTrap(depth)
-        if depth == 0:
-            reserve_recursion_headroom(self.max_call_depth)
-        instance.host_state["_call_depth"] = depth + 1
-        try:
-            return self._exec(instance, target, list(args))
-        finally:
-            instance.host_state["_call_depth"] = depth
+    def call(self, instance: Instance, func_index: int, args: List) -> List:
+        return self._exec(instance, instance.functions[func_index], args)
 
     # --------------------------------------------------------------------- exec
 
     def _exec(self, instance: Instance, target: WasmFunction, args: List) -> List:
         module = instance.module
-        local_index = target.func_index - module.num_imported_functions()
+        local_index = target.func_index - len(instance.host_calls)
         lowered = self._lowered(module, local_index)
         code = lowered.code
         if code is None:

@@ -3,40 +3,64 @@
 An :class:`Instance` is a loaded module: resolved imports, an allocated
 linear memory, initialised globals and tables, and an executor (provided by
 one of the compiler back-ends) that runs its functions.  Host functions --
-the WASI and ``env.MPI_*`` implementations the embedder provides -- are plain
-Python callables wrapped in :class:`HostFunction`.
+the WASI and ``env.MPI_*`` implementations the embedder provides -- are
+Python callables registered as :class:`HostFunction`s, which instantiation
+binds to the instance once.  :meth:`Instance.call_function`, every call's
+entry, calls that bound callable or runs a module-defined function under
+the one call-depth guard.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.hooks import JobHooks, current_hooks
-from repro.wasm.errors import LinkError, Trap
+from repro.wasm.errors import LinkError, StackExhaustionTrap, Trap
 from repro.wasm.instructions import Instruction
 from repro.wasm.memory import LinearMemory
-from repro.wasm.module import ExternKind, Function, Module
+from repro.wasm.module import ExternKind, Function, Import, Module
 from repro.wasm.types import FuncType, GlobalType, MemoryType, TableType
 
 
-@dataclass
+def _no_result(fn: Callable, instance, *args) -> List:
+    fn(instance, *args)
+    return []
+
+
+def _one_result(fn: Callable, instance, *args) -> List:
+    return [fn(instance, *args)]
+
+
+def _results(fn: Callable, instance, *args) -> List:
+    return list(fn(instance, *args))
+
+
+#: A bound host function's result shape, by declared result count (more: ``_results``).
+_SHAPES = {0: _no_result, 1: _one_result}
+
+
+@dataclass(slots=True)
 class HostFunction:
     """A function provided by the embedder to the module.
 
-    ``callable`` receives the already-instantiated :class:`Instance` (so it can
-    reach the linear memory) followed by the positional Wasm arguments, and
-    returns ``None``, a single value, or a tuple of values matching the
-    declared result types.
+    ``callable`` receives the instance it is bound to (so it can reach the
+    linear memory) followed by the positional Wasm arguments, and returns
+    what the declared result count asks for: anything (ignored) for none,
+    the value for one, a sequence of values for more.
     """
 
-    name: str
     func_type: FuncType
     callable: Callable
 
-    def __call__(self, instance: "Instance", *args):
-        return self.callable(instance, *args)
+    def bind(self, instance) -> Callable:
+        """``callable`` bound to ``instance``: it takes the Wasm arguments and
+        returns the results as a list, as :meth:`Instance.call_function` does."""
+        shape = _SHAPES.get(len(self.func_type.results), _results)
+        return partial(shape, self.callable, instance)
 
 
 @dataclass
@@ -46,9 +70,6 @@ class WasmFunction:
     func_index: int
     func_type: FuncType
     definition: Function
-
-
-FunctionLike = Union[HostFunction, WasmFunction]
 
 
 @dataclass
@@ -94,25 +115,36 @@ class ImportObject:
     """
 
     def __init__(self) -> None:
-        self._functions: Dict[str, Dict[str, HostFunction]] = {}
+        self._functions: Dict[Tuple[str, str], HostFunction] = {}
 
     def register(self, namespace: str, name: str, func_type: FuncType, fn: Callable) -> None:
         """Register one host function under ``namespace.name``."""
-        self._functions.setdefault(namespace, {})[name] = HostFunction(
-            name=f"{namespace}.{name}", func_type=func_type, callable=fn
-        )
-
-    def register_module(self, namespace: str, functions: Dict[str, HostFunction]) -> None:
-        """Register a whole namespace of prebuilt host functions."""
-        self._functions.setdefault(namespace, {}).update(functions)
+        self._functions[namespace, name] = HostFunction(func_type, fn)
 
     def lookup(self, namespace: str, name: str) -> Optional[HostFunction]:
         """Find a host function (``None`` if missing)."""
-        return self._functions.get(namespace, {}).get(name)
+        return self._functions.get((namespace, name))
 
-    def namespaces(self) -> List[str]:
-        """All registered namespaces."""
-        return sorted(self._functions)
+    def resolve(self, module: Module, imported: Sequence[Import]) -> List[HostFunction]:
+        """The host function of each of ``module``'s function imports
+        (``imported``, in index order); :class:`LinkError` for one that is
+        missing or has another signature."""
+        hosts = []
+        for imp in imported:
+            host = self._functions.get((imp.module, imp.name))
+            if host is None:
+                raise LinkError(f"unresolved import {imp.qualified_name}")
+            expected = module.types[imp.desc]
+            # Field by field: FuncType's generated __eq__ would be one more
+            # Python call per import of every instance.
+            if (host.func_type.params != expected.params
+                    or host.func_type.results != expected.results):
+                raise LinkError(
+                    f"import {imp.qualified_name} signature mismatch: "
+                    f"module wants {expected.wat()!r}, host provides {host.func_type.wat()!r}"
+                )
+            hosts.append(host)
+        return hosts
 
 
 def memory_type_of(module: Module, pages_override: Optional[int] = None) -> Optional[MemoryType]:
@@ -140,15 +172,22 @@ def memory_type_of(module: Module, pages_override: Optional[int] = None) -> Opti
     return MemoryType(limits=type(limits)(pages_override, limits.maximum))
 
 
+#: Default guest call-stack depth at which a call raises
+#: :class:`~repro.wasm.errors.StackExhaustionTrap`.
+MAX_CALL_DEPTH = 256
+
+
 class Executor:
     """Interface implemented by the compiler back-ends.
 
     ``call(instance, func_index, args)`` executes the module-defined function
-    at ``func_index`` (function index space) and returns its result values as
-    a list.
+    at ``func_index`` (function index space) with ``args``, a list it may
+    keep, and returns its results as a list.  Only
+    :meth:`Instance.call_function` calls it, under the depth guard.
     """
 
     name = "abstract"
+    max_call_depth = MAX_CALL_DEPTH
 
     def prepare(self, module: Module) -> None:
         """Hook for ahead-of-time work (compilation); called once per module."""
@@ -157,11 +196,12 @@ class Executor:
         """Apply embedder-level execution limits.
 
         The embedder calls this after :meth:`prepare` with the knobs from its
-        :class:`repro.api.config.ResolvedConfig`; back-ends ignore what they
-        do not support.
+        :class:`repro.api.config.ResolvedConfig`.
         """
+        if max_call_depth is not None:
+            self.max_call_depth = max_call_depth
 
-    def call(self, instance: "Instance", func_index: int, args: Sequence) -> List:
+    def call(self, instance: "Instance", func_index: int, args: List) -> List:
         """Execute a module-defined function."""
         raise NotImplementedError
 
@@ -170,15 +210,17 @@ def reserve_recursion_headroom(max_call_depth: int) -> None:
     """Raise CPython's recursion limit so the Wasm call-depth trap fires first.
 
     Each Wasm call level costs a handful of Python frames (executor ``call``
-    -> function body -> ``call_function`` -> ``call``); executors call this
-    on entry from the host, so a deep guest raises
+    -> function body -> ``call_function`` -> ``call``; up to eight when a
+    host import re-enters the guest through ``invoke``);
+    :meth:`Instance.call_function` calls this on entry from the host, so a
+    deep guest raises
     :class:`~repro.wasm.errors.StackExhaustionTrap` rather than
     ``RecursionError``.  Capped so an extreme ``max_call_depth`` cannot push
     the process limit past C-stack safety (beyond the cap, deep guests get a
     ``RecursionError`` rather than a weakened host-wide guard).  Never lowers
     the limit.
     """
-    needed = min(max_call_depth, 2048) * 6 + 1000
+    needed = min(max_call_depth, 2048) * 8 + 1000
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 
@@ -201,13 +243,13 @@ class Instance:
         self.module = module
         self.imports = imports or ImportObject()
         self.executor = executor or default_executor()
-        self.functions: List[FunctionLike] = []
+        self.functions: List[Union[HostFunction, WasmFunction]] = []
         self.globals: List[GlobalInstance] = []
         self.tables: List[TableInstance] = []
         self.memory: Optional[LinearMemory] = None
         self.exit_code: Optional[int] = None
-        # Arbitrary embedder-attached state (the MPIWasm Env structure hangs here).
-        self.host_state: Dict[str, object] = {}
+        #: Module-defined calls in progress (the one call-depth guard).
+        self.call_depth = 0
         self.profiler = (hooks if hooks is not None else current_hooks()).profiler
 
         self._link_functions()
@@ -220,19 +262,17 @@ class Instance:
     # ------------------------------------------------------------------ linking
 
     def _link_functions(self) -> None:
-        for imp in self.module.imports:
-            if imp.kind != ExternKind.FUNC:
-                continue
-            host = self.imports.lookup(imp.module, imp.name)
-            if host is None:
-                raise LinkError(f"unresolved import {imp.qualified_name}")
-            expected = self.module.types[imp.desc]
-            if host.func_type != expected:
-                raise LinkError(
-                    f"import {imp.qualified_name} signature mismatch: "
-                    f"module wants {expected.wat()!r}, host provides {host.func_type.wat()!r}"
-                )
-            self.functions.append(host)
+        # Imports are bound to a weak proxy: a strong reference would make the
+        # instance and its bound imports a cycle, and keep its linear memory
+        # alive after the job drops it until the cyclic collector runs.
+        proxy = weakref.proxy(self)
+        imported = self.module.imported_functions()
+        hosts = self.imports.resolve(self.module, imported)
+        self.functions.extend(hosts)
+        #: The imported functions, each bound to this instance, by index.
+        self.host_calls: List[Callable] = [host.bind(proxy) for host in hosts]
+        self._host_calls_by_name = {
+            (imp.module, imp.name): call for imp, call in zip(imported, self.host_calls)}
         base = len(self.functions)
         for i, func in enumerate(self.module.functions):
             self.functions.append(
@@ -289,16 +329,32 @@ class Instance:
         return self.functions[func_index].func_type
 
     def call_function(self, func_index: int, args: Sequence = ()) -> List:
-        """Call a function by index (host or module-defined)."""
-        target = self.functions[func_index]
-        if isinstance(target, HostFunction):
-            result = target(self, *args)
-            if result is None:
-                return []
-            if isinstance(result, (list, tuple)):
-                return list(result)
-            return [result]
-        return self.executor.call(self, func_index, list(args))
+        """Call a function by index (host or module-defined); returns its
+        results as a list.  A module-defined call deeper than the executor's
+        ``max_call_depth``, however nested, raises :class:`StackExhaustionTrap`."""
+        host_calls = self.host_calls
+        if func_index < len(host_calls):
+            return host_calls[func_index](*args)
+        depth = self.call_depth
+        limit = self.executor.max_call_depth
+        if depth >= limit:
+            raise StackExhaustionTrap(depth)
+        if depth == 0:
+            reserve_recursion_headroom(limit)
+        self.call_depth = depth + 1
+        try:
+            return self.executor.call(self, func_index, list(args))
+        finally:
+            self.call_depth = depth
+
+    def host_call(self, namespace: str, name: str) -> Callable:
+        """The bound callable :meth:`call_function` runs for the imported
+        function ``namespace.name``; ``KeyError`` when the module does not
+        import it."""
+        call = self._host_calls_by_name.get((namespace, name))
+        if call is None:
+            raise KeyError(f"module does not import {namespace}.{name}")
+        return call
 
     def invoke(self, export_name: str, *args) -> List:
         """Call an exported function by name."""

@@ -469,6 +469,45 @@ def test_a_second_guest_binding_is_flagged():
     assert "one-guest-binding" not in _rules(clock, "src/repro/fault/recover.py")[1]
 
 
+def test_a_second_host_call_path_is_flagged():
+    """Mutation test: the checked-in interpreter runs module-defined
+    functions only; putting back its old host branch and call-depth key
+    (``isinstance(target, HostFunction)``, ``instance.host_state``) is
+    reported, and so is a ``host_state`` in the runtime itself."""
+    from pathlib import Path
+
+    import repro.wasm.interpreter as interpreter
+    import repro.wasm.runtime as runtime
+
+    source = Path(interpreter.__file__).read_text()
+    relpath = "src/repro/wasm/interpreter.py"
+    _, rules = _rules(source, relpath)
+    assert "host-calls-bound-once" not in rules
+    mutant = source.replace(
+        "        return self._exec(instance, instance.functions[func_index], args)\n",
+        textwrap.indent(textwrap.dedent("""\
+            target = instance.functions[func_index]
+            if isinstance(target, (runtime.HostFunction, WasmFunction)):
+                return [target.callable(instance, *args)]
+            depth = instance.host_state.get("_call_depth", 0)
+            return self._exec(instance, target, args)
+        """), "        "))
+    assert mutant != source
+    report, _ = _rules(mutant, relpath)
+    findings = [f for f in report.errors if f.rule == "host-calls-bound-once"]
+    assert len(findings) == 2
+    assert {f.details["baseline_key"] for f in findings} == {
+        "host-calls-bound-once::src/repro/wasm/interpreter.py::Interpreter.call"}
+    # The runtime may test for a host function, but holds no host_state.
+    runtime_source = Path(runtime.__file__).read_text()
+    _, rules = _rules(runtime_source + "\n\ndef f(x):\n    return isinstance(x, HostFunction)\n",
+                      "src/repro/wasm/runtime.py")
+    assert "host-calls-bound-once" not in rules
+    _, rules = _rules(runtime_source + "\n\ndef f(instance):\n    return instance.host_state\n",
+                      "src/repro/wasm/runtime.py")
+    assert "host-calls-bound-once" in rules
+
+
 def test_an_unused_import_is_flagged(tmp_path):
     """Mutation test: the checked-in builder reads every name it imports; an
     import it never reads is reported, unless the module exports it in

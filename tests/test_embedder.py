@@ -23,7 +23,7 @@ from repro.toolchain.guest import GuestProgram
 from repro.toolchain.wasicc import compile_guest
 from repro.wasm.errors import MemoryOutOfBoundsTrap
 from repro.wasm.memory import LinearMemory
-from repro.wasm.types import Limits, MemoryType
+from repro.wasm.types import FuncType, Limits, MemoryType
 
 
 # -------------------------------------------------------- address translation
@@ -358,3 +358,76 @@ def test_session_settings_reach_the_guest_in_every_mode():
         assert session.run(program, 1).return_values() == [(["a"], ["/results"])]
         assert session.run(program, 1, guest_args=["b"]).return_values() == [(["b"], ["/results"])]
         assert session.run(program, 1, mode="native").return_values() == [(["a"], ["/results"])]
+
+
+# ------------------------------------------------------------ import binding
+
+
+def _mpi_caller_module(name, args, memory_pages=1):
+    """A module importing ``env.<name>`` and exporting ``go``, which calls it
+    with ``args`` (``memory_pages=0``: a module without memory)."""
+    from repro.wasm import ModuleBuilder
+
+    params, results = abi.MPI_SIGNATURES[name]
+    mb = ModuleBuilder()
+    if memory_pages:
+        mb.add_memory(memory_pages)
+    mb.import_function("env", name, params, results)
+    go = mb.function("go", results=results, export=True)
+    for value in args:
+        go.i32_const(value)
+    go.call(name)
+    return mb.build()
+
+
+def test_a_module_without_memory_fails_only_at_its_first_buffer_translation():
+    from types import SimpleNamespace
+
+    from repro.core.mpi_imports import register_mpi_imports
+    from repro.wasi.snapshot_preview1 import WasiEnvironment
+    from repro.wasm import ImportObject, Instance
+    from repro.wasm.errors import LinkError
+
+    world = SimpleNamespace(comm_world=object())
+    env = Env(runtime=world, wasi=WasiEnvironment(), translation_costs=False)
+    imports = ImportObject()
+    register_mpi_imports(imports, env)
+    send = _mpi_caller_module("MPI_Send", (0, 1, abi.MPI_BYTE, 0, 0, abi.MPI_COMM_WORLD),
+                              memory_pages=0)
+    instance = Instance(send, imports)
+    env.memory = instance.memory                  # as the embedder binds it: None
+    with pytest.raises(LinkError, match="no linear memory"):
+        instance.invoke("go")
+    assert env.call_counts == {"MPI_Send": 1}      # it got as far as the translation
+
+
+def test_an_instance_without_env_links_mpi_and_a_call_raises_mpi_error():
+    # Table 1's stand-alone kernel instance: env.MPI_* link, none may run.
+    from repro.core.mpi_imports import register_mpi_imports
+    from repro.mpi.errors import MPIError
+    from repro.wasm import ImportObject, Instance
+
+    imports = ImportObject()
+    register_mpi_imports(imports, None)
+    instance = Instance(_mpi_caller_module("MPI_Init", (0, 0)), imports)
+    with pytest.raises(MPIError, match="env.MPI_Init"):
+        instance.invoke("go")
+
+
+def test_guest_api_raises_key_error_for_an_import_the_module_lacks():
+    from repro.core.guest_api import GuestAPI
+    from repro.wasm import ImportObject, Instance, ModuleBuilder
+
+    mb = ModuleBuilder()
+    mb.add_memory(1)
+    mb.import_function("env", "MPI_Init", *abi.MPI_SIGNATURES["MPI_Init"])
+    malloc = mb.function("malloc", params=[("n", "i32")], results=["i32"], export=True)
+    malloc.i32_const(1024)
+    mb.function("free", params=[("p", "i32")], export=True).emit("nop")
+    imports = ImportObject()
+    imports.register("env", "MPI_Init", FuncType.of(*abi.MPI_SIGNATURES["MPI_Init"]),
+                     lambda instance, argc, argv: abi.MPI_SUCCESS)
+    api = GuestAPI(Instance(mb.build(), imports), env=None)
+    assert api.mpi_init() == abi.MPI_SUCCESS
+    with pytest.raises(KeyError, match="module does not import env.MPI_Finalize"):
+        api.mpi_finalize()

@@ -102,7 +102,7 @@ def _stub_imports(module):
         n_results = len(ft.results)
         imports.register(
             imp.module, imp.name, ft,
-            lambda inst, *args, _n=n_results: (0,) * _n if _n else None,
+            lambda inst, *args, _n=n_results: 0 if _n == 1 else (0,) * _n,
         )
     return imports
 

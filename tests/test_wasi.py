@@ -123,7 +123,7 @@ def _wasi_instance(env: WasiEnvironment):
     f = mb.function("noop", export=True)
     f.emit("nop")
     module = mb.build()
-    return Instance(module, build_wasi_imports(env))
+    return Instance(module, build_wasi_imports(env, ImportObject()))
 
 
 def test_fd_write_through_iovecs():
@@ -135,8 +135,8 @@ def test_fd_write_through_iovecs():
     # Two iovecs at address 64: (1000, 6) and (1010, 6).
     mem.store_int(64, 1000, 4); mem.store_int(68, 6, 4)
     mem.store_int(72, 1010, 4); mem.store_int(76, 6, 4)
-    fd_write = inst.imports.lookup("wasi_snapshot_preview1", "fd_write")
-    assert fd_write(inst, 1, 64, 2, 128) == SUCCESS
+    fd_write = inst.host_call("wasi_snapshot_preview1", "fd_write")
+    assert fd_write(1, 64, 2, 128) == [SUCCESS]
     assert mem.load_int(128, 4) == 12
     assert env.vfs.stdout_text() == "hello world\n"
 
@@ -145,24 +145,24 @@ def test_args_and_clock_and_random():
     env = WasiEnvironment(args=["app", "--size", "4"], clock=lambda: 1.5)
     inst = _wasi_instance(env)
     mem = inst.exported_memory()
-    sizes = inst.imports.lookup("wasi_snapshot_preview1", "args_sizes_get")
-    assert sizes(inst, 16, 20) == SUCCESS
+    sizes = inst.host_call("wasi_snapshot_preview1", "args_sizes_get")
+    assert sizes(16, 20) == [SUCCESS]
     argc = mem.load_int(16, 4)
     assert argc == 4  # "wasm-app" + the three user args
-    clock = inst.imports.lookup("wasi_snapshot_preview1", "clock_time_get")
-    assert clock(inst, 0, 0, 32) == SUCCESS
+    clock = inst.host_call("wasi_snapshot_preview1", "clock_time_get")
+    assert clock(0, 0, 32) == [SUCCESS]
     assert mem.load_int(32, 8) == int(1.5e9)
-    random_get = inst.imports.lookup("wasi_snapshot_preview1", "random_get")
-    assert random_get(inst, 200, 16) == SUCCESS
+    random_get = inst.host_call("wasi_snapshot_preview1", "random_get")
+    assert random_get(200, 16) == [SUCCESS]
     assert mem.read(200, 16) != bytes(16)
 
 
 def test_proc_exit_raises_exit_trap_and_records_code():
     env = WasiEnvironment()
     inst = _wasi_instance(env)
-    proc_exit = inst.imports.lookup("wasi_snapshot_preview1", "proc_exit")
+    proc_exit = inst.host_call("wasi_snapshot_preview1", "proc_exit")
     with pytest.raises(ExitTrap) as excinfo:
-        proc_exit(inst, 3)
+        proc_exit(3)
     assert excinfo.value.exit_code == 3
     assert env.exit_code == 3
     assert inst.exit_code == 3

@@ -241,15 +241,37 @@ def test_a_folded_expression_keeps_its_precedence_and_its_trap(backend):
         inst.invoke("div_select", 5)
 
 
-def test_stack_exhaustion_guard():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_stack_exhaustion_guard(backend):
     mb = ModuleBuilder()
     f = mb.function("loop_forever", params=[("n", "i32")], results=["i32"], export=True)
     f.get("n").i32_const(1).emit("i32.add").call("loop_forever")
     module = mb.build()
-    backend = get_backend("cranelift")
-    inst = Instance(module, ImportObject(), executor=backend.executor_for(backend.compile(module)))
+    compiled = get_backend(backend)
+    inst = Instance(module, ImportObject(), executor=compiled.executor_for(compiled.compile(module)))
     with pytest.raises(StackExhaustionTrap):
         inst.invoke("loop_forever", 0)
+    assert inst.call_depth == 0          # the guard unwinds with the trap
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_host_import_reentering_the_guest_is_depth_guarded(backend):
+    # guest f -> host import -> instance.invoke("f") -> ...: every guest level
+    # passes the one guard in Instance.call_function, so the recursion ends
+    # in the Wasm trap, not in CPython's RecursionError.
+    mb = ModuleBuilder()
+    mb.import_function("env", "reenter", ["i32"], ["i32"])
+    f = mb.function("f", params=[("n", "i32")], results=["i32"], export=True)
+    f.get("n").call("reenter")
+    module = mb.build()
+    imports = ImportObject()
+    imports.register("env", "reenter", FuncType.of(["i32"], ["i32"]),
+                     lambda inst, n: inst.invoke("f", n + 1)[0])
+    compiled = get_backend(backend)
+    inst = Instance(module, imports, executor=compiled.executor_for(compiled.compile(module)))
+    with pytest.raises(StackExhaustionTrap):
+        inst.invoke("f", 0)
+    assert inst.call_depth == 0
 
 
 _DEEP_RECURSION_SCRIPT = """
